@@ -16,19 +16,22 @@ from . import serialize
 from .cones import contains
 from .errors import (
     BudgetExceeded,
+    DimensionError,
     InconsistentInput,
+    InvalidCone,
     MissingNefData,
     MmpwalkError,
     NonGenericSegment,
     NotFoundError,
     OutsideSupport,
     ParseError,
+    SupportMismatch,
 )
 from .oracle import builtin_examples, o_value_oracle
 from .orders import asymptotic_order, cell_functionals, chamber_fan, evaluate_functional
 from .ring import support_cone, validate
 from .veronese import grid_additivity_check, veronese_degree
-from .walk import classify_nef, emit_trace, make_segment, minimal_model_chamber, order_chambers
+from .walk import classify_nef, emit_trace, make_segment, order_chambers
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -68,8 +71,11 @@ def _read_input(cfg):
     if cfg.input == "-":
         text = sys.stdin.read()
     else:
-        with open(cfg.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(cfg.input, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ParseError(f"cannot read input {cfg.input!r}: {exc.strerror}") from None
     return serialize.ring_from_json(serialize.loads(text))
 
 
@@ -168,7 +174,10 @@ def cmd_veronese(cfg):
         degrees = [int(p) for p in cfg.degrees.split(",")]
     except ValueError:
         raise ParseError(f"bad --degrees {cfg.degrees!r}")
-    result = veronese_degree(degrees, cfg.m_max)
+    try:
+        result = veronese_degree(degrees, cfg.m_max)
+    except ValueError as exc:
+        raise ParseError(f"bad --degrees {cfg.degrees!r}: {exc}") from None
     if cfg.format == "text":
         _write_output(
             cfg,
@@ -362,7 +371,15 @@ def main(argv=None):
         walls = ", ".join(str(list(w)) for w in exc.walls)
         print(f"error: {exc} (walls: {walls})", file=sys.stderr)
         return EXIT_NON_GENERIC
-    except (OutsideSupport, InconsistentInput, MissingNefData, NotFoundError) as exc:
+    except (
+        OutsideSupport,
+        InconsistentInput,
+        MissingNefData,
+        NotFoundError,
+        DimensionError,
+        InvalidCone,
+        SupportMismatch,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -6,7 +6,7 @@ loops.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Vec = tuple
 
@@ -17,10 +17,6 @@ def dot(a, b):
 
 def vadd(a, b):
     return tuple(x + y for x, y in zip(a, b))
-
-
-def vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def vscale(c, a):
@@ -35,22 +31,20 @@ def is_zero(a):
     return all(x == 0 for x in a)
 
 
-def as_fractions(a):
-    return tuple(Fraction(x) for x in a)
+def clear_denominators(v):
+    """``(ints, d)`` with ``v == ints / d`` and ``d`` the least common
+    denominator of the entries of the rational vector ``v``."""
+    fracs = [Fraction(x) for x in v]
+    denom = lcm(*(f.denominator for f in fracs))
+    return tuple(f.numerator * (denom // f.denominator) for f in fracs), denom
 
 
 def primitive(v):
     """Scale ``v`` to a primitive integer vector, preserving direction."""
-    fracs = [Fraction(x) for x in v]
-    if all(f == 0 for f in fracs):
-        return tuple(0 for _ in fracs)
-    denom = 1
-    for f in fracs:
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    ints = [int(f * denom) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    ints, _ = clear_denominators(v)
+    g = gcd(*ints)
+    if g == 0:
+        return ints
     return tuple(x // g for x in ints)
 
 

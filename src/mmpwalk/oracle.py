@@ -117,12 +117,17 @@ def _min_over_integer_representations(degrees, heights, target, budget):
 
 def o_value_oracle(datum, valuation, x, k_list, budget=ORACLE_NODE_BUDGET):
     """Enumeration values (1/k)*min over integer representations of k*x,
-    one per requested k; None marks a k with no integer representation."""
+    one per requested k; None marks a k where k*x is not an integer point
+    or has no integer representation."""
     degrees = [tuple(g.multidegree) for g in datum.generators]
     heights = [Fraction(g.mult(valuation)) for g in datum.generators]
     out = []
     for k in k_list:
-        target = tuple(int(v) * k for v in x)
+        target = tuple(Fraction(v) * k for v in x)
+        if any(t.denominator != 1 for t in target):
+            out.append(None)
+            continue
+        target = tuple(int(t) for t in target)
         best = _min_over_integer_representations(degrees, heights, target, budget)
         out.append(None if best is None else best / k)
     return tuple(out)

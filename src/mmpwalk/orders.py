@@ -6,18 +6,33 @@ domains form a fan: lift each generator by its multiplicity, take the cone
 over the lifted generators, and project the lower facets back down.  The
 chamber fan is the common refinement of these fans over all valuations,
 further sliced so that every cell respects every facet hyperplane.
+
+The optimal basis of the LP is constant on each linearity domain, so
+``asymptotic_order`` keeps the optimal bases of earlier solves, per LP
+datum, and answers a query from one of them when it is certified optimal
+there; otherwise it solves from scratch.  Values are exact and unique
+either way.  The witness is an optimal basic solution certified by the
+returned dual; when several optimal vertices tie, which one is returned
+depends on the earlier queries of the process.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
+from typing import NamedTuple
 
 from .cones import Fan, cone_from_rays, common_refinement, hyperplane_refinement, make_fan
 from .errors import BudgetExceeded, OutsideSupport
-from .linalg import dot, solve_exact, vscale
+from .linalg import clear_denominators, dot
 from .ring import support_cone
 from .simplex import DEFAULT_PIVOT_CAP, INFEASIBLE, solve_min
 
 DEFAULT_NODE_BUDGET = 2_000_000
+
+# LP data (degrees, heights) whose optimal bases are kept, least recently
+# used first out
+BASIS_CACHE_SIZE = 4096
 
 
 class _NoRepresentation:
@@ -32,8 +47,17 @@ NO_REPRESENTATION = _NoRepresentation()
 
 @dataclass(frozen=True)
 class OValue:
+    """Order value with its optimality certificate.
+
+    ``witness`` is an optimal representation (generator coefficients) and
+    ``dual`` a vector y with ``y . d_i <= h_i`` for every generator degree
+    d_i and multiplicity h_i and ``y . x == value``: by weak duality no
+    representation of ``x`` costs less than ``value``.
+    """
+
     value: Fraction
     witness: tuple
+    dual: tuple
 
 
 @dataclass(frozen=True)
@@ -51,22 +75,105 @@ def asymptotic_order(datum, valuation, x, support=None, pivot_cap=DEFAULT_PIVOT_
     """Exact order of vanishing at ``x``: min of generator multiplicities
     over all nonnegative rational representations of ``x``.
 
-    Returns an OValue with an optimal basic witness.  ``x`` outside the
-    closed support cone raises OutsideSupport (distinct from value 0).
+    Returns an OValue with an optimal basic witness and the dual that
+    certifies it.  ``x`` outside the closed support cone raises
+    OutsideSupport (distinct from value 0).
     """
     if support is None:
         support = support_cone(datum)
-    if not support.contains(x):
+    # x = xs / x_den with x_den > 0, so xs lies in the same cones as x
+    xs, x_den = clear_denominators(x)
+    if not support.contains(xs):
         raise OutsideSupport(f"point {tuple(x)} is outside the support cone")
-    degrees = [g.multidegree for g in datum.generators]
-    n = len(x)
-    A = [[Fraction(degrees[i][row]) for i in range(len(degrees))] for row in range(n)]
-    result = solve_min(A, [Fraction(v) for v in x], _heights(datum, valuation), pivot_cap)
+    degrees = tuple(tuple(g.multidegree) for g in datum.generators)
+    mults = tuple(g.mult(valuation) for g in datum.generators)
+    bases = _optimal_bases(degrees, mults)
+    hit = _certified(bases, degrees, xs, x_den)
+    if hit is not None:
+        return hit
+    heights = [Fraction(h) for h in mults]
+    A = [[Fraction(d[row]) for d in degrees] for row in range(len(x))]
+    result = solve_min(A, [Fraction(v) for v in x], heights, pivot_cap)
     if result is INFEASIBLE:
         # contains() passed, so this is unreachable for consistent cones
         raise OutsideSupport(f"no representation of {tuple(x)} over the generators")
-    value, witness = result
-    return OValue(value, witness)
+    value, witness, basis = result
+    entry = _cached_basis(basis, heights, len(x))
+    bases.append(entry)
+    return OValue(value, witness, _dual(entry))
+
+
+class _CachedBasis(NamedTuple):
+    """An optimal basis (see ``simplex.Basis``) with B^-1 and the dual
+    ``y = c_B B^-1`` (zero on dropped rows) each over one common
+    denominator, so that certifying a query takes integer arithmetic only."""
+
+    rows: tuple
+    cols: tuple
+    inverse_num: tuple
+    inverse_den: int
+    dual_num: tuple
+    dual_den: int
+
+
+@lru_cache(maxsize=BASIS_CACHE_SIZE)
+def _optimal_bases(degrees, mults):
+    """The list of ``_CachedBasis`` found optimal by earlier solves of the
+    LP with these data; ``asymptotic_order`` appends to it.
+
+    Keyed on the data themselves, so a basis never serves another LP.
+    """
+    return []
+
+
+def _cached_basis(basis, heights, n):
+    rows, cols, inverse = basis
+    flat, inverse_den = clear_denominators([v for row in inverse for v in row])
+    k = len(rows)
+    inverse_num = tuple(flat[i * k:(i + 1) * k] for i in range(len(cols)))
+    dual = [Fraction(0)] * n
+    for j, row in enumerate(rows):
+        dual[row] = sum(heights[col] * inverse[i][j] for i, col in enumerate(cols))
+    dual_num, dual_den = clear_denominators(dual)
+    return _CachedBasis(rows, cols, inverse_num, inverse_den, dual_num, dual_den)
+
+
+def _dual(entry):
+    return tuple(Fraction(v, entry.dual_den) for v in entry.dual_num)
+
+
+def _certified(bases, degrees, xs, x_den):
+    """Answer at ``x = xs / x_den`` from a cached basis optimal there, or None.
+
+    Every cached dual y is dual feasible, so ``y . x`` is a lower bound on
+    the optimum and only the largest bound can be attained.  A basis with
+    that bound is optimal at ``x`` when its basic solution ``B^-1 x`` is
+    nonnegative and also meets the dropped rows.
+    """
+    if not bases:
+        return None
+    # the bounds y . x, all scaled by scale * x_den
+    scale = lcm(*(e.dual_den for e in bases))
+    bounds = [dot(e.dual_num, xs) * (scale // e.dual_den) for e in bases]
+    best = max(bounds)
+    for entry, bound in zip(bases, bounds):
+        if bound != best:
+            continue
+        rows, cols, inverse_num, inverse_den = entry[:4]
+        xk = [xs[r] for r in rows]
+        z = [dot(row, xk) for row in inverse_num]  # B^-1 x scaled by inverse_den * x_den
+        if any(v < 0 for v in z):
+            continue
+        if len(rows) < len(xs) and any(
+            sum(degrees[col][r] * v for col, v in zip(cols, z)) != xs[r] * inverse_den
+            for r in range(len(xs)) if r not in rows
+        ):
+            continue
+        witness = [Fraction(0)] * len(degrees)
+        for col, v in zip(cols, z):
+            witness[col] = Fraction(v, inverse_den * x_den)
+        return OValue(Fraction(best, scale * x_den), tuple(witness), _dual(entry))
+    return None
 
 
 def linearity_fan(datum, valuation, support=None):
@@ -292,6 +399,3 @@ def stabilization_multiple(datum, valuation, x, k_max, support=None,
 def evaluate_functional(functional, x):
     return dot(functional, x)
 
-
-def scale_point(x, factor):
-    return vscale(Fraction(factor), tuple(Fraction(v) for v in x))

@@ -24,7 +24,22 @@ def rat_to_str(x):
     return str(Fraction(x))
 
 
+def _reject_float(x):
+    # a JSON float is a binary approximation: never coerce it to an exact value
+    if isinstance(x, (bool, float)):
+        raise ParseError(f"{x!r} is not exact: write an integer or a \"p/q\" string")
+
+
+def _int_from_json(x):
+    _reject_float(x)
+    try:
+        return int(x)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad integer {x!r}: {exc}") from None
+
+
 def rat_from_str(s):
+    _reject_float(s)
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
@@ -103,10 +118,10 @@ def nef_to_json(nef):
 
 def nef_from_json(doc, ambient_dim):
     if "rays" in doc:
-        return NefConeDatum(cone=cone_from_rays([tuple(r) for r in doc["rays"]]))
+        return NefConeDatum(cone=cone_from_rays([vec_from_json(r) for r in doc["rays"]]))
     if "ineqs" in doc:
         return NefConeDatum(
-            cone=cone_from_halfspaces([tuple(f) for f in doc["ineqs"]], ambient_dim)
+            cone=cone_from_halfspaces([vec_from_json(f) for f in doc["ineqs"]], ambient_dim)
         )
     raise ParseError("nef cone needs either 'rays' or 'ineqs'")
 
@@ -143,11 +158,11 @@ def ring_to_json(datum, segment_h=None):
 
 def ring_from_json(doc):
     try:
-        r = int(doc["r"])
+        r = _int_from_json(doc["r"])
         n = r + 1
         generators = tuple(
             GeneratorDatum(
-                multidegree=tuple(int(x) for x in g["deg"]),
+                multidegree=tuple(_int_from_json(x) for x in g["deg"]),
                 mults={name: rat_from_str(v) for name, v in g["mults"].items()},
             )
             for g in doc["generators"]

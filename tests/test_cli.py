@@ -6,6 +6,7 @@ import pytest
 
 from mmpwalk import builtin_examples
 from mmpwalk.cli import main
+from mmpwalk.errors import SupportMismatch
 from mmpwalk.serialize import dumps, ring_to_json
 
 
@@ -163,3 +164,58 @@ def test_stdin_input(monkeypatch, capsys):
     code, out, _ = run(capsys, "walk", "--input", "-")
     assert code == 0
     assert json.loads(out)["chambers"] == [0, 1]
+
+
+def test_oracle_at_rational_point(capsys):
+    code, out, _ = run(capsys, "oracle", "--example", "blowup-P2", "--point", "3/2,1")
+    assert code == 0
+    assert out == "OK E at 3/2,1: LP 1/2 = IP 1/2 at k=2\n"
+
+
+def _one_line_error(err):
+    return err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("veronese", "--degrees", "0,2"), 2),
+        (("oracle", "--example", "blowup-P2", "--point", "1,2,3"), 3),
+        (("decompose", "--input", "/nonexistent.json"), 2),
+    ],
+    ids=["veronese-zero-degree", "oracle-point-dimension", "missing-input-file"],
+)
+def test_bad_arguments_exit_with_documented_codes(capsys, argv, code):
+    got, _, err = run(capsys, *argv)
+    assert got == code
+    assert _one_line_error(err)
+
+
+def test_float_degree_is_parse_error(tmp_path, capsys):
+    doc = json.loads(dumps(ring_to_json(builtin_examples()["blowup-P2"])))
+    doc["generators"][0]["deg"] = [1.7, 0]
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "decompose", "--input", str(path))
+    assert code == 2
+    assert _one_line_error(err)
+
+
+def test_invalid_cone_exit_code(tmp_path, capsys):
+    doc = json.loads(dumps(ring_to_json(builtin_examples()["blowup-P2"])))
+    doc["nef"] = {"rays": []}
+    path = tmp_path / "empty_nef.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "decompose", "--input", str(path))
+    assert code == 3
+    assert _one_line_error(err)
+
+
+def test_support_mismatch_exit_code(monkeypatch, capsys):
+    def mismatched(*args, **kwargs):
+        raise SupportMismatch("fans do not share a support cone")
+
+    monkeypatch.setattr("mmpwalk.cli.chamber_fan", mismatched)
+    code, _, err = run(capsys, "decompose", "--example", "blowup-P2")
+    assert code == 3
+    assert _one_line_error(err)

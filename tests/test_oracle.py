@@ -87,6 +87,16 @@ def test_oracle_never_beats_lp():
             assert v >= lp
 
 
+def test_oracle_takes_rational_points_exactly():
+    datum = builtin_examples()["blowup-P2"]
+    # 1*(3/2, 1) is not an integer point; 2*(3/2, 1) = (3, 2) costs 1
+    assert o_value_oracle(datum, "E", (Fraction(3, 2), 1), [1, 2, 4]) == (
+        None,
+        Fraction(1, 2),
+        Fraction(1, 2),
+    )
+
+
 def test_oracle_budget():
     datum = builtin_examples()["blowup-P2"]
     with pytest.raises(BudgetExceeded):

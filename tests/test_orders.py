@@ -1,11 +1,13 @@
 """Order functions: LP values, linearity fans, chamber fans, integer levels."""
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 
 from mmpwalk import (
     NO_REPRESENTATION,
+    InstanceSpec,
     OutsideSupport,
     asymptotic_order,
     builtin_examples,
@@ -13,12 +15,15 @@ from mmpwalk import (
     chamber_fan,
     integer_order,
     linearity_fan,
+    random_instance,
     stabilization_multiple,
 )
+from mmpwalk import orders
 from mmpwalk.cones import cone_from_rays
 from mmpwalk.errors import BudgetExceeded
+from mmpwalk.linalg import dot
 from mmpwalk.orders import evaluate_functional, functional_on_cell
-from mmpwalk.ring import support_cone
+from mmpwalk.ring import GeneratorDatum, NumericalMap, RingDatum, support_cone
 
 
 @pytest.fixture(scope="module")
@@ -185,3 +190,123 @@ def test_support_passed_in_matches_recomputed(blowup):
     a = asymptotic_order(blowup, "E", (2, 1), support=sup)
     b = asymptotic_order(blowup, "E", (2, 1))
     assert a == b
+
+
+def _corpus_datum(seed):
+    r = (1, 1, 2, 2, 3)[seed % 5]
+    spec = InstanceSpec(
+        r=r,
+        generator_count={1: 6, 2: 6, 3: 5}[r],
+        valuation_count={1: 4, 2: 3, 3: 2}[r],
+        coordinate_bound=4,
+        seed=seed,
+    )
+    return random_instance(spec)
+
+
+def _lp_data(datum, valuation, x):
+    degrees = [g.multidegree for g in datum.generators]
+    heights = [Fraction(g.mult(valuation)) for g in datum.generators]
+    A = [[Fraction(d[row]) for d in degrees] for row in range(len(x))]
+    return degrees, heights, A
+
+
+def _cache_queries(datum, fan):
+    """Rays, sums of ray pairs (points on walls of the chamber fan) and
+    interior points of every cell, each repeated across the valuations."""
+    rng = Random(11)
+    points = []
+    for cell in fan.cells:
+        points += cell.rays
+        points += [
+            tuple(a + b for a, b in zip(cell.rays[i], cell.rays[j]))
+            for i in range(len(cell.rays))
+            for j in range(i + 1, len(cell.rays))
+        ]
+        weights = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in cell.rays]
+        points.append(tuple(sum(w * x for w, x in zip(weights, col)) for col in zip(*cell.rays)))
+    return [(v, p) for v in datum.valuations for p in points]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_cached_values_equal_cold_solves(seed, monkeypatch):
+    orders._optimal_bases.cache_clear()
+    cold_calls = []
+    original = orders.solve_min
+
+    def counted(*args, **kwargs):
+        cold_calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(orders, "solve_min", counted)
+    datum = _corpus_datum(seed)
+    support = support_cone(datum)
+    queries = _cache_queries(datum, chamber_fan(datum, support=support))
+    for valuation, x in queries:
+        got = asymptotic_order(datum, valuation, x, support=support)
+        _, heights, A = _lp_data(datum, valuation, x)
+        value, _, _ = original(A, list(x), heights)
+        assert got.value == value
+    assert len(cold_calls) < len(queries) / 2
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_every_order_value_carries_its_dual_certificate(seed):
+    datum = _corpus_datum(seed)
+    support = support_cone(datum)
+    for valuation, x in _cache_queries(datum, chamber_fan(datum, support=support)):
+        ov = asymptotic_order(datum, valuation, x, support=support)
+        degrees, heights, _ = _lp_data(datum, valuation, x)
+        y = ov.dual
+        assert all(dot(y, d) <= h for d, h in zip(degrees, heights))
+        assert dot(y, x) == ov.value
+        assert all(w >= 0 for w in ov.witness)
+        assert tuple(dot(col, ov.witness) for col in zip(*degrees)) == tuple(x)
+        assert dot(heights, ov.witness) == ov.value
+
+
+def test_same_degrees_other_heights_never_share_a_basis(blowup):
+    orders._optimal_bases.cache_clear()
+    cheap_corner = RingDatum(
+        r=blowup.r,
+        labels=blowup.labels,
+        generators=tuple(
+            GeneratorDatum(multidegree=g.multidegree, mults={"E": Fraction(h)})
+            for g, h in zip(blowup.generators, (0, 0, 1))
+        ),
+        valuations=("E",),
+        numerical=blowup.numerical,
+    )
+    # the basis on columns 0 and 2 is optimal for blowup-P2 at (2, 1) and
+    # feasible there for the other heights too, but not optimal for them
+    assert asymptotic_order(blowup, "E", (2, 1)).value == 1
+    ov = asymptotic_order(cheap_corner, "E", (2, 1))
+    assert ov.value == 0
+    assert ov.witness == (2, 1, 0)
+    degrees = tuple(tuple(g.multidegree) for g in blowup.generators)
+    mine = orders._optimal_bases(degrees, (1, 0, 0))
+    theirs = orders._optimal_bases(degrees, (0, 0, 1))
+    assert len(mine) == len(theirs) == 1
+    assert mine[0].cols != theirs[0].cols
+
+
+def test_cached_basis_must_meet_dropped_rows():
+    # degrees on one line: the LP has a redundant row, which the basis drops
+    thin = RingDatum(
+        r=1,
+        labels=("K", "D1"),
+        generators=(
+            GeneratorDatum(multidegree=(1, 1), mults={"G": Fraction(1)}),
+            GeneratorDatum(multidegree=(2, 2), mults={"G": Fraction(1)}),
+        ),
+        valuations=("G",),
+        numerical=NumericalMap(matrix=((Fraction(1), Fraction(0)),), target_dim=1),
+    )
+    orders._optimal_bases.cache_clear()
+    assert asymptotic_order(thin, "G", (2, 2)).value == 1
+    assert asymptotic_order(thin, "G", (3, 3)).value == Fraction(3, 2)
+    # the kept row alone would accept (1, 2); the certificate also checks the
+    # dropped row, so a support that wrongly admits the point gets no answer
+    quadrant = cone_from_rays([(1, 0), (0, 1)])
+    with pytest.raises(OutsideSupport):
+        asymptotic_order(thin, "G", (1, 2), support=quadrant)

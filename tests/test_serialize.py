@@ -112,3 +112,26 @@ def test_exactness_survives_roundtrip():
     doc = {"x": rat_to_str(Fraction(1, 3))}
     text = dumps(doc)
     assert rat_from_str(loads(text)["x"]) * 3 == 1
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("generators", 0, "deg", 0), 1.7),
+        (("generators", 0, "deg", 0), 1.0),
+        (("generators", 0, "deg", 0), "1/2"),
+        (("generators", 0, "mults", "E"), 0.1),
+        (("r",), 1.0),
+        (("nef", "rays", 0, 0), 0.5),
+    ],
+    ids=["float-degree", "integral-float-degree", "fraction-degree", "float-mult",
+         "float-rank", "float-nef-ray"],
+)
+def test_inexact_or_non_integer_numbers_are_rejected(path, value):
+    doc = loads(dumps(ring_to_json(builtin_examples()["blowup-P2"])))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ParseError):
+        ring_from_json(doc)
