@@ -9,7 +9,6 @@ import argparse
 import os
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import serialize
@@ -41,23 +40,6 @@ EXIT_BUDGET = 4
 EXIT_NON_GENERIC = 5
 
 
-@dataclass
-class RunConfig:
-    input: str
-    output: str
-    format: str
-    seed: int
-    k_max: int
-    grid_depth: int
-    budget: int
-    example: str
-    refine: bool
-    h: str
-    points: list
-    degrees: str
-    m_max: int
-
-
 def _read_input(cfg):
     if cfg.example:
         catalog = builtin_examples()
@@ -81,8 +63,11 @@ def _read_input(cfg):
 
 def _write_output(cfg, text):
     if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write output {cfg.output!r}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -335,29 +320,13 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    budget = args.budget
-    if budget is None:
-        budget = int(os.environ.get("MMPW_BUDGET", "2000000"))
-    if budget <= 0 or args.k_max <= 0 or args.grid_depth <= 0:
+    if args.budget is None:
+        args.budget = int(os.environ.get("MMPW_BUDGET", "2000000"))
+    if args.budget <= 0 or args.k_max <= 0 or args.grid_depth <= 0:
         print("error: budgets must be positive", file=sys.stderr)
         return EXIT_VALIDATION
-    cfg = RunConfig(
-        input=args.input,
-        output=args.output,
-        format=args.format,
-        seed=args.seed,
-        k_max=args.k_max,
-        grid_depth=args.grid_depth,
-        budget=budget,
-        example=args.example,
-        refine=args.refine,
-        h=args.h,
-        points=args.points,
-        degrees=args.degrees,
-        m_max=args.m_max,
-    )
     try:
-        return COMMANDS[args.command](cfg)
+        return COMMANDS[args.command](args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

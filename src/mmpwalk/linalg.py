@@ -33,10 +33,17 @@ def is_zero(a):
 
 def clear_denominators(v):
     """``(ints, d)`` with ``v == ints / d`` and ``d`` the least common
-    denominator of the entries of the rational vector ``v``."""
-    fracs = [Fraction(x) for x in v]
-    denom = lcm(*(f.denominator for f in fracs))
-    return tuple(f.numerator * (denom // f.denominator) for f in fracs), denom
+    denominator of the entries of the rational vector ``v``.
+
+    Entries are ``int`` or ``Fraction``; both carry ``numerator`` and
+    ``denominator``, so no entry is converted.  Any other entry, such as a
+    float, raises ``TypeError`` rather than being coerced.
+    """
+    try:
+        denom = lcm(*(x.denominator for x in v))
+    except AttributeError:
+        raise TypeError(f"not an exact rational vector: {tuple(v)!r}") from None
+    return tuple(x.numerator * (denom // x.denominator) for x in v), denom
 
 
 def primitive(v):
@@ -63,25 +70,31 @@ def sign_canonical(v):
 
 
 def rank(rows):
-    """Rank of a matrix given as an iterable of equal-length vectors."""
-    mat = [list(map(Fraction, r)) for r in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
+    """Rank of a matrix given as an iterable of equal-length vectors.
+
+    Fraction-free: rows are made primitive, each elimination step is
+    ``row <- p * row - a * pivot_row`` over the integers and the result is
+    divided by its gcd, so entries stay small and no Fraction is built.
+    """
+    mat = [row for row in map(primitive, rows) if any(row)]
     r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        pv = mat[r][col]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col] / pv
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+    while mat:
+        pivot_row = mat.pop()
+        col = next(j for j, x in enumerate(pivot_row) if x != 0)
+        p = pivot_row[col]
         r += 1
-        if r == len(mat):
-            break
+        rest = []
+        for row in mat:
+            a = row[col]
+            if a != 0:
+                row = [p * x - a * y for x, y in zip(row, pivot_row)]
+                g = gcd(*row)
+                if g == 0:
+                    continue
+                if g != 1:
+                    row = [x // g for x in row]
+            rest.append(row)
+        mat = rest
     return r
 
 

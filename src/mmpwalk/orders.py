@@ -237,6 +237,14 @@ def chamber_fan(datum, support=None, refine=True):
     return fan
 
 
+def _functional_at(lf, probe):
+    """Functional of the linearity-fan cell that contains ``probe``."""
+    for host, functional in zip(lf.fan.cells, lf.functionals):
+        if host.contains(probe):
+            return functional
+    raise OutsideSupport("cell does not meet the linearity fan")
+
+
 def functional_on_cell(datum, valuation, cell, support=None):
     """Linear functional of the order function on a cell where it is linear.
 
@@ -244,21 +252,25 @@ def functional_on_cell(datum, valuation, cell, support=None):
     its cells (true for chamber-fan cells by construction).
     """
     lf = linearity_fan(datum, valuation, support)
-    probe = cell.relative_interior_point()
-    for host, functional in zip(lf.fan.cells, lf.functionals):
-        if host.contains(probe):
-            return functional
-    raise OutsideSupport("cell does not meet the linearity fan")
+    return _functional_at(lf, cell.relative_interior_point())
 
 
 def cell_functionals(datum, fan, support=None):
-    """Per-valuation linear functionals on every cell of a chamber fan."""
-    return {
-        valuation: tuple(
-            functional_on_cell(datum, valuation, cell, support) for cell in fan.cells
+    """Per-valuation linear functionals on every cell of a chamber fan.
+
+    Builds each valuation's linearity fan once, on ``support`` (by default
+    the fan's own support), and gives every cell the functional of the
+    linearity cell holding its relative-interior point.
+    """
+    if support is None:
+        support = fan.support
+    functionals = {}
+    for valuation in datum.valuations:
+        lf = linearity_fan(datum, valuation, support)
+        functionals[valuation] = tuple(
+            _functional_at(lf, cell.relative_interior_point()) for cell in fan.cells
         )
-        for valuation in datum.valuations
-    }
+    return functionals
 
 
 def _unit_index(degrees, n):

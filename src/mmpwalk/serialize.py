@@ -74,14 +74,14 @@ def cone_to_json(cone):
 
 
 def cone_from_json(doc):
-    rays = [tuple(r) for r in doc.get("rays", [])]
+    rays = [vec_from_json(r) for r in doc.get("rays", [])]
     if rays:
         cone = cone_from_rays(rays)
     else:
         cone = cone_from_halfspaces(
-            [tuple(f) for f in doc.get("facets", [])],
+            [vec_from_json(f) for f in doc.get("facets", [])],
             doc["ambient_dim"],
-            equations=[tuple(eq) for eq in doc.get("equations", [])],
+            equations=[vec_from_json(eq) for eq in doc.get("equations", [])],
         )
     return cone
 
@@ -226,8 +226,8 @@ def trace_from_json(doc):
     try:
         steps = tuple(
             TraceStep(
-                from_chamber=int(s["from_chamber"]),
-                to_chamber=int(s["to_chamber"]),
+                from_chamber=_int_from_json(s["from_chamber"]),
+                to_chamber=_int_from_json(s["to_chamber"]),
                 t=rat_from_str(s["t"]),
                 wall_point=vec_from_json(s["wall_point"]),
                 interior_pick=vec_from_json(s["interior_pick"]),
@@ -239,7 +239,7 @@ def trace_from_json(doc):
         final = doc["final"]
         return MmpTrace(
             steps=steps,
-            final_chamber=int(final["chamber"]),
+            final_chamber=_int_from_json(final["chamber"]),
             final_divisor=vec_from_json(final["divisor"]),
             final_model_id=str(final["model_id"]),
         )

@@ -219,3 +219,12 @@ def test_support_mismatch_exit_code(monkeypatch, capsys):
     code, _, err = run(capsys, "decompose", "--example", "blowup-P2")
     assert code == 3
     assert _one_line_error(err)
+
+
+def test_unwritable_output_is_parse_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "fan.json"
+    code, out, err = run(capsys, "decompose", "--example", "blowup-P2", "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert _one_line_error(err)
+    assert err.startswith(f"error: cannot write output {str(target)!r}")

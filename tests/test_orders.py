@@ -310,3 +310,49 @@ def test_cached_basis_must_meet_dropped_rows():
     quadrant = cone_from_rays([(1, 0), (0, 1)])
     with pytest.raises(OutsideSupport):
         asymptotic_order(thin, "G", (1, 2), support=quadrant)
+
+
+
+# builtin examples and corpus seeds 1-10
+FUNCTIONAL_CASES = sorted(builtin_examples()) + [f"corpus-{seed}" for seed in range(1, 11)]
+
+
+def _named_datum(name):
+    if name.startswith("corpus-"):
+        return _corpus_datum(int(name.removeprefix("corpus-")))
+    return builtin_examples()[name]
+
+
+def test_cell_functionals_build_one_linearity_fan_per_valuation(monkeypatch):
+    built = []
+    original = orders.linearity_fan
+
+    def counted(datum, valuation, support=None):
+        built.append(valuation)
+        return original(datum, valuation, support)
+
+    def no_support_cone(datum):
+        raise AssertionError("the fan already carries its support cone")
+
+    for name in FUNCTIONAL_CASES:
+        datum = _named_datum(name)
+        fan = chamber_fan(datum)
+        monkeypatch.setattr(orders, "linearity_fan", counted)
+        monkeypatch.setattr(orders, "support_cone", no_support_cone)
+        built.clear()
+        cell_functionals(datum, fan)
+        monkeypatch.undo()
+        assert built == list(datum.valuations), name
+
+
+@pytest.mark.parametrize("name", FUNCTIONAL_CASES)
+def test_cell_functionals_equal_functional_on_cell(name):
+    datum = _named_datum(name)
+    support = support_cone(datum)
+    fan = chamber_fan(datum, support=support)
+    got = cell_functionals(datum, fan)
+    assert set(got) == set(datum.valuations)
+    for valuation in datum.valuations:
+        assert got[valuation] == tuple(
+            functional_on_cell(datum, valuation, cell, support) for cell in fan.cells
+        )

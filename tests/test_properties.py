@@ -1,7 +1,9 @@
 """Property-based checks for the geometric kernel and the order functions."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +13,9 @@ from mmpwalk import (
     chamber_fan,
     random_instance,
 )
+from mmpwalk import linalg
 from mmpwalk.cones import cone_from_halfspaces, cone_from_rays, hyperplane_refinement
+from mmpwalk.linalg import clear_denominators, primitive, rank, row_reduce
 from mmpwalk.ring import support_cone
 
 coords = st.integers(min_value=-6, max_value=6)
@@ -140,3 +144,77 @@ def test_chamber_fan_cells_cover_sampled_points(seed):
         strict_hits = sum(1 for c in fan.cells if c.contains(p, strict=True))
         assert strict_hits == 1
         assert sup.contains(p)
+
+
+rationals = st.one_of(
+    coords, st.fractions(min_value=-6, max_value=6, max_denominator=7)
+)
+
+
+@st.composite
+def matrices(draw):
+    """Int, Fraction or mixed rows, with zero, repeated and dependent rows."""
+    ncols = draw(st.integers(min_value=1, max_value=5))
+    rows = draw(st.lists(st.tuples(*([rationals] * ncols)), max_size=5))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        kind = draw(st.sampled_from(["zero", "repeat", "combination"]))
+        if kind == "zero" or not rows:
+            rows.append(tuple([0] * ncols))
+        elif kind == "repeat":
+            rows.append(draw(st.sampled_from(rows)))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c = draw(rationals)
+            rows.append(tuple(x + c * y for x, y in zip(a, b)))
+    return draw(st.permutations(rows))
+
+
+@given(matrices())
+@settings(max_examples=200, deadline=None)
+def test_rank_equals_row_reduce_length(rows):
+    assert rank(rows) == len(row_reduce(rows))
+
+
+@given(st.lists(rationals, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_primitive_and_clear_denominators_are_exact(v):
+    ints, d = clear_denominators(v)
+    assert all(type(x) is int for x in ints) and type(d) is int
+    assert d == lcm(*(Fraction(x).denominator for x in v))
+    assert [Fraction(x, d) for x in ints] == [Fraction(x) for x in v]
+    p = primitive(v)
+    assert all(type(x) is int for x in p)
+    if all(x == 0 for x in v):
+        assert p == tuple([0] * len(v))
+    else:
+        # p is the positive multiple of v with coprime entries
+        assert gcd(*p) == 1
+        q = next(Fraction(a) / b for a, b in zip(p, v) if b != 0)
+        assert q > 0 and all(a == q * b for a, b in zip(p, v))
+
+
+def test_integer_kernel_builds_no_fraction(monkeypatch):
+    def no_fraction(*args):
+        raise AssertionError("Fraction built on an integer or rational input")
+
+    mixed = [(Fraction(1, 2), 3, -4), (2, 0, Fraction(-5, 3)), (1, 6, -8)]
+    expected = rank(mixed)
+    monkeypatch.setattr(linalg, "Fraction", no_fraction)
+    assert primitive((4, -6, 0)) == (2, -3, 0)
+    assert clear_denominators((Fraction(1, 2), 3)) == ((1, 6), 2)
+    assert rank([(1, 2), (2, 4), (0, 3)]) == 2
+    assert rank(mixed) == expected == 2
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: clear_denominators((1, 0.5)),
+        lambda: primitive((2.0, 4)),
+        lambda: rank([(1, 2), (Fraction(1, 3), 1.5)]),
+    ],
+    ids=["clear_denominators", "primitive", "rank"],
+)
+def test_float_entry_raises_type_error(call):
+    with pytest.raises(TypeError):
+        call()

@@ -135,3 +135,30 @@ def test_inexact_or_non_integer_numbers_are_rejected(path, value):
     target[path[-1]] = value
     with pytest.raises(ParseError):
         ring_from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "value", [1.7, 1.0, True, "1.7", None], ids=["float", "integral-float", "bool", "string", "null"]
+)
+@pytest.mark.parametrize("field", ["from_chamber", "to_chamber", "final"])
+def test_trace_chamber_indices_must_be_integers(field, value):
+    datum = builtin_examples()["blowup-P2"]
+    walk = order_chambers(chamber_fan(datum), make_segment((0, 1), grading_dim=2))
+    doc = loads(dumps(trace_to_json(emit_trace(walk, classify_nef(walk, datum), datum))))
+    if field == "final":
+        doc["final"]["chamber"] = value
+    else:
+        doc["steps"][0][field] = value
+    with pytest.raises(ParseError):
+        trace_from_json(doc)
+
+
+def test_cone_document_entries_are_exact():
+    assert cone_from_json({"rays": [["1/2", "1"], [1, 0]]}) == cone_from_rays([(1, 2), (1, 0)])
+    for doc in (
+        {"rays": [[0.1, 1], [1, 0]]},
+        {"facets": [[1, 0.5]], "ambient_dim": 2},
+        {"facets": [[1, 0]], "equations": [[True, 0]], "ambient_dim": 2},
+    ):
+        with pytest.raises(ParseError):
+            cone_from_json(doc)
