@@ -334,14 +334,13 @@ def test_cell_functionals_build_one_linearity_fan_per_valuation(monkeypatch):
     def no_support_cone(datum):
         raise AssertionError("the fan already carries its support cone")
 
-    for name in FUNCTIONAL_CASES:
-        datum = _named_datum(name)
-        fan = chamber_fan(datum)
-        monkeypatch.setattr(orders, "linearity_fan", counted)
-        monkeypatch.setattr(orders, "support_cone", no_support_cone)
+    cases = [(name, _named_datum(name)) for name in FUNCTIONAL_CASES]
+    fans = [chamber_fan(datum) for _, datum in cases]
+    monkeypatch.setattr(orders, "linearity_fan", counted)
+    monkeypatch.setattr(orders, "support_cone", no_support_cone)
+    for (name, datum), fan in zip(cases, fans):
         built.clear()
         cell_functionals(datum, fan)
-        monkeypatch.undo()
         assert built == list(datum.valuations), name
 
 
