@@ -77,6 +77,8 @@ def _validated(datum):
     if not report.ok():
         lines = [f"{e.severity}: [{e.code}] {e.message}" for e in report.entries]
         raise _ValidationFailure("\n".join(lines))
+    for e in report.warnings:
+        print(f"warning: [{e.code}] {e.message}", file=sys.stderr)
     return report
 
 

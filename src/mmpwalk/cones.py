@@ -46,9 +46,6 @@ class HalfSpace:
     def hyperplane_key(self):
         return sign_canonical(self.normal)
 
-    def flipped(self):
-        return HalfSpace(vneg(self.normal))
-
 
 def _tight_mask(vec, processed):
     mask = 0
@@ -194,7 +191,7 @@ def _assemble(generators, n):
     dual_lines, dual_rays = _dd(gens, n)
     equations = row_reduce(dual_lines)
     facets = sorted(
-        {primitive(reduce_mod_rowspace(q, equations)) for q in dual_rays} - {tuple([0] * n)}
+        {reduce_mod_rowspace(q, equations) for q in dual_rays} - {tuple([0] * n)}
     )
     constraints = list(facets)
     for eq in equations:

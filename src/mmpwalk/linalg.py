@@ -2,13 +2,16 @@
 
 Vectors are plain tuples of ``int`` or ``Fraction``; all routines are pure
 and allocation-light since the rest of the package calls them in tight
-loops.
+loops.  All elimination goes through one fraction-free routine,
+``echelon``: rows are made primitive integer vectors, each step is
+``row <- p*row - a*pivot_row`` followed by division by the gcd, and
+``rank``, ``row_reduce``, ``reduce_mod_rowspace`` and ``solve_exact`` are
+built on it.  No ``Fraction`` is built except for ``solve_exact``'s result,
+and an inexact entry such as a float raises ``TypeError``.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
-
-Vec = tuple
 
 
 def dot(a, b):
@@ -69,33 +72,44 @@ def sign_canonical(v):
     return p
 
 
-def rank(rows):
-    """Rank of a matrix given as an iterable of equal-length vectors.
+def _eliminate(row, pivot_row, col):
+    """``p*row - a*pivot_row`` divided by its gcd, with ``p`` and ``a`` the
+    entries of ``pivot_row`` and ``row`` in column ``col``: ``row`` with that
+    column cleared, a positive multiple of the exact step when ``p > 0``."""
+    p, a = pivot_row[col], row[col]
+    row = [p * x - a * y for x, y in zip(row, pivot_row)]
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
-    Fraction-free: rows are made primitive, each elimination step is
-    ``row <- p * row - a * pivot_row`` over the integers and the result is
-    divided by its gcd, so entries stay small and no Fraction is built.
+
+def echelon(rows):
+    """Reduced row-echelon form of a matrix over the rationals, fraction-free.
+
+    Returns the primitive integer rows of the unique reduced row-echelon
+    form, zero rows dropped, sorted by pivot column; each pivot is positive
+    and the only nonzero entry of its column.  Rows are made primitive
+    first, so a float entry raises ``TypeError``.
     """
-    mat = [row for row in map(primitive, rows) if any(row)]
-    r = 0
-    while mat:
-        pivot_row = mat.pop()
+    todo = [row for row in map(primitive, rows) if any(row)]
+    done = []  # (pivot column, row)
+    while todo:
+        pivot_row = todo.pop()
         col = next(j for j, x in enumerate(pivot_row) if x != 0)
-        p = pivot_row[col]
-        r += 1
-        rest = []
-        for row in mat:
-            a = row[col]
-            if a != 0:
-                row = [p * x - a * y for x, y in zip(row, pivot_row)]
-                g = gcd(*row)
-                if g == 0:
-                    continue
-                if g != 1:
-                    row = [x // g for x in row]
-            rest.append(row)
-        mat = rest
-    return r
+        if pivot_row[col] < 0:
+            pivot_row = vneg(pivot_row)
+        done = [(c, _eliminate(row, pivot_row, col) if row[col] else row) for c, row in done]
+        todo = [
+            row
+            for row in (_eliminate(row, pivot_row, col) if row[col] else row for row in todo)
+            if any(row)
+        ]
+        done.append((col, pivot_row))
+    return [row for _, row in sorted(done)]
+
+
+def rank(rows):
+    """Rank of a matrix given as an iterable of equal-length vectors."""
+    return len(echelon(rows))
 
 
 def row_reduce(rows):
@@ -103,36 +117,22 @@ def row_reduce(rows):
 
     Canonical for a given row space, so usable as an identity key.
     """
-    mat = [list(map(Fraction, r)) for r in rows]
-    if not mat:
-        return ()
-    ncols = len(mat[0])
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        pv = mat[r][col]
-        mat[r] = [a / pv for a in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        r += 1
-        if r == len(mat):
-            break
-    return tuple(primitive(row) for row in mat[:r] if any(x != 0 for x in row))
+    return tuple(tuple(row) for row in echelon(rows))
 
 
 def reduce_mod_rowspace(v, ref_rows):
-    """Reduce ``v`` modulo the row space of a reduced-echelon basis."""
-    out = list(map(Fraction, v))
+    """Reduce ``v`` modulo the row space of ``ref_rows``, a reduced-echelon
+    basis with positive pivots as ``row_reduce`` returns it: each pivot
+    column of ``v`` is cleared in turn.
+
+    The result is a primitive integer vector, a positive multiple of the
+    exact reduction.
+    """
+    out = primitive(v)
     for row in ref_rows:
-        piv = next(i for i, x in enumerate(row) if x != 0)
-        if out[piv] != 0:
-            f = out[piv] / row[piv]
-            out = [a - f * b for a, b in zip(out, row)]
+        col = next(j for j, x in enumerate(row) if x != 0)
+        if out[col]:
+            out = _eliminate(out, row, col)
     return tuple(out)
 
 
@@ -143,33 +143,16 @@ def solve_exact(rows, rhs):
     system is inconsistent.  ``rows`` may be rank-deficient or
     overdetermined.
     """
-    mat = [list(map(Fraction, r)) + [Fraction(b)] for r, b in zip(rows, rhs)]
-    if not mat:
+    augmented = [tuple(r) + (b,) for r, b in zip(rows, rhs)]
+    if not augmented:
         return ()
-    ncols = len(mat[0]) - 1
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        pv = mat[r][col]
-        mat[r] = [a / pv for a in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(mat):
-            break
-    for i in range(r, len(mat)):
-        if mat[i][ncols] != 0:
-            return None
+    ncols = len(augmented[0]) - 1
     x = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        x[col] = mat[i][ncols]
+    for row in echelon(augmented):
+        col = next(j for j, v in enumerate(row) if v != 0)
+        if col == ncols:
+            return None
+        x[col] = Fraction(row[-1], row[col])
     return tuple(x)
 
 

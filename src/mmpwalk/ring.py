@@ -96,6 +96,10 @@ class ValidationReport:
         return not self.errors
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def validate(datum):
     """Check all structural invariants of a RingDatum.
 
@@ -113,6 +117,7 @@ def validate(datum):
         )
     if not datum.generators:
         report.add("error", "no-generators", "at least one generator is required")
+    degrees = []  # multidegrees of the right length with integer entries
     seen = set()
     for name in datum.valuations:
         if name in seen:
@@ -128,7 +133,10 @@ def validate(datum):
             continue
         if all(x == 0 for x in gen.multidegree):
             report.add("error", "zero-multidegree", f"generator {i} has zero multidegree")
-        if any(x < 0 or Fraction(x).denominator != 1 for x in gen.multidegree):
+        exact = all(_is_int(x) for x in gen.multidegree)
+        if exact:
+            degrees.append(gen.multidegree)
+        if not exact or any(x < 0 for x in gen.multidegree):
             report.add(
                 "error",
                 "bad-multidegree",
@@ -158,13 +166,18 @@ def validate(datum):
         rows = datum.numerical.matrix
         if any(len(row) != n for row in rows):
             report.add("error", "bad-numerical-map", "numerical map has wrong row length")
+        elif not all(_is_int(x) or isinstance(x, Fraction) for row in rows for x in row):
+            report.add(
+                "error",
+                "bad-numerical-map",
+                "numerical map entries must be integers or Fractions",
+            )
         elif rank(rows) < datum.numerical.target_dim:
             report.add(
                 "warning",
                 "numerical-rank",
                 "numerical map does not have full row rank; classes do not generate",
             )
-    degrees = [g.multidegree for g in datum.generators if len(g.multidegree) == n]
     if degrees and not all(all(x == 0 for x in d) for d in degrees):
         if rank(degrees) < n:
             report.add(

@@ -38,6 +38,18 @@ def _int_from_json(x):
         raise ParseError(f"bad integer {x!r}: {exc}") from None
 
 
+def _str_from_json(x):
+    if not isinstance(x, str):
+        raise ParseError(f"bad string {x!r}: expected a JSON string")
+    return x
+
+
+def _flag_from_json(x):
+    if not (x is None or isinstance(x, bool)):
+        raise ParseError(f"bad flag {x!r}: expected true, false or null")
+    return x
+
+
 def rat_from_str(s):
     _reject_float(s)
     try:
@@ -231,8 +243,8 @@ def trace_from_json(doc):
                 t=rat_from_str(s["t"]),
                 wall_point=vec_from_json(s["wall_point"]),
                 interior_pick=vec_from_json(s["interior_pick"]),
-                model_id=str(s["model_id"]),
-                possibly_isomorphism=s["possibly_isomorphism"],
+                model_id=_str_from_json(s["model_id"]),
+                possibly_isomorphism=_flag_from_json(s["possibly_isomorphism"]),
             )
             for s in doc["steps"]
         )
@@ -241,7 +253,7 @@ def trace_from_json(doc):
             steps=steps,
             final_chamber=_int_from_json(final["chamber"]),
             final_divisor=vec_from_json(final["divisor"]),
-            final_model_id=str(final["model_id"]),
+            final_model_id=_str_from_json(final["model_id"]),
         )
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed trace: {exc!r}") from None

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import BudgetExceeded, NotFoundError
-from .linalg import solve_exact
+from .linalg import rank, solve_exact
 from .orders import asymptotic_order
 from .ring import support_cone
 
@@ -168,8 +168,6 @@ def _parallelepiped_points(basis, cell, budget):
 
 def _ray_basis(cell):
     """Greedy maximal linearly independent subset of the cell's rays."""
-    from .linalg import rank
-
     basis = []
     for r in cell.rays:
         if rank(basis + [r]) > len(basis):

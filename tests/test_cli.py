@@ -228,3 +228,20 @@ def test_unwritable_output_is_parse_error(tmp_path, capsys):
     assert out == ""
     assert _one_line_error(err)
     assert err.startswith(f"error: cannot write output {str(target)!r}")
+
+
+def test_validation_warnings_go_to_stderr(tmp_path, capsys):
+    doc = ring_to_json(builtin_examples()["blowup-P2"])
+    path = tmp_path / "untracked.json"
+    path.write_text(dumps(doc))
+    _, clean_out, clean_err = run(capsys, "decompose", "--input", str(path))
+    doc["generators"][0]["mults"]["X"] = "1"
+    path.write_text(dumps(doc))
+    code, out, err = run(capsys, "decompose", "--input", str(path))
+    assert code == 0
+    assert out == clean_out
+    assert clean_err == ""
+    assert err == (
+        "warning: [untracked-valuation] generator 0 carries a multiplicity"
+        " for untracked valuation 'X'\n"
+    )

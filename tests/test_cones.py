@@ -212,7 +212,6 @@ def test_halfspace_helpers():
     hs = HalfSpace((0, -2))
     assert hs.evaluate((3, -1)) == 2
     assert hs.hyperplane_key() == (0, 1)
-    assert hs.flipped().normal == (0, 2)
 
 
 def test_three_dimensional_octant_facets():

@@ -15,7 +15,14 @@ from mmpwalk import (
 )
 from mmpwalk import linalg
 from mmpwalk.cones import cone_from_halfspaces, cone_from_rays, hyperplane_refinement
-from mmpwalk.linalg import clear_denominators, primitive, rank, row_reduce
+from mmpwalk.linalg import (
+    clear_denominators,
+    primitive,
+    rank,
+    reduce_mod_rowspace,
+    row_reduce,
+    solve_exact,
+)
 from mmpwalk.ring import support_cone
 
 coords = st.integers(min_value=-6, max_value=6)
@@ -175,6 +182,80 @@ def test_rank_equals_row_reduce_length(rows):
     assert rank(rows) == len(row_reduce(rows))
 
 
+def reference_rref(rows):
+    """Gauss-Jordan over Fraction, kept apart from the integer kernel it
+    checks: ``(rref rows without zero rows, pivot columns)``."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        mat[r] = [x / mat[r][col] for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col] != 0:
+                f = mat[i][col]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(col)
+    return mat[: len(pivots)], pivots
+
+
+def reference_solve(rows, rhs):
+    rref, pivots = reference_rref([tuple(r) + (b,) for r, b in zip(rows, rhs)])
+    ncols = len(rows[0])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for row, col in zip(rref, pivots):
+        x[col] = row[-1]
+    return tuple(x)
+
+
+@given(matrices())
+@settings(max_examples=200, deadline=None)
+def test_row_reduce_is_the_primitive_reference_rref(rows):
+    rref, _ = reference_rref(rows)
+    assert row_reduce(rows) == tuple(primitive(row) for row in rref)
+    assert all(type(x) is int for row in row_reduce(rows) for x in row)
+
+
+@given(matrices(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_solve_exact_matches_reference(rows, data):
+    if not rows:
+        return
+    # a consistent right-hand side half of the time, an arbitrary one otherwise
+    if data.draw(st.booleans()):
+        x = data.draw(st.tuples(*([rationals] * len(rows[0]))))
+        rhs = tuple(sum(Fraction(a) * b for a, b in zip(row, x)) for row in rows)
+    else:
+        rhs = data.draw(st.tuples(*([rationals] * len(rows))))
+    expected = reference_solve(rows, rhs)
+    got = solve_exact(rows, rhs)
+    assert got == expected
+    if got is not None:
+        assert all(type(x) is Fraction for x in got)
+
+
+@given(matrices(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_reduce_mod_rowspace_is_a_positive_multiple_of_the_reference(rows, data):
+    if not rows:
+        return
+    v = data.draw(st.tuples(*([rationals] * len(rows[0]))))
+    rref, pivots = reference_rref(rows)
+    expected = [Fraction(x) for x in v]
+    for row, col in zip(rref, pivots):
+        f = expected[col]
+        expected = [x - f * y for x, y in zip(expected, row)]
+    got = reduce_mod_rowspace(v, row_reduce(rows))
+    assert all(type(x) is int for x in got)
+    # primitive(expected) is the positive multiple with coprime entries
+    assert got == primitive(expected)
+
+
 @given(st.lists(rationals, max_size=6))
 @settings(max_examples=200, deadline=None)
 def test_primitive_and_clear_denominators_are_exact(v):
@@ -199,11 +280,15 @@ def test_integer_kernel_builds_no_fraction(monkeypatch):
 
     mixed = [(Fraction(1, 2), 3, -4), (2, 0, Fraction(-5, 3)), (1, 6, -8)]
     expected = rank(mixed)
+    reduced = row_reduce(mixed)
     monkeypatch.setattr(linalg, "Fraction", no_fraction)
     assert primitive((4, -6, 0)) == (2, -3, 0)
     assert clear_denominators((Fraction(1, 2), 3)) == ((1, 6), 2)
     assert rank([(1, 2), (2, 4), (0, 3)]) == 2
     assert rank(mixed) == expected == 2
+    assert row_reduce(mixed) == reduced == ((6, 0, -5), (0, 36, -43))
+    assert reduce_mod_rowspace(mixed[0], reduced) == (0, 0, 0)
+    assert reduce_mod_rowspace((1, 1, 1), row_reduce([(1, 1, 0)])) == (0, 0, 1)
 
 
 @pytest.mark.parametrize(
@@ -212,8 +297,9 @@ def test_integer_kernel_builds_no_fraction(monkeypatch):
         lambda: clear_denominators((1, 0.5)),
         lambda: primitive((2.0, 4)),
         lambda: rank([(1, 2), (Fraction(1, 3), 1.5)]),
+        lambda: solve_exact([(1, 0), (0, 1)], (0.5, 1)),
     ],
-    ids=["clear_denominators", "primitive", "rank"],
+    ids=["clear_denominators", "primitive", "rank", "solve_exact"],
 )
 def test_float_entry_raises_type_error(call):
     with pytest.raises(TypeError):

@@ -136,3 +136,18 @@ def test_numerical_map_applies_rows():
         matrix=((Fraction(2), Fraction(6)), (Fraction(1), Fraction(-1))), target_dim=2
     )
     assert nm.apply((1, 1)) == (Fraction(8), Fraction(0))
+
+
+def test_float_multidegree_is_reported_not_raised():
+    # 1.0 has denominator 1 as a Fraction, yet a float must never reach rank
+    gen = GeneratorDatum(multidegree=(1.0, 0), mults={"E": Fraction(0)})
+    report = validate(make_datum(generators=(gen,) + make_datum().generators))
+    assert [e.code for e in report.errors] == ["bad-multidegree"]
+    assert not report.warnings
+
+
+def test_float_numerical_map_entry_is_reported_not_raised():
+    numerical = NumericalMap(matrix=((1.0, Fraction(0)),), target_dim=1)
+    report = validate(make_datum(numerical=numerical))
+    assert [e.code for e in report.errors] == ["bad-numerical-map"]
+    assert not report.warnings

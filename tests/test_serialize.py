@@ -153,6 +153,47 @@ def test_trace_chamber_indices_must_be_integers(field, value):
         trace_from_json(doc)
 
 
+def _blowup_trace_doc():
+    datum = builtin_examples()["blowup-P2"]
+    walk = order_chambers(chamber_fan(datum), make_segment((0, 1), grading_dim=2))
+    return loads(dumps(trace_to_json(emit_trace(walk, classify_nef(walk, datum), datum))))
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("steps", 0, "possibly_isomorphism"), "yes"),
+        (("steps", 0, "possibly_isomorphism"), 1),
+        (("steps", 0, "possibly_isomorphism"), 0),
+        (("steps", 0, "possibly_isomorphism"), []),
+        (("steps", 0, "model_id"), ["x"]),
+        (("steps", 0, "model_id"), 1),
+        (("steps", 0, "model_id"), None),
+        (("steps", 0, "model_id"), True),
+        (("final", "model_id"), ["x"]),
+        (("final", "model_id"), 2),
+        (("final", "model_id"), None),
+    ],
+    ids=["flag-string", "flag-one", "flag-zero", "flag-list", "model-list", "model-int",
+         "model-null", "model-bool", "final-model-list", "final-model-int", "final-model-null"],
+)
+def test_trace_flags_and_model_ids_are_checked(path, value):
+    doc = _blowup_trace_doc()
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ParseError):
+        trace_from_json(doc)
+
+
+@pytest.mark.parametrize("flag", [True, False, None])
+def test_trace_flag_accepts_true_false_null(flag):
+    doc = _blowup_trace_doc()
+    doc["steps"][0]["possibly_isomorphism"] = flag
+    assert trace_from_json(doc).steps[0].possibly_isomorphism is flag
+
+
 def test_cone_document_entries_are_exact():
     assert cone_from_json({"rays": [["1/2", "1"], [1, 0]]}) == cone_from_rays([(1, 2), (1, 0)])
     for doc in (
