@@ -29,7 +29,7 @@ from .errors import (
 from .oracle import builtin_examples, o_value_oracle
 from .orders import asymptotic_order, cell_functionals, chamber_fan, evaluate_functional
 from .ring import support_cone, validate
-from .veronese import grid_additivity_check, veronese_degree
+from .veronese import MAX_MONOID_GENERATORS, grid_additivity_check, veronese_degree
 from .walk import classify_nef, emit_trace, make_segment, order_chambers
 
 EXIT_OK = 0
@@ -251,6 +251,13 @@ def cmd_check(cfg):
     notes.append(
         f"grid additivity: {len(grid.entries)} cell/valuation pairs, {len(skipped)} skipped"
     )
+    truncated = {e.cell_index for e in grid.entries if e.truncated}
+    if truncated:
+        print(
+            f"warning: [grid-truncated] {len(truncated)} of {len(fan.cells)} cells cut to "
+            f"{MAX_MONOID_GENERATORS} monoid generators",
+            file=sys.stderr,
+        )
 
     lines = [f"note: {n}" for n in notes]
     lines += [f"FAIL: {f}" for f in failures]

@@ -67,8 +67,21 @@ class LinearityFan:
     valuation: str
 
 
+_EXACT_TYPES = frozenset((int, Fraction))
+
+
+def _mults(datum, valuation):
+    """The generators' multiplicities at ``valuation``.  One that is not an
+    ``int`` or a ``Fraction``, such as a float, raises TypeError rather than
+    being coerced."""
+    mults = tuple(g.mults[valuation] for g in datum.generators)
+    if not _EXACT_TYPES.issuperset(map(type, mults)):
+        raise TypeError(f"multiplicities at {valuation!r} are not exact: {mults!r}")
+    return mults
+
+
 def _heights(datum, valuation):
-    return [Fraction(g.mult(valuation)) for g in datum.generators]
+    return [Fraction(m) for m in _mults(datum, valuation)]
 
 
 def asymptotic_order(datum, valuation, x, support=None, pivot_cap=DEFAULT_PIVOT_CAP):
@@ -86,7 +99,7 @@ def asymptotic_order(datum, valuation, x, support=None, pivot_cap=DEFAULT_PIVOT_
     if not support.contains(xs):
         raise OutsideSupport(f"point {tuple(x)} is outside the support cone")
     degrees = tuple(tuple(g.multidegree) for g in datum.generators)
-    mults = tuple(g.mult(valuation) for g in datum.generators)
+    mults = _mults(datum, valuation)
     bases = _optimal_bases(degrees, mults)
     hit = _certified(bases, degrees, xs, x_den)
     if hit is not None:

@@ -149,6 +149,13 @@ def validate(datum):
                     "missing-mult",
                     f"generator {i} has no multiplicity for valuation {name!r}",
                 )
+            elif not (_is_int(gen.mults[name]) or isinstance(gen.mults[name], Fraction)):
+                report.add(
+                    "error",
+                    "bad-mult",
+                    f"generator {i} multiplicity for valuation {name!r} must be an"
+                    " integer or a Fraction",
+                )
             elif gen.mults[name] < 0:
                 report.add(
                     "error",

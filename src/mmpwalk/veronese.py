@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import BudgetExceeded, NotFoundError
-from .linalg import rank, solve_exact
+from .linalg import echelon, rank
 from .orders import asymptotic_order
 from .ring import support_cone
 
@@ -140,10 +140,36 @@ class GridReport:
         return not self.failures
 
 
+def _subgroup(generators, modulus):
+    """The subgroup of (Z/modulus)^k generated by ``generators``, as a set of
+    tuples with entries in [0, modulus): each generator in turn adds cosets
+    of the group so far, until a multiple of it falls back into the group."""
+    group = {(0,) * len(generators[0])}
+    for g in generators:
+        cosets = list(group)
+        shift = g
+        while shift not in group:
+            group.update(tuple((a + s) % modulus for a, s in zip(h, shift)) for h in cosets)
+            shift = tuple((a + s) % modulus for a, s in zip(shift, g))
+    return group
+
+
 def _parallelepiped_points(basis, cell, budget):
     """Nonzero lattice points of the half-open parallelepiped of a ray basis,
-    restricted to the cell.  Cells live in the nonnegative orthant, so the
-    bounding box is [0, sum of basis vectors]."""
+    restricted to the cell, in lexicographic order.
+
+    With B the k x n basis matrix and S its pivot columns, the minor B_S is
+    nonsingular, and a point t B with t in [0, 1)^k has integer S-coordinates
+    exactly when t lies in the group generated by the rows of B_S^-1 modulo
+    Z^k, which has |det B_S| elements.  Reducing [B | I] gives B_S^-1 with
+    integer rows over their pivots, so the group is enumerated in integers
+    over the lcm of the pivots, and a point is kept when all n of its
+    coordinates are integers (for k < n, not only those in S).
+
+    Cells live in the nonnegative orthant, so the points lie in the box
+    [0, sum of basis vectors].  Its volume bounds |det B_S|, and a box over
+    ``budget`` raises BudgetExceeded before any enumeration.
+    """
     n = len(basis[0])
     hi = [sum(b[j] for b in basis) for j in range(n)]
     volume = 1
@@ -151,19 +177,26 @@ def _parallelepiped_points(basis, cell, budget):
         volume *= h + 1
     if volume > budget:
         raise BudgetExceeded(f"parallelepiped box has {volume} lattice points")
-    columns = list(zip(*basis))  # n rows of the basis matrix, transposed
+    k = len(basis)
+    # row i of echelon([B | I]) is c_i times (row i of the RREF of B | row i
+    # of B_S^-1), with c_i > 0 its pivot entry
+    identity = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    reduced = echelon([tuple(b) + e for b, e in zip(basis, identity)])
+    pivots = [next(x for x in row if x) for row in reduced]
+    den = lcm(*pivots)
+    group = _subgroup(
+        [tuple(x * (den // c) % den for x in row[n:]) for c, row in zip(pivots, reduced)],
+        den,
+    )
     points = []
-    for z in itertools.product(*(range(h + 1) for h in hi)):
-        if all(v == 0 for v in z):
+    for t in group:  # the point (t / den) B, scaled by den
+        z = [sum(ti * b[j] for ti, b in zip(t, basis)) for j in range(n)]
+        if any(v % den for v in z) or not any(z):
             continue
-        t = solve_exact(columns, z)
-        if t is None:
-            continue
-        if any(ti < 0 or ti >= 1 for ti in t):
-            continue
+        z = tuple(v // den for v in z)
         if cell.contains(z):
-            points.append(tuple(z))
-    return points
+            points.append(z)
+    return sorted(points)
 
 
 def _ray_basis(cell):
@@ -176,10 +209,16 @@ def _ray_basis(cell):
 
 
 def monoid_generators(cell, lattice_budget=DEFAULT_LATTICE_BUDGET):
-    """Bounded generating set for the cell's monoid of lattice points.
+    """Bounded generating set for the cell's monoid of lattice points: the
+    rays, then the lattice points of the half-open parallelepiped of a
+    maximal independent subset of them, in lexicographic order.
 
     Exact for simplicial cells; for others the rays plus one
-    parallelepiped's points are a bounded approximation.
+    parallelepiped's points are a bounded approximation.  The parallelepiped
+    is enumerated as a finite group in |det| steps, but a cell whose
+    bounding box holds more than ``lattice_budget`` points still raises
+    BudgetExceeded: the box volume bounds |det|, so the budget bounds the
+    work, and the same cells are skipped as when the box was scanned.
     """
     basis = _ray_basis(cell)
     extra = _parallelepiped_points(basis, cell, lattice_budget)

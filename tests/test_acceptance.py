@@ -30,7 +30,7 @@ from mmpwalk import (
 )
 from mmpwalk.cli import main as cli_main
 from mmpwalk.linalg import dot
-from mmpwalk.veronese import grid_additivity_check
+from mmpwalk.veronese import MAX_MONOID_GENERATORS, grid_additivity_check
 from mmpwalk.orders import evaluate_functional
 from mmpwalk.ring import support_cone, validate
 
@@ -290,17 +290,20 @@ def test_criterion_6_grid_additivity(corpus):
     records, _ = corpus
     failures = 0
     skipped = 0
+    truncated = 0
     cells = 0
     for datum, support, fan, _ in records:
         report = grid_additivity_check(datum, fan, dscale=1, depth=3)
         failures += len(report.failures)
         skipped += sum(1 for e in report.entries if e.skipped)
+        truncated += len({e.cell_index for e in report.entries if e.truncated})
         cells += len(fan.cells)
     _report(
         6,
         failures == 0,
         f"{cells} cells over 50 fans, {failures} additivity failures, "
-        f"{skipped} cell/valuation pairs skipped on budget",
+        f"{skipped} cell/valuation pairs skipped on budget, "
+        f"{truncated} cells cut to {MAX_MONOID_GENERATORS} monoid generators",
     )
 
 

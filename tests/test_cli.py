@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from mmpwalk import builtin_examples
+from mmpwalk import InstanceSpec, builtin_examples, random_instance
 from mmpwalk.cli import main
 from mmpwalk.errors import SupportMismatch
 from mmpwalk.serialize import dumps, ring_to_json
@@ -105,6 +105,20 @@ def test_check_passes_on_example(capsys):
     code, out, _ = run(capsys, "check", "--example", "blowup-P2")
     assert code == 0
     assert out.strip().endswith("result: PASS")
+
+
+def test_check_reports_truncated_cells_on_stderr(tmp_path, capsys):
+    datum = random_instance(
+        InstanceSpec(r=1, generator_count=6, valuation_count=4, coordinate_bound=4, seed=6)
+    )
+    path = tmp_path / "truncating.json"
+    path.write_text(dumps(ring_to_json(datum)))
+    code, out, err = run(capsys, "check", "--input", str(path))
+    assert code == 0
+    assert out.endswith("result: PASS\n")
+    assert err == "warning: [grid-truncated] 1 of 3 cells cut to 8 monoid generators\n"
+    _, _, clean_err = run(capsys, "check", "--example", "blowup-P2")
+    assert clean_err == ""
 
 
 def test_oracle_command(capsys):

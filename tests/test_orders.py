@@ -1,5 +1,6 @@
 """Order functions: LP values, linearity fans, chamber fans, integer levels."""
 
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -355,3 +356,18 @@ def test_cell_functionals_equal_functional_on_cell(name):
         assert got[valuation] == tuple(
             functional_on_cell(datum, valuation, cell, support) for cell in fan.cells
         )
+
+
+@pytest.mark.parametrize("mult", [0.5, 1.0, True])
+def test_inexact_multiplicity_raises_type_error(blowup, mult):
+    # 1.0 and True equal the exact multiplicity 1, so a cached basis for the
+    # exact data would serve them if the check came after the cache lookup
+    asymptotic_order(blowup, "E", (1, 1))
+    generators = (GeneratorDatum((1, 0), {"E": mult}),) + blowup.generators[1:]
+    datum = replace(blowup, generators=generators)
+    with pytest.raises(TypeError):
+        asymptotic_order(datum, "E", (1, 1))
+    with pytest.raises(TypeError):
+        linearity_fan(datum, "E")
+    with pytest.raises(TypeError):
+        integer_order(datum, "E", (1, 1), 1)

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from mmpwalk.cones import cone_from_rays
 from mmpwalk.ring import (
     GeneratorDatum,
@@ -151,3 +153,19 @@ def test_float_numerical_map_entry_is_reported_not_raised():
     report = validate(make_datum(numerical=numerical))
     assert [e.code for e in report.errors] == ["bad-numerical-map"]
     assert not report.warnings
+
+
+@pytest.mark.parametrize("mult", [0.5, 1.0, True, "1"])
+def test_inexact_multiplicity_is_reported(mult):
+    gen = GeneratorDatum(multidegree=(1, 1), mults={"E": mult})
+    report = validate(make_datum(generators=(gen,) + make_datum().generators))
+    assert [e.code for e in report.errors] == ["bad-mult"]
+    assert not report.warnings
+
+
+def test_int_and_fraction_multiplicities_pass():
+    gens = (
+        GeneratorDatum(multidegree=(1, 0), mults={"E": 2}),
+        GeneratorDatum(multidegree=(0, 1), mults={"E": Fraction(1, 3)}),
+    )
+    assert validate(make_datum(generators=gens)).ok()

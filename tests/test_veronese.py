@@ -1,10 +1,23 @@
 """Degree-semigroup computations."""
 
-import pytest
+import itertools
 
-from mmpwalk import builtin_examples, chamber_fan, veronese_degree
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from mmpwalk import (
+    builtin_examples,
+    chamber_fan,
+    linalg,
+    veronese,
+    veronese_degree,
+)
+from mmpwalk.cones import cone_from_rays
 from mmpwalk.errors import BudgetExceeded, NotFoundError
+from mmpwalk.linalg import rank, solve_exact
 from mmpwalk.veronese import (
+    _parallelepiped_points,
     _representations,
     grid_additivity_check,
     monoid_generators,
@@ -96,3 +109,110 @@ def test_grid_additivity_budget_is_reported_not_fatal():
     report = grid_additivity_check(datum, fan, lattice_budget=1)
     assert all(e.skipped for e in report.entries)
     assert report.ok()  # skips are not failures
+
+
+def reference_parallelepiped_points(basis, cell, budget):
+    """The box scan the enumerator replaced, kept as its reference: every
+    point of the box [0, sum of basis vectors], one exact solve per point."""
+    n = len(basis[0])
+    hi = [sum(b[j] for b in basis) for j in range(n)]
+    volume = 1
+    for h in hi:
+        volume *= h + 1
+    if volume > budget:
+        raise BudgetExceeded(f"parallelepiped box has {volume} lattice points")
+    columns = list(zip(*basis))
+    points = []
+    for z in itertools.product(*(range(h + 1) for h in hi)):
+        if all(v == 0 for v in z):
+            continue
+        t = solve_exact(columns, z)
+        if t is None or any(ti < 0 or ti >= 1 for ti in t):
+            continue
+        if cell.contains(z):
+            points.append(tuple(z))
+    return points
+
+
+def _det(matrix):
+    # Leibniz formula; the matrices here are at most 4 x 4
+    total = 0
+    for perm in itertools.permutations(range(len(matrix))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= matrix[i][j]
+        total += term
+    return total
+
+
+# entry bound per ambient dimension, so that the reference's box stays small
+_ENTRY_BOUND = {1: 7, 2: 5, 3: 3, 4: 2}
+
+
+@st.composite
+def ray_bases(draw):
+    """k <= n <= 4 linearly independent vectors in the nonnegative orthant."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    k = draw(st.integers(min_value=1, max_value=n))
+    entry = st.integers(min_value=0, max_value=_ENTRY_BOUND[n])
+    vector = st.tuples(*([entry] * n))
+    return draw(
+        st.lists(vector, min_size=k, max_size=k).filter(lambda b: rank(b) == len(b))
+    )
+
+
+@given(ray_bases())
+@example([(1, 0), (1, 9)])
+@example([(1, 2, 0), (0, 1, 2), (2, 0, 1)])  # det 9
+@example([(2, 2, 0), (0, 2, 2)])
+@example([(2, 0, 1), (0, 2, 1)])
+@example([(3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0), (0, 0, 0, 1)])
+@settings(max_examples=150, deadline=None)
+def test_parallelepiped_points_equal_the_box_scan(basis):
+    budget = veronese.DEFAULT_LATTICE_BUDGET
+    cell = cone_from_rays(basis)
+    got = _parallelepiped_points(basis, cell, budget)
+    assert got == reference_parallelepiped_points(basis, cell, budget)
+    assert all(type(x) is int for z in got for x in z)
+    if len(basis) == len(basis[0]):
+        assert len(got) == abs(_det(basis)) - 1
+    # the whole orthant holds the parallelepiped, so it cuts nothing away
+    n = len(basis[0])
+    orthant = cone_from_rays([tuple(int(i == j) for j in range(n)) for i in range(n)])
+    assert _parallelepiped_points(basis, orthant, budget) == got
+
+
+def test_lower_dimensional_basis_keeps_only_lattice_points():
+    # B_S = 2I on the first two coordinates: of the 4 group elements only
+    # t = (1/2, 1/2) gives a point with an integer third coordinate.  The
+    # orthant, unlike the cone of the basis, has no equation that would
+    # reject the other points' roundings as well
+    basis = [(2, 0, 1), (0, 2, 1)]
+    orthant = cone_from_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    for cell in (cone_from_rays(basis), orthant):
+        assert _parallelepiped_points(basis, cell, 20_000) == [(1, 1, 1)]
+
+
+def test_enumeration_makes_no_exact_solve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_exact called")
+
+    monkeypatch.setattr(linalg, "solve_exact", refuse)
+    monkeypatch.setattr(veronese, "solve_exact", refuse, raising=False)
+    basis = [(1, 2, 0), (0, 1, 2), (2, 0, 1)]
+    assert len(_parallelepiped_points(basis, cone_from_rays(basis), 20_000)) == 8
+    for datum in builtin_examples().values():
+        for cell in chamber_fan(datum).cells:
+            monoid_generators(cell)
+
+
+def test_box_over_budget_raises_with_its_volume():
+    basis = [(1, 0), (1, 9)]  # box [0, 2] x [0, 9]: 30 points
+    cell = cone_from_rays(basis)
+    with pytest.raises(BudgetExceeded, match=r"^parallelepiped box has 30 lattice points$"):
+        _parallelepiped_points(basis, cell, 29)
+    assert len(_parallelepiped_points(basis, cell, 30)) == 8
+    with pytest.raises(BudgetExceeded, match=r"^parallelepiped box has 30 lattice points$"):
+        monoid_generators(cell, lattice_budget=29)
+
