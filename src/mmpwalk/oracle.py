@@ -11,6 +11,8 @@ from fractions import Fraction
 
 from .cones import cone_from_rays
 from .errors import BudgetExceeded
+from .linalg import clear_denominators
+from .orders import _mults
 from .ring import (
     GeneratorDatum,
     NefConeDatum,
@@ -118,16 +120,21 @@ def _min_over_integer_representations(degrees, heights, target, budget):
 def o_value_oracle(datum, valuation, x, k_list, budget=ORACLE_NODE_BUDGET):
     """Enumeration values (1/k)*min over integer representations of k*x,
     one per requested k; None marks a k where k*x is not an integer point
-    or has no integer representation."""
+    or has no integer representation.
+
+    A multiplicity or an entry of ``x`` that is not an ``int`` or a
+    ``Fraction``, such as a float, raises TypeError rather than being
+    coerced.
+    """
     degrees = [tuple(g.multidegree) for g in datum.generators]
-    heights = [Fraction(g.mult(valuation)) for g in datum.generators]
+    heights = _mults(datum, valuation)
+    xs, x_den = clear_denominators(x)
     out = []
     for k in k_list:
-        target = tuple(Fraction(v) * k for v in x)
-        if any(t.denominator != 1 for t in target):
+        if any(v * k % x_den for v in xs):
             out.append(None)
             continue
-        target = tuple(int(t) for t in target)
+        target = tuple(v * k // x_den for v in xs)
         best = _min_over_integer_representations(degrees, heights, target, budget)
         out.append(None if best is None else best / k)
     return tuple(out)

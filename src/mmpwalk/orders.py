@@ -301,40 +301,48 @@ def _unit_index(degrees, n):
 def _enumerate_min(degrees, heights, target, budget):
     """Plain bounded DFS over all integer representations of ``target``.
 
-    Returns (best value, nodes left) or (None, nodes left) if no integer
-    representation exists.
+    The heights are scaled once to integers over their least common
+    denominator, so costs, the best value and every pruning comparison are
+    ints; only the result is divided by the denominator.  Returns (best
+    value, nodes left) or (None, nodes left) if no integer representation
+    exists.
     """
     s = len(degrees)
-    best = [None]
+    costs, den = clear_denominators(heights)
+    # per generator i: the coordinates that bound its coefficient, and the
+    # coordinates that no generator from i on can cover
+    positive = [[(j, dj) for j, dj in enumerate(d) if dj > 0] for d in degrees]
+    uncovered = [
+        [j for j in range(len(target)) if all(d[j] == 0 for d in degrees[i:])]
+        for i in range(s)
+    ]
+    best = None
 
     def recurse(i, remaining, cost, nodes):
+        nonlocal best
         if nodes <= 0:
             raise BudgetExceeded("integer enumeration budget exhausted")
         nodes -= 1
-        if best[0] is not None and cost >= best[0]:
+        if best is not None and cost >= best:
             return nodes
-        if all(v == 0 for v in remaining):
-            best[0] = cost
+        if not any(remaining):
+            best = cost
             return nodes
         if i == s:
             return nodes
-        d = degrees[i]
-        bound = None
-        for j, dj in enumerate(d):
-            if dj > 0:
-                b = remaining[j] // dj
-                bound = b if bound is None else min(bound, b)
-        later = [k for k in range(i + 1, s)]
-        for j, rj in enumerate(remaining):
-            if rj > 0 and d[j] == 0 and all(degrees[k][j] == 0 for k in later):
+        for j in uncovered[i]:
+            if remaining[j] > 0:
                 return nodes  # coordinate j can no longer be covered
+        bound = min([remaining[j] // dj for j, dj in positive[i]], default=None)
+        d = degrees[i]
+        c = costs[i]
         for a in range(bound, -1, -1):
-            rem = tuple(r - a * dj for r, dj in zip(remaining, d))
-            nodes = recurse(i + 1, rem, cost + a * heights[i], nodes)
+            rem = tuple([r - a * dj for r, dj in zip(remaining, d)])
+            nodes = recurse(i + 1, rem, cost + a * c, nodes)
         return nodes
 
-    nodes = recurse(0, tuple(target), Fraction(0), budget)
-    return best[0], nodes
+    nodes = recurse(0, tuple(target), 0, budget)
+    return (None if best is None else Fraction(best, den)), nodes
 
 
 def _reduced_min(degrees, heights, units, target, budget):
@@ -343,60 +351,65 @@ def _reduced_min(degrees, heights, units, target, budget):
 
     Any leftover is absorbed by units, so only generators with negative
     reduced cost need enumerating; this is a reformulation, not a
-    heuristic, and returns the same optimum as the plain search.
+    heuristic, and returns the same optimum as the plain search.  Like
+    ``_enumerate_min`` it works in integers over the heights' least common
+    denominator.
     """
     n = len(target)
-    unit_cost = []
-    for j in range(n):
-        unit_cost.append(min(heights[i] for i in units[j]))
-    base = sum(uc * t for uc, t in zip(unit_cost, target))
+    costs, den = clear_denominators(heights)
+    unit_cost = [min(costs[i] for i in units[j]) for j in range(n)]
+    base = dot(unit_cost, target)
     items = []
-    for i, d in enumerate(degrees):
-        w = heights[i] - sum(uc * dj for uc, dj in zip(unit_cost, d))
+    for h, d in zip(costs, degrees):
+        w = h - dot(unit_cost, d)
         if w < 0:
-            items.append((w, d))
+            items.append((w, [(j, dj) for j, dj in enumerate(d) if dj > 0], d))
     items.sort(key=lambda it: it[0])
-    best = [Fraction(0)]
+    best = 0
 
     def bound_below(i, remaining):
-        lb = Fraction(0)
-        for w, d in items[i:]:
-            cap = min(remaining[j] // d[j] for j in range(n) if d[j] > 0)
-            lb += w * cap
-        return lb
+        return sum(w * min([remaining[j] // dj for j, dj in positive])
+                   for w, positive, _ in items[i:])
 
     def recurse(i, remaining, acc, nodes):
+        nonlocal best
         if nodes <= 0:
             raise BudgetExceeded("integer enumeration budget exhausted")
         nodes -= 1
-        if acc < best[0]:
-            best[0] = acc
+        if acc < best:
+            best = acc
         if i == len(items):
             return nodes
-        if acc + bound_below(i, remaining) >= best[0]:
+        if acc + bound_below(i, remaining) >= best:
             return nodes
-        w, d = items[i]
-        cap = min(remaining[j] // d[j] for j in range(n) if d[j] > 0)
+        w, positive, d = items[i]
+        cap = min([remaining[j] // dj for j, dj in positive])
         for a in range(cap, -1, -1):
-            rem = tuple(r - a * dj for r, dj in zip(remaining, d))
+            rem = tuple([r - a * dj for r, dj in zip(remaining, d)])
             nodes = recurse(i + 1, rem, acc + a * w, nodes)
         return nodes
 
-    nodes = recurse(0, tuple(target), Fraction(0), budget)
-    return base + best[0], nodes
+    nodes = recurse(0, tuple(target), 0, budget)
+    return Fraction(base + best, den), nodes
 
 
 def integer_order(datum, valuation, x, k, node_budget=DEFAULT_NODE_BUDGET):
     """(1/k) times the minimal multiplicity over integer representations of
-    ``k*x``; NO_REPRESENTATION if none exists."""
-    target = tuple(Fraction(v) * k for v in x)
-    if any(t.denominator != 1 for t in target):
+    ``k*x``; NO_REPRESENTATION if none exists.
+
+    The branch-and-bound runs in integers: the heights are scaled to ints
+    over their least common denominator, and the value is divided by that
+    denominator and by k only at the end.  ``x`` must be exact (``int`` or
+    ``Fraction`` entries); a float raises TypeError.
+    """
+    xs, x_den = clear_denominators(x)
+    if any(v * k % x_den for v in xs):
         raise ValueError(f"{k} * {tuple(x)} is not an integer point")
-    target = tuple(int(t) for t in target)
+    target = tuple(v * k // x_den for v in xs)
     if any(t < 0 for t in target):
         return NO_REPRESENTATION
     degrees = [tuple(g.multidegree) for g in datum.generators]
-    heights = _heights(datum, valuation)
+    heights = _mults(datum, valuation)
     units = _unit_index(degrees, len(target))
     if units is not None:
         value, _ = _reduced_min(degrees, heights, units, target, node_budget)

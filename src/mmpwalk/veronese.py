@@ -51,8 +51,9 @@ def _representations(degrees, total):
     return out
 
 
-def _splits(rep, degrees, d, m, memo, counter):
-    """Whether ``rep`` of d*m splits into m representations of d."""
+def _splits(rep, parts, m, memo, counter):
+    """Whether ``rep`` of d*m splits into m representations of d, given
+    ``parts``, the list of all representations of d."""
     counter[0] -= 1
     if counter[0] <= 0:
         raise BudgetExceeded("splitting enumeration budget exhausted")
@@ -62,10 +63,10 @@ def _splits(rep, degrees, d, m, memo, counter):
     if key in memo:
         return memo[key]
     result = False
-    for sub in _representations(degrees, d):
+    for sub in parts:
         if all(s <= a for s, a in zip(sub, rep)):
             rest = tuple(a - s for a, s in zip(rep, sub))
-            if _splits(rest, degrees, d, m - 1, memo, counter):
+            if _splits(rest, parts, m - 1, memo, counter):
                 result = True
                 break
     memo[key] = result
@@ -77,7 +78,9 @@ def veronese_degree(degrees, m_max, budget=16, split_budget=DEFAULT_SPLIT_BUDGET
     split into m representations of d, for every m <= m_max.
 
     Tries up to ``budget`` multiples of the lcm; raises NotFoundError past
-    that, BudgetExceeded when the splitting enumeration blows up.
+    that, BudgetExceeded when the splitting enumeration blows up.  The
+    representations of each candidate d are listed once and shared by every
+    split.
     """
     degrees = sorted(degrees)
     if not degrees or any(g <= 0 for g in degrees):
@@ -85,12 +88,13 @@ def veronese_degree(degrees, m_max, budget=16, split_budget=DEFAULT_SPLIT_BUDGET
     base = lcm(*degrees)
     for mult in range(1, budget + 1):
         d = mult * base
+        parts = _representations(degrees, d)
         counter = [split_budget]
         memo = {}
         good = True
         for m in range(1, m_max + 1):
             for rep in _representations(degrees, d * m):
-                if not _splits(rep, degrees, d, m, memo, counter):
+                if not _splits(rep, parts, m, memo, counter):
                     good = False
                     break
             if not good:

@@ -1,5 +1,6 @@
 """Instance generation and the independent enumeration oracle."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from mmpwalk import (
 )
 from mmpwalk.errors import BudgetExceeded
 from mmpwalk.orders import NO_REPRESENTATION
-from mmpwalk.ring import support_cone, validate
+from mmpwalk.ring import GeneratorDatum, support_cone, validate
 
 
 def spec(seed, r=2, generators=6, valuations=3, bound=4):
@@ -95,6 +96,22 @@ def test_oracle_takes_rational_points_exactly():
         Fraction(1, 2),
         Fraction(1, 2),
     )
+
+
+@pytest.mark.parametrize("mult", [0.5, 1.0, True])
+def test_oracle_rejects_inexact_multiplicity(mult):
+    # a float 0.5 must not be read as exactly 1/2
+    blowup = builtin_examples()["blowup-P2"]
+    generators = (GeneratorDatum((1, 0), {"E": mult}),) + blowup.generators[1:]
+    datum = replace(blowup, generators=generators)
+    with pytest.raises(TypeError):
+        o_value_oracle(datum, "E", (2, 1), [1, 2])
+
+
+def test_oracle_rejects_float_point():
+    datum = builtin_examples()["blowup-P2"]
+    with pytest.raises(TypeError):
+        o_value_oracle(datum, "E", (0.5, 1.5), [2])
 
 
 def test_oracle_budget():

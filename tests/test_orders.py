@@ -131,6 +131,15 @@ def test_integer_order_rejects_non_integral_scaling(fractional):
         integer_order(fractional, "G", (Fraction(1, 2), 1), 1)
 
 
+@pytest.mark.parametrize("x", [(0.5, 1.5), (1.0, 1)])
+def test_integer_order_rejects_float_point(blowup, x):
+    # (0.5, 1.5) must not be read as exact halves
+    with pytest.raises(TypeError):
+        asymptotic_order(blowup, "E", x)
+    with pytest.raises(TypeError):
+        integer_order(blowup, "E", x, 2)
+
+
 def test_integer_order_budget(blowup):
     with pytest.raises(BudgetExceeded):
         integer_order(blowup, "E", (30, 30), 12, node_budget=3)

@@ -1,6 +1,7 @@
 """Degree-semigroup computations."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -66,6 +67,77 @@ def test_representations_enumeration():
     # 2a + 3b = 6: (3,0) and (0,2)
     assert set(_representations([2, 3], 6)) == {(3, 0), (0, 2)}
     assert _representations([2], 3) == []
+
+
+def _reference_splits(rep, degrees, d, m, memo, counter):
+    # reference copy of the split search that lists the representations of
+    # d again at every node
+    counter[0] -= 1
+    if counter[0] <= 0:
+        raise BudgetExceeded("splitting enumeration budget exhausted")
+    if m == 1:
+        return True
+    key = (rep, m)
+    if key in memo:
+        return memo[key]
+    result = False
+    for sub in _representations(degrees, d):
+        if all(s <= a for s, a in zip(sub, rep)):
+            rest = tuple(a - s for a, s in zip(rep, sub))
+            if _reference_splits(rest, degrees, d, m - 1, memo, counter):
+                result = True
+                break
+    memo[key] = result
+    return result
+
+
+def _reference_veronese_degree(degrees, m_max, split_budget):
+    degrees = sorted(degrees)
+    base = math.lcm(*degrees)
+    for mult in range(1, 17):
+        d = mult * base
+        counter = [split_budget]
+        memo = {}
+        good = True
+        for m in range(1, m_max + 1):
+            for rep in _representations(degrees, d * m):
+                if not _reference_splits(rep, degrees, d, m, memo, counter):
+                    good = False
+                    break
+            if not good:
+                break
+        if good:
+            return veronese.VeroneseResult(d=d, verified_up_to=m_max)
+    raise NotFoundError("no Veronese degree found")
+
+
+def _split_threshold(degrees, m_max):
+    """The least ``split_budget`` at which ``veronese_degree`` succeeds."""
+    lo, hi = 1, veronese.DEFAULT_SPLIT_BUDGET
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            veronese_degree(degrees, m_max, split_budget=mid)
+            hi = mid
+        except BudgetExceeded:
+            lo = mid + 1
+    return lo
+
+
+# the benchmark's degree sets: 2-3 distinct degrees from 2..6
+BENCHMARK_DEGREE_SETS = [
+    list(c) for size in (2, 3) for c in itertools.combinations(range(2, 7), size)
+]
+
+
+@pytest.mark.parametrize("degrees", BENCHMARK_DEGREE_SETS, ids=str)
+def test_veronese_degree_matches_reference_and_its_split_budget(degrees):
+    for m_max in range(1, 5):
+        threshold = _split_threshold(degrees, m_max)
+        result = veronese_degree(degrees, m_max, split_budget=threshold)
+        assert result == _reference_veronese_degree(degrees, m_max, threshold)
+        with pytest.raises(BudgetExceeded):
+            _reference_veronese_degree(degrees, m_max, threshold - 1)
 
 
 def test_monoid_generators_simplicial_cell():
