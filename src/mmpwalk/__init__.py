@@ -8,11 +8,9 @@ from .cones import (
     common_refinement,
     cone_from_halfspaces,
     cone_from_rays,
-    contains,
     hyperplane_refinement,
     intersect,
     make_fan,
-    relative_interior_point,
 )
 from .errors import (
     BudgetExceeded,

@@ -12,7 +12,6 @@ import sys
 from fractions import Fraction
 
 from . import serialize
-from .cones import contains
 from .errors import (
     BudgetExceeded,
     DimensionError,
@@ -237,8 +236,8 @@ def cmd_check(cfg):
     # fan partition: sampled support points lie in >=1 cell, interior of <=1
     for _ in range(25):
         p = interior_point(support)
-        closed = sum(1 for c in fan.cells if contains(c, p))
-        strict = sum(1 for c in fan.cells if contains(c, p, strict=True))
+        closed = sum(1 for c in fan.cells if c.contains(p))
+        strict = sum(1 for c in fan.cells if c.contains(p, strict=True))
         if closed < 1 or strict > 1:
             failures.append(f"partition: point {p} in {closed} cells, {strict} interiors")
     notes.append("partition: 25 sampled points")
@@ -331,8 +330,11 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.budget is None:
         args.budget = int(os.environ.get("MMPW_BUDGET", "2000000"))
-    if args.budget <= 0 or args.k_max <= 0 or args.grid_depth <= 0:
-        print("error: budgets must be positive", file=sys.stderr)
+    if min(args.budget, args.k_max, args.grid_depth, args.m_max) <= 0:
+        print(
+            "error: --budget, --k-max, --grid-depth and --m-max must be positive",
+            file=sys.stderr,
+        )
         return EXIT_VALIDATION
     try:
         return COMMANDS[args.command](args)

@@ -2,15 +2,23 @@
 
 Cones carry a double description: primitive integer extreme rays together
 with a minimal set of facet half-spaces (plus span equations when the cone
-is not full-dimensional).  Both sides are recomputed canonically on
-construction, so structurally equal cones compare equal regardless of how
-they were produced.
+is not full-dimensional).  Both sides are canonical, so structurally equal
+cones compare equal regardless of how they were produced.
 
-The conversion between the two descriptions is the incremental double
-description method: inequalities are added one at a time, new extreme rays
-arise from adjacent positive/negative pairs, and adjacency is decided by
-the combinatorial tight-set test (tracked as bitmasks over the processed
-constraints).
+A cone costs one conversion between the two descriptions.  From generators,
+``_assemble`` converts to facets and equations and, when the cone is
+pointed, keeps the generators that pass the combinatorial extreme-ray test.
+From half-spaces, ``cone_from_halfspaces`` converts to extreme rays and, when
+there is no lineality, takes the equations from the kernel of the rays and
+the facets from the half-spaces that pass the combinatorial facet test.  A
+cone with lineality takes a second conversion (``_assemble``), which fixes
+the representatives of its rays modulo lineality.  ``common_refinement``
+skips a pair of cells that a facet separates before intersecting them.
+
+The conversion itself is the incremental double description method:
+inequalities are added one at a time, new extreme rays arise from adjacent
+positive/negative pairs, and adjacency is decided by the combinatorial
+tight-set test (tracked as bitmasks over the processed constraints).
 """
 
 from dataclasses import dataclass
@@ -20,6 +28,7 @@ from .errors import DimensionError, InvalidCone, SupportMismatch
 from .linalg import (
     dot,
     is_zero,
+    kernel,
     primitive,
     rank,
     reduce_mod_rowspace,
@@ -182,27 +191,47 @@ class PolyCone:
         return {hs.hyperplane_key() for hs in self.facets}
 
 
+def _zero_cone(n):
+    eye = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
+    return PolyCone(n, 0, (), (), eye)
+
+
 def _assemble(generators, n):
-    """Canonical PolyCone from any set of generating vectors."""
+    """Canonical PolyCone from any set of generating vectors.
+
+    One conversion of the generators gives the facets and the equations.
+    When those have rank n the cone is pointed and its extreme rays are read
+    off the generators: a generator is extreme exactly when no other
+    generator is tight at every facet it is tight at (the combinatorial
+    test; the minimal face holding it is then a ray).  A cone with
+    lineality takes a second conversion, from its facets and equations back
+    to rays, because its stored rays are the representatives modulo
+    lineality that this conversion returns.
+    """
     gens = sorted({primitive(g) for g in generators if not is_zero(g)})
     if not gens:
-        eye = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
-        return PolyCone(n, 0, (), (), eye)
+        return _zero_cone(n)
     dual_lines, dual_rays = _dd(gens, n)
     equations = row_reduce(dual_lines)
     facets = sorted(
         {reduce_mod_rowspace(q, equations) for q in dual_rays} - {tuple([0] * n)}
     )
-    constraints = list(facets)
-    for eq in equations:
-        constraints.append(eq)
-        constraints.append(vneg(eq))
-    lines, rays = _dd(constraints, n)
-    ray_set = set(rays)
-    for l in lines:
-        ray_set.add(l)
-        ray_set.add(vneg(l))
-    rays = tuple(sorted(ray_set))
+    if rank(facets + list(equations)) == n:
+        masks = [_tight_mask(g, facets) for g in gens]
+        rays = tuple(
+            g for g, m in zip(gens, masks) if sum(1 for o in masks if o & m == m) == 1
+        )
+    else:
+        constraints = list(facets)
+        for eq in equations:
+            constraints.append(eq)
+            constraints.append(vneg(eq))
+        lines, rays = _dd(constraints, n)
+        ray_set = set(rays)
+        for l in lines:
+            ray_set.add(l)
+            ray_set.add(vneg(l))
+        rays = tuple(sorted(ray_set))
     dim = n - len(equations)
     return PolyCone(n, dim, rays, tuple(HalfSpace(f) for f in facets), equations)
 
@@ -222,23 +251,51 @@ def cone_from_rays(rays):
 
 
 def cone_from_halfspaces(halfspaces, ambient_dim, equations=()):
-    """Cone cut out by half-spaces (and optional equations)."""
-    constraints = [hs.normal if isinstance(hs, HalfSpace) else tuple(hs) for hs in halfspaces]
+    """Cone cut out by half-spaces (and optional equations).
+
+    One conversion gives the extreme rays.  When the cone has no lineality
+    the rest is read off them: the equations span the kernel of the rays,
+    and the facets are the input half-spaces whose sets of tight rays are
+    maximal among the proper ones (every facet is cut out by some input
+    half-space, and a face of a pointed cone is fixed by its rays).  A cone
+    with lineality goes through ``_assemble``.
+    """
+    normals = [hs.normal if isinstance(hs, HalfSpace) else tuple(hs) for hs in halfspaces]
+    constraints = list(normals)
     for eq in equations:
         eq = tuple(eq)
         constraints.append(eq)
         constraints.append(vneg(eq))
+    for c in constraints:
+        if len(c) != ambient_dim:
+            raise DimensionError(
+                f"constraint has dimension {len(c)}, cone is in dimension {ambient_dim}"
+            )
     lines, rays = _dd(constraints, ambient_dim)
-    gens = list(rays)
-    for l in lines:
-        gens.append(l)
-        gens.append(vneg(l))
-    if not gens:
-        eye = tuple(
-            tuple(1 if j == i else 0 for j in range(ambient_dim)) for i in range(ambient_dim)
-        )
-        return PolyCone(ambient_dim, 0, (), (), eye)
-    return _assemble(gens, ambient_dim)
+    if lines:
+        gens = list(rays)
+        for l in lines:
+            gens.append(l)
+            gens.append(vneg(l))
+        return _assemble(gens, ambient_dim)
+    if not rays:
+        return _zero_cone(ambient_dim)
+    rays = sorted(rays)
+    equations = row_reduce(kernel(rays, ambient_dim))
+    everything = (1 << len(rays)) - 1
+    tight = [_tight_mask(a, rays) for a in normals]
+    proper = {m for m in tight if m != everything}
+    facets = sorted(
+        {
+            reduce_mod_rowspace(a, equations)
+            for a, m in zip(normals, tight)
+            if m in proper and not any(o != m and o & m == m for o in proper)
+        }
+    )
+    dim = ambient_dim - len(equations)
+    return PolyCone(
+        ambient_dim, dim, tuple(rays), tuple(HalfSpace(f) for f in facets), equations
+    )
 
 
 def intersect(a, b):
@@ -254,12 +311,14 @@ def intersect(a, b):
     )
 
 
-def contains(cone, x, strict=False):
-    return cone.contains(x, strict=strict)
-
-
-def relative_interior_point(cone):
-    return cone.relative_interior_point()
+def _separated(a, b):
+    """True when a facet of one cone has every ray of the other on its
+    nonpositive side.  The two then meet inside that facet's hyperplane, so
+    their intersection has lower dimension than the cone owning the facet
+    and their relative interiors are disjoint."""
+    return any(all(hs.evaluate(r) <= 0 for r in b.rays) for hs in a.facets) or any(
+        all(hs.evaluate(r) <= 0 for r in a.rays) for hs in b.facets
+    )
 
 
 def _cell_sort_key(cell):
@@ -297,6 +356,8 @@ def common_refinement(fans):
         pieces = set()
         for a in cells:
             for b in f.cells:
+                if _separated(a, b):
+                    continue
                 c = intersect(a, b)
                 if c.dim == support.dim:
                     pieces.add(c)

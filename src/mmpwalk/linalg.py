@@ -5,9 +5,10 @@ and allocation-light since the rest of the package calls them in tight
 loops.  All elimination goes through one fraction-free routine,
 ``echelon``: rows are made primitive integer vectors, each step is
 ``row <- p*row - a*pivot_row`` followed by division by the gcd, and
-``rank``, ``row_reduce``, ``reduce_mod_rowspace`` and ``solve_exact`` are
-built on it.  No ``Fraction`` is built except for ``solve_exact``'s result,
-and an inexact entry such as a float raises ``TypeError``.
+``rank``, ``row_reduce``, ``reduce_mod_rowspace``, ``kernel`` and
+``solve_exact`` are built on it.  No ``Fraction`` is built except for
+``solve_exact``'s result, and an inexact entry such as a float raises
+``TypeError``.
 """
 
 from fractions import Fraction
@@ -134,6 +135,25 @@ def reduce_mod_rowspace(v, ref_rows):
         if out[col]:
             out = _eliminate(out, row, col)
     return tuple(out)
+
+
+def kernel(rows, n):
+    """A basis of ``{y : row . y = 0 for every row}`` in dimension ``n``,
+    as primitive integer vectors: one per non-pivot column of ``echelon``.
+    """
+    pivots = [(next(j for j, x in enumerate(row) if x != 0), row) for row in echelon(rows)]
+    scale = lcm(*(row[col] for col, row in pivots))
+    pivot_cols = {col for col, _ in pivots}
+    basis = []
+    for free in range(n):
+        if free in pivot_cols:
+            continue
+        y = [0] * n
+        y[free] = scale
+        for col, row in pivots:
+            y[col] = -row[free] * (scale // row[col])
+        basis.append(primitive(y))
+    return basis
 
 
 def solve_exact(rows, rhs):

@@ -124,8 +124,12 @@ def o_value_oracle(datum, valuation, x, k_list, budget=ORACLE_NODE_BUDGET):
 
     A multiplicity or an entry of ``x`` that is not an ``int`` or a
     ``Fraction``, such as a float, raises TypeError rather than being
-    coerced.
+    coerced.  A level ``k <= 0`` raises ValueError.
     """
+    k_list = list(k_list)
+    bad = [k for k in k_list if k <= 0]
+    if bad:
+        raise ValueError(f"levels k must be positive, got {bad}")
     degrees = [tuple(g.multidegree) for g in datum.generators]
     heights = _mults(datum, valuation)
     xs, x_den = clear_denominators(x)

@@ -333,7 +333,8 @@ def _enumerate_min(degrees, heights, target, budget):
         for j in uncovered[i]:
             if remaining[j] > 0:
                 return nodes  # coordinate j can no longer be covered
-        bound = min([remaining[j] // dj for j, dj in positive[i]], default=None)
+        # a generator with no positive coordinate covers nothing
+        bound = min([remaining[j] // dj for j, dj in positive[i]], default=0)
         d = degrees[i]
         c = costs[i]
         for a in range(bound, -1, -1):
@@ -400,8 +401,11 @@ def integer_order(datum, valuation, x, k, node_budget=DEFAULT_NODE_BUDGET):
     The branch-and-bound runs in integers: the heights are scaled to ints
     over their least common denominator, and the value is divided by that
     denominator and by k only at the end.  ``x`` must be exact (``int`` or
-    ``Fraction`` entries); a float raises TypeError.
+    ``Fraction`` entries); a float raises TypeError.  A level ``k <= 0``
+    raises ValueError.
     """
+    if k <= 0:
+        raise ValueError(f"level k must be positive, got {k}")
     xs, x_den = clear_denominators(x)
     if any(v * k % x_den for v in xs):
         raise ValueError(f"{k} * {tuple(x)} is not an integer point")

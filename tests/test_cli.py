@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats, stability."""
 
+import hashlib
 import json
 
 import pytest
@@ -49,6 +50,36 @@ def test_walk_output_is_byte_stable(capsys):
     _, first, _ = run(capsys, "walk", "--example", "blowup-P2", "--h", "0,1")
     _, second, _ = run(capsys, "walk", "--example", "blowup-P2", "--h", "0,1")
     assert first == second
+
+
+# sha256 of stdout on every builtin example, recorded before cones were
+# built with one double-description conversion each: the construction of a
+# cone may change, its output may not
+STDOUT_SHA256 = {
+    ("decompose", "blowup-P2"):
+        "d904554cc6cd5552f329c1a9f39433ad59687c0e30734105476cddee777240f4",
+    ("decompose", "fractional-vertex"):
+        "80c5016e6ec6482d5d49e9c8866ffa97132f243f3eb7d17b56bf1b2a24931173",
+    ("decompose", "quadrant-trivial"):
+        "1cc2d2ab7c4585886483e50686fdeea6a9265b4f85821b6bda5f37e337173270",
+    ("check", "blowup-P2"):
+        "a545b8c1658d7a68d5c5265a628378bc3fc5994a88868fbaa48bd1cf1efbb0c7",
+    ("check", "fractional-vertex"):
+        "37e011a924a974d0d37ff8b2a9c72db3ef184bfd85e29fca70bfe06673b19da2",
+    ("check", "quadrant-trivial"):
+        "9cf006dcad5e21c854bbd71b74657c0d13f63fe5edd3417133677248ac4ff68f",
+}
+
+
+@pytest.mark.parametrize("command, example", sorted(STDOUT_SHA256))
+def test_stdout_matches_recorded_digest(capsys, command, example):
+    assert {e for _, e in STDOUT_SHA256} == set(builtin_examples())
+    argv = [command, "--example", example]
+    if command == "check":
+        argv += ["--grid-depth", "3"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == STDOUT_SHA256[command, example]
 
 
 def test_walk_from_file_with_embedded_segment(tmp_path, capsys):
@@ -196,8 +227,16 @@ def _one_line_error(err):
         (("veronese", "--degrees", "0,2"), 2),
         (("oracle", "--example", "blowup-P2", "--point", "1,2,3"), 3),
         (("decompose", "--input", "/nonexistent.json"), 2),
+        (("veronese", "--degrees", "2,3", "--m-max", "-2"), 3),
+        (("veronese", "--degrees", "2,3", "--m-max", "0"), 3),
     ],
-    ids=["veronese-zero-degree", "oracle-point-dimension", "missing-input-file"],
+    ids=[
+        "veronese-zero-degree",
+        "oracle-point-dimension",
+        "missing-input-file",
+        "veronese-negative-m-max",
+        "veronese-zero-m-max",
+    ],
 )
 def test_bad_arguments_exit_with_documented_codes(capsys, argv, code):
     got, _, err = run(capsys, *argv)
@@ -223,6 +262,16 @@ def test_invalid_cone_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "decompose", "--input", str(path))
     assert code == 3
     assert _one_line_error(err)
+
+
+def test_nef_inequality_of_wrong_dimension_exit_code(tmp_path, capsys):
+    doc = json.loads(dumps(ring_to_json(builtin_examples()["blowup-P2"])))
+    doc["nef"] = {"ineqs": [[1, 0, 0], [0, 1]]}
+    path = tmp_path / "nef_dimension.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "walk", "--input", str(path), "--h", "0,1")
+    assert code == 3
+    assert _one_line_error(err) and "dimension" in err
 
 
 def test_support_mismatch_exit_code(monkeypatch, capsys):

@@ -123,6 +123,14 @@ def test_invalid_cone_inputs():
         cone_from_rays([(1, 0), (1, 0, 0)])
 
 
+def test_halfspace_of_wrong_dimension_is_rejected():
+    # a 3-vector in the plane used to be truncated silently
+    with pytest.raises(DimensionError):
+        cone_from_halfspaces([(1, 0, 0), (0, 1)], 2)
+    with pytest.raises(DimensionError):
+        cone_from_halfspaces([(1, 0)], 2, equations=[(0,)])
+
+
 def test_intersection_shared_face_is_the_common_ray():
     a = cone_from_rays([(1, 0), (1, 1)])
     b = cone_from_rays([(1, 1), (0, 1)])

@@ -1,0 +1,221 @@
+"""One double-description conversion per cone.
+
+``cone_from_rays``, ``cone_from_halfspaces`` and ``intersect`` convert a
+pointed cone once and read the other description off the first.  They are
+compared here with a reference copy of the two-conversion construction
+(generators -> facets -> rays), which the package used before; a cone with
+lineality still takes that path.  ``common_refinement`` skips a pair of
+cells when a facet of one has the other on its nonpositive side, and the
+tests check that every skipped pair meets in lower dimension.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mmpwalk import (
+    InstanceSpec,
+    builtin_examples,
+    cell_functionals,
+    chamber_fan,
+    random_instance,
+)
+from mmpwalk import cones
+from mmpwalk.cones import (
+    HalfSpace,
+    PolyCone,
+    cone_from_halfspaces,
+    cone_from_rays,
+    intersect,
+)
+from mmpwalk.linalg import (
+    is_zero,
+    primitive,
+    reduce_mod_rowspace,
+    row_reduce,
+    vneg,
+)
+from mmpwalk.ring import support_cone
+
+
+def _reference_assemble(generators, n):
+    gens = sorted({primitive(g) for g in generators if not is_zero(g)})
+    if not gens:
+        eye = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
+        return PolyCone(n, 0, (), (), eye)
+    dual_lines, dual_rays = cones._dd(gens, n)
+    equations = row_reduce(dual_lines)
+    facets = sorted(
+        {reduce_mod_rowspace(q, equations) for q in dual_rays} - {tuple([0] * n)}
+    )
+    constraints = list(facets)
+    for eq in equations:
+        constraints += [eq, vneg(eq)]
+    lines, rays = cones._dd(constraints, n)
+    ray_set = set(rays) | set(lines) | {vneg(l) for l in lines}
+    return PolyCone(
+        n, n - len(equations), tuple(sorted(ray_set)),
+        tuple(HalfSpace(f) for f in facets), equations,
+    )
+
+
+def _reference_from_halfspaces(halfspaces, n, equations=()):
+    constraints = [hs.normal if isinstance(hs, HalfSpace) else tuple(hs) for hs in halfspaces]
+    for eq in equations:
+        constraints += [tuple(eq), vneg(tuple(eq))]
+    lines, rays = cones._dd(constraints, n)
+    gens = list(rays) + list(lines) + [vneg(l) for l in lines]
+    return _reference_assemble(gens, n)
+
+
+def _reference_intersect(a, b):
+    return _reference_from_halfspaces(
+        list(a.facets) + list(b.facets), a.ambient_dim,
+        equations=list(a.equations) + list(b.equations),
+    )
+
+
+def _has_lineality(cone):
+    return any(vneg(r) in cone.rays for r in cone.rays)
+
+
+@st.composite
+def generator_sets(draw):
+    """Generators of a pointed, lower-dimensional or lineality cone."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    coords = st.integers(min_value=-3, max_value=3)
+    kind = draw(st.sampled_from(["pointed", "lower", "lineality", "any"]))
+    if kind == "pointed":
+        # every generator has a positive last coordinate, or is e_n
+        vec = st.tuples(*([coords] * (n - 1)), st.integers(min_value=1, max_value=3))
+    elif kind == "lower":
+        # generators in the span of at most n - 1 random vectors
+        basis = draw(st.lists(st.tuples(*([coords] * n)), min_size=1, max_size=max(1, n - 1)))
+        weights = st.lists(st.integers(min_value=0, max_value=3), min_size=len(basis),
+                           max_size=len(basis))
+        vec = weights.map(lambda w: tuple(sum(c * b[j] for c, b in zip(w, basis))
+                                          for j in range(n)))
+    else:
+        vec = st.tuples(*([coords] * n))
+    gens = draw(st.lists(vec, min_size=1, max_size=6))
+    if kind == "lineality":
+        gens.append(vneg(gens[0]))
+    if all(is_zero(g) for g in gens):
+        gens.append(tuple([1] + [0] * (n - 1)))
+    return n, gens
+
+
+@st.composite
+def halfspace_systems(draw):
+    """Half-spaces and equations; few of them leave lineality, opposing
+    ones cut the cone down to the origin."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    vec = st.tuples(*([st.integers(min_value=-3, max_value=3)] * n))
+    halfspaces = draw(st.lists(vec, min_size=0, max_size=6))
+    if draw(st.booleans()):
+        halfspaces += [vneg(h) for h in halfspaces]
+    equations = draw(st.lists(vec, min_size=0, max_size=2))
+    return n, halfspaces, equations
+
+
+@given(generator_sets())
+@settings(max_examples=300, deadline=None)
+def test_cone_from_rays_matches_two_conversions(case):
+    n, gens = case
+    assert cone_from_rays(gens) == _reference_assemble(gens, n)
+
+
+@given(halfspace_systems())
+@settings(max_examples=300, deadline=None)
+def test_cone_from_halfspaces_matches_two_conversions(case):
+    n, halfspaces, equations = case
+    got = cone_from_halfspaces(halfspaces, n, equations=equations)
+    assert got == _reference_from_halfspaces(halfspaces, n, equations=equations)
+    halfspaces = [HalfSpace(primitive(h)) for h in halfspaces]
+    assert cone_from_halfspaces(halfspaces, n, equations=equations) == got
+
+
+@given(generator_sets(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_intersect_matches_two_conversions(case, data):
+    n, gens = case
+    others = data.draw(
+        st.lists(st.tuples(*([st.integers(min_value=-3, max_value=3)] * n)),
+                 min_size=1, max_size=5).filter(lambda g: not all(map(is_zero, g)))
+    )
+    a, b = cone_from_rays(gens), cone_from_rays(others)
+    assert intersect(a, b) == _reference_intersect(a, b)
+
+
+def test_reference_cases_cover_every_path():
+    lineality = cone_from_halfspaces([(0, 1)], 2)
+    assert _has_lineality(lineality)
+    assert lineality == _reference_from_halfspaces([(0, 1)], 2)
+    origin = cone_from_halfspaces([(1, 0), (-1, 0), (0, 1), (0, -1)], 2)
+    assert origin.dim == 0 and origin == _reference_from_halfspaces(
+        [(1, 0), (-1, 0), (0, 1), (0, -1)], 2)
+    ray = intersect(cone_from_rays([(1, 0, 0), (0, 1, 0)]), cone_from_rays([(1, 1, 0), (0, 0, 1)]))
+    assert ray.dim == 1 and ray.equations
+
+
+def _corpus_spec(seed):
+    r = (1, 1, 2, 2, 3)[seed % 5]
+    return InstanceSpec(
+        r=r,
+        generator_count={1: 6, 2: 6, 3: 5}[r],
+        valuation_count={1: 4, 2: 3, 3: 2}[r],
+        coordinate_bound=4,
+        seed=seed,
+    )
+
+
+def _fan_data():
+    data = list(builtin_examples().values())
+    return data + [random_instance(_corpus_spec(seed)) for seed in range(1, 11)]
+
+
+def test_one_conversion_per_pointed_cone(monkeypatch):
+    events = []
+    dd, polycone = cones._dd, cones.PolyCone
+
+    def counted_dd(*args):
+        events.append("dd")
+        return dd(*args)
+
+    def counted_polycone(*args):
+        cone = polycone(*args)
+        events.append(cone)
+        return cone
+
+    monkeypatch.setattr(cones, "_dd", counted_dd)
+    monkeypatch.setattr(cones, "PolyCone", counted_polycone)
+    for datum in _fan_data():
+        support = support_cone(datum)
+        fan = chamber_fan(datum, support=support)
+        cell_functionals(datum, fan, support=support)
+    built = [e for e in events if e != "dd"]
+    assert len(built) > 400
+    assert not any(_has_lineality(cone) for cone in built)
+    # each cone is built right after its one conversion
+    assert events == [x for cone in built for x in ("dd", cone)]
+
+
+def test_pretest_skips_only_pairs_meeting_in_lower_dimension(monkeypatch):
+    skipped = []
+    separated = cones._separated
+
+    def recorded(a, b):
+        if separated(a, b):
+            skipped.append((a, b))
+            return True
+        return False
+
+    monkeypatch.setattr(cones, "_separated", recorded)
+    total = 0
+    for datum in _fan_data():
+        support = support_cone(datum)
+        chamber_fan(datum, support=support)
+        for a, b in skipped:
+            assert intersect(a, b).dim < support.dim
+        total += len(skipped)
+        skipped.clear()
+    assert total > 100

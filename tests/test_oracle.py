@@ -114,6 +114,13 @@ def test_oracle_rejects_float_point():
         o_value_oracle(datum, "E", (0.5, 1.5), [2])
 
 
+@pytest.mark.parametrize("ks", [[0], [-1], [1, 0]])
+def test_oracle_rejects_nonpositive_level(ks):
+    datum = builtin_examples()["blowup-P2"]
+    with pytest.raises(ValueError):
+        o_value_oracle(datum, "E", (1, 1), ks)
+
+
 def test_oracle_budget():
     datum = builtin_examples()["blowup-P2"]
     with pytest.raises(BudgetExceeded):

@@ -16,6 +16,7 @@ from mmpwalk import (
     chamber_fan,
     integer_order,
     linearity_fan,
+    o_value_oracle,
     random_instance,
     stabilization_multiple,
 )
@@ -138,6 +139,31 @@ def test_integer_order_rejects_float_point(blowup, x):
         asymptotic_order(blowup, "E", x)
     with pytest.raises(TypeError):
         integer_order(blowup, "E", x, 2)
+
+
+def test_integer_order_zero_multidegree_generator():
+    # the library does not validate: a zero generator covers nothing and
+    # must not stop the search
+    datum = RingDatum(
+        r=1,
+        labels=("K", "D1"),
+        generators=tuple(
+            GeneratorDatum(multidegree=d, mults={"E": Fraction(1)})
+            for d in ((0, 0), (2, 1), (1, 2))
+        ),
+        valuations=("E",),
+        numerical=NumericalMap(matrix=((Fraction(1), Fraction(0)),), target_dim=1),
+    )
+    lp = asymptotic_order(datum, "E", (3, 3)).value
+    assert lp == 2
+    assert integer_order(datum, "E", (3, 3), 1) == lp
+    assert o_value_oracle(datum, "E", (3, 3), [1]) == (lp,)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_integer_order_rejects_nonpositive_level(blowup, k):
+    with pytest.raises(ValueError):
+        integer_order(blowup, "E", (1, 1), k)
 
 
 def test_integer_order_budget(blowup):

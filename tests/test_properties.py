@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mmpwalk import (
@@ -17,6 +17,8 @@ from mmpwalk import linalg
 from mmpwalk.cones import cone_from_halfspaces, cone_from_rays, hyperplane_refinement
 from mmpwalk.linalg import (
     clear_denominators,
+    dot,
+    kernel,
     primitive,
     rank,
     reduce_mod_rowspace,
@@ -180,6 +182,18 @@ def matrices(draw):
 @settings(max_examples=200, deadline=None)
 def test_rank_equals_row_reduce_length(rows):
     assert rank(rows) == len(row_reduce(rows))
+
+
+@given(matrices())
+@settings(max_examples=200, deadline=None)
+def test_kernel_is_a_primitive_basis_of_the_null_space(rows):
+    assume(rows)
+    n = len(rows[0])
+    basis = kernel(rows, n)
+    assert len(basis) == rank(basis) == n - rank(rows)
+    for y in basis:
+        assert all(type(v) is int for v in y) and gcd(*y) == 1
+        assert all(dot(row, y) == 0 for row in rows)
 
 
 def reference_rref(rows):
