@@ -26,7 +26,8 @@ from .errors import (
     SupportMismatch,
 )
 from .oracle import builtin_examples, o_value_oracle
-from .orders import asymptotic_order, cell_functionals, chamber_fan, evaluate_functional
+from .linalg import clear_denominators, dot
+from .orders import OrderFunction, asymptotic_order, cell_functionals, chamber_fan
 from .ring import support_cone, validate
 from .veronese import MAX_MONOID_GENERATORS, grid_additivity_check, veronese_degree
 from .walk import classify_nef, emit_trace, make_segment, order_chambers
@@ -192,6 +193,7 @@ def cmd_check(cfg):
     support = support_cone(datum)
     fan = chamber_fan(datum, refine=cfg.refine)
     functionals = cell_functionals(datum, fan)
+    order = {v: OrderFunction(datum, v, support) for v in datum.valuations}
 
     def interior_point(cell):
         weights = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in cell.rays]
@@ -206,8 +208,7 @@ def cmd_check(cfg):
             f = functionals[valuation][ci]
             for _ in range(5):
                 p = interior_point(cell)
-                got = asymptotic_order(datum, valuation, p, support=support).value
-                if got != evaluate_functional(f, p):
+                if order[valuation].value(p) != dot(f, p):
                     failures.append(
                         f"linearity: cell {ci}, valuation {valuation}, point {p}"
                     )
@@ -219,14 +220,11 @@ def cmd_check(cfg):
         b = interior_point(support)
         lam = Fraction(rng.randint(1, 12), rng.randint(1, 12))
         for valuation in datum.valuations:
-            oa = asymptotic_order(datum, valuation, a, support=support).value
-            ob = asymptotic_order(datum, valuation, b, support=support).value
-            osum = asymptotic_order(
-                datum, valuation, tuple(x + y for x, y in zip(a, b)), support=support
-            ).value
-            oscaled = asymptotic_order(
-                datum, valuation, tuple(lam * x for x in a), support=support
-            ).value
+            value = order[valuation].value
+            oa = value(a)
+            ob = value(b)
+            osum = value(tuple(x + y for x, y in zip(a, b)))
+            oscaled = value(tuple(lam * x for x in a))
             if oscaled != lam * oa:
                 failures.append(f"homogeneity: valuation {valuation}, point {a}")
             if osum > oa + ob:
@@ -236,8 +234,10 @@ def cmd_check(cfg):
     # fan partition: sampled support points lie in >=1 cell, interior of <=1
     for _ in range(25):
         p = interior_point(support)
-        closed = sum(1 for c in fan.cells if c.contains(p))
-        strict = sum(1 for c in fan.cells if c.contains(p, strict=True))
+        # a positive multiple of p lies in the same cells
+        q = clear_denominators(p)[0]
+        closed = sum(1 for c in fan.cells if c.contains(q))
+        strict = sum(1 for c in fan.cells if c.contains(q, strict=True))
         if closed < 1 or strict > 1:
             failures.append(f"partition: point {p} in {closed} cells, {strict} interiors")
     notes.append("partition: 25 sampled points")
@@ -245,7 +245,8 @@ def cmd_check(cfg):
     # grid additivity on the chamber fan
     grid = grid_additivity_check(datum, fan, dscale=1, depth=cfg.grid_depth)
     for check in grid.failures:
-        failures.append(f"grid additivity: exponents {check.exponents} at {check.point}")
+        point = tuple(map(Fraction, check.point))
+        failures.append(f"grid additivity: exponents {check.exponents} at {point}")
     skipped = [e for e in grid.entries if e.skipped]
     notes.append(
         f"grid additivity: {len(grid.entries)} cell/valuation pairs, {len(skipped)} skipped"

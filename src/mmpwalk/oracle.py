@@ -12,7 +12,7 @@ from fractions import Fraction
 from .cones import cone_from_rays
 from .errors import BudgetExceeded
 from .linalg import clear_denominators
-from .orders import _mults
+from .orders import _check_level, _mults
 from .ring import (
     GeneratorDatum,
     NefConeDatum,
@@ -124,12 +124,12 @@ def o_value_oracle(datum, valuation, x, k_list, budget=ORACLE_NODE_BUDGET):
 
     A multiplicity or an entry of ``x`` that is not an ``int`` or a
     ``Fraction``, such as a float, raises TypeError rather than being
-    coerced.  A level ``k <= 0`` raises ValueError.
+    coerced, and so does a level that is not an ``int`` (a float or a
+    bool, too).  A level ``k <= 0`` raises ValueError.
     """
     k_list = list(k_list)
-    bad = [k for k in k_list if k <= 0]
-    if bad:
-        raise ValueError(f"levels k must be positive, got {bad}")
+    for k in k_list:
+        _check_level(k)
     degrees = [tuple(g.multidegree) for g in datum.generators]
     heights = _mults(datum, valuation)
     xs, x_den = clear_denominators(x)

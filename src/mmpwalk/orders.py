@@ -7,13 +7,18 @@ over the lifted generators, and project the lower facets back down.  The
 chamber fan is the common refinement of these fans over all valuations,
 further sliced so that every cell respects every facet hyperplane.
 
-The optimal basis of the LP is constant on each linearity domain, so
-``asymptotic_order`` keeps the optimal bases of earlier solves, per LP
-datum, and answers a query from one of them when it is certified optimal
-there; otherwise it solves from scratch.  Values are exact and unique
-either way.  The witness is an optimal basic solution certified by the
-returned dual; when several optimal vertices tie, which one is returned
-depends on the earlier queries of the process.
+Queries go through an ``OrderFunction``, one object per (datum,
+valuation) that holds the integer degrees, the multiplicities, the support
+cone and the optimal bases of earlier solves of its LP.  The optimal basis
+is constant on each linearity domain, so a query is answered from a kept
+basis when LP duality certifies it optimal there, and solved from scratch
+otherwise; only a solve adds a basis.  ``value(x)`` returns the exact order
+and nothing else, for callers that make many queries, such as the checks;
+``certificate(x)`` returns it as an ``OValue`` with a witness and the dual
+that certifies it.  ``asymptotic_order`` is ``certificate`` on a fresh
+object.  Values are exact and unique either way.  When several optimal
+vertices tie, which witness is returned depends on the earlier queries of
+the process.
 """
 
 from dataclasses import dataclass
@@ -74,7 +79,7 @@ def _mults(datum, valuation):
     """The generators' multiplicities at ``valuation``.  One that is not an
     ``int`` or a ``Fraction``, such as a float, raises TypeError rather than
     being coerced."""
-    mults = tuple(g.mults[valuation] for g in datum.generators)
+    mults = tuple([g.mults[valuation] for g in datum.generators])
     if not _EXACT_TYPES.issuperset(map(type, mults)):
         raise TypeError(f"multiplicities at {valuation!r} are not exact: {mults!r}")
     return mults
@@ -92,28 +97,104 @@ def asymptotic_order(datum, valuation, x, support=None, pivot_cap=DEFAULT_PIVOT_
     certifies it.  ``x`` outside the closed support cone raises
     OutsideSupport (distinct from value 0).
     """
-    if support is None:
-        support = support_cone(datum)
-    # x = xs / x_den with x_den > 0, so xs lies in the same cones as x
-    xs, x_den = clear_denominators(x)
-    if not support.contains(xs):
-        raise OutsideSupport(f"point {tuple(x)} is outside the support cone")
-    degrees = tuple(tuple(g.multidegree) for g in datum.generators)
-    mults = _mults(datum, valuation)
-    bases = _optimal_bases(degrees, mults)
-    hit = _certified(bases, degrees, xs, x_den)
-    if hit is not None:
-        return hit
-    heights = [Fraction(h) for h in mults]
-    A = [[Fraction(d[row]) for d in degrees] for row in range(len(x))]
-    result = solve_min(A, [Fraction(v) for v in x], heights, pivot_cap)
-    if result is INFEASIBLE:
-        # contains() passed, so this is unreachable for consistent cones
-        raise OutsideSupport(f"no representation of {tuple(x)} over the generators")
-    value, witness, basis = result
-    entry = _cached_basis(basis, heights, len(x))
-    bases.append(entry)
-    return OValue(value, witness, _dual(entry))
+    return OrderFunction(datum, valuation, support, pivot_cap).certificate(x)
+
+
+class OrderFunction:
+    """The order function of one valuation on one datum, set up once for
+    many queries.
+
+    Holds the integer degrees, the multiplicities, the support cone and the
+    list of optimal bases kept for these LP data (shared with every other
+    query on them).  ``value(x)`` is the exact order at ``x``;
+    ``certificate(x)`` is the same value as an ``OValue``, with a witness
+    and a dual.  Both answer from one search over the kept bases, which
+    certifies a basis optimal at ``x`` by LP duality, and solve the LP only
+    when none is; only a solve adds a basis.  A point outside the closed
+    support cone raises OutsideSupport from both.
+    """
+
+    __slots__ = ("degrees", "mults", "support", "pivot_cap", "bases")
+
+    def __init__(self, datum, valuation, support=None, pivot_cap=DEFAULT_PIVOT_CAP):
+        self.support = support_cone(datum) if support is None else support
+        self.degrees = tuple([tuple(g.multidegree) for g in datum.generators])
+        self.mults = _mults(datum, valuation)
+        self.pivot_cap = pivot_cap
+        self.bases = _optimal_bases(self.degrees, self.mults)
+
+    def value(self, x):
+        """The order at ``x`` as a ``Fraction``; builds no witness or dual."""
+        hit = self._certified(x, *clear_denominators(x))
+        if hit is None:
+            return self._solve(x)[0]
+        return hit[0]
+
+    def certificate(self, x):
+        """The order at ``x`` as an ``OValue``.  After a solve the witness is
+        the solver's own; from a kept basis it is that basis's solution."""
+        xs, x_den = clear_denominators(x)
+        hit = self._certified(x, xs, x_den)
+        if hit is None:
+            value, witness, entry = self._solve(x)
+            return OValue(value, witness, _dual(entry))
+        value, entry, z = hit
+        witness = [Fraction(0)] * len(self.degrees)
+        for col, v in zip(entry.cols, z):
+            witness[col] = Fraction(v, entry.inverse_den * x_den)
+        return OValue(value, tuple(witness), _dual(entry))
+
+    def _certified(self, x, xs, x_den):
+        """``(value, basis, z)`` at ``x = xs / x_den`` for a kept basis
+        optimal there, with ``z`` its basic solution ``B^-1 xs`` scaled by
+        ``inverse_den``; or None.  A point outside the support raises
+        OutsideSupport.
+
+        Every kept dual y is dual feasible, so ``y . x`` is a lower bound on
+        the optimum and only the largest bound can be attained.  A basis
+        with that bound is optimal at ``x`` when its basic solution is
+        nonnegative and also meets the dropped rows; the bound is then the
+        value.
+        """
+        # x_den > 0, so xs lies in the same cones as x
+        if not self.support.contains(xs):
+            raise OutsideSupport(f"point {tuple(x)} is outside the support cone")
+        bases = self.bases
+        if not bases:
+            return None
+        # the bounds y . x, all scaled by scale * x_den
+        scale = lcm(*(e.dual_den for e in bases))
+        bounds = [dot(e.dual_num, xs) * (scale // e.dual_den) for e in bases]
+        best = max(bounds)
+        for entry, bound in zip(bases, bounds):
+            if bound != best:
+                continue
+            rows, cols, inverse_num, inverse_den = entry[:4]
+            xk = [xs[r] for r in rows]
+            z = [dot(row, xk) for row in inverse_num]
+            if any(v < 0 for v in z):
+                continue
+            if len(rows) < len(xs) and any(
+                sum(self.degrees[col][r] * v for col, v in zip(cols, z))
+                != xs[r] * inverse_den
+                for r in range(len(xs)) if r not in rows
+            ):
+                continue
+            return Fraction(best, scale * x_den), entry, z
+        return None
+
+    def _solve(self, x):
+        """Solve the LP at ``x`` from scratch and keep its optimal basis."""
+        heights = [Fraction(h) for h in self.mults]
+        A = [[Fraction(d[row]) for d in self.degrees] for row in range(len(x))]
+        result = solve_min(A, [Fraction(v) for v in x], heights, self.pivot_cap)
+        if result is INFEASIBLE:
+            # contains() passed, so this is unreachable for consistent cones
+            raise OutsideSupport(f"no representation of {tuple(x)} over the generators")
+        value, witness, basis = result
+        entry = _cached_basis(basis, heights, len(x))
+        self.bases.append(entry)
+        return value, witness, entry
 
 
 class _CachedBasis(NamedTuple):
@@ -132,7 +213,7 @@ class _CachedBasis(NamedTuple):
 @lru_cache(maxsize=BASIS_CACHE_SIZE)
 def _optimal_bases(degrees, mults):
     """The list of ``_CachedBasis`` found optimal by earlier solves of the
-    LP with these data; ``asymptotic_order`` appends to it.
+    LP with these data; ``OrderFunction`` appends to it.
 
     Keyed on the data themselves, so a basis never serves another LP.
     """
@@ -152,41 +233,7 @@ def _cached_basis(basis, heights, n):
 
 
 def _dual(entry):
-    return tuple(Fraction(v, entry.dual_den) for v in entry.dual_num)
-
-
-def _certified(bases, degrees, xs, x_den):
-    """Answer at ``x = xs / x_den`` from a cached basis optimal there, or None.
-
-    Every cached dual y is dual feasible, so ``y . x`` is a lower bound on
-    the optimum and only the largest bound can be attained.  A basis with
-    that bound is optimal at ``x`` when its basic solution ``B^-1 x`` is
-    nonnegative and also meets the dropped rows.
-    """
-    if not bases:
-        return None
-    # the bounds y . x, all scaled by scale * x_den
-    scale = lcm(*(e.dual_den for e in bases))
-    bounds = [dot(e.dual_num, xs) * (scale // e.dual_den) for e in bases]
-    best = max(bounds)
-    for entry, bound in zip(bases, bounds):
-        if bound != best:
-            continue
-        rows, cols, inverse_num, inverse_den = entry[:4]
-        xk = [xs[r] for r in rows]
-        z = [dot(row, xk) for row in inverse_num]  # B^-1 x scaled by inverse_den * x_den
-        if any(v < 0 for v in z):
-            continue
-        if len(rows) < len(xs) and any(
-            sum(degrees[col][r] * v for col, v in zip(cols, z)) != xs[r] * inverse_den
-            for r in range(len(xs)) if r not in rows
-        ):
-            continue
-        witness = [Fraction(0)] * len(degrees)
-        for col, v in zip(cols, z):
-            witness[col] = Fraction(v, inverse_den * x_den)
-        return OValue(Fraction(best, scale * x_den), tuple(witness), _dual(entry))
-    return None
+    return tuple([Fraction(v, entry.dual_den) for v in entry.dual_num])
 
 
 def linearity_fan(datum, valuation, support=None):
@@ -273,16 +320,16 @@ def cell_functionals(datum, fan, support=None):
 
     Builds each valuation's linearity fan once, on ``support`` (by default
     the fan's own support), and gives every cell the functional of the
-    linearity cell holding its relative-interior point.
+    linearity cell holding its relative-interior point, probed as the
+    integer sum of the cell's rays.
     """
     if support is None:
         support = fan.support
+    probes = [tuple(map(sum, zip(*cell.rays))) for cell in fan.cells]
     functionals = {}
     for valuation in datum.valuations:
         lf = linearity_fan(datum, valuation, support)
-        functionals[valuation] = tuple(
-            _functional_at(lf, cell.relative_interior_point()) for cell in fan.cells
-        )
+        functionals[valuation] = tuple(_functional_at(lf, p) for p in probes)
     return functionals
 
 
@@ -394,6 +441,16 @@ def _reduced_min(degrees, heights, units, target, budget):
     return Fraction(base + best, den), nodes
 
 
+def _check_level(k):
+    """Reject a level that is not a positive ``int``: another type, a
+    ``bool`` included, raises TypeError rather than being coerced, and
+    ``k <= 0`` raises ValueError."""
+    if type(k) is not int:
+        raise TypeError(f"level k must be an int, got {k!r}")
+    if k <= 0:
+        raise ValueError(f"level k must be positive, got {k}")
+
+
 def integer_order(datum, valuation, x, k, node_budget=DEFAULT_NODE_BUDGET):
     """(1/k) times the minimal multiplicity over integer representations of
     ``k*x``; NO_REPRESENTATION if none exists.
@@ -401,11 +458,11 @@ def integer_order(datum, valuation, x, k, node_budget=DEFAULT_NODE_BUDGET):
     The branch-and-bound runs in integers: the heights are scaled to ints
     over their least common denominator, and the value is divided by that
     denominator and by k only at the end.  ``x`` must be exact (``int`` or
-    ``Fraction`` entries); a float raises TypeError.  A level ``k <= 0``
-    raises ValueError.
+    ``Fraction`` entries); a float raises TypeError.  A level that is not an
+    ``int`` (a float or a bool, too) raises TypeError, and ``k <= 0``
+    ValueError.
     """
-    if k <= 0:
-        raise ValueError(f"level k must be positive, got {k}")
+    _check_level(k)
     xs, x_den = clear_denominators(x)
     if any(v * k % x_den for v in xs):
         raise ValueError(f"{k} * {tuple(x)} is not an integer point")
@@ -437,7 +494,4 @@ def stabilization_multiple(datum, valuation, x, k_max, support=None,
             return k
     return None
 
-
-def evaluate_functional(functional, x):
-    return dot(functional, x)
 

@@ -18,8 +18,8 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import BudgetExceeded, NotFoundError
-from .linalg import echelon, rank
-from .orders import asymptotic_order
+from .linalg import clear_denominators, echelon, rank
+from .orders import OrderFunction
 from .ring import support_cone
 
 DEFAULT_SPLIT_BUDGET = 200_000
@@ -249,9 +249,11 @@ def grid_additivity_check(datum, fan, dscale=1, depth=3,
     every cell, for every tracked valuation.
 
     Per-cell enumeration problems (box too large, too many generators) are
-    reported, not fatal.
+    reported, not fatal.  Each valuation's order function is set up once,
+    and with an integer ``dscale`` every point is an integer vector.
     """
     support = support_cone(datum)
+    order = {v: OrderFunction(datum, v, support) for v in datum.valuations}
     report = GridReport()
     for ci, cell in enumerate(fan.cells):
         try:
@@ -265,22 +267,19 @@ def grid_additivity_check(datum, fan, dscale=1, depth=3,
         truncated = len(gens) > max_generators
         if truncated:
             gens = gens[:max_generators]
+        scaled = [tuple(dscale * x for x in g) for g in gens]
+        checks = [
+            (p, tuple(sum(pj * g[j] for pj, g in zip(p, scaled))
+                      for j in range(cell.ambient_dim)))
+            for p in _exponent_vectors(len(gens), depth)
+        ]
         for valuation in datum.valuations:
             entry = CellReport(ci, valuation, tuple(gens), truncated=truncated)
-            base = [
-                asymptotic_order(
-                    datum, valuation, tuple(Fraction(dscale * x) for x in g),
-                    support=support,
-                ).value
-                for g in gens
-            ]
-            for p in _exponent_vectors(len(gens), depth):
-                point = tuple(
-                    Fraction(dscale) * sum(pj * g[j] for pj, g in zip(p, gens))
-                    for j in range(cell.ambient_dim)
-                )
-                lhs = asymptotic_order(datum, valuation, point, support=support).value
-                rhs = sum(pj * bj for pj, bj in zip(p, base))
-                entry.checks.append(AdditivityCheck(p, point, lhs, rhs))
+            value = order[valuation].value
+            # the generators' orders as integers over one denominator
+            base, base_den = clear_denominators([value(g) for g in scaled])
+            for p, point in checks:
+                rhs = Fraction(sum(pj * bj for pj, bj in zip(p, base)), base_den)
+                entry.checks.append(AdditivityCheck(p, point, value(point), rhs))
             report.entries.append(entry)
     return report

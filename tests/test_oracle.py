@@ -121,6 +121,16 @@ def test_oracle_rejects_nonpositive_level(ks):
         o_value_oracle(datum, "E", (1, 1), ks)
 
 
+@pytest.mark.parametrize("k", [1.5, 2.0, True])
+def test_oracle_rejects_non_int_level(k):
+    # 1.5 must not read as "no integer representation", nor True as 1
+    datum = builtin_examples()["blowup-P2"]
+    with pytest.raises(TypeError):
+        o_value_oracle(datum, "E", (1, 1), [k])
+    with pytest.raises(TypeError):
+        o_value_oracle(datum, "E", (1, 1), [1, k])
+
+
 def test_oracle_budget():
     datum = builtin_examples()["blowup-P2"]
     with pytest.raises(BudgetExceeded):

@@ -24,7 +24,7 @@ from mmpwalk import orders
 from mmpwalk.cones import cone_from_rays
 from mmpwalk.errors import BudgetExceeded
 from mmpwalk.linalg import dot
-from mmpwalk.orders import evaluate_functional, functional_on_cell
+from mmpwalk.orders import functional_on_cell
 from mmpwalk.ring import GeneratorDatum, NumericalMap, RingDatum, support_cone
 
 
@@ -106,7 +106,7 @@ def test_cell_functionals_reproduce_orders(blowup):
     fns = cell_functionals(blowup, fan)
     for ci, cell in enumerate(fan.cells):
         p = cell.relative_interior_point()
-        assert evaluate_functional(fns["E"][ci], p) == asymptotic_order(
+        assert dot(fns["E"][ci], p) == asymptotic_order(
             blowup, "E", p
         ).value
 
@@ -326,9 +326,9 @@ def test_same_degrees_other_heights_never_share_a_basis(blowup):
     assert mine[0].cols != theirs[0].cols
 
 
-def test_cached_basis_must_meet_dropped_rows():
+def _thin_datum():
     # degrees on one line: the LP has a redundant row, which the basis drops
-    thin = RingDatum(
+    return RingDatum(
         r=1,
         labels=("K", "D1"),
         generators=(
@@ -338,6 +338,10 @@ def test_cached_basis_must_meet_dropped_rows():
         valuations=("G",),
         numerical=NumericalMap(matrix=((Fraction(1), Fraction(0)),), target_dim=1),
     )
+
+
+def test_cached_basis_must_meet_dropped_rows():
+    thin = _thin_datum()
     orders._optimal_bases.cache_clear()
     assert asymptotic_order(thin, "G", (2, 2)).value == 1
     assert asymptotic_order(thin, "G", (3, 3)).value == Fraction(3, 2)
@@ -406,3 +410,74 @@ def test_inexact_multiplicity_raises_type_error(blowup, mult):
         linearity_fan(datum, "E")
     with pytest.raises(TypeError):
         integer_order(datum, "E", (1, 1), 1)
+
+
+# builtin examples and corpus seeds 1-5
+ORDER_FUNCTION_CASES = sorted(builtin_examples()) + [f"corpus-{seed}" for seed in range(1, 6)]
+
+
+@pytest.mark.parametrize("name", ORDER_FUNCTION_CASES)
+@pytest.mark.parametrize("first", ["value", "certificate"])
+def test_value_and_certificate_equal_cold_solves(name, first):
+    datum = _named_datum(name)
+    support = support_cone(datum)
+    queries = _cache_queries(datum, chamber_fan(datum, support=support))
+    cold = []
+    for valuation, x in queries:
+        _, heights, A = _lp_data(datum, valuation, x)
+        cold.append(orders.solve_min(A, list(x), heights)[0])
+    orders._optimal_bases.cache_clear()
+    functions = {v: orders.OrderFunction(datum, v, support) for v in datum.valuations}
+    for _ in ("cleared cache", "warm cache"):
+        for (valuation, x), expected in zip(queries, cold):
+            function = functions[valuation]
+            if first == "value":
+                value = function.value(x)
+                ov = function.certificate(x)
+            else:
+                ov = function.certificate(x)
+                value = function.value(x)
+            assert value == ov.value == expected
+            assert asymptotic_order(datum, valuation, x, support=support).value == expected
+            degrees, heights, _ = _lp_data(datum, valuation, x)
+            assert all(dot(ov.dual, d) <= h for d, h in zip(degrees, heights))
+            assert dot(ov.dual, x) == value
+    for function in functions.values():
+        for method in (function.value, function.certificate):
+            with pytest.raises(OutsideSupport):
+                method((-1,) + (1,) * (support.ambient_dim - 1))
+
+
+def test_order_function_meets_dropped_rows():
+    # as above, but with the cache filled by value(): the kept row alone
+    # would accept (1, 2), and neither method may answer there from it
+    orders._optimal_bases.cache_clear()
+    function = orders.OrderFunction(_thin_datum(), "G", cone_from_rays([(1, 0), (0, 1)]))
+    assert function.value((2, 2)) == 1
+    assert function.value((3, 3)) == Fraction(3, 2)
+    for method in (function.value, function.certificate):
+        with pytest.raises(OutsideSupport):
+            method((1, 2))
+
+
+@pytest.mark.parametrize("name", ORDER_FUNCTION_CASES)
+def test_warm_value_builds_no_certificate(name, monkeypatch):
+    datum = _named_datum(name)
+    support = support_cone(datum)
+    queries = _cache_queries(datum, chamber_fan(datum, support=support))
+    functions = {v: orders.OrderFunction(datum, v, support) for v in datum.valuations}
+    expected = [functions[v].certificate(x).value for v, x in queries]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("value() built a certificate")
+
+    monkeypatch.setattr(orders, "OValue", forbidden)
+    monkeypatch.setattr(orders, "_dual", forbidden)
+    monkeypatch.setattr(orders, "solve_min", forbidden)
+    assert [functions[v].value(x) for v, x in queries] == expected
+
+
+@pytest.mark.parametrize("k", [1.5, 2.0, True])
+def test_integer_order_rejects_non_int_level(blowup, k):
+    with pytest.raises(TypeError):
+        integer_order(blowup, "E", (1, 1), k)

@@ -2,15 +2,20 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmpwalk import (
+    InstanceSpec,
+    asymptotic_order,
     builtin_examples,
     chamber_fan,
     linalg,
+    random_instance,
+    support_cone,
     veronese,
     veronese_degree,
 )
@@ -18,6 +23,8 @@ from mmpwalk.cones import cone_from_rays
 from mmpwalk.errors import BudgetExceeded, NotFoundError
 from mmpwalk.linalg import rank, solve_exact
 from mmpwalk.veronese import (
+    MAX_MONOID_GENERATORS,
+    _exponent_vectors,
     _parallelepiped_points,
     _representations,
     grid_additivity_check,
@@ -181,6 +188,69 @@ def test_grid_additivity_budget_is_reported_not_fatal():
     report = grid_additivity_check(datum, fan, lattice_budget=1)
     assert all(e.skipped for e in report.entries)
     assert report.ok()  # skips are not failures
+
+
+def reference_grid_additivity(datum, fan, dscale, depth, lattice_budget):
+    """The grid check as it was before order functions, kept as its
+    reference: one ``asymptotic_order`` query per point, on ``Fraction``
+    points.  One tuple (cell, valuation, generators, skipped, truncated,
+    checks) per entry, a check being (exponents, point, lhs, rhs)."""
+    support = support_cone(datum)
+    entries = []
+    for ci, cell in enumerate(fan.cells):
+        try:
+            gens = monoid_generators(cell, lattice_budget)
+        except BudgetExceeded as exc:
+            entries += [(ci, v, (), str(exc), False, []) for v in datum.valuations]
+            continue
+        truncated = len(gens) > MAX_MONOID_GENERATORS
+        gens = gens[:MAX_MONOID_GENERATORS]
+        for valuation in datum.valuations:
+            def order(x):
+                return asymptotic_order(datum, valuation, x, support=support).value
+
+            base = [order(tuple(Fraction(dscale * x) for x in g)) for g in gens]
+            checks = []
+            for p in _exponent_vectors(len(gens), depth):
+                point = tuple(
+                    Fraction(dscale) * sum(pj * g[j] for pj, g in zip(p, gens))
+                    for j in range(cell.ambient_dim)
+                )
+                rhs = sum(pj * bj for pj, bj in zip(p, base))
+                checks.append((p, point, order(point), rhs))
+            entries.append((ci, valuation, tuple(gens), None, truncated, checks))
+    return entries
+
+
+def _grid_case(name):
+    if name.startswith("corpus-"):
+        seed = int(name.removeprefix("corpus-"))
+        r = (1, 1, 2, 2, 3)[seed % 5]
+        return random_instance(InstanceSpec(
+            r=r,
+            generator_count={1: 6, 2: 6, 3: 5}[r],
+            valuation_count={1: 4, 2: 3, 3: 2}[r],
+            coordinate_bound=4,
+            seed=seed,
+        ))
+    return builtin_examples()[name]
+
+
+@pytest.mark.parametrize("name", sorted(builtin_examples()) + ["corpus-2", "corpus-44"])
+@pytest.mark.parametrize("dscale, lattice_budget", [
+    (1, veronese.DEFAULT_LATTICE_BUDGET), (2, veronese.DEFAULT_LATTICE_BUDGET), (1, 300)
+])
+def test_grid_additivity_equals_reference(name, dscale, lattice_budget):
+    # a budget of 300 lattice points skips some cells of corpus-2
+    datum = _grid_case(name)
+    fan = chamber_fan(datum)
+    report = grid_additivity_check(datum, fan, dscale, 3, lattice_budget)
+    got = [
+        (e.cell_index, e.valuation, e.generators, e.skipped, e.truncated,
+         [(c.exponents, c.point, c.lhs, c.rhs) for c in e.checks])
+        for e in report.entries
+    ]
+    assert got == reference_grid_additivity(datum, fan, dscale, 3, lattice_budget)
 
 
 def reference_parallelepiped_points(basis, cell, budget):
