@@ -62,7 +62,6 @@ from .walk import (
     classify_nef,
     emit_trace,
     make_segment,
-    minimal_model_chamber,
     order_chambers,
 )
 

@@ -5,20 +5,17 @@ with a minimal set of facet half-spaces (plus span equations when the cone
 is not full-dimensional).  Both sides are canonical, so structurally equal
 cones compare equal regardless of how they were produced.
 
-A cone costs one conversion between the two descriptions.  From generators,
-``_assemble`` converts to facets and equations and, when the cone is
-pointed, keeps the generators that pass the combinatorial extreme-ray test.
-From half-spaces, ``cone_from_halfspaces`` converts to extreme rays and, when
-there is no lineality, takes the equations from the kernel of the rays and
-the facets from the half-spaces that pass the combinatorial facet test.  A
-cone with lineality takes a second conversion (``_assemble``), which fixes
-the representatives of its rays modulo lineality.  ``common_refinement``
-skips a pair of cells that a facet separates before intersecting them.
-
-The conversion itself is the incremental double description method:
-inequalities are added one at a time, new extreme rays arise from adjacent
-positive/negative pairs, and adjacency is decided by the combinatorial
-tight-set test (tracked as bitmasks over the processed constraints).
+Every conversion between the two descriptions is ``_dd``, the incremental
+double description method with the combinatorial adjacency test as its one
+extremality test.  A pointed cone costs one conversion.  From generators,
+``_assemble`` converts to facets and equations and keeps the generators
+that pass the combinatorial extreme-ray test.  From half-spaces,
+``cone_from_halfspaces`` converts to lines and rays, takes the equations
+from their kernel and the facets from the half-spaces that pass the
+combinatorial facet test.  A cone with lineality takes one more conversion,
+``_rays_mod_lineality``, which fixes the representatives of its rays
+modulo lineality.  ``common_refinement`` skips a pair of cells that a
+facet separates before intersecting them.
 """
 
 from dataclasses import dataclass
@@ -56,9 +53,9 @@ class HalfSpace:
         return sign_canonical(self.normal)
 
 
-def _tight_mask(vec, processed):
+def _tight_mask(vec, rows):
     mask = 0
-    for j, c in enumerate(processed):
+    for j, c in enumerate(rows):
         if dot(c, vec) == 0:
             mask |= 1 << j
     return mask
@@ -69,16 +66,31 @@ def _dd(ineqs, n):
 
     Returns ``(lines, rays)``: a basis of the lineality space and the
     extreme rays modulo lineality, all primitive integer vectors.
+
+    This is the incremental double description method (Motzkin et al.
+    1953; Fukuda and Prodon, "Double description method revisited", 1996).
+    Starting from the whole space, the inequalities are added one at a
+    time.  When some line is not tight at the new inequality ``a``, that
+    line becomes a ray and the other lines and rays are projected along it
+    onto ``a . x = 0``.  Otherwise the rays are split by the sign of
+    ``a . r`` and each adjacent pair of a positive and a negative ray gives
+    the ray of ``a . x = 0`` between them.  Each ray carries the bitmask of
+    the processed inequalities tight at it, and a pair is adjacent exactly
+    when no third ray is tight at every inequality both are tight at.
+    Every mask update is exact, so the rays returned are exactly the
+    extreme rays, each once.
     """
     lines = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    rays = []
-    processed = []
+    rays = []  # (ray, mask of the processed inequalities tight at it)
+    bit = 1  # mask bit of the inequality being added
     for a in ineqs:
         a = primitive(a)
         if is_zero(a):
             continue
         pivot = next((l for l in lines if dot(a, l) != 0), None)
         if pivot is not None:
+            # the processed inequalities vanish on every line, so a projected
+            # ray keeps its tight set and the pivot is tight at all of them
             lines.remove(pivot)
             if dot(a, pivot) < 0:
                 pivot = vneg(pivot)
@@ -88,60 +100,38 @@ def _dd(ineqs, n):
                 for l in lines
             ]
             rays = [
-                primitive(tuple(ap * ri - dot(a, r) * pi for ri, pi in zip(r, pivot)))
-                for r in rays
+                (primitive(tuple(ap * ri - dot(a, r) * pi for ri, pi in zip(r, pivot))), m | bit)
+                for r, m in rays
             ]
-            rays.append(pivot)
-            processed.append(a)
-            continue
-        masks = [_tight_mask(r, processed) for r in rays]
-        pos, zero, neg = [], [], []
-        for r, m in zip(rays, masks):
-            val = dot(a, r)
-            if val > 0:
-                pos.append((r, m))
-            elif val < 0:
-                neg.append((r, m))
-            else:
-                zero.append(r)
-        if neg:
-            new = set()
-            nrays = len(rays)
-            for rp, mp in pos:
-                ap_ = dot(a, rp)
-                for rn, mn in neg:
+            rays.append((pivot, bit - 1))
+        else:
+            pos, zero, neg = [], [], []
+            for r, m in rays:
+                val = dot(a, r)
+                if val > 0:
+                    pos.append((r, m, val))
+                elif val < 0:
+                    neg.append((r, m, val))
+                else:
+                    zero.append((r, m | bit))
+            masks = [m for _, m in rays]
+            new = {}
+            for rp, mp, vp in pos:
+                for rn, mn, vn in neg:
                     common = mp & mn
-                    if nrays > 2:
-                        adjacent = True
-                        for rs, ms in zip(rays, masks):
-                            if rs is rp or rs is rn:
-                                continue
-                            if common & ~ms == 0:
-                                adjacent = False
+                    # rp and rn are tight at common; adjacent when no other ray is
+                    tight = 0
+                    for m in masks:
+                        if m & common == common:
+                            tight += 1
+                            if tight > 2:
                                 break
-                        if not adjacent:
-                            continue
-                    new.add(
-                        primitive(
-                            tuple(ap_ * xn - dot(a, rn) * xp for xn, xp in zip(rn, rp))
-                        )
-                    )
-            rays = [r for r, _ in pos] + zero + sorted(new)
-        processed.append(a)
-    # safety net: keep only algebraically extreme rays (rank of tight set)
-    if rays:
-        want = n - len(lines) - 1
-        kept = []
-        seen = set()
-        for r in rays:
-            if r in seen:
-                continue
-            seen.add(r)
-            tight = [c for c in processed if dot(c, r) == 0]
-            if rank(tight) == want:
-                kept.append(r)
-        rays = kept
-    return lines, rays
+                    if tight == 2:
+                        ray = primitive(tuple(vp * xn - vn * xp for xn, xp in zip(rn, rp)))
+                        new[ray] = common | bit
+            rays = [(r, m) for r, m, _ in pos] + zero + sorted(new.items())
+        bit <<= 1
+    return lines, [r for r, _ in rays]
 
 
 @dataclass(frozen=True)
@@ -191,9 +181,16 @@ class PolyCone:
         return {hs.hyperplane_key() for hs in self.facets}
 
 
-def _zero_cone(n):
-    eye = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
-    return PolyCone(n, 0, (), (), eye)
+def _rays_mod_lineality(facets, equations, n):
+    """Rays of a cone with lineality: its extreme rays modulo lineality, as
+    the conversion of its facets and equations returns them, and each line
+    with its negative."""
+    constraints = list(facets)
+    for eq in equations:
+        constraints.append(eq)
+        constraints.append(vneg(eq))
+    lines, rays = _dd(constraints, n)
+    return tuple(sorted(set(rays) | set(lines) | {vneg(l) for l in lines}))
 
 
 def _assemble(generators, n):
@@ -204,13 +201,9 @@ def _assemble(generators, n):
     off the generators: a generator is extreme exactly when no other
     generator is tight at every facet it is tight at (the combinatorial
     test; the minimal face holding it is then a ray).  A cone with
-    lineality takes a second conversion, from its facets and equations back
-    to rays, because its stored rays are the representatives modulo
-    lineality that this conversion returns.
+    lineality takes a second conversion (``_rays_mod_lineality``).
     """
     gens = sorted({primitive(g) for g in generators if not is_zero(g)})
-    if not gens:
-        return _zero_cone(n)
     dual_lines, dual_rays = _dd(gens, n)
     equations = row_reduce(dual_lines)
     facets = sorted(
@@ -222,16 +215,7 @@ def _assemble(generators, n):
             g for g, m in zip(gens, masks) if sum(1 for o in masks if o & m == m) == 1
         )
     else:
-        constraints = list(facets)
-        for eq in equations:
-            constraints.append(eq)
-            constraints.append(vneg(eq))
-        lines, rays = _dd(constraints, n)
-        ray_set = set(rays)
-        for l in lines:
-            ray_set.add(l)
-            ray_set.add(vneg(l))
-        rays = tuple(sorted(ray_set))
+        rays = _rays_mod_lineality(facets, equations, n)
     dim = n - len(equations)
     return PolyCone(n, dim, rays, tuple(HalfSpace(f) for f in facets), equations)
 
@@ -253,12 +237,14 @@ def cone_from_rays(rays):
 def cone_from_halfspaces(halfspaces, ambient_dim, equations=()):
     """Cone cut out by half-spaces (and optional equations).
 
-    One conversion gives the extreme rays.  When the cone has no lineality
-    the rest is read off them: the equations span the kernel of the rays,
-    and the facets are the input half-spaces whose sets of tight rays are
-    maximal among the proper ones (every facet is cut out by some input
-    half-space, and a face of a pointed cone is fixed by its rays).  A cone
-    with lineality goes through ``_assemble``.
+    One conversion gives the lines and the extreme rays modulo lineality,
+    and the rest is read off them: the equations span the kernel of the
+    lines and rays, and the facets are the input half-spaces whose sets of
+    tight rays are maximal among the proper ones (every facet is cut out by
+    some input half-space, every input vanishes on the lines, and a face is
+    fixed by the rays it holds).  A cone with lineality takes a second
+    conversion (``_rays_mod_lineality``), which fixes the representatives
+    of its rays.
     """
     normals = [hs.normal if isinstance(hs, HalfSpace) else tuple(hs) for hs in halfspaces]
     constraints = list(normals)
@@ -272,16 +258,8 @@ def cone_from_halfspaces(halfspaces, ambient_dim, equations=()):
                 f"constraint has dimension {len(c)}, cone is in dimension {ambient_dim}"
             )
     lines, rays = _dd(constraints, ambient_dim)
-    if lines:
-        gens = list(rays)
-        for l in lines:
-            gens.append(l)
-            gens.append(vneg(l))
-        return _assemble(gens, ambient_dim)
-    if not rays:
-        return _zero_cone(ambient_dim)
     rays = sorted(rays)
-    equations = row_reduce(kernel(rays, ambient_dim))
+    equations = row_reduce(kernel(rays + lines, ambient_dim))
     everything = (1 << len(rays)) - 1
     tight = [_tight_mask(a, rays) for a in normals]
     proper = {m for m in tight if m != everything}
@@ -292,6 +270,8 @@ def cone_from_halfspaces(halfspaces, ambient_dim, equations=()):
             if m in proper and not any(o != m and o & m == m for o in proper)
         }
     )
+    if lines:
+        rays = _rays_mod_lineality(facets, equations, ambient_dim)
     dim = ambient_dim - len(equations)
     return PolyCone(
         ambient_dim, dim, tuple(rays), tuple(HalfSpace(f) for f in facets), equations

@@ -85,10 +85,6 @@ def _mults(datum, valuation):
     return mults
 
 
-def _heights(datum, valuation):
-    return [Fraction(m) for m in _mults(datum, valuation)]
-
-
 def asymptotic_order(datum, valuation, x, support=None, pivot_cap=DEFAULT_PIVOT_CAP):
     """Exact order of vanishing at ``x``: min of generator multiplicities
     over all nonnegative rational representations of ``x``.
@@ -246,7 +242,7 @@ def linearity_fan(datum, valuation, support=None):
     if support is None:
         support = support_cone(datum)
     degrees = [g.multidegree for g in datum.generators]
-    heights = _heights(datum, valuation)
+    heights = _mults(datum, valuation)
     n = support.ambient_dim
     lifted = [tuple(d) + (h,) for d, h in zip(degrees, heights)]
     lifted_cone = cone_from_rays(lifted)
@@ -303,16 +299,6 @@ def _functional_at(lf, probe):
         if host.contains(probe):
             return functional
     raise OutsideSupport("cell does not meet the linearity fan")
-
-
-def functional_on_cell(datum, valuation, cell, support=None):
-    """Linear functional of the order function on a cell where it is linear.
-
-    Derived from the linearity fan: the cell must be contained in one of
-    its cells (true for chamber-fan cells by construction).
-    """
-    lf = linearity_fan(datum, valuation, support)
-    return _functional_at(lf, cell.relative_interior_point())
 
 
 def cell_functionals(datum, fan, support=None):

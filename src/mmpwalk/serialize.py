@@ -44,6 +44,12 @@ def _str_from_json(x):
     return x
 
 
+def _obj_from_json(x):
+    if not isinstance(x, dict):
+        raise ParseError(f"bad object {x!r}: expected a JSON object")
+    return x
+
+
 def _flag_from_json(x):
     if not (x is None or isinstance(x, bool)):
         raise ParseError(f"bad flag {x!r}: expected true, false or null")
@@ -175,7 +181,9 @@ def ring_from_json(doc):
         generators = tuple(
             GeneratorDatum(
                 multidegree=tuple(_int_from_json(x) for x in g["deg"]),
-                mults={name: rat_from_str(v) for name, v in g["mults"].items()},
+                mults={
+                    name: rat_from_str(v) for name, v in _obj_from_json(g["mults"]).items()
+                },
             )
             for g in doc["generators"]
         )
@@ -192,11 +200,19 @@ def ring_from_json(doc):
             )
             for pf in doc.get("pushforwards", [])
         )
+        if "labels" in doc:
+            labels = tuple(doc["labels"])
+        elif n <= max((len(g.multidegree) for g in generators), default=0):
+            labels = tuple(f"D{i}" for i in range(n))
+        else:
+            # r + 1 exceeds every multidegree, so the datum cannot validate:
+            # no default labels, whose number r could make unbounded
+            labels = ()
         datum = RingDatum(
             r=r,
-            labels=tuple(doc.get("labels", [f"D{i}" for i in range(n)])),
+            labels=labels,
             generators=generators,
-            valuations=tuple(doc.get("valuations", [])),
+            valuations=tuple(_str_from_json(v) for v in doc.get("valuations", [])),
             numerical=numerical,
             nef=nef,
             pushforwards=pushforwards,

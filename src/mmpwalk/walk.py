@@ -226,12 +226,6 @@ def classify_nef(walk, datum):
     return NefClassification(tuple(indices), "full")
 
 
-def minimal_model_chamber(walk, fan):
-    """Last chamber of the walk and an interior divisor in it."""
-    cell = fan.cells[walk.chambers[-1]]
-    return walk.chambers[-1], cell.relative_interior_point()
-
-
 def _model_ids(walk, cls, datum):
     k = walk.length
     ids = [f"M{i + 1}" for i in range(k)]

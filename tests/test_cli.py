@@ -1,9 +1,15 @@
 """Command-line interface: exit codes, output formats, stability."""
 
+import contextlib
+import copy
 import hashlib
+import io
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmpwalk import InstanceSpec, builtin_examples, random_instance
 from mmpwalk.cli import main
@@ -202,8 +208,6 @@ def test_budget_env_override(monkeypatch, capsys):
 
 
 def test_stdin_input(monkeypatch, capsys):
-    import io
-
     doc = dumps(ring_to_json(builtin_examples()["blowup-P2"], segment_h=(0, 1)))
     monkeypatch.setattr("sys.stdin", io.StringIO(doc))
     code, out, _ = run(capsys, "walk", "--input", "-")
@@ -308,3 +312,72 @@ def test_validation_warnings_go_to_stderr(tmp_path, capsys):
         "warning: [untracked-valuation] generator 0 carries a multiplicity"
         " for untracked valuation 'X'\n"
     )
+
+
+@pytest.mark.parametrize("labels", [True, False], ids=["labels", "no-labels"])
+def test_huge_rank_is_a_validation_error(monkeypatch, capsys, labels):
+    # r + 1 does not match the multidegrees; nothing is built r times over
+    doc = json.loads(dumps(ring_to_json(builtin_examples()["blowup-P2"])))
+    doc["r"] = 10**30
+    if not labels:
+        del doc["labels"]
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = run(capsys, "decompose", "--input", "-")
+    assert code == 3
+    assert out == ""
+    assert "[bad-multidegree]" in err
+
+
+EXAMPLE_DOCS = {
+    name: json.loads(dumps(ring_to_json(datum))) for name, datum in builtin_examples().items()
+}
+FUZZ_VALUES = (None, True, 1.5, "x", [], {}, 10**30)
+DELETE = "delete the key"
+FUZZ_COMMANDS = (
+    ("decompose",),
+    ("walk", "--h", "1,1"),
+    ("check", "--grid-depth", "1"),
+    ("oracle", "--point", "1,1", "--budget", "2000"),
+)
+
+
+def _paths(node, prefix=()):
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A builtin example's document with one value replaced or one key deleted."""
+    doc = copy.deepcopy(EXAMPLE_DOCS[draw(st.sampled_from(sorted(EXAMPLE_DOCS)))])
+    path = draw(st.sampled_from(list(_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    mutation = draw(st.sampled_from(FUZZ_VALUES + ((DELETE,) if isinstance(parent, dict) else ())))
+    if mutation == DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = mutation
+    return doc
+
+
+@given(mutated_documents())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_mutated_documents_end_in_a_documented_exit_code(doc):
+    text = json.dumps(doc)
+    for command in FUZZ_COMMANDS:
+        with (
+            mock.patch("sys.stdin", io.StringIO(text)),
+            contextlib.redirect_stdout(io.StringIO()),
+            contextlib.redirect_stderr(io.StringIO()),
+        ):
+            code = main([*command, "--input", "-"])
+        assert code in range(6), (command, code)

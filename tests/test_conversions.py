@@ -1,12 +1,18 @@
-"""One double-description conversion per cone.
+"""Double description: one extremality test, one conversion per pointed cone.
+
+``cones._dd`` decides extremality by the combinatorial adjacency test
+alone, with a tight-set bitmask carried by each ray.  It is compared here
+with a reference copy of the earlier ``_dd``, which recomputed the masks at
+every step and kept a rank test on every output ray as a safety net.
 
 ``cone_from_rays``, ``cone_from_halfspaces`` and ``intersect`` convert a
-pointed cone once and read the other description off the first.  They are
-compared here with a reference copy of the two-conversion construction
-(generators -> facets -> rays), which the package used before; a cone with
-lineality still takes that path.  ``common_refinement`` skips a pair of
-cells when a facet of one has the other on its nonpositive side, and the
-tests check that every skipped pair meets in lower dimension.
+pointed cone once and read the other description off the first; a cone
+with lineality takes one more conversion to fix its ray representatives.
+They are compared with a reference copy of the two-conversion construction
+(generators -> facets -> rays), which the package used before.
+``common_refinement`` skips a pair of cells when a facet of one has the
+other on its nonpositive side, and the tests check that every skipped pair
+meets in lower dimension.
 """
 
 from hypothesis import given, settings
@@ -28,13 +34,112 @@ from mmpwalk.cones import (
     intersect,
 )
 from mmpwalk.linalg import (
+    dot,
     is_zero,
     primitive,
+    rank,
     reduce_mod_rowspace,
     row_reduce,
     vneg,
 )
 from mmpwalk.ring import support_cone
+
+
+def _reference_dd(ineqs, n):
+    """The earlier ``_dd``: tight sets recomputed over the processed rows at
+    every step, and a rank test on every output ray after the loop."""
+    def tight_mask(vec, processed):
+        return sum(1 << j for j, c in enumerate(processed) if dot(c, vec) == 0)
+
+    lines = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    rays = []
+    processed = []
+    for a in ineqs:
+        a = primitive(a)
+        if is_zero(a):
+            continue
+        pivot = next((l for l in lines if dot(a, l) != 0), None)
+        if pivot is not None:
+            lines.remove(pivot)
+            if dot(a, pivot) < 0:
+                pivot = vneg(pivot)
+            ap = dot(a, pivot)
+            lines = [primitive(tuple(ap * x - dot(a, l) * p for x, p in zip(l, pivot)))
+                     for l in lines]
+            rays = [primitive(tuple(ap * x - dot(a, r) * p for x, p in zip(r, pivot)))
+                    for r in rays]
+            rays.append(pivot)
+            processed.append(a)
+            continue
+        masks = [tight_mask(r, processed) for r in rays]
+        pos = [(r, m) for r, m in zip(rays, masks) if dot(a, r) > 0]
+        neg = [(r, m) for r, m in zip(rays, masks) if dot(a, r) < 0]
+        zero = [r for r in rays if dot(a, r) == 0]
+        if neg:
+            new = set()
+            for rp, mp in pos:
+                for rn, mn in neg:
+                    common = mp & mn
+                    if any(common & ~ms == 0 for rs, ms in zip(rays, masks)
+                           if rs is not rp and rs is not rn):
+                        continue
+                    new.add(primitive(tuple(dot(a, rp) * xn - dot(a, rn) * xp
+                                            for xn, xp in zip(rn, rp))))
+            rays = [r for r, _ in pos] + zero + sorted(new)
+        processed.append(a)
+    want = n - len(lines) - 1
+    kept = []
+    for r in rays:
+        if r not in kept and rank([c for c in processed if dot(c, r) == 0]) == want:
+            kept.append(r)
+    return lines, kept
+
+
+@st.composite
+def inequality_systems(draw):
+    """Up to 12 rows in dimension <= 6, with zero rows, repeated rows and
+    opposing pairs mixed in."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    vec = st.tuples(*([st.integers(min_value=-2, max_value=2)] * n))
+    rows = draw(st.lists(vec, min_size=0, max_size=9))
+    extras = draw(st.lists(st.tuples(st.sampled_from(["zero", "repeat", "oppose"]),
+                                     st.integers(min_value=0)), max_size=3))
+    for kind, i in extras:
+        if kind == "zero":
+            rows.insert(i % (len(rows) + 1), tuple([0] * n))
+        elif rows:
+            row = rows[i % len(rows)]
+            rows.append(row if kind == "repeat" else vneg(row))
+    return n, rows
+
+
+@given(inequality_systems())
+@settings(max_examples=400, deadline=None)
+def test_dd_matches_reference_with_rank_safety_net(case):
+    n, rows = case
+    lines, rays = cones._dd(rows, n)
+    ref_lines, ref_rays = _reference_dd(rows, n)
+    assert lines == ref_lines
+    assert sorted(rays) == sorted(ref_rays)
+    assert len(set(rays)) == len(rays)
+
+
+def test_lineality_cone_from_halfspaces_takes_two_conversions(monkeypatch):
+    calls = []
+    dd = cones._dd
+
+    def counted_dd(*args):
+        calls.append(args)
+        return dd(*args)
+
+    monkeypatch.setattr(cones, "_dd", counted_dd)
+    # a half-plane in 2D and a wedge times a line in 3D
+    for halfspaces, n in (([(0, 1)], 2), ([(1, 0, 0), (0, 1, 0)], 3)):
+        calls.clear()
+        cone = cone_from_halfspaces(halfspaces, n)
+        assert _has_lineality(cone)
+        assert len(calls) == 2
+        assert cone == _reference_from_halfspaces(halfspaces, n)
 
 
 def _reference_assemble(generators, n):

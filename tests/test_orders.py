@@ -24,8 +24,14 @@ from mmpwalk import orders
 from mmpwalk.cones import cone_from_rays
 from mmpwalk.errors import BudgetExceeded
 from mmpwalk.linalg import dot
-from mmpwalk.orders import functional_on_cell
 from mmpwalk.ring import GeneratorDatum, NumericalMap, RingDatum, support_cone
+
+
+def functional_on_cell(datum, valuation, cell, support=None):
+    """Reference for ``cell_functionals``: a fresh linearity fan per cell,
+    probed at the cell's relative-interior point."""
+    lf = linearity_fan(datum, valuation, support)
+    return orders._functional_at(lf, cell.relative_interior_point())
 
 
 @pytest.fixture(scope="module")

@@ -1,11 +1,13 @@
 """JSON interchange: exactness, round-trips, byte stability."""
 
+import io
 from fractions import Fraction
 
 import pytest
 
 from mmpwalk import builtin_examples, chamber_fan, classify_nef, emit_trace
 from mmpwalk import make_segment, order_chambers
+from mmpwalk.cli import main
 from mmpwalk.cones import cone_from_rays
 from mmpwalk.errors import ParseError
 from mmpwalk.orders import cell_functionals
@@ -203,3 +205,33 @@ def test_cone_document_entries_are_exact():
     ):
         with pytest.raises(ParseError):
             cone_from_json(doc)
+
+
+def _blowup_doc():
+    return loads(dumps(ring_to_json(builtin_examples()["blowup-P2"])))
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [(("valuations",), [{}]), (("valuations",), [["E"]]), (("generators", 0, "mults"), "1/0"),
+     (("generators", 0, "mults"), ["E", "1"])],
+    ids=["object-valuation", "list-valuation", "string-mults", "list-mults"],
+)
+def test_malformed_names_and_multiplicities_are_parse_errors(monkeypatch, capsys, path, value):
+    doc = _blowup_doc()
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ParseError):
+        ring_from_json(doc)
+    monkeypatch.setattr("sys.stdin", io.StringIO(dumps(doc)))
+    assert main(["decompose", "--input", "-"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_default_labels_follow_r():
+    doc = _blowup_doc()
+    del doc["labels"]
+    assert ring_from_json(doc)[0].labels == ("D0", "D1")

@@ -14,7 +14,6 @@ from mmpwalk import (
     classify_nef,
     emit_trace,
     make_segment,
-    minimal_model_chamber,
     order_chambers,
 )
 from mmpwalk.cones import cone_from_rays
@@ -206,13 +205,6 @@ def test_trace_without_classification_flags_unknown(blowup, blowup_fan):
     trace = emit_trace(walk)
     assert trace.steps[0].possibly_isomorphism is None
     assert trace.steps[0].model_id == "M2"
-
-
-def test_minimal_model_chamber_interior(blowup, blowup_fan):
-    walk = order_chambers(blowup_fan, make_segment((0, 1), grading_dim=2))
-    idx, point = minimal_model_chamber(walk, blowup_fan)
-    assert idx == walk.chambers[-1]
-    assert blowup_fan.cells[idx].contains(point, strict=True)
 
 
 def test_wall_point_lies_on_shared_facet(blowup_fan):
