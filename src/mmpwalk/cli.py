@@ -26,7 +26,7 @@ from .errors import (
     SupportMismatch,
 )
 from .oracle import builtin_examples, o_value_oracle
-from .linalg import clear_denominators, dot
+from .linalg import dot
 from .orders import OrderFunction, asymptotic_order, cell_functionals, chamber_fan
 from .ring import support_cone, validate
 from .veronese import MAX_MONOID_GENERATORS, grid_additivity_check, veronese_degree
@@ -196,11 +196,16 @@ def cmd_check(cfg):
     order = {v: OrderFunction(datum, v, support) for v in datum.valuations}
 
     def interior_point(cell):
-        weights = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in cell.rays]
-        return tuple(
-            sum(w * Fraction(x) for w, x in zip(weights, coords))
-            for coords in zip(*cell.rays)
-        )
+        """``12 p`` for a random point ``p = sum w_i r_i`` of the cell, with
+        weights ``w_i = a/b``, ``b <= 4``: an integer vector.  The order
+        functions, the functionals and the cells are positively
+        homogeneous, so every check below gives the same verdict at ``12 p``
+        as at ``p``; ``point`` gives back ``p`` for the report."""
+        weights = [rng.randint(1, 9) * (12 // rng.randint(1, 4)) for _ in cell.rays]
+        return tuple(dot(weights, coords) for coords in zip(*cell.rays))
+
+    def point(scaled):
+        return tuple(Fraction(v, 12) for v in scaled)
 
     # linearity of every order function on every cell
     for valuation in datum.valuations:
@@ -210,7 +215,7 @@ def cmd_check(cfg):
                 p = interior_point(cell)
                 if order[valuation].value(p) != dot(f, p):
                     failures.append(
-                        f"linearity: cell {ci}, valuation {valuation}, point {p}"
+                        f"linearity: cell {ci}, valuation {valuation}, point {point(p)}"
                     )
     notes.append(f"linearity: {len(fan.cells)} cells x {len(datum.valuations)} valuations")
 
@@ -219,27 +224,32 @@ def cmd_check(cfg):
         a = interior_point(support)
         b = interior_point(support)
         lam = Fraction(rng.randint(1, 12), rng.randint(1, 12))
+        # lam * a, evaluated as (lam.numerator * a) / lam.denominator
+        a_scaled = tuple(lam.numerator * x for x in a)
+        a_plus_b = tuple(x + y for x, y in zip(a, b))
         for valuation in datum.valuations:
             value = order[valuation].value
             oa = value(a)
             ob = value(b)
-            osum = value(tuple(x + y for x, y in zip(a, b)))
-            oscaled = value(tuple(lam * x for x in a))
+            osum = value(a_plus_b)
+            oscaled = value(a_scaled) / lam.denominator
             if oscaled != lam * oa:
-                failures.append(f"homogeneity: valuation {valuation}, point {a}")
+                failures.append(f"homogeneity: valuation {valuation}, point {point(a)}")
             if osum > oa + ob:
-                failures.append(f"subadditivity: valuation {valuation}, points {a}, {b}")
+                failures.append(
+                    f"subadditivity: valuation {valuation}, points {point(a)}, {point(b)}"
+                )
     notes.append("convexity: 50 random pairs")
 
     # fan partition: sampled support points lie in >=1 cell, interior of <=1
     for _ in range(25):
         p = interior_point(support)
-        # a positive multiple of p lies in the same cells
-        q = clear_denominators(p)[0]
-        closed = sum(1 for c in fan.cells if c.contains(q))
-        strict = sum(1 for c in fan.cells if c.contains(q, strict=True))
+        closed = sum(1 for c in fan.cells if c.contains(p))
+        strict = sum(1 for c in fan.cells if c.contains(p, strict=True))
         if closed < 1 or strict > 1:
-            failures.append(f"partition: point {p} in {closed} cells, {strict} interiors")
+            failures.append(
+                f"partition: point {point(p)} in {closed} cells, {strict} interiors"
+            )
     notes.append("partition: 25 sampled points")
 
     # grid additivity on the chamber fan

@@ -12,7 +12,10 @@ valuation) that holds the integer degrees, the multiplicities, the support
 cone and the optimal bases of earlier solves of its LP.  The optimal basis
 is constant on each linearity domain, so a query is answered from a kept
 basis when LP duality certifies it optimal there, and solved from scratch
-otherwise; only a solve adds a basis.  ``value(x)`` returns the exact order
+otherwise; only a solve adds a basis.  The basis that certified the last
+query is tried first, which answers a run of queries in one chamber with
+one integer feasibility test each; the support cone is tested only when no
+kept basis answers, before the solve.  ``value(x)`` returns the exact order
 and nothing else, for callers that make many queries, such as the checks;
 ``certificate(x)`` returns it as an ``OValue`` with a witness and the dual
 that certifies it.  ``asymptotic_order`` is ``certificate`` on a fresh
@@ -28,7 +31,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .cones import Fan, cone_from_rays, common_refinement, hyperplane_refinement, make_fan
-from .errors import BudgetExceeded, OutsideSupport
+from .errors import BudgetExceeded, DimensionError, OutsideSupport
 from .linalg import clear_denominators, dot
 from .ring import support_cone
 from .simplex import DEFAULT_PIVOT_CAP, INFEASIBLE, solve_min
@@ -91,7 +94,8 @@ def asymptotic_order(datum, valuation, x, support=None, pivot_cap=DEFAULT_PIVOT_
 
     Returns an OValue with an optimal basic witness and the dual that
     certifies it.  ``x`` outside the closed support cone raises
-    OutsideSupport (distinct from value 0).
+    OutsideSupport (distinct from value 0).  ``support``, when given, must
+    be the datum's support cone (see ``OrderFunction``).
     """
     return OrderFunction(datum, valuation, support, pivot_cap).certificate(x)
 
@@ -101,13 +105,20 @@ class OrderFunction:
     many queries.
 
     Holds the integer degrees, the multiplicities, the support cone and the
-    list of optimal bases kept for these LP data (shared with every other
+    bases kept for these LP data (``_KeptBases``, shared with every other
     query on them).  ``value(x)`` is the exact order at ``x``;
     ``certificate(x)`` is the same value as an ``OValue``, with a witness
     and a dual.  Both answer from one search over the kept bases, which
     certifies a basis optimal at ``x`` by LP duality, and solve the LP only
     when none is; only a solve adds a basis.  A point outside the closed
-    support cone raises OutsideSupport from both.
+    support cone raises OutsideSupport from both, and a point of another
+    dimension DimensionError.
+
+    ``support`` must be the datum's support cone, the cone over the
+    generator degrees (the default): a kept basis that certifies ``x``
+    writes it as a nonnegative combination of the degrees, which proves it
+    lies in the support, so only a query no kept basis answers is tested
+    against ``support``.
     """
 
     __slots__ = ("degrees", "mults", "support", "pivot_cap", "bases")
@@ -117,7 +128,9 @@ class OrderFunction:
         self.degrees = tuple([tuple(g.multidegree) for g in datum.generators])
         self.mults = _mults(datum, valuation)
         self.pivot_cap = pivot_cap
-        self.bases = _optimal_bases(self.degrees, self.mults)
+        # the heights as ints over one denominator: a key of ints, which
+        # hash fast, and the same key for equal multiplicities of any type
+        self.bases = _optimal_bases(self.degrees, *clear_denominators(self.mults))
 
     def value(self, x):
         """The order at ``x`` as a ``Fraction``; builds no witness or dual."""
@@ -143,41 +156,62 @@ class OrderFunction:
     def _certified(self, x, xs, x_den):
         """``(value, basis, z)`` at ``x = xs / x_den`` for a kept basis
         optimal there, with ``z`` its basic solution ``B^-1 xs`` scaled by
-        ``inverse_den``; or None.  A point outside the support raises
-        OutsideSupport.
+        ``inverse_den``; or None.
 
-        Every kept dual y is dual feasible, so ``y . x`` is a lower bound on
-        the optimum and only the largest bound can be attained.  A basis
-        with that bound is optimal at ``x`` when its basic solution is
-        nonnegative and also meets the dropped rows; the bound is then the
-        value.
+        Every kept basis is dual feasible (only an optimal solve keeps one),
+        so one whose basic solution is nonnegative and meets the dropped
+        rows is optimal at ``x`` by weak duality, and its dual bound
+        ``y . x`` is the value.  The most recently certified basis is tried
+        first.  Otherwise only a basis with the largest bound can be
+        optimal, so those are tried, and the one that certifies ``x`` moves
+        to the front.  The support test runs only when no kept basis
+        certifies ``x``: a point outside the support raises OutsideSupport
+        there.  A point of another dimension raises DimensionError.
         """
+        if len(xs) != self.support.ambient_dim:
+            raise DimensionError(
+                f"point has dimension {len(xs)}, cone is in dimension "
+                f"{self.support.ambient_dim}"
+            )
+        kept = self.bases
+        entries = kept.entries
+        if entries:
+            entry = entries[0]
+            z = self._basic_solution(entry, xs)
+            if z is not None:
+                return Fraction(dot(entry.dual_num, xs), entry.dual_den * x_den), entry, z
+            # the bounds y . x of the other bases, all scaled by dual_den * x_den
+            bounds = [dot(y, xs) for y in kept.duals[1:]]
+            best = max(bounds, default=None)
+            for i, bound in enumerate(bounds, 1):
+                if bound != best:
+                    continue
+                entry = entries[i]
+                z = self._basic_solution(entry, xs)
+                if z is not None:
+                    kept.promote(i)
+                    return Fraction(best, kept.dual_den * x_den), entry, z
         # x_den > 0, so xs lies in the same cones as x
         if not self.support.contains(xs):
             raise OutsideSupport(f"point {tuple(x)} is outside the support cone")
-        bases = self.bases
-        if not bases:
-            return None
-        # the bounds y . x, all scaled by scale * x_den
-        scale = lcm(*(e.dual_den for e in bases))
-        bounds = [dot(e.dual_num, xs) * (scale // e.dual_den) for e in bases]
-        best = max(bounds)
-        for entry, bound in zip(bases, bounds):
-            if bound != best:
-                continue
-            rows, cols, inverse_num, inverse_den = entry[:4]
-            xk = [xs[r] for r in rows]
-            z = [dot(row, xk) for row in inverse_num]
-            if any(v < 0 for v in z):
-                continue
-            if len(rows) < len(xs) and any(
-                sum(self.degrees[col][r] * v for col, v in zip(cols, z))
-                != xs[r] * inverse_den
-                for r in range(len(xs)) if r not in rows
-            ):
-                continue
-            return Fraction(best, scale * x_den), entry, z
         return None
+
+    def _basic_solution(self, entry, xs):
+        """The basic solution ``B^-1 xs`` of a kept basis, scaled by its
+        ``inverse_den``, when it is nonnegative and meets the dropped rows;
+        else None."""
+        rows, cols, inverse_num, inverse_den = entry[:4]
+        xk = [xs[r] for r in rows]
+        z = [dot(row, xk) for row in inverse_num]
+        if any(v < 0 for v in z):
+            return None
+        if len(rows) < len(xs) and any(
+            sum(self.degrees[col][r] * v for col, v in zip(cols, z))
+            != xs[r] * inverse_den
+            for r in range(len(xs)) if r not in rows
+        ):
+            return None
+        return z
 
     def _solve(self, x):
         """Solve the LP at ``x`` from scratch and keep its optimal basis."""
@@ -189,7 +223,7 @@ class OrderFunction:
             raise OutsideSupport(f"no representation of {tuple(x)} over the generators")
         value, witness, basis = result
         entry = _cached_basis(basis, heights, len(x))
-        self.bases.append(entry)
+        self.bases.add(entry)
         return value, witness, entry
 
 
@@ -206,14 +240,49 @@ class _CachedBasis(NamedTuple):
     dual_den: int
 
 
+class _KeptBases:
+    """The ``_CachedBasis`` entries kept for one LP, most recently certified
+    first, and their duals over one common denominator.
+
+    ``duals[i]`` is the dual of ``entries[i]`` times ``dual_den``, the lcm
+    of the entries' dual denominators, so comparing two dual bounds takes
+    one integer dot product each.  The denominator and the scaled duals
+    change only when a solve adds a basis.
+    """
+
+    __slots__ = ("entries", "duals", "dual_den")
+
+    def __init__(self):
+        self.entries = []
+        self.duals = []
+        self.dual_den = 1
+
+    def add(self, entry):
+        """Keep a newly solved basis, in front."""
+        den = lcm(self.dual_den, entry.dual_den)
+        if den != self.dual_den:
+            factor = den // self.dual_den
+            self.duals = [tuple([v * factor for v in y]) for y in self.duals]
+            self.dual_den = den
+        factor = den // entry.dual_den
+        self.entries.insert(0, entry)
+        self.duals.insert(0, tuple([v * factor for v in entry.dual_num]))
+
+    def promote(self, i):
+        """Move the basis at index ``i`` to the front."""
+        self.entries.insert(0, self.entries.pop(i))
+        self.duals.insert(0, self.duals.pop(i))
+
+
 @lru_cache(maxsize=BASIS_CACHE_SIZE)
-def _optimal_bases(degrees, mults):
-    """The list of ``_CachedBasis`` found optimal by earlier solves of the
-    LP with these data; ``OrderFunction`` appends to it.
+def _optimal_bases(degrees, costs, den):
+    """The ``_KeptBases`` found optimal by earlier solves of the LP with
+    these degrees and heights ``costs / den`` (``clear_denominators`` of the
+    multiplicities); ``OrderFunction`` adds to it.
 
     Keyed on the data themselves, so a basis never serves another LP.
     """
-    return []
+    return _KeptBases()
 
 
 def _cached_basis(basis, heights, n):

@@ -44,6 +44,13 @@ def _str_from_json(x):
     return x
 
 
+def _list_from_json(x):
+    # a JSON string is iterable too: never read it as a list of characters
+    if not isinstance(x, (list, tuple)):
+        raise ParseError(f"bad array {x!r}: expected a JSON array")
+    return x
+
+
 def _obj_from_json(x):
     if not isinstance(x, dict):
         raise ParseError(f"bad object {x!r}: expected a JSON object")
@@ -69,7 +76,7 @@ def vec_to_json(v):
 
 
 def vec_from_json(v):
-    return tuple(rat_from_str(x) for x in v)
+    return tuple(rat_from_str(x) for x in _list_from_json(v))
 
 
 def matrix_to_json(m):
@@ -77,7 +84,7 @@ def matrix_to_json(m):
 
 
 def matrix_from_json(m):
-    return tuple(vec_from_json(row) for row in m)
+    return tuple(vec_from_json(row) for row in _list_from_json(m))
 
 
 def cone_to_json(cone):
@@ -180,7 +187,7 @@ def ring_from_json(doc):
         n = r + 1
         generators = tuple(
             GeneratorDatum(
-                multidegree=tuple(_int_from_json(x) for x in g["deg"]),
+                multidegree=tuple(_int_from_json(x) for x in _list_from_json(g["deg"])),
                 mults={
                     name: rat_from_str(v) for name, v in _obj_from_json(g["mults"]).items()
                 },
@@ -201,7 +208,7 @@ def ring_from_json(doc):
             for pf in doc.get("pushforwards", [])
         )
         if "labels" in doc:
-            labels = tuple(doc["labels"])
+            labels = tuple(_str_from_json(label) for label in _list_from_json(doc["labels"]))
         elif n <= max((len(g.multidegree) for g in generators), default=0):
             labels = tuple(f"D{i}" for i in range(n))
         else:
@@ -212,7 +219,9 @@ def ring_from_json(doc):
             r=r,
             labels=labels,
             generators=generators,
-            valuations=tuple(_str_from_json(v) for v in doc.get("valuations", [])),
+            valuations=tuple(
+                _str_from_json(v) for v in _list_from_json(doc.get("valuations", []))
+            ),
             numerical=numerical,
             nef=nef,
             pushforwards=pushforwards,

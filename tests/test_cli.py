@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from mmpwalk import InstanceSpec, builtin_examples, random_instance
 from mmpwalk.cli import main
 from mmpwalk.errors import SupportMismatch
+from mmpwalk.orders import OrderFunction
 from mmpwalk.serialize import dumps, ring_to_json
 
 
@@ -86,6 +87,58 @@ def test_stdout_matches_recorded_digest(capsys, command, example):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == STDOUT_SHA256[command, example]
+
+
+def _corpus_document(seed):
+    """An acceptance-corpus document (the spec of tests/test_acceptance.py)."""
+    r = [1, 1, 2, 2, 3][seed % 5]
+    spec = InstanceSpec(
+        r=r,
+        generator_count={1: 6, 2: 6, 3: 5}[r],
+        valuation_count={1: 4, 2: 3, 3: 2}[r],
+        coordinate_bound=4,
+        seed=seed,
+    )
+    return dumps(ring_to_json(random_instance(spec)))
+
+
+# sha256 of check stdout on corpus documents (r = 2, 24 and 14 cells; r = 3),
+# recorded while check still sampled Fraction points: how the sample points
+# are represented may change, the report may not
+CORPUS_CHECK_SHA256 = {
+    2: "556d68b2e4096e953b3073fabf436ea7c00f85771eaab7b5882711a5808582e4",
+    8: "e91cb431a518b97898d24278376b9623ac3a862d9ce5b0a213c3a243553fe78a",
+    44: "99275f31a8106bbd1bc87756bf41e695638acdd7cb5d58872003601b3c62411a",
+}
+
+
+@pytest.mark.parametrize("seed", ["0", "7"])
+@pytest.mark.parametrize("instance", sorted(CORPUS_CHECK_SHA256))
+def test_check_stdout_on_corpus_matches_recorded_digest(monkeypatch, capsys, instance, seed):
+    monkeypatch.setattr("sys.stdin", io.StringIO(_corpus_document(instance)))
+    code, out, _ = run(capsys, "check", "--input", "-", "--seed", seed)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CORPUS_CHECK_SHA256[instance]
+
+
+# sha256 of check stdout with every order value negated, recorded while
+# check still sampled Fraction points.  The negated order functions stay
+# homogeneous, so the same sampled points fail, and the FAIL lines print
+# each of them.
+FAILING_CHECK_SHA256 = {
+    ("blowup-P2", "0"): "171ab085e21df43c6e1e2d343737e74b6bb99602c49072fb29eca4d28b8da7a9",
+    ("fractional-vertex", "7"): "5a27387731e3d0cb419b3ff262879d7a81b2700c87588de6a70bbb00c2bfaea3",
+}
+
+
+@pytest.mark.parametrize("example, seed", sorted(FAILING_CHECK_SHA256))
+def test_check_failure_report_matches_recorded_digest(monkeypatch, capsys, example, seed):
+    value = OrderFunction.value
+    monkeypatch.setattr(OrderFunction, "value", lambda self, x: -value(self, x))
+    code, out, _ = run(capsys, "check", "--example", example, "--seed", seed, "--grid-depth", "1")
+    assert code == 1
+    assert "FAIL: linearity: " in out and "point (Fraction(" in out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FAILING_CHECK_SHA256[example, seed]
 
 
 def test_walk_from_file_with_embedded_segment(tmp_path, capsys):

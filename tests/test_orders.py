@@ -2,9 +2,12 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmpwalk import (
     NO_REPRESENTATION,
@@ -22,8 +25,8 @@ from mmpwalk import (
 )
 from mmpwalk import orders
 from mmpwalk.cones import cone_from_rays
-from mmpwalk.errors import BudgetExceeded
-from mmpwalk.linalg import dot
+from mmpwalk.errors import BudgetExceeded, DimensionError
+from mmpwalk.linalg import clear_denominators, dot
 from mmpwalk.ring import GeneratorDatum, NumericalMap, RingDatum, support_cone
 
 
@@ -326,8 +329,8 @@ def test_same_degrees_other_heights_never_share_a_basis(blowup):
     assert ov.value == 0
     assert ov.witness == (2, 1, 0)
     degrees = tuple(tuple(g.multidegree) for g in blowup.generators)
-    mine = orders._optimal_bases(degrees, (1, 0, 0))
-    theirs = orders._optimal_bases(degrees, (0, 0, 1))
+    mine = orders._optimal_bases(degrees, (1, 0, 0), 1).entries
+    theirs = orders._optimal_bases(degrees, (0, 0, 1), 1).entries
     assert len(mine) == len(theirs) == 1
     assert mine[0].cols != theirs[0].cols
 
@@ -464,6 +467,104 @@ def test_order_function_meets_dropped_rows():
     for method in (function.value, function.certificate):
         with pytest.raises(OutsideSupport):
             method((1, 2))
+
+
+@lru_cache(maxsize=None)
+def _interleaving_case():
+    """Corpus instance 2 (24 chambers) with its rays, wall points and
+    interior points for every valuation, and each query's cold LP value."""
+    datum = _corpus_datum(2)
+    support = support_cone(datum)
+    queries = _cache_queries(datum, chamber_fan(datum, support=support))
+    cold = []
+    for valuation, x in queries:
+        _, heights, A = _lp_data(datum, valuation, x)
+        cold.append(orders.solve_min(A, list(x), heights)[0])
+    return datum, support, queries, cold
+
+
+def _assert_kept_bases_consistent(kept):
+    assert len(kept.duals) == len(kept.entries)
+    for entry, scaled in zip(kept.entries, kept.duals):
+        assert kept.dual_den % entry.dual_den == 0
+        factor = kept.dual_den // entry.dual_den
+        assert scaled == tuple(v * factor for v in entry.dual_num)
+
+
+@given(st.lists(st.tuples(st.integers(0, 10**6), st.booleans()), min_size=1, max_size=80))
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_interleaved_queries_equal_cold_solves(picks):
+    # queries hop between chambers, their walls and their rays, so the
+    # basis that certifies a query is often not the front one and moves
+    # there; every answer must still be the cold LP value, with a dual
+    # that certifies it, and the front basis must certify the last query
+    datum, support, queries, cold = _interleaving_case()
+    orders._optimal_bases.cache_clear()
+    functions = {v: orders.OrderFunction(datum, v, support) for v in datum.valuations}
+    for index, use_value in picks:
+        (valuation, x), expected = queries[index % len(queries)], cold[index % len(queries)]
+        function = functions[valuation]
+        if use_value:
+            assert function.value(x) == expected
+        ov = function.certificate(x)
+        assert ov.value == expected
+        degrees, heights, _ = _lp_data(datum, valuation, x)
+        assert all(dot(ov.dual, d) <= h for d, h in zip(degrees, heights))
+        assert dot(ov.dual, x) == expected
+        kept = function.bases
+        assert function._basic_solution(kept.entries[0], clear_denominators(x)[0]) is not None
+        _assert_kept_bases_consistent(kept)
+
+
+def test_certifying_basis_moves_to_the_front():
+    datum, support, queries, _ = _interleaving_case()
+    valuation = datum.valuations[0]
+    orders._optimal_bases.cache_clear()
+    function = orders.OrderFunction(datum, valuation, support)
+    points = [x for v, x in queries if v == valuation]
+    for x in points:
+        function.value(x)
+    kept = function.bases
+    assert len(kept.entries) > 2
+    # a point that only the last kept basis certifies
+    last = kept.entries[-1]
+    for x in points:
+        xs = clear_denominators(x)[0]
+        if all(function._basic_solution(e, xs) is None for e in kept.entries[:-1]):
+            break
+    else:
+        raise AssertionError("no point is certified by the last kept basis alone")
+    before = list(kept.entries)
+    assert function.certificate(x).dual == orders._dual(last)
+    assert kept.entries == [last] + before[:-1]
+    _assert_kept_bases_consistent(kept)
+
+
+@pytest.mark.parametrize("name", ["blowup-P2", "corpus-2", "corpus-4"])
+def test_support_and_dimension_errors_survive_kept_bases(name):
+    datum = _named_datum(name)
+    support = support_cone(datum)
+    queries = _cache_queries(datum, chamber_fan(datum, support=support))
+    orders._optimal_bases.cache_clear()
+    functions = {v: orders.OrderFunction(datum, v, support) for v in datum.valuations}
+    for valuation, x in queries:
+        functions[valuation].value(x)
+    # the negated sum of the support's rays lies outside the pointed support
+    outside = tuple(-sum(col) for col in zip(*support.rays))
+    n = support.ambient_dim
+    for function in functions.values():
+        kept = function.bases
+        assert kept.entries
+        before = (list(kept.entries), list(kept.duals), kept.dual_den)
+        for method in (function.value, function.certificate):
+            with pytest.raises(OutsideSupport):
+                method(outside)
+            with pytest.raises(OutsideSupport):
+                method(tuple(Fraction(v, 3) for v in outside))
+            for wrong in ((1,) * (n + 1), (1,) * (n - 1), ()):
+                with pytest.raises(DimensionError):
+                    method(wrong)
+        assert (list(kept.entries), list(kept.duals), kept.dual_den) == before
 
 
 @pytest.mark.parametrize("name", ORDER_FUNCTION_CASES)

@@ -214,8 +214,10 @@ def _blowup_doc():
 @pytest.mark.parametrize(
     "path, value",
     [(("valuations",), [{}]), (("valuations",), [["E"]]), (("generators", 0, "mults"), "1/0"),
-     (("generators", 0, "mults"), ["E", "1"])],
-    ids=["object-valuation", "list-valuation", "string-mults", "list-mults"],
+     (("generators", 0, "mults"), ["E", "1"]), (("labels",), "xy"), (("labels",), [{}]),
+     (("labels",), [1]), (("labels",), ["K", ["D1"]]), (("labels",), None)],
+    ids=["object-valuation", "list-valuation", "string-mults", "list-mults", "string-labels",
+         "object-label", "int-label", "list-label", "null-labels"],
 )
 def test_malformed_names_and_multiplicities_are_parse_errors(monkeypatch, capsys, path, value):
     doc = _blowup_doc()
@@ -235,3 +237,25 @@ def test_default_labels_follow_r():
     doc = _blowup_doc()
     del doc["labels"]
     assert ring_from_json(doc)[0].labels == ("D0", "D1")
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [(("generators", 0, "deg"), "10"), (("numerical_map", 0), "26"), (("numerical_map",), "26"),
+     (("valuations",), "E"), (("nef", "rays", 0), "10"), (("segment", "h"), "01")],
+    ids=["string-degree", "string-map-row", "string-map", "string-valuations", "string-nef-ray",
+         "string-segment"],
+)
+def test_strings_are_not_read_as_arrays(monkeypatch, capsys, path, value):
+    # iterating "10" would give the multidegree (1, 0) without an error
+    doc = loads(dumps(ring_to_json(builtin_examples()["blowup-P2"], segment_h=(0, 1))))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ParseError):
+        ring_from_json(doc)
+    monkeypatch.setattr("sys.stdin", io.StringIO(dumps(doc)))
+    assert main(["decompose", "--input", "-"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
