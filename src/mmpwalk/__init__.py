@@ -28,7 +28,6 @@ from .errors import (
 from .oracle import InstanceSpec, builtin_examples, o_value_oracle, random_instance
 from .orders import (
     NO_REPRESENTATION,
-    LinearityFan,
     OValue,
     asymptotic_order,
     cell_functionals,

@@ -15,10 +15,11 @@ from their kernel and the facets from the half-spaces that pass the
 combinatorial facet test.  A cone with lineality takes one more conversion,
 ``_rays_mod_lineality``, which fixes the representatives of its rays
 modulo lineality.  ``common_refinement`` skips a pair of cells that a
-facet separates before intersecting them.
+facet separates before intersecting them.  Both refinements carry each
+cell's label (``orders`` labels cells with their linear functionals).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DimensionError, InvalidCone, SupportMismatch
@@ -301,29 +302,35 @@ def _separated(a, b):
     )
 
 
-def _cell_sort_key(cell):
-    return cell.rays
-
-
 @dataclass(frozen=True)
 class Fan:
     """Finite set of equal-dimensional cones with common support.
 
     Cells are kept in a deterministic order (lexicographic by sorted ray
-    lists) so that serialized output is byte-reproducible.
+    lists) so that serialized output is byte-reproducible.  ``labels``
+    holds one tuple per cell, in cell order (``()`` for each cell when not
+    given); it takes no part in equality.
     """
 
     cells: tuple
     support: PolyCone
+    labels: tuple = field(default=None, compare=False)
+
+    def __post_init__(self):
+        if self.labels is None:
+            object.__setattr__(self, "labels", ((),) * len(self.cells))
 
 
-def make_fan(cells, support):
-    cells = tuple(sorted(set(cells), key=_cell_sort_key))
-    return Fan(cells, support)
+def make_fan(cells, support, labels=None):
+    """Fan of the distinct (cell, label) pairs, sorted by cell."""
+    pairs = ((c, ()) for c in cells) if labels is None else zip(cells, labels, strict=True)
+    pairs = sorted(dict.fromkeys(pairs), key=lambda pair: pair[0].rays)
+    return Fan(tuple(c for c, _ in pairs), support, tuple(l for _, l in pairs))
 
 
 def common_refinement(fans):
-    """Common refinement of fans sharing one support cone."""
+    """Common refinement of fans sharing one support cone.  Each piece is
+    labelled with its source cells' labels concatenated in fan order."""
     fans = list(fans)
     if not fans:
         raise SupportMismatch("no fans given")
@@ -331,18 +338,18 @@ def common_refinement(fans):
     for f in fans[1:]:
         if f.support != support:
             raise SupportMismatch("fans do not share a support cone")
-    cells = list(fans[0].cells)
+    cells = list(zip(fans[0].cells, fans[0].labels))
     for f in fans[1:]:
-        pieces = set()
-        for a in cells:
-            for b in f.cells:
+        pieces = []
+        for a, label_a in cells:
+            for b, label_b in zip(f.cells, f.labels):
                 if _separated(a, b):
                     continue
                 c = intersect(a, b)
                 if c.dim == support.dim:
-                    pieces.add(c)
-        cells = list(pieces)
-    return make_fan(cells, support)
+                    pieces.append((c, label_a + label_b))
+        cells = pieces
+    return make_fan([c for c, _ in cells], support, [l for _, l in cells])
 
 
 def hyperplane_refinement(fan):
@@ -350,15 +357,16 @@ def hyperplane_refinement(fan):
 
     The collected hyperplanes are those spanned by facets of the maximal
     cells (including the support boundary).  Idempotent: slicing introduces
-    no hyperplanes outside the collected set.
+    no hyperplanes outside the collected set.  Both slices of a cell keep
+    its label.
     """
     hyperplanes = set()
     for cell in fan.cells:
         hyperplanes.update(cell.facet_hyperplanes())
-    cells = list(fan.cells)
+    cells = list(zip(fan.cells, fan.labels))
     for h in sorted(hyperplanes):
         sliced = []
-        for cell in cells:
+        for cell, label in cells:
             values = [dot(h, r) for r in cell.rays]
             if any(v > 0 for v in values) and any(v < 0 for v in values):
                 for side in (h, vneg(h)):
@@ -368,8 +376,8 @@ def hyperplane_refinement(fan):
                         equations=cell.equations,
                     )
                     if piece.dim == fan.support.dim:
-                        sliced.append(piece)
+                        sliced.append((piece, label))
             else:
-                sliced.append(cell)
+                sliced.append((cell, label))
         cells = sliced
-    return make_fan(cells, fan.support)
+    return make_fan([c for c, _ in cells], fan.support, [l for _, l in cells])

@@ -13,10 +13,11 @@ loops.  All elimination goes through one fraction-free routine,
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 
 def dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def vadd(a, b):

@@ -5,7 +5,9 @@ optimum of an exact rational LP over the generator data.  Its linearity
 domains form a fan: lift each generator by its multiplicity, take the cone
 over the lifted generators, and project the lower facets back down.  The
 chamber fan is the common refinement of these fans over all valuations,
-further sliced so that every cell respects every facet hyperplane.
+further sliced so that every cell respects every facet hyperplane.  Each
+cell carries its functionals through both refinements as its label; the
+checks compare them with LP values from ``simplex``.
 
 Queries go through an ``OrderFunction``, one object per (datum,
 valuation) that holds the integer degrees, the multiplicities, the support
@@ -30,8 +32,8 @@ from functools import lru_cache
 from math import lcm
 from typing import NamedTuple
 
-from .cones import Fan, cone_from_rays, common_refinement, hyperplane_refinement, make_fan
-from .errors import BudgetExceeded, DimensionError, OutsideSupport
+from .cones import cone_from_rays, common_refinement, hyperplane_refinement, make_fan
+from .errors import BudgetExceeded, DimensionError, InconsistentInput, OutsideSupport
 from .linalg import clear_denominators, dot
 from .ring import support_cone
 from .simplex import DEFAULT_PIVOT_CAP, INFEASIBLE, solve_min
@@ -66,13 +68,6 @@ class OValue:
     value: Fraction
     witness: tuple
     dual: tuple
-
-
-@dataclass(frozen=True)
-class LinearityFan:
-    fan: Fan
-    functionals: tuple  # one linear functional per cell, same order
-    valuation: str
 
 
 _EXACT_TYPES = frozenset((int, Fraction))
@@ -302,7 +297,8 @@ def _dual(entry):
 
 
 def linearity_fan(datum, valuation, support=None):
-    """Fan of maximal cones on which the order function is linear.
+    """Fan of maximal cones on which the order function is linear, each
+    cell labelled ``(functional,)`` with the order's functional there.
 
     Built as the regular subdivision induced by lifting generator i to
     (multidegree_i, multiplicity_i) and projecting the lower facets of the
@@ -317,10 +313,9 @@ def linearity_fan(datum, valuation, support=None):
     lifted_cone = cone_from_rays(lifted)
     if lifted_cone.dim == support.dim:
         # heights are linear on the support: a single cell
-        functional = _flat_functional(lifted_cone, n)
-        return LinearityFan(make_fan([support], support), (functional,), valuation)
+        return make_fan([support], support, [(_flat_functional(lifted_cone, n),)])
     cells = []
-    functionals = []
+    labels = []
     for hs in lifted_cone.facets:
         w, c = hs.normal[:n], hs.normal[n]
         if c <= 0:
@@ -330,13 +325,8 @@ def linearity_fan(datum, valuation, support=None):
         if cell.dim != support.dim:
             continue
         cells.append(cell)
-        functionals.append(tuple(Fraction(-wi, c) for wi in w))
-    fan = make_fan(cells, support)
-    ordered = []
-    for cell in fan.cells:
-        idx = cells.index(cell)
-        ordered.append(functionals[idx])
-    return LinearityFan(fan, tuple(ordered), valuation)
+        labels.append((tuple(Fraction(-wi, c) for wi in w),))
+    return make_fan(cells, support, labels)
 
 
 def _flat_functional(lifted_cone, n):
@@ -349,43 +339,37 @@ def _flat_functional(lifted_cone, n):
 
 def chamber_fan(datum, support=None, refine=True):
     """Decomposition of the support cone on which every tracked order
-    function is linear, optionally sliced by all facet hyperplanes."""
+    function is linear, optionally sliced by all facet hyperplanes.  Each
+    chamber is labelled with one functional per valuation, in order."""
     if support is None:
         support = support_cone(datum)
     if not datum.valuations:
         fan = make_fan([support], support)
     else:
-        fans = [linearity_fan(datum, v, support).fan for v in datum.valuations]
-        fan = common_refinement(fans)
+        fan = common_refinement([linearity_fan(datum, v, support) for v in datum.valuations])
     if refine:
         fan = hyperplane_refinement(fan)
     return fan
 
 
-def _functional_at(lf, probe):
-    """Functional of the linearity-fan cell that contains ``probe``."""
-    for host, functional in zip(lf.fan.cells, lf.functionals):
-        if host.contains(probe):
-            return functional
-    raise OutsideSupport("cell does not meet the linearity fan")
-
-
 def cell_functionals(datum, fan, support=None):
-    """Per-valuation linear functionals on every cell of a chamber fan.
+    """Per-valuation linear functionals on every cell of a chamber fan,
+    read off the cell labels that ``chamber_fan`` gives it.
 
-    Builds each valuation's linearity fan once, on ``support`` (by default
-    the fan's own support), and gives every cell the functional of the
-    linearity cell holding its relative-interior point, probed as the
-    integer sum of the cell's rays.
+    ``support`` is accepted for compatibility and does not affect the
+    result.  A fan whose labels do not hold one functional per valuation,
+    such as one read back by ``fan_from_json`` or built by hand, raises
+    InconsistentInput.
     """
-    if support is None:
-        support = fan.support
-    probes = [tuple(map(sum, zip(*cell.rays))) for cell in fan.cells]
-    functionals = {}
-    for valuation in datum.valuations:
-        lf = linearity_fan(datum, valuation, support)
-        functionals[valuation] = tuple(_functional_at(lf, p) for p in probes)
-    return functionals
+    count = len(datum.valuations)
+    if any(len(label) != count for label in fan.labels):
+        raise InconsistentInput(
+            f"fan cells do not carry one functional per valuation ({count}); use chamber_fan"
+        )
+    return {
+        valuation: tuple(label[i] for label in fan.labels)
+        for i, valuation in enumerate(datum.valuations)
+    }
 
 
 def _unit_index(degrees, n):
@@ -539,9 +523,11 @@ def integer_order(datum, valuation, x, k, node_budget=DEFAULT_NODE_BUDGET):
 def stabilization_multiple(datum, valuation, x, k_max, support=None,
                            node_budget=DEFAULT_NODE_BUDGET):
     """Smallest k <= k_max with integer-level value equal to the LP value,
-    or None when no such k exists within the bound."""
+    or None when no such k exists within the bound.  Only the k with k*x
+    an integer point, the multiples of x's common denominator, are tried."""
     lp = asymptotic_order(datum, valuation, x, support=support).value
-    for k in range(1, k_max + 1):
+    step = clear_denominators(x)[1]
+    for k in range(step, k_max + 1, step):
         ip = integer_order(datum, valuation, x, k, node_budget=node_budget)
         if ip is NO_REPRESENTATION:
             continue

@@ -102,6 +102,63 @@ def _corpus_document(seed):
     return dumps(ring_to_json(random_instance(spec)))
 
 
+# sha256 of decompose stdout on corpus documents 1-10 (r = 1, 2 and 3), with
+# and without hyperplane slicing, recorded while cell_functionals still
+# probed a second build of every linearity fan: where the functionals come
+# from may change, the output may not
+CORPUS_DECOMPOSE_SHA256 = {
+    (1, "--refine"):
+        "319d0c793e281eb64ba9ccf1b0e6cb34fc633337febde63ff60fe7ab480d3a4e",
+    (1, "--no-refine"):
+        "319d0c793e281eb64ba9ccf1b0e6cb34fc633337febde63ff60fe7ab480d3a4e",
+    (2, "--refine"):
+        "d06890f4ff6549f079aa3e03226c967f2b530601a4988d23b930e73eefe014ce",
+    (2, "--no-refine"):
+        "562ee56e130a4c75b40f11c2d475f591b7585f918fdcf5ef82ee682774fe791a",
+    (3, "--refine"):
+        "469986dab95677b892b3093e56d2b74afbf883b0a83ff3c5209b32888bf210af",
+    (3, "--no-refine"):
+        "79325a72beaef08489fc9d3ab5a827711fd2fb8d63b9af34d8fc714a4fc1cb58",
+    (4, "--refine"):
+        "ca85eaf86b31611501bab0b05e1f77cc456b29b99ba7df7cc93a0a91f0a350d9",
+    (4, "--no-refine"):
+        "0131fe07d260c85cd558fb550dfe56398830fb300b57c418d7a7c0ac34dcbfa8",
+    (5, "--refine"):
+        "daf8b59139a563bb1c487d7de3ee2d15ed619d9ff92d092d4a287d712ccf726d",
+    (5, "--no-refine"):
+        "daf8b59139a563bb1c487d7de3ee2d15ed619d9ff92d092d4a287d712ccf726d",
+    (6, "--refine"):
+        "46ad17b4b79425cdcc82cf6a94f6ee8a7cd6fda1d81203f7361a631f827a672e",
+    (6, "--no-refine"):
+        "46ad17b4b79425cdcc82cf6a94f6ee8a7cd6fda1d81203f7361a631f827a672e",
+    (7, "--refine"):
+        "ae1a89710e2acbd743f25abc91b65e07443877ef23a166b62b9f38820aa337d6",
+    (7, "--no-refine"):
+        "c9f90877ddf7faacc31e9f6ffbedef2783f9e283fd87859fb6e8e236c1e85219",
+    (8, "--refine"):
+        "8971df4e8a3a33568203cf878c72d4141f2fbd966876281e26fff31b72f7a72b",
+    (8, "--no-refine"):
+        "bb376b9106f89b4a9a55c370a53ef8a15498ce759419a88af4ac6bdd46870762",
+    (9, "--refine"):
+        "a55f5741ea0ffba809ccd99aa40f740b065922e9d8852bdf4c8ed28ee37c8da1",
+    (9, "--no-refine"):
+        "ccf09809a322be67274931d795555bd7990444d4ade6282eea2fc8ca2ee110a8",
+    (10, "--refine"):
+        "a1da174aa222c0721e0268c8bf4e1d0bd342580286407757361fcdf29d4b6aa5",
+    (10, "--no-refine"):
+        "a1da174aa222c0721e0268c8bf4e1d0bd342580286407757361fcdf29d4b6aa5",
+}
+
+
+@pytest.mark.parametrize("instance, refine", sorted(CORPUS_DECOMPOSE_SHA256))
+def test_decompose_stdout_on_corpus_matches_recorded_digest(monkeypatch, capsys, instance, refine):
+    monkeypatch.setattr("sys.stdin", io.StringIO(_corpus_document(instance)))
+    code, out, _ = run(capsys, "decompose", "--input", "-", refine)
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == CORPUS_DECOMPOSE_SHA256[instance, refine]
+
+
 # sha256 of check stdout on corpus documents (r = 2, 24 and 14 cells; r = 3),
 # recorded while check still sampled Fraction points: how the sample points
 # are represented may change, the report may not
@@ -434,3 +491,62 @@ def test_mutated_documents_end_in_a_documented_exit_code(doc):
         ):
             code = main([*command, "--input", "-"])
         assert code in range(6), (command, code)
+
+
+# argv fuzz: a base command on a builtin example plus one or two flags, each
+# bad, repeated or conflicting; every value is small, so no run is costly
+ARGV_BASES = (
+    ("decompose",),
+    ("walk", "--h", "0,1"),
+    ("check", "--grid-depth", "1"),
+    ("oracle", "--point", "1,1", "--budget", "2000"),
+)
+POINT_VALUES = ("", "x", "1", "1,2,3", "1/0,1", "0,0", "-1,1", "3/2,1", "1.5,2", "nan,1", "1,1,")
+ARGV_FLAGS = (
+    *(("--h", v) for v in POINT_VALUES),
+    *(("--point", v) for v in POINT_VALUES),
+    *(("--seed", v) for v in ("x", "", "1.5", "-1", "0", "7", str(10**30))),
+    *(("--grid-depth", v) for v in ("x", "", "1.5", "-1", "0", "1", "2")),
+    ("--refine",),
+    ("--no-refine",),
+    ("--refine", "--no-refine"),
+    ("--format", "text"),
+    ("--format", "xml"),
+    ("--example", "nonexistent"),
+    ("--example", "fractional-vertex"),
+    ("--k-max", "0"),
+    ("--k-max", "2"),
+    ("--budget", "-5"),
+    ("--budget", "3"),
+    ("--h",),
+    ("--seed",),
+)
+
+
+@st.composite
+def mutated_argvs(draw):
+    """A base command on a builtin example followed by one or two fuzz flags;
+    a flag the base already holds is repeated, and argparse keeps the last."""
+    argv = [*draw(st.sampled_from(ARGV_BASES))]
+    argv += ["--example", draw(st.sampled_from(sorted(EXAMPLE_DOCS)))]
+    for flag in draw(st.lists(st.sampled_from(ARGV_FLAGS), min_size=1, max_size=2)):
+        argv += flag
+    return argv
+
+
+def _run_quietly(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    return code, out.getvalue()
+
+
+@given(mutated_argvs())
+@settings(max_examples=120, derandomize=True, deadline=None)
+def test_mutated_argv_ends_in_a_documented_exit_code_with_stable_stdout(argv):
+    code, out = _run_quietly(argv)
+    assert code in range(6), (argv, code)
+    assert _run_quietly(argv) == (code, out), argv

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from mmpwalk.cones import (
+    Fan,
     HalfSpace,
     common_refinement,
     cone_from_halfspaces,
@@ -159,6 +160,50 @@ def test_make_fan_sorts_and_deduplicates():
     c2 = cone_from_rays([(0, 1), (1, 1)])
     fan = make_fan([c2, c1, c1], support)
     assert fan.cells == (c2, c1)  # lexicographic by ray tuples
+
+
+def test_fan_labels_default_to_empty_and_take_no_part_in_equality():
+    support = cone_from_rays([(1, 0), (0, 1)])
+    c1 = cone_from_rays([(1, 0), (1, 1)])
+    c2 = cone_from_rays([(0, 1), (1, 1)])
+    plain = make_fan([c1, c2], support)
+    assert plain.labels == ((), ())
+    assert Fan((c2, c1), support).labels == ((), ())
+    labelled = make_fan([c1, c2, c1], support, [("a",), ("b",), ("a",)])
+    assert labelled.cells == (c2, c1)
+    assert labelled.labels == (("b",), ("a",))  # sorted with their cells
+    assert labelled == plain and hash(labelled) == hash(plain)
+
+
+def test_common_refinement_concatenates_labels_in_fan_order():
+    support = cone_from_rays([(1, 0), (0, 1)])
+    left, right = cone_from_rays([(1, 0), (1, 1)]), cone_from_rays([(1, 1), (0, 1)])
+    low, high = cone_from_rays([(1, 0), (1, 2)]), cone_from_rays([(1, 2), (0, 1)])
+    fan_a = make_fan([left, right], support, [("L",), ("R",)])
+    fan_b = make_fan([low, high], support, [("lo",), ("hi",)])
+    refined = common_refinement([fan_a, fan_b])
+    by_rays = {c.rays: label for c, label in zip(refined.cells, refined.labels)}
+    assert by_rays == {
+        ((1, 0), (1, 1)): ("L", "lo"),
+        ((0, 1), (1, 2)): ("R", "hi"),
+        ((1, 1), (1, 2)): ("R", "lo"),
+    }
+    swapped = common_refinement([fan_b, fan_a])
+    assert swapped.labels == tuple(label[::-1] for label in refined.labels)
+
+
+def test_hyperplane_refinement_slices_keep_their_cell_label():
+    a, b, c, d = (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)
+    support = cone_from_rays([a, b, c])
+    # the star of d: each wall through d, extended, cuts the opposite cell
+    cells = [cone_from_rays([a, b, d]), cone_from_rays([b, c, d]), cone_from_rays([c, a, d])]
+    fan = make_fan(cells, support, [("ab",), ("bc",), ("ca",)])
+    sliced = hyperplane_refinement(fan)
+    assert len(sliced.cells) == 6
+    for piece, label in zip(sliced.cells, sliced.labels):
+        point = piece.relative_interior_point()
+        (owner,) = [l for cell, l in zip(fan.cells, fan.labels) if cell.contains(point, strict=True)]
+        assert label == owner
 
 
 def test_common_refinement_of_two_subdivisions():

@@ -24,17 +24,23 @@ from mmpwalk import (
     stabilization_multiple,
 )
 from mmpwalk import orders
-from mmpwalk.cones import cone_from_rays
-from mmpwalk.errors import BudgetExceeded, DimensionError
+from mmpwalk.cones import Fan, cone_from_rays
+from mmpwalk.errors import BudgetExceeded, DimensionError, InconsistentInput
 from mmpwalk.linalg import clear_denominators, dot
 from mmpwalk.ring import GeneratorDatum, NumericalMap, RingDatum, support_cone
+from mmpwalk.serialize import fan_from_json, fan_to_json
 
 
 def functional_on_cell(datum, valuation, cell, support=None):
-    """Reference for ``cell_functionals``: a fresh linearity fan per cell,
-    probed at the cell's relative-interior point."""
+    """Reference for ``cell_functionals``, independent of the labels that
+    the refinements carry: a fresh linearity fan per cell, probed at the
+    cell's relative-interior point."""
     lf = linearity_fan(datum, valuation, support)
-    return orders._functional_at(lf, cell.relative_interior_point())
+    probe = cell.relative_interior_point()
+    for host, (functional,) in zip(lf.cells, lf.labels):
+        if host.contains(probe):
+            return functional
+    raise OutsideSupport("cell does not meet the linearity fan")
 
 
 @pytest.fixture(scope="module")
@@ -72,12 +78,11 @@ def test_order_homogeneous_on_samples(blowup):
 
 def test_linearity_fan_two_cells(blowup):
     lf = linearity_fan(blowup, "E")
-    assert [c.rays for c in lf.fan.cells] == [((0, 1), (1, 1)), ((1, 0), (1, 1))]
-    assert lf.functionals == (
-        (Fraction(0), Fraction(0)),
-        (Fraction(1), Fraction(-1)),
+    assert [c.rays for c in lf.cells] == [((0, 1), (1, 1)), ((1, 0), (1, 1))]
+    assert lf.labels == (
+        ((Fraction(0), Fraction(0)),),
+        ((Fraction(1), Fraction(-1)),),
     )
-    assert lf.valuation == "E"
 
 
 def test_linearity_fan_flat_heights_single_cell():
@@ -94,8 +99,8 @@ def test_linearity_fan_flat_heights_single_cell():
         numerical=datum.numerical,
     )
     lf = linearity_fan(flat, "E")
-    assert len(lf.fan.cells) == 1
-    assert lf.functionals == ((Fraction(1), Fraction(0)),)
+    assert len(lf.cells) == 1
+    assert lf.labels == (((Fraction(1), Fraction(0)),),)
 
 
 def test_chamber_fan_matches_linearity_fan_single_valuation(blowup):
@@ -197,6 +202,18 @@ def test_stabilization_one_for_integral_witness(blowup):
 
 def test_stabilization_none_within_bound(fractional):
     assert stabilization_multiple(fractional, "G", (1, 1), 2) is None
+
+
+def test_stabilization_skips_levels_where_the_point_is_not_integral(blowup):
+    # k * (3/2, 1) is an integer point only for even k; k = 1 used to raise
+    # ValueError from integer_order
+    x = (Fraction(3, 2), 1)
+    assert asymptotic_order(blowup, "E", x).value == Fraction(1, 2)
+    assert integer_order(blowup, "E", x, 2) == Fraction(1, 2)
+    assert stabilization_multiple(blowup, "E", x, 12) == 2
+    assert stabilization_multiple(blowup, "E", x, 1) is None
+    third = (Fraction(1, 3), Fraction(1, 2))
+    assert stabilization_multiple(blowup, "E", third, 12) == 6
 
 
 def test_integer_order_sandwiches_lp(fractional):
@@ -372,7 +389,7 @@ def _named_datum(name):
     return builtin_examples()[name]
 
 
-def test_cell_functionals_build_one_linearity_fan_per_valuation(monkeypatch):
+def test_chamber_fan_and_cell_functionals_build_one_linearity_fan_per_valuation(monkeypatch):
     built = []
     original = orders.linearity_fan
 
@@ -380,17 +397,27 @@ def test_cell_functionals_build_one_linearity_fan_per_valuation(monkeypatch):
         built.append(valuation)
         return original(datum, valuation, support)
 
-    def no_support_cone(datum):
-        raise AssertionError("the fan already carries its support cone")
-
-    cases = [(name, _named_datum(name)) for name in FUNCTIONAL_CASES]
-    fans = [chamber_fan(datum) for _, datum in cases]
     monkeypatch.setattr(orders, "linearity_fan", counted)
-    monkeypatch.setattr(orders, "support_cone", no_support_cone)
-    for (name, datum), fan in zip(cases, fans):
-        built.clear()
-        cell_functionals(datum, fan)
-        assert built == list(datum.valuations), name
+    for name in FUNCTIONAL_CASES:
+        datum = _named_datum(name)
+        for refine in (True, False):
+            built.clear()
+            fan = chamber_fan(datum, refine=refine)
+            functionals = cell_functionals(datum, fan)
+            assert built == list(datum.valuations), name
+            assert all(len(per_cell) == len(fan.cells) for per_cell in functionals.values())
+
+
+def test_cell_functionals_need_one_label_per_valuation(blowup):
+    fan = chamber_fan(blowup)
+    read_back, _ = fan_from_json(fan_to_json(fan))
+    for unlabelled in (Fan(fan.cells, fan.support), read_back):
+        assert unlabelled == fan
+        with pytest.raises(InconsistentInput, match="one functional"):
+            cell_functionals(blowup, unlabelled)
+    two = replace(blowup, valuations=("E", "F"))
+    with pytest.raises(InconsistentInput, match="one functional"):
+        cell_functionals(two, fan)
 
 
 @pytest.mark.parametrize("name", FUNCTIONAL_CASES)
