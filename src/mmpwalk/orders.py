@@ -480,14 +480,14 @@ def _reduced_min(degrees, heights, units, target, budget):
     return Fraction(base + best, den), nodes
 
 
-def _check_level(k):
-    """Reject a level that is not a positive ``int``: another type, a
-    ``bool`` included, raises TypeError rather than being coerced, and
-    ``k <= 0`` raises ValueError."""
+def _check_level(k, name="level k"):
+    """Reject a level, or a bound on levels called ``name``, that is not a
+    positive ``int``: another type, a ``bool`` included, raises TypeError
+    rather than being coerced, and ``k <= 0`` raises ValueError."""
     if type(k) is not int:
-        raise TypeError(f"level k must be an int, got {k!r}")
+        raise TypeError(f"{name} must be an int, got {k!r}")
     if k <= 0:
-        raise ValueError(f"level k must be positive, got {k}")
+        raise ValueError(f"{name} must be positive, got {k}")
 
 
 def integer_order(datum, valuation, x, k, node_budget=DEFAULT_NODE_BUDGET):
@@ -520,19 +520,78 @@ def integer_order(datum, valuation, x, k, node_budget=DEFAULT_NODE_BUDGET):
     return value / k
 
 
+def _representable(degrees, target, failed, budget):
+    """Whether ``target`` is a nonnegative integer combination of
+    ``degrees``: ``_enumerate_min``'s depth-first search with no costs,
+    stopped at the first representation.  Returns (found, nodes left).
+
+    ``failed`` holds the (generator index, remainder) states already known
+    to have no completion from that generator on; the search adds the ones
+    it finds.  They do not depend on the target, so the caller may share
+    one set across targets.  A state found in it costs no node.
+    """
+    s = len(degrees)
+    positive = [[(j, dj) for j, dj in enumerate(d) if dj > 0] for d in degrees]
+    uncovered = [
+        [j for j in range(len(target)) if all(d[j] == 0 for d in degrees[i:])]
+        for i in range(s)
+    ]
+    nodes = budget
+
+    def recurse(i, remaining):
+        nonlocal nodes
+        if not any(remaining):
+            return True
+        if i == s or (i, remaining) in failed:
+            return False
+        if nodes <= 0:
+            raise BudgetExceeded("stabilization search budget exhausted")
+        nodes -= 1
+        # a coordinate that no generator from i on covers fails the state
+        if not any(remaining[j] > 0 for j in uncovered[i]):
+            bound = min([remaining[j] // dj for j, dj in positive[i]], default=0)
+            d = degrees[i]
+            for a in range(bound, -1, -1):
+                if recurse(i + 1, tuple([r - a * dj for r, dj in zip(remaining, d)])):
+                    return True
+        failed.add((i, remaining))
+        return False
+
+    return recurse(0, tuple(target)), nodes
+
+
 def stabilization_multiple(datum, valuation, x, k_max, support=None,
                            node_budget=DEFAULT_NODE_BUDGET):
     """Smallest k <= k_max with integer-level value equal to the LP value,
     or None when no such k exists within the bound.  Only the k with k*x
-    an integer point, the multiples of x's common denominator, are tried."""
-    lp = asymptotic_order(datum, valuation, x, support=support).value
-    step = clear_denominators(x)[1]
+    an integer point, the multiples of x's common denominator, are tried.
+
+    Decided by complementary slackness, without minimising.  Let y be the
+    LP's optimal dual (``asymptotic_order(...).dual``), so ``y . d_i <= h_i``
+    for every generator.  A representation a of k*x costs
+    ``sum a_i h_i >= y . k x = k LP(x)``, with equality exactly when
+    ``a_i > 0`` only on the tight generators, those with ``y . d_i == h_i``.
+    So level k reaches the LP value iff k*x is a nonnegative integer
+    combination of the tight generators of nonzero multidegree, and a
+    feasibility search over those (``_representable``) decides each k.
+    Tightness is tested in integers.  The failed search states are shared
+    by every k of the query, and ``node_budget`` bounds the nodes of the
+    whole query, not of each k: BudgetExceeded when it runs out.  A
+    ``k_max`` that is not an ``int`` (a float or a bool, too) raises
+    TypeError, and ``k_max <= 0`` ValueError.
+    """
+    _check_level(k_max, "k_max")
+    ys, y_den = clear_denominators(asymptotic_order(datum, valuation, x, support=support).dual)
+    hs, h_den = clear_denominators(_mults(datum, valuation))
+    tight = [
+        d for d, h in zip((tuple(g.multidegree) for g in datum.generators), hs)
+        if any(d) and dot(ys, d) * h_den == h * y_den
+    ]
+    xs, step = clear_denominators(x)
+    failed = set()
+    nodes = node_budget
     for k in range(step, k_max + 1, step):
-        ip = integer_order(datum, valuation, x, k, node_budget=node_budget)
-        if ip is NO_REPRESENTATION:
-            continue
-        if ip == lp:
+        found, nodes = _representable(tight, [v * (k // step) for v in xs], failed, nodes)
+        if found:
             return k
     return None
-
-

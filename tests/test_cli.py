@@ -479,18 +479,28 @@ def mutated_documents(draw):
     return doc
 
 
+def _run_on_stdin(argv, text):
+    out = io.StringIO()
+    with (
+        mock.patch("sys.stdin", io.StringIO(text)),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(io.StringIO()),
+    ):
+        code = main(argv)
+    return code, out.getvalue()
+
+
 @given(mutated_documents())
 @settings(max_examples=200, derandomize=True, deadline=None)
 def test_mutated_documents_end_in_a_documented_exit_code(doc):
+    """Every exit code is documented, and two runs of one document print the
+    same stdout."""
     text = json.dumps(doc)
     for command in FUZZ_COMMANDS:
-        with (
-            mock.patch("sys.stdin", io.StringIO(text)),
-            contextlib.redirect_stdout(io.StringIO()),
-            contextlib.redirect_stderr(io.StringIO()),
-        ):
-            code = main([*command, "--input", "-"])
+        argv = [*command, "--input", "-"]
+        code, out = _run_on_stdin(argv, text)
         assert code in range(6), (command, code)
+        assert _run_on_stdin(argv, text) == (code, out), command
 
 
 # argv fuzz: a base command on a builtin example plus one or two flags, each

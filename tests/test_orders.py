@@ -204,16 +204,25 @@ def test_stabilization_none_within_bound(fractional):
     assert stabilization_multiple(fractional, "G", (1, 1), 2) is None
 
 
-def test_stabilization_skips_levels_where_the_point_is_not_integral(blowup):
+def test_stabilization_skips_levels_where_the_point_is_not_integral(blowup, fractional):
     # k * (3/2, 1) is an integer point only for even k; k = 1 used to raise
     # ValueError from integer_order
     x = (Fraction(3, 2), 1)
     assert asymptotic_order(blowup, "E", x).value == Fraction(1, 2)
     assert integer_order(blowup, "E", x, 2) == Fraction(1, 2)
-    assert stabilization_multiple(blowup, "E", x, 12) == 2
-    assert stabilization_multiple(blowup, "E", x, 1) is None
     third = (Fraction(1, 3), Fraction(1, 2))
-    assert stabilization_multiple(blowup, "E", third, 12) == 6
+    half = (Fraction(1, 2), Fraction(1, 2))
+    # a k_max below the step tries no level
+    for datum, valuation, point, k_max, expected in [
+        (blowup, "E", x, 12, 2),
+        (blowup, "E", x, 1, None),
+        (blowup, "E", third, 12, 6),
+        (blowup, "E", third, 5, None),
+        (fractional, "G", half, 12, 6),
+        (fractional, "G", half, 5, None),
+    ]:
+        assert stabilization_multiple(datum, valuation, point, k_max) == expected
+        assert _reference_stabilization(datum, valuation, point, k_max) == expected
 
 
 def test_integer_order_sandwiches_lp(fractional):
@@ -615,3 +624,113 @@ def test_warm_value_builds_no_certificate(name, monkeypatch):
 def test_integer_order_rejects_non_int_level(blowup, k):
     with pytest.raises(TypeError):
         integer_order(blowup, "E", (1, 1), k)
+
+
+# stabilization_multiple decides each level by a feasibility search over the
+# LP's tight generators; the reference below is the minimising loop it
+# replaced, kept here so that the two stay independent
+
+
+def _reference_stabilization(datum, valuation, x, k_max):
+    lp = asymptotic_order(datum, valuation, x).value
+    step = clear_denominators(x)[1]
+    for k in range(step, k_max + 1, step):
+        if integer_order(datum, valuation, x, k) == lp:
+            return k
+    return None
+
+
+def _generator_sums(datum):
+    degrees = [g.multidegree for g in datum.generators]
+    return sorted({
+        tuple(a + b for a, b in zip(degrees[i], degrees[j]))
+        for i in range(len(degrees)) for j in range(i, len(degrees))
+    })
+
+
+def _without_units(datum):
+    """The datum with its unit-vector generators removed."""
+    generators = tuple(g for g in datum.generators
+                       if sorted(g.multidegree) != [0] * (len(g.multidegree) - 1) + [1])
+    return replace(datum, generators=generators)
+
+
+def _assert_stabilization_matches_reference(datum, points, k_max=12):
+    support = support_cone(datum)
+    for valuation in datum.valuations:
+        for x in points:
+            expected = _reference_stabilization(datum, valuation, x, k_max)
+            got = stabilization_multiple(datum, valuation, x, k_max, support=support)
+            assert got == expected, (valuation, x)
+
+
+@pytest.mark.parametrize("name", sorted(builtin_examples()))
+def test_stabilization_equals_minimising_loop_on_builtin_examples(name):
+    datum = builtin_examples()[name]
+    points = _generator_sums(datum) + [tuple(g.multidegree) for g in datum.generators]
+    _assert_stabilization_matches_reference(datum, points)
+
+
+@pytest.mark.parametrize("seed", range(1, 21))
+@pytest.mark.parametrize("units", [True, False])
+def test_stabilization_equals_minimising_loop_on_corpus(seed, units):
+    datum = _corpus_datum(seed)
+    if not units:
+        datum = _without_units(datum)
+    _assert_stabilization_matches_reference(datum, _generator_sums(datum))
+
+
+@st.composite
+def small_levels_data(draw):
+    """Two-coordinate data with Fraction multiplicities, and a point that is a
+    nonnegative combination of the degrees over a small denominator."""
+    degrees = draw(st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any),
+        min_size=1, max_size=4,
+    ))
+    mults = draw(st.lists(
+        st.builds(Fraction, st.integers(0, 6), st.integers(1, 3)),
+        min_size=len(degrees), max_size=len(degrees),
+    ))
+    coefficients = draw(st.lists(st.integers(0, 2), min_size=len(degrees),
+                                 max_size=len(degrees)))
+    den = draw(st.integers(1, 3))
+    x = tuple(Fraction(sum(c * d[j] for c, d in zip(coefficients, degrees)), den)
+              for j in range(2))
+    datum = RingDatum(
+        r=1,
+        labels=("K", "D1"),
+        generators=tuple(GeneratorDatum(multidegree=d, mults={"E": h})
+                         for d, h in zip(degrees, mults)),
+        valuations=("E",),
+        numerical=NumericalMap(matrix=((Fraction(1), Fraction(0)),), target_dim=1),
+    )
+    return datum, x
+
+
+@given(small_levels_data(), st.integers(1, 8))
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_stabilization_equals_minimising_loop_on_small_data(data, k_max):
+    datum, x = data
+    assert (stabilization_multiple(datum, "E", x, k_max)
+            == _reference_stabilization(datum, "E", x, k_max))
+
+
+def test_stabilization_budget_bounds_the_whole_query(fractional):
+    # levels 1 and 2 fail and level 3 succeeds, in 2, 3 and 2 nodes: a
+    # budget that covers each level alone but not the three together runs out
+    with pytest.raises(BudgetExceeded):
+        stabilization_multiple(fractional, "G", (1, 1), 12, node_budget=4)
+    assert stabilization_multiple(fractional, "G", (1, 1), 12, node_budget=100) == 3
+
+
+@pytest.mark.parametrize("k_max", [True, 12.0, Fraction(12), "12", None])
+def test_stabilization_rejects_non_int_k_max(blowup, k_max):
+    with pytest.raises(TypeError):
+        stabilization_multiple(blowup, "E", (2, 1), k_max)
+
+
+@pytest.mark.parametrize("k_max", [0, -1])
+def test_stabilization_rejects_nonpositive_k_max(blowup, k_max):
+    with pytest.raises(ValueError):
+        stabilization_multiple(blowup, "E", (2, 1), k_max)
