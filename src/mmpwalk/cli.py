@@ -288,9 +288,8 @@ def cmd_oracle(cfg):
         x = _parse_point(text)
         for valuation in datum.valuations:
             lp = asymptotic_order(datum, valuation, x, support=support).value
-            ks = list(range(1, cfg.k_max + 1))
-            values = o_value_oracle(datum, valuation, x, ks, budget=cfg.budget)
-            hit = next((k for k, v in zip(ks, values) if v == lp), None)
+            values = o_value_oracle(datum, valuation, x, range(1, cfg.k_max + 1), cfg.budget)
+            hit = next((k for k, v in enumerate(values, 1) if v == lp), None)
             if any(v is not None and v < lp for v in values):
                 mismatch = True
                 lines.append(f"FAIL {valuation} at {text}: enumeration below LP")

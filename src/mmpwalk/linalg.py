@@ -2,11 +2,11 @@
 
 Vectors are plain tuples of ``int`` or ``Fraction``; all routines are pure
 and allocation-light since the rest of the package calls them in tight
-loops.  All elimination goes through one fraction-free routine,
-``echelon``: rows are made primitive integer vectors, each step is
-``row <- p*row - a*pivot_row`` followed by division by the gcd, and
-``rank``, ``row_reduce``, ``reduce_mod_rowspace``, ``kernel`` and
-``solve_exact`` are built on it.  No ``Fraction`` is built except for
+loops.  The package has one elimination step, ``_eliminate``: on
+primitive integer rows, ``p*row - a*pivot_row`` divided by the gcd.  The
+simplex tableau pivots with it, the fraction-free ``echelon`` is built on
+it, and ``rank``, ``row_reduce``, ``reduce_mod_rowspace``, ``kernel`` and
+``solve_exact`` on ``echelon``.  No ``Fraction`` is built except for
 ``solve_exact``'s result, and an inexact entry such as a float raises
 ``TypeError``.
 """

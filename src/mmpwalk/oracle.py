@@ -81,7 +81,8 @@ def random_instance(spec):
 
 
 def _min_over_integer_representations(degrees, heights, target, budget):
-    """Exhaustive DFS, no pruning beyond feasibility bounds.
+    """Exhaustive DFS, no pruning beyond feasibility bounds.  Returns (best
+    value or None, nodes left).
 
     Deliberately kept independent of the LP and of the smarter
     reduced-cost search.
@@ -113,8 +114,8 @@ def _min_over_integer_representations(degrees, heights, target, budget):
             nodes = recurse(i + 1, rem, cost + a * heights[i], nodes)
         return nodes
 
-    recurse(0, tuple(target), Fraction(0), budget)
-    return best[0]
+    nodes = recurse(0, tuple(target), Fraction(0), budget)
+    return best[0], nodes
 
 
 def o_value_oracle(datum, valuation, x, k_list, budget=ORACLE_NODE_BUDGET):
@@ -122,24 +123,27 @@ def o_value_oracle(datum, valuation, x, k_list, budget=ORACLE_NODE_BUDGET):
     one per requested k; None marks a k where k*x is not an integer point
     or has no integer representation.
 
-    A multiplicity or an entry of ``x`` that is not an ``int`` or a
-    ``Fraction``, such as a float, raises TypeError rather than being
+    Levels are taken one at a time, so ``k_list`` may be a long ``range``,
+    and ``budget`` bounds the whole call: each level costs one node plus
+    its search.  A multiplicity or an entry of ``x`` that is not an ``int``
+    or a ``Fraction``, such as a float, raises TypeError rather than being
     coerced, and so does a level that is not an ``int`` (a float or a
     bool, too).  A level ``k <= 0`` raises ValueError.
     """
-    k_list = list(k_list)
-    for k in k_list:
-        _check_level(k)
     degrees = [tuple(g.multidegree) for g in datum.generators]
     heights = _mults(datum, valuation)
     xs, x_den = clear_denominators(x)
     out = []
     for k in k_list:
+        _check_level(k)
+        if budget <= 0:
+            raise BudgetExceeded("oracle enumeration budget exhausted")
+        budget -= 1
         if any(v * k % x_den for v in xs):
             out.append(None)
             continue
         target = tuple(v * k // x_den for v in xs)
-        best = _min_over_integer_representations(degrees, heights, target, budget)
+        best, budget = _min_over_integer_representations(degrees, heights, target, budget)
         out.append(None if best is None else best / k)
     return tuple(out)
 

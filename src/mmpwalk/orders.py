@@ -36,7 +36,7 @@ from .cones import cone_from_rays, common_refinement, hyperplane_refinement, mak
 from .errors import BudgetExceeded, DimensionError, InconsistentInput, OutsideSupport
 from .linalg import clear_denominators, dot
 from .ring import support_cone
-from .simplex import DEFAULT_PIVOT_CAP, INFEASIBLE, solve_min
+from .simplex import INFEASIBLE, solve_min
 
 DEFAULT_NODE_BUDGET = 2_000_000
 
@@ -83,7 +83,7 @@ def _mults(datum, valuation):
     return mults
 
 
-def asymptotic_order(datum, valuation, x, support=None, pivot_cap=DEFAULT_PIVOT_CAP):
+def asymptotic_order(datum, valuation, x, support=None):
     """Exact order of vanishing at ``x``: min of generator multiplicities
     over all nonnegative rational representations of ``x``.
 
@@ -92,7 +92,7 @@ def asymptotic_order(datum, valuation, x, support=None, pivot_cap=DEFAULT_PIVOT_
     OutsideSupport (distinct from value 0).  ``support``, when given, must
     be the datum's support cone (see ``OrderFunction``).
     """
-    return OrderFunction(datum, valuation, support, pivot_cap).certificate(x)
+    return OrderFunction(datum, valuation, support).certificate(x)
 
 
 class OrderFunction:
@@ -116,13 +116,12 @@ class OrderFunction:
     against ``support``.
     """
 
-    __slots__ = ("degrees", "mults", "support", "pivot_cap", "bases")
+    __slots__ = ("degrees", "mults", "support", "bases")
 
-    def __init__(self, datum, valuation, support=None, pivot_cap=DEFAULT_PIVOT_CAP):
+    def __init__(self, datum, valuation, support=None):
         self.support = support_cone(datum) if support is None else support
         self.degrees = tuple([tuple(g.multidegree) for g in datum.generators])
         self.mults = _mults(datum, valuation)
-        self.pivot_cap = pivot_cap
         # the heights as ints over one denominator: a key of ints, which
         # hash fast, and the same key for equal multiplicities of any type
         self.bases = _optimal_bases(self.degrees, *clear_denominators(self.mults))
@@ -210,14 +209,13 @@ class OrderFunction:
 
     def _solve(self, x):
         """Solve the LP at ``x`` from scratch and keep its optimal basis."""
-        heights = [Fraction(h) for h in self.mults]
-        A = [[Fraction(d[row]) for d in self.degrees] for row in range(len(x))]
-        result = solve_min(A, [Fraction(v) for v in x], heights, self.pivot_cap)
+        A = [[d[row] for d in self.degrees] for row in range(len(x))]
+        result = solve_min(A, x, self.mults)
         if result is INFEASIBLE:
             # contains() passed, so this is unreachable for consistent cones
             raise OutsideSupport(f"no representation of {tuple(x)} over the generators")
         value, witness, basis = result
-        entry = _cached_basis(basis, heights, len(x))
+        entry = _cached_basis(basis, self.mults, len(x))
         self.bases.add(entry)
         return value, witness, entry
 
@@ -567,7 +565,7 @@ def stabilization_multiple(datum, valuation, x, k_max, support=None,
     an integer point, the multiples of x's common denominator, are tried.
 
     Decided by complementary slackness, without minimising.  Let y be the
-    LP's optimal dual (``asymptotic_order(...).dual``), so ``y . d_i <= h_i``
+    LP's optimal dual, read off the basis optimal at x, so ``y . d_i <= h_i``
     for every generator.  A representation a of k*x costs
     ``sum a_i h_i >= y . k x = k LP(x)``, with equality exactly when
     ``a_i > 0`` only on the tight generators, those with ``y . d_i == h_i``.
@@ -581,13 +579,15 @@ def stabilization_multiple(datum, valuation, x, k_max, support=None,
     TypeError, and ``k_max <= 0`` ValueError.
     """
     _check_level(k_max, "k_max")
-    ys, y_den = clear_denominators(asymptotic_order(datum, valuation, x, support=support).dual)
-    hs, h_den = clear_denominators(_mults(datum, valuation))
-    tight = [
-        d for d, h in zip((tuple(g.multidegree) for g in datum.generators), hs)
-        if any(d) and dot(ys, d) * h_den == h * y_den
-    ]
+    order = OrderFunction(datum, valuation, support)
     xs, step = clear_denominators(x)
+    hit = order._certified(x, xs, step)
+    entry = order._solve(x)[2] if hit is None else hit[1]
+    hs, h_den = clear_denominators(order.mults)
+    tight = [
+        d for d, h in zip(order.degrees, hs)
+        if any(d) and dot(entry.dual_num, d) * h_den == h * entry.dual_den
+    ]
     failed = set()
     nodes = node_budget
     for k in range(step, k_max + 1, step):

@@ -2,9 +2,12 @@
 
 Solves ``min c.x  s.t.  A x = b, x >= 0`` in standard form.  Bland's rule
 (smallest eligible index, smallest-index tie break in the ratio test)
-makes the method cycling-free, and all pivots are Fraction-exact.  A solve
-returns an optimal basic solution together with its final basis and the
-basis inverse, read off the artificial columns of the tableau, so a caller
+makes the method cycling-free.  The tableau is fraction-free: each row, the
+cost row included, is a primitive integer vector and a positive multiple
+of its exact row, and each pivot is ``linalg._eliminate``.  Signs and
+cross-multiplied ratios do not depend on a row's scale, so the pivots are
+the exact ones.  A solve returns an optimal basic solution with its final
+basis and the basis inverse, read off the artificial columns, so a caller
 can reuse the basis for another right-hand side and certify it there.
 """
 
@@ -12,6 +15,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import BudgetExceeded
+from .linalg import _eliminate, clear_denominators, primitive, vneg
 
 INFEASIBLE = object()
 UNBOUNDED = object()
@@ -34,44 +38,35 @@ class Basis(NamedTuple):
 
 
 def _pivot(tableau, basis, row, col):
-    # zero entries are skipped: the tableau is sparse, and a Fraction
-    # operation costs far more than the test
-    pv = tableau[row][col]
-    pivot_row = [v / pv if v else v for v in tableau[row]]
-    tableau[row] = pivot_row
+    # negating a pivot row with a negative entry keeps every row, the cost
+    # row last among them, a positive multiple of its exact row
+    pivot_row = tableau[row]
+    if pivot_row[col] < 0:
+        pivot_row = tableau[row] = vneg(pivot_row)
     for i, r in enumerate(tableau):
-        if i != row and r[col] != 0:
-            f = r[col]
-            tableau[i] = [a - f * b if b else a for a, b in zip(r, pivot_row)]
+        if i != row and r[col]:
+            tableau[i] = _eliminate(r, pivot_row, col)
     basis[row] = col
 
 
-def _run(tableau, basis, costs, allowed, cap):
+def _run(tableau, basis, allowed, cap):
     """Bland iterations until optimal; returns remaining pivot budget."""
-    m = len(tableau)
     while True:
-        duals = [(i, costs[basis[i]]) for i in range(m) if costs[basis[i]]]
-        entering = None
-        for j in allowed:
-            if j in basis:
-                continue
-            reduced = costs[j] - sum(d * tableau[i][j] for i, d in duals)
-            if reduced < 0:
-                entering = j
-                break
+        cost = tableau[-1]
+        entering = next((j for j in allowed if cost[j] < 0), None)
         if entering is None:
             return cap
         leaving = None
-        best = None
-        for i in range(m):
-            coeff = tableau[i][entering]
-            if coeff > 0:
-                ratio = tableau[i][-1] / coeff
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leaving]
-                ):
-                    best = ratio
-                    leaving = i
+        for i in range(len(basis)):
+            row = tableau[i]
+            if row[entering] > 0:
+                if leaving is not None:
+                    # row[-1] / row[entering] against the best ratio so far
+                    best = tableau[leaving]
+                    lhs, rhs = row[-1] * best[entering], best[-1] * row[entering]
+                    if lhs > rhs or (lhs == rhs and basis[i] > basis[leaving]):
+                        continue
+                leaving = i
         if leaving is None:
             return UNBOUNDED
         if cap <= 0:
@@ -80,68 +75,65 @@ def _run(tableau, basis, costs, allowed, cap):
         _pivot(tableau, basis, leaving, entering)
 
 
+def _cost_row(costs, tableau, basis):
+    """A positive multiple of the reduced costs, the negated objective last:
+    each basic column is cleared with its row, whose basic entry is > 0."""
+    row = costs
+    for i, col in enumerate(basis):
+        if row[col]:
+            row = _eliminate(row, tableau[i], col)
+    return row
+
+
 def solve_min(A, b, c, pivot_cap=DEFAULT_PIVOT_CAP):
     """Minimize ``c.x`` over ``{A x = b, x >= 0}``.
 
-    Returns ``(value, x, basis)`` with a basic optimal solution ``x`` and its
-    ``Basis``, ``INFEASIBLE``, or ``UNBOUNDED``.  Raises BudgetExceeded when
-    the pivot cap runs out.
+    Entries are ``int`` or ``Fraction``.  Returns ``(value, x, basis)`` with
+    a basic optimal solution ``x`` and its ``Basis``, ``INFEASIBLE``, or
+    ``UNBOUNDED``.  Raises BudgetExceeded when the pivot cap runs out.
     """
     m = len(A)
     n = len(c)
-    rows = []
-    rhs = []
-    signs = []
-    for i in range(m):
-        row = [Fraction(x) for x in A[i]]
-        bi = Fraction(b[i])
-        signs.append(-1 if bi < 0 else 1)
-        if bi < 0:
-            row = [-x for x in row]
-            bi = -bi
-        rows.append(row)
-        rhs.append(bi)
-    # phase 1: artificials form the starting basis
-    tableau = []
-    for i in range(m):
-        art = [Fraction(0)] * m
-        art[i] = Fraction(1)
-        tableau.append(rows[i] + art + [rhs[i]])
+    signs = [-1 if bi < 0 else 1 for bi in b]
+    # phase 1: artificials form the starting basis, rows with b < 0 negated
+    tableau = [
+        primitive([s * v for v in A[i]] + [int(i == k) for k in range(m)] + [s * b[i]])
+        for i, s in enumerate(signs)
+    ]
     basis = [n + i for i in range(m)]
-    costs1 = [Fraction(0)] * n + [Fraction(1)] * m
-    cap = _run(tableau, basis, costs1, range(n + m), pivot_cap)
+    tableau.append(_cost_row([0] * n + [1] * m + [0], tableau, basis))
+    cap = _run(tableau, basis, range(n + m), pivot_cap)
     if cap is UNBOUNDED:  # cannot happen: phase-1 objective is bounded below
         raise AssertionError("phase 1 unbounded")
-    objective = sum(costs1[basis[i]] * tableau[i][-1] for i in range(m))
-    if objective > 0:
+    if tableau.pop()[-1] < 0:  # the negated phase-1 objective
         return INFEASIBLE
     # drive remaining artificials out of the basis; drop redundant rows
     keep = []
     for i in range(m):
-        if basis[i] < n:
-            keep.append(i)
-            continue
-        col = next((j for j in range(n) if tableau[i][j] != 0), None)
-        if col is None:
-            continue  # redundant constraint row
-        _pivot(tableau, basis, i, col)
+        if basis[i] >= n:
+            col = next((j for j in range(n) if tableau[i][j] != 0), None)
+            if col is None:
+                continue  # redundant constraint row
+            _pivot(tableau, basis, i, col)
         keep.append(i)
     # a row whose artificial stays basic is redundant; the other rows'
     # artificial columns hold B^-1, and pivots keep them up to date
     redundant = {basis[i] - n for i in range(m) if basis[i] >= n}
     kept_rows = [k for k in range(m) if k not in redundant]
-    tableau = [tableau[i][:n] + [tableau[i][n + k] for k in kept_rows] + [tableau[i][-1]]
-               for i in keep]
+    cols = [*range(n), *(n + k for k in kept_rows), -1]
+    tableau = [primitive([tableau[i][j] for j in cols]) for i in keep]
     basis = [basis[i] for i in keep]
-    costs2 = [Fraction(x) for x in c]
-    cap = _run(tableau, basis, costs2, range(n), cap)
+    costs, _ = clear_denominators(c)
+    tableau.append(_cost_row(list(costs) + [0] * (len(kept_rows) + 1), tableau, basis))
+    cap = _run(tableau, basis, range(n), cap)
     if cap is UNBOUNDED:
         return UNBOUNDED
     x = [Fraction(0)] * n
-    for i, bv in enumerate(basis):
-        x[bv] = tableau[i][-1]
-    value = sum(costs2[j] * x[j] for j in range(n))
+    for row, bv in zip(tableau, basis):
+        x[bv] = Fraction(row[-1], row[bv])
+    value = sum(c[j] * x[j] for j in range(n))
     inverse = tuple(
-        tuple(row[n + j] * signs[k] for j, k in enumerate(kept_rows)) for row in tableau
+        tuple(Fraction(row[n + j] * signs[k], row[bv]) for j, k in enumerate(kept_rows))
+        for row, bv in zip(tableau, basis)
     )
     return value, tuple(x), Basis(tuple(kept_rows), tuple(basis), inverse)

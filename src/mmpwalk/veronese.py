@@ -15,7 +15,7 @@ fan construction, not at the input.
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 from .errors import BudgetExceeded, NotFoundError
 from .linalg import clear_denominators, echelon, rank
@@ -248,7 +248,8 @@ def grid_additivity_check(datum, fan, dscale=1, depth=3,
     """Verify order additivity on scaled monoid-generator combinations of
     every cell, for every tracked valuation.
 
-    Per-cell enumeration problems (box too large, too many generators) are
+    Per-cell problems (a box, or a grid of exponent vectors counted before
+    any is built, over ``lattice_budget``; too many generators) are
     reported, not fatal.  Each valuation's order function is set up once,
     and with an integer ``dscale`` every point is an integer vector.
     """
@@ -258,15 +259,17 @@ def grid_additivity_check(datum, fan, dscale=1, depth=3,
     for ci, cell in enumerate(fan.cells):
         try:
             gens = monoid_generators(cell, lattice_budget)
+            truncated = len(gens) > max_generators
+            gens = gens[:max_generators]
+            count = comb(depth + len(gens), len(gens)) - 1
+            if count > lattice_budget:
+                raise BudgetExceeded(f"grid has {count} exponent vectors")
         except BudgetExceeded as exc:
             for valuation in datum.valuations:
                 report.entries.append(
                     CellReport(ci, valuation, (), skipped=str(exc))
                 )
             continue
-        truncated = len(gens) > max_generators
-        if truncated:
-            gens = gens[:max_generators]
         scaled = [tuple(dscale * x for x in g) for g in gens]
         checks = [
             (p, tuple(sum(pj * g[j] for pj, g in zip(p, scaled))

@@ -276,6 +276,23 @@ def test_oracle_command(capsys):
     assert out.count("OK") == 2
 
 
+def test_oracle_budget_bounds_all_levels(capsys):
+    # the levels are taken one at a time and one budget bounds them all:
+    # a billion levels end in BudgetExceeded, not a MemoryError traceback
+    code, out, err = run(
+        capsys, "oracle", "--example", "blowup-P2", "--point", "1,1",
+        "--k-max", "1000000000", "--budget", "20000",
+    )
+    assert code == 4
+    assert out == "" and err == "error: oracle enumeration budget exhausted\n"
+
+
+def test_check_skips_a_grid_over_the_lattice_budget(capsys):
+    code, out, _ = run(capsys, "check", "--example", "blowup-P2", "--grid-depth", "5000")
+    assert code == 0
+    assert "note: grid additivity: 2 cell/valuation pairs, 2 skipped\n" in out
+
+
 def test_oracle_requires_points(capsys):
     code, _, _ = run(capsys, "oracle", "--example", "blowup-P2")
     assert code == 2

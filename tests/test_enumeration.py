@@ -152,5 +152,5 @@ def test_both_searches_match_references_and_oracle_with_units(data, budget):
     reduced = _assert_same_search(
         _reduced_min, _reference_reduced_min, (degrees, hs, units, target), budget)
     plain = _assert_same_search(_enumerate_min, _reference_enumerate_min, data, budget)
-    oracle = _min_over_integer_representations(degrees, hs, target, BUDGET)
+    oracle, _ = _min_over_integer_representations(degrees, hs, target, BUDGET)
     assert reduced == plain == oracle

@@ -137,6 +137,25 @@ def test_oracle_budget():
         o_value_oracle(datum, "E", (20, 20), [12], budget=5)
 
 
+def test_oracle_budget_bounds_the_whole_call():
+    # each level 1..8 at (1, 1) fits in 256 nodes on its own, all eight do not
+    datum = builtin_examples()["blowup-P2"]
+    for k in range(1, 9):
+        assert o_value_oracle(datum, "E", (1, 1), [k], budget=256) == (0,)
+    with pytest.raises(BudgetExceeded):
+        o_value_oracle(datum, "E", (1, 1), range(1, 9), budget=256)
+
+
+@pytest.mark.parametrize("x", [(1, 1), (Fraction(1, 10**6), 1)])
+def test_oracle_takes_levels_lazily(x):
+    # a billion levels are neither listed nor checked up front: the budget
+    # runs out first, also where k*x is not an integer point and no search
+    # runs, since every level costs a node
+    datum = builtin_examples()["blowup-P2"]
+    with pytest.raises(BudgetExceeded):
+        o_value_oracle(datum, "E", x, range(1, 10**9 + 1), budget=10_000)
+
+
 def test_builtin_catalog_contents():
     catalog = builtin_examples()
     assert set(catalog) == {"blowup-P2", "quadrant-trivial", "fractional-vertex"}

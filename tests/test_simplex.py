@@ -3,9 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mmpwalk import InstanceSpec, random_instance, simplex
 from mmpwalk.errors import BudgetExceeded
-from mmpwalk.simplex import INFEASIBLE, UNBOUNDED, solve_min
+from mmpwalk.simplex import DEFAULT_PIVOT_CAP, INFEASIBLE, UNBOUNDED, Basis, solve_min
 
 
 def F(x):
@@ -104,3 +107,234 @@ def test_basis_inverse_reproduces_solution(A, b, c):
     ]
     size = len(basis.cols)
     assert product == [[int(i == j) for j in range(size)] for i in range(size)]
+
+
+# The Fraction Gauss-Jordan solver that the fraction-free tableau replaced,
+# kept as a reference: the integer tableau must take the same pivots and
+# return the same results.
+
+
+def _reference_pivot(tableau, basis, row, col):
+    pv = tableau[row][col]
+    pivot_row = [v / pv if v else v for v in tableau[row]]
+    tableau[row] = pivot_row
+    for i, r in enumerate(tableau):
+        if i != row and r[col] != 0:
+            f = r[col]
+            tableau[i] = [a - f * b if b else a for a, b in zip(r, pivot_row)]
+    basis[row] = col
+
+
+def _reference_run(tableau, basis, costs, allowed, cap, pivots):
+    m = len(tableau)
+    while True:
+        duals = [(i, costs[basis[i]]) for i in range(m) if costs[basis[i]]]
+        entering = None
+        for j in allowed:
+            if j in basis:
+                continue
+            reduced = costs[j] - sum(d * tableau[i][j] for i, d in duals)
+            if reduced < 0:
+                entering = j
+                break
+        if entering is None:
+            return cap
+        leaving = None
+        best = None
+        for i in range(m):
+            coeff = tableau[i][entering]
+            if coeff > 0:
+                ratio = tableau[i][-1] / coeff
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leaving]
+                ):
+                    best = ratio
+                    leaving = i
+        if leaving is None:
+            return UNBOUNDED
+        if cap <= 0:
+            raise BudgetExceeded("simplex pivot budget exhausted")
+        cap -= 1
+        pivots.append((leaving, entering))
+        _reference_pivot(tableau, basis, leaving, entering)
+
+
+def _reference_solve_min(A, b, c, pivot_cap=DEFAULT_PIVOT_CAP, pivots=None):
+    """The replaced solver; appends each pivot (row, column) to ``pivots``."""
+    pivots = [] if pivots is None else pivots
+    m = len(A)
+    n = len(c)
+    rows = []
+    rhs = []
+    signs = []
+    for i in range(m):
+        row = [Fraction(x) for x in A[i]]
+        bi = Fraction(b[i])
+        signs.append(-1 if bi < 0 else 1)
+        if bi < 0:
+            row = [-x for x in row]
+            bi = -bi
+        rows.append(row)
+        rhs.append(bi)
+    tableau = []
+    for i in range(m):
+        art = [Fraction(0)] * m
+        art[i] = Fraction(1)
+        tableau.append(rows[i] + art + [rhs[i]])
+    basis = [n + i for i in range(m)]
+    costs1 = [Fraction(0)] * n + [Fraction(1)] * m
+    cap = _reference_run(tableau, basis, costs1, range(n + m), pivot_cap, pivots)
+    objective = sum(costs1[basis[i]] * tableau[i][-1] for i in range(m))
+    if objective > 0:
+        return INFEASIBLE
+    keep = []
+    for i in range(m):
+        if basis[i] < n:
+            keep.append(i)
+            continue
+        col = next((j for j in range(n) if tableau[i][j] != 0), None)
+        if col is None:
+            continue
+        pivots.append((i, col))
+        _reference_pivot(tableau, basis, i, col)
+        keep.append(i)
+    redundant = {basis[i] - n for i in range(m) if basis[i] >= n}
+    kept_rows = [k for k in range(m) if k not in redundant]
+    tableau = [tableau[i][:n] + [tableau[i][n + k] for k in kept_rows] + [tableau[i][-1]]
+               for i in keep]
+    basis = [basis[i] for i in keep]
+    costs2 = [Fraction(x) for x in c]
+    cap = _reference_run(tableau, basis, costs2, range(n), cap, pivots)
+    if cap is UNBOUNDED:
+        return UNBOUNDED
+    x = [Fraction(0)] * n
+    for i, bv in enumerate(basis):
+        x[bv] = tableau[i][-1]
+    value = sum(costs2[j] * x[j] for j in range(n))
+    inverse = tuple(
+        tuple(row[n + j] * signs[k] for j, k in enumerate(kept_rows)) for row in tableau
+    )
+    return value, tuple(x), Basis(tuple(kept_rows), tuple(basis), inverse)
+
+
+def _solve_checking_ints(A, b, c, pivot_cap=DEFAULT_PIVOT_CAP):
+    """``solve_min`` with ``simplex._pivot`` wrapped: every tableau entry
+    must be an ``int`` before and after each pivot.  Returns the result, or
+    the raised BudgetExceeded, and the pivots (row, column) taken."""
+    pivots = []
+    original = simplex._pivot
+
+    def pivot(tableau, basis, row, col):
+        assert all(type(v) is int for r in tableau for v in r)
+        pivots.append((row, col))
+        original(tableau, basis, row, col)
+        assert all(type(v) is int for r in tableau for v in r)
+
+    simplex._pivot = pivot
+    try:
+        result = solve_min(A, b, c, pivot_cap)
+    except BudgetExceeded as exc:
+        result = exc
+    finally:
+        simplex._pivot = original
+    return result, pivots
+
+
+def _assert_matches_reference(A, b, c, pivot_cap=DEFAULT_PIVOT_CAP):
+    """Same value, ``x``, ``Basis`` (and types) and pivot sequence as the
+    replaced solver; returns the result."""
+    expected_pivots = []
+    try:
+        expected = _reference_solve_min(A, b, c, pivot_cap, expected_pivots)
+    except BudgetExceeded as exc:
+        expected = exc
+    result, pivots = _solve_checking_ints(A, b, c, pivot_cap)
+    assert pivots == expected_pivots
+    if isinstance(expected, BudgetExceeded):
+        assert isinstance(result, BudgetExceeded)
+    elif expected in (INFEASIBLE, UNBOUNDED):
+        assert result is expected
+    else:
+        assert result == expected
+        value, x, basis = result
+        assert type(value) is type(expected[0])
+        assert all(type(v) is Fraction for v in x)
+        assert all(type(v) is Fraction for row in basis.inverse for v in row)
+    return result
+
+
+@st.composite
+def _lps(draw):
+    """Small LPs with negative right-hand sides, dependent rows (redundant
+    or inconsistent), zeros that make degenerate ratio ties, ``Fraction``
+    rows and costs, and sometimes a small pivot cap."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 5))
+    A = [draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)) for _ in range(m)]
+    # zero about half the time: degenerate ties, artificials left basic at 0
+    b = draw(st.lists(st.just(0) | st.integers(-4, 4), min_size=m, max_size=m))
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, len(A) - 1)), draw(st.integers(0, len(A) - 1))
+        p, q = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        A.append([p * u + q * v for u, v in zip(A[i], A[j])])
+        b.append(p * b[i] + q * b[j] + draw(st.sampled_from([0, 0, 0, 1])))
+    for i in range(len(A)):
+        den = draw(st.integers(1, 3))
+        A[i] = [Fraction(v, den) for v in A[i]]
+        b[i] = Fraction(b[i], den)
+    c = draw(st.lists(st.fractions(-3, 3, max_denominator=4), min_size=n, max_size=n))
+    cap = draw(st.sampled_from([DEFAULT_PIVOT_CAP] * 4 + [0, 1, 2]))
+    return A, b, c, cap
+
+
+@given(_lps())
+@settings(max_examples=250, derandomize=True, deadline=None)
+def test_matches_fraction_reference(lp):
+    _assert_matches_reference(*lp)
+
+
+def test_reference_cases_cover_every_outcome():
+    # the fixed cases above, each outcome at least once
+    outcomes = [
+        _assert_matches_reference([[1, 1]], [-1], [1, 1]),
+        _assert_matches_reference([[1, -1]], [0], [-1, 0]),
+        _assert_matches_reference([[F(1), F(1)], [F(2), F(2)]], [F(4), F(8)], [F(3), F(1)]),
+        _assert_matches_reference([[1, 1]], [3], [1, 2], pivot_cap=0),
+    ]
+    assert outcomes[0] is INFEASIBLE and outcomes[1] is UNBOUNDED
+    assert outcomes[2][0] == 4 and isinstance(outcomes[3], BudgetExceeded)
+
+
+def _corpus_lps(seed):
+    """The order LPs of a corpus instance, with and without its unit-vector
+    generators: sums of two generator degrees, their thirds and the unit
+    vectors (outside the support of some unit-free data) as right-hand
+    sides, once per valuation."""
+    r = (1, 1, 2, 2, 3)[seed % 5]
+    datum = random_instance(InstanceSpec(
+        r=r,
+        generator_count={1: 6, 2: 6, 3: 5}[r],
+        valuation_count={1: 4, 2: 3, 3: 2}[r],
+        coordinate_bound=4,
+        seed=seed,
+    ))
+    n = r + 1
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    full = list(datum.generators)
+    for generators in (full, [g for g in full if tuple(g.multidegree) not in units]):
+        degrees = [tuple(g.multidegree) for g in generators]
+        points = [tuple(u + v for u, v in zip(d, e)) for d in degrees for e in degrees]
+        points += [tuple(Fraction(v, 3) for v in p) for p in points[::3]] + units
+        A = [[d[row] for d in degrees] for row in range(n)]
+        for valuation in datum.valuations:
+            c = [g.mults[valuation] for g in generators]
+            for x in points:
+                yield A, list(x), c
+
+
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_corpus_lps_match_fraction_reference(seed):
+    outcomes = {_assert_matches_reference(*lp) in (INFEASIBLE, UNBOUNDED)
+                for lp in _corpus_lps(seed)}
+    assert False in outcomes
+

@@ -190,6 +190,35 @@ def test_grid_additivity_budget_is_reported_not_fatal():
     assert report.ok()  # skips are not failures
 
 
+def test_grid_over_budget_is_skipped_before_a_vector_is_built(monkeypatch):
+    # depth 5000 on a cell of k generators is comb(5000 + k, k) - 1 exponent
+    # vectors; they are counted, not built, and the cell is skipped
+    datum = builtin_examples()["blowup-P2"]
+    fan = chamber_fan(datum)
+
+    def no_vectors(count, depth):
+        raise AssertionError("exponent vectors built")
+
+    monkeypatch.setattr(veronese, "_exponent_vectors", no_vectors)
+    report = grid_additivity_check(datum, fan, depth=5000)
+    assert len(report.entries) == len(fan.cells)
+    for e in report.entries:
+        k = len(monoid_generators(fan.cells[e.cell_index]))
+        assert e.skipped == f"grid has {math.comb(5000 + k, k) - 1} exponent vectors"
+        assert e.checks == []
+
+
+def test_grid_budget_counts_exponent_vectors():
+    # both cells of blowup-P2 have two generators: 9 vectors at depth 3, in
+    # a box of 6 lattice points
+    datum = builtin_examples()["blowup-P2"]
+    fan = chamber_fan(datum)
+    fits = grid_additivity_check(datum, fan, depth=3, lattice_budget=9)
+    assert all(not e.skipped and len(e.checks) == 9 for e in fits.entries)
+    over = grid_additivity_check(datum, fan, depth=3, lattice_budget=8)
+    assert all(e.skipped == "grid has 9 exponent vectors" for e in over.entries)
+
+
 def reference_grid_additivity(datum, fan, dscale, depth, lattice_budget):
     """The grid check as it was before order functions, kept as its
     reference: one ``asymptotic_order`` query per point, on ``Fraction``
