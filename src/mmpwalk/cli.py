@@ -339,7 +339,12 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.budget is None:
-        args.budget = int(os.environ.get("MMPW_BUDGET", "2000000"))
+        text = os.environ.get("MMPW_BUDGET", "2000000")
+        try:
+            args.budget = int(text)
+        except ValueError:
+            print(f"error: MMPW_BUDGET must be an integer, got {text!r}", file=sys.stderr)
+            return EXIT_PARSE
     if min(args.budget, args.k_max, args.grid_depth, args.m_max) <= 0:
         print(
             "error: --budget, --k-max, --grid-depth and --m-max must be positive",

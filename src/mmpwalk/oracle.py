@@ -80,9 +80,10 @@ def random_instance(spec):
     )
 
 
-def _min_over_integer_representations(degrees, heights, target, budget):
-    """Exhaustive DFS, no pruning beyond feasibility bounds.  Returns (best
-    value or None, nodes left).
+def _min_over_integer_representations(degrees, costs, target, budget):
+    """Exhaustive DFS, no pruning beyond feasibility bounds.  Returns (the
+    least total of ``costs`` or None, nodes left); ``o_value_oracle``
+    passes ints, so the sums are int additions.
 
     Deliberately kept independent of the LP and of the smarter
     reduced-cost search.
@@ -111,10 +112,10 @@ def _min_over_integer_representations(degrees, heights, target, budget):
             return recurse(i + 1, remaining, cost, nodes)
         for a in range(bound, -1, -1):
             rem = tuple(r - a * dj for r, dj in zip(remaining, d))
-            nodes = recurse(i + 1, rem, cost + a * heights[i], nodes)
+            nodes = recurse(i + 1, rem, cost + a * costs[i], nodes)
         return nodes
 
-    nodes = recurse(0, tuple(target), Fraction(0), budget)
+    nodes = recurse(0, tuple(target), 0, budget)
     return best[0], nodes
 
 
@@ -131,7 +132,9 @@ def o_value_oracle(datum, valuation, x, k_list, budget=ORACLE_NODE_BUDGET):
     bool, too).  A level ``k <= 0`` raises ValueError.
     """
     degrees = [tuple(g.multidegree) for g in datum.generators]
-    heights = _mults(datum, valuation)
+    # the search adds ints; each value is divided by the heights' common
+    # denominator at the end
+    costs, den = clear_denominators(_mults(datum, valuation))
     xs, x_den = clear_denominators(x)
     out = []
     for k in k_list:
@@ -143,8 +146,8 @@ def o_value_oracle(datum, valuation, x, k_list, budget=ORACLE_NODE_BUDGET):
             out.append(None)
             continue
         target = tuple(v * k // x_den for v in xs)
-        best, budget = _min_over_integer_representations(degrees, heights, target, budget)
-        out.append(None if best is None else best / k)
+        best, budget = _min_over_integer_representations(degrees, costs, target, budget)
+        out.append(None if best is None else Fraction(best, den * k))
     return tuple(out)
 
 

@@ -11,26 +11,25 @@ checks compare them with LP values from ``simplex``.
 
 Queries go through an ``OrderFunction``, one object per (datum,
 valuation) that holds the integer degrees, the multiplicities, the support
-cone and the optimal bases of earlier solves of its LP.  The optimal basis
-is constant on each linearity domain, so a query is answered from a kept
-basis when LP duality certifies it optimal there, and solved from scratch
-otherwise; only a solve adds a basis.  The basis that certified the last
-query is tried first, which answers a run of queries in one chamber with
-one integer feasibility test each; the support cone is tested only when no
-kept basis answers, before the solve.  ``value(x)`` returns the exact order
-and nothing else, for callers that make many queries, such as the checks;
-``certificate(x)`` returns it as an ``OValue`` with a witness and the dual
-that certifies it.  ``asymptotic_order`` is ``certificate`` on a fresh
-object.  Values are exact and unique either way.  When several optimal
-vertices tie, which witness is returned depends on the earlier queries of
-the process.
+cone and the optimal bases of earlier solves of its LP, each a
+``simplex.Basis`` with B^-1 and the dual in integers.  The optimal basis is
+constant on each linearity domain, so every query takes one path: the kept
+bases are scanned, most recently certified first, and the first that LP
+duality certifies optimal at the point answers it.  A run of queries in one
+chamber thus costs one integer feasibility test each.  Only when no kept
+basis answers is the support cone tested and the LP solved; the new basis
+goes in front and answers like a kept one.  ``value(x)`` returns the
+exact order and nothing else, for callers that make many queries, such as
+the checks; ``certificate(x)`` returns it as an ``OValue`` with a witness
+and the dual that certifies it.  ``asymptotic_order`` is ``certificate``
+on a fresh object.  Values are exact and unique either way.  When several
+optimal vertices tie, which witness is returned depends on the earlier
+queries of the process.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
-from typing import NamedTuple
 
 from .cones import cone_from_rays, common_refinement, hyperplane_refinement, make_fan
 from .errors import BudgetExceeded, DimensionError, InconsistentInput, OutsideSupport
@@ -99,13 +98,13 @@ class OrderFunction:
     """The order function of one valuation on one datum, set up once for
     many queries.
 
-    Holds the integer degrees, the multiplicities, the support cone and the
-    bases kept for these LP data (``_KeptBases``, shared with every other
-    query on them).  ``value(x)`` is the exact order at ``x``;
+    Holds the integer degrees, the multiplicities, the heights (the
+    multiplicities as ints over one denominator), the support cone and the
+    optimal ``Basis`` list kept for these LP data, shared with every other
+    query on them.  ``value(x)`` is the exact order at ``x``;
     ``certificate(x)`` is the same value as an ``OValue``, with a witness
-    and a dual.  Both answer from one search over the kept bases, which
-    certifies a basis optimal at ``x`` by LP duality, and solve the LP only
-    when none is; only a solve adds a basis.  A point outside the closed
+    and a dual.  Both answer from the one basis that ``_basis`` finds
+    optimal at ``x``, kept or newly solved.  A point outside the closed
     support cone raises OutsideSupport from both, and a point of another
     dimension DimensionError.
 
@@ -116,51 +115,49 @@ class OrderFunction:
     against ``support``.
     """
 
-    __slots__ = ("degrees", "mults", "support", "bases")
+    __slots__ = ("degrees", "mults", "heights", "support", "bases")
 
     def __init__(self, datum, valuation, support=None):
         self.support = support_cone(datum) if support is None else support
         self.degrees = tuple([tuple(g.multidegree) for g in datum.generators])
         self.mults = _mults(datum, valuation)
-        # the heights as ints over one denominator: a key of ints, which
-        # hash fast, and the same key for equal multiplicities of any type
-        self.bases = _optimal_bases(self.degrees, *clear_denominators(self.mults))
+        # ints over one denominator: a key of ints, which hash fast, and the
+        # same key for equal multiplicities of any type
+        self.heights = clear_denominators(self.mults)
+        self.bases = _optimal_bases(self.degrees, *self.heights)
 
     def value(self, x):
         """The order at ``x`` as a ``Fraction``; builds no witness or dual."""
-        hit = self._certified(x, *clear_denominators(x))
-        if hit is None:
-            return self._solve(x)[0]
-        return hit[0]
+        xs, x_den = clear_denominators(x)
+        basis, _ = self._basis(x, xs, x_den)
+        return Fraction(dot(basis.dual_num, xs), basis.dual_den * x_den)
 
     def certificate(self, x):
-        """The order at ``x`` as an ``OValue``.  After a solve the witness is
-        the solver's own; from a kept basis it is that basis's solution."""
+        """The order at ``x`` as an ``OValue``: the witness is the optimal
+        basis's solution at ``x`` and the dual is that basis's."""
         xs, x_den = clear_denominators(x)
-        hit = self._certified(x, xs, x_den)
-        if hit is None:
-            value, witness, entry = self._solve(x)
-            return OValue(value, witness, _dual(entry))
-        value, entry, z = hit
+        basis, z = self._basis(x, xs, x_den)
         witness = [Fraction(0)] * len(self.degrees)
-        for col, v in zip(entry.cols, z):
-            witness[col] = Fraction(v, entry.inverse_den * x_den)
-        return OValue(value, tuple(witness), _dual(entry))
+        for col, v in zip(basis.cols, z):
+            witness[col] = Fraction(v, basis.inverse_den * x_den)
+        return OValue(
+            Fraction(dot(basis.dual_num, xs), basis.dual_den * x_den),
+            tuple(witness),
+            tuple([Fraction(v, basis.dual_den) for v in basis.dual_num]),
+        )
 
-    def _certified(self, x, xs, x_den):
-        """``(value, basis, z)`` at ``x = xs / x_den`` for a kept basis
-        optimal there, with ``z`` its basic solution ``B^-1 xs`` scaled by
-        ``inverse_den``; or None.
+    def _basis(self, x, xs, x_den):
+        """``(basis, z)`` for a basis optimal at ``x = xs / x_den``, with
+        ``z`` its basic solution ``B^-1 xs`` scaled by ``inverse_den``.
 
         Every kept basis is dual feasible (only an optimal solve keeps one),
-        so one whose basic solution is nonnegative and meets the dropped
-        rows is optimal at ``x`` by weak duality, and its dual bound
-        ``y . x`` is the value.  The most recently certified basis is tried
-        first.  Otherwise only a basis with the largest bound can be
-        optimal, so those are tried, and the one that certifies ``x`` moves
-        to the front.  The support test runs only when no kept basis
-        certifies ``x``: a point outside the support raises OutsideSupport
-        there.  A point of another dimension raises DimensionError.
+        so the first, in order, whose basic solution is nonnegative and
+        meets the dropped rows is optimal at ``x`` by weak duality, and its
+        dual bound ``y . x`` is the value; it moves to the front.  When no
+        kept basis certifies ``x``, the point is tested against the support,
+        which raises OutsideSupport outside it, and the LP is solved: its
+        basis goes in front and answers like a kept one.  A point of another
+        dimension raises DimensionError.
         """
         if len(xs) != self.support.ambient_dim:
             raise DimensionError(
@@ -168,33 +165,29 @@ class OrderFunction:
                 f"{self.support.ambient_dim}"
             )
         kept = self.bases
-        entries = kept.entries
-        if entries:
-            entry = entries[0]
-            z = self._basic_solution(entry, xs)
+        for i, basis in enumerate(kept):
+            z = self._basic_solution(basis, xs)
             if z is not None:
-                return Fraction(dot(entry.dual_num, xs), entry.dual_den * x_den), entry, z
-            # the bounds y . x of the other bases, all scaled by dual_den * x_den
-            bounds = [dot(y, xs) for y in kept.duals[1:]]
-            best = max(bounds, default=None)
-            for i, bound in enumerate(bounds, 1):
-                if bound != best:
-                    continue
-                entry = entries[i]
-                z = self._basic_solution(entry, xs)
-                if z is not None:
-                    kept.promote(i)
-                    return Fraction(best, kept.dual_den * x_den), entry, z
+                if i:
+                    kept.insert(0, kept.pop(i))
+                return basis, z
         # x_den > 0, so xs lies in the same cones as x
         if not self.support.contains(xs):
             raise OutsideSupport(f"point {tuple(x)} is outside the support cone")
-        return None
+        A = [[d[row] for d in self.degrees] for row in range(len(x))]
+        result = solve_min(A, x, self.mults)
+        if result is INFEASIBLE:
+            # contains() passed, so this is unreachable for consistent cones
+            raise OutsideSupport(f"no representation of {tuple(x)} over the generators")
+        basis = result[2]
+        kept.insert(0, basis)
+        return basis, self._basic_solution(basis, xs)
 
-    def _basic_solution(self, entry, xs):
-        """The basic solution ``B^-1 xs`` of a kept basis, scaled by its
+    def _basic_solution(self, basis, xs):
+        """The basic solution ``B^-1 xs`` of a basis, scaled by its
         ``inverse_den``, when it is nonnegative and meets the dropped rows;
         else None."""
-        rows, cols, inverse_num, inverse_den = entry[:4]
+        rows, cols, inverse_num, inverse_den = basis[:4]
         xk = [xs[r] for r in rows]
         z = [dot(row, xk) for row in inverse_num]
         if any(v < 0 for v in z):
@@ -207,91 +200,17 @@ class OrderFunction:
             return None
         return z
 
-    def _solve(self, x):
-        """Solve the LP at ``x`` from scratch and keep its optimal basis."""
-        A = [[d[row] for d in self.degrees] for row in range(len(x))]
-        result = solve_min(A, x, self.mults)
-        if result is INFEASIBLE:
-            # contains() passed, so this is unreachable for consistent cones
-            raise OutsideSupport(f"no representation of {tuple(x)} over the generators")
-        value, witness, basis = result
-        entry = _cached_basis(basis, self.mults, len(x))
-        self.bases.add(entry)
-        return value, witness, entry
-
-
-class _CachedBasis(NamedTuple):
-    """An optimal basis (see ``simplex.Basis``) with B^-1 and the dual
-    ``y = c_B B^-1`` (zero on dropped rows) each over one common
-    denominator, so that certifying a query takes integer arithmetic only."""
-
-    rows: tuple
-    cols: tuple
-    inverse_num: tuple
-    inverse_den: int
-    dual_num: tuple
-    dual_den: int
-
-
-class _KeptBases:
-    """The ``_CachedBasis`` entries kept for one LP, most recently certified
-    first, and their duals over one common denominator.
-
-    ``duals[i]`` is the dual of ``entries[i]`` times ``dual_den``, the lcm
-    of the entries' dual denominators, so comparing two dual bounds takes
-    one integer dot product each.  The denominator and the scaled duals
-    change only when a solve adds a basis.
-    """
-
-    __slots__ = ("entries", "duals", "dual_den")
-
-    def __init__(self):
-        self.entries = []
-        self.duals = []
-        self.dual_den = 1
-
-    def add(self, entry):
-        """Keep a newly solved basis, in front."""
-        den = lcm(self.dual_den, entry.dual_den)
-        if den != self.dual_den:
-            factor = den // self.dual_den
-            self.duals = [tuple([v * factor for v in y]) for y in self.duals]
-            self.dual_den = den
-        factor = den // entry.dual_den
-        self.entries.insert(0, entry)
-        self.duals.insert(0, tuple([v * factor for v in entry.dual_num]))
-
-    def promote(self, i):
-        """Move the basis at index ``i`` to the front."""
-        self.entries.insert(0, self.entries.pop(i))
-        self.duals.insert(0, self.duals.pop(i))
-
 
 @lru_cache(maxsize=BASIS_CACHE_SIZE)
 def _optimal_bases(degrees, costs, den):
-    """The ``_KeptBases`` found optimal by earlier solves of the LP with
-    these degrees and heights ``costs / den`` (``clear_denominators`` of the
-    multiplicities); ``OrderFunction`` adds to it.
+    """The ``simplex.Basis`` list found optimal by earlier solves of the LP
+    with these degrees and heights ``costs / den`` (``clear_denominators``
+    of the multiplicities), most recently certified first;
+    ``OrderFunction`` adds to it and reorders it.
 
     Keyed on the data themselves, so a basis never serves another LP.
     """
-    return _KeptBases()
-
-
-def _cached_basis(basis, heights, n):
-    rows, cols, inverse = basis
-    flat, inverse_den = clear_denominators([v for row in inverse for v in row])
-    k = len(rows)
-    inverse_num = tuple(flat[i * k:(i + 1) * k] for i in range(len(cols)))
-    dual = [Fraction(0)] * n
-    for j, row in enumerate(rows):
-        dual[row] = sum(heights[col] * inverse[i][j] for i, col in enumerate(cols))
-    dual_num, dual_den = clear_denominators(dual)
-    return _CachedBasis(rows, cols, inverse_num, inverse_den, dual_num, dual_den)
-
-
-def _dual(entry):
-    return tuple([Fraction(v, entry.dual_den) for v in entry.dual_num])
+    return []
 
 
 def linearity_fan(datum, valuation, support=None):
@@ -581,12 +500,11 @@ def stabilization_multiple(datum, valuation, x, k_max, support=None,
     _check_level(k_max, "k_max")
     order = OrderFunction(datum, valuation, support)
     xs, step = clear_denominators(x)
-    hit = order._certified(x, xs, step)
-    entry = order._solve(x)[2] if hit is None else hit[1]
-    hs, h_den = clear_denominators(order.mults)
+    basis, _ = order._basis(x, xs, step)
+    hs, h_den = order.heights
     tight = [
         d for d, h in zip(order.degrees, hs)
-        if any(d) and dot(entry.dual_num, d) * h_den == h * entry.dual_den
+        if any(d) and dot(basis.dual_num, d) * h_den == h * basis.dual_den
     ]
     failed = set()
     nodes = node_budget

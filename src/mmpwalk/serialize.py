@@ -199,14 +199,14 @@ def ring_from_json(doc):
         nef = None
         if "nef" in doc:
             nef = nef_from_json(doc["nef"], numerical.target_dim)
-        pushforwards = tuple(
-            PushforwardDatum(
-                model_id=str(pf["model_id"]),
-                matrix=matrix_from_json(pf["map"]),
-                nef=nef_from_json(pf["nef"], len(matrix_from_json(pf["map"]))),
-            )
-            for pf in doc.get("pushforwards", [])
-        )
+        pushforwards = []
+        for pf in doc.get("pushforwards", []):
+            pf_matrix = matrix_from_json(pf["map"])
+            pushforwards.append(PushforwardDatum(
+                model_id=_str_from_json(pf["model_id"]),
+                matrix=pf_matrix,
+                nef=nef_from_json(pf["nef"], len(pf_matrix)),
+            ))
         if "labels" in doc:
             labels = tuple(_str_from_json(label) for label in _list_from_json(doc["labels"]))
         elif n <= max((len(g.multidegree) for g in generators), default=0):
@@ -224,7 +224,7 @@ def ring_from_json(doc):
             ),
             numerical=numerical,
             nef=nef,
-            pushforwards=pushforwards,
+            pushforwards=tuple(pushforwards),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed ring datum: {exc!r}") from None

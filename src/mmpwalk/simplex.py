@@ -7,11 +7,14 @@ cost row included, is a primitive integer vector and a positive multiple
 of its exact row, and each pivot is ``linalg._eliminate``.  Signs and
 cross-multiplied ratios do not depend on a row's scale, so the pivots are
 the exact ones.  A solve returns an optimal basic solution with its final
-basis and the basis inverse, read off the artificial columns, so a caller
-can reuse the basis for another right-hand side and certify it there.
+basis: the basis inverse, read off the artificial columns, and the dual
+``c_B B^-1``, each as integers over one denominator, so a caller can reuse
+the basis for another right-hand side and certify it there without
+building a ``Fraction``.  Only the value and the solution are ``Fraction``s.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import BudgetExceeded
@@ -24,17 +27,23 @@ DEFAULT_PIVOT_CAP = 100_000
 
 
 class Basis(NamedTuple):
-    """Final basis of an optimal solve.
+    """Final basis of an optimal solve, in integers.
 
     ``rows`` are the constraint rows kept after redundant ones are dropped
-    (ascending), ``cols`` the basic columns, one per kept row, and
-    ``inverse`` is B^-1 for ``B = A[rows][:, cols]``: the basic solution for
-    a right-hand side ``b`` is ``x[cols[i]] = inverse[i] . b[rows]``.
+    (ascending) and ``cols`` the basic columns, one per kept row.  B^-1 for
+    ``B = A[rows][:, cols]`` is ``inverse_num / inverse_den``: the basic
+    solution for a right-hand side ``b`` is ``x[cols[i]] = inverse_num[i] .
+    b[rows] / inverse_den``.  The dual ``y = c_B B^-1``, zero on the dropped
+    rows, is ``dual_num / dual_den``, one entry per constraint row.  Each
+    denominator is the least common one, so the fields are unique.
     """
 
     rows: tuple
     cols: tuple
-    inverse: tuple
+    inverse_num: tuple
+    inverse_den: int
+    dual_num: tuple
+    dual_den: int
 
 
 def _pivot(tableau, basis, row, col):
@@ -123,7 +132,7 @@ def solve_min(A, b, c, pivot_cap=DEFAULT_PIVOT_CAP):
     cols = [*range(n), *(n + k for k in kept_rows), -1]
     tableau = [primitive([tableau[i][j] for j in cols]) for i in keep]
     basis = [basis[i] for i in keep]
-    costs, _ = clear_denominators(c)
+    costs, cost_den = clear_denominators(c)
     tableau.append(_cost_row(list(costs) + [0] * (len(kept_rows) + 1), tableau, basis))
     cap = _run(tableau, basis, range(n), cap)
     if cap is UNBOUNDED:
@@ -132,8 +141,24 @@ def solve_min(A, b, c, pivot_cap=DEFAULT_PIVOT_CAP):
     for row, bv in zip(tableau, basis):
         x[bv] = Fraction(row[-1], row[bv])
     value = sum(c[j] * x[j] for j in range(n))
-    inverse = tuple(
-        tuple(Fraction(row[n + j] * signs[k], row[bv]) for j, k in enumerate(kept_rows))
+    # row i is row[bv] times its exact row, whose artificial entries are
+    # B^-1 with the column of each negated row negated back
+    den = lcm(*(row[bv] for row, bv in zip(tableau, basis)))
+    inverse = [
+        [row[n + j] * signs[k] * (den // row[bv]) for j, k in enumerate(kept_rows)]
         for row, bv in zip(tableau, basis)
+    ]
+    inverse_num, inverse_den = _lowest_terms(inverse, den)
+    dual = [0] * m
+    for j, k in enumerate(kept_rows):
+        dual[k] = sum(costs[col] * row[j] for col, row in zip(basis, inverse_num))
+    (dual_num,), dual_den = _lowest_terms([dual], inverse_den * cost_den)
+    return value, tuple(x), Basis(
+        tuple(kept_rows), tuple(basis), inverse_num, inverse_den, dual_num, dual_den
     )
-    return value, tuple(x), Basis(tuple(kept_rows), tuple(basis), inverse)
+
+
+def _lowest_terms(rows, den):
+    """``rows / den`` as integer rows over the least common denominator."""
+    g = gcd(den, *(v for row in rows for v in row))
+    return tuple(tuple(v // g for v in row) for row in rows), den // g

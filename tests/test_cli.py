@@ -334,6 +334,14 @@ def test_budget_env_override(monkeypatch, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("budget", ["abc", "1.5", ""])
+def test_bad_budget_env_is_parse_error(monkeypatch, capsys, budget):
+    monkeypatch.setenv("MMPW_BUDGET", budget)
+    code, out, err = run(capsys, "decompose", "--example", "blowup-P2")
+    assert code == 2 and out == ""
+    assert _one_line_error(err) and "MMPW_BUDGET" in err
+
+
 def test_stdin_input(monkeypatch, capsys):
     doc = dumps(ring_to_json(builtin_examples()["blowup-P2"], segment_h=(0, 1)))
     monkeypatch.setattr("sys.stdin", io.StringIO(doc))

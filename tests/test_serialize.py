@@ -215,9 +215,11 @@ def _blowup_doc():
     "path, value",
     [(("valuations",), [{}]), (("valuations",), [["E"]]), (("generators", 0, "mults"), "1/0"),
      (("generators", 0, "mults"), ["E", "1"]), (("labels",), "xy"), (("labels",), [{}]),
-     (("labels",), [1]), (("labels",), ["K", ["D1"]]), (("labels",), None)],
+     (("labels",), [1]), (("labels",), ["K", ["D1"]]), (("labels",), None),
+     (("pushforwards", 0, "model_id"), ["x"]), (("pushforwards", 0, "model_id"), 7)],
     ids=["object-valuation", "list-valuation", "string-mults", "list-mults", "string-labels",
-         "object-label", "int-label", "list-label", "null-labels"],
+         "object-label", "int-label", "list-label", "null-labels", "list-model-id",
+         "int-model-id"],
 )
 def test_malformed_names_and_multiplicities_are_parse_errors(monkeypatch, capsys, path, value):
     doc = _blowup_doc()

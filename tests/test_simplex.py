@@ -1,6 +1,7 @@
 """Exact two-phase simplex."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from mmpwalk import InstanceSpec, random_instance, simplex
 from mmpwalk.errors import BudgetExceeded
-from mmpwalk.simplex import DEFAULT_PIVOT_CAP, INFEASIBLE, UNBOUNDED, Basis, solve_min
+from mmpwalk.simplex import DEFAULT_PIVOT_CAP, INFEASIBLE, UNBOUNDED, solve_min
 
 
 def F(x):
@@ -96,17 +97,35 @@ def test_larger_system_exact_rationals():
 )
 def test_basis_inverse_reproduces_solution(A, b, c):
     _, x, basis = solve_min(A, b, c)
-    assert len(basis.rows) == len(basis.cols) == len(basis.inverse)
-    for col, row in zip(basis.cols, basis.inverse):
+    assert len(basis.rows) == len(basis.cols) == len(basis.inverse_num)
+    _assert_integer_fields(basis)
+    inverse = [[Fraction(v, basis.inverse_den) for v in row] for row in basis.inverse_num]
+    for col, row in zip(basis.cols, inverse):
         assert x[col] == sum(v * b[k] for v, k in zip(row, basis.rows))
     assert all(x[j] == 0 for j in range(len(c)) if j not in basis.cols)
     # B^-1 B = I for B = A[rows][:, cols]
     product = [
         [sum(v * A[k][col] for v, k in zip(row, basis.rows)) for col in basis.cols]
-        for row in basis.inverse
+        for row in inverse
     ]
     size = len(basis.cols)
     assert product == [[int(i == j) for j in range(size)] for i in range(size)]
+    # y = c_B B^-1, zero on the dropped rows
+    dual = [Fraction(0)] * len(b)
+    for j, k in enumerate(basis.rows):
+        dual[k] = sum(c[col] * row[j] for col, row in zip(basis.cols, inverse))
+    assert [Fraction(v, basis.dual_den) for v in basis.dual_num] == dual
+
+
+def _assert_integer_fields(basis):
+    """Every ``Basis`` field holds ints, each pair over its least common
+    denominator."""
+    rows, cols, inverse_num, inverse_den, dual_num, dual_den = basis
+    flat = [*rows, *cols, *(v for row in inverse_num for v in row), *dual_num]
+    assert all(type(v) is int for v in flat + [inverse_den, dual_den])
+    assert inverse_den > 0 and dual_den > 0
+    assert gcd(inverse_den, *(v for row in inverse_num for v in row)) == 1
+    assert gcd(dual_den, *dual_num) == 1
 
 
 # The Fraction Gauss-Jordan solver that the fraction-free tableau replaced,
@@ -160,7 +179,8 @@ def _reference_run(tableau, basis, costs, allowed, cap, pivots):
 
 
 def _reference_solve_min(A, b, c, pivot_cap=DEFAULT_PIVOT_CAP, pivots=None):
-    """The replaced solver; appends each pivot (row, column) to ``pivots``."""
+    """The replaced solver; appends each pivot (row, column) to ``pivots``.
+    Returns ``(value, x, (rows, cols, inverse))`` with B^-1 in ``Fraction``s."""
     pivots = [] if pivots is None else pivots
     m = len(A)
     n = len(c)
@@ -214,7 +234,7 @@ def _reference_solve_min(A, b, c, pivot_cap=DEFAULT_PIVOT_CAP, pivots=None):
     inverse = tuple(
         tuple(row[n + j] * signs[k] for j, k in enumerate(kept_rows)) for row in tableau
     )
-    return value, tuple(x), Basis(tuple(kept_rows), tuple(basis), inverse)
+    return value, tuple(x), (tuple(kept_rows), tuple(basis), inverse)
 
 
 def _solve_checking_ints(A, b, c, pivot_cap=DEFAULT_PIVOT_CAP):
@@ -241,8 +261,9 @@ def _solve_checking_ints(A, b, c, pivot_cap=DEFAULT_PIVOT_CAP):
 
 
 def _assert_matches_reference(A, b, c, pivot_cap=DEFAULT_PIVOT_CAP):
-    """Same value, ``x``, ``Basis`` (and types) and pivot sequence as the
-    replaced solver; returns the result."""
+    """Same value, ``x``, basis, B^-1 (and types) and pivot sequence as the
+    replaced solver, and the dual ``c_B B^-1`` computed from its B^-1;
+    returns the result."""
     expected_pivots = []
     try:
         expected = _reference_solve_min(A, b, c, pivot_cap, expected_pivots)
@@ -255,11 +276,20 @@ def _assert_matches_reference(A, b, c, pivot_cap=DEFAULT_PIVOT_CAP):
     elif expected in (INFEASIBLE, UNBOUNDED):
         assert result is expected
     else:
-        assert result == expected
         value, x, basis = result
-        assert type(value) is type(expected[0])
+        expected_value, expected_x, (rows, cols, inverse) = expected
+        assert (value, x) == (expected_value, expected_x)
+        assert (basis.rows, basis.cols) == (rows, cols)
+        assert type(value) is type(expected_value)
         assert all(type(v) is Fraction for v in x)
-        assert all(type(v) is Fraction for row in basis.inverse for v in row)
+        _assert_integer_fields(basis)
+        assert tuple(
+            tuple(Fraction(v, basis.inverse_den) for v in row) for row in basis.inverse_num
+        ) == inverse
+        dual = [Fraction(0)] * len(b)
+        for j, k in enumerate(rows):
+            dual[k] = sum(Fraction(c[col]) * row[j] for col, row in zip(cols, inverse))
+        assert [Fraction(v, basis.dual_den) for v in basis.dual_num] == dual
     return result
 
 
@@ -334,7 +364,39 @@ def _corpus_lps(seed):
 
 @pytest.mark.parametrize("seed", range(1, 21))
 def test_corpus_lps_match_fraction_reference(seed):
-    outcomes = {_assert_matches_reference(*lp) in (INFEASIBLE, UNBOUNDED)
-                for lp in _corpus_lps(seed)}
-    assert False in outcomes
+    optimal = 0
+    for lp in _corpus_lps(seed):
+        result = _assert_matches_reference(*lp)
+        if result not in (INFEASIBLE, UNBOUNDED):
+            _assert_basis_certifies(*lp, result)
+            optimal += 1
+    assert optimal
+
+
+def _assert_basis_certifies(A, b, c, result):
+    """The returned ``Basis`` proves its solution optimal by itself: B^-1
+    reproduces ``x``, and the dual y, zero on the dropped rows, is feasible
+    (``y . A_j <= c_j`` for every column j) with ``y . b`` the value."""
+    value, x, basis = result
+    for col, row in zip(basis.cols, basis.inverse_num):
+        assert x[col] * basis.inverse_den == sum(v * b[k] for v, k in zip(row, basis.rows))
+    assert all(x[j] == 0 for j in range(len(c)) if j not in basis.cols)
+    y = [Fraction(v, basis.dual_den) for v in basis.dual_num]
+    assert len(y) == len(b)
+    assert all(y[k] == 0 for k in range(len(b)) if k not in basis.rows)
+    for j, cost in enumerate(c):
+        assert sum(y[k] * A[k][j] for k in range(len(b))) <= cost
+    assert sum(yk * bk for yk, bk in zip(y, b)) == value
+
+
+@given(_lps())
+@settings(max_examples=250, derandomize=True, deadline=None)
+def test_basis_certifies_its_solution(lp):
+    A, b, c, cap = lp
+    try:
+        result = solve_min(A, b, c, cap)
+    except BudgetExceeded:
+        return
+    if result not in (INFEASIBLE, UNBOUNDED):
+        _assert_basis_certifies(A, b, c, result)
 
