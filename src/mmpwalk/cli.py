@@ -12,19 +12,7 @@ import sys
 from fractions import Fraction
 
 from . import serialize
-from .errors import (
-    BudgetExceeded,
-    DimensionError,
-    InconsistentInput,
-    InvalidCone,
-    MissingNefData,
-    MmpwalkError,
-    NonGenericSegment,
-    NotFoundError,
-    OutsideSupport,
-    ParseError,
-    SupportMismatch,
-)
+from .errors import BudgetExceeded, MmpwalkError, NonGenericSegment, ParseError
 from .oracle import builtin_examples, o_value_oracle
 from .linalg import dot
 from .orders import OrderFunction, asymptotic_order, cell_functionals, chamber_fan
@@ -366,15 +354,7 @@ def main(argv=None):
         walls = ", ".join(str(list(w)) for w in exc.walls)
         print(f"error: {exc} (walls: {walls})", file=sys.stderr)
         return EXIT_NON_GENERIC
-    except (
-        OutsideSupport,
-        InconsistentInput,
-        MissingNefData,
-        NotFoundError,
-        DimensionError,
-        InvalidCone,
-        SupportMismatch,
-    ) as exc:
+    except MmpwalkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -5,18 +5,18 @@ with a minimal set of facet half-spaces (plus span equations when the cone
 is not full-dimensional).  Both sides are canonical, so structurally equal
 cones compare equal regardless of how they were produced.
 
-Every conversion between the two descriptions is ``_dd``, the incremental
-double description method with the combinatorial adjacency test as its one
-extremality test.  A pointed cone costs one conversion.  From generators,
-``_assemble`` converts to facets and equations and keeps the generators
-that pass the combinatorial extreme-ray test.  From half-spaces,
-``cone_from_halfspaces`` converts to lines and rays, takes the equations
-from their kernel and the facets from the half-spaces that pass the
-combinatorial facet test.  A cone with lineality takes one more conversion,
-``_rays_mod_lineality``, which fixes the representatives of its rays
-modulo lineality.  ``common_refinement`` skips a pair of cells that a
-facet separates before intersecting them.  Both refinements carry each
-cell's label (``orders`` labels cells with their linear functionals).
+Every conversion is ``_dd``, the incremental double description method,
+which steps with linalg's one row step.  ``_assemble`` converts generators
+to facets and equations.  Every other cone is cut out of one by ``_cut``,
+which continues the conversion from a pointed cone's own rays:
+``cone_from_halfspaces`` cuts the whole space, ``intersect`` cuts one cone
+by the other and ``hyperplane_refinement`` slices a cell.  One
+combinatorial test, ``_maximal``, reads off both the extreme generators
+and the facets of a cut.  A cone with lineality takes one more
+conversion, ``_rays_mod_lineality``, which fixes the representatives of
+its rays.  ``common_refinement`` skips a pair of cells that a facet
+separates before intersecting them.  Both refinements carry each cell's
+label (``orders`` labels cells with their linear functionals).
 """
 
 from dataclasses import dataclass, field
@@ -24,6 +24,7 @@ from fractions import Fraction
 
 from .errors import DimensionError, InvalidCone, SupportMismatch
 from .linalg import (
+    _eliminate,
     dot,
     is_zero,
     kernel,
@@ -55,35 +56,56 @@ class HalfSpace:
 
 
 def _tight_mask(vec, rows):
-    mask = 0
-    for j, c in enumerate(rows):
-        if dot(c, vec) == 0:
-            mask |= 1 << j
-    return mask
+    return sum(1 << j for j, c in enumerate(rows) if dot(c, vec) == 0)
 
 
-def _dd(ineqs, n):
-    """V-representation of ``{x : a . x >= 0 for a in ineqs}``.
+def _maximal(vectors, others):
+    """The vectors whose sets of tight ``others`` are maximal among the
+    proper ones (those missing some of ``others``).  This one combinatorial
+    test reads off both the facets of a cone, among half-spaces tested
+    against its rays, and the extreme rays of a pointed cone, among
+    generators tested against its facets."""
+    everything = (1 << len(others)) - 1
+    masks = [_tight_mask(v, others) for v in vectors]
+    proper = {m for m in masks if m != everything}
+    maximal = {m for m in proper if not any(o != m and o & m == m for o in proper)}
+    return [v for v, m in zip(vectors, masks) if m in maximal]
+
+
+def _both_sides(equations):
+    """Each equation as its two half-spaces."""
+    return [side for eq in equations for side in (tuple(eq), vneg(eq))]
+
+
+def _dd(ineqs, n, start=None):
+    """V-representation of ``{x : a . x >= 0 for a in ineqs}``, or of its
+    intersection with the pointed cone that ``start`` describes.
 
     Returns ``(lines, rays)``: a basis of the lineality space and the
     extreme rays modulo lineality, all primitive integer vectors.
 
     This is the incremental double description method (Motzkin et al.
     1953; Fukuda and Prodon, "Double description method revisited", 1996).
-    Starting from the whole space, the inequalities are added one at a
-    time.  When some line is not tight at the new inequality ``a``, that
-    line becomes a ray and the other lines and rays are projected along it
-    onto ``a . x = 0``.  Otherwise the rays are split by the sign of
-    ``a . r`` and each adjacent pair of a positive and a negative ray gives
-    the ray of ``a . x = 0`` between them.  Each ray carries the bitmask of
-    the processed inequalities tight at it, and a pair is adjacent exactly
-    when no third ray is tight at every inequality both are tight at.
-    Every mask update is exact, so the rays returned are exactly the
-    extreme rays, each once.
+    Starting from the whole space, or from ``start``, the inequalities are
+    added one at a time.  When some line is not tight at the new inequality
+    ``a``, that line becomes a ray and the other lines and rays are
+    projected along it onto ``a . x = 0``.  Otherwise the rays are split by
+    the sign of ``a . r`` and each adjacent pair of a positive and a
+    negative ray gives the ray of ``a . x = 0`` between them.  Each ray
+    carries the bitmask of the processed inequalities tight at it, and a
+    pair is adjacent exactly when no third ray is tight at every inequality
+    both are tight at.  Every mask update is exact, so the rays returned
+    are exactly the extreme rays, each once.  Each projection and
+    combination is ``linalg._eliminate``.
+
+    ``start`` lists the extreme rays of a pointed cone with their masks over
+    its facets (a minimal V-description of the cone in its span; its
+    equations hold at every ray and so change no adjacency test), and the
+    inequalities take the bits above.
     """
-    lines = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    rays = []  # (ray, mask of the processed inequalities tight at it)
-    bit = 1  # mask bit of the inequality being added
+    lines = [tuple(int(i == j) for j in range(n)) for i in range(n)] if start is None else []
+    rays = list(start or ())  # (ray, mask of the processed inequalities tight at it)
+    bit = 1 << max((m.bit_length() for _, m in rays), default=0)  # the new mask bit
     for a in ineqs:
         a = primitive(a)
         if is_zero(a):
@@ -96,14 +118,8 @@ def _dd(ineqs, n):
             if dot(a, pivot) < 0:
                 pivot = vneg(pivot)
             ap = dot(a, pivot)
-            lines = [
-                primitive(tuple(ap * li - dot(a, l) * pi for li, pi in zip(l, pivot)))
-                for l in lines
-            ]
-            rays = [
-                (primitive(tuple(ap * ri - dot(a, r) * pi for ri, pi in zip(r, pivot))), m | bit)
-                for r, m in rays
-            ]
+            lines = [_eliminate(l, pivot, ap, dot(a, l)) for l in lines]
+            rays = [(_eliminate(r, pivot, ap, dot(a, r)), m | bit) for r, m in rays]
             rays.append((pivot, bit - 1))
         else:
             pos, zero, neg = [], [], []
@@ -128,8 +144,7 @@ def _dd(ineqs, n):
                             if tight > 2:
                                 break
                     if tight == 2:
-                        ray = primitive(tuple(vp * xn - vn * xp for xn, xp in zip(rn, rp)))
-                        new[ray] = common | bit
+                        new[_eliminate(rn, rp, vp, vn)] = common | bit
             rays = [(r, m) for r, m, _ in pos] + zero + sorted(new.items())
         bit <<= 1
     return lines, [r for r, _ in rays]
@@ -186,11 +201,7 @@ def _rays_mod_lineality(facets, equations, n):
     """Rays of a cone with lineality: its extreme rays modulo lineality, as
     the conversion of its facets and equations returns them, and each line
     with its negative."""
-    constraints = list(facets)
-    for eq in equations:
-        constraints.append(eq)
-        constraints.append(vneg(eq))
-    lines, rays = _dd(constraints, n)
+    lines, rays = _dd(list(facets) + _both_sides(equations), n)
     return tuple(sorted(set(rays) | set(lines) | {vneg(l) for l in lines}))
 
 
@@ -199,9 +210,9 @@ def _assemble(generators, n):
 
     One conversion of the generators gives the facets and the equations.
     When those have rank n the cone is pointed and its extreme rays are read
-    off the generators: a generator is extreme exactly when no other
-    generator is tight at every facet it is tight at (the combinatorial
-    test; the minimal face holding it is then a ray).  A cone with
+    off the generators: those ``_maximal`` keeps against the facets (two
+    distinct generators with one tight set are not both maximal: their face
+    would hold an extreme generator with a larger one).  A cone with
     lineality takes a second conversion (``_rays_mod_lineality``).
     """
     gens = sorted({primitive(g) for g in generators if not is_zero(g)})
@@ -211,10 +222,7 @@ def _assemble(generators, n):
         {reduce_mod_rowspace(q, equations) for q in dual_rays} - {tuple([0] * n)}
     )
     if rank(facets + list(equations)) == n:
-        masks = [_tight_mask(g, facets) for g in gens]
-        rays = tuple(
-            g for g, m in zip(gens, masks) if sum(1 for o in masks if o & m == m) == 1
-        )
+        rays = tuple(_maximal(gens, facets))
     else:
         rays = _rays_mod_lineality(facets, equations, n)
     dim = n - len(equations)
@@ -235,61 +243,56 @@ def cone_from_rays(rays):
     return _assemble(rays, n)
 
 
-def cone_from_halfspaces(halfspaces, ambient_dim, equations=()):
-    """Cone cut out by half-spaces (and optional equations).
+def _cut(cone, normals):
+    """``cone`` cut by ``{x : a . x >= 0}`` for each ``a`` in ``normals``.
 
-    One conversion gives the lines and the extreme rays modulo lineality,
-    and the rest is read off them: the equations span the kernel of the
-    lines and rays, and the facets are the input half-spaces whose sets of
-    tight rays are maximal among the proper ones (every facet is cut out by
-    some input half-space, every input vanishes on the lines, and a face is
-    fixed by the rays it holds).  A cone with lineality takes a second
-    conversion (``_rays_mod_lineality``), which fixes the representatives
-    of its rays.
+    A pointed cone continues ``_dd`` from its own rays and facet masks; a
+    cone with lineality (the whole space is one) is converted afresh from
+    its facets, both sides of its equations and the normals.  The equations
+    span the kernel of the lines and rays, and the facets are the old facets
+    and normals that ``_maximal`` keeps against the rays (every facet is cut
+    out by one, each vanishes on the lines, and a face is fixed by its
+    rays).  Lines left over take ``_rays_mod_lineality``.
     """
+    n = cone.ambient_dim
+    old = [hs.normal for hs in cone.facets]
+    ray_set = set(cone.rays)
+    if any(vneg(r) in ray_set for r in cone.rays):
+        lines, rays = _dd(old + _both_sides(cone.equations) + normals, n)
+    else:
+        lines, rays = _dd(normals, n, [(r, _tight_mask(r, old)) for r in cone.rays])
+    rays = sorted(rays)
+    equations = row_reduce(kernel(rays + lines, n))
+    facets = sorted({reduce_mod_rowspace(a, equations) for a in _maximal(old + normals, rays)})
+    if lines:
+        rays = _rays_mod_lineality(facets, equations, n)
+    dim = n - len(equations)
+    return PolyCone(n, dim, tuple(rays), tuple(HalfSpace(f) for f in facets), equations)
+
+
+def cone_from_halfspaces(halfspaces, ambient_dim, equations=()):
+    """Cone cut out of the whole space by half-spaces (and optional
+    equations), through ``_cut``."""
     normals = [hs.normal if isinstance(hs, HalfSpace) else tuple(hs) for hs in halfspaces]
-    constraints = list(normals)
-    for eq in equations:
-        eq = tuple(eq)
-        constraints.append(eq)
-        constraints.append(vneg(eq))
-    for c in constraints:
+    normals += _both_sides(equations)
+    for c in normals:
         if len(c) != ambient_dim:
             raise DimensionError(
                 f"constraint has dimension {len(c)}, cone is in dimension {ambient_dim}"
             )
-    lines, rays = _dd(constraints, ambient_dim)
-    rays = sorted(rays)
-    equations = row_reduce(kernel(rays + lines, ambient_dim))
-    everything = (1 << len(rays)) - 1
-    tight = [_tight_mask(a, rays) for a in normals]
-    proper = {m for m in tight if m != everything}
-    facets = sorted(
-        {
-            reduce_mod_rowspace(a, equations)
-            for a, m in zip(normals, tight)
-            if m in proper and not any(o != m and o & m == m for o in proper)
-        }
-    )
-    if lines:
-        rays = _rays_mod_lineality(facets, equations, ambient_dim)
-    dim = ambient_dim - len(equations)
-    return PolyCone(
-        ambient_dim, dim, tuple(rays), tuple(HalfSpace(f) for f in facets), equations
-    )
+    n = ambient_dim
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    return _cut(PolyCone(n, n, tuple(sorted(_both_sides(units))), (), ()), normals)
 
 
 def intersect(a, b):
-    """Intersection of two cones; may be lower-dimensional."""
+    """Intersection of two cones, ``a`` cut by ``b``'s facets and both sides
+    of its equations; may be lower-dimensional."""
     if a.ambient_dim != b.ambient_dim:
         raise DimensionError(
             f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}"
         )
-    return cone_from_halfspaces(
-        list(a.facets) + list(b.facets),
-        a.ambient_dim,
-        equations=list(a.equations) + list(b.equations),
-    )
+    return _cut(a, [hs.normal for hs in b.facets] + _both_sides(b.equations))
 
 
 def _separated(a, b):
@@ -370,11 +373,7 @@ def hyperplane_refinement(fan):
             values = [dot(h, r) for r in cell.rays]
             if any(v > 0 for v in values) and any(v < 0 for v in values):
                 for side in (h, vneg(h)):
-                    piece = cone_from_halfspaces(
-                        list(cell.facets) + [HalfSpace(side)],
-                        cell.ambient_dim,
-                        equations=cell.equations,
-                    )
+                    piece = _cut(cell, [side])
                     if piece.dim == fan.support.dim:
                         sliced.append((piece, label))
             else:

@@ -2,11 +2,12 @@
 
 Vectors are plain tuples of ``int`` or ``Fraction``; all routines are pure
 and allocation-light since the rest of the package calls them in tight
-loops.  The package has one elimination step, ``_eliminate``: on
-primitive integer rows, ``p*row - a*pivot_row`` divided by the gcd.  The
-simplex tableau pivots with it, the fraction-free ``echelon`` is built on
-it, and ``rank``, ``row_reduce``, ``reduce_mod_rowspace``, ``kernel`` and
-``solve_exact`` on ``echelon``.  No ``Fraction`` is built except for
+loops.  The package has one integer row step, ``_eliminate``:
+``p*row - a*pivot_row`` divided by its gcd.  The simplex tableau pivots
+with it, ``cones._dd`` projects and combines its lines and rays with it,
+the fraction-free ``echelon`` is built on it, and ``rank``,
+``row_reduce``, ``reduce_mod_rowspace``, ``kernel`` and ``solve_exact``
+on ``echelon``.  No ``Fraction`` is built except for
 ``solve_exact``'s result, and an inexact entry such as a float raises
 ``TypeError``.
 """
@@ -74,14 +75,16 @@ def sign_canonical(v):
     return p
 
 
-def _eliminate(row, pivot_row, col):
-    """``p*row - a*pivot_row`` divided by its gcd, with ``p`` and ``a`` the
-    entries of ``pivot_row`` and ``row`` in column ``col``: ``row`` with that
-    column cleared, a positive multiple of the exact step when ``p > 0``."""
-    p, a = pivot_row[col], row[col]
+def _eliminate(row, pivot_row, p, a):
+    """The one integer row step: ``p*row - a*pivot_row`` over its gcd, as a
+    tuple (``row`` itself, already primitive, when ``a`` is 0).  With ``p > 0``
+    and ``a`` the entries of ``pivot_row`` and ``row`` in one column, it is a
+    positive multiple of the exact step clearing that column."""
+    if not a:
+        return row
     row = [p * x - a * y for x, y in zip(row, pivot_row)]
     g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
+    return tuple([x // g for x in row] if g > 1 else row)
 
 
 def echelon(rows):
@@ -99,12 +102,10 @@ def echelon(rows):
         col = next(j for j, x in enumerate(pivot_row) if x != 0)
         if pivot_row[col] < 0:
             pivot_row = vneg(pivot_row)
-        done = [(c, _eliminate(row, pivot_row, col) if row[col] else row) for c, row in done]
-        todo = [
-            row
-            for row in (_eliminate(row, pivot_row, col) if row[col] else row for row in todo)
-            if any(row)
-        ]
+        p = pivot_row[col]
+        done = [(c, _eliminate(row, pivot_row, p, row[col])) for c, row in done]
+        todo = [_eliminate(row, pivot_row, p, row[col]) for row in todo]
+        todo = [row for row in todo if any(row)]
         done.append((col, pivot_row))
     return [row for _, row in sorted(done)]
 
@@ -119,7 +120,7 @@ def row_reduce(rows):
 
     Canonical for a given row space, so usable as an identity key.
     """
-    return tuple(tuple(row) for row in echelon(rows))
+    return tuple(echelon(rows))
 
 
 def reduce_mod_rowspace(v, ref_rows):
@@ -133,9 +134,8 @@ def reduce_mod_rowspace(v, ref_rows):
     out = primitive(v)
     for row in ref_rows:
         col = next(j for j, x in enumerate(row) if x != 0)
-        if out[col]:
-            out = _eliminate(out, row, col)
-    return tuple(out)
+        out = _eliminate(out, row, row[col], out[col])
+    return out
 
 
 def kernel(rows, n):

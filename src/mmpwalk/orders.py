@@ -219,7 +219,10 @@ def linearity_fan(datum, valuation, support=None):
 
     Built as the regular subdivision induced by lifting generator i to
     (multidegree_i, multiplicity_i) and projecting the lower facets of the
-    lifted cone.
+    lifted cone.  Every cell has the support's dimension: when the lifted
+    cone gains a dimension its span holds the vertical axis e_t, a lower
+    facet (w, c) has c > 0, so e_t is not in the facet's span, and the
+    projection is injective there.
     """
     if support is None:
         support = support_cone(datum)
@@ -238,10 +241,7 @@ def linearity_fan(datum, valuation, support=None):
         if c <= 0:
             continue
         members = [r[:n] for r in lifted_cone.rays if hs.evaluate(r) == 0]
-        cell = cone_from_rays(members)
-        if cell.dim != support.dim:
-            continue
-        cells.append(cell)
+        cells.append(cone_from_rays(members))
         labels.append((tuple(Fraction(-wi, c) for wi in w),))
     return make_fan(cells, support, labels)
 

@@ -54,7 +54,7 @@ def _pivot(tableau, basis, row, col):
         pivot_row = tableau[row] = vneg(pivot_row)
     for i, r in enumerate(tableau):
         if i != row and r[col]:
-            tableau[i] = _eliminate(r, pivot_row, col)
+            tableau[i] = _eliminate(r, pivot_row, pivot_row[col], r[col])
     basis[row] = col
 
 
@@ -89,8 +89,7 @@ def _cost_row(costs, tableau, basis):
     each basic column is cleared with its row, whose basic entry is > 0."""
     row = costs
     for i, col in enumerate(basis):
-        if row[col]:
-            row = _eliminate(row, tableau[i], col)
+        row = _eliminate(row, tableau[i], tableau[i][col], row[col])
     return row
 
 

@@ -34,8 +34,9 @@ class VeroneseResult:
     certified: str = "bounded verification"
 
 
-def _representations(degrees, total):
-    """All nonnegative integer vectors a with sum(a_i * degrees_i) == total."""
+def _representations(degrees, total, limit=None):
+    """The nonnegative integer vectors a with sum(a_i * degrees_i) == total,
+    in lexicographic order; only the first ``limit`` of them when given."""
     out = []
 
     def recurse(i, remaining, prefix):
@@ -45,6 +46,8 @@ def _representations(degrees, total):
                 out.append(tuple(prefix + [q]))
             return
         for a in range(remaining // degrees[i] + 1):
+            if len(out) == limit:
+                return
             recurse(i + 1, remaining - a * degrees[i], prefix + [a])
 
     recurse(0, total, [])
@@ -80,7 +83,10 @@ def veronese_degree(degrees, m_max, budget=16, split_budget=DEFAULT_SPLIT_BUDGET
     Tries up to ``budget`` multiples of the lcm; raises NotFoundError past
     that, BudgetExceeded when the splitting enumeration blows up.  The
     representations of each candidate d are listed once and shared by every
-    split.
+    split.  Every listed representation costs at least one split node, so
+    each list for d*m stops at the nodes left (``counter[0]``) and runs out
+    exactly where the whole list would; the parts, which are the list for
+    m = 1, stop at ``split_budget``.
     """
     degrees = sorted(degrees)
     if not degrees or any(g <= 0 for g in degrees):
@@ -88,12 +94,12 @@ def veronese_degree(degrees, m_max, budget=16, split_budget=DEFAULT_SPLIT_BUDGET
     base = lcm(*degrees)
     for mult in range(1, budget + 1):
         d = mult * base
-        parts = _representations(degrees, d)
+        parts = _representations(degrees, d, split_budget)
         counter = [split_budget]
         memo = {}
         good = True
         for m in range(1, m_max + 1):
-            for rep in _representations(degrees, d * m):
+            for rep in _representations(degrees, d * m, counter[0]):
                 if not _splits(rep, parts, m, memo, counter):
                     good = False
                     break

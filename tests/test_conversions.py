@@ -4,18 +4,24 @@
 alone, with a tight-set bitmask carried by each ray.  It is compared here
 with a reference copy of the earlier ``_dd``, which recomputed the masks at
 every step and kept a rank test on every output ray as a safety net.
+Started from a pointed cone's rays and facet masks, ``_dd`` is compared
+with ``_dd`` from the whole space over the cone's facets, both sides of
+its equations and the new normals.
 
-``cone_from_rays``, ``cone_from_halfspaces`` and ``intersect`` convert a
-pointed cone once and read the other description off the first; a cone
-with lineality takes one more conversion to fix its ray representatives.
-They are compared with a reference copy of the two-conversion construction
-(generators -> facets -> rays), which the package used before.
+``cone_from_rays`` converts once and every other cone is cut out of one by
+``cones._cut``, which continues the conversion from a pointed cone's rays;
+a cone with lineality takes one more conversion to fix its ray
+representatives.  ``cone_from_rays``, ``cone_from_halfspaces``,
+``intersect`` and every slice that ``hyperplane_refinement`` makes on the
+corpus are compared with from-scratch references: the two-conversion
+construction (generators -> facets -> rays) which the package used before,
+applied to all the half-spaces and equations at once.
 ``common_refinement`` skips a pair of cells when a facet of one has the
 other on its nonpositive side, and the tests check that every skipped pair
 meets in lower dimension.
 """
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mmpwalk import (
@@ -31,6 +37,7 @@ from mmpwalk.cones import (
     PolyCone,
     cone_from_halfspaces,
     cone_from_rays,
+    hyperplane_refinement,
     intersect,
 )
 from mmpwalk.linalg import (
@@ -251,6 +258,25 @@ def test_intersect_matches_two_conversions(case, data):
     assert intersect(a, b) == _reference_intersect(a, b)
 
 
+@given(generator_sets(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_dd_from_a_pointed_cone_matches_dd_from_the_whole_space(case, data):
+    n, gens = case
+    cone = cone_from_rays(gens)
+    assume(not _has_lineality(cone))
+    normals = data.draw(
+        st.lists(st.tuples(*([st.integers(min_value=-3, max_value=3)] * n)), max_size=4)
+    )
+    facets = [hs.normal for hs in cone.facets]
+    start = [(r, sum(1 << j for j, f in enumerate(facets) if dot(f, r) == 0)) for r in cone.rays]
+    lines, rays = cones._dd(normals, n, start)
+    sides = [s for eq in cone.equations for s in (eq, vneg(eq))]
+    ref_lines, ref_rays = cones._dd(facets + sides + normals, n)
+    assert lines == ref_lines == []
+    assert sorted(rays) == sorted(ref_rays)
+    assert len(set(rays)) == len(rays)
+
+
 def test_reference_cases_cover_every_path():
     lineality = cone_from_halfspaces([(0, 1)], 2)
     assert _has_lineality(lineality)
@@ -304,6 +330,27 @@ def test_one_conversion_per_pointed_cone(monkeypatch):
     assert not any(_has_lineality(cone) for cone in built)
     # each cone is built right after its one conversion
     assert events == [x for cone in built for x in ("dd", cone)]
+
+
+def test_every_slice_matches_the_reference(monkeypatch):
+    fans = [chamber_fan(datum, refine=False) for datum in _fan_data()]
+    slices = []
+    cut = cones._cut
+
+    def recorded(cone, normals):
+        piece = cut(cone, normals)
+        slices.append((cone, normals, piece))
+        return piece
+
+    monkeypatch.setattr(cones, "_cut", recorded)
+    for fan in fans:
+        hyperplane_refinement(fan)
+    assert len(slices) > 100
+    for cell, (side,), piece in slices:
+        ref = _reference_from_halfspaces(
+            list(cell.facets) + [HalfSpace(side)], cell.ambient_dim, cell.equations
+        )
+        assert piece == ref
 
 
 def test_pretest_skips_only_pairs_meeting_in_lower_dimension(monkeypatch):

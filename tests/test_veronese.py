@@ -76,6 +76,19 @@ def test_representations_enumeration():
     assert _representations([2], 3) == []
 
 
+def test_representations_limit_lists_a_prefix():
+    whole = _representations([2, 3, 5], 30)
+    for limit in range(len(whole) + 2):
+        assert _representations([2, 3, 5], 30, limit) == whole[:limit]
+
+
+def test_split_budget_caps_the_listing():
+    # d = 2310 has 526,154,042 representations; only the first
+    # split_budget of them are listed before the budget runs out
+    with pytest.raises(BudgetExceeded):
+        veronese_degree([2, 3, 5, 7, 11], 1)
+
+
 def _reference_splits(rep, degrees, d, m, memo, counter):
     # reference copy of the split search that lists the representations of
     # d again at every node
