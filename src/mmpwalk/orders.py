@@ -20,16 +20,20 @@ chamber thus costs one integer feasibility test each.  Only when no kept
 basis answers is the support cone tested and the LP solved; the new basis
 goes in front and answers like a kept one.  ``value(x)`` returns the
 exact order and nothing else, for callers that make many queries, such as
-the checks; ``certificate(x)`` returns it as an ``OValue`` with a witness
-and the dual that certifies it.  ``asymptotic_order`` is ``certificate``
-on a fresh object.  Values are exact and unique either way.  When several
-optimal vertices tie, which witness is returned depends on the earlier
-queries of the process.
+the checks; ``certificate(x)`` returns it as an ``OValue``, whose witness
+and certifying dual are built from the basis when first read.
+``asymptotic_order`` is ``certificate`` on the ``OrderFunction`` of its
+previous call when that was built from the same ``generators`` and
+``support`` objects, the same multiplicity objects and equal degrees, and
+on a new one otherwise.  Values are exact and unique either way.  When
+several optimal vertices tie, which witness is returned depends on the
+earlier queries of the process.
 """
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import lru_cache
+from operator import is_
 
 from .cones import cone_from_rays, common_refinement, hyperplane_refinement, make_fan
 from .errors import BudgetExceeded, DimensionError, InconsistentInput, OutsideSupport
@@ -54,7 +58,6 @@ class _NoRepresentation:
 NO_REPRESENTATION = _NoRepresentation()
 
 
-@dataclass(frozen=True)
 class OValue:
     """Order value with its optimality certificate.
 
@@ -62,14 +65,85 @@ class OValue:
     ``dual`` a vector y with ``y . d_i <= h_i`` for every generator degree
     d_i and multiplicity h_i and ``y . x == value``: by weak duality no
     representation of ``x`` costs less than ``value``.
+
+    ``OrderFunction.certificate`` builds only ``value``; the witness and
+    the dual are built from the optimal basis on first access and kept.
+    Equality, hashing and ``repr`` are over ``(value, witness, dual)``, and
+    the attributes are read-only.
     """
 
-    value: Fraction
-    witness: tuple
-    dual: tuple
+    __slots__ = ("value", "_witness", "_dual", "_basis")
+
+    def __init__(self, value, witness, dual):
+        _set = object.__setattr__
+        _set(self, "value", value)
+        _set(self, "_witness", witness)
+        _set(self, "_dual", dual)
+        _set(self, "_basis", None)
+
+    @classmethod
+    def _from_basis(cls, value, basis, z, x_den, count):
+        """An OValue of ``value`` at a point of denominator ``x_den`` whose
+        witness and dual are built from ``basis``, its basic solution ``z``
+        there (``OrderFunction._basic_solution``) and the ``count`` of
+        generators."""
+        self = object.__new__(cls)
+        _set = object.__setattr__
+        _set(self, "value", value)
+        _set(self, "_witness", None)
+        _set(self, "_dual", None)
+        _set(self, "_basis", (basis, z, x_den, count))
+        return self
+
+    @property
+    def witness(self):
+        if self._witness is None:
+            basis, z, x_den, count = self._basis
+            witness = [Fraction(0)] * count
+            for col, v in zip(basis.cols, z):
+                witness[col] = Fraction(v, basis.inverse_den * x_den)
+            object.__setattr__(self, "_witness", tuple(witness))
+        return self._witness
+
+    @property
+    def dual(self):
+        if self._dual is None:
+            basis = self._basis[0]
+            dual = tuple([Fraction(v, basis.dual_den) for v in basis.dual_num])
+            object.__setattr__(self, "_dual", dual)
+        return self._dual
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.value, self.witness, self.dual) == (other.value, other.witness, other.dual)
+
+    def __hash__(self):
+        return hash((self.value, self.witness, self.dual))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(value={self.value!r}, witness={self.witness!r}, "
+                f"dual={self.dual!r})")
+
+    def __reduce__(self):
+        return OValue, (self.value, self.witness, self.dual)
 
 
 _EXACT_TYPES = frozenset((int, Fraction))
+_INT_TYPES = frozenset((int,))
+
+
+def _scaled(x):
+    """``clear_denominators(x)``, without its work for a tuple of ``int``s."""
+    if type(x) is tuple and _INT_TYPES.issuperset(map(type, x)):
+        return x, 1
+    return clear_denominators(x)
 
 
 def _mults(datum, valuation):
@@ -82,6 +156,12 @@ def _mults(datum, valuation):
     return mults
 
 
+# one entry (generators, support, mults, order): the OrderFunction that
+# asymptotic_order used last, with what it was built from; a list, so that
+# the module's names stay bound to the same objects
+_last_order = [None]
+
+
 def asymptotic_order(datum, valuation, x, support=None):
     """Exact order of vanishing at ``x``: min of generator multiplicities
     over all nonnegative rational representations of ``x``.
@@ -90,8 +170,29 @@ def asymptotic_order(datum, valuation, x, support=None):
     certifies it.  ``x`` outside the closed support cone raises
     OutsideSupport (distinct from value 0).  ``support``, when given, must
     be the datum's support cone (see ``OrderFunction``).
+
+    The ``OrderFunction`` of the previous call answers again when the
+    datum's ``generators`` tuple and ``support`` are the same objects
+    (``None`` matches ``None``), every multiplicity read at ``valuation`` is
+    the same object as before and the degrees are equal; otherwise a new
+    one is built and kept in its place.  Both hold the same kept bases, so
+    which one answers changes no result.
     """
-    return OrderFunction(datum, valuation, support).certificate(x)
+    generators = datum.generators
+    mults = _mults(datum, valuation)
+    last = _last_order[0]
+    if (
+        last is not None
+        and last[0] is generators
+        and last[1] is support
+        and all(map(is_, mults, last[2]))
+        and all([tuple(g.multidegree) == d for g, d in zip(generators, last[3].degrees)])
+    ):
+        order = last[3]
+    else:
+        order = OrderFunction(datum, valuation, support)
+        _last_order[0] = (generators, support, mults, order)
+    return order.certificate(x)
 
 
 class OrderFunction:
@@ -128,22 +229,19 @@ class OrderFunction:
 
     def value(self, x):
         """The order at ``x`` as a ``Fraction``; builds no witness or dual."""
-        xs, x_den = clear_denominators(x)
+        xs, x_den = _scaled(x)
         basis, _ = self._basis(x, xs, x_den)
         return Fraction(dot(basis.dual_num, xs), basis.dual_den * x_den)
 
     def certificate(self, x):
-        """The order at ``x`` as an ``OValue``: the witness is the optimal
-        basis's solution at ``x`` and the dual is that basis's."""
-        xs, x_den = clear_denominators(x)
+        """The order at ``x`` as an ``OValue`` that builds its witness, the
+        optimal basis's solution at ``x``, and that basis's dual when they
+        are first read."""
+        xs, x_den = _scaled(x)
         basis, z = self._basis(x, xs, x_den)
-        witness = [Fraction(0)] * len(self.degrees)
-        for col, v in zip(basis.cols, z):
-            witness[col] = Fraction(v, basis.inverse_den * x_den)
-        return OValue(
+        return OValue._from_basis(
             Fraction(dot(basis.dual_num, xs), basis.dual_den * x_den),
-            tuple(witness),
-            tuple([Fraction(v, basis.dual_den) for v in basis.dual_num]),
+            basis, z, x_den, len(self.degrees),
         )
 
     def _basis(self, x, xs, x_den):

@@ -15,7 +15,7 @@ fan construction, not at the input.
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 from .errors import BudgetExceeded, NotFoundError
 from .linalg import clear_denominators, echelon, rank
@@ -36,14 +36,31 @@ class VeroneseResult:
 
 def _representations(degrees, total, limit=None):
     """The nonnegative integer vectors a with sum(a_i * degrees_i) == total,
-    in lexicographic order; only the first ``limit`` of them when given."""
+    in lexicographic order; only the first ``limit`` of them when given.
+
+    The last two coefficients are read off, not searched: with g and h the
+    last two degrees and c = gcd(g, h), ``a * g + b * h == remaining`` has
+    solutions exactly when c divides ``remaining``, and then the a's are the
+    least solution of ``a * g == remaining (mod h)`` in steps of h / c.
+    """
     out = []
+    if len(degrees) == 1:
+        q, r = divmod(total, degrees[0])
+        return [(q,)] if r == 0 else []
+    g, h = degrees[-2:]
+    c = gcd(g, h)
+    step = h // c
+    inverse = pow(g // c, -1, step)
+    second_last = len(degrees) - 2
 
     def recurse(i, remaining, prefix):
-        if i == len(degrees) - 1:
-            q, r = divmod(remaining, degrees[i])
-            if r == 0:
-                out.append(tuple(prefix + [q]))
+        if i == second_last:
+            if remaining % c:
+                return
+            for a in range(remaining // c * inverse % step, remaining // g + 1, step):
+                if len(out) == limit:
+                    return
+                out.append(tuple(prefix + [a, (remaining - a * g) // h]))
             return
         for a in range(remaining // degrees[i] + 1):
             if len(out) == limit:
@@ -85,8 +102,8 @@ def veronese_degree(degrees, m_max, budget=16, split_budget=DEFAULT_SPLIT_BUDGET
     representations of each candidate d are listed once and shared by every
     split.  Every listed representation costs at least one split node, so
     each list for d*m stops at the nodes left (``counter[0]``) and runs out
-    exactly where the whole list would; the parts, which are the list for
-    m = 1, stop at ``split_budget``.
+    exactly where the whole list would; the parts stop at ``split_budget``
+    and serve as the list for m = 1.
     """
     degrees = sorted(degrees)
     if not degrees or any(g <= 0 for g in degrees):
@@ -99,7 +116,8 @@ def veronese_degree(degrees, m_max, budget=16, split_budget=DEFAULT_SPLIT_BUDGET
         memo = {}
         good = True
         for m in range(1, m_max + 1):
-            for rep in _representations(degrees, d * m, counter[0]):
+            reps = parts if m == 1 else _representations(degrees, d * m, counter[0])
+            for rep in reps:
                 if not _splits(rep, parts, m, memo, counter):
                     good = False
                     break

@@ -17,7 +17,7 @@ from .errors import (
     NonGenericSegment,
     OutsideSupport,
 )
-from .linalg import dot, vadd, vscale
+from .linalg import clear_denominators, dot, vadd, vscale
 
 
 @dataclass(frozen=True)
@@ -93,32 +93,40 @@ class MmpTrace:
     final_model_id: str
 
 
-def _segment_interval(cell, seg):
-    """Exact t-interval of the segment inside a cell, or None if empty."""
-    lo, hi = Fraction(0), Fraction(1)
+def _segment_interval(cell, h, d):
+    """Exact t-interval of the segment inside a cell, or None if empty.
+
+    ``h`` and ``d`` are integer vectors, the ample endpoint and
+    ``kappa - h`` over one positive denominator, so each wall gives
+    ``t = -alpha / beta`` with ``alpha = eq . h`` and ``beta = eq . d``.
+    The bounds are kept as (numerator, positive denominator) pairs and
+    compared by cross-multiplication.
+    """
+    lo_n, lo_d, hi_n, hi_d = 0, 1, 1, 1
     for eq in cell.equations:
-        alpha = dot(eq, seg.h)
-        beta = dot(eq, seg.kappa) - alpha
+        alpha = dot(eq, h)
+        beta = dot(eq, d)
         if alpha != 0 or beta != 0:
             if beta == 0:
                 return None
-            t = Fraction(-alpha, beta)
-            if t < lo or t > hi:
+            t_n, t_d = (-alpha, beta) if beta > 0 else (alpha, -beta)
+            if t_n * lo_d < lo_n * t_d or t_n * hi_d > hi_n * t_d:
                 return None
-            lo = hi = t
+            lo_n, lo_d = hi_n, hi_d = t_n, t_d
     for hs in cell.facets:
-        alpha = dot(hs.normal, seg.h)
-        beta = dot(hs.normal, seg.kappa) - alpha
+        alpha = dot(hs.normal, h)
+        beta = dot(hs.normal, d)
         if beta == 0:
             if alpha < 0:
                 return None
         elif beta > 0:
-            lo = max(lo, Fraction(-alpha, beta))
-        else:
-            hi = min(hi, Fraction(-alpha, beta))
-    if lo > hi:
+            if -alpha * lo_d > lo_n * beta:
+                lo_n, lo_d = -alpha, beta
+        elif alpha * hi_d < hi_n * -beta:
+            hi_n, hi_d = alpha, -beta
+    if lo_n * hi_d > hi_n * lo_d:
         return None
-    return lo, hi
+    return Fraction(lo_n, lo_d), Fraction(hi_n, hi_d)
 
 
 def _tight_walls(cell, point):
@@ -137,9 +145,13 @@ def order_chambers(fan, seg):
         raise OutsideSupport("ample endpoint h lies outside the support cone")
     if not support.contains(seg.kappa):
         raise OutsideSupport("adjoint endpoint lies outside the support cone")
+    n = len(seg.h)
+    scaled, _ = clear_denominators(seg.h + seg.kappa)
+    h = scaled[:n]
+    d = tuple([k - a for k, a in zip(scaled[n:], h)])
     met = []
     for idx, cell in enumerate(fan.cells):
-        interval = _segment_interval(cell, seg)
+        interval = _segment_interval(cell, h, d)
         if interval is None:
             continue
         lo, hi = interval

@@ -1,5 +1,7 @@
 """Order functions: LP values, linearity fans, chamber fans, integer levels."""
 
+import copy
+import pickle
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
@@ -606,6 +608,174 @@ def test_warm_value_builds_no_certificate(name, monkeypatch):
     monkeypatch.setattr(orders, "OValue", forbidden)
     monkeypatch.setattr(orders, "solve_min", forbidden)
     assert [functions[v].value(x) for v, x in queries] == expected
+
+
+def _count_order_functions(monkeypatch):
+    """Forget the OrderFunction that asymptotic_order keeps, and list the
+    arguments of every one it builds from now on."""
+    built = []
+
+    class Counted(orders.OrderFunction):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(orders, "OrderFunction", Counted)
+    monkeypatch.setattr(orders, "_last_order", [None])
+    return built
+
+
+def _cold_value(datum, valuation, x):
+    _, heights, A = _lp_data(datum, valuation, x)
+    return orders.solve_min(A, list(x), heights)[0]
+
+
+def test_asymptotic_order_reuses_its_order_function(monkeypatch):
+    built = _count_order_functions(monkeypatch)
+    datum = _corpus_datum(2)
+    support = support_cone(datum)
+    valuation = datum.valuations[0]
+    for x in support.rays:
+        assert asymptotic_order(datum, valuation, x, support=support).value == _cold_value(
+            datum, valuation, x)
+    assert len(built) == 1
+
+
+def test_reuse_drops_a_multiplicity_replaced_in_the_same_dict(monkeypatch):
+    built = _count_order_functions(monkeypatch)
+    datum = copy.deepcopy(builtin_examples()["blowup-P2"])
+    assert asymptotic_order(datum, "E", (2, 1)).value == 1
+    # the witness (1, 0, 1) uses the third generator, so a dearer one moves
+    # the optimum to (2, 1, 0)
+    datum.generators[2].mults["E"] = Fraction(5)
+    assert asymptotic_order(datum, "E", (2, 1)).value == 2 == _cold_value(datum, "E", (2, 1))
+    assert len(built) == 2
+    datum.generators[2].mults["E"] = 5
+    assert asymptotic_order(datum, "E", (2, 1)).value == 2
+    assert len(built) == 3
+    datum.generators[2].mults["E"] = 5.0
+    with pytest.raises(TypeError):
+        asymptotic_order(datum, "E", (2, 1))
+
+
+def test_reuse_drops_another_support_object_or_datum(monkeypatch):
+    built = _count_order_functions(monkeypatch)
+    datum = _corpus_datum(3)
+    valuation = datum.valuations[0]
+    first, second = support_cone(datum), support_cone(datum)
+    assert first == second and first is not second
+    twin = copy.deepcopy(datum)
+    assert twin == datum and twin.generators is not datum.generators
+    x = tuple(sum(col) for col in zip(*first.rays))
+    expected = _cold_value(datum, valuation, x)
+    calls = [(datum, first), (datum, first), (datum, second), (datum, None), (datum, None),
+             (twin, None), (twin, first), (datum, first)]
+    counts = []
+    for d, support in calls:
+        assert asymptotic_order(d, valuation, x, support=support).value == expected
+        counts.append(len(built))
+    assert counts == [1, 1, 2, 3, 3, 4, 5, 6]
+
+
+def test_reuse_drops_across_alternating_valuations(monkeypatch):
+    built = _count_order_functions(monkeypatch)
+    datum = _corpus_datum(1)
+    support = support_cone(datum)
+    heights = [orders._mults(datum, v) for v in datum.valuations]
+    one, other = next(
+        (datum.valuations[i], datum.valuations[j])
+        for i in range(len(heights)) for j in range(i + 1, len(heights))
+        if heights[i] != heights[j]
+    )
+    points = [r for r in support.rays] + [tuple(sum(col) for col in zip(*support.rays))]
+    calls = 0
+    for x in points:
+        for valuation in (one, other):
+            assert asymptotic_order(datum, valuation, x, support=support).value == _cold_value(
+                datum, valuation, x)
+            calls += 1
+            assert len(built) == calls
+
+
+def _eager_ovalue(function, x):
+    """The OValue of ``x`` built at once from the front kept basis of
+    ``function``, as ``certificate`` built it before it became lazy."""
+    basis = function.bases[0]
+    xs, x_den = clear_denominators(x)
+    z = function._basic_solution(basis, xs)
+    witness = [Fraction(0)] * len(function.degrees)
+    for col, v in zip(basis.cols, z):
+        witness[col] = Fraction(v, basis.inverse_den * x_den)
+    return orders.OValue(
+        Fraction(dot(basis.dual_num, xs), basis.dual_den * x_den),
+        tuple(witness),
+        tuple(Fraction(v, basis.dual_den) for v in basis.dual_num),
+    )
+
+
+# builtin examples and corpus seeds 1-15
+LAZY_CASES = sorted(builtin_examples()) + [f"corpus-{seed}" for seed in range(1, 16)]
+
+
+@pytest.mark.parametrize("name", LAZY_CASES)
+def test_lazy_ovalue_equals_the_eager_one(name):
+    datum = _named_datum(name)
+    support = support_cone(datum)
+    functions = {v: orders.OrderFunction(datum, v, support) for v in datum.valuations}
+    for valuation, x in _cache_queries(datum, chamber_fan(datum, support=support)):
+        function = functions[valuation]
+        lazy = function.certificate(x)
+        eager = _eager_ovalue(function, x)
+        assert (hash(lazy), repr(lazy)) == (hash(eager), repr(eager))
+        assert lazy == eager and eager == lazy
+        assert (lazy.value, lazy.witness, lazy.dual) == (eager.value, eager.witness, eager.dual)
+
+
+def test_ovalue_is_read_only_and_copies():
+    ov = asymptotic_order(builtin_examples()["blowup-P2"], "E", (2, 1))
+    for name in ("value", "witness", "dual", "other"):
+        with pytest.raises(AttributeError):
+            setattr(ov, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(ov, name)
+    for twin in (copy.copy(ov), pickle.loads(pickle.dumps(ov))):
+        assert twin == ov and repr(twin) == repr(ov)
+    assert ov != orders.OValue(ov.value, ov.witness, (Fraction(7),) * len(ov.dual))
+    assert ov != (ov.value, ov.witness, ov.dual)
+
+
+def test_warm_value_read_builds_no_witness_or_dual(monkeypatch):
+    datum = _corpus_datum(2)
+    support = support_cone(datum)
+    queries = _cache_queries(datum, chamber_fan(datum, support=support))
+    expected = [asymptotic_order(datum, v, x, support=support).value for v, x in queries]
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a warm key solved its LP")
+
+    monkeypatch.setattr(orders, "Fraction", counted)
+    monkeypatch.setattr(orders, "solve_min", forbidden)
+    for (valuation, x), value in zip(queries, expected):
+        made.clear()
+        ov = asymptotic_order(datum, valuation, x, support=support)
+        assert ov.value == value
+        assert len(made) == 1
+        witness = ov.witness
+        read = len(made)
+        assert read > 1
+        dual = ov.dual
+        assert len(made) == read + len(dual)
+        assert ov.witness is witness and ov.dual is dual
+        assert len(made) == read + len(dual)
+        _, heights, _ = _lp_data(datum, valuation, x)
+        assert dot(heights, witness) == value == dot(dual, x)
 
 
 @pytest.mark.parametrize("k", [1.5, 2.0, True])

@@ -1,11 +1,13 @@
 """Segment walks, nef classification, trace emission."""
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 
 from mmpwalk import (
     InconsistentInput,
+    InstanceSpec,
     MissingNefData,
     NonGenericSegment,
     OutsideSupport,
@@ -15,9 +17,12 @@ from mmpwalk import (
     emit_trace,
     make_segment,
     order_chambers,
+    random_instance,
 )
 from mmpwalk.cones import cone_from_rays
-from mmpwalk.ring import NefConeDatum, PushforwardDatum, RingDatum
+from mmpwalk.linalg import clear_denominators, dot
+from mmpwalk.ring import NefConeDatum, PushforwardDatum, RingDatum, support_cone
+from mmpwalk.walk import _segment_interval
 
 
 @pytest.fixture(scope="module")
@@ -213,3 +218,99 @@ def test_wall_point_lies_on_shared_facet(blowup_fan):
     first, second = walk.cells
     assert any(hs.evaluate(wall) == 0 for hs in first.facets)
     assert any(hs.evaluate(wall) == 0 for hs in second.facets)
+
+
+def _reference_segment_interval(cell, seg, branches):
+    """The segment's t-interval in a cell, computed in ``Fraction``s as
+    ``order_chambers`` did before it scaled the segment to integers; adds
+    the name of every sign branch it takes to ``branches``."""
+    lo, hi = Fraction(0), Fraction(1)
+    for eq in cell.equations:
+        alpha = dot(eq, seg.h)
+        beta = dot(eq, seg.kappa) - alpha
+        if alpha != 0 or beta != 0:
+            if beta == 0:
+                branches.add("equation, beta == 0")
+                return None
+            branches.add("equation, beta > 0" if beta > 0 else "equation, beta < 0")
+            t = Fraction(-alpha, beta)
+            if t < lo or t > hi:
+                return None
+            lo = hi = t
+    for hs in cell.facets:
+        alpha = dot(hs.normal, seg.h)
+        beta = dot(hs.normal, seg.kappa) - alpha
+        if beta == 0:
+            branches.add("facet, beta == 0")
+            if alpha < 0:
+                return None
+        elif beta > 0:
+            branches.add("facet, beta > 0")
+            lo = max(lo, Fraction(-alpha, beta))
+        else:
+            branches.add("facet, beta < 0")
+            hi = min(hi, Fraction(-alpha, beta))
+    if lo > hi:
+        return None
+    return lo, hi
+
+
+def _segment_cases():
+    """Chamber fans of the builtin examples and corpus instances 1-15, each
+    with its support's rays."""
+    data = list(builtin_examples().values())
+    for seed in range(1, 16):
+        r = (1, 1, 2, 2, 3)[seed % 5]
+        data.append(random_instance(InstanceSpec(
+            r=r,
+            generator_count={1: 6, 2: 6, 3: 5}[r],
+            valuation_count={1: 4, 2: 3, 3: 2}[r],
+            coordinate_bound=4,
+            seed=seed,
+        )))
+    for datum in data:
+        support = support_cone(datum)
+        yield chamber_fan(datum, support=support), support.rays
+
+
+def test_integer_segment_interval_matches_fraction_reference():
+    # seeded endpoints h inside the support; kappa the first unit vector,
+    # another support point, a ray of the face, or h moved along the face
+    # (beta == 0 on it); cells and their faces of dimension one and two, so
+    # that the equations are met too
+    rng = Random(7)
+    branches = set()
+    met = 0
+
+    def point(rays):
+        return tuple(sum(Fraction(rng.randint(1, 9), rng.randint(1, 5)) * r[j] for r in rays)
+                     for j in range(len(rays[0])))
+
+    for fan, support_rays in _segment_cases():
+        n = len(support_rays[0])
+        for cell in fan.cells:
+            rays = cell.rays
+            faces = [cell] + [cone_from_rays([r]) for r in rays] + [
+                cone_from_rays([a, b]) for i, a in enumerate(rays) for b in rays[i + 1:]]
+            for face in faces:
+                h = point(support_rays)
+                kappas = [tuple(int(j == 0) for j in range(n)), point(support_rays),
+                          face.rays[0]]
+                if len(face.rays) > 1:
+                    a, b = face.rays[:2]
+                    kappas.append(tuple(x + u - v for x, u, v in zip(h, a, b)))
+                for kappa in kappas:
+                    if tuple(kappa) == h:
+                        continue
+                    seg = make_segment(h, kappa)
+                    scaled, _ = clear_denominators(seg.h + seg.kappa)
+                    hs = scaled[:n]
+                    d = tuple(k - a for k, a in zip(scaled[n:], hs))
+                    expected = _reference_segment_interval(face, seg, branches)
+                    assert _segment_interval(face, hs, d) == expected, (face, seg)
+                    met += expected is not None
+    assert branches == {
+        "equation, beta == 0", "equation, beta > 0", "equation, beta < 0",
+        "facet, beta == 0", "facet, beta > 0", "facet, beta < 0",
+    }
+    assert met > 100
