@@ -20,7 +20,6 @@ from .errors import (
     MissingNefData,
     MmpwalkError,
     NonGenericSegment,
-    NotFoundError,
     OutsideSupport,
     ParseError,
     SupportMismatch,

@@ -15,7 +15,8 @@ from . import serialize
 from .errors import BudgetExceeded, MmpwalkError, NonGenericSegment, ParseError
 from .oracle import builtin_examples, o_value_oracle
 from .linalg import dot
-from .orders import OrderFunction, asymptotic_order, cell_functionals, chamber_fan
+from .orders import (DEFAULT_NODE_BUDGET, OrderFunction, asymptotic_order,
+                     cell_functionals, chamber_fan)
 from .ring import support_cone, validate
 from .veronese import MAX_MONOID_GENERATORS, grid_additivity_check, veronese_degree
 from .walk import classify_nef, emit_trace, make_segment, order_chambers
@@ -154,10 +155,9 @@ def cmd_veronese(cfg):
     except ValueError as exc:
         raise ParseError(f"bad --degrees {cfg.degrees!r}: {exc}") from None
     if cfg.format == "text":
-        _write_output(
-            cfg,
-            f"d = {result.d} ({result.certified} up to m = {result.verified_up_to})\n",
-        )
+        scope = ("for every m" if result.certified == "proved"
+                 else f"up to m = {result.verified_up_to}")
+        _write_output(cfg, f"d = {result.d} ({result.certified} {scope})\n")
     else:
         _write_output(
             cfg,
@@ -178,8 +178,8 @@ def cmd_check(cfg):
     rng = random.Random(cfg.seed)
     failures = []
     notes = []
-    support = support_cone(datum)
     fan = chamber_fan(datum, refine=cfg.refine)
+    support = fan.support
     functionals = cell_functionals(datum, fan)
     order = {v: OrderFunction(datum, v, support) for v in datum.valuations}
 
@@ -241,7 +241,7 @@ def cmd_check(cfg):
     notes.append("partition: 25 sampled points")
 
     # grid additivity on the chamber fan
-    grid = grid_additivity_check(datum, fan, dscale=1, depth=cfg.grid_depth)
+    grid = grid_additivity_check(datum, fan, depth=cfg.grid_depth)
     for check in grid.failures:
         point = tuple(map(Fraction, check.point))
         failures.append(f"grid additivity: exponents {check.exponents} at {point}")
@@ -324,10 +324,13 @@ def build_parser():
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.budget is None:
-        text = os.environ.get("MMPW_BUDGET", "2000000")
+        text = os.environ.get("MMPW_BUDGET", str(DEFAULT_NODE_BUDGET))
         try:
             args.budget = int(text)
         except ValueError:

@@ -25,10 +25,6 @@ class BudgetExceeded(MmpwalkError):
     """A configured pivot or enumeration budget was exhausted."""
 
 
-class NotFoundError(MmpwalkError):
-    """A bounded search terminated without a result."""
-
-
 class NonGenericSegment(MmpwalkError):
     """The scaling segment meets a chamber without meeting its interior.
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from .cones import cone_from_rays
 from .errors import BudgetExceeded
 from .linalg import clear_denominators
-from .orders import _check_level, _mults
+from .orders import DEFAULT_NODE_BUDGET, _check_level, _mults
 from .ring import (
     GeneratorDatum,
     NefConeDatum,
@@ -20,8 +20,6 @@ from .ring import (
     PushforwardDatum,
     RingDatum,
 )
-
-ORACLE_NODE_BUDGET = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -119,7 +117,7 @@ def _min_over_integer_representations(degrees, costs, target, budget):
     return best[0], nodes
 
 
-def o_value_oracle(datum, valuation, x, k_list, budget=ORACLE_NODE_BUDGET):
+def o_value_oracle(datum, valuation, x, k_list, budget=DEFAULT_NODE_BUDGET):
     """Enumeration values (1/k)*min over integer representations of k*x,
     one per requested k; None marks a k where k*x is not an integer point
     or has no integer representation.

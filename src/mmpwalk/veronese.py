@@ -2,8 +2,10 @@
 
 ``veronese_degree`` works purely at the level of degrees: a candidate d
 passes when every representation of d*m over the input degrees splits into
-m representations of d, exhaustively checked for all m up to a bound.  The
-result is a bounded verification, never a proof for all m.
+m representations of d.  The integer decomposition property proves one
+multiple of the lcm for every m; each smaller multiple is checked
+exhaustively for all m up to a bound, and the least that passes (a bounded
+verification), else the proved one, is returned.
 
 ``grid_additivity_check`` cross-checks the chamber fan: on every cell the
 order functions are linear, so the order of a nonnegative integer
@@ -17,10 +19,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .errors import BudgetExceeded, NotFoundError
+from .errors import BudgetExceeded
 from .linalg import clear_denominators, echelon, rank
 from .orders import OrderFunction
-from .ring import support_cone
 
 DEFAULT_SPLIT_BUDGET = 200_000
 DEFAULT_LATTICE_BUDGET = 20_000
@@ -93,23 +94,28 @@ def _splits(rep, parts, m, memo, counter):
     return result
 
 
-def veronese_degree(degrees, m_max, budget=16, split_budget=DEFAULT_SPLIT_BUDGET):
-    """Smallest multiple d of lcm(degrees) whose representations of d*m all
-    split into m representations of d, for every m <= m_max.
+def veronese_degree(degrees, m_max, split_budget=DEFAULT_SPLIT_BUDGET):
+    """Smallest multiple d of L = lcm(degrees) whose representations of d*m
+    all split into m representations of d, for every m <= m_max.
 
-    Tries up to ``budget`` multiples of the lcm; raises NotFoundError past
-    that, BudgetExceeded when the splitting enumeration blows up.  The
-    representations of each candidate d are listed once and shared by every
-    split.  Every listed representation costs at least one split node, so
-    each list for d*m stops at the nodes left (``counter[0]``) and runs out
-    exactly where the whole list would; the parts stop at ``split_budget``
-    and serve as the list for m = 1.
+    The representations of c*L*m are the lattice points of m*(c*P), P the
+    lattice simplex {a >= 0 : sum(a_i * g_i) = L} of dimension s - 1 for s
+    degrees.  c*P has the integer decomposition property for c >= s - 2
+    (Bruns-Gubeladze-Trung), so c* = max(1, s - 2) is "proved" for every m
+    with no search.  Each c < c* is searched for all m <= m_max ("bounded
+    verification"), and BudgetExceeded ends the call when the splitting
+    enumeration blows up.  The representations of each candidate d are
+    listed once and shared by every split.  Every listed representation
+    costs at least one split node, so each list for d*m stops at the nodes
+    left (``counter[0]``) and runs out exactly where the whole list would;
+    the parts stop at ``split_budget`` and serve as the list for m = 1.
     """
     degrees = sorted(degrees)
     if not degrees or any(g <= 0 for g in degrees):
         raise ValueError("degrees must be positive integers")
     base = lcm(*degrees)
-    for mult in range(1, budget + 1):
+    proved = max(1, len(degrees) - 2)
+    for mult in range(1, proved):
         d = mult * base
         parts = _representations(degrees, d, split_budget)
         counter = [split_budget]
@@ -125,9 +131,7 @@ def veronese_degree(degrees, m_max, budget=16, split_budget=DEFAULT_SPLIT_BUDGET
                 break
         if good:
             return VeroneseResult(d=d, verified_up_to=m_max)
-    raise NotFoundError(
-        f"no Veronese degree found among the first {budget} multiples of {base}"
-    )
+    return VeroneseResult(d=proved * base, verified_up_to=m_max, certified="proved")
 
 
 @dataclass
@@ -266,19 +270,19 @@ def _exponent_vectors(count, depth):
             yield tuple(vec)
 
 
-def grid_additivity_check(datum, fan, dscale=1, depth=3,
+def grid_additivity_check(datum, fan, depth=3,
                           lattice_budget=DEFAULT_LATTICE_BUDGET,
                           max_generators=MAX_MONOID_GENERATORS):
-    """Verify order additivity on scaled monoid-generator combinations of
-    every cell, for every tracked valuation.
+    """Verify order additivity on monoid-generator combinations of every
+    cell of a chamber fan of ``datum``, for every tracked valuation.
 
     Per-cell problems (a box, or a grid of exponent vectors counted before
     any is built, over ``lattice_budget``; too many generators) are
-    reported, not fatal.  Each valuation's order function is set up once,
-    and with an integer ``dscale`` every point is an integer vector.
+    reported, not fatal.  Each valuation's order function is set up once on
+    the fan's support, the datum's support cone, and every point is an
+    integer vector.
     """
-    support = support_cone(datum)
-    order = {v: OrderFunction(datum, v, support) for v in datum.valuations}
+    order = {v: OrderFunction(datum, v, fan.support) for v in datum.valuations}
     report = GridReport()
     for ci, cell in enumerate(fan.cells):
         try:
@@ -294,9 +298,8 @@ def grid_additivity_check(datum, fan, dscale=1, depth=3,
                     CellReport(ci, valuation, (), skipped=str(exc))
                 )
             continue
-        scaled = [tuple(dscale * x for x in g) for g in gens]
         checks = [
-            (p, tuple(sum(pj * g[j] for pj, g in zip(p, scaled))
+            (p, tuple(sum(pj * g[j] for pj, g in zip(p, gens))
                       for j in range(cell.ambient_dim)))
             for p in _exponent_vectors(len(gens), depth)
         ]
@@ -304,7 +307,7 @@ def grid_additivity_check(datum, fan, dscale=1, depth=3,
             entry = CellReport(ci, valuation, tuple(gens), truncated=truncated)
             value = order[valuation].value
             # the generators' orders as integers over one denominator
-            base, base_den = clear_denominators([value(g) for g in scaled])
+            base, base_den = clear_denominators([value(g) for g in gens])
             for p, point in checks:
                 rhs = Fraction(sum(pj * bj for pj, bj in zip(p, base)), base_den)
                 entry.checks.append(AdditivityCheck(p, point, value(point), rhs))

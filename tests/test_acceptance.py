@@ -292,7 +292,7 @@ def test_criterion_6_grid_additivity(corpus):
     truncated = 0
     cells = 0
     for datum, support, fan, _ in records:
-        report = grid_additivity_check(datum, fan, dscale=1, depth=3)
+        report = grid_additivity_check(datum, fan, depth=3)
         failures += len(report.failures)
         skipped += sum(1 for e in report.entries if e.skipped)
         truncated += len({e.cell_index for e in report.entries if e.truncated})

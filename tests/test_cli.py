@@ -240,7 +240,20 @@ def test_decompose_writes_file(tmp_path, capsys):
 def test_veronese_command(capsys):
     code, out, _ = run(capsys, "veronese", "--degrees", "2,3", "--m-max", "6")
     assert code == 0
-    assert json.loads(out)["d"] == 6
+    assert json.loads(out) == {"d": 6, "verified_up_to": 6, "certified": "proved"}
+    code, out, _ = run(capsys, "veronese", "--degrees", "2,3", "--format", "text")
+    assert (code, out) == (0, "d = 6 (proved for every m)\n")
+    code, out, _ = run(
+        capsys, "veronese", "--degrees", "2,3,4,6", "--m-max", "2", "--format", "text"
+    )
+    assert (code, out) == (0, "d = 12 (bounded verification up to m = 2)\n")
+
+
+def test_veronese_three_degrees_are_proved_at_any_m_max(capsys):
+    # the search over m <= 50 used to exhaust the split budget
+    code, out, _ = run(capsys, "veronese", "--degrees", "2,3,5", "--m-max", "50")
+    assert code == 0
+    assert json.loads(out) == {"d": 30, "verified_up_to": 50, "certified": "proved"}
 
 
 def test_veronese_requires_degrees(capsys):
@@ -296,6 +309,16 @@ def test_check_skips_a_grid_over_the_lattice_budget(capsys):
 def test_oracle_requires_points(capsys):
     code, _, _ = run(capsys, "oracle", "--example", "blowup-P2")
     assert code == 2
+
+
+def test_main_calls_share_no_point_list(capsys):
+    # one parser serves every call, and each call's --point list starts empty
+    _, first, _ = run(capsys, "oracle", "--example", "blowup-P2", "--point", "2,1")
+    _, second, _ = run(capsys, "oracle", "--example", "blowup-P2", "--point", "1,1")
+    assert first.startswith("OK E at 2,1:") and first.count("\n") == 1
+    assert second.startswith("OK E at 1,1:") and second.count("\n") == 1
+    code, out, _ = run(capsys, "oracle", "--example", "blowup-P2")
+    assert (code, out) == (2, "")
 
 
 def test_unknown_example_is_parse_error(capsys):

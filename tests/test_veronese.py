@@ -20,7 +20,7 @@ from mmpwalk import (
     veronese_degree,
 )
 from mmpwalk.cones import cone_from_rays
-from mmpwalk.errors import BudgetExceeded, NotFoundError
+from mmpwalk.errors import BudgetExceeded
 from mmpwalk.linalg import rank, solve_exact
 from mmpwalk.veronese import (
     MAX_MONOID_GENERATORS,
@@ -36,7 +36,7 @@ def test_single_degree_one():
     result = veronese_degree([1], 5)
     assert result.d == 1
     assert result.verified_up_to == 5
-    assert result.certified == "bounded verification"
+    assert result.certified == "proved"
 
 
 def test_single_degree_two():
@@ -60,14 +60,10 @@ def test_rejects_bad_degrees():
         veronese_degree([0, 2], 3)
 
 
-def test_not_found_when_budget_too_small():
-    with pytest.raises(NotFoundError):
-        veronese_degree([2, 3], 6, budget=0)
-
-
 def test_split_budget_exhaustion():
+    # four degrees: c = 1 is searched before the proved c = 2
     with pytest.raises(BudgetExceeded):
-        veronese_degree([2, 3], 6, split_budget=1)
+        veronese_degree([2, 3, 4, 6], 6, split_budget=1)
 
 
 def test_representations_enumeration():
@@ -128,7 +124,7 @@ def _reference_veronese_degree(degrees, m_max, split_budget):
                 break
         if good:
             return veronese.VeroneseResult(d=d, verified_up_to=m_max)
-    raise NotFoundError("no Veronese degree found")
+    raise AssertionError("no Veronese degree found")
 
 
 def _split_threshold(degrees, m_max):
@@ -151,11 +147,39 @@ BENCHMARK_DEGREE_SETS = [
 
 
 @pytest.mark.parametrize("degrees", BENCHMARK_DEGREE_SETS, ids=str)
-def test_veronese_degree_matches_reference_and_its_split_budget(degrees):
+def test_veronese_degree_matches_reference_and_its_split_budget(degrees, monkeypatch):
+    # at most three degrees: the lcm is proved without listing a
+    # representation or visiting a split node, so one node of budget is enough
+    def refuse(*args):
+        raise AssertionError("split search entered")
+
+    monkeypatch.setattr(veronese, "_splits", refuse)
+    monkeypatch.setattr(veronese, "_representations", refuse)
     for m_max in range(1, 5):
+        result = veronese_degree(degrees, m_max, split_budget=1)
+        assert result == veronese.VeroneseResult(math.lcm(*degrees), m_max, "proved")
+        expected = _reference_veronese_degree(degrees, m_max, veronese.DEFAULT_SPLIT_BUDGET)
+        assert result.d == expected.d
+
+
+# four degrees, so c = 1 is searched before the proved c = 2; c = 1 fails
+# only for [1, 6, 10, 15]
+FOUR_DEGREE_SETS = [[2, 3, 4, 6], [2, 3, 6, 8], [3, 4, 6, 8], [1, 6, 10, 15]]
+
+
+@pytest.mark.parametrize("degrees", FOUR_DEGREE_SETS, ids=str)
+def test_four_degrees_match_reference_and_their_split_budget(degrees):
+    for m_max in range(1, 4):
         threshold = _split_threshold(degrees, m_max)
         result = veronese_degree(degrees, m_max, split_budget=threshold)
-        assert result == _reference_veronese_degree(degrees, m_max, threshold)
+        if result.certified == "proved":
+            # the reference searches c = 2 as well, with a budget of its own
+            expected = _reference_veronese_degree(
+                degrees, m_max, veronese.DEFAULT_SPLIT_BUDGET
+            )
+            assert result == veronese.VeroneseResult(expected.d, m_max, "proved")
+        else:
+            assert result == _reference_veronese_degree(degrees, m_max, threshold)
         with pytest.raises(BudgetExceeded):
             _reference_veronese_degree(degrees, m_max, threshold - 1)
 
@@ -171,7 +195,7 @@ def test_monoid_generators_simplicial_cell():
 def test_grid_additivity_passes_on_example():
     datum = builtin_examples()["blowup-P2"]
     fan = chamber_fan(datum)
-    report = grid_additivity_check(datum, fan, dscale=1, depth=3)
+    report = grid_additivity_check(datum, fan, depth=3)
     assert report.ok()
     assert not any(e.skipped for e in report.entries)
     assert len(report.entries) == len(fan.cells)  # one valuation
@@ -186,13 +210,6 @@ def test_grid_additivity_depth_two_subset_of_depth_three():
     shallow_count = sum(len(e.checks) for e in shallow.entries)
     deep_count = sum(len(e.checks) for e in deep.entries)
     assert deep_count > shallow_count
-
-
-def test_grid_additivity_scaled_lattice():
-    datum = builtin_examples()["fractional-vertex"]
-    fan = chamber_fan(datum)
-    report = grid_additivity_check(datum, fan, dscale=3, depth=2)
-    assert report.ok()
 
 
 def test_grid_additivity_budget_is_reported_not_fatal():
@@ -283,13 +300,16 @@ def _grid_case(name):
     (1, veronese.DEFAULT_LATTICE_BUDGET), (2, veronese.DEFAULT_LATTICE_BUDGET), (1, 300)
 ])
 def test_grid_additivity_equals_reference(name, dscale, lattice_budget):
-    # a budget of 300 lattice points skips some cells of corpus-2
+    # a budget of 300 lattice points skips some cells of corpus-2; the order
+    # functions are homogeneous, so the reference on the grid scaled by
+    # dscale gives the package's checks scaled by dscale
     datum = _grid_case(name)
     fan = chamber_fan(datum)
-    report = grid_additivity_check(datum, fan, dscale, 3, lattice_budget)
+    report = grid_additivity_check(datum, fan, 3, lattice_budget)
     got = [
         (e.cell_index, e.valuation, e.generators, e.skipped, e.truncated,
-         [(c.exponents, c.point, c.lhs, c.rhs) for c in e.checks])
+         [(c.exponents, tuple(dscale * x for x in c.point), dscale * c.lhs, dscale * c.rhs)
+          for c in e.checks])
         for e in report.entries
     ]
     assert got == reference_grid_additivity(datum, fan, dscale, 3, lattice_budget)
