@@ -12,7 +12,10 @@ which continues the conversion from a pointed cone's own rays:
 ``cone_from_halfspaces`` cuts the whole space, ``intersect`` cuts one cone
 by the other and ``hyperplane_refinement`` slices a cell.  One
 combinatorial test, ``_maximal``, reads off both the extreme generators
-and the facets of a cut.  A cone with lineality takes one more
+and the facets of a cut, and a cut's equations are read off the same
+masks: the implicit equalities, tight at every ray, join the cone's own
+(``orders`` reads linearity cells off a lifted cone with ``_maximal``
+too).  A cone with lineality takes one more
 conversion, ``_rays_mod_lineality``, which fixes the representatives of
 its rays.  ``common_refinement`` skips a pair of cells that a facet
 separates before intersecting them.  Both refinements carry each cell's
@@ -27,7 +30,6 @@ from .linalg import (
     _eliminate,
     dot,
     is_zero,
-    kernel,
     primitive,
     rank,
     reduce_mod_rowspace,
@@ -59,14 +61,16 @@ def _tight_mask(vec, rows):
     return sum(1 << j for j, c in enumerate(rows) if dot(c, vec) == 0)
 
 
-def _maximal(vectors, others):
+def _maximal(vectors, others, masks=None):
     """The vectors whose sets of tight ``others`` are maximal among the
     proper ones (those missing some of ``others``).  This one combinatorial
     test reads off both the facets of a cone, among half-spaces tested
     against its rays, and the extreme rays of a pointed cone, among
-    generators tested against its facets."""
+    generators tested against its facets.  ``masks``, when given, are the
+    vectors' tight masks over ``others``."""
     everything = (1 << len(others)) - 1
-    masks = [_tight_mask(v, others) for v in vectors]
+    if masks is None:
+        masks = [_tight_mask(v, others) for v in vectors]
     proper = {m for m in masks if m != everything}
     maximal = {m for m in proper if not any(o != m and o & m == m for o in proper)}
     return [v for v, m in zip(vectors, masks) if m in maximal]
@@ -196,6 +200,10 @@ class PolyCone:
     def facet_hyperplanes(self):
         return {hs.hyperplane_key() for hs in self.facets}
 
+    def is_pointed(self):
+        rays = set(self.rays)  # a line is stored as two opposite rays
+        return not any(vneg(r) in rays for r in self.rays)
+
 
 def _rays_mod_lineality(facets, equations, n):
     """Rays of a cone with lineality: its extreme rays modulo lineality, as
@@ -248,22 +256,28 @@ def _cut(cone, normals):
 
     A pointed cone continues ``_dd`` from its own rays and facet masks; a
     cone with lineality (the whole space is one) is converted afresh from
-    its facets, both sides of its equations and the normals.  The equations
-    span the kernel of the lines and rays, and the facets are the old facets
-    and normals that ``_maximal`` keeps against the rays (every facet is cut
-    out by one, each vanishes on the lines, and a face is fixed by its
-    rays).  Lines left over take ``_rays_mod_lineality``.
+    its facets, both sides of its equations and the normals.  The cut's
+    span is cut out by the cone's equations and the implicit equalities,
+    the old facets and normals tight at every ray (each vanishes on the
+    lines); with none, the equations and old facets stand.  The facets are
+    the old facets and normals that ``_maximal`` keeps against the rays
+    over the same masks (every facet is cut out by one, and a face is fixed
+    by its rays).  Lines left over take ``_rays_mod_lineality``.
     """
     n = cone.ambient_dim
     old = [hs.normal for hs in cone.facets]
-    ray_set = set(cone.rays)
-    if any(vneg(r) in ray_set for r in cone.rays):
-        lines, rays = _dd(old + _both_sides(cone.equations) + normals, n)
-    else:
+    if cone.is_pointed():
         lines, rays = _dd(normals, n, [(r, _tight_mask(r, old)) for r in cone.rays])
+    else:
+        lines, rays = _dd(old + _both_sides(cone.equations) + normals, n)
     rays = sorted(rays)
-    equations = row_reduce(kernel(rays + lines, n))
-    facets = sorted({reduce_mod_rowspace(a, equations) for a in _maximal(old + normals, rays)})
+    constraints = old + normals
+    masks = [_tight_mask(a, rays) for a in constraints]
+    implicit = [a for a, m in zip(constraints, masks) if m == (1 << len(rays)) - 1]
+    equations = row_reduce(list(cone.equations) + implicit) if implicit else cone.equations
+    reduced = () if implicit else set(old)  # already reduced modulo the same equations
+    facets = sorted({a if a in reduced else reduce_mod_rowspace(a, equations)
+                     for a in _maximal(constraints, rays, masks)})
     if lines:
         rays = _rays_mod_lineality(facets, equations, n)
     dim = n - len(equations)

@@ -6,8 +6,9 @@ loops.  The package has one integer row step, ``_eliminate``:
 ``p*row - a*pivot_row`` divided by its gcd.  The simplex tableau pivots
 with it, ``cones._dd`` projects and combines its lines and rays with it,
 the fraction-free ``echelon`` is built on it, and ``rank``,
-``row_reduce``, ``reduce_mod_rowspace``, ``kernel`` and ``solve_exact``
-on ``echelon``.  No ``Fraction`` is built except for
+``row_reduce``, ``reduce_mod_rowspace`` and ``solve_exact`` on
+``echelon``.  There is no kernel routine: ``cones`` reads a cut's
+equations off its tight masks.  No ``Fraction`` is built except for
 ``solve_exact``'s result, and an inexact entry such as a float raises
 ``TypeError``.
 """
@@ -136,25 +137,6 @@ def reduce_mod_rowspace(v, ref_rows):
         col = next(j for j, x in enumerate(row) if x != 0)
         out = _eliminate(out, row, row[col], out[col])
     return out
-
-
-def kernel(rows, n):
-    """A basis of ``{y : row . y = 0 for every row}`` in dimension ``n``,
-    as primitive integer vectors: one per non-pivot column of ``echelon``.
-    """
-    pivots = [(next(j for j, x in enumerate(row) if x != 0), row) for row in echelon(rows)]
-    scale = lcm(*(row[col] for col, row in pivots))
-    pivot_cols = {col for col, _ in pivots}
-    basis = []
-    for free in range(n):
-        if free in pivot_cols:
-            continue
-        y = [0] * n
-        y[free] = scale
-        for col, row in pivots:
-            y[col] = -row[free] * (scale // row[col])
-        basis.append(primitive(y))
-    return basis
 
 
 def solve_exact(rows, rhs):

@@ -3,11 +3,12 @@
 For a tracked valuation the order at a point of the support cone is the
 optimum of an exact rational LP over the generator data.  Its linearity
 domains form a fan: lift each generator by its multiplicity, take the cone
-over the lifted generators, and project the lower facets back down.  The
-chamber fan is the common refinement of these fans over all valuations,
-further sliced so that every cell respects every facet hyperplane.  Each
-cell carries its functionals through both refinements as its label; the
-checks compare them with LP values from ``simplex``.
+over the lifted generators, and project the lower facets back down, each
+cell read off the lifted cone's one conversion.  The chamber fan is the
+common refinement of these fans over all valuations, further sliced so
+that every cell respects every facet hyperplane.  Each cell carries its
+functionals through both refinements as its label; the checks compare
+them with LP values from ``simplex``.
 
 Queries go through an ``OrderFunction``, one object per (datum,
 valuation) that holds the integer degrees, the multiplicities, the support
@@ -35,9 +36,11 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import is_
 
-from .cones import cone_from_rays, common_refinement, hyperplane_refinement, make_fan
-from .errors import BudgetExceeded, DimensionError, InconsistentInput, OutsideSupport
-from .linalg import clear_denominators, dot
+from .cones import (HalfSpace, PolyCone, _maximal, common_refinement, cone_from_rays,
+                    hyperplane_refinement, make_fan)
+from .errors import (BudgetExceeded, DimensionError, InconsistentInput, InvalidCone,
+                     OutsideSupport)
+from .linalg import clear_denominators, dot, primitive, reduce_mod_rowspace
 from .ring import support_cone
 from .simplex import INFEASIBLE, solve_min
 
@@ -320,36 +323,37 @@ def linearity_fan(datum, valuation, support=None):
     lifted cone.  Every cell has the support's dimension: when the lifted
     cone gains a dimension its span holds the vertical axis e_t, a lower
     facet (w, c) has c > 0, so e_t is not in the facet's span, and the
-    projection is injective there.
+    projection is injective there.  Each cell is read off the lifted cone:
+    the facet's rays, projected; the support's equations; and a facet
+    c w_G - c_G w (as t = -w.x / c) for each facet (w_G, c_G) whose tight
+    set there ``_maximal`` keeps.  A lifted cone with a line, which no
+    validated datum has, raises InvalidCone.
     """
     if support is None:
         support = support_cone(datum)
-    degrees = [g.multidegree for g in datum.generators]
-    heights = _mults(datum, valuation)
     n = support.ambient_dim
-    lifted = [tuple(d) + (h,) for d, h in zip(degrees, heights)]
-    lifted_cone = cone_from_rays(lifted)
+    heights = _mults(datum, valuation)
+    lifted_cone = cone_from_rays([tuple(g.multidegree) + (h,)
+                                  for g, h in zip(datum.generators, heights)])
     if lifted_cone.dim == support.dim:
-        # heights are linear on the support: a single cell
-        return make_fan([support], support, [(_flat_functional(lifted_cone, n),)])
-    cells = []
-    labels = []
-    for hs in lifted_cone.facets:
-        w, c = hs.normal[:n], hs.normal[n]
-        if c <= 0:
-            continue
-        members = [r[:n] for r in lifted_cone.rays if hs.evaluate(r) == 0]
-        cells.append(cone_from_rays(members))
+        # heights are linear on the support: a single cell, where t = f(x)
+        eq = next(eq for eq in lifted_cone.equations if eq[n] != 0)
+        return make_fan([support], support, [(tuple(Fraction(-a, eq[n]) for a in eq[:n]),)])
+    if not lifted_cone.is_pointed():
+        raise InvalidCone(f"the lifted cone at valuation {valuation!r} holds a line, so its "
+                          "lower facets do not fix the cells; multidegrees must be nonnegative")
+    normals = [hs.normal for hs in lifted_cone.facets]
+    cells, labels = [], []
+    for normal in [f for f in normals if f[n] > 0]:
+        w, c = normal[:n], normal[n]
+        members = [r for r in lifted_cone.rays if dot(normal, r) == 0]
+        facets = {reduce_mod_rowspace([c * a - g[n] * b for a, b in zip(g, w)], support.equations)
+                  for g in _maximal(normals, members)}
+        rays = tuple(sorted([primitive(r[:n]) for r in members]))
+        cells.append(PolyCone(n, support.dim, rays, tuple(map(HalfSpace, sorted(facets))),
+                              support.equations))
         labels.append((tuple(Fraction(-wi, c) for wi in w),))
     return make_fan(cells, support, labels)
-
-
-def _flat_functional(lifted_cone, n):
-    """Linear functional t = f(x) on a lifted cone of ungained dimension."""
-    for eq in lifted_cone.equations:
-        if eq[n] != 0:
-            return tuple(Fraction(-eq[i], eq[n]) for i in range(n))
-    raise AssertionError("flat lifted cone without a height equation")
 
 
 def chamber_fan(datum, support=None, refine=True):

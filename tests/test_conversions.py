@@ -18,8 +18,12 @@ construction (generators -> facets -> rays) which the package used before,
 applied to all the half-spaces and equations at once.
 ``common_refinement`` skips a pair of cells when a facet of one has the
 other on its nonpositive side, and the tests check that every skipped pair
-meets in lower dimension.
+meets in lower dimension.  ``orders.linearity_fan`` converts the lifted
+cone once and reads every cell off it; each read-off cell and label is
+compared with ``cone_from_rays`` of the cell's projected lifted rays.
 """
+
+from fractions import Fraction
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -31,7 +35,7 @@ from mmpwalk import (
     chamber_fan,
     random_instance,
 )
-from mmpwalk import cones
+from mmpwalk import cones, orders
 from mmpwalk.cones import (
     HalfSpace,
     PolyCone,
@@ -39,6 +43,7 @@ from mmpwalk.cones import (
     cone_from_rays,
     hyperplane_refinement,
     intersect,
+    make_fan,
 )
 from mmpwalk.linalg import (
     dot,
@@ -301,35 +306,79 @@ def _corpus_spec(seed):
 
 def _fan_data():
     # corpus seeds 1-15: with each linearity fan built once, seeds 1-10
-    # alone build fewer than the 400 cones test_one_conversion_per_pointed_cone asks for
+    # alone convert too few cones for test_one_conversion_per_pointed_cone
     data = list(builtin_examples().values())
     return data + [random_instance(_corpus_spec(seed)) for seed in range(1, 16)]
 
 
 def test_one_conversion_per_pointed_cone(monkeypatch):
-    events = []
-    dd, polycone = cones._dd, cones.PolyCone
+    events = []  # (where, cone): "dd" for a conversion, else the module that built the cone
+    dd = cones._dd
 
     def counted_dd(*args):
-        events.append("dd")
+        events.append(("dd", None))
         return dd(*args)
 
-    def counted_polycone(*args):
-        cone = polycone(*args)
-        events.append(cone)
-        return cone
+    def recorded(module):
+        polycone = module.PolyCone
+
+        def counted_polycone(*args):
+            cone = polycone(*args)
+            events.append((module.__name__, cone))
+            return cone
+
+        return counted_polycone
 
     monkeypatch.setattr(cones, "_dd", counted_dd)
-    monkeypatch.setattr(cones, "PolyCone", counted_polycone)
+    for module in (cones, orders):
+        monkeypatch.setattr(module, "PolyCone", recorded(module))
     for datum in _fan_data():
         support = support_cone(datum)
         fan = chamber_fan(datum, support=support)
         cell_functionals(datum, fan, support=support)
-    built = [e for e in events if e != "dd"]
-    assert len(built) > 400
+    built = [cone for where, cone in events if where == cones.__name__]
+    read_off = [i for i, (where, _) in enumerate(events) if where == orders.__name__]
+    assert len(built) > 300 and len(read_off) > 100
     assert not any(_has_lineality(cone) for cone in built)
-    # each cone is built right after its one conversion
-    assert events == [x for cone in built for x in ("dd", cone)]
+    # each cone built in cones comes right after its one conversion
+    assert [e for e in events if e[0] != orders.__name__] == [
+        x for cone in built for x in (("dd", None), (cones.__name__, cone))
+    ]
+    # and a linearity cell read off its lifted cone takes none
+    assert not any(events[i - 1][0] == "dd" for i in read_off)
+
+
+def _reference_linearity_fan(datum, valuation, support):
+    """The linearity fan with every cell converted from its lifted rays, as
+    the package built it before the cells were read off the lifted cone."""
+    n = support.ambient_dim
+    lifted = [tuple(g.multidegree) + (g.mults[valuation],) for g in datum.generators]
+    lifted_cone = cone_from_rays(lifted)
+    if lifted_cone.dim == support.dim:
+        return None
+    cells, labels = [], []
+    for hs in lifted_cone.facets:
+        w, c = hs.normal[:n], hs.normal[n]
+        if c > 0:
+            cells.append(cone_from_rays([r[:n] for r in lifted_cone.rays if hs.evaluate(r) == 0]))
+            labels.append((tuple(Fraction(-wi, c) for wi in w),))
+    return make_fan(cells, support, labels)
+
+
+def test_read_off_linearity_cells_match_their_conversions():
+    data = list(builtin_examples().values())
+    data += [random_instance(_corpus_spec(seed)) for seed in range(1, 101)]
+    cells = 0
+    for datum in data:
+        support = support_cone(datum)
+        for valuation in datum.valuations:
+            ref = _reference_linearity_fan(datum, valuation, support)
+            if ref is None:
+                continue
+            fan = orders.linearity_fan(datum, valuation, support)
+            assert fan.cells == ref.cells and fan.labels == ref.labels
+            cells += len(fan.cells)
+    assert cells > 1000
 
 
 def test_every_slice_matches_the_reference(monkeypatch):

@@ -27,9 +27,9 @@ from mmpwalk import (
 )
 from mmpwalk import orders
 from mmpwalk.cones import Fan, cone_from_rays
-from mmpwalk.errors import BudgetExceeded, DimensionError, InconsistentInput
+from mmpwalk.errors import BudgetExceeded, DimensionError, InconsistentInput, InvalidCone
 from mmpwalk.linalg import clear_denominators, dot
-from mmpwalk.ring import GeneratorDatum, NumericalMap, RingDatum, support_cone
+from mmpwalk.ring import GeneratorDatum, NumericalMap, RingDatum, support_cone, validate
 from mmpwalk.serialize import fan_from_json, fan_to_json
 
 
@@ -103,6 +103,25 @@ def test_linearity_fan_flat_heights_single_cell():
     lf = linearity_fan(flat, "E")
     assert len(lf.cells) == 1
     assert lf.labels == (((Fraction(1), Fraction(0)),),)
+
+
+def test_lifted_cone_with_a_line_raises_invalid_cone():
+    # the degrees (1, 0) and (-1, 0) at height 0 put a line in the lifted
+    # cone, which then has no lower facets to read the cells off
+    degrees_heights = (((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((1, 1), 1))
+    datum = RingDatum(
+        r=1,
+        labels=("K", "D1"),
+        generators=tuple(GeneratorDatum(multidegree=d, mults={"E": Fraction(h)})
+                         for d, h in degrees_heights),
+        valuations=("E",),
+        numerical=NumericalMap(matrix=((Fraction(1), Fraction(0)),), target_dim=1),
+    )
+    assert not validate(datum).ok()
+    with pytest.raises(InvalidCone, match="holds a line"):
+        linearity_fan(datum, "E")
+    with pytest.raises(InvalidCone, match="holds a line"):
+        chamber_fan(datum)
 
 
 def test_chamber_fan_matches_linearity_fan_single_valuation(blowup):

@@ -13,12 +13,12 @@ from mmpwalk import (
     chamber_fan,
     random_instance,
 )
-from mmpwalk import linalg
+from mmpwalk import cones, linalg
 from mmpwalk.cones import cone_from_halfspaces, cone_from_rays, hyperplane_refinement
 from mmpwalk.linalg import (
     clear_denominators,
     dot,
-    kernel,
+    echelon,
     primitive,
     rank,
     reduce_mod_rowspace,
@@ -184,6 +184,26 @@ def test_rank_equals_row_reduce_length(rows):
     assert rank(rows) == len(row_reduce(rows))
 
 
+def kernel(rows, n):
+    """A basis of ``{y : row . y = 0 for every row}`` in dimension ``n``,
+    as primitive integer vectors: one per non-pivot column of ``echelon``.
+    The reference for the equations ``cones._cut`` reads off its masks.
+    """
+    pivots = [(next(j for j, x in enumerate(row) if x != 0), row) for row in echelon(rows)]
+    scale = lcm(*(row[col] for col, row in pivots))
+    pivot_cols = {col for col, _ in pivots}
+    basis = []
+    for free in range(n):
+        if free in pivot_cols:
+            continue
+        y = [0] * n
+        y[free] = scale
+        for col, row in pivots:
+            y[col] = -row[free] * (scale // row[col])
+        basis.append(primitive(y))
+    return basis
+
+
 @given(matrices())
 @settings(max_examples=200, deadline=None)
 def test_kernel_is_a_primitive_basis_of_the_null_space(rows):
@@ -318,3 +338,30 @@ def test_integer_kernel_builds_no_fraction(monkeypatch):
 def test_float_entry_raises_type_error(call):
     with pytest.raises(TypeError):
         call()
+
+
+def test_cut_equations_are_the_kernel_of_the_rays(monkeypatch):
+    """On every cut that ``chamber_fan`` makes over corpus seeds 1-50 the
+    equations read off the implicit equalities span the kernel of the rays
+    and lines.  With the separation pretest off, ``common_refinement`` also
+    cuts the pairs that meet in lower dimension, which it then drops."""
+    cuts = []
+    cut = cones._cut
+
+    def recorded(cone, normals):
+        piece = cut(cone, normals)
+        cuts.append(piece)
+        return piece
+
+    monkeypatch.setattr(cones, "_cut", recorded)
+    monkeypatch.setattr(cones, "_separated", lambda a, b: False)
+    for seed in range(1, 51):
+        r = (1, 1, 2, 2, 3)[seed % 5]
+        chamber_fan(random_instance(InstanceSpec(
+            r=r, generator_count={1: 6, 2: 6, 3: 5}[r], valuation_count={1: 4, 2: 3, 3: 2}[r],
+            coordinate_bound=4, seed=seed,
+        )))
+    for piece in cuts:
+        assert piece.equations == row_reduce(kernel(list(piece.rays), piece.ambient_dim))
+    lower = [piece.dim for piece in cuts if piece.dim < piece.ambient_dim]
+    assert len(cuts) > 1500 and len(lower) > 500 and 0 in lower
