@@ -34,6 +34,7 @@ earlier queries of the process.
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from operator import is_
 
 from .cones import (HalfSpace, PolyCone, _maximal, common_refinement, cone_from_rays,
@@ -591,27 +592,40 @@ def stabilization_multiple(datum, valuation, x, k_max, support=None,
     ``sum a_i h_i >= y . k x = k LP(x)``, with equality exactly when
     ``a_i > 0`` only on the tight generators, those with ``y . d_i == h_i``.
     So level k reaches the LP value iff k*x is a nonnegative integer
-    combination of the tight generators of nonzero multidegree, and a
-    feasibility search over those (``_representable``) decides each k.
-    Tightness is tested in integers.  The failed search states are shared
-    by every k of the query, and ``node_budget`` bounds the nodes of the
-    whole query, not of each k: BudgetExceeded when it runs out.  A
-    ``k_max`` that is not an ``int`` (a float or a bool, too) raises
-    TypeError, and ``k_max <= 0`` ValueError.
+    combination of the tight generators of nonzero multidegree.  Tightness
+    is tested in integers.
+
+    When the tight generators are exactly the basic columns, they are
+    linearly independent, and x's only representation over them is the
+    basic solution ``z / (inverse_den * step)``, nonnegative, with ``step``
+    x's common denominator.  k*x is then an integer combination of them
+    exactly when k is a multiple of ``step * inverse_den / gcd(inverse_den,
+    *z)``, so the answer is read off the basis with no search.  Otherwise
+    (a degenerate tight set) a feasibility search over the tight
+    generators (``_representable``) decides each k; the failed search
+    states are shared by every k of the query, and ``node_budget`` bounds
+    the nodes of the whole query, not of each k: BudgetExceeded when it
+    runs out.  Only such a query spends nodes.  A ``k_max`` that is not an
+    ``int`` (a float or a bool, too) raises TypeError, and ``k_max <= 0``
+    ValueError.
     """
     _check_level(k_max, "k_max")
     order = OrderFunction(datum, valuation, support)
     xs, step = clear_denominators(x)
-    basis, _ = order._basis(x, xs, step)
+    basis, z = order._basis(x, xs, step)
     hs, h_den = order.heights
     tight = [
-        d for d, h in zip(order.degrees, hs)
+        i for i, (d, h) in enumerate(zip(order.degrees, hs))
         if any(d) and dot(basis.dual_num, d) * h_den == h * basis.dual_den
     ]
+    if tight == sorted(basis.cols):
+        k = step * (basis.inverse_den // gcd(basis.inverse_den, *z))
+        return k if k <= k_max else None
+    degrees = [order.degrees[i] for i in tight]
     failed = set()
     nodes = node_budget
     for k in range(step, k_max + 1, step):
-        found, nodes = _representable(tight, [v * (k // step) for v in xs], failed, nodes)
+        found, nodes = _representable(degrees, [v * (k // step) for v in xs], failed, nodes)
         if found:
             return k
     return None

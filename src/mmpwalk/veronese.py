@@ -72,12 +72,19 @@ def _representations(degrees, total, limit=None):
     return out
 
 
-def _splits(rep, parts, m, memo, counter):
-    """Whether ``rep`` of d*m splits into m representations of d, given
-    ``parts``, the list of all representations of d."""
+def _charge(counter):
+    """Spend one split node of ``counter[0]``; BudgetExceeded when none is left."""
     counter[0] -= 1
     if counter[0] <= 0:
         raise BudgetExceeded("splitting enumeration budget exhausted")
+
+
+def _splits(rep, parts, m, memo, counter):
+    """Whether ``rep`` of d*m splits into m representations of d, given
+    ``parts``, the list of all representations of d.  The call costs one
+    split node, and so does every part it scans, so the budget bounds the
+    work however many parts d has."""
+    _charge(counter)
     if m == 1:
         return True
     key = (rep, m)
@@ -85,6 +92,7 @@ def _splits(rep, parts, m, memo, counter):
         return memo[key]
     result = False
     for sub in parts:
+        _charge(counter)
         if all(s <= a for s, a in zip(sub, rep)):
             rest = tuple(a - s for a, s in zip(rep, sub))
             if _splits(rest, parts, m - 1, memo, counter):
@@ -105,10 +113,12 @@ def veronese_degree(degrees, m_max, split_budget=DEFAULT_SPLIT_BUDGET):
     with no search.  Each c < c* is searched for all m <= m_max ("bounded
     verification"), and BudgetExceeded ends the call when the splitting
     enumeration blows up.  The representations of each candidate d are
-    listed once and shared by every split.  Every listed representation
-    costs at least one split node, so each list for d*m stops at the nodes
-    left (``counter[0]``) and runs out exactly where the whole list would;
-    the parts stop at ``split_budget`` and serve as the list for m = 1.
+    listed once and shared by every split.  A split call and every part it
+    scans cost one split node each, so ``split_budget`` bounds the work.
+    Every listed representation costs at least one node, so each list for
+    d*m stops at the nodes left (``counter[0]``) and runs out exactly where
+    the whole list would; the parts stop at ``split_budget`` and serve as
+    the list for m = 1.
     """
     degrees = sorted(degrees)
     if not degrees or any(g <= 0 for g in degrees):

@@ -29,6 +29,7 @@ from mmpwalk import orders
 from mmpwalk.cones import Fan, cone_from_rays
 from mmpwalk.errors import BudgetExceeded, DimensionError, InconsistentInput, InvalidCone
 from mmpwalk.linalg import clear_denominators, dot
+from mmpwalk.orders import DEFAULT_NODE_BUDGET, _representable
 from mmpwalk.ring import GeneratorDatum, NumericalMap, RingDatum, support_cone, validate
 from mmpwalk.serialize import fan_from_json, fan_to_json
 
@@ -284,6 +285,33 @@ def test_support_passed_in_matches_recomputed(blowup):
     assert a == b
 
 
+def _cold_start():
+    """Forget every kept basis and the OrderFunction that ``asymptotic_order``
+    keeps, whose bases list would otherwise outlive the cleared cache."""
+    orders._optimal_bases.cache_clear()
+    orders._last_order[0] = None
+
+
+def test_cold_start_solves_the_lp_again(blowup, monkeypatch):
+    solves = []
+    original = orders.solve_min
+
+    def counted(*args):
+        solves.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(orders, "solve_min", counted)
+
+    def solves_after_a_query():
+        assert asymptotic_order(blowup, "E", (2, 1)).value == 1
+        return len(solves)
+
+    _cold_start()
+    assert [solves_after_a_query(), solves_after_a_query()] == [1, 1]
+    _cold_start()
+    assert [solves_after_a_query(), solves_after_a_query()] == [2, 2]
+
+
 def _corpus_datum(seed):
     r = (1, 1, 2, 2, 3)[seed % 5]
     spec = InstanceSpec(
@@ -322,7 +350,7 @@ def _cache_queries(datum, fan):
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_cached_values_equal_cold_solves(seed, monkeypatch):
-    orders._optimal_bases.cache_clear()
+    _cold_start()
     cold_calls = []
     original = orders.solve_min
 
@@ -358,7 +386,7 @@ def test_every_order_value_carries_its_dual_certificate(seed):
 
 
 def test_same_degrees_other_heights_never_share_a_basis(blowup):
-    orders._optimal_bases.cache_clear()
+    _cold_start()
     cheap_corner = RingDatum(
         r=blowup.r,
         labels=blowup.labels,
@@ -398,7 +426,7 @@ def _thin_datum():
 
 def test_cached_basis_must_meet_dropped_rows():
     thin = _thin_datum()
-    orders._optimal_bases.cache_clear()
+    _cold_start()
     assert asymptotic_order(thin, "G", (2, 2)).value == 1
     assert asymptotic_order(thin, "G", (3, 3)).value == Fraction(3, 2)
     # the kept row alone would accept (1, 2); the certificate also checks the
@@ -492,7 +520,7 @@ def test_value_and_certificate_equal_cold_solves(name, first):
     for valuation, x in queries:
         _, heights, A = _lp_data(datum, valuation, x)
         cold.append(orders.solve_min(A, list(x), heights)[0])
-    orders._optimal_bases.cache_clear()
+    _cold_start()
     functions = {v: orders.OrderFunction(datum, v, support) for v in datum.valuations}
     for _ in ("cleared cache", "warm cache"):
         for (valuation, x), expected in zip(queries, cold):
@@ -517,7 +545,7 @@ def test_value_and_certificate_equal_cold_solves(name, first):
 def test_order_function_meets_dropped_rows():
     # as above, but with the cache filled by value(): the kept row alone
     # would accept (1, 2), and neither method may answer there from it
-    orders._optimal_bases.cache_clear()
+    _cold_start()
     function = orders.OrderFunction(_thin_datum(), "G", cone_from_rays([(1, 0), (0, 1)]))
     assert function.value((2, 2)) == 1
     assert function.value((3, 3)) == Fraction(3, 2)
@@ -548,7 +576,7 @@ def test_interleaved_queries_equal_cold_solves(picks):
     # there; every answer must still be the cold LP value, with a dual
     # that certifies it, and the front basis must certify the last query
     datum, support, queries, cold = _interleaving_case()
-    orders._optimal_bases.cache_clear()
+    _cold_start()
     functions = {v: orders.OrderFunction(datum, v, support) for v in datum.valuations}
     for index, use_value in picks:
         (valuation, x), expected = queries[index % len(queries)], cold[index % len(queries)]
@@ -566,7 +594,7 @@ def test_interleaved_queries_equal_cold_solves(picks):
 def test_certifying_basis_moves_to_the_front():
     datum, support, queries, _ = _interleaving_case()
     valuation = datum.valuations[0]
-    orders._optimal_bases.cache_clear()
+    _cold_start()
     function = orders.OrderFunction(datum, valuation, support)
     points = [x for v, x in queries if v == valuation]
     for x in points:
@@ -591,7 +619,7 @@ def test_support_and_dimension_errors_survive_kept_bases(name):
     datum = _named_datum(name)
     support = support_cone(datum)
     queries = _cache_queries(datum, chamber_fan(datum, support=support))
-    orders._optimal_bases.cache_clear()
+    _cold_start()
     functions = {v: orders.OrderFunction(datum, v, support) for v in datum.valuations}
     for valuation, x in queries:
         functions[valuation].value(x)
@@ -894,11 +922,73 @@ def test_stabilization_equals_minimising_loop_on_small_data(data, k_max):
 
 
 def test_stabilization_budget_bounds_the_whole_query(fractional):
-    # levels 1 and 2 fail and level 3 succeeds, in 2, 3 and 2 nodes: a
-    # budget that covers each level alone but not the three together runs out
+    # a generator of degree (4, 2) = 2 * (2, 1) and multiplicity 2 is tight
+    # with (2, 1), so the tight generators are not the basic columns and the
+    # levels are searched: levels 1 and 2 fail and level 3 succeeds, in 3, 6
+    # and 2 nodes, and a budget that covers each level alone but not the
+    # three together runs out
+    extra = GeneratorDatum(multidegree=(4, 2), mults={"G": Fraction(2)})
+    degenerate = replace(fractional, generators=fractional.generators + (extra,))
     with pytest.raises(BudgetExceeded):
-        stabilization_multiple(fractional, "G", (1, 1), 12, node_budget=4)
-    assert stabilization_multiple(fractional, "G", (1, 1), 12, node_budget=100) == 3
+        stabilization_multiple(degenerate, "G", (1, 1), 12, node_budget=8)
+    assert stabilization_multiple(degenerate, "G", (1, 1), 12, node_budget=100) == 3
+
+
+def test_nondegenerate_stabilization_spends_no_node(fractional):
+    # the tight generators (2, 1) and (1, 2) are the basic columns: level 3
+    # is read off the basis, with no search
+    assert stabilization_multiple(fractional, "G", (1, 1), 12, node_budget=0) == 3
+
+
+def _searched_stabilization(datum, valuation, x, k_max, support):
+    """The first k <= k_max, in steps of x's denominator, at which k*x is a
+    nonnegative integer combination of the tight generators of nonzero
+    degree, searched level by level with ``_representable``."""
+    dual = asymptotic_order(datum, valuation, x, support=support).dual
+    tight = [tuple(g.multidegree) for g in datum.generators
+             if any(g.multidegree) and dot(dual, g.multidegree) == g.mults[valuation]]
+    xs, step = clear_denominators(x)
+    failed = set()
+    for k in range(step, k_max + 1, step):
+        if _representable(tight, [v * (k // step) for v in xs], failed, DEFAULT_NODE_BUDGET)[0]:
+            return k
+    return None
+
+
+@pytest.mark.parametrize("first_seed", range(1, 101, 25))
+@pytest.mark.parametrize("units", [True, False])
+def test_stabilization_read_off_the_basis_equals_the_search(first_seed, units, monkeypatch):
+    # corpus seeds in blocks of 25, at generator sums and at their halves;
+    # a query that calls no search took the basis branch
+    searches = []
+
+    def counted(*args):
+        searches.append(args)
+        return _representable(*args)
+
+    monkeypatch.setattr(orders, "_representable", counted)
+    branches = set()
+    for seed in range(first_seed, first_seed + 25):
+        datum = _corpus_datum(seed)
+        if not units:
+            datum = _without_units(datum)
+        if not datum.generators:
+            continue
+        support = support_cone(datum)
+        sums = _generator_sums(datum)
+        points = sums + [tuple(Fraction(v, 2) for v in x) for x in sums]
+        for valuation in datum.valuations:
+            for x in points:
+                step = clear_denominators(x)[1]
+                first = _searched_stabilization(datum, valuation, x, 30, support)
+                for k_max in sorted({1, step - 1, 12, 30} - {0}):
+                    expected = first if first is not None and first <= k_max else None
+                    searches.clear()
+                    got = stabilization_multiple(datum, valuation, x, k_max, support=support)
+                    assert got == expected, (seed, valuation, x, k_max)
+                    if k_max >= step:
+                        branches.add(bool(searches))
+    assert branches == {False, True}
 
 
 @pytest.mark.parametrize("k_max", [True, 12.0, Fraction(12), "12", None])

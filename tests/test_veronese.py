@@ -85,12 +85,38 @@ def test_split_budget_caps_the_listing():
         veronese_degree([2, 3, 5, 7, 11], 1)
 
 
-def _reference_splits(rep, degrees, d, m, memo, counter):
-    # reference copy of the split search that lists the representations of
-    # d again at every node
+def test_split_budget_bounds_the_parts_scanned(monkeypatch):
+    # c = 1 for [2, 3, 5, 7] is d = 210, with 8,276 representations that a
+    # split node scans; a node used to cost one unit however many of them it
+    # read, so the default budget ran for 34-51 s.  Every representation the
+    # search reads now costs one unit, and it stops within the budget.
+    read = [0]
+    original = veronese._representations
+
+    class Counted(list):
+        def __iter__(self):
+            for item in list.__iter__(self):
+                read[0] += 1
+                yield item
+
+    monkeypatch.setattr(veronese, "_representations", lambda *args: Counted(original(*args)))
+    assert len(original([2, 3, 5, 7], 210)) == 8276
+    read[0] = 0
+    with pytest.raises(BudgetExceeded):
+        veronese_degree([2, 3, 5, 7], 3, split_budget=20_000)
+    assert 0 < read[0] <= 20_000
+
+
+def _reference_charge(counter):
     counter[0] -= 1
     if counter[0] <= 0:
         raise BudgetExceeded("splitting enumeration budget exhausted")
+
+
+def _reference_splits(rep, degrees, d, m, memo, counter):
+    # reference copy of the split search that lists the representations of
+    # d again at every node; a call and every part it scans cost one node each
+    _reference_charge(counter)
     if m == 1:
         return True
     key = (rep, m)
@@ -98,6 +124,7 @@ def _reference_splits(rep, degrees, d, m, memo, counter):
         return memo[key]
     result = False
     for sub in _representations(degrees, d):
+        _reference_charge(counter)
         if all(s <= a for s, a in zip(sub, rep)):
             rest = tuple(a - s for a, s in zip(rep, sub))
             if _reference_splits(rest, degrees, d, m - 1, memo, counter):
@@ -182,6 +209,20 @@ def test_four_degrees_match_reference_and_their_split_budget(degrees):
             assert result == _reference_veronese_degree(degrees, m_max, threshold)
         with pytest.raises(BudgetExceeded):
             _reference_veronese_degree(degrees, m_max, threshold - 1)
+
+
+@pytest.mark.parametrize("degrees, expected", [
+    ([2, 3, 4, 6], [(12, "bounded verification")] * 4),
+    ([2, 3, 6, 8], [(24, "bounded verification")] * 4),
+    ([3, 4, 6, 8], [(24, "bounded verification")] * 4),
+    ([1, 6, 10, 15], [(30, "bounded verification")] + [(60, "proved")] * 3),
+    ([2, 3, 4, 6, 12], [(12, "bounded verification")] * 4),
+], ids=str)
+def test_default_split_budget_verifies_four_and_five_degree_sets(degrees, expected):
+    # charging every scanned part a node leaves these searches within the
+    # default budget for m_max 1-4
+    for m_max, (d, certified) in enumerate(expected, start=1):
+        assert veronese_degree(degrees, m_max) == veronese.VeroneseResult(d, m_max, certified)
 
 
 def test_monoid_generators_simplicial_cell():
