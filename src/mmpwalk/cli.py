@@ -15,9 +15,9 @@ from . import serialize
 from .errors import BudgetExceeded, MmpwalkError, NonGenericSegment, ParseError
 from .oracle import builtin_examples, o_value_oracle
 from .linalg import dot
-from .orders import (DEFAULT_NODE_BUDGET, OrderFunction, asymptotic_order,
-                     cell_functionals, chamber_fan)
-from .ring import support_cone, validate
+from .orders import (DEFAULT_NODE_BUDGET, asymptotic_order, cell_functionals, chamber_fan,
+                     order_function)
+from .ring import validate
 from .veronese import MAX_MONOID_GENERATORS, grid_additivity_check, veronese_degree
 from .walk import classify_nef, emit_trace, make_segment, order_chambers
 
@@ -181,7 +181,7 @@ def cmd_check(cfg):
     fan = chamber_fan(datum, refine=cfg.refine)
     support = fan.support
     functionals = cell_functionals(datum, fan)
-    order = {v: OrderFunction(datum, v, support) for v in datum.valuations}
+    order = {v: order_function(datum, v) for v in datum.valuations}
 
     def interior_point(cell):
         """``12 p`` for a random point ``p = sum w_i r_i`` of the cell, with
@@ -269,13 +269,12 @@ def cmd_oracle(cfg):
     _validated(datum)
     if not cfg.points:
         raise ParseError("at least one --point is required")
-    support = support_cone(datum)
     lines = []
     mismatch = False
     for text in cfg.points:
         x = _parse_point(text)
         for valuation in datum.valuations:
-            lp = asymptotic_order(datum, valuation, x, support=support).value
+            lp = asymptotic_order(datum, valuation, x).value
             values = o_value_oracle(datum, valuation, x, range(1, cfg.k_max + 1), cfg.budget)
             hit = next((k for k, v in enumerate(values, 1) if v == lp), None)
             if any(v is not None and v < lp for v in values):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cones import cone_from_rays
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, DimensionError
 from .linalg import clear_denominators
 from .orders import DEFAULT_NODE_BUDGET, _check_level, _mults
 from .ring import (
@@ -127,13 +127,16 @@ def o_value_oracle(datum, valuation, x, k_list, budget=DEFAULT_NODE_BUDGET):
     its search.  A multiplicity or an entry of ``x`` that is not an ``int``
     or a ``Fraction``, such as a float, raises TypeError rather than being
     coerced, and so does a level that is not an ``int`` (a float or a
-    bool, too).  A level ``k <= 0`` raises ValueError.
+    bool, too).  A level ``k <= 0`` raises ValueError, and a multidegree
+    whose length is not the point's DimensionError.
     """
     degrees = [tuple(g.multidegree) for g in datum.generators]
     # the search adds ints; each value is divided by the heights' common
     # denominator at the end
     costs, den = clear_denominators(_mults(datum, valuation))
     xs, x_den = clear_denominators(x)
+    if any(len(d) != len(xs) for d in degrees):
+        raise DimensionError(f"point {tuple(x)} and the multidegrees differ in dimension")
     out = []
     for k in k_list:
         _check_level(k)

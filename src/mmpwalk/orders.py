@@ -10,32 +10,30 @@ that every cell respects every facet hyperplane.  Each cell carries its
 functionals through both refinements as its label; the checks compare
 them with LP values from ``simplex``.
 
-Queries go through an ``OrderFunction``, one object per (datum,
-valuation) that holds the integer degrees, the multiplicities, the support
-cone and the optimal bases of earlier solves of its LP, each a
-``simplex.Basis`` with B^-1 and the dual in integers.  The optimal basis is
-constant on each linearity domain, so every query takes one path: the kept
-bases are scanned, most recently certified first, and the first that LP
-duality certifies optimal at the point answers it.  A run of queries in one
-chamber thus costs one integer feasibility test each.  Only when no kept
-basis answers is the support cone tested and the LP solved; the new basis
-goes in front and answers like a kept one.  ``value(x)`` returns the
-exact order and nothing else, for callers that make many queries, such as
-the checks; ``certificate(x)`` returns it as an ``OValue``, whose witness
-and certifying dual are built from the basis when first read.
-``asymptotic_order`` is ``certificate`` on the ``OrderFunction`` of its
-previous call when that was built from the same ``generators`` and
-``support`` objects, the same multiplicity objects and equal degrees, and
-on a new one otherwise.  Values are exact and unique either way.  When
-several optimal vertices tie, which witness is returned depends on the
-earlier queries of the process.
+Every query goes through the one ``OrderFunction`` of its LP data, the
+integer degrees and the multiplicities, which ``order_function(datum,
+valuation)`` finds in one least-recently-used cache keyed on those data.
+It keeps the optimal bases of earlier solves of its LP, each a
+``simplex.Basis`` with B^-1 and the dual in integers.  The optimal basis
+is constant on each linearity domain, so every query takes one path: the
+kept bases are scanned, most recently certified first, and the first that
+LP duality certifies optimal at the point answers it.  A run of queries in
+one chamber thus costs one integer feasibility test each.  Only when no
+kept basis answers is the LP solved; its phase 1 is feasible exactly on
+the support cone, the cone over the degrees, so it decides membership.
+The new basis goes in front and answers like a kept one.  ``value(x)``
+returns the exact order and nothing else, for callers that make many
+queries, such as the checks; ``certificate(x)``, which is
+``asymptotic_order``, returns it as an ``OValue``, whose witness and
+certifying dual are built from the basis when first read.  Values are
+exact and unique.  When several optimal vertices tie, which witness is
+returned depends on the earlier queries of the process.
 """
 
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-from operator import is_
+from math import gcd, lcm
 
 from .cones import (HalfSpace, PolyCone, _maximal, common_refinement, cone_from_rays,
                     hyperplane_refinement, make_fan)
@@ -47,9 +45,9 @@ from .simplex import INFEASIBLE, solve_min
 
 DEFAULT_NODE_BUDGET = 2_000_000
 
-# LP data (degrees, heights) whose optimal bases are kept, least recently
-# used first out
-BASIS_CACHE_SIZE = 4096
+# LP data whose order functions, with their kept bases, are cached, least
+# recently used first out
+ORDER_CACHE_SIZE = 4096
 
 
 class _NoRepresentation:
@@ -160,76 +158,66 @@ def _mults(datum, valuation):
     return mults
 
 
-# one entry (generators, support, mults, order): the OrderFunction that
-# asymptotic_order used last, with what it was built from; a list, so that
-# the module's names stay bound to the same objects
-_last_order = [None]
-
-
 def asymptotic_order(datum, valuation, x, support=None):
     """Exact order of vanishing at ``x``: min of generator multiplicities
     over all nonnegative rational representations of ``x``.
 
-    Returns an OValue with an optimal basic witness and the dual that
-    certifies it.  ``x`` outside the closed support cone raises
-    OutsideSupport (distinct from value 0).  ``support``, when given, must
-    be the datum's support cone (see ``OrderFunction``).
-
-    The ``OrderFunction`` of the previous call answers again when the
-    datum's ``generators`` tuple and ``support`` are the same objects
-    (``None`` matches ``None``), every multiplicity read at ``valuation`` is
-    the same object as before and the degrees are equal; otherwise a new
-    one is built and kept in its place.  Both hold the same kept bases, so
-    which one answers changes no result.
+    Returns ``order_function(datum, valuation).certificate(x)``, an OValue
+    with an optimal basic witness and the dual that certifies it.  ``x``
+    outside the closed support cone raises OutsideSupport (distinct from
+    value 0).  ``support`` is accepted for compatibility and not read.
     """
-    generators = datum.generators
+    return order_function(datum, valuation).certificate(x)
+
+
+def order_function(datum, valuation):
+    """The one ``OrderFunction`` of the datum's LP data at ``valuation``:
+    the integer degrees and the multiplicities, checked by ``_mults``.  The
+    key holds the multiplicities as (numerator, denominator) pairs, so an
+    ``int`` and an equal ``Fraction`` share one function.  No generators,
+    or only zero degrees, raise InvalidCone, and multidegrees of mixed
+    lengths DimensionError."""
     mults = _mults(datum, valuation)
-    last = _last_order[0]
-    if (
-        last is not None
-        and last[0] is generators
-        and last[1] is support
-        and all(map(is_, mults, last[2]))
-        and all([tuple(g.multidegree) == d for g, d in zip(generators, last[3].degrees)])
-    ):
-        order = last[3]
-    else:
-        order = OrderFunction(datum, valuation, support)
-        _last_order[0] = (generators, support, mults, order)
-    return order.certificate(x)
+    return _order_functions(
+        tuple([tuple(g.multidegree) for g in datum.generators]),
+        tuple([m.as_integer_ratio() for m in mults]),
+    )
 
 
 class OrderFunction:
-    """The order function of one valuation on one datum, set up once for
-    many queries.
+    """The order function of one LP datum, built once by ``order_function``
+    from the degrees and the multiplicities' (numerator, denominator) pairs.
 
-    Holds the integer degrees, the multiplicities, the heights (the
-    multiplicities as ints over one denominator), the support cone and the
-    optimal ``Basis`` list kept for these LP data, shared with every other
-    query on them.  ``value(x)`` is the exact order at ``x``;
-    ``certificate(x)`` is the same value as an ``OValue``, with a witness
-    and a dual.  Both answer from the one basis that ``_basis`` finds
-    optimal at ``x``, kept or newly solved.  A point outside the closed
-    support cone raises OutsideSupport from both, and a point of another
-    dimension DimensionError.
-
-    ``support`` must be the datum's support cone, the cone over the
-    generator degrees (the default): a kept basis that certifies ``x``
-    writes it as a nonnegative combination of the degrees, which proves it
-    lies in the support, so only a query no kept basis answers is tested
-    against ``support``.
+    Holds the degrees, the multiplicities as ``ratios``, the heights (the
+    multiplicities as ints over one denominator) and the optimal ``Basis``es
+    of earlier solves of its LP, most recently certified first.
+    ``value(x)`` is the exact order at ``x``; ``certificate(x)`` is the same
+    value as an ``OValue``, with a witness and a dual.  Both answer from the
+    one basis that ``_basis`` finds optimal at ``x``, kept or newly solved.
+    A point outside the closed support cone raises OutsideSupport from both,
+    and a point of another dimension DimensionError.
     """
 
-    __slots__ = ("degrees", "mults", "heights", "support", "bases")
+    __slots__ = ("degrees", "ratios", "heights", "bases")
 
-    def __init__(self, datum, valuation, support=None):
-        self.support = support_cone(datum) if support is None else support
-        self.degrees = tuple([tuple(g.multidegree) for g in datum.generators])
-        self.mults = _mults(datum, valuation)
-        # ints over one denominator: a key of ints, which hash fast, and the
-        # same key for equal multiplicities of any type
-        self.heights = clear_denominators(self.mults)
-        self.bases = _optimal_bases(self.degrees, *self.heights)
+    def __init__(self, degrees, ratios):
+        if not degrees:
+            raise InvalidCone("no generators given")
+        if any(len(d) != len(degrees[0]) for d in degrees):
+            raise DimensionError("generators have mixed dimensions")
+        if not any(map(any, degrees)):
+            raise InvalidCone("all generators are zero")
+        self.degrees = degrees
+        self.ratios = ratios
+        den = lcm(*[d for _, d in ratios])
+        self.heights = (tuple([n * (den // d) for n, d in ratios]), den)
+        self.bases = []
+
+    @property
+    def mults(self):
+        """The multiplicities as ``Fraction``s, built on each read: only LP
+        solves and searches read them, so a cached function keeps none."""
+        return tuple([Fraction(*r) for r in self.ratios])
 
     def value(self, x):
         """The order at ``x`` as a ``Fraction``; builds no witness or dual."""
@@ -248,6 +236,11 @@ class OrderFunction:
             basis, z, x_den, len(self.degrees),
         )
 
+    def _check_dimension(self, xs):
+        n = len(self.degrees[0])
+        if len(xs) != n:
+            raise DimensionError(f"point has dimension {len(xs)}, cone is in dimension {n}")
+
     def _basis(self, x, xs, x_den):
         """``(basis, z)`` for a basis optimal at ``x = xs / x_den``, with
         ``z`` its basic solution ``B^-1 xs`` scaled by ``inverse_den``.
@@ -256,16 +249,13 @@ class OrderFunction:
         so the first, in order, whose basic solution is nonnegative and
         meets the dropped rows is optimal at ``x`` by weak duality, and its
         dual bound ``y . x`` is the value; it moves to the front.  When no
-        kept basis certifies ``x``, the point is tested against the support,
-        which raises OutsideSupport outside it, and the LP is solved: its
-        basis goes in front and answers like a kept one.  A point of another
-        dimension raises DimensionError.
+        kept basis certifies ``x``, the LP is solved: its basis goes in
+        front and answers like a kept one.  Phase 1 finds the LP infeasible
+        exactly when ``x`` is outside the cone over the degrees, which
+        raises OutsideSupport.  A point of another dimension raises
+        DimensionError.
         """
-        if len(xs) != self.support.ambient_dim:
-            raise DimensionError(
-                f"point has dimension {len(xs)}, cone is in dimension "
-                f"{self.support.ambient_dim}"
-            )
+        self._check_dimension(xs)
         kept = self.bases
         for i, basis in enumerate(kept):
             z = self._basic_solution(basis, xs)
@@ -273,14 +263,10 @@ class OrderFunction:
                 if i:
                     kept.insert(0, kept.pop(i))
                 return basis, z
-        # x_den > 0, so xs lies in the same cones as x
-        if not self.support.contains(xs):
-            raise OutsideSupport(f"point {tuple(x)} is outside the support cone")
         A = [[d[row] for d in self.degrees] for row in range(len(x))]
         result = solve_min(A, x, self.mults)
         if result is INFEASIBLE:
-            # contains() passed, so this is unreachable for consistent cones
-            raise OutsideSupport(f"no representation of {tuple(x)} over the generators")
+            raise OutsideSupport(f"point {tuple(x)} is outside the support cone")
         basis = result[2]
         kept.insert(0, basis)
         return basis, self._basic_solution(basis, xs)
@@ -303,16 +289,8 @@ class OrderFunction:
         return z
 
 
-@lru_cache(maxsize=BASIS_CACHE_SIZE)
-def _optimal_bases(degrees, costs, den):
-    """The ``simplex.Basis`` list found optimal by earlier solves of the LP
-    with these degrees and heights ``costs / den`` (``clear_denominators``
-    of the multiplicities), most recently certified first;
-    ``OrderFunction`` adds to it and reorders it.
-
-    Keyed on the data themselves, so a basis never serves another LP.
-    """
-    return []
+# the one cache: (degrees, multiplicity ratios) -> their OrderFunction
+_order_functions = lru_cache(maxsize=ORDER_CACHE_SIZE)(OrderFunction)
 
 
 def linearity_fan(datum, valuation, support=None):
@@ -517,24 +495,25 @@ def integer_order(datum, valuation, x, k, node_budget=DEFAULT_NODE_BUDGET):
     The branch-and-bound runs in integers: the heights are scaled to ints
     over their least common denominator, and the value is divided by that
     denominator and by k only at the end.  ``x`` must be exact (``int`` or
-    ``Fraction`` entries); a float raises TypeError.  A level that is not an
-    ``int`` (a float or a bool, too) raises TypeError, and ``k <= 0``
-    ValueError.
+    ``Fraction`` entries); a float raises TypeError, and a point of another
+    dimension DimensionError.  A level that is not an ``int`` (a float or a
+    bool, too) raises TypeError, and ``k <= 0`` ValueError.
     """
     _check_level(k)
+    order = order_function(datum, valuation)
     xs, x_den = clear_denominators(x)
+    order._check_dimension(xs)
     if any(v * k % x_den for v in xs):
         raise ValueError(f"{k} * {tuple(x)} is not an integer point")
     target = tuple(v * k // x_den for v in xs)
     if any(t < 0 for t in target):
         return NO_REPRESENTATION
-    degrees = [tuple(g.multidegree) for g in datum.generators]
-    heights = _mults(datum, valuation)
+    degrees = order.degrees
     units = _unit_index(degrees, len(target))
     if units is not None:
-        value, _ = _reduced_min(degrees, heights, units, target, node_budget)
+        value, _ = _reduced_min(degrees, order.mults, units, target, node_budget)
     else:
-        value, _ = _enumerate_min(degrees, heights, target, node_budget)
+        value, _ = _enumerate_min(degrees, order.mults, target, node_budget)
     if value is None:
         return NO_REPRESENTATION
     return value / k
@@ -607,10 +586,11 @@ def stabilization_multiple(datum, valuation, x, k_max, support=None,
     the nodes of the whole query, not of each k: BudgetExceeded when it
     runs out.  Only such a query spends nodes.  A ``k_max`` that is not an
     ``int`` (a float or a bool, too) raises TypeError, and ``k_max <= 0``
-    ValueError.
+    ValueError.  The basis comes from ``order_function``, as in
+    ``asymptotic_order``; ``support`` is accepted and not read.
     """
     _check_level(k_max, "k_max")
-    order = OrderFunction(datum, valuation, support)
+    order = order_function(datum, valuation)
     xs, step = clear_denominators(x)
     basis, z = order._basis(x, xs, step)
     hs, h_den = order.heights

@@ -21,7 +21,7 @@ from math import comb, gcd, lcm
 
 from .errors import BudgetExceeded
 from .linalg import clear_denominators, echelon, rank
-from .orders import OrderFunction
+from .orders import _check_level, order_function
 
 DEFAULT_SPLIT_BUDGET = 200_000
 DEFAULT_LATTICE_BUDGET = 20_000
@@ -118,9 +118,13 @@ def veronese_degree(degrees, m_max, split_budget=DEFAULT_SPLIT_BUDGET):
     Every listed representation costs at least one node, so each list for
     d*m stops at the nodes left (``counter[0]``) and runs out exactly where
     the whole list would; the parts stop at ``split_budget`` and serve as
-    the list for m = 1.
+    the list for m = 1.  A degree or an ``m_max`` that is not an ``int``
+    (a bool, too) raises TypeError, and one ``<= 0`` ValueError.
     """
+    _check_level(m_max, "m_max")
     degrees = sorted(degrees)
+    if any(type(g) is not int for g in degrees):
+        raise TypeError(f"degrees must be ints, got {degrees!r}")
     if not degrees or any(g <= 0 for g in degrees):
         raise ValueError("degrees must be positive integers")
     base = lcm(*degrees)
@@ -288,11 +292,11 @@ def grid_additivity_check(datum, fan, depth=3,
 
     Per-cell problems (a box, or a grid of exponent vectors counted before
     any is built, over ``lattice_budget``; too many generators) are
-    reported, not fatal.  Each valuation's order function is set up once on
-    the fan's support, the datum's support cone, and every point is an
-    integer vector.
+    reported, not fatal.  Each valuation's order function is the datum's
+    one ``order_function``, shared with every other query on its LP data,
+    and every point is an integer vector.
     """
-    order = {v: OrderFunction(datum, v, fan.support) for v in datum.valuations}
+    order = {v: order_function(datum, v) for v in datum.valuations}
     report = GridReport()
     for ci, cell in enumerate(fan.cells):
         try:

@@ -36,13 +36,19 @@ class ScalingSegment:
         return vadd(vscale(t, self.kappa), vscale(1 - t, self.h))
 
 
+def _exact(v):
+    """``v`` as ``Fraction``s; a float entry raises TypeError, as in order queries."""
+    ints, den = clear_denominators(tuple(v))
+    return tuple(Fraction(i, den) for i in ints)
+
+
 def make_segment(h, kappa=None, grading_dim=None):
-    h = tuple(Fraction(v) for v in h)
+    h = _exact(h)
     if kappa is None:
         n = grading_dim if grading_dim is not None else len(h)
         kappa = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(n))
     else:
-        kappa = tuple(Fraction(v) for v in kappa)
+        kappa = _exact(kappa)
     if kappa == h:
         raise InconsistentInput("segment endpoints coincide")
     return ScalingSegment(kappa, h)

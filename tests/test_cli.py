@@ -388,6 +388,7 @@ def _one_line_error(err):
     [
         (("veronese", "--degrees", "0,2"), 2),
         (("oracle", "--example", "blowup-P2", "--point", "1,2,3"), 3),
+        (("oracle", "--example", "blowup-P2", "--point=-1,1"), 3),
         (("decompose", "--input", "/nonexistent.json"), 2),
         (("veronese", "--degrees", "2,3", "--m-max", "-2"), 3),
         (("veronese", "--degrees", "2,3", "--m-max", "0"), 3),
@@ -395,6 +396,7 @@ def _one_line_error(err):
     ids=[
         "veronese-zero-degree",
         "oracle-point-dimension",
+        "oracle-point-outside-support",
         "missing-input-file",
         "veronese-negative-m-max",
         "veronese-zero-m-max",

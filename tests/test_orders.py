@@ -286,10 +286,8 @@ def test_support_passed_in_matches_recomputed(blowup):
 
 
 def _cold_start():
-    """Forget every kept basis and the OrderFunction that ``asymptotic_order``
-    keeps, whose bases list would otherwise outlive the cleared cache."""
-    orders._optimal_bases.cache_clear()
-    orders._last_order[0] = None
+    """Forget every order function, and with it every kept basis."""
+    orders._order_functions.cache_clear()
 
 
 def test_cold_start_solves_the_lp_again(blowup, monkeypatch):
@@ -403,9 +401,9 @@ def test_same_degrees_other_heights_never_share_a_basis(blowup):
     ov = asymptotic_order(cheap_corner, "E", (2, 1))
     assert ov.value == 0
     assert ov.witness == (2, 1, 0)
-    degrees = tuple(tuple(g.multidegree) for g in blowup.generators)
-    mine = orders._optimal_bases(degrees, (1, 0, 0), 1)
-    theirs = orders._optimal_bases(degrees, (0, 0, 1), 1)
+    mine = orders.order_function(blowup, "E").bases
+    theirs = orders.order_function(cheap_corner, "E").bases
+    assert mine is not theirs
     assert len(mine) == len(theirs) == 1
     assert mine[0].cols != theirs[0].cols
 
@@ -430,7 +428,8 @@ def test_cached_basis_must_meet_dropped_rows():
     assert asymptotic_order(thin, "G", (2, 2)).value == 1
     assert asymptotic_order(thin, "G", (3, 3)).value == Fraction(3, 2)
     # the kept row alone would accept (1, 2); the certificate also checks the
-    # dropped row, so a support that wrongly admits the point gets no answer
+    # dropped row, and the LP, not the support passed in (which admits the
+    # point), decides that it is outside
     quadrant = cone_from_rays([(1, 0), (0, 1)])
     with pytest.raises(OutsideSupport):
         asymptotic_order(thin, "G", (1, 2), support=quadrant)
@@ -521,7 +520,7 @@ def test_value_and_certificate_equal_cold_solves(name, first):
         _, heights, A = _lp_data(datum, valuation, x)
         cold.append(orders.solve_min(A, list(x), heights)[0])
     _cold_start()
-    functions = {v: orders.OrderFunction(datum, v, support) for v in datum.valuations}
+    functions = {v: orders.order_function(datum, v) for v in datum.valuations}
     for _ in ("cleared cache", "warm cache"):
         for (valuation, x), expected in zip(queries, cold):
             function = functions[valuation]
@@ -546,7 +545,7 @@ def test_order_function_meets_dropped_rows():
     # as above, but with the cache filled by value(): the kept row alone
     # would accept (1, 2), and neither method may answer there from it
     _cold_start()
-    function = orders.OrderFunction(_thin_datum(), "G", cone_from_rays([(1, 0), (0, 1)]))
+    function = orders.order_function(_thin_datum(), "G")
     assert function.value((2, 2)) == 1
     assert function.value((3, 3)) == Fraction(3, 2)
     for method in (function.value, function.certificate):
@@ -577,7 +576,7 @@ def test_interleaved_queries_equal_cold_solves(picks):
     # that certifies it, and the front basis must certify the last query
     datum, support, queries, cold = _interleaving_case()
     _cold_start()
-    functions = {v: orders.OrderFunction(datum, v, support) for v in datum.valuations}
+    functions = {v: orders.order_function(datum, v) for v in datum.valuations}
     for index, use_value in picks:
         (valuation, x), expected = queries[index % len(queries)], cold[index % len(queries)]
         function = functions[valuation]
@@ -595,7 +594,7 @@ def test_certifying_basis_moves_to_the_front():
     datum, support, queries, _ = _interleaving_case()
     valuation = datum.valuations[0]
     _cold_start()
-    function = orders.OrderFunction(datum, valuation, support)
+    function = orders.order_function(datum, valuation)
     points = [x for v, x in queries if v == valuation]
     for x in points:
         function.value(x)
@@ -620,7 +619,7 @@ def test_support_and_dimension_errors_survive_kept_bases(name):
     support = support_cone(datum)
     queries = _cache_queries(datum, chamber_fan(datum, support=support))
     _cold_start()
-    functions = {v: orders.OrderFunction(datum, v, support) for v in datum.valuations}
+    functions = {v: orders.order_function(datum, v) for v in datum.valuations}
     for valuation, x in queries:
         functions[valuation].value(x)
     # the negated sum of the support's rays lies outside the pointed support
@@ -646,7 +645,7 @@ def test_warm_value_builds_no_certificate(name, monkeypatch):
     datum = _named_datum(name)
     support = support_cone(datum)
     queries = _cache_queries(datum, chamber_fan(datum, support=support))
-    functions = {v: orders.OrderFunction(datum, v, support) for v in datum.valuations}
+    functions = {v: orders.order_function(datum, v) for v in datum.valuations}
     expected = [functions[v].certificate(x).value for v, x in queries]
 
     def forbidden(*args, **kwargs):
@@ -657,21 +656,9 @@ def test_warm_value_builds_no_certificate(name, monkeypatch):
     assert [functions[v].value(x) for v, x in queries] == expected
 
 
-def _count_order_functions(monkeypatch):
-    """Forget the OrderFunction that asymptotic_order keeps, and list the
-    arguments of every one it builds from now on."""
-    built = []
-
-    class Counted(orders.OrderFunction):
-        __slots__ = ()
-
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
-
-    monkeypatch.setattr(orders, "OrderFunction", Counted)
-    monkeypatch.setattr(orders, "_last_order", [None])
-    return built
+def _builds():
+    """How many order functions the one cache has built so far."""
+    return orders._order_functions.cache_info().misses
 
 
 def _cold_value(datum, valuation, x):
@@ -679,36 +666,37 @@ def _cold_value(datum, valuation, x):
     return orders.solve_min(A, list(x), heights)[0]
 
 
-def test_asymptotic_order_reuses_its_order_function(monkeypatch):
-    built = _count_order_functions(monkeypatch)
+def test_asymptotic_order_reuses_its_order_function():
+    _cold_start()
     datum = _corpus_datum(2)
     support = support_cone(datum)
     valuation = datum.valuations[0]
     for x in support.rays:
         assert asymptotic_order(datum, valuation, x, support=support).value == _cold_value(
             datum, valuation, x)
-    assert len(built) == 1
+    assert _builds() == 1
 
 
-def test_reuse_drops_a_multiplicity_replaced_in_the_same_dict(monkeypatch):
-    built = _count_order_functions(monkeypatch)
+def test_reuse_drops_a_multiplicity_replaced_in_the_same_dict():
+    _cold_start()
     datum = copy.deepcopy(builtin_examples()["blowup-P2"])
     assert asymptotic_order(datum, "E", (2, 1)).value == 1
     # the witness (1, 0, 1) uses the third generator, so a dearer one moves
     # the optimum to (2, 1, 0)
     datum.generators[2].mults["E"] = Fraction(5)
     assert asymptotic_order(datum, "E", (2, 1)).value == 2 == _cold_value(datum, "E", (2, 1))
-    assert len(built) == 2
+    assert _builds() == 2
+    # an int equal to the Fraction keys the same order function
     datum.generators[2].mults["E"] = 5
     assert asymptotic_order(datum, "E", (2, 1)).value == 2
-    assert len(built) == 3
+    assert _builds() == 2
     datum.generators[2].mults["E"] = 5.0
     with pytest.raises(TypeError):
         asymptotic_order(datum, "E", (2, 1))
 
 
-def test_reuse_drops_another_support_object_or_datum(monkeypatch):
-    built = _count_order_functions(monkeypatch)
+def test_twin_data_and_supports_share_one_order_function():
+    _cold_start()
     datum = _corpus_datum(3)
     valuation = datum.valuations[0]
     first, second = support_cone(datum), support_cone(datum)
@@ -717,17 +705,15 @@ def test_reuse_drops_another_support_object_or_datum(monkeypatch):
     assert twin == datum and twin.generators is not datum.generators
     x = tuple(sum(col) for col in zip(*first.rays))
     expected = _cold_value(datum, valuation, x)
-    calls = [(datum, first), (datum, first), (datum, second), (datum, None), (datum, None),
-             (twin, None), (twin, first), (datum, first)]
-    counts = []
-    for d, support in calls:
+    for d, support in [(datum, first), (datum, second), (datum, None), (twin, None),
+                       (twin, first)]:
         assert asymptotic_order(d, valuation, x, support=support).value == expected
-        counts.append(len(built))
-    assert counts == [1, 1, 2, 3, 3, 4, 5, 6]
+    assert orders.order_function(twin, valuation) is orders.order_function(datum, valuation)
+    assert _builds() == 1
 
 
-def test_reuse_drops_across_alternating_valuations(monkeypatch):
-    built = _count_order_functions(monkeypatch)
+def test_alternating_valuations_build_no_new_order_function():
+    _cold_start()
     datum = _corpus_datum(1)
     support = support_cone(datum)
     heights = [orders._mults(datum, v) for v in datum.valuations]
@@ -737,13 +723,63 @@ def test_reuse_drops_across_alternating_valuations(monkeypatch):
         if heights[i] != heights[j]
     )
     points = [r for r in support.rays] + [tuple(sum(col) for col in zip(*support.rays))]
-    calls = 0
     for x in points:
         for valuation in (one, other):
             assert asymptotic_order(datum, valuation, x, support=support).value == _cold_value(
                 datum, valuation, x)
-            calls += 1
-            assert len(built) == calls
+    assert _builds() == 2
+
+
+def test_stabilization_after_an_order_query_solves_no_lp(monkeypatch):
+    datum = _corpus_datum(4)
+    valuation = datum.valuations[0]
+    points = _generator_sums(datum)
+    for x in points:
+        asymptotic_order(datum, valuation, x)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("stabilization_multiple solved an LP")
+
+    monkeypatch.setattr(orders, "solve_min", forbidden)
+    for x in points:
+        assert stabilization_multiple(datum, valuation, x, 12) == _reference_stabilization(
+            datum, valuation, x, 12)
+
+
+@pytest.mark.parametrize("query", [
+    lambda datum: asymptotic_order(datum, "E", (1, 1)),
+    lambda datum: stabilization_multiple(datum, "E", (1, 1), 4),
+    lambda datum: integer_order(datum, "E", (1, 1), 1),
+])
+def test_malformed_generator_data_raise_before_any_query(blowup, query):
+    with pytest.raises(InvalidCone):
+        query(replace(blowup, generators=()))
+    zero = tuple(GeneratorDatum((0, 0), g.mults) for g in blowup.generators)
+    with pytest.raises(InvalidCone):
+        query(replace(blowup, generators=zero))
+    mixed = (GeneratorDatum((1, 0, 0), {"E": Fraction(1)}),) + blowup.generators[1:]
+    with pytest.raises(DimensionError):
+        query(replace(blowup, generators=mixed))
+
+
+@pytest.mark.parametrize("query", [
+    lambda datum, x: asymptotic_order(datum, "E", x),
+    lambda datum, x: stabilization_multiple(datum, "E", x, 4),
+    lambda datum, x: integer_order(datum, "E", x, 1),
+    lambda datum, x: o_value_oracle(datum, "E", x, [1, 2]),
+])
+def test_points_of_another_dimension_raise_dimension_error(blowup, query):
+    # the oracle once answered (2, 1, 5) as (2, 1), zip truncating the point,
+    # and integer_order raised IndexError
+    for x in ((2, 1, 5), (2,)):
+        with pytest.raises(DimensionError):
+            query(blowup, x)
+
+
+def test_oracle_rejects_multidegrees_of_mixed_lengths(blowup):
+    mixed = (GeneratorDatum((1, 0, 0), {"E": Fraction(1)}),) + blowup.generators[1:]
+    with pytest.raises(DimensionError):
+        o_value_oracle(replace(blowup, generators=mixed), "E", (1, 1), [1])
 
 
 def _eager_ovalue(function, x):
@@ -770,7 +806,7 @@ LAZY_CASES = sorted(builtin_examples()) + [f"corpus-{seed}" for seed in range(1,
 def test_lazy_ovalue_equals_the_eager_one(name):
     datum = _named_datum(name)
     support = support_cone(datum)
-    functions = {v: orders.OrderFunction(datum, v, support) for v in datum.valuations}
+    functions = {v: orders.order_function(datum, v) for v in datum.valuations}
     for valuation, x in _cache_queries(datum, chamber_fan(datum, support=support)):
         function = functions[valuation]
         lazy = function.certificate(x)

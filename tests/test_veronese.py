@@ -60,6 +60,21 @@ def test_rejects_bad_degrees():
         veronese_degree([0, 2], 3)
 
 
+@pytest.mark.parametrize("m_max, error", [
+    (True, TypeError), (2.5, TypeError), (2.0, TypeError), (0, ValueError), (-1, ValueError),
+])
+def test_rejects_bad_m_max(m_max, error):
+    # each of these once came back as verified_up_to
+    with pytest.raises(error):
+        veronese_degree([2, 3], m_max)
+
+
+@pytest.mark.parametrize("degrees", [[True, 2], [2, 3.0], [Fraction(2), 3]])
+def test_rejects_non_int_degrees(degrees):
+    with pytest.raises(TypeError):
+        veronese_degree(degrees, 3)
+
+
 def test_split_budget_exhaustion():
     # four degrees: c = 1 is searched before the proved c = 2
     with pytest.raises(BudgetExceeded):

@@ -43,6 +43,15 @@ def test_make_segment_defaults_kappa_to_first_unit():
     assert seg.point(Fraction(1, 2)) == (Fraction(1, 2), Fraction(1, 2))
 
 
+@pytest.mark.parametrize("h, kappa", [
+    ((0.1, 1), None), ((0, 1), (1.0, 0)), ((Fraction(1, 10), 1), (1, 0.5)),
+])
+def test_make_segment_rejects_floats(h, kappa):
+    # 0.1 was once stored as 3602879701896397/36028797018963968
+    with pytest.raises(TypeError):
+        make_segment(h, kappa, grading_dim=2)
+
+
 def test_make_segment_rejects_coinciding_endpoints():
     with pytest.raises(InconsistentInput):
         make_segment((1, 0), grading_dim=2)
