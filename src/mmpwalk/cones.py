@@ -339,9 +339,12 @@ class Fan:
 
 
 def make_fan(cells, support, labels=None):
-    """Fan of the distinct (cell, label) pairs, sorted by cell."""
+    """Fan of the distinct (cell, label) pairs, sorted by cell rays, then
+    label.  Equal rays mean equal cells, so a repeated pair sorts next to
+    its twin and is dropped there, with no hashing."""
     pairs = ((c, ()) for c in cells) if labels is None else zip(cells, labels, strict=True)
-    pairs = sorted(dict.fromkeys(pairs), key=lambda pair: pair[0].rays)
+    pairs = sorted(pairs, key=lambda pair: (pair[0].rays, pair[1]))
+    pairs = [pair for i, pair in enumerate(pairs) if not i or pair != pairs[i - 1]]
     return Fan(tuple(c for c, _ in pairs), support, tuple(l for _, l in pairs))
 
 

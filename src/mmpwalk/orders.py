@@ -13,17 +13,20 @@ them with LP values from ``simplex``.
 Every query goes through the one ``OrderFunction`` of its LP data, the
 integer degrees and the multiplicities, which ``order_function(datum,
 valuation)`` finds in one least-recently-used cache keyed on those data.
+It turns the multiplicities into integer costs over one denominator once;
+the LP is solved on those costs and the integer-level searches minimise
+them, and a ``Fraction`` is built only for a value returned to the caller.
 It keeps the optimal bases of earlier solves of its LP, each a
-``simplex.Basis`` with B^-1 and the dual in integers.  The optimal basis
-is constant on each linearity domain, so every query takes one path: the
-kept bases are scanned, most recently certified first, and the first that
-LP duality certifies optimal at the point answers it.  A run of queries in
-one chamber thus costs one integer feasibility test each.  Only when no
-kept basis answers is the LP solved; its phase 1 is feasible exactly on
-the support cone, the cone over the degrees, so it decides membership.
-The new basis goes in front and answers like a kept one.  ``value(x)``
-returns the exact order and nothing else, for callers that make many
-queries, such as the checks; ``certificate(x)``, which is
+``simplex.Basis`` with B^-1 and the dual of the integer costs in integers.
+The optimal basis is constant on each linearity domain, so every query
+takes one path: the kept bases are scanned, most recently certified first,
+and the first that LP duality certifies optimal at the point answers it.
+A run of queries in one chamber thus costs one integer feasibility test
+each.  Only when no kept basis answers is the LP solved; its phase 1 is
+feasible exactly on the support cone, the cone over the degrees, so it
+decides membership.  The new basis goes in front and answers like a kept
+one.  ``value(x)`` returns the exact order and nothing else, for callers
+that make many queries, such as the checks; ``certificate(x)``, which is
 ``asymptotic_order``, returns it as an ``OValue``, whose witness and
 certifying dual are built from the basis when first read.  Values are
 exact and unique.  When several optimal vertices tie, which witness is
@@ -41,7 +44,7 @@ from .errors import (BudgetExceeded, DimensionError, InconsistentInput, InvalidC
                      OutsideSupport)
 from .linalg import clear_denominators, dot, primitive, reduce_mod_rowspace
 from .ring import support_cone
-from .simplex import INFEASIBLE, solve_min
+from .simplex import INFEASIBLE, UNBOUNDED, solve_min
 
 DEFAULT_NODE_BUDGET = 2_000_000
 
@@ -84,24 +87,24 @@ class OValue:
         _set(self, "_basis", None)
 
     @classmethod
-    def _from_basis(cls, value, basis, z, x_den, count):
+    def _from_basis(cls, value, basis, z, x_den, order):
         """An OValue of ``value`` at a point of denominator ``x_den`` whose
-        witness and dual are built from ``basis``, its basic solution ``z``
-        there (``OrderFunction._basic_solution``) and the ``count`` of
-        generators."""
+        witness and dual are built from ``basis``, a kept basis of the
+        ``OrderFunction`` ``order``, and its basic solution ``z`` there
+        (``OrderFunction._basic_solution``)."""
         self = object.__new__(cls)
         _set = object.__setattr__
         _set(self, "value", value)
         _set(self, "_witness", None)
         _set(self, "_dual", None)
-        _set(self, "_basis", (basis, z, x_den, count))
+        _set(self, "_basis", (basis, z, x_den, order))
         return self
 
     @property
     def witness(self):
         if self._witness is None:
-            basis, z, x_den, count = self._basis
-            witness = [Fraction(0)] * count
+            basis, z, x_den, order = self._basis
+            witness = [Fraction(0)] * len(order.degrees)
             for col, v in zip(basis.cols, z):
                 witness[col] = Fraction(v, basis.inverse_den * x_den)
             object.__setattr__(self, "_witness", tuple(witness))
@@ -110,8 +113,10 @@ class OValue:
     @property
     def dual(self):
         if self._dual is None:
-            basis = self._basis[0]
-            dual = tuple([Fraction(v, basis.dual_den) for v in basis.dual_num])
+            basis, _, _, order = self._basis
+            # the basis's dual is that of the integer costs, den times the order's
+            den = basis.dual_den * order.den
+            dual = tuple([Fraction(v, den) for v in basis.dual_num])
             object.__setattr__(self, "_dual", dual)
         return self._dual
 
@@ -188,9 +193,11 @@ class OrderFunction:
     """The order function of one LP datum, built once by ``order_function``
     from the degrees and the multiplicities' (numerator, denominator) pairs.
 
-    Holds the degrees, the multiplicities as ``ratios``, the heights (the
-    multiplicities as ints over one denominator) and the optimal ``Basis``es
-    of earlier solves of its LP, most recently certified first.
+    Holds the degrees, the integer ``costs`` (the multiplicities times
+    ``den``, their least common denominator) and the optimal ``Basis``es of
+    earlier solves of its LP on those costs, most recently certified first,
+    so a kept basis's dual is ``den`` times the order's.  Only the values
+    the methods return are ``Fraction``s.
     ``value(x)`` is the exact order at ``x``; ``certificate(x)`` is the same
     value as an ``OValue``, with a witness and a dual.  Both answer from the
     one basis that ``_basis`` finds optimal at ``x``, kept or newly solved.
@@ -198,7 +205,7 @@ class OrderFunction:
     and a point of another dimension DimensionError.
     """
 
-    __slots__ = ("degrees", "ratios", "heights", "bases")
+    __slots__ = ("degrees", "costs", "den", "bases")
 
     def __init__(self, degrees, ratios):
         if not degrees:
@@ -208,22 +215,15 @@ class OrderFunction:
         if not any(map(any, degrees)):
             raise InvalidCone("all generators are zero")
         self.degrees = degrees
-        self.ratios = ratios
-        den = lcm(*[d for _, d in ratios])
-        self.heights = (tuple([n * (den // d) for n, d in ratios]), den)
+        self.den = den = lcm(*[d for _, d in ratios])
+        self.costs = tuple([n * (den // d) for n, d in ratios])
         self.bases = []
-
-    @property
-    def mults(self):
-        """The multiplicities as ``Fraction``s, built on each read: only LP
-        solves and searches read them, so a cached function keeps none."""
-        return tuple([Fraction(*r) for r in self.ratios])
 
     def value(self, x):
         """The order at ``x`` as a ``Fraction``; builds no witness or dual."""
         xs, x_den = _scaled(x)
         basis, _ = self._basis(x, xs, x_den)
-        return Fraction(dot(basis.dual_num, xs), basis.dual_den * x_den)
+        return Fraction(dot(basis.dual_num, xs), basis.dual_den * x_den * self.den)
 
     def certificate(self, x):
         """The order at ``x`` as an ``OValue`` that builds its witness, the
@@ -232,8 +232,8 @@ class OrderFunction:
         xs, x_den = _scaled(x)
         basis, z = self._basis(x, xs, x_den)
         return OValue._from_basis(
-            Fraction(dot(basis.dual_num, xs), basis.dual_den * x_den),
-            basis, z, x_den, len(self.degrees),
+            Fraction(dot(basis.dual_num, xs), basis.dual_den * x_den * self.den),
+            basis, z, x_den, self,
         )
 
     def _check_dimension(self, xs):
@@ -264,10 +264,11 @@ class OrderFunction:
                     kept.insert(0, kept.pop(i))
                 return basis, z
         A = [[d[row] for d in self.degrees] for row in range(len(x))]
-        result = solve_min(A, x, self.mults)
-        if result is INFEASIBLE:
+        basis = solve_min(A, x, self.costs)
+        if basis is INFEASIBLE:
             raise OutsideSupport(f"point {tuple(x)} is outside the support cone")
-        basis = result[2]
+        if basis is UNBOUNDED:  # a negative multiplicity; validation rejects it
+            raise InvalidCone(f"the order LP at {tuple(x)} is unbounded")
         kept.insert(0, basis)
         return basis, self._basic_solution(basis, xs)
 
@@ -382,17 +383,14 @@ def _unit_index(degrees, n):
     return units
 
 
-def _enumerate_min(degrees, heights, target, budget):
+def _enumerate_min(degrees, costs, target, budget):
     """Plain bounded DFS over all integer representations of ``target``.
 
-    The heights are scaled once to integers over their least common
-    denominator, so costs, the best value and every pruning comparison are
-    ints; only the result is divided by the denominator.  Returns (best
-    value, nodes left) or (None, nodes left) if no integer representation
-    exists.
+    ``costs`` are an order function's integer costs, so the best value and
+    every pruning comparison are ints.  Returns (least cost, nodes left),
+    or (None, nodes left) if no integer representation exists.
     """
     s = len(degrees)
-    costs, den = clear_denominators(heights)
     # per generator i: the coordinates that bound its coefficient, and the
     # coordinates that no generator from i on can cover
     positive = [[(j, dj) for j, dj in enumerate(d) if dj > 0] for d in degrees]
@@ -427,21 +425,20 @@ def _enumerate_min(degrees, heights, target, budget):
         return nodes
 
     nodes = recurse(0, tuple(target), 0, budget)
-    return (None if best is None else Fraction(best, den)), nodes
+    return best, nodes
 
 
-def _reduced_min(degrees, heights, units, target, budget):
+def _reduced_min(degrees, costs, units, target, budget):
     """Exact minimum over integer representations when unit generators
     cover every coordinate.
 
     Any leftover is absorbed by units, so only generators with negative
     reduced cost need enumerating; this is a reformulation, not a
     heuristic, and returns the same optimum as the plain search.  Like
-    ``_enumerate_min`` it works in integers over the heights' least common
-    denominator.
+    ``_enumerate_min`` it takes the integer costs and returns (least cost,
+    nodes left).
     """
     n = len(target)
-    costs, den = clear_denominators(heights)
     unit_cost = [min(costs[i] for i in units[j]) for j in range(n)]
     base = dot(unit_cost, target)
     items = []
@@ -475,7 +472,7 @@ def _reduced_min(degrees, heights, units, target, budget):
         return nodes
 
     nodes = recurse(0, tuple(target), 0, budget)
-    return Fraction(base + best, den), nodes
+    return base + best, nodes
 
 
 def _check_level(k, name="level k"):
@@ -492,12 +489,12 @@ def integer_order(datum, valuation, x, k, node_budget=DEFAULT_NODE_BUDGET):
     """(1/k) times the minimal multiplicity over integer representations of
     ``k*x``; NO_REPRESENTATION if none exists.
 
-    The branch-and-bound runs in integers: the heights are scaled to ints
-    over their least common denominator, and the value is divided by that
-    denominator and by k only at the end.  ``x`` must be exact (``int`` or
-    ``Fraction`` entries); a float raises TypeError, and a point of another
-    dimension DimensionError.  A level that is not an ``int`` (a float or a
-    bool, too) raises TypeError, and ``k <= 0`` ValueError.
+    The branch-and-bound runs on the order function's integer costs, and
+    the least cost is divided by their denominator and by k only at the
+    end.  ``x`` must be exact (``int`` or ``Fraction`` entries); a float
+    raises TypeError, and a point of another dimension DimensionError.  A
+    level that is not an ``int`` (a float or a bool, too) raises TypeError,
+    and ``k <= 0`` ValueError.
     """
     _check_level(k)
     order = order_function(datum, valuation)
@@ -511,12 +508,12 @@ def integer_order(datum, valuation, x, k, node_budget=DEFAULT_NODE_BUDGET):
     degrees = order.degrees
     units = _unit_index(degrees, len(target))
     if units is not None:
-        value, _ = _reduced_min(degrees, order.mults, units, target, node_budget)
+        best, _ = _reduced_min(degrees, order.costs, units, target, node_budget)
     else:
-        value, _ = _enumerate_min(degrees, order.mults, target, node_budget)
-    if value is None:
+        best, _ = _enumerate_min(degrees, order.costs, target, node_budget)
+    if best is None:
         return NO_REPRESENTATION
-    return value / k
+    return Fraction(best, order.den * k)
 
 
 def _representable(degrees, target, failed, budget):
@@ -572,7 +569,9 @@ def stabilization_multiple(datum, valuation, x, k_max, support=None,
     ``a_i > 0`` only on the tight generators, those with ``y . d_i == h_i``.
     So level k reaches the LP value iff k*x is a nonnegative integer
     combination of the tight generators of nonzero multidegree.  Tightness
-    is tested in integers.
+    is tested in integers: the basis's dual is that of the integer costs,
+    ``den`` times y, so generator i is tight when its dual product equals
+    its integer cost.
 
     When the tight generators are exactly the basic columns, they are
     linearly independent, and x's only representation over them is the
@@ -593,10 +592,9 @@ def stabilization_multiple(datum, valuation, x, k_max, support=None,
     order = order_function(datum, valuation)
     xs, step = clear_denominators(x)
     basis, z = order._basis(x, xs, step)
-    hs, h_den = order.heights
     tight = [
-        i for i, (d, h) in enumerate(zip(order.degrees, hs))
-        if any(d) and dot(basis.dual_num, d) * h_den == h * basis.dual_den
+        i for i, (d, h) in enumerate(zip(order.degrees, order.costs))
+        if any(d) and dot(basis.dual_num, d) == h * basis.dual_den
     ]
     if tight == sorted(basis.cols):
         k = step * (basis.inverse_den // gcd(basis.inverse_den, *z))

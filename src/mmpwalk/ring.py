@@ -100,6 +100,29 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _exact_map(report, code, name, rows, n):
+    """Report a map whose rows are not of length ``n`` or whose entries are
+    not exact; True when it is well formed."""
+    if any(len(row) != n for row in rows):
+        report.add("error", code, f"{name} has wrong row length")
+    elif not all(_is_int(x) or isinstance(x, Fraction) for row in rows for x in row):
+        report.add("error", code, f"{name} entries must be integers or Fractions")
+    else:
+        return True
+    return False
+
+
+def _nef_dimension(report, name, nef, rows):
+    """Report a nef cone that does not live in its map's target space."""
+    if nef is not None and nef.cone.ambient_dim != len(rows):
+        report.add(
+            "error",
+            "nef-dimension",
+            f"{name} is in dimension {nef.cone.ambient_dim}, its map's target in"
+            f" dimension {len(rows)}",
+        )
+
+
 def validate(datum):
     """Check all structural invariants of a RingDatum.
 
@@ -171,20 +194,18 @@ def validate(datum):
                 )
     if datum.numerical is not None:
         rows = datum.numerical.matrix
-        if any(len(row) != n for row in rows):
-            report.add("error", "bad-numerical-map", "numerical map has wrong row length")
-        elif not all(_is_int(x) or isinstance(x, Fraction) for row in rows for x in row):
-            report.add(
-                "error",
-                "bad-numerical-map",
-                "numerical map entries must be integers or Fractions",
-            )
-        elif rank(rows) < datum.numerical.target_dim:
+        if (_exact_map(report, "bad-numerical-map", "numerical map", rows, n)
+                and rank(rows) < datum.numerical.target_dim):
             report.add(
                 "warning",
                 "numerical-rank",
                 "numerical map does not have full row rank; classes do not generate",
             )
+        _nef_dimension(report, "nef cone", datum.nef, rows)
+    for pf in datum.pushforwards:
+        name = f"pushforward {pf.model_id!r}"
+        _exact_map(report, "bad-pushforward-map", f"{name} map", pf.matrix, n)
+        _nef_dimension(report, f"{name} nef cone", pf.nef, pf.matrix)
     if degrees and not all(all(x == 0 for x in d) for d in degrees):
         if rank(degrees) < n:
             report.add(

@@ -6,14 +6,13 @@ makes the method cycling-free.  The tableau is fraction-free: each row, the
 cost row included, is a primitive integer vector and a positive multiple
 of its exact row, and each pivot is ``linalg._eliminate``.  Signs and
 cross-multiplied ratios do not depend on a row's scale, so the pivots are
-the exact ones.  A solve returns an optimal basic solution with its final
-basis: the basis inverse, read off the artificial columns, and the dual
-``c_B B^-1``, each as integers over one denominator, so a caller can reuse
-the basis for another right-hand side and certify it there without
-building a ``Fraction``.  Only the value and the solution are ``Fraction``s.
+the exact ones.  A solve returns only its optimal basis: the basis
+inverse, read off the artificial columns, and the dual ``c_B B^-1``, each
+as integers over one denominator.  The caller reads the basic solution and
+the value off it, and can reuse it for another right-hand side and certify
+it there.  Every number a solve builds is an ``int``.
 """
 
-from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -96,9 +95,11 @@ def _cost_row(costs, tableau, basis):
 def solve_min(A, b, c, pivot_cap=DEFAULT_PIVOT_CAP):
     """Minimize ``c.x`` over ``{A x = b, x >= 0}``.
 
-    Entries are ``int`` or ``Fraction``.  Returns ``(value, x, basis)`` with
-    a basic optimal solution ``x`` and its ``Basis``, ``INFEASIBLE``, or
-    ``UNBOUNDED``.  Raises BudgetExceeded when the pivot cap runs out.
+    Entries are ``int``s or exact rationals; a float raises TypeError.
+    Returns the ``Basis`` of a basic optimal solution, ``INFEASIBLE``, or
+    ``UNBOUNDED``.  The solution is ``B^-1 b`` on the basic columns and zero
+    elsewhere, and the value is ``dual . b``.  Raises BudgetExceeded when
+    the pivot cap runs out.
     """
     m = len(A)
     n = len(c)
@@ -136,10 +137,6 @@ def solve_min(A, b, c, pivot_cap=DEFAULT_PIVOT_CAP):
     cap = _run(tableau, basis, range(n), cap)
     if cap is UNBOUNDED:
         return UNBOUNDED
-    x = [Fraction(0)] * n
-    for row, bv in zip(tableau, basis):
-        x[bv] = Fraction(row[-1], row[bv])
-    value = sum(c[j] * x[j] for j in range(n))
     # row i is row[bv] times its exact row, whose artificial entries are
     # B^-1 with the column of each negated row negated back
     den = lcm(*(row[bv] for row, bv in zip(tableau, basis)))
@@ -152,9 +149,7 @@ def solve_min(A, b, c, pivot_cap=DEFAULT_PIVOT_CAP):
     for j, k in enumerate(kept_rows):
         dual[k] = sum(costs[col] * row[j] for col, row in zip(basis, inverse_num))
     (dual_num,), dual_den = _lowest_terms([dual], inverse_den * cost_den)
-    return value, tuple(x), Basis(
-        tuple(kept_rows), tuple(basis), inverse_num, inverse_den, dual_num, dual_den
-    )
+    return Basis(tuple(kept_rows), tuple(basis), inverse_num, inverse_den, dual_num, dual_den)
 
 
 def _lowest_terms(rows, den):

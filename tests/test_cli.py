@@ -438,6 +438,30 @@ def test_nef_inequality_of_wrong_dimension_exit_code(tmp_path, capsys):
     assert _one_line_error(err) and "dimension" in err
 
 
+@pytest.mark.parametrize("command, field, value", [
+    # mat_apply's zip truncated the longer row, so walk classified the chambers
+    ("walk", "pushforward map", [["2", "6", "5"]]),
+    ("walk", "pushforward map", [["2"]]),
+    # a two-coordinate nef cone over a one-row numerical map
+    ("decompose", "numerical_map", [["2", "6"]]),
+    ("check", "numerical_map", [["2", "6"]]),
+    ("walk", "numerical_map", [["2", "6"]]),
+])
+def test_maps_of_the_wrong_shape_fail_validation(tmp_path, capsys, command, field, value):
+    doc = json.loads(dumps(ring_to_json(builtin_examples()["blowup-P2"])))
+    if field == "pushforward map":
+        doc["pushforwards"][0]["map"] = value
+    else:
+        doc[field] = value
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(doc))
+    argv = ["--h=1,3"] if command == "walk" else []
+    code, _, err = run(capsys, command, "--input", str(path), *argv)
+    assert code == 3
+    assert err.startswith("validation failed:\n") and "Traceback" not in err
+    assert ("[bad-pushforward-map]" if field == "pushforward map" else "[nef-dimension]") in err
+
+
 def test_support_mismatch_exit_code(monkeypatch, capsys):
     def mismatched(*args, **kwargs):
         raise SupportMismatch("fans do not share a support cone")

@@ -1,11 +1,13 @@
 """The integer-level searches against reference copies of their Fraction form.
 
-``_enumerate_min`` and ``_reduced_min`` run in integers over the heights'
-least common denominator.  The copies below are the searches as they were
-written over ``Fraction`` costs; the integer searches must visit the same
-nodes and return the same values, so they must also run out of budget at
-the same budgets.  On data with unit generators both searches apply, and
-both must also equal the oracle's separate exhaustive search.
+``_enumerate_min`` and ``_reduced_min`` take an order function's integer
+costs, the heights over their least common denominator, and return the
+least integer cost.  The copies below are the searches as they were written
+over ``Fraction`` heights; the integer searches must visit the same nodes
+and return the same values over that denominator, so they must also run
+out of budget at the same budgets.  On data with unit generators both
+searches apply, and both must also equal the oracle's separate exhaustive
+search.
 """
 
 from fractions import Fraction
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmpwalk.errors import BudgetExceeded
+from mmpwalk.linalg import clear_denominators
 from mmpwalk.oracle import _min_over_integer_representations
 from mmpwalk.orders import _enumerate_min, _reduced_min, _unit_index
 
@@ -123,17 +126,26 @@ def _outcome(search, *args):
 
 
 def _assert_same_search(search, reference, args, budget):
-    """Same value and nodes left as the reference, and the same outcome just
-    below the nodes it needs and at ``budget``."""
-    value, left = search(*args, BUDGET)
-    expected = reference(*args, BUDGET)
-    assert (value, left) == expected
-    assert type(value) is type(expected[0])
+    """Run ``search`` on the integer costs of the ``Fraction`` heights in
+    ``args[1]``: the same value over their denominator and the same nodes
+    left as the reference on the heights, and the same outcome just below
+    the nodes it needs and at ``budget``.  Returns the value as a
+    ``Fraction``, or None."""
+    costs, den = clear_denominators(args[1])
+    int_args = (args[0], costs, *args[2:])
+
+    def scaled(*call):
+        best, left = search(*call)
+        assert best is None or type(best) is int
+        return (None if best is None else Fraction(best, den)), left
+
+    value, left = scaled(*int_args, BUDGET)
+    assert (value, left) == reference(*args, BUDGET)
     used = BUDGET - left
-    assert _outcome(search, *args, used) == (value, 0)
-    assert _outcome(search, *args, used - 1) == "budget exceeded"
+    assert _outcome(scaled, *int_args, used) == (value, 0)
+    assert _outcome(scaled, *int_args, used - 1) == "budget exceeded"
     assert _outcome(reference, *args, used - 1) == "budget exceeded"
-    assert _outcome(search, *args, budget) == _outcome(reference, *args, budget)
+    assert _outcome(scaled, *int_args, budget) == _outcome(reference, *args, budget)
     return value
 
 

@@ -25,7 +25,7 @@ from mmpwalk import (
     random_instance,
     stabilization_multiple,
 )
-from mmpwalk import orders
+from mmpwalk import orders, simplex
 from mmpwalk.cones import Fan, cone_from_rays
 from mmpwalk.errors import BudgetExceeded, DimensionError, InconsistentInput, InvalidCone
 from mmpwalk.linalg import clear_denominators, dot
@@ -329,6 +329,17 @@ def _lp_data(datum, valuation, x):
     return degrees, heights, A
 
 
+def _lp_value(A, x, heights):
+    """The LP value at ``x`` from a fresh solve on the ``Fraction`` heights
+    (not on an order function's integer costs): ``heights . w`` for the
+    basic solution ``w`` read off the returned basis."""
+    basis = simplex.solve_min(A, list(x), heights)
+    w = [Fraction(0)] * len(heights)
+    for col, row in zip(basis.cols, basis.inverse_num):
+        w[col] = Fraction(dot(row, [x[k] for k in basis.rows]), basis.inverse_den)
+    return dot(heights, w)
+
+
 def _cache_queries(datum, fan):
     """Rays, sums of ray pairs (points on walls of the chamber fan) and
     interior points of every cell, each repeated across the valuations."""
@@ -363,8 +374,7 @@ def test_cached_values_equal_cold_solves(seed, monkeypatch):
     for valuation, x in queries:
         got = asymptotic_order(datum, valuation, x, support=support)
         _, heights, A = _lp_data(datum, valuation, x)
-        value, _, _ = original(A, list(x), heights)
-        assert got.value == value
+        assert got.value == _lp_value(A, x, heights)
     assert len(cold_calls) < len(queries) / 2
 
 
@@ -518,7 +528,7 @@ def test_value_and_certificate_equal_cold_solves(name, first):
     cold = []
     for valuation, x in queries:
         _, heights, A = _lp_data(datum, valuation, x)
-        cold.append(orders.solve_min(A, list(x), heights)[0])
+        cold.append(_lp_value(A, x, heights))
     _cold_start()
     functions = {v: orders.order_function(datum, v) for v in datum.valuations}
     for _ in ("cleared cache", "warm cache"):
@@ -563,7 +573,7 @@ def _interleaving_case():
     cold = []
     for valuation, x in queries:
         _, heights, A = _lp_data(datum, valuation, x)
-        cold.append(orders.solve_min(A, list(x), heights)[0])
+        cold.append(_lp_value(A, x, heights))
     return datum, support, queries, cold
 
 
@@ -609,7 +619,9 @@ def test_certifying_basis_moves_to_the_front():
     else:
         raise AssertionError("no point is certified by the last kept basis alone")
     before = list(kept)
-    assert function.certificate(x).dual == tuple(Fraction(v, last.dual_den) for v in last.dual_num)
+    # the kept dual is that of the integer costs, den times the order's
+    assert function.certificate(x).dual == tuple(
+        Fraction(v, last.dual_den * function.den) for v in last.dual_num)
     assert kept == [last] + before[:-1]
 
 
@@ -663,7 +675,7 @@ def _builds():
 
 def _cold_value(datum, valuation, x):
     _, heights, A = _lp_data(datum, valuation, x)
-    return orders.solve_min(A, list(x), heights)[0]
+    return _lp_value(A, x, heights)
 
 
 def test_asymptotic_order_reuses_its_order_function():
@@ -746,6 +758,19 @@ def test_stabilization_after_an_order_query_solves_no_lp(monkeypatch):
             datum, valuation, x, 12)
 
 
+def test_unbounded_lp_raises_and_keeps_no_basis(blowup):
+    # a zero-degree generator of negative multiplicity (the library does not
+    # validate) makes the LP unbounded: it raised TypeError from indexing the
+    # solver's sentinel
+    generators = (GeneratorDatum((0, 0), {"E": Fraction(-1)}),) + blowup.generators
+    datum = replace(blowup, generators=generators)
+    function = orders.order_function(datum, "E")
+    for _ in range(2):
+        with pytest.raises(InvalidCone, match="unbounded"):
+            function.value((1, 1))
+    assert function.bases == []
+
+
 @pytest.mark.parametrize("query", [
     lambda datum: asymptotic_order(datum, "E", (1, 1)),
     lambda datum: stabilization_multiple(datum, "E", (1, 1), 4),
@@ -784,17 +809,19 @@ def test_oracle_rejects_multidegrees_of_mixed_lengths(blowup):
 
 def _eager_ovalue(function, x):
     """The OValue of ``x`` built at once from the front kept basis of
-    ``function``, as ``certificate`` built it before it became lazy."""
+    ``function``, as ``certificate`` built it before it became lazy, with
+    the kept dual divided by the costs' denominator."""
     basis = function.bases[0]
     xs, x_den = clear_denominators(x)
     z = function._basic_solution(basis, xs)
     witness = [Fraction(0)] * len(function.degrees)
     for col, v in zip(basis.cols, z):
         witness[col] = Fraction(v, basis.inverse_den * x_den)
+    dual_den = basis.dual_den * function.den
     return orders.OValue(
-        Fraction(dot(basis.dual_num, xs), basis.dual_den * x_den),
+        Fraction(dot(basis.dual_num, xs), dual_den * x_den),
         tuple(witness),
-        tuple(Fraction(v, basis.dual_den) for v in basis.dual_num),
+        tuple(Fraction(v, dual_den) for v in basis.dual_num),
     )
 
 
@@ -827,6 +854,33 @@ def test_ovalue_is_read_only_and_copies():
         assert twin == ov and repr(twin) == repr(ov)
     assert ov != orders.OValue(ov.value, ov.witness, (Fraction(7),) * len(ov.dual))
     assert ov != (ov.value, ov.witness, ov.dual)
+
+
+@pytest.mark.parametrize("name", ["blowup-P2", "fractional-vertex", "corpus-2"])
+def test_cold_value_at_an_integer_point_builds_one_fraction(name, monkeypatch):
+    # the LP is solved on the integer costs and the basis read in integers:
+    # the value returned is the only Fraction a cold query builds
+    datum = _named_datum(name)
+    points = _generator_sums(datum)
+    expected = [_cold_value(datum, v, x) for v in datum.valuations for x in points]
+    made = []
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    got = []
+    for valuation in datum.valuations:
+        for x in points:
+            _cold_start()
+            function = orders.order_function(datum, valuation)
+            monkeypatch.setattr(Fraction, "__new__", counted)
+            made.clear()
+            got.append(function.value(x))
+            assert len(made) == 1, (valuation, x, made)
+            monkeypatch.undo()
+    assert got == expected
 
 
 def test_warm_value_read_builds_no_witness_or_dual(monkeypatch):

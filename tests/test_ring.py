@@ -1,14 +1,17 @@
 """Input data model and validation."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from mmpwalk.cones import cone_from_rays
+from mmpwalk.oracle import builtin_examples
 from mmpwalk.ring import (
     GeneratorDatum,
     NefConeDatum,
     NumericalMap,
+    PushforwardDatum,
     RingDatum,
     support_cone,
     validate,
@@ -121,10 +124,49 @@ def test_thin_support_warning():
 
 
 def test_thin_nef_warning():
+    # the nef cone lives in the numerical map's two-coordinate target
+    identity = NumericalMap(matrix=((1, 0), (0, 1)), target_dim=2)
     nef = NefConeDatum(cone=cone_from_rays([(1, 0)]))
-    report = validate(make_datum(nef=nef))
+    report = validate(make_datum(numerical=identity, nef=nef))
     assert report.ok()
     assert any(e.code == "thin-nef" for e in report.warnings)
+
+
+def test_nef_cone_must_live_in_its_maps_target():
+    # a two-coordinate nef cone over a one-row numerical map validated with
+    # only a thin-nef warning, and walk failed late on the point's dimension
+    nef = NefConeDatum(cone=cone_from_rays([(1, 0), (0, 1)]))
+    report = validate(make_datum(nef=nef))
+    assert [e.code for e in report.errors] == ["nef-dimension"]
+
+
+def _with_pushforward(matrix, nef_rays=((1,),)):
+    blowup = builtin_examples()["blowup-P2"]
+    pf = PushforwardDatum(model_id="P2", matrix=matrix,
+                          nef=NefConeDatum(cone=cone_from_rays(list(nef_rays))))
+    return replace(blowup, pushforwards=(pf,))
+
+
+def test_builtin_pushforward_validates():
+    assert validate(builtin_examples()["blowup-P2"]).ok()
+    assert validate(_with_pushforward(((Fraction(2), 6),))).ok()
+
+
+@pytest.mark.parametrize("matrix", [
+    ((2, 6, 5),),  # dot truncated the longer row
+    ((2,),),  # and the point
+    ((2.0, 6),),
+    ((2, "6"),),
+])
+def test_pushforward_map_shape_and_entries_checked(matrix):
+    report = validate(_with_pushforward(matrix))
+    assert [e.code for e in report.errors] == ["bad-pushforward-map"]
+
+
+def test_pushforward_nef_cone_must_live_in_its_maps_target():
+    report = validate(_with_pushforward(((2, 6),), nef_rays=((1, 0), (0, 1))))
+    assert [e.code for e in report.errors] == ["nef-dimension"]
+    assert "pushforward 'P2'" in report.errors[0].message
 
 
 def test_support_cone_is_span_of_multidegrees():

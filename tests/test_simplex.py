@@ -16,16 +16,37 @@ def F(x):
     return Fraction(x)
 
 
+def _solution(A, b, c, basis):
+    """The value and the basic solution read off a returned ``Basis``:
+    ``x[cols[i]] = inverse_num[i] . b[rows] / inverse_den``, zero off the
+    basic columns, and the value ``c . x``."""
+    x = [Fraction(0)] * len(c)
+    for col, row in zip(basis.cols, basis.inverse_num):
+        x[col] = sum(Fraction(v) * b[k] for v, k in zip(row, basis.rows)) / basis.inverse_den
+    return sum(cj * xj for cj, xj in zip(c, x)), tuple(x)
+
+
+def _solve(A, b, c, **kwargs):
+    """``(value, x, basis)`` for an LP that has an optimum."""
+    basis = solve_min(A, b, c, **kwargs)
+    return (*_solution(A, b, c, basis), basis)
+
+
+def test_solve_returns_only_a_basis():
+    result = solve_min([[1, 1]], [3], [1, 2])
+    assert type(result) is simplex.Basis
+
+
 def test_equality_lp_basic():
     # min x + 2y  s.t.  x + y = 3, x, y >= 0
-    value, x, _ = solve_min([[F(1), F(1)]], [F(3)], [F(1), F(2)])
+    value, x, _ = _solve([[F(1), F(1)]], [F(3)], [F(1), F(2)])
     assert value == 3
     assert x == (F(3), F(0))
 
 
 def test_degenerate_alternative_optima_value_unique():
     # min x + y  s.t.  x + y = 5: any feasible point is optimal
-    value, x, _ = solve_min([[F(1), F(1)]], [F(5)], [F(1), F(1)])
+    value, x, _ = _solve([[F(1), F(1)]], [F(5)], [F(1), F(1)])
     assert value == 5
     assert sum(x) == 5 and all(v >= 0 for v in x)
 
@@ -42,7 +63,7 @@ def test_unbounded():
 
 def test_fractional_vertex_exact():
     # min y1  s.t.  2a + b = 1, a + 2b = 1 (representing (1,1) over (2,1),(1,2))
-    value, x, _ = solve_min(
+    value, x, _ = _solve(
         [[F(2), F(1)], [F(1), F(2)]], [F(1), F(1)], [F(1), F(0)]
     )
     assert value == Fraction(1, 3)
@@ -51,7 +72,7 @@ def test_fractional_vertex_exact():
 
 def test_redundant_row_handled():
     # second row is twice the first
-    value, x, basis = solve_min(
+    value, x, basis = _solve(
         [[F(1), F(1)], [F(2), F(2)]], [F(4), F(8)], [F(3), F(1)]
     )
     assert value == 4
@@ -61,7 +82,7 @@ def test_redundant_row_handled():
 
 def test_negative_rhs_normalized():
     # -x - y = -3 is the same constraint as x + y = 3
-    value, _, _ = solve_min([[F(-1), F(-1)]], [F(-3)], [F(2), F(5)])
+    value, _, _ = _solve([[F(-1), F(-1)]], [F(-3)], [F(2), F(5)])
     assert value == 6
 
 
@@ -70,9 +91,30 @@ def test_pivot_cap_raises():
         solve_min([[F(1), F(1)]], [F(3)], [F(1), F(2)], pivot_cap=0)
 
 
+def test_solve_on_int_data_builds_no_fraction(monkeypatch):
+    made = []
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    lps = [
+        ([[1, 1]], [3], [1, 2]),
+        ([[1, 1], [2, 2]], [4, 8], [3, 1]),
+        ([[-1, -1]], [-3], [2, 5]),
+        ([[2, 1], [1, 2]], [1, 1], [1, 0]),
+        ([[1, 1, 0], [0, 1, 1]], [2, 1], [3, 2, 6]),
+    ]
+    for A, b, c in lps:
+        assert type(solve_min(A, b, c)) is simplex.Basis
+    assert made == []
+
+
 def test_larger_system_exact_rationals():
     # min a/2 + b/3 + c  s.t.  a + b = 2, b + c = 1
-    value, x, _ = solve_min(
+    value, x, _ = _solve(
         [[F(1), F(1), F(0)], [F(0), F(1), F(1)]],
         [F(2), F(1)],
         [Fraction(1, 2), Fraction(1, 3), F(1)],
@@ -96,13 +138,13 @@ def test_larger_system_exact_rationals():
     ],
 )
 def test_basis_inverse_reproduces_solution(A, b, c):
-    _, x, basis = solve_min(A, b, c)
+    basis = solve_min(A, b, c)
     assert len(basis.rows) == len(basis.cols) == len(basis.inverse_num)
     _assert_integer_fields(basis)
+    expected_value, expected_x, _ = _reference_solve_min(A, b, c)
+    assert _solution(A, b, c, basis) == (expected_value, expected_x)
+    assert all(expected_x[j] == 0 for j in range(len(c)) if j not in basis.cols)
     inverse = [[Fraction(v, basis.inverse_den) for v in row] for row in basis.inverse_num]
-    for col, row in zip(basis.cols, inverse):
-        assert x[col] == sum(v * b[k] for v, k in zip(row, basis.rows))
-    assert all(x[j] == 0 for j in range(len(c)) if j not in basis.cols)
     # B^-1 B = I for B = A[rows][:, cols]
     product = [
         [sum(v * A[k][col] for v, k in zip(row, basis.rows)) for col in basis.cols]
@@ -261,9 +303,9 @@ def _solve_checking_ints(A, b, c, pivot_cap=DEFAULT_PIVOT_CAP):
 
 
 def _assert_matches_reference(A, b, c, pivot_cap=DEFAULT_PIVOT_CAP):
-    """Same value, ``x``, basis, B^-1 (and types) and pivot sequence as the
-    replaced solver, and the dual ``c_B B^-1`` computed from its B^-1;
-    returns the result."""
+    """Same basis, B^-1 and pivot sequence as the replaced solver, the same
+    value and ``x`` (and types) read off the basis, and the dual ``c_B
+    B^-1`` computed from its B^-1; returns the result."""
     expected_pivots = []
     try:
         expected = _reference_solve_min(A, b, c, pivot_cap, expected_pivots)
@@ -276,7 +318,8 @@ def _assert_matches_reference(A, b, c, pivot_cap=DEFAULT_PIVOT_CAP):
     elif expected in (INFEASIBLE, UNBOUNDED):
         assert result is expected
     else:
-        value, x, basis = result
+        basis = result
+        value, x = _solution(A, b, c, basis)
         expected_value, expected_x, (rows, cols, inverse) = expected
         assert (value, x) == (expected_value, expected_x)
         assert (basis.rows, basis.cols) == (rows, cols)
@@ -332,7 +375,9 @@ def test_reference_cases_cover_every_outcome():
         _assert_matches_reference([[1, 1]], [3], [1, 2], pivot_cap=0),
     ]
     assert outcomes[0] is INFEASIBLE and outcomes[1] is UNBOUNDED
-    assert outcomes[2][0] == 4 and isinstance(outcomes[3], BudgetExceeded)
+    redundant = [[F(1), F(1)], [F(2), F(2)]], [F(4), F(8)], [F(3), F(1)]
+    assert _solution(*redundant, outcomes[2])[0] == 4
+    assert isinstance(outcomes[3], BudgetExceeded)
 
 
 def _corpus_lps(seed):
@@ -373,14 +418,14 @@ def test_corpus_lps_match_fraction_reference(seed):
     assert optimal
 
 
-def _assert_basis_certifies(A, b, c, result):
-    """The returned ``Basis`` proves its solution optimal by itself: B^-1
-    reproduces ``x``, and the dual y, zero on the dropped rows, is feasible
-    (``y . A_j <= c_j`` for every column j) with ``y . b`` the value."""
-    value, x, basis = result
-    for col, row in zip(basis.cols, basis.inverse_num):
-        assert x[col] * basis.inverse_den == sum(v * b[k] for v, k in zip(row, basis.rows))
-    assert all(x[j] == 0 for j in range(len(c)) if j not in basis.cols)
+def _assert_basis_certifies(A, b, c, basis):
+    """The returned ``Basis`` proves its solution optimal by itself: the
+    solution read off it is feasible (``A x = b``, ``x >= 0``), and the dual
+    y, zero on the dropped rows, is feasible (``y . A_j <= c_j`` for every
+    column j) with ``y . b`` the value."""
+    value, x = _solution(A, b, c, basis)
+    assert all(v >= 0 for v in x)
+    assert all(sum(a * v for a, v in zip(row, x)) == bk for row, bk in zip(A, b))
     y = [Fraction(v, basis.dual_den) for v in basis.dual_num]
     assert len(y) == len(b)
     assert all(y[k] == 0 for k in range(len(b)) if k not in basis.rows)
