@@ -3,7 +3,6 @@ finitely generated divisorial rings."""
 
 from .cones import (
     Fan,
-    HalfSpace,
     PolyCone,
     common_refinement,
     cone_from_halfspaces,
@@ -37,7 +36,6 @@ from .orders import (
 )
 from .ring import (
     GeneratorDatum,
-    NefConeDatum,
     NumericalMap,
     PushforwardDatum,
     RingDatum,

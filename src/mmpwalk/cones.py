@@ -1,9 +1,11 @@
 """Exact rational polyhedral cones and fans.
 
 Cones carry a double description: primitive integer extreme rays together
-with a minimal set of facet half-spaces (plus span equations when the cone
-is not full-dimensional).  Both sides are canonical, so structurally equal
-cones compare equal regardless of how they were produced.
+with the primitive integer inward normals of a minimal set of facets, each
+``f`` standing for the half-space ``f . x >= 0`` (plus span equations when
+the cone is not full-dimensional, in the same form).  Both sides are
+canonical, so structurally equal cones compare equal regardless of how
+they were produced.
 
 Every conversion is ``_dd``, the incremental double description method,
 which steps with linalg's one row step.  ``_assemble`` converts generators
@@ -38,23 +40,6 @@ from .linalg import (
     vadd,
     vneg,
 )
-
-
-@dataclass(frozen=True, order=True)
-class HalfSpace:
-    """Closed linear half-space ``{x : normal . x >= 0}`` through the origin.
-
-    The inward normal is stored as a primitive integer vector; its sign is
-    meaningful.  ``hyperplane_key`` sign-normalizes for hyperplane identity.
-    """
-
-    normal: tuple
-
-    def evaluate(self, x):
-        return dot(self.normal, x)
-
-    def hyperplane_key(self):
-        return sign_canonical(self.normal)
 
 
 def _tight_mask(vec, rows):
@@ -159,9 +144,10 @@ class PolyCone:
     """Rational polyhedral cone with a canonical double description.
 
     ``rays`` are the primitive extreme rays (lineality, if any, is stored
-    as opposite ray pairs); ``facets`` is a minimal irredundant set of
-    half-spaces; ``equations`` cut out the linear span when the cone is not
-    full-dimensional.
+    as opposite ray pairs); ``facets`` are the sorted primitive inward
+    normals of a minimal irredundant set of half-spaces ``f . x >= 0``,
+    reduced modulo the ``equations``, which cut out the linear span when
+    the cone is not full-dimensional.
     """
 
     ambient_dim: int
@@ -180,8 +166,8 @@ class PolyCone:
                 return False
         if strict and self.dim == 0:
             return is_zero(x)
-        for hs in self.facets:
-            val = hs.evaluate(x)
+        for f in self.facets:
+            val = dot(f, x)
             if val < 0 or (strict and val == 0):
                 return False
         return True
@@ -196,9 +182,6 @@ class PolyCone:
 
     def is_full_dimensional(self):
         return self.dim == self.ambient_dim
-
-    def facet_hyperplanes(self):
-        return {hs.hyperplane_key() for hs in self.facets}
 
     def is_pointed(self):
         rays = set(self.rays)  # a line is stored as two opposite rays
@@ -234,7 +217,7 @@ def _assemble(generators, n):
     else:
         rays = _rays_mod_lineality(facets, equations, n)
     dim = n - len(equations)
-    return PolyCone(n, dim, rays, tuple(HalfSpace(f) for f in facets), equations)
+    return PolyCone(n, dim, rays, tuple(facets), equations)
 
 
 def cone_from_rays(rays):
@@ -265,7 +248,7 @@ def _cut(cone, normals):
     by its rays).  Lines left over take ``_rays_mod_lineality``.
     """
     n = cone.ambient_dim
-    old = [hs.normal for hs in cone.facets]
+    old = list(cone.facets)
     if cone.is_pointed():
         lines, rays = _dd(normals, n, [(r, _tight_mask(r, old)) for r in cone.rays])
     else:
@@ -281,14 +264,14 @@ def _cut(cone, normals):
     if lines:
         rays = _rays_mod_lineality(facets, equations, n)
     dim = n - len(equations)
-    return PolyCone(n, dim, tuple(rays), tuple(HalfSpace(f) for f in facets), equations)
+    return PolyCone(n, dim, tuple(rays), tuple(facets), equations)
 
 
 def cone_from_halfspaces(halfspaces, ambient_dim, equations=()):
-    """Cone cut out of the whole space by half-spaces (and optional
-    equations), through ``_cut``."""
-    normals = [hs.normal if isinstance(hs, HalfSpace) else tuple(hs) for hs in halfspaces]
-    normals += _both_sides(equations)
+    """Cone cut out of the whole space by the half-spaces ``a . x >= 0``,
+    one per vector ``a`` in ``halfspaces`` (and optional equations),
+    through ``_cut``."""
+    normals = [tuple(h) for h in halfspaces] + _both_sides(equations)
     for c in normals:
         if len(c) != ambient_dim:
             raise DimensionError(
@@ -306,7 +289,7 @@ def intersect(a, b):
         raise DimensionError(
             f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}"
         )
-    return _cut(a, [hs.normal for hs in b.facets] + _both_sides(b.equations))
+    return _cut(a, list(b.facets) + _both_sides(b.equations))
 
 
 def _separated(a, b):
@@ -314,8 +297,8 @@ def _separated(a, b):
     nonpositive side.  The two then meet inside that facet's hyperplane, so
     their intersection has lower dimension than the cone owning the facet
     and their relative interiors are disjoint."""
-    return any(all(hs.evaluate(r) <= 0 for r in b.rays) for hs in a.facets) or any(
-        all(hs.evaluate(r) <= 0 for r in a.rays) for hs in b.facets
+    return any(all(dot(f, r) <= 0 for r in b.rays) for f in a.facets) or any(
+        all(dot(f, r) <= 0 for r in a.rays) for f in b.facets
     )
 
 
@@ -380,9 +363,7 @@ def hyperplane_refinement(fan):
     no hyperplanes outside the collected set.  Both slices of a cell keep
     its label.
     """
-    hyperplanes = set()
-    for cell in fan.cells:
-        hyperplanes.update(cell.facet_hyperplanes())
+    hyperplanes = {sign_canonical(f) for cell in fan.cells for f in cell.facets}
     cells = list(zip(fan.cells, fan.labels))
     for h in sorted(hyperplanes):
         sliced = []

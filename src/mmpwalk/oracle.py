@@ -15,7 +15,6 @@ from .linalg import clear_denominators
 from .orders import DEFAULT_NODE_BUDGET, _check_level, _mults
 from .ring import (
     GeneratorDatum,
-    NefConeDatum,
     NumericalMap,
     PushforwardDatum,
     RingDatum,
@@ -74,7 +73,7 @@ def random_instance(spec):
         labels=labels,
         generators=tuple(generators),
         valuations=valuations,
-        numerical=NumericalMap(matrix=matrix, target_dim=spec.r),
+        numerical=NumericalMap(matrix=matrix),
     )
 
 
@@ -166,16 +165,15 @@ def builtin_examples():
         valuations=(e,),
         numerical=NumericalMap(
             matrix=((Fraction(2), Fraction(6)), (Fraction(1), Fraction(-1))),
-            target_dim=2,
         ),
-        nef=NefConeDatum(cone=cone_from_rays([(1, 0), (1, -1)])),
+        nef=cone_from_rays([(1, 0), (1, -1)]),
         pushforwards=(
             # contracting the exceptional curve lands on the plane; classes
             # there are multiples of the hyperplane, nef iff nonnegative
             PushforwardDatum(
                 model_id="P2",
                 matrix=((Fraction(2), Fraction(6)),),
-                nef=NefConeDatum(cone=cone_from_rays([(1,)])),
+                nef=cone_from_rays([(1,)]),
             ),
         ),
     )
@@ -187,9 +185,7 @@ def builtin_examples():
             GeneratorDatum(multidegree=(0, 1), mults={}),
         ),
         valuations=(),
-        numerical=NumericalMap(
-            matrix=((Fraction(1), Fraction(0)),), target_dim=1
-        ),
+        numerical=NumericalMap(matrix=((Fraction(1), Fraction(0)),)),
     )
     fractional = RingDatum(
         r=1,
@@ -199,9 +195,7 @@ def builtin_examples():
             GeneratorDatum(multidegree=(1, 2), mults={"G": Fraction(0)}),
         ),
         valuations=("G",),
-        numerical=NumericalMap(
-            matrix=((Fraction(1), Fraction(0)),), target_dim=1
-        ),
+        numerical=NumericalMap(matrix=((Fraction(1), Fraction(0)),)),
     )
     return {
         "blowup-P2": blowup,

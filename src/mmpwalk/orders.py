@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .cones import (HalfSpace, PolyCone, _maximal, common_refinement, cone_from_rays,
+from .cones import (PolyCone, _maximal, common_refinement, cone_from_rays,
                     hyperplane_refinement, make_fan)
 from .errors import (BudgetExceeded, DimensionError, InconsistentInput, InvalidCone,
                      OutsideSupport)
@@ -322,7 +322,7 @@ def linearity_fan(datum, valuation, support=None):
     if not lifted_cone.is_pointed():
         raise InvalidCone(f"the lifted cone at valuation {valuation!r} holds a line, so its "
                           "lower facets do not fix the cells; multidegrees must be nonnegative")
-    normals = [hs.normal for hs in lifted_cone.facets]
+    normals = lifted_cone.facets
     cells, labels = [], []
     for normal in [f for f in normals if f[n] > 0]:
         w, c = normal[:n], normal[n]
@@ -330,8 +330,7 @@ def linearity_fan(datum, valuation, support=None):
         facets = {reduce_mod_rowspace([c * a - g[n] * b for a, b in zip(g, w)], support.equations)
                   for g in _maximal(normals, members)}
         rays = tuple(sorted([primitive(r[:n]) for r in members]))
-        cells.append(PolyCone(n, support.dim, rays, tuple(map(HalfSpace, sorted(facets))),
-                              support.equations))
+        cells.append(PolyCone(n, support.dim, rays, tuple(sorted(facets)), support.equations))
         labels.append((tuple(Fraction(-wi, c) for wi in w),))
     return make_fan(cells, support, labels)
 
@@ -383,6 +382,17 @@ def _unit_index(degrees, n):
     return units
 
 
+def _search_tables(degrees, n):
+    """The tables of the depth-first searches over representations by
+    ``degrees`` of a point of dimension ``n``, per generator i: the
+    coordinates that bound its coefficient, with its entries there, and
+    the coordinates that no generator from i on can cover."""
+    positive = [[(j, dj) for j, dj in enumerate(d) if dj > 0] for d in degrees]
+    uncovered = [[j for j in range(n) if all(d[j] == 0 for d in degrees[i:])]
+                 for i in range(len(degrees))]
+    return positive, uncovered
+
+
 def _enumerate_min(degrees, costs, target, budget):
     """Plain bounded DFS over all integer representations of ``target``.
 
@@ -391,13 +401,7 @@ def _enumerate_min(degrees, costs, target, budget):
     or (None, nodes left) if no integer representation exists.
     """
     s = len(degrees)
-    # per generator i: the coordinates that bound its coefficient, and the
-    # coordinates that no generator from i on can cover
-    positive = [[(j, dj) for j, dj in enumerate(d) if dj > 0] for d in degrees]
-    uncovered = [
-        [j for j in range(len(target)) if all(d[j] == 0 for d in degrees[i:])]
-        for i in range(s)
-    ]
+    positive, uncovered = _search_tables(degrees, len(target))
     best = None
 
     def recurse(i, remaining, cost, nodes):
@@ -527,11 +531,7 @@ def _representable(degrees, target, failed, budget):
     one set across targets.  A state found in it costs no node.
     """
     s = len(degrees)
-    positive = [[(j, dj) for j, dj in enumerate(d) if dj > 0] for d in degrees]
-    uncovered = [
-        [j for j in range(len(target)) if all(d[j] == 0 for d in degrees[i:])]
-        for i in range(s)
-    ]
+    positive, uncovered = _search_tables(degrees, len(target))
     nodes = budget
 
     def recurse(i, remaining):

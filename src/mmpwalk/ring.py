@@ -2,7 +2,9 @@
 
 The engine never sees the variety itself; everything it knows arrives here
 as generator multidegrees, per-valuation multiplicities and numerical-class
-data, which are treated as ground truth.
+data, which are treated as ground truth.  A numerical map is its matrix,
+one row per numerical coordinate, so its target dimension is its row count;
+a nef cone is a plain ``PolyCone`` in its map's target coordinates.
 """
 
 from dataclasses import dataclass, field
@@ -19,24 +21,15 @@ class GeneratorDatum:
     multidegree: tuple
     mults: dict
 
-    def mult(self, valuation):
-        return self.mults[valuation]
-
 
 @dataclass(frozen=True)
 class NumericalMap:
     """Linear map from grading coordinates to numerical-class coordinates."""
 
     matrix: tuple  # rows, one per numerical coordinate
-    target_dim: int
 
     def apply(self, v):
         return mat_apply(self.matrix, v)
-
-
-@dataclass(frozen=True)
-class NefConeDatum:
-    cone: PolyCone
 
 
 @dataclass(frozen=True)
@@ -44,12 +37,12 @@ class PushforwardDatum:
     """Per-model data for classifying chambers after a wall crossing.
 
     ``matrix`` sends grading coordinates directly to the model's numerical
-    coordinates; ``nef`` lives in those coordinates.
+    coordinates; ``nef``, the model's nef cone, lives in those coordinates.
     """
 
     model_id: str
     matrix: tuple
-    nef: NefConeDatum
+    nef: PolyCone
 
     def apply(self, v):
         return mat_apply(self.matrix, v)
@@ -62,7 +55,7 @@ class RingDatum:
     generators: tuple
     valuations: tuple
     numerical: NumericalMap
-    nef: object = None
+    nef: PolyCone = None  # the nef cone, in the numerical map's coordinates
     pushforwards: tuple = ()
 
     @property
@@ -114,11 +107,11 @@ def _exact_map(report, code, name, rows, n):
 
 def _nef_dimension(report, name, nef, rows):
     """Report a nef cone that does not live in its map's target space."""
-    if nef is not None and nef.cone.ambient_dim != len(rows):
+    if nef is not None and nef.ambient_dim != len(rows):
         report.add(
             "error",
             "nef-dimension",
-            f"{name} is in dimension {nef.cone.ambient_dim}, its map's target in"
+            f"{name} is in dimension {nef.ambient_dim}, its map's target in"
             f" dimension {len(rows)}",
         )
 
@@ -195,7 +188,7 @@ def validate(datum):
     if datum.numerical is not None:
         rows = datum.numerical.matrix
         if (_exact_map(report, "bad-numerical-map", "numerical map", rows, n)
-                and rank(rows) < datum.numerical.target_dim):
+                and rank(rows) < len(rows)):
             report.add(
                 "warning",
                 "numerical-rank",
@@ -213,7 +206,7 @@ def validate(datum):
                 "thin-support",
                 "support cone not full-dimensional",
             )
-    if datum.nef is not None and not datum.nef.cone.is_full_dimensional():
+    if datum.nef is not None and not datum.nef.is_full_dimensional():
         report.add("warning", "thin-nef", "nef cone is not full-dimensional")
     return report
 

@@ -8,15 +8,9 @@ identical inputs give byte-identical documents.
 import json
 from fractions import Fraction
 
-from .cones import Fan, HalfSpace, PolyCone, cone_from_rays, cone_from_halfspaces
+from .cones import Fan, cone_from_rays, cone_from_halfspaces
 from .errors import ParseError
-from .ring import (
-    GeneratorDatum,
-    NefConeDatum,
-    NumericalMap,
-    PushforwardDatum,
-    RingDatum,
-)
+from .ring import GeneratorDatum, NumericalMap, PushforwardDatum, RingDatum
 from .walk import MmpTrace, TraceStep
 
 
@@ -91,7 +85,7 @@ def cone_to_json(cone):
     doc = {
         "ambient_dim": cone.ambient_dim,
         "rays": [list(r) for r in cone.rays],
-        "facets": [list(hs.normal) for hs in cone.facets],
+        "facets": [list(f) for f in cone.facets],
     }
     if cone.equations:
         doc["equations"] = [list(eq) for eq in cone.equations]
@@ -138,16 +132,14 @@ def fan_from_json(doc):
 
 
 def nef_to_json(nef):
-    return {"rays": [list(r) for r in nef.cone.rays]}
+    return {"rays": [list(r) for r in nef.rays]}
 
 
 def nef_from_json(doc, ambient_dim):
     if "rays" in doc:
-        return NefConeDatum(cone=cone_from_rays([vec_from_json(r) for r in doc["rays"]]))
+        return cone_from_rays([vec_from_json(r) for r in doc["rays"]])
     if "ineqs" in doc:
-        return NefConeDatum(
-            cone=cone_from_halfspaces([vec_from_json(f) for f in doc["ineqs"]], ambient_dim)
-        )
+        return cone_from_halfspaces([vec_from_json(f) for f in doc["ineqs"]], ambient_dim)
     raise ParseError("nef cone needs either 'rays' or 'ineqs'")
 
 
@@ -195,10 +187,10 @@ def ring_from_json(doc):
             for g in doc["generators"]
         )
         matrix = matrix_from_json(doc["numerical_map"])
-        numerical = NumericalMap(matrix=matrix, target_dim=len(matrix))
+        numerical = NumericalMap(matrix=matrix)
         nef = None
         if "nef" in doc:
-            nef = nef_from_json(doc["nef"], numerical.target_dim)
+            nef = nef_from_json(doc["nef"], len(matrix))
         pushforwards = []
         for pf in doc.get("pushforwards", []):
             pf_matrix = matrix_from_json(pf["map"])

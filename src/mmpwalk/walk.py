@@ -119,9 +119,9 @@ def _segment_interval(cell, h, d):
             if t_n * lo_d < lo_n * t_d or t_n * hi_d > hi_n * t_d:
                 return None
             lo_n, lo_d = hi_n, hi_d = t_n, t_d
-    for hs in cell.facets:
-        alpha = dot(hs.normal, h)
-        beta = dot(hs.normal, d)
+    for f in cell.facets:
+        alpha = dot(f, h)
+        beta = dot(f, d)
         if beta == 0:
             if alpha < 0:
                 return None
@@ -136,7 +136,7 @@ def _segment_interval(cell, h, d):
 
 
 def _tight_walls(cell, point):
-    return tuple(hs.normal for hs in cell.facets if hs.evaluate(point) == 0)
+    return tuple(f for f in cell.facets if dot(f, point) == 0)
 
 
 def order_chambers(fan, seg):
@@ -205,7 +205,7 @@ def classify_nef(walk, datum):
     if datum.nef is None:
         raise MissingNefData("nef cone data is required for classification")
     flags = [
-        _rays_in_nef(cell, datum.numerical.apply, datum.nef.cone) for cell in walk.cells
+        _rays_in_nef(cell, datum.numerical.apply, datum.nef) for cell in walk.cells
     ]
     if not flags[0]:
         raise InconsistentInput(
@@ -232,7 +232,7 @@ def classify_nef(walk, datum):
             )
         pf = datum.pushforwards[model]
         nxt = current
-        while nxt < k and _rays_in_nef(walk.cells[nxt], pf.apply, pf.nef.cone):
+        while nxt < k and _rays_in_nef(walk.cells[nxt], pf.apply, pf.nef):
             nxt += 1
         if nxt == current:
             raise InconsistentInput(

@@ -29,7 +29,7 @@ from mmpwalk import (
     veronese_degree,
 )
 from mmpwalk.cli import main as cli_main
-from mmpwalk.linalg import dot
+from mmpwalk.linalg import dot, sign_canonical
 from mmpwalk.veronese import MAX_MONOID_GENERATORS, grid_additivity_check
 from mmpwalk.ring import support_cone, validate
 
@@ -203,7 +203,7 @@ def test_criterion_4_blowup_worked_example(capsys):
     final_model = datum.pushforwards[0]
     assert final_model.model_id == doc["final"]["model_id"]
     for ray in final_cell.rays:
-        if not final_model.nef.cone.contains(final_model.apply(ray)):
+        if not final_model.nef.contains(final_model.apply(ray)):
             problems.append(f"ray {ray} maps outside the supplied nef cone")
     _report(
         4,
@@ -214,12 +214,8 @@ def test_criterion_4_blowup_worked_example(capsys):
 
 
 def _shared_wall_keys(cell_a, cell_b, point):
-    keys_a = {
-        hs.hyperplane_key() for hs in cell_a.facets if hs.evaluate(point) == 0
-    }
-    keys_b = {
-        hs.hyperplane_key() for hs in cell_b.facets if hs.evaluate(point) == 0
-    }
+    keys_a = {sign_canonical(f) for f in cell_a.facets if dot(f, point) == 0}
+    keys_b = {sign_canonical(f) for f in cell_b.facets if dot(f, point) == 0}
     return keys_a & keys_b
 
 

@@ -1,12 +1,20 @@
 """Cone and fan kernel: double description, refinement, canonical form."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from mmpwalk import (
+    InstanceSpec,
+    builtin_examples,
+    chamber_fan,
+    linearity_fan,
+    random_instance,
+    support_cone,
+)
 from mmpwalk.cones import (
     Fan,
-    HalfSpace,
     common_refinement,
     cone_from_halfspaces,
     cone_from_rays,
@@ -60,7 +68,7 @@ def test_reduce_mod_rowspace():
 def test_cone_dualization_quadrant_tilted():
     cone = cone_from_rays([(1, 1), (1, -1)])
     assert cone.rays == ((1, -1), (1, 1))
-    assert {hs.normal for hs in cone.facets} == {(1, 1), (1, -1)}
+    assert cone.facets == ((1, -1), (1, 1))
     assert cone.dim == 2
     assert cone.equations == ()
 
@@ -72,7 +80,7 @@ def test_redundant_generator_dropped():
 
 def test_halfspace_roundtrip_gives_same_cone():
     a = cone_from_rays([(2, 1), (1, 3)])
-    b = cone_from_halfspaces([hs.normal for hs in a.facets], 2)
+    b = cone_from_halfspaces(a.facets, 2)
     assert a == b
 
 
@@ -261,10 +269,13 @@ def test_hyperplane_refinement_idempotent():
     assert hyperplane_refinement(once) == once
 
 
-def test_halfspace_helpers():
-    hs = HalfSpace((0, -2))
-    assert hs.evaluate((3, -1)) == 2
-    assert hs.hyperplane_key() == (0, 1)
+def test_facet_is_a_primitive_normal():
+    # a facet is its primitive inward normal f, the half-space f . x >= 0;
+    # sign_canonical gives the hyperplane it spans
+    (f,) = cone_from_halfspaces([(0, -2)], 2).facets
+    assert f == (0, -1)
+    assert dot(f, (3, -1)) == 1
+    assert sign_canonical(f) == (0, 1)
 
 
 def test_three_dimensional_octant_facets():
@@ -281,3 +292,40 @@ def test_square_based_cone_has_four_rays():
     assert len(cone.rays) == 4
     assert len(cone.facets) == 4
     assert (0, 0, 1) not in cone.rays
+
+
+def _corpus_cones():
+    """Every support, linearity cell and chamber built for the builtin
+    examples and corpus seeds 1-50, with and without refinement."""
+    data = list(builtin_examples().values())
+    for seed in range(1, 51):
+        r = (1, 1, 2, 2, 3)[seed % 5]
+        data.append(random_instance(InstanceSpec(
+            r=r,
+            generator_count={1: 6, 2: 6, 3: 5}[r],
+            valuation_count={1: 4, 2: 3, 3: 2}[r],
+            coordinate_bound=4,
+            seed=seed,
+        )))
+    for datum in data:
+        support = support_cone(datum)
+        yield support
+        for valuation in datum.valuations:
+            yield from linearity_fan(datum, valuation, support).cells
+        for refine in (False, True):
+            yield from chamber_fan(datum, support=support, refine=refine).cells
+
+
+def test_facets_and_equations_are_sorted_primitive_int_vectors():
+    # the facets take the form of the equations, and with the equations
+    # they cut the cone out again
+    cones = list(_corpus_cones())
+    assert len(cones) > 1000
+    for cone in cones:
+        for vectors in (cone.facets, cone.equations):
+            assert type(vectors) is tuple
+            for v in vectors:
+                assert type(v) is tuple and len(v) == cone.ambient_dim
+                assert all(type(x) is int for x in v) and gcd(*v) == 1
+        assert list(cone.facets) == sorted(cone.facets)
+        assert cone_from_halfspaces(cone.facets, cone.ambient_dim, cone.equations) == cone

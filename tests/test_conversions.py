@@ -37,7 +37,6 @@ from mmpwalk import (
 )
 from mmpwalk import cones, orders
 from mmpwalk.cones import (
-    HalfSpace,
     PolyCone,
     cone_from_halfspaces,
     cone_from_rays,
@@ -170,13 +169,12 @@ def _reference_assemble(generators, n):
     lines, rays = cones._dd(constraints, n)
     ray_set = set(rays) | set(lines) | {vneg(l) for l in lines}
     return PolyCone(
-        n, n - len(equations), tuple(sorted(ray_set)),
-        tuple(HalfSpace(f) for f in facets), equations,
+        n, n - len(equations), tuple(sorted(ray_set)), tuple(facets), equations,
     )
 
 
 def _reference_from_halfspaces(halfspaces, n, equations=()):
-    constraints = [hs.normal if isinstance(hs, HalfSpace) else tuple(hs) for hs in halfspaces]
+    constraints = [tuple(h) for h in halfspaces]
     for eq in equations:
         constraints += [tuple(eq), vneg(tuple(eq))]
     lines, rays = cones._dd(constraints, n)
@@ -247,7 +245,7 @@ def test_cone_from_halfspaces_matches_two_conversions(case):
     n, halfspaces, equations = case
     got = cone_from_halfspaces(halfspaces, n, equations=equations)
     assert got == _reference_from_halfspaces(halfspaces, n, equations=equations)
-    halfspaces = [HalfSpace(primitive(h)) for h in halfspaces]
+    halfspaces = [primitive(h) for h in halfspaces]
     assert cone_from_halfspaces(halfspaces, n, equations=equations) == got
 
 
@@ -272,7 +270,7 @@ def test_dd_from_a_pointed_cone_matches_dd_from_the_whole_space(case, data):
     normals = data.draw(
         st.lists(st.tuples(*([st.integers(min_value=-3, max_value=3)] * n)), max_size=4)
     )
-    facets = [hs.normal for hs in cone.facets]
+    facets = list(cone.facets)
     start = [(r, sum(1 << j for j, f in enumerate(facets) if dot(f, r) == 0)) for r in cone.rays]
     lines, rays = cones._dd(normals, n, start)
     sides = [s for eq in cone.equations for s in (eq, vneg(eq))]
@@ -357,10 +355,10 @@ def _reference_linearity_fan(datum, valuation, support):
     if lifted_cone.dim == support.dim:
         return None
     cells, labels = [], []
-    for hs in lifted_cone.facets:
-        w, c = hs.normal[:n], hs.normal[n]
+    for f in lifted_cone.facets:
+        w, c = f[:n], f[n]
         if c > 0:
-            cells.append(cone_from_rays([r[:n] for r in lifted_cone.rays if hs.evaluate(r) == 0]))
+            cells.append(cone_from_rays([r[:n] for r in lifted_cone.rays if dot(f, r) == 0]))
             labels.append((tuple(Fraction(-wi, c) for wi in w),))
     return make_fan(cells, support, labels)
 
@@ -397,7 +395,7 @@ def test_every_slice_matches_the_reference(monkeypatch):
     assert len(slices) > 100
     for cell, (side,), piece in slices:
         ref = _reference_from_halfspaces(
-            list(cell.facets) + [HalfSpace(side)], cell.ambient_dim, cell.equations
+            list(cell.facets) + [side], cell.ambient_dim, cell.equations
         )
         assert piece == ref
 

@@ -161,7 +161,7 @@ def test_builtin_catalog_contents():
     assert set(catalog) == {"blowup-P2", "quadrant-trivial", "fractional-vertex"}
     blowup = catalog["blowup-P2"]
     assert blowup.nef is not None
-    assert blowup.nef.cone.rays == ((1, -1), (1, 0))
+    assert blowup.nef.rays == ((1, -1), (1, 0))
     assert asymptotic_order(blowup, "E", (2, 1)).value == 1
 
 
@@ -169,6 +169,6 @@ def test_instance_heights_are_nonnegative_rationals():
     datum = random_instance(spec(9))
     for g in datum.generators:
         for v in datum.valuations:
-            mult = g.mult(v)
+            mult = g.mults[v]
             assert isinstance(mult, Fraction)
             assert mult >= 0

@@ -116,7 +116,7 @@ def test_lifted_cone_with_a_line_raises_invalid_cone():
         generators=tuple(GeneratorDatum(multidegree=d, mults={"E": Fraction(h)})
                          for d, h in degrees_heights),
         valuations=("E",),
-        numerical=NumericalMap(matrix=((Fraction(1), Fraction(0)),), target_dim=1),
+        numerical=NumericalMap(matrix=((Fraction(1), Fraction(0)),)),
     )
     assert not validate(datum).ok()
     with pytest.raises(InvalidCone, match="holds a line"):
@@ -188,7 +188,7 @@ def test_integer_order_zero_multidegree_generator():
             for d in ((0, 0), (2, 1), (1, 2))
         ),
         valuations=("E",),
-        numerical=NumericalMap(matrix=((Fraction(1), Fraction(0)),), target_dim=1),
+        numerical=NumericalMap(matrix=((Fraction(1), Fraction(0)),)),
     )
     lp = asymptotic_order(datum, "E", (3, 3)).value
     assert lp == 2
@@ -269,7 +269,7 @@ def test_reduced_and_plain_enumeration_agree(blowup):
             GeneratorDatum(multidegree=(1, 1), mults={"E": Fraction(0)}),
         ),
         valuations=("E",),
-        numerical=NumericalMap(matrix=((Fraction(1), Fraction(0)),), target_dim=1),
+        numerical=NumericalMap(matrix=((Fraction(1), Fraction(0)),)),
     )
     for point in [(2, 2), (3, 1), (4, 4)]:
         plain = integer_order(no_units, "E", point, 2)
@@ -324,7 +324,7 @@ def _corpus_datum(seed):
 
 def _lp_data(datum, valuation, x):
     degrees = [g.multidegree for g in datum.generators]
-    heights = [Fraction(g.mult(valuation)) for g in datum.generators]
+    heights = [Fraction(g.mults[valuation]) for g in datum.generators]
     A = [[Fraction(d[row]) for d in degrees] for row in range(len(x))]
     return degrees, heights, A
 
@@ -428,7 +428,7 @@ def _thin_datum():
             GeneratorDatum(multidegree=(2, 2), mults={"G": Fraction(1)}),
         ),
         valuations=("G",),
-        numerical=NumericalMap(matrix=((Fraction(1), Fraction(0)),), target_dim=1),
+        numerical=NumericalMap(matrix=((Fraction(1), Fraction(0)),)),
     )
 
 
@@ -998,7 +998,7 @@ def small_levels_data(draw):
         generators=tuple(GeneratorDatum(multidegree=d, mults={"E": h})
                          for d, h in zip(degrees, mults)),
         valuations=("E",),
-        numerical=NumericalMap(matrix=((Fraction(1), Fraction(0)),), target_dim=1),
+        numerical=NumericalMap(matrix=((Fraction(1), Fraction(0)),)),
     )
     return datum, x
 

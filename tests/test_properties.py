@@ -45,9 +45,7 @@ def test_double_description_consistency_2d(rays):
     for r in rays:
         assert cone.contains(r)
     # the facet description reproduces the same cone
-    again = cone_from_halfspaces(
-        [hs.normal for hs in cone.facets], 2, equations=cone.equations
-    )
+    again = cone_from_halfspaces(cone.facets, 2, equations=cone.equations)
     assert again == cone
 
 
@@ -57,9 +55,7 @@ def test_double_description_consistency_3d(rays):
     cone = cone_from_rays(rays)
     for r in rays:
         assert cone.contains(r)
-    again = cone_from_halfspaces(
-        [hs.normal for hs in cone.facets], 3, equations=cone.equations
-    )
+    again = cone_from_halfspaces(cone.facets, 3, equations=cone.equations)
     assert again == cone
 
 

@@ -9,7 +9,6 @@ from mmpwalk.cones import cone_from_rays
 from mmpwalk.oracle import builtin_examples
 from mmpwalk.ring import (
     GeneratorDatum,
-    NefConeDatum,
     NumericalMap,
     PushforwardDatum,
     RingDatum,
@@ -27,7 +26,7 @@ def make_datum(**overrides):
             GeneratorDatum(multidegree=(0, 1), mults={"E": Fraction(0)}),
         ),
         valuations=("E",),
-        numerical=NumericalMap(matrix=((Fraction(1), Fraction(0)),), target_dim=1),
+        numerical=NumericalMap(matrix=((Fraction(1), Fraction(0)),)),
     )
     fields.update(overrides)
     return RingDatum(**fields)
@@ -99,18 +98,24 @@ def test_label_count_is_warning_only():
 
 
 def test_numerical_map_row_length_checked():
-    bad = NumericalMap(matrix=((Fraction(1),),), target_dim=1)
+    bad = NumericalMap(matrix=((Fraction(1),),))
     report = validate(make_datum(numerical=bad))
     assert any(e.code == "bad-numerical-map" for e in report.errors)
 
 
 def test_numerical_rank_warning():
-    thin = NumericalMap(
-        matrix=((Fraction(1), Fraction(1)), (Fraction(2), Fraction(2))), target_dim=2
-    )
+    thin = NumericalMap(matrix=((Fraction(1), Fraction(1)), (Fraction(2), Fraction(2))))
     report = validate(make_datum(numerical=thin))
     assert report.ok()
     assert any(e.code == "numerical-rank" for e in report.warnings)
+
+
+def test_numerical_rank_is_measured_against_the_row_count():
+    # a two-row map of rank 1 draws the warning however it is built: the
+    # target dimension is the row count, which a map cannot contradict
+    thin = NumericalMap(matrix=((Fraction(1), Fraction(0)), (Fraction(3), Fraction(0))))
+    report = validate(make_datum(numerical=thin))
+    assert [e.code for e in report.warnings] == ["numerical-rank"]
 
 
 def test_thin_support_warning():
@@ -125,8 +130,8 @@ def test_thin_support_warning():
 
 def test_thin_nef_warning():
     # the nef cone lives in the numerical map's two-coordinate target
-    identity = NumericalMap(matrix=((1, 0), (0, 1)), target_dim=2)
-    nef = NefConeDatum(cone=cone_from_rays([(1, 0)]))
+    identity = NumericalMap(matrix=((1, 0), (0, 1)))
+    nef = cone_from_rays([(1, 0)])
     report = validate(make_datum(numerical=identity, nef=nef))
     assert report.ok()
     assert any(e.code == "thin-nef" for e in report.warnings)
@@ -135,15 +140,14 @@ def test_thin_nef_warning():
 def test_nef_cone_must_live_in_its_maps_target():
     # a two-coordinate nef cone over a one-row numerical map validated with
     # only a thin-nef warning, and walk failed late on the point's dimension
-    nef = NefConeDatum(cone=cone_from_rays([(1, 0), (0, 1)]))
+    nef = cone_from_rays([(1, 0), (0, 1)])
     report = validate(make_datum(nef=nef))
     assert [e.code for e in report.errors] == ["nef-dimension"]
 
 
 def _with_pushforward(matrix, nef_rays=((1,),)):
     blowup = builtin_examples()["blowup-P2"]
-    pf = PushforwardDatum(model_id="P2", matrix=matrix,
-                          nef=NefConeDatum(cone=cone_from_rays(list(nef_rays))))
+    pf = PushforwardDatum(model_id="P2", matrix=matrix, nef=cone_from_rays(list(nef_rays)))
     return replace(blowup, pushforwards=(pf,))
 
 
@@ -176,9 +180,7 @@ def test_support_cone_is_span_of_multidegrees():
 
 
 def test_numerical_map_applies_rows():
-    nm = NumericalMap(
-        matrix=((Fraction(2), Fraction(6)), (Fraction(1), Fraction(-1))), target_dim=2
-    )
+    nm = NumericalMap(matrix=((Fraction(2), Fraction(6)), (Fraction(1), Fraction(-1))))
     assert nm.apply((1, 1)) == (Fraction(8), Fraction(0))
 
 
@@ -191,7 +193,7 @@ def test_float_multidegree_is_reported_not_raised():
 
 
 def test_float_numerical_map_entry_is_reported_not_raised():
-    numerical = NumericalMap(matrix=((1.0, Fraction(0)),), target_dim=1)
+    numerical = NumericalMap(matrix=((1.0, Fraction(0)),))
     report = validate(make_datum(numerical=numerical))
     assert [e.code for e in report.errors] == ["bad-numerical-map"]
     assert not report.warnings

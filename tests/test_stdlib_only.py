@@ -1,4 +1,5 @@
-"""The package imports nothing outside the standard library."""
+"""The package imports nothing outside the standard library, and every
+module-level import of a module is used in it."""
 
 import ast
 import pathlib
@@ -27,3 +28,17 @@ def test_every_import_is_stdlib_or_package_relative(path):
             continue
         outside += [name for name in names if name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda path: path.name)
+def test_every_module_level_import_is_used(path):
+    # __init__.py imports only to export
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = [
+        alias.asname or alias.name.split(".")[0]
+        for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert [name for name in imported if name not in used] == []

@@ -21,7 +21,7 @@ from mmpwalk import (
 )
 from mmpwalk.cones import cone_from_rays
 from mmpwalk.linalg import clear_denominators, dot
-from mmpwalk.ring import NefConeDatum, PushforwardDatum, RingDatum, support_cone
+from mmpwalk.ring import PushforwardDatum, RingDatum, support_cone
 from mmpwalk.walk import _segment_interval
 
 
@@ -144,7 +144,7 @@ def test_classification_rejects_non_nef_start(blowup, blowup_fan):
         generators=blowup.generators,
         valuations=blowup.valuations,
         numerical=blowup.numerical,
-        nef=NefConeDatum(cone=cone_from_rays([(-1, 0), (0, -1)])),
+        nef=cone_from_rays([(-1, 0), (0, -1)]),
     )
     walk = order_chambers(blowup_fan, make_segment((0, 1), grading_dim=2))
     with pytest.raises(InconsistentInput):
@@ -156,7 +156,7 @@ def test_full_classification_with_pushforward(blowup, blowup_fan):
     pf = PushforwardDatum(
         model_id="P2",
         matrix=((Fraction(1), Fraction(0)),),
-        nef=NefConeDatum(cone=cone_from_rays([(1,)])),
+        nef=cone_from_rays([(1,)]),
     )
     datum = RingDatum(
         r=blowup.r,
@@ -182,7 +182,7 @@ def test_pushforward_not_covering_next_chamber_raises(blowup, blowup_fan):
     pf = PushforwardDatum(
         model_id="bad",
         matrix=((Fraction(1), Fraction(0)),),
-        nef=NefConeDatum(cone=cone_from_rays([(-1,)])),
+        nef=cone_from_rays([(-1,)]),
     )
     datum = RingDatum(
         r=blowup.r,
@@ -225,8 +225,8 @@ def test_wall_point_lies_on_shared_facet(blowup_fan):
     walk = order_chambers(blowup_fan, make_segment((0, 1), grading_dim=2))
     wall = walk.crossings[0]
     first, second = walk.cells
-    assert any(hs.evaluate(wall) == 0 for hs in first.facets)
-    assert any(hs.evaluate(wall) == 0 for hs in second.facets)
+    assert any(dot(f, wall) == 0 for f in first.facets)
+    assert any(dot(f, wall) == 0 for f in second.facets)
 
 
 def _reference_segment_interval(cell, seg, branches):
@@ -246,9 +246,9 @@ def _reference_segment_interval(cell, seg, branches):
             if t < lo or t > hi:
                 return None
             lo = hi = t
-    for hs in cell.facets:
-        alpha = dot(hs.normal, seg.h)
-        beta = dot(hs.normal, seg.kappa) - alpha
+    for f in cell.facets:
+        alpha = dot(f, seg.h)
+        beta = dot(f, seg.kappa) - alpha
         if beta == 0:
             branches.add("facet, beta == 0")
             if alpha < 0:
