@@ -8,18 +8,22 @@ canonical, so structurally equal cones compare equal regardless of how
 they were produced.
 
 Every conversion is ``_dd``, the incremental double description method,
-which steps with linalg's one row step.  ``_assemble`` converts generators
-to facets and equations.  Every other cone is cut out of one by ``_cut``,
-which continues the conversion from a pointed cone's own rays:
-``cone_from_halfspaces`` cuts the whole space, ``intersect`` cuts one cone
-by the other and ``hyperplane_refinement`` slices a cell.  One
-combinatorial test, ``_maximal``, reads off both the extreme generators
-and the facets of a cut, and a cut's equations are read off the same
-masks: the implicit equalities, tight at every ray, join the cone's own
-(``orders`` reads linearity cells off a lifted cone with ``_maximal``
-too).  A cone with lineality takes one more
-conversion, ``_rays_mod_lineality``, which fixes the representatives of
-its rays.  ``common_refinement`` skips a pair of cells that a facet
+which steps with linalg's one row step; each ray it returns carries the
+exact mask of the inputs tight at it, and callers read tight sets off
+those masks instead of taking dot products again.  ``_assemble`` converts
+generators to facets and equations, and reads pointedness and the extreme
+generators off the masks.  ``_cut`` continues the conversion from a
+pointed cone's own rays: ``cone_from_halfspaces`` cuts the whole space
+and ``intersect`` cuts one cone by the other.  ``hyperplane_refinement``
+splits a pointed cell once per crossing wall with ``_dd_step``, the
+adjacency-and-combination step that ``_dd`` takes too, and only a cell
+with lineality is cut.  One combinatorial test, ``_maximal``, reads off
+both the extreme generators and the facets of a cut, and ``_read_off``
+takes a cut's equations from the same masks: the implicit equalities,
+tight at every ray, join the cone's own (``orders`` reads linearity cells
+off a lifted cone with ``_maximal`` too).  A cone with lineality takes one
+more conversion, ``_rays_mod_lineality``, which fixes the representatives
+of its rays.  ``common_refinement`` skips a pair of cells that a facet
 separates before intersecting them.  Both refinements carry each cell's
 label (``orders`` labels cells with their linear functionals).
 """
@@ -33,7 +37,6 @@ from .linalg import (
     dot,
     is_zero,
     primitive,
-    rank,
     reduce_mod_rowspace,
     row_reduce,
     sign_canonical,
@@ -46,16 +49,25 @@ def _tight_mask(vec, rows):
     return sum(1 << j for j, c in enumerate(rows) if dot(c, vec) == 0)
 
 
-def _maximal(vectors, others, masks=None):
-    """The vectors whose sets of tight ``others`` are maximal among the
-    proper ones (those missing some of ``others``).  This one combinatorial
-    test reads off both the facets of a cone, among half-spaces tested
-    against its rays, and the extreme rays of a pointed cone, among
-    generators tested against its facets.  ``masks``, when given, are the
-    vectors' tight masks over ``others``."""
-    everything = (1 << len(others)) - 1
-    if masks is None:
-        masks = [_tight_mask(v, others) for v in vectors]
+def _columns(rays, count):
+    """The masks over ``rays`` of the first ``count`` inputs, read off the
+    rays' own masks (``(ray, mask)`` pairs, bit j for input j)."""
+    columns = [0] * count
+    for i, (_, m) in enumerate(rays):
+        m &= (1 << count) - 1
+        while m:
+            low = m & -m
+            columns[low.bit_length() - 1] |= 1 << i
+            m ^= low
+    return columns
+
+
+def _maximal(vectors, masks, everything):
+    """The vectors whose tight masks are maximal among the proper ones
+    (those other than ``everything``).  This one combinatorial test reads
+    off both the facets of a cone, among half-spaces tested against its
+    rays, and the extreme rays of a pointed cone, among generators tested
+    against its facets."""
     proper = {m for m in masks if m != everything}
     maximal = {m for m in proper if not any(o != m and o & m == m for o in proper)}
     return [v for v, m in zip(vectors, masks) if m in maximal]
@@ -66,39 +78,77 @@ def _both_sides(equations):
     return [side for eq in equations for side in (tuple(eq), vneg(eq))]
 
 
-def _dd(ineqs, n, start=None):
+def _dd_step(rays, values, bit):
+    """One step of the double description method on a pointed cone.
+
+    ``rays`` are its extreme rays as ``(ray, mask)`` pairs, ``values`` the
+    values ``a . r`` of a new normal ``a`` at them and ``bit`` the mask bit
+    of ``a``.  Returns ``(pos, neg, on)``: the rays where ``a`` is
+    positive, those where it is negative, and the rays of ``a . x = 0`` in
+    the cone, with ``bit`` set: the rays where ``a`` vanishes and, for each
+    adjacent pair of a positive and a negative ray, the ray between them.
+    A pair is adjacent exactly when no third ray is tight at every input
+    both are tight at.  ``a . x >= 0`` cuts the cone down to ``pos + on``
+    and ``a . x <= 0`` to ``neg + on``.
+    """
+    pos, zero, neg = [], [], []
+    for (r, m), val in zip(rays, values):
+        if val > 0:
+            pos.append((r, m, val))
+        elif val < 0:
+            neg.append((r, m, val))
+        else:
+            zero.append((r, m | bit))
+    masks = [m for _, m in rays]
+    new = {}
+    for rp, mp, vp in pos:
+        for rn, mn, vn in neg:
+            common = mp & mn
+            # rp and rn are tight at common; adjacent when no other ray is
+            tight = 0
+            for m in masks:
+                if m & common == common:
+                    tight += 1
+                    if tight > 2:
+                        break
+            if tight == 2:
+                new[_eliminate(rn, rp, vp, vn)] = common | bit
+    return ([(r, m) for r, m, _ in pos], [(r, m) for r, m, _ in neg],
+            zero + sorted(new.items()))
+
+
+def _dd(ineqs, n, start=None, offset=0):
     """V-representation of ``{x : a . x >= 0 for a in ineqs}``, or of its
     intersection with the pointed cone that ``start`` describes.
 
-    Returns ``(lines, rays)``: a basis of the lineality space and the
-    extreme rays modulo lineality, all primitive integer vectors.
+    Returns ``(lines, rays)``: a basis of the lineality space, and the
+    extreme rays modulo lineality as ``(ray, mask)`` pairs, all primitive
+    integer vectors.  A ray's mask holds exactly the inputs tight at it,
+    bit j for ``ineqs[j]`` (a zero row is tight everywhere).
 
     This is the incremental double description method (Motzkin et al.
     1953; Fukuda and Prodon, "Double description method revisited", 1996).
     Starting from the whole space, or from ``start``, the inequalities are
     added one at a time.  When some line is not tight at the new inequality
     ``a``, that line becomes a ray and the other lines and rays are
-    projected along it onto ``a . x = 0``.  Otherwise the rays are split by
-    the sign of ``a . r`` and each adjacent pair of a positive and a
-    negative ray gives the ray of ``a . x = 0`` between them.  Each ray
-    carries the bitmask of the processed inequalities tight at it, and a
-    pair is adjacent exactly when no third ray is tight at every inequality
-    both are tight at.  Every mask update is exact, so the rays returned
-    are exactly the extreme rays, each once.  Each projection and
-    combination is ``linalg._eliminate``.
+    projected along it onto ``a . x = 0``.  Otherwise ``_dd_step`` keeps
+    the rays where ``a`` is positive or zero and adds one for each adjacent
+    pair of a positive and a negative ray.  Every mask update is exact, so
+    the rays returned are exactly the extreme rays, each once.  Each
+    projection and combination is ``linalg._eliminate``.
 
     ``start`` lists the extreme rays of a pointed cone with their masks over
-    its facets (a minimal V-description of the cone in its span; its
-    equations hold at every ray and so change no adjacency test), and the
-    inequalities take the bits above.
+    its ``offset`` facets (a minimal V-description of the cone in its span;
+    its equations hold at every ray and so change no adjacency test), and
+    ``ineqs[j]`` takes bit ``offset + j``.  The count, not the highest bit
+    in use, numbers the new bits: a facet tight at no ray, such as the one
+    facet of a ray, sets no bit.
     """
     lines = [tuple(int(i == j) for j in range(n)) for i in range(n)] if start is None else []
-    rays = list(start or ())  # (ray, mask of the processed inequalities tight at it)
-    bit = 1 << max((m.bit_length() for _, m in rays), default=0)  # the new mask bit
+    rays = list(start or ())
+    bit = 1 << offset  # the new mask bit
     for a in ineqs:
         a = primitive(a)
-        if is_zero(a):
-            continue
         pivot = next((l for l in lines if dot(a, l) != 0), None)
         if pivot is not None:
             # the processed inequalities vanish on every line, so a projected
@@ -110,33 +160,11 @@ def _dd(ineqs, n, start=None):
             lines = [_eliminate(l, pivot, ap, dot(a, l)) for l in lines]
             rays = [(_eliminate(r, pivot, ap, dot(a, r)), m | bit) for r, m in rays]
             rays.append((pivot, bit - 1))
-        else:
-            pos, zero, neg = [], [], []
-            for r, m in rays:
-                val = dot(a, r)
-                if val > 0:
-                    pos.append((r, m, val))
-                elif val < 0:
-                    neg.append((r, m, val))
-                else:
-                    zero.append((r, m | bit))
-            masks = [m for _, m in rays]
-            new = {}
-            for rp, mp, vp in pos:
-                for rn, mn, vn in neg:
-                    common = mp & mn
-                    # rp and rn are tight at common; adjacent when no other ray is
-                    tight = 0
-                    for m in masks:
-                        if m & common == common:
-                            tight += 1
-                            if tight > 2:
-                                break
-                    if tight == 2:
-                        new[_eliminate(rn, rp, vp, vn)] = common | bit
-            rays = [(r, m) for r, m, _ in pos] + zero + sorted(new.items())
+        else:  # a zero row is tight at every ray
+            pos, _, on = _dd_step(rays, [dot(a, r) for r, _ in rays], bit)
+            rays = pos + on
         bit <<= 1
-    return lines, [r for r, _ in rays]
+    return lines, rays
 
 
 @dataclass(frozen=True)
@@ -193,27 +221,32 @@ def _rays_mod_lineality(facets, equations, n):
     the conversion of its facets and equations returns them, and each line
     with its negative."""
     lines, rays = _dd(list(facets) + _both_sides(equations), n)
-    return tuple(sorted(set(rays) | set(lines) | {vneg(l) for l in lines}))
+    return tuple(sorted({r for r, _ in rays} | set(lines) | {vneg(l) for l in lines}))
 
 
 def _assemble(generators, n):
     """Canonical PolyCone from any set of generating vectors.
 
-    One conversion of the generators gives the facets and the equations.
-    When those have rank n the cone is pointed and its extreme rays are read
-    off the generators: those ``_maximal`` keeps against the facets (two
-    distinct generators with one tight set are not both maximal: their face
-    would hold an extreme generator with a larger one).  A cone with
-    lineality takes a second conversion (``_rays_mod_lineality``).
+    One conversion of the generators gives the facets and the equations,
+    and its masks tell each generator's facets.  The cone is pointed when
+    it has a facet and no generator lies on every facet (a line in the
+    cone is a positive combination of generators, all of which lie in its
+    smallest face).  Its extreme rays are then the generators that
+    ``_maximal`` keeps against the facets (two distinct generators with
+    one tight set are not both maximal: their face would hold an extreme
+    generator with a larger one).  A cone with lineality takes a second
+    conversion (``_rays_mod_lineality``).
     """
     gens = sorted({primitive(g) for g in generators if not is_zero(g)})
     dual_lines, dual_rays = _dd(gens, n)
     equations = row_reduce(dual_lines)
     facets = sorted(
-        {reduce_mod_rowspace(q, equations) for q in dual_rays} - {tuple([0] * n)}
+        {reduce_mod_rowspace(q, equations) for q, _ in dual_rays} - {tuple([0] * n)}
     )
-    if rank(facets + list(equations)) == n:
-        rays = tuple(_maximal(gens, facets))
+    masks = _columns(dual_rays, len(gens))  # each generator's mask over the facets
+    everything = (1 << len(dual_rays)) - 1
+    if dual_rays and everything not in masks:
+        rays = tuple(_maximal(gens, masks, everything))
     else:
         rays = _rays_mod_lineality(facets, equations, n)
     dim = n - len(equations)
@@ -239,32 +272,42 @@ def _cut(cone, normals):
 
     A pointed cone continues ``_dd`` from its own rays and facet masks; a
     cone with lineality (the whole space is one) is converted afresh from
-    its facets, both sides of its equations and the normals.  The cut's
-    span is cut out by the cone's equations and the implicit equalities,
-    the old facets and normals tight at every ray (each vanishes on the
-    lines); with none, the equations and old facets stand.  The facets are
-    the old facets and normals that ``_maximal`` keeps against the rays
-    over the same masks (every facet is cut out by one, and a face is fixed
-    by its rays).  Lines left over take ``_rays_mod_lineality``.
+    its facets, the normals and both sides of its equations.  The cut is
+    read off the rays' masks (``_read_off``).
     """
     n = cone.ambient_dim
     old = list(cone.facets)
+    constraints = old + list(normals)
     if cone.is_pointed():
-        lines, rays = _dd(normals, n, [(r, _tight_mask(r, old)) for r in cone.rays])
+        lines, rays = _dd(normals, n, [(r, _tight_mask(r, old)) for r in cone.rays], len(old))
     else:
-        lines, rays = _dd(old + _both_sides(cone.equations) + normals, n)
+        lines, rays = _dd(constraints + _both_sides(cone.equations), n)
+    return _read_off(cone, constraints, rays, lines)
+
+
+def _read_off(cone, constraints, rays, lines=()):
+    """The cut of ``cone`` by ``constraints``, its facets and then the new
+    half-spaces, from the cut's rays as ``(ray, mask)`` pairs, each mask
+    over ``constraints``, and the cut's lines.
+
+    The cut's span is cut out by the cone's equations and the implicit
+    equalities, the constraints tight at every ray (each vanishes on the
+    lines); with none, the equations and old facets stand.  The facets are
+    the constraints that ``_maximal`` keeps against the rays (every facet
+    is cut out by one, and a face is fixed by its rays).  Lines left over
+    take ``_rays_mod_lineality``.
+    """
+    n = cone.ambient_dim
     rays = sorted(rays)
-    constraints = old + normals
-    masks = [_tight_mask(a, rays) for a in constraints]
-    implicit = [a for a, m in zip(constraints, masks) if m == (1 << len(rays)) - 1]
+    masks = _columns(rays, len(constraints))  # each constraint's mask over the rays
+    everything = (1 << len(rays)) - 1
+    implicit = [a for a, m in zip(constraints, masks) if m == everything]
     equations = row_reduce(list(cone.equations) + implicit) if implicit else cone.equations
-    reduced = () if implicit else set(old)  # already reduced modulo the same equations
+    reduced = () if implicit else set(cone.facets)  # already reduced modulo the same equations
     facets = sorted({a if a in reduced else reduce_mod_rowspace(a, equations)
-                     for a in _maximal(constraints, rays, masks)})
-    if lines:
-        rays = _rays_mod_lineality(facets, equations, n)
-    dim = n - len(equations)
-    return PolyCone(n, dim, tuple(rays), tuple(facets), equations)
+                     for a in _maximal(constraints, masks, everything)})
+    rays = _rays_mod_lineality(facets, equations, n) if lines else tuple(r for r, _ in rays)
+    return PolyCone(n, n - len(equations), rays, tuple(facets), equations)
 
 
 def cone_from_halfspaces(halfspaces, ambient_dim, equations=()):
@@ -355,26 +398,76 @@ def common_refinement(fans):
     return make_fan([c for c, _ in cells], support, [l for _, l in cells])
 
 
+def _crossing(walls, rays):
+    """The walls with rays strictly on both sides, each with its values at
+    the rays."""
+    crossing = []
+    for h in walls:
+        values = [dot(h, r) for r in rays]
+        if min(values, default=0) < 0 < max(values, default=0):
+            crossing.append((h, values))
+    return crossing
+
+
+def _split(cell, crossing):
+    """The pieces of the pointed ``cell`` cut by every wall in ``crossing``
+    (pairs from ``_crossing``).
+
+    The cell is split by its first crossing wall with one ``_dd_step``, so
+    both pieces share the rays on the wall under one mask bit, and each
+    piece carries on with the walls that crossed its parent and cross it.
+    A piece keeps its constraints (the cell's facets, then one signed wall
+    per split) and its rays with their masks over them; only a final piece
+    is read off, and a crossing wall adds no equation to it.
+    """
+    pieces = []
+
+    def split(constraints, rays, crossing):
+        if not crossing:
+            pieces.append(_read_off(cell, constraints, rays))
+            return
+        (h, values), rest = crossing[0], [h for h, _ in crossing[1:]]
+        pos, neg, on = _dd_step(rays, values, 1 << len(constraints))
+        for side, part in ((h, pos + on), (vneg(h), neg + on)):
+            split(constraints + [side], part, _crossing(rest, [r for r, _ in part]))
+
+    split(list(cell.facets), [(r, _tight_mask(r, cell.facets)) for r in cell.rays], crossing)
+    return pieces
+
+
+def _cut_pieces(cone, walls):
+    """The pieces of ``cone`` cut by every wall in ``walls`` that crosses
+    it, two ``_cut``s per crossing wall."""
+    crossing = [h for h, _ in _crossing(walls, cone.rays)]
+    if not crossing:
+        return [cone]
+    h, rest = crossing[0], crossing[1:]
+    return [p for side in (h, vneg(h)) for p in _cut_pieces(_cut(cone, [side]), rest)]
+
+
 def hyperplane_refinement(fan):
     """Slice every cell so each lies in one half-space of every facet hyperplane.
 
     The collected hyperplanes are those spanned by facets of the maximal
     cells (including the support boundary).  Idempotent: slicing introduces
-    no hyperplanes outside the collected set.  Both slices of a cell keep
+    no hyperplanes outside the collected set.  Each cell is split once per
+    wall that crosses it (``_split``); a cell with lineality, which only a
+    hand-built fan has, is cut (``_cut_pieces``), and a crossed cell not
+    of the support's dimension leaves no piece.  The pieces of a cell keep
     its label.
     """
-    hyperplanes = {sign_canonical(f) for cell in fan.cells for f in cell.facets}
-    cells = list(zip(fan.cells, fan.labels))
-    for h in sorted(hyperplanes):
-        sliced = []
-        for cell, label in cells:
-            values = [dot(h, r) for r in cell.rays]
-            if any(v > 0 for v in values) and any(v < 0 for v in values):
-                for side in (h, vneg(h)):
-                    piece = _cut(cell, [side])
-                    if piece.dim == fan.support.dim:
-                        sliced.append((piece, label))
-            else:
-                sliced.append((cell, label))
-        cells = sliced
-    return make_fan([c for c, _ in cells], fan.support, [l for _, l in cells])
+    walls = sorted({sign_canonical(f) for cell in fan.cells for f in cell.facets})
+    cells, labels = [], []
+    for cell, label in zip(fan.cells, fan.labels):
+        crossing = _crossing(walls, cell.rays)
+        if not crossing:
+            pieces = [cell]
+        elif cell.dim != fan.support.dim:
+            pieces = []
+        elif cell.is_pointed():
+            pieces = _split(cell, crossing)
+        else:
+            pieces = _cut_pieces(cell, [h for h, _ in crossing])
+        cells += pieces
+        labels += [label] * len(pieces)
+    return make_fan(cells, fan.support, labels)

@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .cones import (PolyCone, _maximal, common_refinement, cone_from_rays,
+from .cones import (PolyCone, _maximal, _tight_mask, common_refinement, cone_from_rays,
                     hyperplane_refinement, make_fan)
 from .errors import (BudgetExceeded, DimensionError, InconsistentInput, InvalidCone,
                      OutsideSupport)
@@ -306,8 +306,9 @@ def linearity_fan(datum, valuation, support=None):
     projection is injective there.  Each cell is read off the lifted cone:
     the facet's rays, projected; the support's equations; and a facet
     c w_G - c_G w (as t = -w.x / c) for each facet (w_G, c_G) whose tight
-    set there ``_maximal`` keeps.  A lifted cone with a line, which no
-    validated datum has, raises InvalidCone.
+    set there ``_maximal`` keeps.  Every tight set is read off the lifted
+    cone's facet-by-ray masks, computed once.  A lifted cone with a line,
+    which no validated datum has, raises InvalidCone.
     """
     if support is None:
         support = support_cone(datum)
@@ -323,12 +324,15 @@ def linearity_fan(datum, valuation, support=None):
         raise InvalidCone(f"the lifted cone at valuation {valuation!r} holds a line, so its "
                           "lower facets do not fix the cells; multidegrees must be nonnegative")
     normals = lifted_cone.facets
+    tight = [_tight_mask(f, lifted_cone.rays) for f in normals]  # each facet's rays
     cells, labels = [], []
-    for normal in [f for f in normals if f[n] > 0]:
+    for normal, lower in zip(normals, tight):
+        if normal[n] <= 0:
+            continue
         w, c = normal[:n], normal[n]
-        members = [r for r in lifted_cone.rays if dot(normal, r) == 0]
+        members = [r for i, r in enumerate(lifted_cone.rays) if lower >> i & 1]
         facets = {reduce_mod_rowspace([c * a - g[n] * b for a, b in zip(g, w)], support.equations)
-                  for g in _maximal(normals, members)}
+                  for g in _maximal(normals, [m & lower for m in tight], lower)}
         rays = tuple(sorted([primitive(r[:n]) for r in members]))
         cells.append(PolyCone(n, support.dim, rays, tuple(sorted(facets)), support.equations))
         labels.append((tuple(Fraction(-wi, c) for wi in w),))

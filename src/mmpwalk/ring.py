@@ -195,6 +195,8 @@ def validate(datum):
                 "numerical map does not have full row rank; classes do not generate",
             )
         _nef_dimension(report, "nef cone", datum.nef, rows)
+    elif datum.nef is not None:
+        report.add("error", "nef-without-map", "a nef cone needs a numerical map")
     for pf in datum.pushforwards:
         name = f"pushforward {pf.model_id!r}"
         _exact_map(report, "bad-pushforward-map", f"{name} map", pf.matrix, n)

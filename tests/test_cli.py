@@ -159,6 +159,82 @@ def test_decompose_stdout_on_corpus_matches_recorded_digest(monkeypatch, capsys,
     assert digest == CORPUS_DECOMPOSE_SHA256[instance, refine]
 
 
+# sha256 of walk stdout on corpus documents 1-10, from e_0 to a point of the
+# open orthant, recorded before the refinement split each cell once per
+# crossing wall: how the chambers are cut may change, the walk may not
+CORPUS_WALK_SHA256 = {
+    1: ("138/583,434/411",
+        "17162a2cd0c3e632bb56925711c547f1e2acaa85534def8e3484fcd6d516eafa"),
+    2: ("979/884,971/870,29/47",
+        "2309d1f4bd892939a22f1f6d27327a99bef2920ade63a0862ae34952282e7012"),
+    3: ("244/607,279/67,379/938",
+        "0323151aae4052b0219e1d4958d2165cae968afb0194c61271076b50c16fb5aa"),
+    4: ("242/311,106/739,406/491,53/31",
+        "50c541cadaf7c815f71eb2c66624d39da330345d41503033b4c4a1fdcfce0eda"),
+    5: ("319/131,95/46",
+        "ee5a343b5e115644337bd861b9e1198372af6b409d70c3af41e866af02a30aaa"),
+    6: ("271/196,842/83",
+        "9865c1a66b69073c10f0d2a5401cc54272603eab72552f18127a039baf38063d"),
+    7: ("332/971,31/81,667/50",
+        "13944a8c31373740038046db623870738434741318411de2da2053f010c1a324"),
+    8: ("233/380,986/385,65/99",
+        "6f9a6d046bbca9cab0d2094e4ae20840d344a507699b373a78256946254f1f0b"),
+    9: ("475/628,383/274,142/191,296/231",
+        "46a11caaefc3ff38e161fb6c80e31e89aae68f68cd0c47a122d2c7950bc83c74"),
+    10: ("293/17,8/9",
+         "ee22d6ffbc3085d1cd2cee7eced6952f3b7890fdb8f645f4b08fee911b3c1c1c"),
+}
+
+
+@pytest.mark.parametrize("instance", sorted(CORPUS_WALK_SHA256))
+def test_walk_stdout_on_corpus_matches_recorded_digest(monkeypatch, capsys, instance):
+    h, digest = CORPUS_WALK_SHA256[instance]
+    monkeypatch.setattr("sys.stdin", io.StringIO(_corpus_document(instance)))
+    code, out, _ = run(capsys, "walk", "--input", "-", "--h", h)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# a document whose multidegrees span only the hyperplane x_2 = x_3 (no corpus
+# document has a thin support: every one holds the unit multidegrees); its
+# chamber fan has 12 cells, 19 once refined
+THIN_DOCUMENT = {
+    "r": 3,
+    "labels": ["A", "B", "C", "D"],
+    "valuations": ["E", "F"],
+    "numerical_map": [["1", "0", "0", "0"], ["0", "1", "0", "0"],
+                      ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+    "generators": [
+        {"deg": [1, 0, 0, 0], "mults": {"E": "0", "F": "2"}},
+        {"deg": [0, 1, 0, 0], "mults": {"E": "1", "F": "0"}},
+        {"deg": [0, 0, 1, 1], "mults": {"E": "2", "F": "1"}},
+        {"deg": [1, 1, 1, 1], "mults": {"E": "3", "F": "1"}},
+        {"deg": [2, 1, 0, 0], "mults": {"E": "1", "F": "1"}},
+        {"deg": [1, 2, 2, 2], "mults": {"E": "2", "F": "5/2"}},
+        {"deg": [0, 3, 1, 1], "mults": {"E": "4", "F": "0"}},
+        {"deg": [3, 0, 2, 2], "mults": {"E": "1", "F": "3"}},
+    ],
+}
+
+# sha256 of stdout on THIN_DOCUMENT, recorded with CORPUS_WALK_SHA256
+THIN_SHA256 = {
+    ("decompose", "--refine"):
+        "9add86c88ad13c6609b456b0554365ec6ab2eb6d88a92a31f39cf4dc9af386c2",
+    ("decompose", "--no-refine"):
+        "2cd5dd9720b9aaa8427ce7fec6c8840cf1e1216efc8f53aaa52dc0c0448d1cc8",
+    ("walk", "--h=5/3,7/2,11/7,11/7"):
+        "10ff3e5c9042680bd88bbd7d4fb8b8296c643d01ca30b185392fad9848b11b26",
+}
+
+
+@pytest.mark.parametrize("command, flag", sorted(THIN_SHA256))
+def test_thin_support_stdout_matches_recorded_digest(monkeypatch, capsys, command, flag):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(THIN_DOCUMENT)))
+    code, out, err = run(capsys, command, "--input", "-", flag)
+    assert code == 0 and "thin-support" in err
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == THIN_SHA256[command, flag]
+
+
 # sha256 of check stdout on corpus documents (r = 2, 24 and 14 cells; r = 3),
 # recorded while check still sampled Fraction points: how the sample points
 # are represented may change, the report may not

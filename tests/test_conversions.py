@@ -25,7 +25,7 @@ compared with ``cone_from_rays`` of the cell's projected lifted rays.
 
 from fractions import Fraction
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mmpwalk import (
@@ -51,6 +51,7 @@ from mmpwalk.linalg import (
     rank,
     reduce_mod_rowspace,
     row_reduce,
+    sign_canonical,
     vneg,
 )
 from mmpwalk.ring import support_cone
@@ -124,11 +125,20 @@ def inequality_systems(draw):
     return n, rows
 
 
+def _assert_exact_masks(inputs, rays):
+    """Each ray's mask holds exactly the inputs tight at it, bit j for
+    ``inputs[j]``."""
+    for r, m in rays:
+        assert m == sum(1 << j for j, a in enumerate(inputs) if dot(a, r) == 0)
+
+
 @given(inequality_systems())
 @settings(max_examples=400, deadline=None)
 def test_dd_matches_reference_with_rank_safety_net(case):
     n, rows = case
     lines, rays = cones._dd(rows, n)
+    _assert_exact_masks(rows, rays)
+    rays = [r for r, _ in rays]
     ref_lines, ref_rays = _reference_dd(rows, n)
     assert lines == ref_lines
     assert sorted(rays) == sorted(ref_rays)
@@ -161,13 +171,13 @@ def _reference_assemble(generators, n):
     dual_lines, dual_rays = cones._dd(gens, n)
     equations = row_reduce(dual_lines)
     facets = sorted(
-        {reduce_mod_rowspace(q, equations) for q in dual_rays} - {tuple([0] * n)}
+        {reduce_mod_rowspace(q, equations) for q, _ in dual_rays} - {tuple([0] * n)}
     )
     constraints = list(facets)
     for eq in equations:
         constraints += [eq, vneg(eq)]
     lines, rays = cones._dd(constraints, n)
-    ray_set = set(rays) | set(lines) | {vneg(l) for l in lines}
+    ray_set = {r for r, _ in rays} | set(lines) | {vneg(l) for l in lines}
     return PolyCone(
         n, n - len(equations), tuple(sorted(ray_set)), tuple(facets), equations,
     )
@@ -178,7 +188,7 @@ def _reference_from_halfspaces(halfspaces, n, equations=()):
     for eq in equations:
         constraints += [tuple(eq), vneg(tuple(eq))]
     lines, rays = cones._dd(constraints, n)
-    gens = list(rays) + list(lines) + [vneg(l) for l in lines]
+    gens = [r for r, _ in rays] + list(lines) + [vneg(l) for l in lines]
     return _reference_assemble(gens, n)
 
 
@@ -261,22 +271,33 @@ def test_intersect_matches_two_conversions(case, data):
     assert intersect(a, b) == _reference_intersect(a, b)
 
 
-@given(generator_sets(), st.data())
-@settings(max_examples=300, deadline=None)
-def test_dd_from_a_pointed_cone_matches_dd_from_the_whole_space(case, data):
-    n, gens = case
-    cone = cone_from_rays(gens)
-    assume(not _has_lineality(cone))
-    normals = data.draw(
+@st.composite
+def cones_and_normals(draw):
+    """A cone's generators and up to four normals to cut it by."""
+    n, gens = draw(generator_sets())
+    normals = draw(
         st.lists(st.tuples(*([st.integers(min_value=-3, max_value=3)] * n)), max_size=4)
     )
+    return n, gens, normals
+
+
+@given(cones_and_normals())
+@example((2, [(1, 1)], [(1, -1), (0, 1)]))  # a ray: its one facet is tight at no ray
+@settings(max_examples=300, deadline=None)
+def test_dd_from_a_pointed_cone_matches_dd_from_the_whole_space(case):
+    n, gens, normals = case
+    cone = cone_from_rays(gens)
+    assume(not _has_lineality(cone))
     facets = list(cone.facets)
     start = [(r, sum(1 << j for j, f in enumerate(facets) if dot(f, r) == 0)) for r in cone.rays]
-    lines, rays = cones._dd(normals, n, start)
+    lines, rays = cones._dd(normals, n, start, len(facets))
+    # the normals' bits follow every facet's, also one tight at no ray
+    _assert_exact_masks(facets + normals, rays)
+    rays = [r for r, _ in rays]
     sides = [s for eq in cone.equations for s in (eq, vneg(eq))]
     ref_lines, ref_rays = cones._dd(facets + sides + normals, n)
     assert lines == ref_lines == []
-    assert sorted(rays) == sorted(ref_rays)
+    assert sorted(rays) == sorted(r for r, _ in ref_rays)
     assert len(set(rays)) == len(rays)
 
 
@@ -309,13 +330,44 @@ def _fan_data():
     return data + [random_instance(_corpus_spec(seed)) for seed in range(1, 16)]
 
 
+def _split_trees(events):
+    """True when ``events``, "split" for a split and anything else for a
+    piece built, list full binary trees in preorder, each rooted at a split:
+    every piece comes out of one split and every split yields two."""
+    open_ = 0
+    for event in events:
+        if not open_:
+            if event != "split":
+                return False
+            open_ = 1
+        open_ += 1 if event == "split" else -1
+    return not open_
+
+
 def test_one_conversion_per_pointed_cone(monkeypatch):
-    events = []  # (where, cone): "dd" for a conversion, else the module that built the cone
-    dd = cones._dd
+    # (where, cone): "dd" for a conversion, "split" for a split inside the
+    # refinement, "refine" for its start and end, else the module that
+    # built the cone
+    events = []
+    refining = []
+    dd, step, refine = cones._dd, cones._dd_step, orders.hyperplane_refinement
 
     def counted_dd(*args):
         events.append(("dd", None))
         return dd(*args)
+
+    def counted_step(*args):
+        if refining:
+            events.append(("split", None))
+        return step(*args)
+
+    def windowed_refine(fan):
+        events.append(("refine", None))
+        refining.append(True)
+        out = refine(fan)
+        refining.clear()
+        events.append(("refine", None))
+        return out
 
     def recorded(module):
         polycone = module.PolyCone
@@ -328,6 +380,8 @@ def test_one_conversion_per_pointed_cone(monkeypatch):
         return counted_polycone
 
     monkeypatch.setattr(cones, "_dd", counted_dd)
+    monkeypatch.setattr(cones, "_dd_step", counted_step)
+    monkeypatch.setattr(orders, "hyperplane_refinement", windowed_refine)
     for module in (cones, orders):
         monkeypatch.setattr(module, "PolyCone", recorded(module))
     for datum in _fan_data():
@@ -338,10 +392,27 @@ def test_one_conversion_per_pointed_cone(monkeypatch):
     read_off = [i for i, (where, _) in enumerate(events) if where == orders.__name__]
     assert len(built) > 300 and len(read_off) > 100
     assert not any(_has_lineality(cone) for cone in built)
-    # each cone built in cones comes right after its one conversion
-    assert [e for e in events if e[0] != orders.__name__] == [
-        x for cone in built for x in (("dd", None), (cones.__name__, cone))
+    outside, windows, inside = [], [], False  # events outside the refinement; inside each call
+    for where, cone in events:
+        if where == "refine":
+            inside = not inside
+            if inside:
+                windows.append([])
+        elif inside:
+            windows[-1].append(where)
+        else:
+            outside.append((where, cone))
+    # each cone built in cones outside the refinement comes right after its
+    # one conversion
+    conversions = [e for e in outside if e[0] != orders.__name__]
+    assert conversions == [
+        x for _, cone in conversions[1::2] for x in (("dd", None), (cones.__name__, cone))
     ]
+    # the refinement converts nothing: each piece it builds comes out of one
+    # split of a pointed cell
+    assert not any("dd" in window for window in windows)
+    assert all(_split_trees(window) for window in windows if window)
+    assert sum(window.count("split") for window in windows) > 50
     # and a linearity cell read off its lifted cone takes none
     assert not any(events[i - 1][0] == "dd" for i in read_off)
 
@@ -379,25 +450,34 @@ def test_read_off_linearity_cells_match_their_conversions():
     assert cells > 1000
 
 
-def test_every_slice_matches_the_reference(monkeypatch):
+def test_every_refined_piece_matches_the_reference():
+    """Every piece that ``hyperplane_refinement`` makes on the corpus, and
+    on a hand-built fan whose half-plane cell (with lineality) is crossed,
+    equals the cone its parent cell's facets and the walls, each signed on
+    the piece, cut out of the whole space."""
     fans = [chamber_fan(datum, refine=False) for datum in _fan_data()]
-    slices = []
-    cut = cones._cut
-
-    def recorded(cone, normals):
-        piece = cut(cone, normals)
-        slices.append((cone, normals, piece))
-        return piece
-
-    monkeypatch.setattr(cones, "_cut", recorded)
+    half_plane = cone_from_rays([(0, 1), (0, -1), (1, 0)])
+    wedge = cone_from_rays([(1, 0), (1, 1)])
+    fans.append(make_fan([half_plane, wedge], half_plane, [("half-plane",), ("wedge",)]))
+    pieces = 0
     for fan in fans:
-        hyperplane_refinement(fan)
-    assert len(slices) > 100
-    for cell, (side,), piece in slices:
-        ref = _reference_from_halfspaces(
-            list(cell.facets) + [side], cell.ambient_dim, cell.equations
-        )
-        assert piece == ref
+        walls = sorted({sign_canonical(f) for cell in fan.cells for f in cell.facets})
+        parents = dict(zip(fan.labels, fan.cells))
+        assert len(parents) == len(fan.cells)
+        refined = hyperplane_refinement(fan)
+        for piece, label in zip(refined.cells, refined.labels):
+            if piece in fan.cells:
+                continue
+            cell = parents[label]
+            point = piece.relative_interior_point()
+            signed = [h if dot(h, point) > 0 else vneg(h) for h in walls]
+            ref = _reference_from_halfspaces(
+                list(cell.facets) + signed, cell.ambient_dim, cell.equations
+            )
+            assert piece == ref
+            pieces += 1
+    assert _has_lineality(half_plane) and half_plane not in refined.cells
+    assert pieces > 100
 
 
 def test_pretest_skips_only_pairs_meeting_in_lower_dimension(monkeypatch):

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mmpwalk import (
@@ -70,6 +70,7 @@ def test_cone_invariant_under_generator_scaling(rays, factor):
 
 
 @given(st.lists(nonzero_vectors_2d, min_size=1, max_size=4))
+@example(rays=[(0, 1), (0, -1), (1, 0)])  # a half-plane: a cell with lineality
 @settings(max_examples=60, deadline=None)
 def test_hyperplane_refinement_idempotent(rays):
     cone = cone_from_rays(rays)
@@ -337,19 +338,20 @@ def test_float_entry_raises_type_error(call):
 
 
 def test_cut_equations_are_the_kernel_of_the_rays(monkeypatch):
-    """On every cut that ``chamber_fan`` makes over corpus seeds 1-50 the
-    equations read off the implicit equalities span the kernel of the rays
-    and lines.  With the separation pretest off, ``common_refinement`` also
-    cuts the pairs that meet in lower dimension, which it then drops."""
+    """On every cut that ``chamber_fan`` makes over corpus seeds 1-50, and
+    every piece its refinement splits off, the equations read off the
+    implicit equalities span the kernel of the rays and lines.  With the
+    separation pretest off, ``common_refinement`` also cuts the pairs that
+    meet in lower dimension, which it then drops."""
     cuts = []
-    cut = cones._cut
+    read_off = cones._read_off  # every cut and every refined piece is read off its masks
 
-    def recorded(cone, normals):
-        piece = cut(cone, normals)
+    def recorded(*args):
+        piece = read_off(*args)
         cuts.append(piece)
         return piece
 
-    monkeypatch.setattr(cones, "_cut", recorded)
+    monkeypatch.setattr(cones, "_read_off", recorded)
     monkeypatch.setattr(cones, "_separated", lambda a, b: False)
     for seed in range(1, 51):
         r = (1, 1, 2, 2, 3)[seed % 5]

@@ -145,6 +145,13 @@ def test_nef_cone_must_live_in_its_maps_target():
     assert [e.code for e in report.errors] == ["nef-dimension"]
 
 
+def test_nef_cone_needs_a_numerical_map():
+    # validated with no entries, then classify_nef and ring_to_json raised
+    # on the missing map; a JSON document always has one
+    report = validate(make_datum(numerical=None, nef=cone_from_rays([(1,)])))
+    assert [e.code for e in report.errors] == ["nef-without-map"]
+
+
 def _with_pushforward(matrix, nef_rays=((1,),)):
     blowup = builtin_examples()["blowup-P2"]
     pf = PushforwardDatum(model_id="P2", matrix=matrix, nef=cone_from_rays(list(nef_rays)))
