@@ -7,17 +7,17 @@ the cone is not full-dimensional, in the same form).  Both sides are
 canonical, so structurally equal cones compare equal regardless of how
 they were produced.
 
-Every conversion is ``_dd``, the incremental double description method,
-which steps with linalg's one row step; each ray it returns carries the
-exact mask of the inputs tight at it, and callers read tight sets off
-those masks instead of taking dot products again.  ``_assemble`` converts
-generators to facets and equations, and reads pointedness and the extreme
-generators off the masks.  ``_cut`` continues the conversion from a
-pointed cone's own rays: ``cone_from_halfspaces`` cuts the whole space
-and ``intersect`` cuts one cone by the other.  ``hyperplane_refinement``
-splits a pointed cell once per crossing wall with ``_dd_step``, the
-adjacency-and-combination step that ``_dd`` takes too, and only a cell
-with lineality is cut.  One combinatorial test, ``_maximal``, reads off
+Every conversion is ``_dd``, the incremental double description method:
+one ``_dd_step`` per inequality, with linalg's one row step, from the
+whole space or from a cone's own lines and rays.  Each ray it returns
+carries the exact mask of the inputs tight at it, and callers read tight
+sets off those masks instead of taking dot products again.  ``_assemble``
+converts generators to facets and equations, and reads pointedness and
+the extreme generators off the masks.  ``_cut`` continues the conversion
+from a cone's own lines and rays: ``cone_from_halfspaces`` cuts the whole
+space and ``intersect`` cuts one cone by the other.
+``hyperplane_refinement`` splits a crossed cell once per crossing wall
+with ``_dd_step``.  One combinatorial test, ``_maximal``, reads off
 both the extreme generators and the facets of a cut, and ``_read_off``
 takes a cut's equations from the same masks: the implicit equalities,
 tight at every ray, join the cone's own (``orders`` reads linearity cells
@@ -78,19 +78,33 @@ def _both_sides(equations):
     return [side for eq in equations for side in (tuple(eq), vneg(eq))]
 
 
-def _dd_step(rays, values, bit):
-    """One step of the double description method on a pointed cone.
+def _dd_step(lines, rays, a, values, bit):
+    """One step of the double description method.
 
-    ``rays`` are its extreme rays as ``(ray, mask)`` pairs, ``values`` the
-    values ``a . r`` of a new normal ``a`` at them and ``bit`` the mask bit
-    of ``a``.  Returns ``(pos, neg, on)``: the rays where ``a`` is
-    positive, those where it is negative, and the rays of ``a . x = 0`` in
-    the cone, with ``bit`` set: the rays where ``a`` vanishes and, for each
-    adjacent pair of a positive and a negative ray, the ray between them.
-    A pair is adjacent exactly when no third ray is tight at every input
-    both are tight at.  ``a . x >= 0`` cuts the cone down to ``pos + on``
-    and ``a . x <= 0`` to ``neg + on``.
+    ``lines`` are a basis of the cone's lineality space, on which every
+    earlier input vanishes, ``rays`` its extreme rays modulo lineality as
+    ``(ray, mask)`` pairs, ``values`` the values ``a . r`` of a new normal
+    ``a`` at the rays and ``bit`` the mask bit of ``a``.  Returns
+    ``(lines, pos, neg, on)``: ``a . x >= 0`` cuts the cone down to
+    ``lines`` with ``pos + on``, and ``a . x <= 0`` to ``lines`` with
+    ``neg + on``.  When ``a`` is not zero on some line, that line, oriented
+    by ``a``, is the one ray of ``pos`` and its negative that of ``neg``,
+    each tight at every earlier input (mask ``bit - 1``), and the other
+    lines and the rays (into ``on``) are projected along it onto
+    ``a . x = 0``.  Otherwise the lines stay, ``pos`` and ``neg`` hold the
+    rays where ``a`` is positive and negative, and ``on``, with ``bit``
+    set, the rays where ``a`` vanishes and, for each adjacent pair of a
+    positive and a negative ray, the ray between them.  A pair is adjacent
+    exactly when no third ray is tight at every input both are tight at.
     """
+    for i, pivot in enumerate(lines):
+        ap = dot(a, pivot)
+        if ap:
+            if ap < 0:
+                pivot, ap = vneg(pivot), -ap
+            lines = [_eliminate(l, pivot, ap, dot(a, l)) for j, l in enumerate(lines) if j != i]
+            on = [(_eliminate(r, pivot, ap, val), m | bit) for (r, m), val in zip(rays, values)]
+            return lines, [(pivot, bit - 1)], [(vneg(pivot), bit - 1)], on
     pos, zero, neg = [], [], []
     for (r, m), val in zip(rays, values):
         if val > 0:
@@ -113,13 +127,13 @@ def _dd_step(rays, values, bit):
                         break
             if tight == 2:
                 new[_eliminate(rn, rp, vp, vn)] = common | bit
-    return ([(r, m) for r, m, _ in pos], [(r, m) for r, m, _ in neg],
+    return (lines, [(r, m) for r, m, _ in pos], [(r, m) for r, m, _ in neg],
             zero + sorted(new.items()))
 
 
-def _dd(ineqs, n, start=None, offset=0):
+def _dd(ineqs, n, lines=None, rays=(), offset=0):
     """V-representation of ``{x : a . x >= 0 for a in ineqs}``, or of its
-    intersection with the pointed cone that ``start`` describes.
+    intersection with the cone that ``lines`` and ``rays`` describe.
 
     Returns ``(lines, rays)``: a basis of the lineality space, and the
     extreme rays modulo lineality as ``(ray, mask)`` pairs, all primitive
@@ -127,42 +141,26 @@ def _dd(ineqs, n, start=None, offset=0):
     bit j for ``ineqs[j]`` (a zero row is tight everywhere).
 
     This is the incremental double description method (Motzkin et al.
-    1953; Fukuda and Prodon, "Double description method revisited", 1996).
-    Starting from the whole space, or from ``start``, the inequalities are
-    added one at a time.  When some line is not tight at the new inequality
-    ``a``, that line becomes a ray and the other lines and rays are
-    projected along it onto ``a . x = 0``.  Otherwise ``_dd_step`` keeps
-    the rays where ``a`` is positive or zero and adds one for each adjacent
-    pair of a positive and a negative ray.  Every mask update is exact, so
-    the rays returned are exactly the extreme rays, each once.  Each
-    projection and combination is ``linalg._eliminate``.
+    1953; Fukuda and Prodon, "Double description method revisited", 1996),
+    one ``_dd_step`` per inequality, keeping the side where it holds.
+    Every mask update is exact, so the rays returned are exactly the
+    extreme rays, each once.
 
-    ``start`` lists the extreme rays of a pointed cone with their masks over
-    its ``offset`` facets (a minimal V-description of the cone in its span;
-    its equations hold at every ray and so change no adjacency test), and
+    ``lines=None`` is the whole space, its lines the unit vectors in order.
+    A given cone is a basis of its lineality space and its extreme rays
+    modulo lineality with their masks over its ``offset`` facets (its
+    equations hold at every line and ray and so change no step), and
     ``ineqs[j]`` takes bit ``offset + j``.  The count, not the highest bit
     in use, numbers the new bits: a facet tight at no ray, such as the one
     facet of a ray, sets no bit.
     """
-    lines = [tuple(int(i == j) for j in range(n)) for i in range(n)] if start is None else []
-    rays = list(start or ())
+    if lines is None:
+        lines = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     bit = 1 << offset  # the new mask bit
     for a in ineqs:
         a = primitive(a)
-        pivot = next((l for l in lines if dot(a, l) != 0), None)
-        if pivot is not None:
-            # the processed inequalities vanish on every line, so a projected
-            # ray keeps its tight set and the pivot is tight at all of them
-            lines.remove(pivot)
-            if dot(a, pivot) < 0:
-                pivot = vneg(pivot)
-            ap = dot(a, pivot)
-            lines = [_eliminate(l, pivot, ap, dot(a, l)) for l in lines]
-            rays = [(_eliminate(r, pivot, ap, dot(a, r)), m | bit) for r, m in rays]
-            rays.append((pivot, bit - 1))
-        else:  # a zero row is tight at every ray
-            pos, _, on = _dd_step(rays, [dot(a, r) for r, _ in rays], bit)
-            rays = pos + on
+        lines, pos, _, on = _dd_step(lines, rays, a, [dot(a, r) for r, _ in rays], bit)
+        rays = pos + on
         bit <<= 1
     return lines, rays
 
@@ -175,14 +173,17 @@ class PolyCone:
     as opposite ray pairs); ``facets`` are the sorted primitive inward
     normals of a minimal irredundant set of half-spaces ``f . x >= 0``,
     reduced modulo the ``equations``, which cut out the linear span when
-    the cone is not full-dimensional.
+    the cone is not full-dimensional, so ``dim`` is read off them.
     """
 
     ambient_dim: int
-    dim: int
     rays: tuple
     facets: tuple
     equations: tuple
+
+    @property
+    def dim(self):
+        return self.ambient_dim - len(self.equations)
 
     def contains(self, x, strict=False):
         if len(x) != self.ambient_dim:
@@ -249,8 +250,7 @@ def _assemble(generators, n):
         rays = tuple(_maximal(gens, masks, everything))
     else:
         rays = _rays_mod_lineality(facets, equations, n)
-    dim = n - len(equations)
-    return PolyCone(n, dim, rays, tuple(facets), equations)
+    return PolyCone(n, rays, tuple(facets), equations)
 
 
 def cone_from_rays(rays):
@@ -267,22 +267,23 @@ def cone_from_rays(rays):
     return _assemble(rays, n)
 
 
-def _cut(cone, normals):
-    """``cone`` cut by ``{x : a . x >= 0}`` for each ``a`` in ``normals``.
+def _lines_and_rays(cone):
+    """``cone``'s lines, one ray of each opposite pair, and its other rays:
+    a basis of its lineality space and its extreme rays modulo lineality."""
+    paired = {vneg(r) for r in cone.rays}.intersection(cone.rays)
+    lines = [r for r in cone.rays if r in paired and r > vneg(r)]
+    return lines, [r for r in cone.rays if r not in paired]
 
-    A pointed cone continues ``_dd`` from its own rays and facet masks; a
-    cone with lineality (the whole space is one) is converted afresh from
-    its facets, the normals and both sides of its equations.  The cut is
-    read off the rays' masks (``_read_off``).
-    """
-    n = cone.ambient_dim
-    old = list(cone.facets)
-    constraints = old + list(normals)
-    if cone.is_pointed():
-        lines, rays = _dd(normals, n, [(r, _tight_mask(r, old)) for r in cone.rays], len(old))
-    else:
-        lines, rays = _dd(constraints + _both_sides(cone.equations), n)
-    return _read_off(cone, constraints, rays, lines)
+
+def _cut(cone, normals):
+    """``cone`` cut by ``{x : a . x >= 0}`` for each ``a`` in ``normals``:
+    ``_dd`` continues from the cone's own lines and rays with their masks
+    over its facets, and the cut is read off the rays' masks
+    (``_read_off``)."""
+    lines, rays = _lines_and_rays(cone)
+    rays = [(r, _tight_mask(r, cone.facets)) for r in rays]
+    lines, rays = _dd(normals, cone.ambient_dim, lines, rays, len(cone.facets))
+    return _read_off(cone, list(cone.facets) + list(normals), rays, lines)
 
 
 def _read_off(cone, constraints, rays, lines=()):
@@ -307,7 +308,7 @@ def _read_off(cone, constraints, rays, lines=()):
     facets = sorted({a if a in reduced else reduce_mod_rowspace(a, equations)
                      for a in _maximal(constraints, masks, everything)})
     rays = _rays_mod_lineality(facets, equations, n) if lines else tuple(r for r, _ in rays)
-    return PolyCone(n, n - len(equations), rays, tuple(facets), equations)
+    return PolyCone(n, rays, tuple(facets), equations)
 
 
 def cone_from_halfspaces(halfspaces, ambient_dim, equations=()):
@@ -322,7 +323,7 @@ def cone_from_halfspaces(halfspaces, ambient_dim, equations=()):
             )
     n = ambient_dim
     units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    return _cut(PolyCone(n, n, tuple(sorted(_both_sides(units))), (), ()), normals)
+    return _cut(PolyCone(n, tuple(sorted(_both_sides(units))), (), ()), normals)
 
 
 def intersect(a, b):
@@ -398,51 +399,45 @@ def common_refinement(fans):
     return make_fan([c for c, _ in cells], support, [l for _, l in cells])
 
 
-def _crossing(walls, rays):
-    """The walls with rays strictly on both sides, each with its values at
-    the rays."""
+def _crossing(walls, lines, rays):
+    """The walls not zero on a line or with rays strictly on both sides,
+    each with its values at the rays."""
     crossing = []
     for h in walls:
         values = [dot(h, r) for r in rays]
-        if min(values, default=0) < 0 < max(values, default=0):
+        if (min(values, default=0) < 0 < max(values, default=0)
+                or lines and any(dot(h, l) for l in lines)):
             crossing.append((h, values))
     return crossing
 
 
-def _split(cell, crossing):
-    """The pieces of the pointed ``cell`` cut by every wall in ``crossing``
-    (pairs from ``_crossing``).
+def _split(cell, lines, rays, crossing):
+    """The pieces of ``cell``, given by its ``lines`` and ``rays``
+    (``_lines_and_rays``), cut by every wall in ``crossing`` (pairs from
+    ``_crossing``).
 
     The cell is split by its first crossing wall with one ``_dd_step``, so
-    both pieces share the rays on the wall under one mask bit, and each
-    piece carries on with the walls that crossed its parent and cross it.
-    A piece keeps its constraints (the cell's facets, then one signed wall
-    per split) and its rays with their masks over them; only a final piece
-    is read off, and a crossing wall adds no equation to it.
+    both pieces share the lines and the rays on the wall under one mask
+    bit, and each piece carries on with the walls that crossed its parent
+    and cross it.  A piece keeps its constraints (the cell's facets, then
+    one signed wall per split), its lines and its rays with their masks
+    over them; only a final piece is read off, and a crossing wall adds no
+    equation to it.
     """
     pieces = []
 
-    def split(constraints, rays, crossing):
+    def split(constraints, lines, rays, crossing):
         if not crossing:
-            pieces.append(_read_off(cell, constraints, rays))
+            pieces.append(_read_off(cell, constraints, rays, lines))
             return
         (h, values), rest = crossing[0], [h for h, _ in crossing[1:]]
-        pos, neg, on = _dd_step(rays, values, 1 << len(constraints))
+        lines, pos, neg, on = _dd_step(lines, rays, h, values, 1 << len(constraints))
         for side, part in ((h, pos + on), (vneg(h), neg + on)):
-            split(constraints + [side], part, _crossing(rest, [r for r, _ in part]))
+            split(constraints + [side], lines, part,
+                  _crossing(rest, lines, [r for r, _ in part]))
 
-    split(list(cell.facets), [(r, _tight_mask(r, cell.facets)) for r in cell.rays], crossing)
+    split(list(cell.facets), lines, [(r, _tight_mask(r, cell.facets)) for r in rays], crossing)
     return pieces
-
-
-def _cut_pieces(cone, walls):
-    """The pieces of ``cone`` cut by every wall in ``walls`` that crosses
-    it, two ``_cut``s per crossing wall."""
-    crossing = [h for h, _ in _crossing(walls, cone.rays)]
-    if not crossing:
-        return [cone]
-    h, rest = crossing[0], crossing[1:]
-    return [p for side in (h, vneg(h)) for p in _cut_pieces(_cut(cone, [side]), rest)]
 
 
 def hyperplane_refinement(fan):
@@ -451,23 +446,21 @@ def hyperplane_refinement(fan):
     The collected hyperplanes are those spanned by facets of the maximal
     cells (including the support boundary).  Idempotent: slicing introduces
     no hyperplanes outside the collected set.  Each cell is split once per
-    wall that crosses it (``_split``); a cell with lineality, which only a
-    hand-built fan has, is cut (``_cut_pieces``), and a crossed cell not
-    of the support's dimension leaves no piece.  The pieces of a cell keep
-    its label.
+    wall that crosses it (``_split``), whether or not it has lineality, and
+    a crossed cell not of the support's dimension leaves no piece.  The
+    pieces of a cell keep its label.
     """
     walls = sorted({sign_canonical(f) for cell in fan.cells for f in cell.facets})
     cells, labels = [], []
     for cell, label in zip(fan.cells, fan.labels):
-        crossing = _crossing(walls, cell.rays)
+        lines, rays = _lines_and_rays(cell)
+        crossing = _crossing(walls, lines, rays)
         if not crossing:
             pieces = [cell]
         elif cell.dim != fan.support.dim:
             pieces = []
-        elif cell.is_pointed():
-            pieces = _split(cell, crossing)
         else:
-            pieces = _cut_pieces(cell, [h for h, _ in crossing])
+            pieces = _split(cell, lines, rays, crossing)
         cells += pieces
         labels += [label] * len(pieces)
     return make_fan(cells, fan.support, labels)

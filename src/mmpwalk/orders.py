@@ -334,7 +334,7 @@ def linearity_fan(datum, valuation, support=None):
         facets = {reduce_mod_rowspace([c * a - g[n] * b for a, b in zip(g, w)], support.equations)
                   for g in _maximal(normals, [m & lower for m in tight], lower)}
         rays = tuple(sorted([primitive(r[:n]) for r in members]))
-        cells.append(PolyCone(n, support.dim, rays, tuple(sorted(facets)), support.equations))
+        cells.append(PolyCone(n, rays, tuple(sorted(facets)), support.equations))
         labels.append((tuple(Fraction(-wi, c) for wi in w),))
     return make_fan(cells, support, labels)
 

@@ -9,7 +9,7 @@ import json
 from fractions import Fraction
 
 from .cones import Fan, cone_from_rays, cone_from_halfspaces
-from .errors import ParseError
+from .errors import InconsistentInput, ParseError
 from .ring import GeneratorDatum, NumericalMap, PushforwardDatum, RingDatum
 from .walk import MmpTrace, TraceStep
 
@@ -144,6 +144,9 @@ def nef_from_json(doc, ambient_dim):
 
 
 def ring_to_json(datum, segment_h=None):
+    if datum.numerical is None:
+        # the document format requires a numerical map
+        raise InconsistentInput("the datum has no numerical map to write as 'numerical_map'")
     doc = {
         "r": datum.r,
         "labels": list(datum.labels),

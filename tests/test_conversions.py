@@ -4,18 +4,19 @@
 alone, with a tight-set bitmask carried by each ray.  It is compared here
 with a reference copy of the earlier ``_dd``, which recomputed the masks at
 every step and kept a rank test on every output ray as a safety net.
-Started from a pointed cone's rays and facet masks, ``_dd`` is compared
-with ``_dd`` from the whole space over the cone's facets, both sides of
-its equations and the new normals.
+Started from a cone's lines and its rays with their facet masks, ``_dd``
+is compared with ``_dd`` from the whole space over the cone's facets,
+both sides of its equations and the new normals.
 
 ``cone_from_rays`` converts once and every other cone is cut out of one by
-``cones._cut``, which continues the conversion from a pointed cone's rays;
-a cone with lineality takes one more conversion to fix its ray
+``cones._cut``, which continues the conversion from a cone's own lines and
+rays; a cone with lineality takes one more conversion to fix its ray
 representatives.  ``cone_from_rays``, ``cone_from_halfspaces``,
 ``intersect`` and every slice that ``hyperplane_refinement`` makes on the
-corpus are compared with from-scratch references: the two-conversion
-construction (generators -> facets -> rays) which the package used before,
-applied to all the half-spaces and equations at once.
+corpus and on hand-built fans whose cells hold lines are compared with
+from-scratch references: the two-conversion construction (generators ->
+facets -> rays) which the package used before, applied to all the
+half-spaces and equations at once.
 ``common_refinement`` skips a pair of cells when a facet of one has the
 other on its nonpositive side, and the tests check that every skipped pair
 meets in lower dimension.  ``orders.linearity_fan`` converts the lifted
@@ -25,7 +26,7 @@ compared with ``cone_from_rays`` of the cell's projected lifted rays.
 
 from fractions import Fraction
 
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmpwalk import (
@@ -167,7 +168,7 @@ def _reference_assemble(generators, n):
     gens = sorted({primitive(g) for g in generators if not is_zero(g)})
     if not gens:
         eye = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
-        return PolyCone(n, 0, (), (), eye)
+        return PolyCone(n, (), (), eye)
     dual_lines, dual_rays = cones._dd(gens, n)
     equations = row_reduce(dual_lines)
     facets = sorted(
@@ -178,9 +179,7 @@ def _reference_assemble(generators, n):
         constraints += [eq, vneg(eq)]
     lines, rays = cones._dd(constraints, n)
     ray_set = {r for r, _ in rays} | set(lines) | {vneg(l) for l in lines}
-    return PolyCone(
-        n, n - len(equations), tuple(sorted(ray_set)), tuple(facets), equations,
-    )
+    return PolyCone(n, tuple(sorted(ray_set)), tuple(facets), equations)
 
 
 def _reference_from_halfspaces(halfspaces, n, equations=()):
@@ -283,21 +282,26 @@ def cones_and_normals(draw):
 
 @given(cones_and_normals())
 @example((2, [(1, 1)], [(1, -1), (0, 1)]))  # a ray: its one facet is tight at no ray
+@example((2, [(0, 1), (0, -1), (1, 0)], [(1, 1)]))  # a half-plane cut across its line
 @settings(max_examples=300, deadline=None)
 def test_dd_from_a_pointed_cone_matches_dd_from_the_whole_space(case):
     n, gens, normals = case
     cone = cone_from_rays(gens)
-    assume(not _has_lineality(cone))
     facets = list(cone.facets)
-    start = [(r, sum(1 << j for j, f in enumerate(facets) if dot(f, r) == 0)) for r in cone.rays]
-    lines, rays = cones._dd(normals, n, start, len(facets))
+    start_lines, start = cones._lines_and_rays(cone)
+    assert 2 * len(start_lines) + len(start) == len(cone.rays)  # a line is two opposite rays
+    start = [(r, sum(1 << j for j, f in enumerate(facets) if dot(f, r) == 0)) for r in start]
+    lines, rays = cones._dd(normals, n, start_lines, start, len(facets))
     # the normals' bits follow every facet's, also one tight at no ray
     _assert_exact_masks(facets + normals, rays)
-    rays = [r for r, _ in rays]
     sides = [s for eq in cone.equations for s in (eq, vneg(eq))]
     ref_lines, ref_rays = cones._dd(facets + sides + normals, n)
-    assert lines == ref_lines == []
-    assert sorted(rays) == sorted(r for r, _ in ref_rays)
+    span = row_reduce(lines)
+    assert span == row_reduce(ref_lines)
+    assert len(lines) == len(span)
+    # the rays modulo lineality, whatever their representatives
+    rays = [reduce_mod_rowspace(r, span) for r, _ in rays]
+    assert sorted(rays) == sorted(reduce_mod_rowspace(r, span) for r, _ in ref_rays)
     assert len(set(rays)) == len(rays)
 
 
@@ -450,6 +454,30 @@ def test_read_off_linearity_cells_match_their_conversions():
     assert cells > 1000
 
 
+def _refined_pieces_checked(fan):
+    """Refine ``fan`` and check every new piece against the cone its parent
+    cell's facets and the walls, each signed on the piece, cut out of the
+    whole space; the count of pieces checked.  Cell labels are distinct
+    and name each piece's parent."""
+    walls = sorted({sign_canonical(f) for cell in fan.cells for f in cell.facets})
+    parents = dict(zip(fan.labels, fan.cells))
+    assert len(parents) == len(fan.cells)
+    refined = hyperplane_refinement(fan)
+    pieces = 0
+    for piece, label in zip(refined.cells, refined.labels):
+        if piece in fan.cells:
+            continue
+        cell = parents[label]
+        point = piece.relative_interior_point()
+        signed = [h if dot(h, point) > 0 else vneg(h) for h in walls]
+        ref = _reference_from_halfspaces(
+            list(cell.facets) + signed, cell.ambient_dim, cell.equations
+        )
+        assert piece == ref
+        pieces += 1
+    return pieces
+
+
 def test_every_refined_piece_matches_the_reference():
     """Every piece that ``hyperplane_refinement`` makes on the corpus, and
     on a hand-built fan whose half-plane cell (with lineality) is crossed,
@@ -459,25 +487,36 @@ def test_every_refined_piece_matches_the_reference():
     half_plane = cone_from_rays([(0, 1), (0, -1), (1, 0)])
     wedge = cone_from_rays([(1, 0), (1, 1)])
     fans.append(make_fan([half_plane, wedge], half_plane, [("half-plane",), ("wedge",)]))
-    pieces = 0
-    for fan in fans:
-        walls = sorted({sign_canonical(f) for cell in fan.cells for f in cell.facets})
-        parents = dict(zip(fan.labels, fan.cells))
-        assert len(parents) == len(fan.cells)
-        refined = hyperplane_refinement(fan)
-        for piece, label in zip(refined.cells, refined.labels):
-            if piece in fan.cells:
-                continue
-            cell = parents[label]
-            point = piece.relative_interior_point()
-            signed = [h if dot(h, point) > 0 else vneg(h) for h in walls]
-            ref = _reference_from_halfspaces(
-                list(cell.facets) + signed, cell.ambient_dim, cell.equations
-            )
-            assert piece == ref
-            pieces += 1
-    assert _has_lineality(half_plane) and half_plane not in refined.cells
-    assert pieces > 100
+    assert _has_lineality(half_plane)
+    assert half_plane not in hyperplane_refinement(fans[-1]).cells
+    assert sum(_refined_pieces_checked(fan) for fan in fans) > 100
+
+
+@st.composite
+def lineality_fans(draw):
+    """Two cells, each cut out by fewer half-spaces than the dimension and
+    so holding a line, in a fan whose support is the one of larger
+    dimension."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    vec = st.tuples(*([st.integers(min_value=-3, max_value=3)] * n))
+    cells = []
+    for _ in range(2):
+        halfspaces = draw(st.lists(vec, max_size=n - 1))
+        equations = draw(st.lists(vec, max_size=n - 1 - len(halfspaces)))
+        cells.append(cone_from_halfspaces(halfspaces, n, equations=equations))
+    support = max(cells, key=lambda cell: cell.dim)
+    return make_fan(cells, support, [("first",), ("second",)])
+
+
+@given(lineality_fans())
+@example(make_fan([cone_from_halfspaces([(0, 1)], 2), cone_from_halfspaces([(1, 0)], 2)],
+                  cone_from_halfspaces([(0, 1)], 2), [("first",), ("second",)]))
+@example(make_fan([cone_from_halfspaces([(1, 1, 0)], 3), cone_from_halfspaces([], 3, [(0, 0, 1)])],
+                  cone_from_halfspaces([(1, 1, 0)], 3), [("first",), ("second",)]))
+@settings(max_examples=200, deadline=None)
+def test_refined_pieces_of_cells_with_lineality_match_the_reference(fan):
+    assert all(_has_lineality(cell) for cell in fan.cells)
+    _refined_pieces_checked(fan)
 
 
 def test_pretest_skips_only_pairs_meeting_in_lower_dimension(monkeypatch):

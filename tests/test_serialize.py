@@ -1,6 +1,7 @@
 """JSON interchange: exactness, round-trips, byte stability."""
 
 import io
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,9 @@ from mmpwalk import builtin_examples, chamber_fan, classify_nef, emit_trace
 from mmpwalk import make_segment, order_chambers
 from mmpwalk.cli import main
 from mmpwalk.cones import cone_from_rays
-from mmpwalk.errors import ParseError
+from mmpwalk.errors import InconsistentInput, ParseError
 from mmpwalk.orders import cell_functionals
+from mmpwalk.ring import validate
 from mmpwalk.serialize import (
     cone_from_json,
     cone_to_json,
@@ -261,3 +263,12 @@ def test_strings_are_not_read_as_arrays(monkeypatch, capsys, path, value):
     assert main(["decompose", "--input", "-"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_ring_without_numerical_map_is_not_written():
+    # validate accepts a datum with no numerical map and no nef cone, and
+    # ring_to_json raised AttributeError on it; a document always has a map
+    datum = replace(builtin_examples()["blowup-P2"], numerical=None, nef=None, pushforwards=())
+    assert validate(datum).errors == []
+    with pytest.raises(InconsistentInput, match="numerical map"):
+        ring_to_json(datum)

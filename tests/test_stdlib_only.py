@@ -1,5 +1,6 @@
-"""The package imports nothing outside the standard library, and every
-module-level import of a module is used in it."""
+"""The package imports nothing outside the standard library, every
+module-level import of a module is used in it, and every private
+module-level function or class is referenced outside its own definition."""
 
 import ast
 import pathlib
@@ -42,3 +43,22 @@ def test_every_module_level_import_is_used(path):
     ]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [name for name in imported if name not in used] == []
+
+
+def test_every_private_function_and_class_is_used():
+    # a private helper left behind when its last caller changes is dead code
+    references = []  # (module, top-level statement, names it refers to)
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for stmt in tree.body:
+            names = {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name)}
+            names |= {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
+            references.append((path.name, stmt, names))
+    unused = [
+        f"{module}:{stmt.name}"
+        for module, stmt, _ in references
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and stmt.name.startswith("_") and not stmt.name.startswith("__")
+        and not any(stmt.name in names for _, other, names in references if other is not stmt)
+    ]
+    assert unused == []
