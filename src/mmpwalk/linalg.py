@@ -10,12 +10,16 @@ the fraction-free ``echelon`` is built on it, and ``rank``,
 ``echelon``.  There is no kernel routine: ``cones`` reads a cut's
 equations off its tight masks.  No ``Fraction`` is built except for
 ``solve_exact``'s result, and an inexact entry such as a float raises
-``TypeError``.
+``TypeError``.  ``primitive``, which the tableau, ``_dd`` and ``echelon``
+start from, takes the gcd first: only a vector with a ``Fraction`` entry
+goes through ``clear_denominators``, and an integer one stays in ``int``s.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
+
+_INT_TYPES = frozenset((int,))
 
 
 def dot(a, b):
@@ -54,12 +58,26 @@ def clear_denominators(v):
 
 
 def primitive(v):
-    """Scale ``v`` to a primitive integer vector, preserving direction."""
-    ints, _ = clear_denominators(v)
-    g = gcd(*ints)
-    if g == 0:
-        return ints
-    return tuple(x // g for x in ints)
+    """Scale ``v`` to a primitive integer vector, preserving direction, as
+    a tuple of ``int``s; the zero vector stays zero.
+
+    The gcd is taken first, so an integer vector never goes through
+    ``clear_denominators``; an integer tuple that is already primitive is
+    returned as it is.  Only a vector with a ``Fraction`` entry, on which
+    ``gcd`` raises ``TypeError``, has its denominators cleared, and a float
+    or str entry raises ``TypeError`` from there.  A bool entry counts as
+    the ``int`` it equals.
+    """
+    try:
+        g = gcd(*v)
+    except TypeError:
+        v, _ = clear_denominators(v)
+        g = gcd(*v)
+    if g > 1:
+        return tuple([x // g for x in v])
+    if type(v) is tuple and _INT_TYPES.issuperset(map(type, v)):
+        return v
+    return tuple(map(int, v))
 
 
 def sign_canonical(v):

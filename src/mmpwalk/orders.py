@@ -2,7 +2,8 @@
 
 For a tracked valuation the order at a point of the support cone is the
 optimum of an exact rational LP over the generator data.  Its linearity
-domains form a fan: lift each generator by its multiplicity, take the cone
+domains form a fan: lift each generator by its integer cost, its
+multiplicity times the multiplicities' common denominator, take the cone
 over the lifted generators, and project the lower facets back down, each
 cell read off the lifted cone's one conversion.  The chamber fan is the
 common refinement of these fans over all valuations, further sliced so
@@ -42,7 +43,7 @@ from .cones import (PolyCone, _maximal, _tight_mask, common_refinement, cone_fro
                     hyperplane_refinement, make_fan)
 from .errors import (BudgetExceeded, DimensionError, InconsistentInput, InvalidCone,
                      OutsideSupport)
-from .linalg import clear_denominators, dot, primitive, reduce_mod_rowspace
+from .linalg import _INT_TYPES, clear_denominators, dot, primitive, reduce_mod_rowspace
 from .ring import support_cone
 from .simplex import INFEASIBLE, UNBOUNDED, solve_min
 
@@ -143,7 +144,6 @@ class OValue:
 
 
 _EXACT_TYPES = frozenset((int, Fraction))
-_INT_TYPES = frozenset((int,))
 
 
 def _scaled(x):
@@ -299,27 +299,34 @@ def linearity_fan(datum, valuation, support=None):
     cell labelled ``(functional,)`` with the order's functional there.
 
     Built as the regular subdivision induced by lifting generator i to
-    (multidegree_i, multiplicity_i) and projecting the lower facets of the
-    lifted cone.  Every cell has the support's dimension: when the lifted
-    cone gains a dimension its span holds the vertical axis e_t, a lower
-    facet (w, c) has c > 0, so e_t is not in the facet's span, and the
-    projection is injective there.  Each cell is read off the lifted cone:
-    the facet's rays, projected; the support's equations; and a facet
-    c w_G - c_G w (as t = -w.x / c) for each facet (w_G, c_G) whose tight
-    set there ``_maximal`` keeps.  Every tight set is read off the lifted
-    cone's facet-by-ray masks, computed once.  A lifted cone with a line,
-    which no validated datum has, raises InvalidCone.
+    (multidegree_i, cost_i) and projecting the lower facets of the lifted
+    cone.  The costs are the multiplicities times ``den``, their least
+    common denominator, as ``OrderFunction`` holds them, so the lifted
+    cone is integer and its conversion builds no ``Fraction``.  Scaling
+    the vertical axis by ``den`` keeps which facets are lower and which
+    rays they hold, so the cells are those of the multiplicities' lifting,
+    and on a lower facet (w, c) the order is t = -w.x / (c den).  Every
+    cell has the support's dimension: when the lifted cone gains a
+    dimension its span holds the vertical axis e_t, a lower facet has
+    c > 0, so e_t is not in the facet's span, and the projection is
+    injective there.  Each cell is read off the lifted cone: the facet's
+    rays, projected; the support's equations; and a facet c w_G - c_G w
+    for each facet (w_G, c_G) whose tight set there ``_maximal`` keeps.
+    Every tight set is read off the lifted cone's facet-by-ray masks,
+    computed once.  A lifted cone with a line, which no validated datum
+    has, raises InvalidCone.
     """
     if support is None:
         support = support_cone(datum)
     n = support.ambient_dim
-    heights = _mults(datum, valuation)
+    costs, den = clear_denominators(_mults(datum, valuation))
     lifted_cone = cone_from_rays([tuple(g.multidegree) + (h,)
-                                  for g, h in zip(datum.generators, heights)])
+                                  for g, h in zip(datum.generators, costs)])
     if lifted_cone.dim == support.dim:
-        # heights are linear on the support: a single cell, where t = f(x)
+        # costs are linear on the support: a single cell, where t = f(x)
         eq = next(eq for eq in lifted_cone.equations if eq[n] != 0)
-        return make_fan([support], support, [(tuple(Fraction(-a, eq[n]) for a in eq[:n]),)])
+        return make_fan([support], support,
+                        [(tuple(Fraction(-a, eq[n] * den) for a in eq[:n]),)])
     if not lifted_cone.is_pointed():
         raise InvalidCone(f"the lifted cone at valuation {valuation!r} holds a line, so its "
                           "lower facets do not fix the cells; multidegrees must be nonnegative")
@@ -335,7 +342,7 @@ def linearity_fan(datum, valuation, support=None):
                   for g in _maximal(normals, [m & lower for m in tight], lower)}
         rays = tuple(sorted([primitive(r[:n]) for r in members]))
         cells.append(PolyCone(n, rays, tuple(sorted(facets)), support.equations))
-        labels.append((tuple(Fraction(-wi, c) for wi in w),))
+        labels.append((tuple(Fraction(-wi, c * den) for wi in w),))
     return make_fan(cells, support, labels)
 
 

@@ -1,12 +1,18 @@
 """JSON document formats.
 
 Rationals travel as "p/q" strings (plain "p" for integers) so exactness
-survives serialization; all collections are emitted in canonical order so
-identical inputs give byte-identical documents.
+survives serialization; only an ``int`` or a ``Fraction`` is written as
+one, and a float raises TypeError.  All collections are emitted in
+canonical order so identical inputs give byte-identical documents.
+``dumps`` writes a document as ``json.dumps(doc, indent=2,
+sort_keys=True)`` does, byte for byte, but writes strs, ints, lists and
+str-keyed dicts itself, since ``json`` runs its pure-Python encoder
+whenever ``indent`` is set.
 """
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .cones import Fan, cone_from_rays, cone_from_halfspaces
 from .errors import InconsistentInput, ParseError
@@ -15,7 +21,12 @@ from .walk import MmpTrace, TraceStep
 
 
 def rat_to_str(x):
-    return str(Fraction(x))
+    """``x`` as a "p/q" string, plain "p" for an integer.  Only an ``int``
+    or a ``Fraction`` is exact: anything else, such as a float, raises
+    TypeError rather than being written as the ``Fraction`` it rounds to."""
+    if type(x) is int or type(x) is Fraction:
+        return str(x)
+    raise TypeError(f"{x!r} is not exact: write an int or a Fraction")
 
 
 def _reject_float(x):
@@ -280,7 +291,48 @@ def trace_from_json(doc):
 
 
 def dumps(doc):
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """``doc`` as ``json.dumps(doc, indent=2, sort_keys=True)`` writes it,
+    plus a newline.  With ``indent`` set, ``json`` runs its pure-Python
+    encoder, so ``_write`` writes the package's documents itself: strs,
+    ints, lists, tuples and dicts with str keys.  Every other value is
+    handed to ``json.dumps``, which writes a bool, None or empty container
+    and raises TypeError on a value that is not JSON, such as a
+    ``Fraction`` or a set."""
+    out = []
+    _write(doc, out.append, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(x, out, newline):
+    """Append ``x``'s JSON text to ``out``, its lines after the first
+    starting with ``newline``."""
+    kind = type(x)
+    if kind is str:
+        out(_quote(x))
+    elif kind is int:
+        out(int.__repr__(x))
+    elif (kind is list or kind is tuple) and x:
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in x:
+            out(sep)
+            _write(item, out, inner)
+            sep = "," + inner
+        out(newline + "]")
+    elif kind is dict and x and all(type(key) is str for key in x):
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(x):
+            out(sep)
+            out(_quote(key))
+            out(": ")
+            _write(x[key], out, inner)
+            sep = "," + inner
+        out(newline + "}")
+    else:
+        # a JSON string holds no raw newline, so this re-indents its text
+        out(json.dumps(x, indent=2, sort_keys=True).replace("\n", newline))
 
 
 def loads(text):

@@ -22,6 +22,7 @@ from mmpwalk.cones import (
     intersect,
     make_fan,
 )
+from mmpwalk import linalg
 from mmpwalk.errors import DimensionError, InvalidCone, SupportMismatch
 from mmpwalk.linalg import (
     dot,
@@ -38,6 +39,50 @@ def test_primitive_clears_denominators_and_content():
     assert primitive((Fraction(1, 2), Fraction(3, 4))) == (2, 3)
     assert primitive((4, -6)) == (2, -3)
     assert primitive((0, 0)) == (0, 0)
+
+
+def test_primitive_takes_the_gcd_of_an_integer_vector_first(monkeypatch):
+    # an integer vector never goes through clear_denominators; a vector
+    # with a Fraction entry does, once
+    calls = []
+    real = linalg.clear_denominators
+
+    def counted(v):
+        calls.append(v)
+        return real(v)
+
+    monkeypatch.setattr(linalg, "clear_denominators", counted)
+    for v, want in [((4, -6, 10), (2, -3, 5)), ((3, 5), (3, 5)), ((0, -7), (0, -1)),
+                    ((10**30, 3 * 10**30), (1, 3)), ((0, 0), (0, 0)), ((), ())]:
+        assert primitive(v) == want
+    assert calls == []
+    assert primitive((Fraction(2, 3), 4)) == (1, 6)
+    assert len(calls) == 1
+
+
+def test_primitive_contract():
+    one_half = Fraction(1, 2)
+    assert primitive((one_half, 3, Fraction(-5, 6))) == (3, 18, -5)  # mixed
+    assert primitive((Fraction(4), Fraction(6))) == (2, 3)
+    assert primitive((Fraction(0), 0)) == (0, 0)
+    # a list comes back as a tuple of ints, primitive or not
+    for v, want in [([3, 5], (3, 5)), ([4, 6], (2, 3)), ([0, 0], (0, 0)),
+                    ([one_half, 1], (1, 2))]:
+        got = primitive(v)
+        assert type(got) is tuple and got == want
+        assert all(type(x) is int for x in got)
+    # a primitive integer tuple is returned as it is
+    v = (3, -5, 7)
+    assert primitive(v) is v
+    # a bool entry counts as the int it equals
+    for v, want in [((True, 2), (1, 2)), ((True, False), (1, 0)), ((False, 4), (0, 1)),
+                    ((False, False), (0, 0))]:
+        got = primitive(v)
+        assert got == want and all(type(x) is int for x in got)
+    # inexact entries are never coerced
+    for bad in [(0.5, 1), (1.0, 2), (1, 2.0), ("1", 2), (one_half, 0.25)]:
+        with pytest.raises(TypeError):
+            primitive(bad)
 
 
 def test_sign_canonical_flips_to_first_nonzero_positive():

@@ -25,7 +25,7 @@ from mmpwalk import (
     random_instance,
     stabilization_multiple,
 )
-from mmpwalk import orders, simplex
+from mmpwalk import linalg, orders, simplex
 from mmpwalk.cones import Fan, cone_from_rays
 from mmpwalk.errors import BudgetExceeded, DimensionError, InconsistentInput, InvalidCone
 from mmpwalk.linalg import clear_denominators, dot
@@ -473,6 +473,37 @@ def test_chamber_fan_and_cell_functionals_build_one_linearity_fan_per_valuation(
             functionals = cell_functionals(datum, fan)
             assert built == list(datum.valuations), name
             assert all(len(per_cell) == len(fan.cells) for per_cell in functionals.values())
+
+
+def test_fan_construction_clears_denominators_once_per_linearity_fan(monkeypatch):
+    # generator i is lifted to its integer cost, so the lifted cone, the
+    # refinements and the functionals never clear a denominator: the one
+    # call per linearity fan turns its multiplicities into costs
+    counts = {"clear_denominators": 0, "linearity_fan": 0}
+    real_clear, real_fan = linalg.clear_denominators, orders.linearity_fan
+
+    def counted_clear(v):
+        counts["clear_denominators"] += 1
+        return real_clear(v)
+
+    def counted_fan(datum, valuation, support=None):
+        counts["linearity_fan"] += 1
+        return real_fan(datum, valuation, support)
+
+    monkeypatch.setattr(linalg, "clear_denominators", counted_clear)
+    monkeypatch.setattr(orders, "clear_denominators", counted_clear)
+    monkeypatch.setattr(orders, "linearity_fan", counted_fan)
+    fractional = 0
+    for seed in range(1, 21):
+        datum = _corpus_datum(seed)
+        fractional += any(Fraction(m).denominator > 1
+                          for g in datum.generators for m in g.mults.values())
+        for refine in (True, False):
+            fan = chamber_fan(datum, refine=refine)
+            cell_functionals(datum, fan)
+    assert fractional > 0  # the corpus has multiplicities to clear
+    assert counts["linearity_fan"] > 0
+    assert counts["clear_denominators"] == counts["linearity_fan"]
 
 
 def test_cell_functionals_need_one_label_per_valuation(blowup):

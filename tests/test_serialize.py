@@ -1,8 +1,10 @@
 """JSON interchange: exactness, round-trips, byte stability."""
 
 import io
+import json
 from dataclasses import replace
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -34,6 +36,21 @@ def test_rational_strings_roundtrip():
         assert rat_from_str(rat_to_str(x)) == x
     assert rat_to_str(Fraction(4)) == "4"
     assert rat_to_str(Fraction(1, 3)) == "1/3"
+
+
+def test_rat_to_str_writes_ints_and_fractions_and_nothing_else():
+    # a float became the Fraction it rounds to, such as
+    # 3602879701896397/36028797018963968 for 0.1, without a word
+    for x in [0, 7, -12, 10**40, Fraction(1, 3), Fraction(-7, 2), Fraction(6, 3), Fraction(0)]:
+        assert rat_to_str(x) == str(Fraction(x))
+    for bad in [0.1, 0.5, 2.0, True, "1/2", None]:
+        with pytest.raises(TypeError, match="not exact"):
+            rat_to_str(bad)
+    datum = builtin_examples()["blowup-P2"]
+    with pytest.raises(TypeError, match="not exact"):
+        ring_to_json(datum, segment_h=(0.5, 1))
+    doc = ring_to_json(datum, segment_h=(Fraction(1, 2), 1))
+    assert doc["segment"] == {"h": ["1/2", "1"]}
 
 
 def test_bad_rational_raises():
@@ -103,6 +120,60 @@ def test_dumps_is_byte_stable():
     b = dumps(ring_to_json(datum))
     assert a == b
     assert a.endswith("\n")
+
+
+_TEXT_CHARS = 'ab Z0"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u20ac\u2028\U0001d11e'
+
+
+def _random_text(rng):
+    return "".join(rng.choice(_TEXT_CHARS) for _ in range(rng.randrange(6)))
+
+
+def _random_tree(rng, depth):
+    """A seeded JSON document: escapes, non-ASCII text, big ints, bools,
+    None, floats, empty and nested lists, tuples and objects."""
+    kind = rng.randrange(12 if depth > 0 else 6)
+    if kind == 0:
+        return _random_text(rng)
+    if kind == 1:
+        return rng.randint(-(10**40), 10**40)
+    if kind == 2:
+        return rng.randint(-3, 3)
+    if kind == 3:
+        return rng.choice([True, False, None])
+    if kind == 4:
+        return rng.choice([[], {}, ()])
+    if kind == 5:
+        return rng.choice([0.5, -2.0, 1e300])
+    size = rng.randrange(1, 5)
+    if kind < 8:
+        return [_random_tree(rng, depth - 1) for _ in range(size)]
+    if kind < 10:
+        return tuple(_random_tree(rng, depth - 1) for _ in range(size))
+    return {_random_text(rng): _random_tree(rng, depth - 1) for _ in range(size)}
+
+
+def test_dumps_writes_what_the_stdlib_writes():
+    rng = Random(20231)
+    for _ in range(400):
+        doc = _random_tree(rng, rng.randrange(7))
+        assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    deep = "leaf"
+    for i in range(40):
+        deep = [i, {"k": deep}] if i % 2 else (deep,)
+    for doc in [deep, {"a": {}, "b": [[], ()], "c": [{}]}, {1: "int key", 2: [3]},
+                {"\u00e9": "\u00e9", "\n": "\n", "": ""}, ["\ud800"], [True, False, None]]:
+        assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), {1, 2}, object(), b"bytes"],
+                         ids=["fraction", "set", "object", "bytes"])
+def test_dumps_rejects_what_is_not_a_document(value):
+    for doc in [value, [1, value], {"key": (value,)}]:
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            dumps(doc)
 
 
 def test_loads_reports_position():
