@@ -14,7 +14,7 @@ from fractions import Fraction
 from . import serialize
 from .errors import BudgetExceeded, MmpwalkError, NonGenericSegment, ParseError
 from .oracle import builtin_examples, o_value_oracle
-from .linalg import dot
+from .linalg import clear_denominators, dot
 from .orders import (DEFAULT_NODE_BUDGET, asymptotic_order, cell_functionals, chamber_fan,
                      order_function)
 from .ring import validate
@@ -190,18 +190,20 @@ def cmd_check(cfg):
         homogeneous, so every check below gives the same verdict at ``12 p``
         as at ``p``; ``point`` gives back ``p`` for the report."""
         weights = [rng.randint(1, 9) * (12 // rng.randint(1, 4)) for _ in cell.rays]
-        return tuple(dot(weights, coords) for coords in zip(*cell.rays))
+        return tuple([dot(weights, coords) for coords in zip(*cell.rays)])
 
     def point(scaled):
         return tuple(Fraction(v, 12) for v in scaled)
 
-    # linearity of every order function on every cell
+    # linearity of every order function on every cell, each functional
+    # as integers over one denominator
     for valuation in datum.valuations:
+        value = order[valuation].value
         for ci, cell in enumerate(fan.cells):
-            f = functionals[valuation][ci]
+            fn, fd = clear_denominators(functionals[valuation][ci])
             for _ in range(5):
                 p = interior_point(cell)
-                if order[valuation].value(p) != dot(f, p):
+                if value(p) != Fraction(dot(fn, p), fd):
                     failures.append(
                         f"linearity: cell {ci}, valuation {valuation}, point {point(p)}"
                     )
@@ -212,16 +214,16 @@ def cmd_check(cfg):
         a = interior_point(support)
         b = interior_point(support)
         lam = Fraction(rng.randint(1, 12), rng.randint(1, 12))
-        # lam * a, evaluated as (lam.numerator * a) / lam.denominator
-        a_scaled = tuple(lam.numerator * x for x in a)
-        a_plus_b = tuple(x + y for x, y in zip(a, b))
+        # the order at lam * a is the order at lam.numerator * a over
+        # lam.denominator, so homogeneity there holds in integers
+        a_scaled = tuple([lam.numerator * x for x in a])
+        a_plus_b = tuple([x + y for x, y in zip(a, b)])
         for valuation in datum.valuations:
             value = order[valuation].value
             oa = value(a)
             ob = value(b)
             osum = value(a_plus_b)
-            oscaled = value(a_scaled) / lam.denominator
-            if oscaled != lam * oa:
+            if value(a_scaled) != lam.numerator * oa:
                 failures.append(f"homogeneity: valuation {valuation}, point {point(a)}")
             if osum > oa + ob:
                 failures.append(
@@ -243,8 +245,8 @@ def cmd_check(cfg):
     # grid additivity on the chamber fan
     grid = grid_additivity_check(datum, fan, depth=cfg.grid_depth)
     for check in grid.failures:
-        point = tuple(map(Fraction, check.point))
-        failures.append(f"grid additivity: exponents {check.exponents} at {point}")
+        at = tuple(map(Fraction, check.point))
+        failures.append(f"grid additivity: exponents {check.exponents} at {at}")
     skipped = [e for e in grid.entries if e.skipped]
     notes.append(
         f"grid additivity: {len(grid.entries)} cell/valuation pairs, {len(skipped)} skipped"

@@ -48,13 +48,17 @@ def clear_denominators(v):
 
     Entries are ``int`` or ``Fraction``; both carry ``numerator`` and
     ``denominator``, so no entry is converted.  Any other entry, such as a
-    float, raises ``TypeError`` rather than being coerced.
+    float, raises ``TypeError`` rather than being coerced.  ``v`` is read
+    once: a tuple or a list as it is, any other iterable through a tuple.
     """
+    if type(v) is not tuple and type(v) is not list:
+        v = tuple(v)
     try:
-        denom = lcm(*(x.denominator for x in v))
+        dens = [x.denominator for x in v]
     except AttributeError:
         raise TypeError(f"not an exact rational vector: {tuple(v)!r}") from None
-    return tuple(x.numerator * (denom // x.denominator) for x in v), denom
+    denom = lcm(*dens)
+    return tuple([x.numerator * (denom // d) for x, d in zip(v, dens)]), denom
 
 
 def primitive(v):
@@ -66,8 +70,10 @@ def primitive(v):
     returned as it is.  Only a vector with a ``Fraction`` entry, on which
     ``gcd`` raises ``TypeError``, has its denominators cleared, and a float
     or str entry raises ``TypeError`` from there.  A bool entry counts as
-    the ``int`` it equals.
+    the ``int`` it equals.  Like ``clear_denominators`` it reads ``v`` once.
     """
+    if type(v) is not tuple and type(v) is not list:
+        v = tuple(v)
     try:
         g = gcd(*v)
     except TypeError:

@@ -23,13 +23,18 @@ The optimal basis is constant on each linearity domain, so every query
 takes one path: the kept bases are scanned, most recently certified first,
 and the first that LP duality certifies optimal at the point answers it.
 A run of queries in one chamber thus costs one integer feasibility test
-each.  Only when no kept basis answers is the LP solved; its phase 1 is
-feasible exactly on the support cone, the cone over the degrees, so it
-decides membership.  The new basis goes in front and answers like a kept
-one.  ``value(x)`` returns the exact order and nothing else, for callers
-that make many queries, such as the checks; ``certificate(x)``, which is
-``asymptotic_order``, returns it as an ``OValue``, whose witness and
-certifying dual are built from the basis when first read.  Values are
+each.  The test builds the basic solution B^-1 x in integers one row at a
+time and stops at its first negative entry, so a basis that does not
+certify the point is left as soon as that shows; an integer tuple point is
+read as it is, and a basis that dropped no constraint row reads it whole,
+with no copy.  Only when no kept basis answers is the LP solved; its
+phase 1 is feasible exactly on the support cone, the cone over the
+degrees, so it decides membership.  The new basis goes in front and
+answers like a kept one.  ``value(x)`` returns the exact order and nothing
+else, for callers that make many queries, such as the checks;
+``certificate(x)``, which is ``asymptotic_order``, returns it as an
+``OValue``, whose witness and certifying dual are built from the basis
+when first read.  Values are
 exact and unique.  When several optimal vertices tie, which witness is
 returned depends on the earlier queries of the process.
 """
@@ -38,6 +43,7 @@ from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 
 from .cones import (PolyCone, _maximal, _tight_mask, common_refinement, cone_from_rays,
                     hyperplane_refinement, make_fan)
@@ -146,13 +152,6 @@ class OValue:
 _EXACT_TYPES = frozenset((int, Fraction))
 
 
-def _scaled(x):
-    """``clear_denominators(x)``, without its work for a tuple of ``int``s."""
-    if type(x) is tuple and _INT_TYPES.issuperset(map(type, x)):
-        return x, 1
-    return clear_denominators(x)
-
-
 def _mults(datum, valuation):
     """The generators' multiplicities at ``valuation``.  One that is not an
     ``int`` or a ``Fraction``, such as a float, raises TypeError rather than
@@ -220,16 +219,25 @@ class OrderFunction:
         self.bases = []
 
     def value(self, x):
-        """The order at ``x`` as a ``Fraction``; builds no witness or dual."""
-        xs, x_den = _scaled(x)
+        """The order at ``x`` as a ``Fraction``; builds no witness or dual.
+        A tuple of ``int``s is taken as it is, with no copy."""
+        if type(x) is tuple and _INT_TYPES.issuperset(map(type, x)):
+            xs, x_den = x, 1
+        else:
+            x = tuple(x)
+            xs, x_den = clear_denominators(x)
         basis, _ = self._basis(x, xs, x_den)
         return Fraction(dot(basis.dual_num, xs), basis.dual_den * x_den * self.den)
 
     def certificate(self, x):
         """The order at ``x`` as an ``OValue`` that builds its witness, the
         optimal basis's solution at ``x``, and that basis's dual when they
-        are first read."""
-        xs, x_den = _scaled(x)
+        are first read.  ``x`` is read as in ``value``."""
+        if type(x) is tuple and _INT_TYPES.issuperset(map(type, x)):
+            xs, x_den = x, 1
+        else:
+            x = tuple(x)
+            xs, x_den = clear_denominators(x)
         basis, z = self._basis(x, xs, x_den)
         return OValue._from_basis(
             Fraction(dot(basis.dual_num, xs), basis.dual_den * x_den * self.den),
@@ -275,12 +283,22 @@ class OrderFunction:
     def _basic_solution(self, basis, xs):
         """The basic solution ``B^-1 xs`` of a basis, scaled by its
         ``inverse_den``, when it is nonnegative and meets the dropped rows;
-        else None."""
+        else None.
+
+        The test stops at the first negative entry: z is built one row of
+        B^-1 at a time, so a basis that does not certify ``xs`` costs only
+        the rows up to that entry.  A basis that dropped no row, as every
+        basis of a full-dimensional cone does, reads ``xs`` itself; one
+        that dropped rows reads its kept rows and then checks the others.
+        """
         rows, cols, inverse_num, inverse_den = basis[:4]
-        xk = [xs[r] for r in rows]
-        z = [dot(row, xk) for row in inverse_num]
-        if any(v < 0 for v in z):
-            return None
+        xk = xs if len(rows) == len(xs) else [xs[r] for r in rows]
+        z = []
+        for row in inverse_num:
+            v = sum(map(mul, row, xk))
+            if v < 0:
+                return None
+            z.append(v)
         if len(rows) < len(xs) and any(
             sum(self.degrees[col][r] * v for col, v in zip(cols, z))
             != xs[r] * inverse_den

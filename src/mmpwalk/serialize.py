@@ -69,8 +69,14 @@ def _flag_from_json(x):
 
 
 def rat_from_str(s):
+    """The ``Fraction`` that ``Fraction(s)`` reads, or ParseError.  A JSON
+    float or bool is rejected.  A string of decimal digits with at most a
+    sign, as most entries of a document are, is read by ``int`` without
+    ``Fraction``'s regular expression; both read such a string alike."""
     _reject_float(s)
     try:
+        if type(s) is str and (s[1:] if s[:1] in ("-", "+") else s).isdecimal():
+            return Fraction(int(s))
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational literal {s!r}: {exc}") from None

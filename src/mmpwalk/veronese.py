@@ -18,6 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd, lcm
+from operator import mul
 
 from .errors import BudgetExceeded
 from .linalg import clear_denominators, echelon, rank
@@ -294,7 +295,14 @@ def grid_additivity_check(datum, fan, depth=3,
     any is built, over ``lattice_budget``; too many generators) are
     reported, not fatal.  Each valuation's order function is the datum's
     one ``order_function``, shared with every other query on its LP data,
-    and every point is an integer vector.
+    and every point is an integer vector, built once per cell from the
+    generators' columns.  The order is linear on the cell, so one kept
+    basis is optimal on all of its grid points: after the first point each
+    query is answered by the integer test of ``OrderFunction._basic_solution``
+    on the bases tried before it, and a basis that does not certify the
+    point is left at its first negative entry.  The right-hand sides are
+    the exponent vectors times the generators' orders, in integers over one
+    denominator.
     """
     order = {v: order_function(datum, v) for v in datum.valuations}
     report = GridReport()
@@ -312,18 +320,17 @@ def grid_additivity_check(datum, fan, depth=3,
                     CellReport(ci, valuation, (), skipped=str(exc))
                 )
             continue
-        checks = [
-            (p, tuple(sum(pj * g[j] for pj, g in zip(p, gens))
-                      for j in range(cell.ambient_dim)))
-            for p in _exponent_vectors(len(gens), depth)
-        ]
+        # the grid points, built once per cell from the generators' columns
+        columns = [[g[j] for g in gens] for j in range(cell.ambient_dim)]
+        checks = [(p, tuple([sum(map(mul, p, col)) for col in columns]))
+                  for p in _exponent_vectors(len(gens), depth)]
         for valuation in datum.valuations:
             entry = CellReport(ci, valuation, tuple(gens), truncated=truncated)
             value = order[valuation].value
             # the generators' orders as integers over one denominator
             base, base_den = clear_denominators([value(g) for g in gens])
             for p, point in checks:
-                rhs = Fraction(sum(pj * bj for pj, bj in zip(p, base)), base_den)
+                rhs = Fraction(sum(map(mul, p, base)), base_den)
                 entry.checks.append(AdditivityCheck(p, point, value(point), rhs))
             report.entries.append(entry)
     return report

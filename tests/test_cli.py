@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from mmpwalk import InstanceSpec, builtin_examples, random_instance
 from mmpwalk.cli import main
 from mmpwalk.errors import SupportMismatch
+from mmpwalk import orders
 from mmpwalk.orders import OrderFunction
 from mmpwalk.serialize import dumps, ring_to_json
 
@@ -237,10 +238,16 @@ def test_thin_support_stdout_matches_recorded_digest(monkeypatch, capsys, comman
 
 # sha256 of check stdout on corpus documents (r = 2, 24 and 14 cells; r = 3),
 # recorded while check still sampled Fraction points: how the sample points
-# are represented may change, the report may not
+# are represented may change, the report may not.  Documents 9 and 24 (r = 3,
+# 24 cells) and 28 (r = 2, 19 cells, the only corpus document with skipped
+# grid cells) were recorded while the grid and the linearity samples were
+# still summed in Fractions.
 CORPUS_CHECK_SHA256 = {
     2: "556d68b2e4096e953b3073fabf436ea7c00f85771eaab7b5882711a5808582e4",
     8: "e91cb431a518b97898d24278376b9623ac3a862d9ce5b0a213c3a243553fe78a",
+    9: "00c501c450491bdc210ea194de0cc1cbd2bc39bae4d031d619a5a8fc406054f5",
+    24: "00c501c450491bdc210ea194de0cc1cbd2bc39bae4d031d619a5a8fc406054f5",
+    28: "58204a8200d95b3469957974697f4c1615d80cba7036e05a69991302d546db52",
     44: "99275f31a8106bbd1bc87756bf41e695638acdd7cb5d58872003601b3c62411a",
 }
 
@@ -252,6 +259,41 @@ def test_check_stdout_on_corpus_matches_recorded_digest(monkeypatch, capsys, ins
     code, out, _ = run(capsys, "check", "--input", "-", "--seed", seed)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CORPUS_CHECK_SHA256[instance]
+
+
+# LP solves and order queries of one check run from a cold start, counted
+# while the grid and the linearity samples were still summed in Fractions:
+# both the sampling and the grid query the order function once per point
+CHECK_QUERY_COUNTS = {
+    "--example blowup-P2": (2, 232),
+    "corpus 2": (16, 6381),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECK_QUERY_COUNTS))
+def test_check_makes_the_recorded_solves_and_queries(monkeypatch, capsys, case):
+    if case == "corpus 2":
+        monkeypatch.setattr("sys.stdin", io.StringIO(_corpus_document(2)))
+        argv = ["check", "--input", "-"]
+    else:
+        argv = ["check", *case.split()]
+    orders._order_functions.cache_clear()
+    solves, queries = [], []
+    solve_min, value = orders.solve_min, OrderFunction.value
+
+    def counted_solve(*args, **kwargs):
+        solves.append(args)
+        return solve_min(*args, **kwargs)
+
+    def counted_value(self, x):
+        queries.append(x)
+        return value(self, x)
+
+    monkeypatch.setattr(orders, "solve_min", counted_solve)
+    monkeypatch.setattr(OrderFunction, "value", counted_value)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.endswith("result: PASS\n")
+    assert (len(solves), len(queries)) == CHECK_QUERY_COUNTS[case]
 
 
 # sha256 of check stdout with every order value negated, recorded while

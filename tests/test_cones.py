@@ -85,6 +85,35 @@ def test_primitive_contract():
             primitive(bad)
 
 
+def test_one_shot_iterables_are_read_once():
+    # an iterator gives what its tuple gives
+    assert linalg.clear_denominators(x for x in (Fraction(1, 2), 1)) == ((1, 2), 2)
+    assert linalg.clear_denominators(iter((Fraction(1, 3), Fraction(1, 6)))) == ((2, 1), 6)
+    assert primitive(x for x in (2, 4)) == (1, 2)
+    assert primitive(x for x in (Fraction(1, 2), 1)) == (1, 2)
+    assert primitive(iter((3, 5))) == (3, 5)
+    with pytest.raises(TypeError, match=r"\(0\.5, 1\)"):
+        linalg.clear_denominators(x for x in (0.5, 1))
+    # a tuple is read as it is, with no copy
+    v = (3, -5, 7)
+    assert primitive(v) is v
+    assert linalg.clear_denominators(v) == (v, 1)
+
+
+def test_clear_denominators_reads_no_entry_twice():
+    reads = []
+
+    class Entry(Fraction):
+        @property
+        def denominator(self):
+            reads.append(self)
+            return super().denominator
+
+    v = (Entry(1, 2), Entry(3, 4), Entry(5))
+    assert linalg.clear_denominators(v) == ((2, 3, 20), 4)
+    assert reads == list(v)
+
+
 def test_sign_canonical_flips_to_first_nonzero_positive():
     assert sign_canonical((0, -2, 4)) == (0, 1, -2)
     assert sign_canonical((3, -6)) == (1, -2)

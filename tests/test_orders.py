@@ -656,6 +656,93 @@ def test_certifying_basis_moves_to_the_front():
     assert kept == [last] + before[:-1]
 
 
+class _FullScan(orders.OrderFunction):
+    """An order function whose kept-basis test builds the whole basic
+    solution from a copy of the point's kept rows and only then looks for a
+    negative entry, as ``_basic_solution`` did before it stopped early."""
+
+    __slots__ = ()
+
+    def _basic_solution(self, basis, xs):
+        rows, cols, inverse_num, inverse_den = basis[:4]
+        xk = [xs[r] for r in rows]
+        z = [dot(row, xk) for row in inverse_num]
+        if any(v < 0 for v in z):
+            return None
+        if len(rows) < len(xs) and any(
+            sum(self.degrees[col][r] * v for col, v in zip(cols, z))
+            != xs[r] * inverse_den
+            for r in range(len(xs)) if r not in rows
+        ):
+            return None
+        return z
+
+
+def _scan_pair(datum, valuation):
+    """The datum's order function and a ``_FullScan`` twin on the same LP
+    data, both with no kept basis."""
+    degrees = tuple([tuple(g.multidegree) for g in datum.generators])
+    ratios = tuple([m.as_integer_ratio() for m in orders._mults(datum, valuation)])
+    return orders.OrderFunction(degrees, ratios), _FullScan(degrees, ratios)
+
+
+def _assert_same_scans(lean, full, points):
+    """Both order functions answer every point from the same basis with the
+    same solution, or both raise; every kept basis accepts or rejects each
+    point alike; and the kept bases stay in one order.  Returns how many
+    (point, kept basis) pairs were rejected."""
+    rejected = 0
+    for x in points:
+        xs, x_den = clear_denominators(x)
+        answers = []
+        for function in (lean, full):
+            try:
+                answers.append(function._basis(x, xs, x_den))
+            except OutsideSupport:
+                answers.append(OutsideSupport)
+        assert answers[0] == answers[1], x
+        assert lean.bases == full.bases, x
+        solutions = [lean._basic_solution(b, xs) for b in lean.bases]
+        assert solutions == [full._basic_solution(b, xs) for b in full.bases], x
+        rejected += solutions.count(None)
+    return rejected
+
+
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_lean_basis_test_equals_the_full_scan_on_the_corpus(seed):
+    # integer rays and wall points, Fraction interior points, and the same
+    # points again in reverse, so queries move between chambers and the
+    # bases certified earlier are tried and left at a negative entry
+    datum = _corpus_datum(seed)
+    queries = _cache_queries(datum, chamber_fan(datum))
+    rejected = 0
+    for valuation in datum.valuations:
+        points = [x for v, x in queries if v == valuation]
+        lean, full = _scan_pair(datum, valuation)
+        rejected += _assert_same_scans(lean, full, points + points[::-1])
+    assert rejected
+
+
+def test_lean_basis_test_equals_the_full_scan_on_dropped_rows():
+    lean, full = _scan_pair(_thin_datum(), "G")
+    points = [(2, 2), (3, 3), (1, 2), (Fraction(1, 2), Fraction(1, 2)), (0, 0), (2, 1),
+              (5, 5), (Fraction(7, 3), Fraction(7, 3)), (-1, -1)]
+    assert _assert_same_scans(lean, full, points)
+    assert lean.bases and all(len(b.rows) < 2 for b in lean.bases)
+
+
+def test_one_shot_point_is_read_once(blowup):
+    _cold_start()
+    expected = asymptotic_order(blowup, "E", (2, 1))
+    _cold_start()
+    # cold, then warm: the LP and the kept basis each read the point once
+    for _ in range(2):
+        assert asymptotic_order(blowup, "E", (x for x in (2, 1))) == expected
+    function = orders.order_function(blowup, "E")
+    assert function.value(x for x in (Fraction(4), 2)) == 2 * expected.value
+    assert function.value(iter([Fraction(1), Fraction(1, 2)])) == expected.value / 2
+
+
 @pytest.mark.parametrize("name", ["blowup-P2", "corpus-2", "corpus-4"])
 def test_support_and_dimension_errors_survive_kept_bases(name):
     datum = _named_datum(name)

@@ -60,6 +60,38 @@ def test_bad_rational_raises():
         rat_from_str("one third")
 
 
+def _fraction_reader(s):
+    """``rat_from_str`` as it read every entry with ``Fraction(s)``."""
+    if isinstance(s, (bool, float)):
+        raise ParseError(f"{s!r} is not exact: write an integer or a \"p/q\" string")
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad rational literal {s!r}: {exc}") from None
+
+
+def _outcome(read, s):
+    try:
+        got = read(s)
+    except ParseError as exc:
+        return ParseError, str(exc)
+    return type(got), got
+
+
+@pytest.mark.parametrize("s", [
+    "0", "7", "-3", "+3", "-0", "07", "1_0", "_1", "1_", "1__0", " 7 ", "\t-2\n", "٣", "-٣",
+    "１２", "1e3", "1.5", ".5", "3/4", "-6/4", "1/0", "", " ", "x", "-", "+", "--1", "+-1",
+    "1 2", "0x10", "1" * 5000, "-" + "1" * 5000, str(10**40), 0, 5, -4, 10**40,
+    True, False, 1.0, 1.5, float("nan"),
+])
+def test_rat_from_str_reads_as_fraction_does(s):
+    # integer strings skip Fraction's regular expression; the value, its
+    # type and every ParseError message stay what Fraction(s) gives
+    assert _outcome(rat_from_str, s) == _outcome(_fraction_reader, s)
+    if not isinstance(s, (bool, float)) and _outcome(rat_from_str, s)[0] is Fraction:
+        assert rat_from_str(s) == Fraction(s)
+
+
 def test_cone_roundtrip():
     cone = cone_from_rays([(1, 1), (1, -1)])
     assert cone_from_json(cone_to_json(cone)) == cone

@@ -371,6 +371,16 @@ def test_grid_additivity_equals_reference(name, dscale, lattice_budget):
     assert got == reference_grid_additivity(datum, fan, dscale, 3, lattice_budget)
 
 
+def test_grid_of_a_cell_cut_to_no_generators_raises_as_before():
+    # a cell cut to no monoid generators has no exponent vectors to count
+    # its grid by; the check stops there as it did when every grid point
+    # was summed coordinate by coordinate, before any order is queried
+    datum = builtin_examples()["blowup-P2"]
+    fan = chamber_fan(datum)
+    with pytest.raises(ValueError, match="must be non-negative"):
+        grid_additivity_check(datum, fan, max_generators=0)
+
+
 def reference_parallelepiped_points(basis, cell, budget):
     """The box scan the enumerator replaced, kept as its reference: every
     point of the box [0, sum of basis vectors], one exact solve per point."""
