@@ -12,7 +12,7 @@ from fractions import Fraction
 from .cones import cone_from_rays
 from .errors import BudgetExceeded, DimensionError
 from .linalg import clear_denominators
-from .orders import DEFAULT_NODE_BUDGET, _check_level, _mults
+from .orders import DEFAULT_NODE_BUDGET, _check_level, _mults, _named
 from .ring import (
     GeneratorDatum,
     NumericalMap,
@@ -135,7 +135,7 @@ def o_value_oracle(datum, valuation, x, k_list, budget=DEFAULT_NODE_BUDGET):
     costs, den = clear_denominators(_mults(datum, valuation))
     xs, x_den = clear_denominators(x)
     if any(len(d) != len(xs) for d in degrees):
-        raise DimensionError(f"point {tuple(x)} and the multidegrees differ in dimension")
+        raise DimensionError(f"point {_named(xs, x_den)} and the multidegrees differ in dimension")
     out = []
     for k in k_list:
         _check_level(k)

@@ -14,27 +14,25 @@ them with LP values from ``simplex``.
 Every query goes through the one ``OrderFunction`` of its LP data, the
 integer degrees and the multiplicities, which ``order_function(datum,
 valuation)`` finds in one least-recently-used cache keyed on those data.
-It turns the multiplicities into integer costs over one denominator once;
-the LP is solved on those costs and the integer-level searches minimise
-them, and a ``Fraction`` is built only for a value returned to the caller.
-It keeps the optimal bases of earlier solves of its LP, each a
-``simplex.Basis`` with B^-1 and the dual of the integer costs in integers.
-The optimal basis is constant on each linearity domain, so every query
-takes one path: the kept bases are scanned, most recently certified first,
-and the first that LP duality certifies optimal at the point answers it.
-A run of queries in one chamber thus costs one integer feasibility test
-each.  The test builds the basic solution B^-1 x in integers one row at a
-time and stops at its first negative entry, so a basis that does not
-certify the point is left as soon as that shows; an integer tuple point is
-read as it is, and a basis that dropped no constraint row reads it whole,
-with no copy.  Only when no kept basis answers is the LP solved; its
-phase 1 is feasible exactly on the support cone, the cone over the
-degrees, so it decides membership.  The new basis goes in front and
-answers like a kept one.  ``value(x)`` returns the exact order and nothing
-else, for callers that make many queries, such as the checks;
-``certificate(x)``, which is ``asymptotic_order``, returns it as an
-``OValue``, whose witness and certifying dual are built from the basis
-when first read.  Values are
+It turns the multiplicities into integer costs over one denominator once,
+and reads every query point once, in ``_point``, as integer numerators
+over one denominator; the LP is solved on the numerators and the costs,
+the integer-level searches minimise the costs, and a ``Fraction`` is
+built only for a value returned to the caller.  It keeps the optimal
+bases of earlier solves of its LP, each a ``simplex.Basis`` with B^-1 and
+the dual of the integer costs in integers.  The optimal basis is constant
+on each linearity domain, so every query takes one path: the kept bases
+are scanned, most recently certified first, and the first that LP
+duality certifies optimal at the point answers it.  A run of queries in
+one chamber thus costs one integer feasibility test each, which builds
+B^-1 x one row at a time and stops at its first negative entry.  Only
+when no kept basis answers is the LP solved; its phase 1 is feasible
+exactly on the support cone, the cone over the degrees, so it decides
+membership.  The new basis goes in front and answers like a kept one.
+``value(x)`` returns the exact order and nothing else, for callers that
+make many queries, such as the checks; ``certificate(x)``, which is
+``asymptotic_order``, returns it as an ``OValue``, whose witness and
+certifying dual are built from the basis when first read.  Values are
 exact and unique.  When several optimal vertices tie, which witness is
 returned depends on the earlier queries of the process.
 """
@@ -219,37 +217,35 @@ class OrderFunction:
         self.bases = []
 
     def value(self, x):
-        """The order at ``x`` as a ``Fraction``; builds no witness or dual.
-        A tuple of ``int``s is taken as it is, with no copy."""
-        if type(x) is tuple and _INT_TYPES.issuperset(map(type, x)):
-            xs, x_den = x, 1
-        else:
-            x = tuple(x)
-            xs, x_den = clear_denominators(x)
-        basis, _ = self._basis(x, xs, x_den)
+        """The order at ``x`` as a ``Fraction``; builds no witness or dual."""
+        xs, x_den = self._point(x)
+        basis, _ = self._basis(xs, x_den)
         return Fraction(dot(basis.dual_num, xs), basis.dual_den * x_den * self.den)
 
     def certificate(self, x):
         """The order at ``x`` as an ``OValue`` that builds its witness, the
         optimal basis's solution at ``x``, and that basis's dual when they
-        are first read.  ``x`` is read as in ``value``."""
-        if type(x) is tuple and _INT_TYPES.issuperset(map(type, x)):
-            xs, x_den = x, 1
-        else:
-            x = tuple(x)
-            xs, x_den = clear_denominators(x)
-        basis, z = self._basis(x, xs, x_den)
+        are first read."""
+        xs, x_den = self._point(x)
+        basis, z = self._basis(xs, x_den)
         return OValue._from_basis(
             Fraction(dot(basis.dual_num, xs), basis.dual_den * x_den * self.den),
             basis, z, x_den, self,
         )
 
-    def _check_dimension(self, xs):
+    def _point(self, x):
+        """``(xs, x_den)`` with ``x == xs / x_den``, the one reading of a
+        query point: an ``int`` tuple as it is, anything else once through
+        ``clear_denominators``.  Another dimension raises DimensionError."""
+        x_den = 1
+        if type(x) is not tuple or not _INT_TYPES.issuperset(map(type, x)):
+            x, x_den = clear_denominators(x)
         n = len(self.degrees[0])
-        if len(xs) != n:
-            raise DimensionError(f"point has dimension {len(xs)}, cone is in dimension {n}")
+        if len(x) != n:
+            raise DimensionError(f"point has dimension {len(x)}, cone is in dimension {n}")
+        return x, x_den
 
-    def _basis(self, x, xs, x_den):
+    def _basis(self, xs, x_den):
         """``(basis, z)`` for a basis optimal at ``x = xs / x_den``, with
         ``z`` its basic solution ``B^-1 xs`` scaled by ``inverse_den``.
 
@@ -257,13 +253,12 @@ class OrderFunction:
         so the first, in order, whose basic solution is nonnegative and
         meets the dropped rows is optimal at ``x`` by weak duality, and its
         dual bound ``y . x`` is the value; it moves to the front.  When no
-        kept basis certifies ``x``, the LP is solved: its basis goes in
-        front and answers like a kept one.  Phase 1 finds the LP infeasible
-        exactly when ``x`` is outside the cone over the degrees, which
-        raises OutsideSupport.  A point of another dimension raises
-        DimensionError.
+        kept basis certifies ``x``, the LP is solved on ``xs``: scaling the
+        right-hand side by ``x_den > 0`` changes no sign and no ratio that
+        the simplex compares, so it pivots alike to the same basis, which
+        goes in front.  Phase 1 is infeasible exactly when ``x`` is outside
+        the cone over the degrees, which raises OutsideSupport.
         """
-        self._check_dimension(xs)
         kept = self.bases
         for i, basis in enumerate(kept):
             z = self._basic_solution(basis, xs)
@@ -271,12 +266,12 @@ class OrderFunction:
                 if i:
                     kept.insert(0, kept.pop(i))
                 return basis, z
-        A = [[d[row] for d in self.degrees] for row in range(len(x))]
-        basis = solve_min(A, x, self.costs)
+        A = [[d[row] for d in self.degrees] for row in range(len(xs))]
+        basis = solve_min(A, xs, self.costs)
         if basis is INFEASIBLE:
-            raise OutsideSupport(f"point {tuple(x)} is outside the support cone")
+            raise OutsideSupport(f"point {_named(xs, x_den)} is outside the support cone")
         if basis is UNBOUNDED:  # a negative multiplicity; validation rejects it
-            raise InvalidCone(f"the order LP at {tuple(x)} is unbounded")
+            raise InvalidCone(f"the order LP at {_named(xs, x_den)} is unbounded")
         kept.insert(0, basis)
         return basis, self._basic_solution(basis, xs)
 
@@ -312,6 +307,11 @@ class OrderFunction:
 _order_functions = lru_cache(maxsize=ORDER_CACHE_SIZE)(OrderFunction)
 
 
+def _named(xs, x_den):
+    """The point ``xs / x_den`` for a message, its entries in lowest terms."""
+    return f"({', '.join([str(Fraction(v, x_den)) for v in xs])})"
+
+
 def linearity_fan(datum, valuation, support=None):
     """Fan of maximal cones on which the order function is linear, each
     cell labelled ``(functional,)`` with the order's functional there.
@@ -319,12 +319,12 @@ def linearity_fan(datum, valuation, support=None):
     Built as the regular subdivision induced by lifting generator i to
     (multidegree_i, cost_i) and projecting the lower facets of the lifted
     cone.  The costs are the multiplicities times ``den``, their least
-    common denominator, as ``OrderFunction`` holds them, so the lifted
-    cone is integer and its conversion builds no ``Fraction``.  Scaling
-    the vertical axis by ``den`` keeps which facets are lower and which
-    rays they hold, so the cells are those of the multiplicities' lifting,
-    and on a lower facet (w, c) the order is t = -w.x / (c den).  Every
-    cell has the support's dimension: when the lifted cone gains a
+    common denominator, read off the datum's ``order_function``, so the
+    lifted cone is integer and its conversion builds no ``Fraction``.
+    Scaling the vertical axis by ``den`` keeps which facets are lower and
+    which rays they hold, so the cells are those of the multiplicities'
+    lifting, and on a lower facet (w, c) the order is t = -w.x / (c den).
+    Every cell has the support's dimension: when the lifted cone gains a
     dimension its span holds the vertical axis e_t, a lower facet has
     c > 0, so e_t is not in the facet's span, and the projection is
     injective there.  Each cell is read off the lifted cone: the facet's
@@ -337,7 +337,8 @@ def linearity_fan(datum, valuation, support=None):
     if support is None:
         support = support_cone(datum)
     n = support.ambient_dim
-    costs, den = clear_denominators(_mults(datum, valuation))
+    order = order_function(datum, valuation)
+    costs, den = order.costs, order.den
     lifted_cone = cone_from_rays([tuple(g.multidegree) + (h,)
                                   for g, h in zip(datum.generators, costs)])
     if lifted_cone.dim == support.dim:
@@ -531,10 +532,9 @@ def integer_order(datum, valuation, x, k, node_budget=DEFAULT_NODE_BUDGET):
     """
     _check_level(k)
     order = order_function(datum, valuation)
-    xs, x_den = clear_denominators(x)
-    order._check_dimension(xs)
+    xs, x_den = order._point(x)
     if any(v * k % x_den for v in xs):
-        raise ValueError(f"{k} * {tuple(x)} is not an integer point")
+        raise ValueError(f"{k} * {_named(xs, x_den)} is not an integer point")
     target = tuple(v * k // x_den for v in xs)
     if any(t < 0 for t in target):
         return NO_REPRESENTATION
@@ -619,8 +619,8 @@ def stabilization_multiple(datum, valuation, x, k_max, support=None,
     """
     _check_level(k_max, "k_max")
     order = order_function(datum, valuation)
-    xs, step = clear_denominators(x)
-    basis, z = order._basis(x, xs, step)
+    xs, step = order._point(x)
+    basis, z = order._basis(xs, step)
     tight = [
         i for i, (d, h) in enumerate(zip(order.degrees, order.costs))
         if any(d) and dot(basis.dual_num, d) == h * basis.dual_den

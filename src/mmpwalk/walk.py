@@ -2,10 +2,11 @@
 
 The segment runs from the ample endpoint (t=0) to the adjoint divisor
 (t=1).  Each chamber met by the segment contributes an exact rational
-parameter interval; the ordered intervals partition [0,1] and each wall
-point is a crossing of the walk.  Nef classification marks where chambers
-stop lying over the current model's nef cone; crossings inside one block
-may be isomorphisms, crossings between blocks are genuine steps.
+parameter interval, found in integers; the ordered intervals partition
+[0,1] and each wall point is a crossing of the walk.  Nef classification
+marks where chambers stop lying over the current model's nef cone;
+crossings inside one block may be isomorphisms, crossings between blocks
+are genuine steps.
 """
 
 from dataclasses import dataclass
@@ -135,25 +136,25 @@ def _segment_interval(cell, h, d):
     return Fraction(lo_n, lo_d), Fraction(hi_n, hi_d)
 
 
-def _tight_walls(cell, point):
-    return tuple(f for f in cell.facets if dot(f, point) == 0)
-
-
 def order_chambers(fan, seg):
     """Order the chambers met by the segment, with exact crossing data.
 
-    Genericity: every cell met for t < 1 must be met in its interior; a
-    touch confined to t = 1 (the adjoint divisor sitting on a boundary) is
-    discarded silently.
+    The endpoints are scaled to integers once, ``h`` and ``d = kappa - h``
+    over one denominator, and support membership, intervals and genericity
+    are decided on them.  Genericity: every cell met for t < 1 must be met
+    in its interior.  On an interval lo < hi the segment runs inside a wall
+    exactly when a facet has ``f.h == f.d == 0``; a touch at t = lo = hi
+    has the tight walls ``f.h * t.den + f.d * t.num == 0``, and a touch at
+    t = 1 (the adjoint divisor on a boundary) is discarded silently.
     """
     support = fan.support
-    if not support.contains(seg.h):
-        raise OutsideSupport("ample endpoint h lies outside the support cone")
-    if not support.contains(seg.kappa):
-        raise OutsideSupport("adjoint endpoint lies outside the support cone")
     n = len(seg.h)
     scaled, _ = clear_denominators(seg.h + seg.kappa)
     h = scaled[:n]
+    if not support.contains(h):
+        raise OutsideSupport("ample endpoint h lies outside the support cone")
+    if not support.contains(scaled[n:]):
+        raise OutsideSupport("adjoint endpoint lies outside the support cone")
     d = tuple([k - a for k, a in zip(scaled[n:], h)])
     met = []
     for idx, cell in enumerate(fan.cells):
@@ -164,18 +165,16 @@ def order_chambers(fan, seg):
         if lo == hi:
             if lo == 1:
                 continue
+            t_n, t_d = lo.numerator, lo.denominator
             raise NonGenericSegment(
                 f"segment touches a chamber only at t={lo}",
                 cell=cell,
-                walls=_tight_walls(cell, seg.point(lo)),
+                walls=[f for f in cell.facets if dot(f, h) * t_d + dot(f, d) * t_n == 0],
             )
-        mid = (lo + hi) / 2
-        if not cell.contains(seg.point(mid), strict=True):
-            raise NonGenericSegment(
-                "segment runs inside a wall of a chamber",
-                cell=cell,
-                walls=_tight_walls(cell, seg.point(mid)),
-            )
+        walls = [f for f in cell.facets if dot(f, h) == 0 and dot(f, d) == 0]
+        if walls:
+            raise NonGenericSegment("segment runs inside a wall of a chamber", cell=cell,
+                                    walls=walls)
         met.append((lo, hi, idx))
     if not met:
         raise OutsideSupport("segment does not meet any chamber")

@@ -323,3 +323,73 @@ def test_integer_segment_interval_matches_fraction_reference():
         "facet, beta == 0", "facet, beta > 0", "facet, beta < 0",
     }
     assert met > 100
+
+
+def _reference_order_chambers(fan, seg):
+    """``order_chambers``'s outcome decided in ``Fraction``s on the
+    segment's points: each cell's interval by
+    ``_reference_segment_interval``, a touch's walls the facets with
+    ``dot(f, seg.point(t)) == 0``, and an interval met in a cell's interior
+    when ``cell.contains(seg.point(mid), strict=True)``.  Returns the met
+    ``(lo, hi, index)`` triples sorted, or ``(message, cell, walls)`` of the
+    first cell met without its interior."""
+    met = []
+    for idx, cell in enumerate(fan.cells):
+        interval = _reference_segment_interval(cell, seg, set())
+        if interval is None:
+            continue
+        lo, hi = interval
+        if lo == hi:
+            if lo == 1:
+                continue
+            point = seg.point(lo)
+            return (f"segment touches a chamber only at t={lo}", cell,
+                    tuple(f for f in cell.facets if dot(f, point) == 0))
+        mid = seg.point((lo + hi) / 2)
+        if not cell.contains(mid, strict=True):
+            return ("segment runs inside a wall of a chamber", cell,
+                    tuple(f for f in cell.facets if dot(f, mid) == 0))
+        met.append((lo, hi, idx))
+    return sorted(met)
+
+
+def test_integer_genericity_matches_fraction_reference():
+    # endpoints inside the support: random points, rays of a cell (touches
+    # at t = 0 or t = 1), a ray and a point of the same cell, and two
+    # points of one facet of a cell (the segment runs inside that wall)
+    rng = Random(13)
+    kinds = {}
+
+    def point(rays):
+        weights = [Fraction(rng.randint(1, 9), rng.randint(1, 5)) for _ in rays]
+        return tuple(sum(w * r[j] for w, r in zip(weights, rays)) for j in range(len(rays[0])))
+
+    for fan, support_rays in _segment_cases():
+        pairs = [(point(support_rays), point(support_rays)) for _ in range(8)]
+        for cell in fan.cells:
+            a, b = rng.sample(cell.rays, 2) if len(cell.rays) > 1 else (cell.rays[0],) * 2
+            pairs += [(a, point(support_rays)), (point(support_rays), a), (a, point(cell.rays))]
+            if a != b:
+                pairs.append((a, b))
+            if cell.facets:
+                f = rng.choice(cell.facets)
+                wall = [r for r in cell.rays if dot(f, r) == 0]
+                pairs.append((point(wall), point(wall)))
+        for h, kappa in pairs:
+            if tuple(h) == tuple(kappa):
+                continue
+            seg = make_segment(h, kappa)
+            expected = _reference_order_chambers(fan, seg)
+            try:
+                walk = order_chambers(fan, seg)
+            except NonGenericSegment as exc:
+                outcome = (str(exc), exc.cell, exc.walls)
+                kind = str(exc).split(" only")[0]
+            else:
+                outcome = [(lo, hi, idx) for (lo, hi), idx in zip(walk.intervals, walk.chambers)]
+                kind = "walk"
+            assert outcome == expected, (h, kappa)
+            kinds[kind] = kinds.get(kind, 0) + 1
+    assert set(kinds) == {"walk", "segment touches a chamber",
+                          "segment runs inside a wall of a chamber"}, kinds
+    assert min(kinds.values()) > 100, kinds
