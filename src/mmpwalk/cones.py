@@ -40,7 +40,6 @@ from .linalg import (
     reduce_mod_rowspace,
     row_reduce,
     sign_canonical,
-    vadd,
     vneg,
 )
 
@@ -204,10 +203,7 @@ class PolyCone:
     def relative_interior_point(self):
         if self.dim == 0 or not self.rays:
             raise InvalidCone("zero cone has no relative interior ray")
-        point = self.rays[0]
-        for r in self.rays[1:]:
-            point = vadd(point, r)
-        return tuple(Fraction(x) for x in point)
+        return tuple([Fraction(sum(col)) for col in zip(*self.rays)])
 
     def is_full_dimensional(self):
         return self.dim == self.ambient_dim

@@ -5,12 +5,12 @@ and allocation-light since the rest of the package calls them in tight
 loops.  The package has one integer row step, ``_eliminate``:
 ``p*row - a*pivot_row`` divided by its gcd.  The simplex tableau pivots
 with it, ``cones._dd`` projects and combines its lines and rays with it,
-the fraction-free ``echelon`` is built on it, and ``rank``,
-``row_reduce``, ``reduce_mod_rowspace`` and ``solve_exact`` on
-``echelon``.  There is no kernel routine: ``cones`` reads a cut's
+and the one row reduction, the fraction-free ``row_reduce``, is built on
+it, as ``rank``, ``reduce_mod_rowspace`` and ``solve_exact`` are on
+``row_reduce``.  There is no kernel routine: ``cones`` reads a cut's
 equations off its tight masks.  No ``Fraction`` is built except for
 ``solve_exact``'s result, and an inexact entry such as a float raises
-``TypeError``.  ``primitive``, which the tableau, ``_dd`` and ``echelon``
+``TypeError``.  ``primitive``, which the tableau, ``_dd`` and ``row_reduce``
 start from, takes the gcd first: only a vector with a ``Fraction`` entry
 goes through ``clear_denominators``, and an integer one stays in ``int``s.
 """
@@ -112,12 +112,13 @@ def _eliminate(row, pivot_row, p, a):
     return tuple([x // g for x in row] if g > 1 else row)
 
 
-def echelon(rows):
+def row_reduce(rows):
     """Reduced row-echelon form of a matrix over the rationals, fraction-free.
 
     Returns the primitive integer rows of the unique reduced row-echelon
-    form, zero rows dropped, sorted by pivot column; each pivot is positive
-    and the only nonzero entry of its column.  Rows are made primitive
+    form as a tuple, zero rows dropped, sorted by pivot column; each pivot
+    is positive and the only nonzero entry of its column.  Canonical for a
+    given row space, so usable as an identity key.  Rows are made primitive
     first, so a float entry raises ``TypeError``.
     """
     todo = [row for row in map(primitive, rows) if any(row)]
@@ -132,20 +133,12 @@ def echelon(rows):
         todo = [_eliminate(row, pivot_row, p, row[col]) for row in todo]
         todo = [row for row in todo if any(row)]
         done.append((col, pivot_row))
-    return [row for _, row in sorted(done)]
+    return tuple([row for _, row in sorted(done)])
 
 
 def rank(rows):
     """Rank of a matrix given as an iterable of equal-length vectors."""
-    return len(echelon(rows))
-
-
-def row_reduce(rows):
-    """Reduced row-echelon form with primitive integer rows, zero rows dropped.
-
-    Canonical for a given row space, so usable as an identity key.
-    """
-    return tuple(echelon(rows))
+    return len(row_reduce(rows))
 
 
 def reduce_mod_rowspace(v, ref_rows):
@@ -175,7 +168,7 @@ def solve_exact(rows, rhs):
         return ()
     ncols = len(augmented[0]) - 1
     x = [Fraction(0)] * ncols
-    for row in echelon(augmented):
+    for row in row_reduce(augmented):
         col = next(j for j, v in enumerate(row) if v != 0)
         if col == ncols:
             return None

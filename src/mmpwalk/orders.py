@@ -39,7 +39,7 @@ returned depends on the earlier queries of the process.
 
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
 
@@ -77,19 +77,13 @@ class OValue:
     representation of ``x`` costs less than ``value``.
 
     ``OrderFunction.certificate`` builds only ``value``; the witness and
-    the dual are built from the optimal basis on first access and kept.
-    Equality, hashing and ``repr`` are over ``(value, witness, dual)``, and
-    the attributes are read-only.
+    the dual are cached properties, built from the optimal basis on first
+    read.  Equality, hashing and ``repr`` are over ``(value, witness,
+    dual)``, and the attributes are read-only.
     """
 
-    __slots__ = ("value", "_witness", "_dual", "_basis")
-
     def __init__(self, value, witness, dual):
-        _set = object.__setattr__
-        _set(self, "value", value)
-        _set(self, "_witness", witness)
-        _set(self, "_dual", dual)
-        _set(self, "_basis", None)
+        self.__dict__.update(value=value, witness=witness, dual=dual)
 
     @classmethod
     def _from_basis(cls, value, basis, z, x_den, order):
@@ -98,32 +92,23 @@ class OValue:
         ``OrderFunction`` ``order``, and its basic solution ``z`` there
         (``OrderFunction._basic_solution``)."""
         self = object.__new__(cls)
-        _set = object.__setattr__
-        _set(self, "value", value)
-        _set(self, "_witness", None)
-        _set(self, "_dual", None)
-        _set(self, "_basis", (basis, z, x_den, order))
+        self.__dict__.update(value=value, _basis=(basis, z, x_den, order))
         return self
 
-    @property
+    @cached_property
     def witness(self):
-        if self._witness is None:
-            basis, z, x_den, order = self._basis
-            witness = [Fraction(0)] * len(order.degrees)
-            for col, v in zip(basis.cols, z):
-                witness[col] = Fraction(v, basis.inverse_den * x_den)
-            object.__setattr__(self, "_witness", tuple(witness))
-        return self._witness
+        basis, z, x_den, order = self._basis
+        witness = [Fraction(0)] * len(order.degrees)
+        for col, v in zip(basis.cols, z):
+            witness[col] = Fraction(v, basis.inverse_den * x_den)
+        return tuple(witness)
 
-    @property
+    @cached_property
     def dual(self):
-        if self._dual is None:
-            basis, _, _, order = self._basis
-            # the basis's dual is that of the integer costs, den times the order's
-            den = basis.dual_den * order.den
-            dual = tuple([Fraction(v, den) for v in basis.dual_num])
-            object.__setattr__(self, "_dual", dual)
-        return self._dual
+        basis, _, _, order = self._basis
+        # the basis's dual is that of the integer costs, den times the order's
+        den = basis.dual_den * order.den
+        return tuple([Fraction(v, den) for v in basis.dual_num])
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

@@ -21,7 +21,7 @@ from math import comb, gcd, lcm
 from operator import mul
 
 from .errors import BudgetExceeded
-from .linalg import clear_denominators, echelon, rank
+from .linalg import clear_denominators, rank, row_reduce
 from .orders import _check_level, order_function
 
 DEFAULT_SPLIT_BUDGET = 200_000
@@ -225,10 +225,10 @@ def _parallelepiped_points(basis, cell, budget):
     if volume > budget:
         raise BudgetExceeded(f"parallelepiped box has {volume} lattice points")
     k = len(basis)
-    # row i of echelon([B | I]) is c_i times (row i of the RREF of B | row i
+    # row i of row_reduce([B | I]) is c_i times (row i of the RREF of B | row i
     # of B_S^-1), with c_i > 0 its pivot entry
     identity = [tuple(int(i == j) for j in range(k)) for i in range(k)]
-    reduced = echelon([tuple(b) + e for b, e in zip(basis, identity)])
+    reduced = row_reduce([tuple(b) + e for b, e in zip(basis, identity)])
     pivots = [next(x for x in row if x) for row in reduced]
     den = lcm(*pivots)
     group = _subgroup(
@@ -302,8 +302,9 @@ def grid_additivity_check(datum, fan, depth=3,
     on the bases tried before it, and a basis that does not certify the
     point is left at its first negative entry.  The right-hand sides are
     the exponent vectors times the generators' orders, in integers over one
-    denominator.
+    denominator.  ``depth`` is checked as a level is, by ``_check_level``.
     """
+    _check_level(depth, "depth")
     order = {v: order_function(datum, v) for v in datum.valuations}
     report = GridReport()
     for ci, cell in enumerate(fan.cells):

@@ -9,6 +9,7 @@ crossings inside one block may be isomorphisms, crossings between blocks
 are genuine steps.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,6 +34,9 @@ class ScalingSegment:
     h: tuple
 
     def point(self, t):
+        """The point at ``t``; a ``t`` not an ``int`` or ``Fraction`` raises TypeError."""
+        if type(t) is not int and type(t) is not Fraction:
+            raise TypeError(f"segment parameter must be an int or a Fraction, got {t!r}")
         t = Fraction(t)
         return vadd(vscale(t, self.kappa), vscale(1 - t, self.h))
 
@@ -74,11 +78,9 @@ class NefClassification:
     mode: str  # "first-step-only" or "full"
 
     def block_of(self, chamber_position):
-        """0-based block index of a 1-based chamber position."""
-        for b, end in enumerate(self.indices):
-            if chamber_position <= end:
-                return b
-        return len(self.indices)
+        """0-based block index of a 1-based chamber position: the number of
+        block ends before it, ``len(indices)`` past the last one."""
+        return bisect_left(self.indices, chamber_position)
 
 
 @dataclass(frozen=True)
@@ -258,24 +260,16 @@ def emit_trace(walk, cls=None, datum=None):
     """One step per wall crossing, from the ample end toward the adjoint.
 
     With a classification, crossings inside one nef block are flagged as
-    possible isomorphisms; without one, flags are None (unknown).
+    possible isomorphisms; without one, or past the first genuine step of a
+    first-step-only one (chamber ``indices[0]``), flags are None (unknown).
     """
     ids = _model_ids(walk, cls, datum)
     steps = []
     for i in range(walk.length - 1):
-        if cls is None:
+        if cls is None or (cls.mode != "full" and i + 1 > cls.indices[0]):
             flag = None
-        elif cls.mode == "full":
-            flag = cls.block_of(i + 1) == cls.block_of(i + 2)
         else:
-            # first-step-only: nothing is known past the first genuine step
-            k0 = cls.indices[0]
-            if i + 2 <= k0:
-                flag = True
-            elif i + 1 == k0:
-                flag = False
-            else:
-                flag = None
+            flag = cls.block_of(i + 1) == cls.block_of(i + 2)
         steps.append(
             TraceStep(
                 from_chamber=walk.chambers[i],

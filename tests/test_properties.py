@@ -18,7 +18,6 @@ from mmpwalk.cones import cone_from_halfspaces, cone_from_rays, hyperplane_refin
 from mmpwalk.linalg import (
     clear_denominators,
     dot,
-    echelon,
     primitive,
     rank,
     reduce_mod_rowspace,
@@ -183,10 +182,10 @@ def test_rank_equals_row_reduce_length(rows):
 
 def kernel(rows, n):
     """A basis of ``{y : row . y = 0 for every row}`` in dimension ``n``,
-    as primitive integer vectors: one per non-pivot column of ``echelon``.
+    as primitive integer vectors: one per non-pivot column of ``row_reduce``.
     The reference for the equations ``cones._cut`` reads off its masks.
     """
-    pivots = [(next(j for j, x in enumerate(row) if x != 0), row) for row in echelon(rows)]
+    pivots = [(next(j for j, x in enumerate(row) if x != 0), row) for row in row_reduce(rows)]
     scale = lcm(*(row[col] for col, row in pivots))
     pivot_cols = {col for col, _ in pivots}
     basis = []

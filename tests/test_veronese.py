@@ -268,6 +268,19 @@ def test_grid_additivity_depth_two_subset_of_depth_three():
     assert deep_count > shallow_count
 
 
+@pytest.mark.parametrize("depth, error", [
+    (0, ValueError), (-2, ValueError), (True, TypeError), (False, TypeError),
+    (2.0, TypeError), ("3", TypeError),
+])
+def test_grid_additivity_rejects_a_depth_that_checks_nothing(depth, error):
+    # depth 0 and -2 once gave a report of no checks whose ok() was True,
+    # and True was read as depth 1
+    datum = builtin_examples()["blowup-P2"]
+    fan = chamber_fan(datum)
+    with pytest.raises(error, match="depth"):
+        grid_additivity_check(datum, fan, depth=depth)
+
+
 def test_grid_additivity_budget_is_reported_not_fatal():
     datum = builtin_examples()["blowup-P2"]
     fan = chamber_fan(datum)

@@ -1,6 +1,7 @@
 """Segment walks, nef classification, trace emission."""
 
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -22,7 +23,7 @@ from mmpwalk import (
 from mmpwalk.cones import cone_from_rays
 from mmpwalk.linalg import clear_denominators, dot
 from mmpwalk.ring import PushforwardDatum, RingDatum, support_cone
-from mmpwalk.walk import _segment_interval
+from mmpwalk.walk import ChamberWalk, NefClassification, _segment_interval
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +51,14 @@ def test_make_segment_rejects_floats(h, kappa):
     # 0.1 was once stored as 3602879701896397/36028797018963968
     with pytest.raises(TypeError):
         make_segment(h, kappa, grading_dim=2)
+
+
+@pytest.mark.parametrize("t", [0.1, 0.5, True, False, "1/2", None])
+def test_segment_point_rejects_what_is_not_an_int_or_fraction(t):
+    # 0.1 was once read as 3602879701896397/36028797018963968, and True as 1
+    seg = make_segment((0, 1), grading_dim=2)
+    with pytest.raises(TypeError):
+        seg.point(t)
 
 
 def test_make_segment_rejects_coinciding_endpoints():
@@ -292,8 +301,11 @@ def test_integer_segment_interval_matches_fraction_reference():
     met = 0
 
     def point(rays):
-        return tuple(sum(Fraction(rng.randint(1, 9), rng.randint(1, 5)) * r[j] for r in rays)
-                     for j in range(len(rays[0])))
+        # one weight per ray, so the point is a positive combination of them
+        weights = [Fraction(rng.randint(1, 9), rng.randint(1, 5)) for _ in rays]
+        p = tuple(sum(w * r[j] for w, r in zip(weights, rays)) for j in range(len(rays[0])))
+        assert fan.support.contains(p), p
+        return p
 
     for fan, support_rays in _segment_cases():
         n = len(support_rays[0])
@@ -393,3 +405,55 @@ def test_integer_genericity_matches_fraction_reference():
     assert set(kinds) == {"walk", "segment touches a chamber",
                           "segment runs inside a wall of a chamber"}, kinds
     assert min(kinds.values()) > 100, kinds
+
+
+def _reference_block_of(indices, chamber_position):
+    """``NefClassification.block_of`` as a linear scan of the block ends."""
+    for b, end in enumerate(indices):
+        if chamber_position <= end:
+            return b
+    return len(indices)
+
+
+def _reference_flag(cls, i):
+    """The flag of step ``i`` (chamber i+1 to i+2) by the branch-by-branch
+    rule: block ends compared in "full" mode, and in "first-step-only"
+    True before the first end ``k0``, False across it, None past it."""
+    if cls is None:
+        return None
+    if cls.mode == "full":
+        return _reference_block_of(cls.indices, i + 1) == _reference_block_of(cls.indices, i + 2)
+    k0 = cls.indices[0]
+    if i + 2 <= k0:
+        return True
+    if i + 1 == k0:
+        return False
+    return None
+
+
+def test_trace_flags_match_the_branch_rule_on_synthetic_walks():
+    # walks of 1-6 chambers, both modes, every strictly increasing tuple of
+    # block ends in 0..length+1 (so every k0, and ends past the last chamber)
+    cone = cone_from_rays([(1, 0), (0, 1)])
+    flags = set()
+    for length in range(1, 7):
+        walk = ChamberWalk(
+            chambers=tuple(range(length)),
+            cells=(cone,) * length,
+            intervals=tuple((Fraction(i, length), Fraction(i + 1, length)) for i in range(length)),
+            crossings=tuple((Fraction(i + 1, length),) for i in range(length - 1)),
+            segment=None,
+        )
+        assert [s.possibly_isomorphism for s in emit_trace(walk).steps] == [None] * (length - 1)
+        positions = range(length + 2)
+        for mode in ("first-step-only", "full"):
+            for size in range(mode == "first-step-only", len(positions) + 1):
+                for indices in combinations(positions, size):
+                    cls = NefClassification(indices, mode)
+                    for p in range(length + 3):
+                        assert cls.block_of(p) == _reference_block_of(indices, p), (indices, p)
+                    got = [s.possibly_isomorphism for s in emit_trace(walk, cls).steps]
+                    expected = [_reference_flag(cls, i) for i in range(length - 1)]
+                    assert got == expected, (length, mode, indices)
+                    flags.update(got)
+    assert flags == {True, False, None}
