@@ -7,12 +7,15 @@ loops.  The package has one integer row step, ``_eliminate``:
 with it, ``cones._dd`` projects and combines its lines and rays with it,
 and the one row reduction, the fraction-free ``row_reduce``, is built on
 it, as ``rank``, ``reduce_mod_rowspace`` and ``solve_exact`` are on
-``row_reduce``.  There is no kernel routine: ``cones`` reads a cut's
-equations off its tight masks.  No ``Fraction`` is built except for
-``solve_exact``'s result, and an inexact entry such as a float raises
-``TypeError``.  ``primitive``, which the tableau, ``_dd`` and ``row_reduce``
-start from, takes the gcd first: only a vector with a ``Fraction`` entry
-goes through ``clear_denominators``, and an integer one stays in ``int``s.
+``row_reduce``.  There is no kernel routine, since ``cones`` reads a cut's
+equations off its tight masks, and no ``vadd`` or ``vscale``.  Only
+``solve_exact`` builds a ``Fraction``.  The package's one exactness rule
+lives here: ``_EXACT_TYPES``, an ``int`` or a ``Fraction`` (no bool, float
+or subclass), which every module that takes a caller's number reads;
+``clear_denominators`` raises ``TypeError`` on anything else.
+``primitive``, which the tableau, ``_dd`` and ``row_reduce`` start from,
+takes the gcd first: only a vector with a ``Fraction`` entry goes through
+``clear_denominators``, and an integer one stays in ``int``s.
 """
 
 from fractions import Fraction
@@ -20,18 +23,11 @@ from math import gcd, lcm
 from operator import mul
 
 _INT_TYPES = frozenset((int,))
+_EXACT_TYPES = frozenset((int, Fraction))
 
 
 def dot(a, b):
     return sum(map(mul, a, b))
-
-
-def vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vscale(c, a):
-    return tuple(c * x for x in a)
 
 
 def vneg(a):
@@ -46,17 +42,16 @@ def clear_denominators(v):
     """``(ints, d)`` with ``v == ints / d`` and ``d`` the least common
     denominator of the entries of the rational vector ``v``.
 
-    Entries are ``int`` or ``Fraction``; both carry ``numerator`` and
-    ``denominator``, so no entry is converted.  Any other entry, such as a
-    float, raises ``TypeError`` rather than being coerced.  ``v`` is read
-    once: a tuple or a list as it is, any other iterable through a tuple.
+    Entries are exact, ``_EXACT_TYPES``, so no entry is converted.  Any
+    other entry, such as a float, a bool or a subclass of ``int`` or
+    ``Fraction``, raises ``TypeError`` rather than being coerced.  ``v`` is
+    read once: a tuple or a list as it is, any other iterable through a tuple.
     """
     if type(v) is not tuple and type(v) is not list:
         v = tuple(v)
-    try:
-        dens = [x.denominator for x in v]
-    except AttributeError:
-        raise TypeError(f"not an exact rational vector: {tuple(v)!r}") from None
+    if not _EXACT_TYPES.issuperset(map(type, v)):
+        raise TypeError(f"not an exact rational vector: {tuple(v)!r}")
+    dens = [x.denominator for x in v]
     denom = lcm(*dens)
     return tuple([x.numerator * (denom // d) for x, d in zip(v, dens)]), denom
 

@@ -47,7 +47,7 @@ from .cones import (PolyCone, _maximal, _tight_mask, common_refinement, cone_fro
                     hyperplane_refinement, make_fan)
 from .errors import (BudgetExceeded, DimensionError, InconsistentInput, InvalidCone,
                      OutsideSupport)
-from .linalg import _INT_TYPES, clear_denominators, dot, primitive, reduce_mod_rowspace
+from .linalg import _EXACT_TYPES, _INT_TYPES, clear_denominators, dot, primitive, reduce_mod_rowspace
 from .ring import support_cone
 from .simplex import INFEASIBLE, UNBOUNDED, solve_min
 
@@ -132,14 +132,15 @@ class OValue:
         return OValue, (self.value, self.witness, self.dual)
 
 
-_EXACT_TYPES = frozenset((int, Fraction))
-
-
 def _mults(datum, valuation):
-    """The generators' multiplicities at ``valuation``.  One that is not an
-    ``int`` or a ``Fraction``, such as a float, raises TypeError rather than
-    being coerced."""
-    mults = tuple([g.mults[valuation] for g in datum.generators])
+    """The generators' multiplicities at ``valuation``: a missing one raises
+    InconsistentInput, and one inexact by ``linalg``'s rule TypeError."""
+    try:
+        mults = tuple([g.mults[valuation] for g in datum.generators])
+    except KeyError:
+        i = next(i for i, g in enumerate(datum.generators) if valuation not in g.mults)
+        raise InconsistentInput(
+            f"generator {i} has no multiplicity for valuation {valuation!r}") from None
     if not _EXACT_TYPES.issuperset(map(type, mults)):
         raise TypeError(f"multiplicities at {valuation!r} are not exact: {mults!r}")
     return mults

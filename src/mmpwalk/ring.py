@@ -8,10 +8,9 @@ a nef cone is a plain ``PolyCone`` in its map's target coordinates.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .cones import PolyCone, cone_from_rays
-from .linalg import mat_apply, rank
+from .linalg import _EXACT_TYPES, mat_apply, rank
 
 
 @dataclass(frozen=True)
@@ -89,16 +88,12 @@ class ValidationReport:
         return not self.errors
 
 
-def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _exact_map(report, code, name, rows, n):
     """Report a map whose rows are not of length ``n`` or whose entries are
     not exact; True when it is well formed."""
     if any(len(row) != n for row in rows):
         report.add("error", code, f"{name} has wrong row length")
-    elif not all(_is_int(x) or isinstance(x, Fraction) for row in rows for x in row):
+    elif not all(type(x) in _EXACT_TYPES for row in rows for x in row):
         report.add("error", code, f"{name} entries must be integers or Fractions")
     else:
         return True
@@ -149,7 +144,7 @@ def validate(datum):
             continue
         if all(x == 0 for x in gen.multidegree):
             report.add("error", "zero-multidegree", f"generator {i} has zero multidegree")
-        exact = all(_is_int(x) for x in gen.multidegree)
+        exact = all(type(x) is int for x in gen.multidegree)
         if exact:
             degrees.append(gen.multidegree)
         if not exact or any(x < 0 for x in gen.multidegree):
@@ -165,7 +160,7 @@ def validate(datum):
                     "missing-mult",
                     f"generator {i} has no multiplicity for valuation {name!r}",
                 )
-            elif not (_is_int(gen.mults[name]) or isinstance(gen.mults[name], Fraction)):
+            elif type(gen.mults[name]) not in _EXACT_TYPES:
                 report.add(
                     "error",
                     "bad-mult",

@@ -16,6 +16,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .cones import Fan, cone_from_rays, cone_from_halfspaces
 from .errors import InconsistentInput, ParseError
+from .linalg import _EXACT_TYPES
 from .ring import GeneratorDatum, NumericalMap, PushforwardDatum, RingDatum
 from .walk import MmpTrace, TraceStep
 
@@ -24,7 +25,7 @@ def rat_to_str(x):
     """``x`` as a "p/q" string, plain "p" for an integer.  Only an ``int``
     or a ``Fraction`` is exact: anything else, such as a float, raises
     TypeError rather than being written as the ``Fraction`` it rounds to."""
-    if type(x) is int or type(x) is Fraction:
+    if type(x) in _EXACT_TYPES:
         return str(x)
     raise TypeError(f"{x!r} is not exact: write an int or a Fraction")
 

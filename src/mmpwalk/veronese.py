@@ -21,7 +21,7 @@ from math import comb, gcd, lcm
 from operator import mul
 
 from .errors import BudgetExceeded
-from .linalg import clear_denominators, rank, row_reduce
+from .linalg import clear_denominators, row_reduce
 from .orders import _check_level, order_function
 
 DEFAULT_SPLIT_BUDGET = 200_000
@@ -247,12 +247,10 @@ def _parallelepiped_points(basis, cell, budget):
 
 
 def _ray_basis(cell):
-    """Greedy maximal linearly independent subset of the cell's rays."""
-    basis = []
-    for r in cell.rays:
-        if rank(basis + [r]) > len(basis):
-            basis.append(r)
-    return basis
+    """Greedy maximal linearly independent subset of the cell's rays: the
+    pivot columns of the row reduction of the matrix whose columns they are."""
+    rows = row_reduce(list(zip(*cell.rays)))
+    return [cell.rays[next(j for j, x in enumerate(row) if x)] for row in rows]
 
 
 def monoid_generators(cell, lattice_budget=DEFAULT_LATTICE_BUDGET):

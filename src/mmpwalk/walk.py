@@ -19,7 +19,7 @@ from .errors import (
     NonGenericSegment,
     OutsideSupport,
 )
-from .linalg import clear_denominators, dot, vadd, vscale
+from .linalg import _EXACT_TYPES, clear_denominators, dot
 
 
 @dataclass(frozen=True)
@@ -34,11 +34,11 @@ class ScalingSegment:
     h: tuple
 
     def point(self, t):
-        """The point at ``t``; a ``t`` not an ``int`` or ``Fraction`` raises TypeError."""
-        if type(t) is not int and type(t) is not Fraction:
+        """The point at ``t``; a ``t`` not exact by ``linalg``'s rule raises TypeError."""
+        if type(t) not in _EXACT_TYPES:
             raise TypeError(f"segment parameter must be an int or a Fraction, got {t!r}")
         t = Fraction(t)
-        return vadd(vscale(t, self.kappa), vscale(1 - t, self.h))
+        return tuple([t * k + (1 - t) * a for k, a in zip(self.kappa, self.h)])
 
 
 def _exact(v):
@@ -205,6 +205,8 @@ def classify_nef(walk, datum):
     """
     if datum.nef is None:
         raise MissingNefData("nef cone data is required for classification")
+    if datum.numerical is None:
+        raise MissingNefData("a nef cone needs a numerical map")
     flags = [
         _rays_in_nef(cell, datum.numerical.apply, datum.nef) for cell in walk.cells
     ]

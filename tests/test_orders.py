@@ -4,6 +4,7 @@ import copy
 import pickle
 import re
 from dataclasses import replace
+from enum import IntEnum
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
@@ -20,8 +21,10 @@ from mmpwalk import (
     builtin_examples,
     cell_functionals,
     chamber_fan,
+    grid_additivity_check,
     integer_order,
     linearity_fan,
+    make_segment,
     o_value_oracle,
     random_instance,
     stabilization_multiple,
@@ -962,6 +965,54 @@ def test_points_of_another_dimension_raise_dimension_error(blowup, query):
     for x in ((2, 1, 5), (2,)):
         with pytest.raises(DimensionError):
             query(blowup, x)
+
+
+class _Half(Fraction):
+    pass
+
+
+class _Level(IntEnum):
+    ONE = 1
+
+
+@pytest.mark.parametrize("x", [(True, 1), (1, False), (_Half(1, 2), 1), (_Level.ONE, 1)],
+                         ids=["true", "false", "fraction-subclass", "int-subclass"])
+@pytest.mark.parametrize("query", [
+    lambda datum, x: asymptotic_order(datum, "E", x),
+    lambda datum, x: integer_order(datum, "E", x, 2),
+    lambda datum, x: stabilization_multiple(datum, "E", x, 4),
+    lambda datum, x: o_value_oracle(datum, "E", x, [2]),
+    lambda datum, x: make_segment(x),
+], ids=["asymptotic_order", "integer_order", "stabilization_multiple", "o_value_oracle",
+        "make_segment"])
+def test_a_point_entry_that_is_not_exact_raises(blowup, query, x):
+    # (True, 1) was answered as (1, 1): exact means an int or a Fraction, by
+    # type, as linalg._EXACT_TYPES says
+    with pytest.raises(TypeError, match="not an exact rational vector"):
+        query(blowup, x)
+
+
+@pytest.mark.parametrize("query", [
+    lambda datum: asymptotic_order(datum, "X", (1, 1)),
+    lambda datum: linearity_fan(datum, "X"),
+    lambda datum: chamber_fan(replace(datum, valuations=("E", "X"))),
+    lambda datum: integer_order(datum, "X", (1, 1), 1),
+    lambda datum: stabilization_multiple(datum, "X", (1, 1), 4),
+    lambda datum: o_value_oracle(datum, "X", (1, 1), [1]),
+    lambda datum: grid_additivity_check(replace(datum, valuations=("E", "X")),
+                                        chamber_fan(datum)),
+], ids=["asymptotic_order", "linearity_fan", "chamber_fan", "integer_order",
+        "stabilization_multiple", "o_value_oracle", "grid_additivity_check"])
+def test_a_missing_multiplicity_is_inconsistent_input(blowup, query):
+    # each raised a bare KeyError: 'X'
+    with pytest.raises(InconsistentInput,
+                       match="generator 0 has no multiplicity for valuation 'X'"):
+        query(blowup)
+    first, second, third = blowup.generators
+    with_x = tuple(replace(g, mults=dict(g.mults, X=Fraction(1))) for g in (first, second))
+    with pytest.raises(InconsistentInput,
+                       match="generator 2 has no multiplicity for valuation 'X'"):
+        query(replace(blowup, generators=with_x + (third,)))
 
 
 def test_oracle_names_a_one_shot_point_of_another_dimension(blowup):

@@ -1,6 +1,7 @@
 """Input data model and validation."""
 
 from dataclasses import replace
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -220,3 +221,28 @@ def test_int_and_fraction_multiplicities_pass():
         GeneratorDatum(multidegree=(0, 1), mults={"E": Fraction(1, 3)}),
     )
     assert validate(make_datum(generators=gens)).ok()
+
+
+class _Third(Fraction):
+    pass
+
+
+class _Degree(IntEnum):
+    ONE = 1
+
+
+@pytest.mark.parametrize("overrides, code", [
+    (dict(generators=(GeneratorDatum(multidegree=(1, 1), mults={"E": _Third(1, 3)}),)),
+     "bad-mult"),
+    (dict(generators=(GeneratorDatum(multidegree=(_Degree.ONE, 1), mults={"E": 1}),)),
+     "bad-multidegree"),
+    (dict(numerical=NumericalMap(matrix=((_Third(1), Fraction(0)),))), "bad-numerical-map"),
+    (dict(numerical=NumericalMap(matrix=((True, 0),))), "bad-numerical-map"),
+], ids=["fraction-subclass-mult", "intenum-degree", "fraction-subclass-map", "bool-map"])
+def test_a_subclass_is_not_exact(overrides, code):
+    # validate passed a Fraction-subclass multiplicity that the LP then
+    # rejected; exact means an int or a Fraction by type, as in linalg
+    if "generators" in overrides:
+        overrides = dict(overrides, generators=overrides["generators"] + make_datum().generators)
+    report = validate(make_datum(**overrides))
+    assert [e.code for e in report.errors] == [code]

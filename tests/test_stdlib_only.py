@@ -1,6 +1,7 @@
 """The package imports nothing outside the standard library, every
-module-level import of a module is used in it, and every private
-module-level function or class is referenced outside its own definition."""
+module-level import of a module is used in it, every private module-level
+function or class is referenced outside its own definition, and only
+``linalg`` tests a value's type against ``Fraction``."""
 
 import ast
 import pathlib
@@ -62,3 +63,38 @@ def test_every_private_function_and_class_is_used():
         and not any(stmt.name in names for _, other, names in references if other is not stmt)
     ]
     assert unused == []
+
+
+def _names(node):
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def _fraction_type_tests(tree):
+    """Lines of ``tree`` that test a value's type against ``Fraction``: an
+    ``isinstance`` call, a ``type(...)`` comparison or a ``frozenset`` of
+    types."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id in ("isinstance", "frozenset") and "Fraction" in _names(node):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            calls_type = any(isinstance(o, ast.Call) and isinstance(o.func, ast.Name)
+                             and o.func.id == "type" for o in operands)
+            if calls_type and "Fraction" in _names(node):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_the_exactness_rule_lives_in_linalg_alone():
+    # linalg._EXACT_TYPES says what an exact number is; every other module
+    # reads it, so the modules cannot disagree
+    found = [
+        f"{path.name}:{line}"
+        for path in MODULES if path.name != "linalg.py"
+        for line in _fraction_type_tests(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
+    linalg = ast.parse((PACKAGE / "linalg.py").read_text(encoding="utf-8"))
+    assert _fraction_type_tests(linalg) != []

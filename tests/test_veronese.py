@@ -394,6 +394,31 @@ def test_grid_of_a_cell_cut_to_no_generators_raises_as_before():
         grid_additivity_check(datum, fan, max_generators=0)
 
 
+def reference_ray_basis(cell):
+    """The greedy loop ``_ray_basis`` replaced, kept as its reference: a ray
+    joins the basis when it raises the rank."""
+    basis = []
+    for r in cell.rays:
+        if rank(basis + [r]) > len(basis):
+            basis.append(r)
+    return basis
+
+
+@pytest.mark.parametrize("name", sorted(builtin_examples()) + [f"corpus-{s}" for s in range(20)])
+def test_ray_basis_equals_the_greedy_rank_loop(name):
+    datum = _grid_case(name)
+    for refine in (True, False):
+        for cell in chamber_fan(datum, refine=refine).cells:
+            assert veronese._ray_basis(cell) == reference_ray_basis(cell)
+
+
+def test_ray_basis_of_a_cell_with_lineality():
+    # a line is kept as two opposite rays, of which the basis takes the first
+    lineal = cone_from_rays([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 1, 1), (1, 1, 1)])
+    assert veronese._ray_basis(lineal) == reference_ray_basis(lineal) == [
+        (-1, 0, 0), (0, 1, 0), (0, 1, 1)]
+
+
 def reference_parallelepiped_points(basis, cell, budget):
     """The box scan the enumerator replaced, kept as its reference: every
     point of the box [0, sum of basis vectors], one exact solve per point."""

@@ -1,5 +1,6 @@
 """Segment walks, nef classification, trace emission."""
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from random import Random
@@ -143,6 +144,14 @@ def test_classification_requires_nef_data(blowup_fan):
     walk = order_chambers(fan, make_segment((1, 3), grading_dim=2))
     with pytest.raises(MissingNefData):
         classify_nef(walk, datum)
+
+
+def test_classification_of_a_nef_cone_without_a_numerical_map(blowup, blowup_fan):
+    # validate reports nef-without-map; classify_nef raised AttributeError
+    # on the missing map's apply
+    walk = order_chambers(blowup_fan, make_segment((1, 3), grading_dim=2))
+    with pytest.raises(MissingNefData, match="a nef cone needs a numerical map"):
+        classify_nef(walk, replace(blowup, numerical=None))
 
 
 def test_classification_rejects_non_nef_start(blowup, blowup_fan):
