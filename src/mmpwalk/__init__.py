@@ -36,7 +36,6 @@ from .orders import (
 )
 from .ring import (
     GeneratorDatum,
-    NumericalMap,
     PushforwardDatum,
     RingDatum,
     support_cone,

@@ -33,6 +33,7 @@ from fractions import Fraction
 
 from .errors import DimensionError, InvalidCone, SupportMismatch
 from .linalg import (
+    _EXACT_TYPES,
     _eliminate,
     dot,
     is_zero,
@@ -250,7 +251,8 @@ def _assemble(generators, n):
 
 
 def cone_from_rays(rays):
-    """Cone generated by the given vectors, reduced to extreme primitive rays."""
+    """Cone generated by the given vectors, reduced to extreme primitive rays.
+    An entry not exact by ``linalg``'s rule, a bool too, raises TypeError."""
     rays = list(rays)
     if not rays:
         raise InvalidCone("no generators given")
@@ -258,6 +260,8 @@ def cone_from_rays(rays):
     for r in rays:
         if len(r) != n:
             raise DimensionError("generators have mixed dimensions")
+        if not _EXACT_TYPES.issuperset(map(type, r)):
+            raise TypeError(f"generator {r!r} is not exact")
     if all(is_zero(r) for r in rays):
         raise InvalidCone("all generators are zero")
     return _assemble(rays, n)
@@ -310,13 +314,16 @@ def _read_off(cone, constraints, rays, lines=()):
 def cone_from_halfspaces(halfspaces, ambient_dim, equations=()):
     """Cone cut out of the whole space by the half-spaces ``a . x >= 0``,
     one per vector ``a`` in ``halfspaces`` (and optional equations),
-    through ``_cut``."""
+    through ``_cut``.  An entry not exact by ``linalg``'s rule, a bool too,
+    raises TypeError."""
     normals = [tuple(h) for h in halfspaces] + _both_sides(equations)
     for c in normals:
         if len(c) != ambient_dim:
             raise DimensionError(
                 f"constraint has dimension {len(c)}, cone is in dimension {ambient_dim}"
             )
+        if not _EXACT_TYPES.issuperset(map(type, c)):
+            raise TypeError(f"constraint {c!r} is not exact")
     n = ambient_dim
     units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     return _cut(PolyCone(n, tuple(sorted(_both_sides(units))), (), ()), normals)

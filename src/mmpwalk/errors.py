@@ -39,11 +39,8 @@ class NonGenericSegment(MmpwalkError):
 
 
 class MissingNefData(MmpwalkError):
-    """Nef-cone or pushforward data required for classification is absent."""
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
+    """Nef-cone or pushforward data required for classification is absent;
+    the message says which."""
 
 
 class InconsistentInput(MmpwalkError):

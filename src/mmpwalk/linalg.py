@@ -22,6 +22,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
+from .errors import DimensionError
+
 _INT_TYPES = frozenset((int,))
 _EXACT_TYPES = frozenset((int, Fraction))
 
@@ -172,5 +174,9 @@ def solve_exact(rows, rhs):
 
 
 def mat_apply(matrix, v):
-    """Apply a matrix (sequence of rows) to a vector."""
+    """Apply a matrix (sequence of rows) to a vector; a row whose length is
+    not the vector's raises DimensionError rather than being truncated."""
+    n = len(v)
+    if any(len(row) != n for row in matrix):
+        raise DimensionError(f"matrix rows must have the vector's {n} entries")
     return tuple(dot(row, v) for row in matrix)

@@ -13,12 +13,7 @@ from .cones import cone_from_rays
 from .errors import BudgetExceeded, DimensionError
 from .linalg import clear_denominators
 from .orders import DEFAULT_NODE_BUDGET, _check_level, _mults, _named
-from .ring import (
-    GeneratorDatum,
-    NumericalMap,
-    PushforwardDatum,
-    RingDatum,
-)
+from .ring import GeneratorDatum, PushforwardDatum, RingDatum
 
 
 @dataclass(frozen=True)
@@ -73,7 +68,7 @@ def random_instance(spec):
         labels=labels,
         generators=tuple(generators),
         valuations=valuations,
-        numerical=NumericalMap(matrix=matrix),
+        numerical=matrix,
     )
 
 
@@ -163,9 +158,7 @@ def builtin_examples():
             GeneratorDatum(multidegree=(1, 1), mults={e: Fraction(0)}),
         ),
         valuations=(e,),
-        numerical=NumericalMap(
-            matrix=((Fraction(2), Fraction(6)), (Fraction(1), Fraction(-1))),
-        ),
+        numerical=((Fraction(2), Fraction(6)), (Fraction(1), Fraction(-1))),
         nef=cone_from_rays([(1, 0), (1, -1)]),
         pushforwards=(
             # contracting the exceptional curve lands on the plane; classes
@@ -185,7 +178,7 @@ def builtin_examples():
             GeneratorDatum(multidegree=(0, 1), mults={}),
         ),
         valuations=(),
-        numerical=NumericalMap(matrix=((Fraction(1), Fraction(0)),)),
+        numerical=((Fraction(1), Fraction(0)),),
     )
     fractional = RingDatum(
         r=1,
@@ -195,7 +188,7 @@ def builtin_examples():
             GeneratorDatum(multidegree=(1, 2), mults={"G": Fraction(0)}),
         ),
         valuations=("G",),
-        numerical=NumericalMap(matrix=((Fraction(1), Fraction(0)),)),
+        numerical=((Fraction(1), Fraction(0)),),
     )
     return {
         "blowup-P2": blowup,

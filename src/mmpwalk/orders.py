@@ -58,14 +58,9 @@ DEFAULT_NODE_BUDGET = 2_000_000
 ORDER_CACHE_SIZE = 4096
 
 
-class _NoRepresentation:
-    """Marker for integer-level values of points with no integer representation."""
-
-    def __repr__(self):
-        return "NoRepresentation"
-
-
-NO_REPRESENTATION = _NoRepresentation()
+# the integer-level value of a point with no integer representation, as
+# ``o_value_oracle`` says it
+NO_REPRESENTATION = None
 
 
 class OValue:
@@ -507,7 +502,7 @@ def _check_level(k, name="level k"):
 
 def integer_order(datum, valuation, x, k, node_budget=DEFAULT_NODE_BUDGET):
     """(1/k) times the minimal multiplicity over integer representations of
-    ``k*x``; NO_REPRESENTATION if none exists.
+    ``k*x``; NO_REPRESENTATION, which is None, if none exists.
 
     The branch-and-bound runs on the order function's integer costs, and
     the least cost is divided by their denominator and by k only at the

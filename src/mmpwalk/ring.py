@@ -10,7 +10,7 @@ a nef cone is a plain ``PolyCone`` in its map's target coordinates.
 from dataclasses import dataclass, field
 
 from .cones import PolyCone, cone_from_rays
-from .linalg import _EXACT_TYPES, mat_apply, rank
+from .linalg import _EXACT_TYPES, rank
 
 
 @dataclass(frozen=True)
@@ -19,16 +19,6 @@ class GeneratorDatum:
 
     multidegree: tuple
     mults: dict
-
-
-@dataclass(frozen=True)
-class NumericalMap:
-    """Linear map from grading coordinates to numerical-class coordinates."""
-
-    matrix: tuple  # rows, one per numerical coordinate
-
-    def apply(self, v):
-        return mat_apply(self.matrix, v)
 
 
 @dataclass(frozen=True)
@@ -43,9 +33,6 @@ class PushforwardDatum:
     matrix: tuple
     nef: PolyCone
 
-    def apply(self, v):
-        return mat_apply(self.matrix, v)
-
 
 @dataclass(frozen=True)
 class RingDatum:
@@ -53,7 +40,7 @@ class RingDatum:
     labels: tuple
     generators: tuple
     valuations: tuple
-    numerical: NumericalMap
+    numerical: tuple  # the numerical map's matrix, or None
     nef: PolyCone = None  # the nef cone, in the numerical map's coordinates
     pushforwards: tuple = ()
 
@@ -181,7 +168,7 @@ def validate(datum):
                     f"generator {i} carries a multiplicity for untracked valuation {name!r}",
                 )
     if datum.numerical is not None:
-        rows = datum.numerical.matrix
+        rows = datum.numerical
         if (_exact_map(report, "bad-numerical-map", "numerical map", rows, n)
                 and rank(rows) < len(rows)):
             report.add(

@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from .cones import Fan, cone_from_rays, cone_from_halfspaces
 from .errors import InconsistentInput, ParseError
 from .linalg import _EXACT_TYPES
-from .ring import GeneratorDatum, NumericalMap, PushforwardDatum, RingDatum
+from .ring import GeneratorDatum, PushforwardDatum, RingDatum
 from .walk import MmpTrace, TraceStep
 
 
@@ -111,16 +111,18 @@ def cone_to_json(cone):
 
 
 def cone_from_json(doc):
-    rays = [vec_from_json(r) for r in doc.get("rays", [])]
-    if rays:
-        cone = cone_from_rays(rays)
-    else:
-        cone = cone_from_halfspaces(
+    try:
+        doc = _obj_from_json(doc)
+        rays = [vec_from_json(r) for r in doc.get("rays", [])]
+        if rays:
+            return cone_from_rays(rays)
+        return cone_from_halfspaces(
             [vec_from_json(f) for f in doc.get("facets", [])],
-            doc["ambient_dim"],
+            _int_from_json(doc["ambient_dim"]),
             equations=[vec_from_json(eq) for eq in doc.get("equations", [])],
         )
-    return cone
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"malformed cone: {exc!r}") from None
 
 
 def fan_to_json(fan, functionals=None):
@@ -137,16 +139,18 @@ def fan_to_json(fan, functionals=None):
 
 
 def fan_from_json(doc):
-    support = cone_from_json(doc["support"])
-    cells = tuple(cone_from_json(c) for c in doc["cells"])
-    fan = Fan(cells, support)
-    functionals = None
-    if "functionals" in doc:
-        functionals = {
-            valuation: tuple(vec_from_json(f) for f in per_cell)
-            for valuation, per_cell in doc["functionals"].items()
-        }
-    return fan, functionals
+    try:
+        support = cone_from_json(doc["support"])
+        cells = tuple(cone_from_json(c) for c in doc["cells"])
+        functionals = None
+        if "functionals" in doc:
+            functionals = {
+                valuation: tuple(vec_from_json(f) for f in per_cell)
+                for valuation, per_cell in _obj_from_json(doc["functionals"]).items()
+            }
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"malformed fan: {exc!r}") from None
+    return Fan(cells, support), functionals
 
 
 def nef_to_json(nef):
@@ -176,7 +180,7 @@ def ring_to_json(datum, segment_h=None):
             for g in datum.generators
         ],
         "valuations": list(datum.valuations),
-        "numerical_map": matrix_to_json(datum.numerical.matrix),
+        "numerical_map": matrix_to_json(datum.numerical),
     }
     if datum.nef is not None:
         doc["nef"] = nef_to_json(datum.nef)
@@ -207,11 +211,10 @@ def ring_from_json(doc):
             )
             for g in doc["generators"]
         )
-        matrix = matrix_from_json(doc["numerical_map"])
-        numerical = NumericalMap(matrix=matrix)
+        numerical = matrix_from_json(doc["numerical_map"])
         nef = None
         if "nef" in doc:
-            nef = nef_from_json(doc["nef"], len(matrix))
+            nef = nef_from_json(doc["nef"], len(numerical))
         pushforwards = []
         for pf in doc.get("pushforwards", []):
             pf_matrix = matrix_from_json(pf["map"])

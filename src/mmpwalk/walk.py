@@ -14,12 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    DimensionError,
     InconsistentInput,
     MissingNefData,
     NonGenericSegment,
     OutsideSupport,
 )
-from .linalg import _EXACT_TYPES, clear_denominators, dot
+from .linalg import _EXACT_TYPES, clear_denominators, dot, mat_apply
 
 
 @dataclass(frozen=True)
@@ -48,12 +49,19 @@ def _exact(v):
 
 
 def make_segment(h, kappa=None, grading_dim=None):
+    """The segment from ``h`` to ``kappa``, by default the first unit vector
+    of length ``grading_dim`` (``len(h)`` if None); endpoints of different
+    lengths raise DimensionError."""
     h = _exact(h)
     if kappa is None:
         n = grading_dim if grading_dim is not None else len(h)
         kappa = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(n))
     else:
         kappa = _exact(kappa)
+    if len(kappa) != len(h):
+        raise DimensionError(
+            f"segment endpoints differ in length: h has {len(h)} entries, kappa {len(kappa)}"
+        )
     if kappa == h:
         raise InconsistentInput("segment endpoints coincide")
     return ScalingSegment(kappa, h)
@@ -65,7 +73,6 @@ class ChamberWalk:
     cells: tuple  # the corresponding cones, walk order
     intervals: tuple  # (lo, hi) Fractions per chamber, partitioning [0,1]
     crossings: tuple  # wall points, one per consecutive pair
-    segment: ScalingSegment
 
     @property
     def length(self):
@@ -190,11 +197,11 @@ def order_chambers(fan, seg):
     cells = tuple(fan.cells[idx] for idx in chambers)
     intervals = tuple((lo, hi) for lo, hi, _ in met)
     crossings = tuple(seg.point(hi) for _, hi, _ in met[:-1])
-    return ChamberWalk(chambers, cells, intervals, crossings, seg)
+    return ChamberWalk(chambers, cells, intervals, crossings)
 
 
-def _rays_in_nef(cell, matrix_apply, nef_cone):
-    return all(nef_cone.contains(matrix_apply(r)) for r in cell.rays)
+def _rays_in_nef(cell, matrix, nef_cone):
+    return all(nef_cone.contains(mat_apply(matrix, r)) for r in cell.rays)
 
 
 def classify_nef(walk, datum):
@@ -208,7 +215,7 @@ def classify_nef(walk, datum):
     if datum.numerical is None:
         raise MissingNefData("a nef cone needs a numerical map")
     flags = [
-        _rays_in_nef(cell, datum.numerical.apply, datum.nef) for cell in walk.cells
+        _rays_in_nef(cell, datum.numerical, datum.nef) for cell in walk.cells
     ]
     if not flags[0]:
         raise InconsistentInput(
@@ -230,12 +237,10 @@ def classify_nef(walk, datum):
     model = 0
     while current < k:
         if model >= len(datum.pushforwards):
-            raise MissingNefData(
-                "pushforward chain ended before the walk did", index=model
-            )
+            raise MissingNefData("pushforward chain ended before the walk did")
         pf = datum.pushforwards[model]
         nxt = current
-        while nxt < k and _rays_in_nef(walk.cells[nxt], pf.apply, pf.nef):
+        while nxt < k and _rays_in_nef(walk.cells[nxt], pf.matrix, pf.nef):
             nxt += 1
         if nxt == current:
             raise InconsistentInput(

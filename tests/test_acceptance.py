@@ -29,7 +29,7 @@ from mmpwalk import (
     veronese_degree,
 )
 from mmpwalk.cli import main as cli_main
-from mmpwalk.linalg import dot, sign_canonical
+from mmpwalk.linalg import dot, mat_apply, sign_canonical
 from mmpwalk.veronese import MAX_MONOID_GENERATORS, grid_additivity_check
 from mmpwalk.ring import support_cone, validate
 
@@ -203,7 +203,7 @@ def test_criterion_4_blowup_worked_example(capsys):
     final_model = datum.pushforwards[0]
     assert final_model.model_id == doc["final"]["model_id"]
     for ray in final_cell.rays:
-        if not final_model.nef.contains(final_model.apply(ray)):
+        if not final_model.nef.contains(mat_apply(final_model.matrix, ray)):
             problems.append(f"ray {ray} maps outside the supplied nef cone")
     _report(
         4,

@@ -11,12 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmpwalk import InstanceSpec, builtin_examples, random_instance
+from mmpwalk import InstanceSpec, builtin_examples, chamber_fan, random_instance
 from mmpwalk.cli import main
-from mmpwalk.errors import SupportMismatch
+from mmpwalk.errors import MmpwalkError, SupportMismatch
 from mmpwalk import orders
-from mmpwalk.orders import OrderFunction
-from mmpwalk.serialize import dumps, ring_to_json
+from mmpwalk.orders import OrderFunction, cell_functionals
+from mmpwalk.serialize import dumps, fan_from_json, fan_to_json, ring_to_json
 
 
 @pytest.fixture()
@@ -510,6 +510,7 @@ def _one_line_error(err):
         (("decompose", "--input", "/nonexistent.json"), 2),
         (("veronese", "--degrees", "2,3", "--m-max", "-2"), 3),
         (("veronese", "--degrees", "2,3", "--m-max", "0"), 3),
+        (("walk", "--example", "blowup-P2", "--h", "0,1,5"), 3),
     ],
     ids=[
         "veronese-zero-degree",
@@ -518,6 +519,7 @@ def _one_line_error(err):
         "missing-input-file",
         "veronese-negative-m-max",
         "veronese-zero-m-max",
+        "walk-h-dimension",
     ],
 )
 def test_bad_arguments_exit_with_documented_codes(capsys, argv, code):
@@ -656,9 +658,10 @@ def _paths(node, prefix=()):
 
 
 @st.composite
-def mutated_documents(draw):
-    """A builtin example's document with one value replaced or one key deleted."""
-    doc = copy.deepcopy(EXAMPLE_DOCS[draw(st.sampled_from(sorted(EXAMPLE_DOCS)))])
+def mutated_documents(draw, docs=EXAMPLE_DOCS):
+    """One of ``docs``, a builtin example's document by default, with one
+    value replaced or one key deleted."""
+    doc = copy.deepcopy(docs[draw(st.sampled_from(sorted(docs)))])
     path = draw(st.sampled_from(list(_paths(doc))))
     parent = doc
     for key in path[:-1]:
@@ -693,6 +696,25 @@ def test_mutated_documents_end_in_a_documented_exit_code(doc):
         code, out = _run_on_stdin(argv, text)
         assert code in range(6), (command, code)
         assert _run_on_stdin(argv, text) == (code, out), command
+
+
+def _fan_document(datum):
+    fan = chamber_fan(datum)
+    return json.loads(dumps(fan_to_json(fan, cell_functionals(datum, fan))))
+
+
+FAN_DOCS = {name: _fan_document(datum) for name, datum in builtin_examples().items()}
+
+
+@given(mutated_documents(FAN_DOCS))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_mutated_fan_documents_raise_only_engine_errors(doc):
+    """``fan_from_json`` reads a fan document or raises an engine error
+    (a ParseError for a malformed one), never a bare Python exception."""
+    try:
+        fan_from_json(doc)
+    except MmpwalkError:
+        pass
 
 
 # argv fuzz: a base command on a builtin example plus one or two flags, each

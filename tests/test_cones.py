@@ -215,6 +215,17 @@ def test_halfspace_of_wrong_dimension_is_rejected():
         cone_from_halfspaces([(1, 0)], 2, equations=[(0,)])
 
 
+@pytest.mark.parametrize("build", [
+    lambda entry: cone_from_rays([(entry, 0), (0, 1)]),
+    lambda entry: cone_from_halfspaces([(entry, 0)], 2),
+    lambda entry: cone_from_halfspaces([(1, 0)], 2, equations=[(0, entry)]),
+], ids=["rays", "halfspaces", "equations"])
+def test_cone_constructors_take_only_exact_entries(build):
+    # primitive read True as 1, so both constructors returned a cone
+    with pytest.raises(TypeError):
+        build(True)
+
+
 def test_intersection_shared_face_is_the_common_ray():
     a = cone_from_rays([(1, 0), (1, 1)])
     b = cone_from_rays([(1, 1), (0, 1)])

@@ -34,7 +34,7 @@ from mmpwalk.cones import Fan, cone_from_rays
 from mmpwalk.errors import BudgetExceeded, DimensionError, InconsistentInput, InvalidCone
 from mmpwalk.linalg import clear_denominators, dot
 from mmpwalk.orders import DEFAULT_NODE_BUDGET, _representable
-from mmpwalk.ring import GeneratorDatum, NumericalMap, RingDatum, support_cone, validate
+from mmpwalk.ring import GeneratorDatum, RingDatum, support_cone, validate
 from mmpwalk.serialize import fan_from_json, fan_to_json
 
 
@@ -120,7 +120,7 @@ def test_lifted_cone_with_a_line_raises_invalid_cone():
         generators=tuple(GeneratorDatum(multidegree=d, mults={"E": Fraction(h)})
                          for d, h in degrees_heights),
         valuations=("E",),
-        numerical=NumericalMap(matrix=((Fraction(1), Fraction(0)),)),
+        numerical=((Fraction(1), Fraction(0)),),
     )
     assert not validate(datum).ok()
     with pytest.raises(InvalidCone, match="holds a line"):
@@ -192,7 +192,7 @@ def test_integer_order_zero_multidegree_generator():
             for d in ((0, 0), (2, 1), (1, 2))
         ),
         valuations=("E",),
-        numerical=NumericalMap(matrix=((Fraction(1), Fraction(0)),)),
+        numerical=((Fraction(1), Fraction(0)),),
     )
     lp = asymptotic_order(datum, "E", (3, 3)).value
     assert lp == 2
@@ -262,7 +262,7 @@ def test_integer_order_sandwiches_lp(fractional):
 def test_reduced_and_plain_enumeration_agree(blowup):
     # blowup has unit generators covering both coordinates (fast path);
     # dropping the unit on the second coordinate forces the plain DFS
-    from mmpwalk.ring import GeneratorDatum, NumericalMap, RingDatum
+    from mmpwalk.ring import GeneratorDatum, RingDatum
 
     no_units = RingDatum(
         r=1,
@@ -273,7 +273,7 @@ def test_reduced_and_plain_enumeration_agree(blowup):
             GeneratorDatum(multidegree=(1, 1), mults={"E": Fraction(0)}),
         ),
         valuations=("E",),
-        numerical=NumericalMap(matrix=((Fraction(1), Fraction(0)),)),
+        numerical=((Fraction(1), Fraction(0)),),
     )
     for point in [(2, 2), (3, 1), (4, 4)]:
         plain = integer_order(no_units, "E", point, 2)
@@ -432,7 +432,7 @@ def _thin_datum():
             GeneratorDatum(multidegree=(2, 2), mults={"G": Fraction(1)}),
         ),
         valuations=("G",),
-        numerical=NumericalMap(matrix=((Fraction(1), Fraction(0)),)),
+        numerical=((Fraction(1), Fraction(0)),),
     )
 
 
@@ -1219,7 +1219,7 @@ def small_levels_data(draw):
         generators=tuple(GeneratorDatum(multidegree=d, mults={"E": h})
                          for d, h in zip(degrees, mults)),
         valuations=("E",),
-        numerical=NumericalMap(matrix=((Fraction(1), Fraction(0)),)),
+        numerical=((Fraction(1), Fraction(0)),),
     )
     return datum, x
 

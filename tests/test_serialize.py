@@ -312,6 +312,19 @@ def test_cone_document_entries_are_exact():
             cone_from_json(doc)
 
 
+@pytest.mark.parametrize("reader, doc", [
+    (fan_from_json, {}),
+    (fan_from_json, {"support": {"rays": [[1, 0], [0, 1]]}, "cells": 5}),
+    (cone_from_json, {"facets": [["1", "0"]]}),
+    (cone_from_json, [1, 2]),
+], ids=["fan-without-support", "fan-cells-not-a-list", "cone-without-dimension",
+        "cone-not-an-object"])
+def test_malformed_fan_and_cone_documents_are_parse_errors(reader, doc):
+    # these raised KeyError, TypeError, KeyError and AttributeError
+    with pytest.raises(ParseError):
+        reader(doc)
+
+
 def _blowup_doc():
     return loads(dumps(ring_to_json(builtin_examples()["blowup-P2"])))
 

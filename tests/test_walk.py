@@ -8,6 +8,7 @@ from random import Random
 import pytest
 
 from mmpwalk import (
+    DimensionError,
     InconsistentInput,
     InstanceSpec,
     MissingNefData,
@@ -22,8 +23,8 @@ from mmpwalk import (
     random_instance,
 )
 from mmpwalk.cones import cone_from_rays
-from mmpwalk.linalg import clear_denominators, dot
-from mmpwalk.ring import PushforwardDatum, RingDatum, support_cone
+from mmpwalk.linalg import clear_denominators, dot, mat_apply
+from mmpwalk.ring import PushforwardDatum, RingDatum, support_cone, validate
 from mmpwalk.walk import ChamberWalk, NefClassification, _segment_interval
 
 
@@ -52,6 +53,13 @@ def test_make_segment_rejects_floats(h, kappa):
     # 0.1 was once stored as 3602879701896397/36028797018963968
     with pytest.raises(TypeError):
         make_segment(h, kappa, grading_dim=2)
+
+
+@pytest.mark.parametrize("kwargs", [dict(grading_dim=3), dict(kappa=(1, 0, 0))])
+def test_make_segment_rejects_endpoints_of_different_lengths(kwargs):
+    # point() zipped the endpoints and dropped kappa's third coordinate
+    with pytest.raises(DimensionError, match="h has 2 entries, kappa 3"):
+        make_segment((0, 1), **kwargs)
 
 
 @pytest.mark.parametrize("t", [0.1, 0.5, True, False, "1/2", None])
@@ -152,6 +160,24 @@ def test_classification_of_a_nef_cone_without_a_numerical_map(blowup, blowup_fan
     walk = order_chambers(blowup_fan, make_segment((1, 3), grading_dim=2))
     with pytest.raises(MissingNefData, match="a nef cone needs a numerical map"):
         classify_nef(walk, replace(blowup, numerical=None))
+
+
+def test_mat_apply_rejects_a_vector_of_another_length(blowup):
+    # dot zipped a row with the shorter vector: (1, 2, 3) gave (14, -1)
+    with pytest.raises(DimensionError):
+        mat_apply(blowup.numerical, (1, 2, 3))
+    assert mat_apply(blowup.numerical, (1, 2)) == (14, -1)
+
+
+def test_classification_rejects_a_short_pushforward_map(blowup, blowup_fan):
+    # rows of length 1 returned NefClassification(indices=(1, 2), mode='full')
+    # although validate reports bad-pushforward-map
+    pf = blowup.pushforwards[0]
+    short = replace(blowup, pushforwards=(replace(pf, matrix=((Fraction(2),),)),))
+    assert "bad-pushforward-map" in [e.code for e in validate(short).errors]
+    walk = order_chambers(blowup_fan, make_segment((0, 1), grading_dim=2))
+    with pytest.raises(DimensionError):
+        classify_nef(walk, short)
 
 
 def test_classification_rejects_non_nef_start(blowup, blowup_fan):
@@ -451,7 +477,6 @@ def test_trace_flags_match_the_branch_rule_on_synthetic_walks():
             cells=(cone,) * length,
             intervals=tuple((Fraction(i, length), Fraction(i + 1, length)) for i in range(length)),
             crossings=tuple((Fraction(i + 1, length),) for i in range(length - 1)),
-            segment=None,
         )
         assert [s.possibly_isomorphism for s in emit_trace(walk).steps] == [None] * (length - 1)
         positions = range(length + 2)
