@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import serialize
 from .errors import BudgetExceeded, MmpwalkError, NonGenericSegment, ParseError
-from .oracle import builtin_examples, o_value_oracle
+from .oracle import _o_values, builtin_examples
 from .linalg import clear_denominators, dot
 from .orders import (DEFAULT_NODE_BUDGET, asymptotic_order, cell_functionals, chamber_fan,
                      order_function)
@@ -195,15 +195,18 @@ def cmd_check(cfg):
     def point(scaled):
         return tuple(Fraction(v, 12) for v in scaled)
 
-    # linearity of every order function on every cell, each functional
-    # as integers over one denominator
+    # every check below reads an order as integers ``(num, den)``, ``den >
+    # 0``, and compares it cross-multiplied.  Linearity of every order
+    # function on every cell, each functional as integers over one
+    # denominator:
     for valuation in datum.valuations:
-        value = order[valuation].value
+        ratio = order[valuation].ratio
         for ci, cell in enumerate(fan.cells):
             fn, fd = clear_denominators(functionals[valuation][ci])
             for _ in range(5):
                 p = interior_point(cell)
-                if value(p) != Fraction(dot(fn, p), fd):
+                num, den = ratio(p)
+                if num * fd != dot(fn, p) * den:
                     failures.append(
                         f"linearity: cell {ci}, valuation {valuation}, point {point(p)}"
                     )
@@ -219,13 +222,14 @@ def cmd_check(cfg):
         a_scaled = tuple([lam.numerator * x for x in a])
         a_plus_b = tuple([x + y for x, y in zip(a, b)])
         for valuation in datum.valuations:
-            value = order[valuation].value
-            oa = value(a)
-            ob = value(b)
-            osum = value(a_plus_b)
-            if value(a_scaled) != lam.numerator * oa:
+            ratio = order[valuation].ratio
+            na, da = ratio(a)
+            nb, db = ratio(b)
+            ns, ds = ratio(a_plus_b)
+            nl, dl = ratio(a_scaled)
+            if nl * da != lam.numerator * na * dl:
                 failures.append(f"homogeneity: valuation {valuation}, point {point(a)}")
-            if osum > oa + ob:
+            if ns * da * db > (na * db + nb * da) * ds:
                 failures.append(
                     f"subadditivity: valuation {valuation}, points {point(a)}, {point(b)}"
                 )
@@ -273,11 +277,13 @@ def cmd_oracle(cfg):
         raise ParseError("at least one --point is required")
     lines = []
     mismatch = False
+    # one node budget for the whole command, every point and valuation
+    budget = cfg.budget
     for text in cfg.points:
         x = _parse_point(text)
         for valuation in datum.valuations:
             lp = asymptotic_order(datum, valuation, x).value
-            values = o_value_oracle(datum, valuation, x, range(1, cfg.k_max + 1), cfg.budget)
+            values, budget = _o_values(datum, valuation, x, range(1, cfg.k_max + 1), budget)
             hit = next((k for k, v in enumerate(values, 1) if v == lp), None)
             if any(v is not None and v < lp for v in values):
                 mismatch = True

@@ -124,6 +124,12 @@ def o_value_oracle(datum, valuation, x, k_list, budget=DEFAULT_NODE_BUDGET):
     bool, too).  A level ``k <= 0`` raises ValueError, and a multidegree
     whose length is not the point's DimensionError.
     """
+    return _o_values(datum, valuation, x, k_list, budget)[0]
+
+
+def _o_values(datum, valuation, x, k_list, budget):
+    """``o_value_oracle``'s values and the nodes of ``budget`` left, so
+    that one budget can bound several calls."""
     degrees = [tuple(g.multidegree) for g in datum.generators]
     # the search adds ints; each value is divided by the heights' common
     # denominator at the end
@@ -143,7 +149,7 @@ def o_value_oracle(datum, valuation, x, k_list, budget=DEFAULT_NODE_BUDGET):
         target = tuple(v * k // x_den for v in xs)
         best, budget = _min_over_integer_representations(degrees, costs, target, budget)
         out.append(None if best is None else Fraction(best, den * k))
-    return tuple(out)
+    return tuple(out), budget
 
 
 def builtin_examples():

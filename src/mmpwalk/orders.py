@@ -29,12 +29,14 @@ B^-1 x one row at a time and stops at its first negative entry.  Only
 when no kept basis answers is the LP solved; its phase 1 is feasible
 exactly on the support cone, the cone over the degrees, so it decides
 membership.  The new basis goes in front and answers like a kept one.
-``value(x)`` returns the exact order and nothing else, for callers that
-make many queries, such as the checks; ``certificate(x)``, which is
-``asymptotic_order``, returns it as an ``OValue``, whose witness and
-certifying dual are built from the basis when first read.  Values are
-exact and unique.  When several optimal vertices tie, which witness is
-returned depends on the earlier queries of the process.
+``ratio(x)`` returns the exact order as integers ``(num, den)``, ``den >
+0``, and builds no ``Fraction``: the checks, which make many queries,
+compare it cross-multiplied.  ``value(x)`` returns the same order as one
+``Fraction``, and ``certificate(x)``, which is ``asymptotic_order``, as an
+``OValue``, whose witness and certifying dual are built from the basis
+when first read.  Values are exact and unique.  When several optimal
+vertices tie, which witness is returned depends on the earlier queries of
+the process.
 """
 
 from dataclasses import FrozenInstanceError
@@ -175,12 +177,15 @@ class OrderFunction:
     ``den``, their least common denominator) and the optimal ``Basis``es of
     earlier solves of its LP on those costs, most recently certified first,
     so a kept basis's dual is ``den`` times the order's.  Only the values
-    the methods return are ``Fraction``s.
-    ``value(x)`` is the exact order at ``x``; ``certificate(x)`` is the same
-    value as an ``OValue``, with a witness and a dual.  Both answer from the
-    one basis that ``_basis`` finds optimal at ``x``, kept or newly solved.
-    A point outside the closed support cone raises OutsideSupport from both,
-    and a point of another dimension DimensionError.
+    that ``value`` and ``certificate`` return are ``Fraction``s.
+    ``ratio(x)`` is the exact order at ``x`` as integers ``(num, den)``,
+    ``den > 0``, not in lowest terms; ``value(x)`` is the same order as a
+    ``Fraction`` and ``certificate(x)`` as an ``OValue``, with a witness and
+    a dual.  All three read ``x`` by ``_point`` and answer from the one
+    basis that ``_basis`` finds optimal there, kept or newly solved, so they
+    keep the bases alike.  A point outside the closed support cone raises
+    OutsideSupport from each, and a point of another dimension
+    DimensionError.
     """
 
     __slots__ = ("degrees", "costs", "den", "bases")
@@ -202,6 +207,14 @@ class OrderFunction:
         xs, x_den = self._point(x)
         basis, _ = self._basis(xs, x_den)
         return Fraction(dot(basis.dual_num, xs), basis.dual_den * x_den * self.den)
+
+    def ratio(self, x):
+        """The order at ``x`` as integers ``(num, den)``, ``den > 0``, with
+        ``value(x) == Fraction(num, den)``; builds no ``Fraction``.  The
+        pair is not in lowest terms, so callers compare it cross-multiplied."""
+        xs, x_den = self._point(x)
+        basis, _ = self._basis(xs, x_den)
+        return dot(basis.dual_num, xs), basis.dual_den * x_den * self.den
 
     def certificate(self, x):
         """The order at ``x`` as an ``OValue`` that builds its witness, the

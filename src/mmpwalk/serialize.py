@@ -116,11 +116,15 @@ def cone_from_json(doc):
         rays = [vec_from_json(r) for r in doc.get("rays", [])]
         if rays:
             return cone_from_rays(rays)
-        return cone_from_halfspaces(
-            [vec_from_json(f) for f in doc.get("facets", [])],
-            _int_from_json(doc["ambient_dim"]),
-            equations=[vec_from_json(eq) for eq in doc.get("equations", [])],
-        )
+        facets = [vec_from_json(f) for f in doc.get("facets", [])]
+        equations = [vec_from_json(eq) for eq in doc.get("equations", [])]
+        if not facets and not equations:
+            # ``cone_to_json`` writes the whole space with its unit rays, so a
+            # document with none of the three has only ``ambient_dim``, which
+            # is not trusted to size a cone
+            raise ParseError("a cone document needs rays, facets or equations")
+        return cone_from_halfspaces(facets, _int_from_json(doc["ambient_dim"]),
+                                    equations=equations)
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed cone: {exc!r}") from None
 

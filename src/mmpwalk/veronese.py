@@ -21,7 +21,7 @@ from math import comb, gcd, lcm
 from operator import mul
 
 from .errors import BudgetExceeded
-from .linalg import clear_denominators, row_reduce
+from .linalg import row_reduce
 from .orders import _check_level, order_function
 
 DEFAULT_SPLIT_BUDGET = 200_000
@@ -149,16 +149,33 @@ def veronese_degree(degrees, m_max, split_budget=DEFAULT_SPLIT_BUDGET):
     return VeroneseResult(d=proved * base, verified_up_to=m_max, certified="proved")
 
 
-@dataclass
+@dataclass(slots=True)
 class AdditivityCheck:
+    """One grid point of ``grid_additivity_check``: its exponent vector,
+    the point, and the two sides of additivity there as integers over
+    positive denominators, the order at the point ``lhs_num / lhs_den`` and
+    the exponents times the generators' orders ``rhs_num / rhs_den``.
+    ``ok`` compares the sides cross-multiplied, and ``lhs`` and ``rhs``
+    build them as ``Fraction``s when read."""
+
     exponents: tuple
     point: tuple
-    lhs: Fraction
-    rhs: Fraction
+    lhs_num: int
+    lhs_den: int
+    rhs_num: int
+    rhs_den: int
 
     @property
     def ok(self):
-        return self.lhs == self.rhs
+        return self.lhs_num * self.rhs_den == self.rhs_num * self.lhs_den
+
+    @property
+    def lhs(self):
+        return Fraction(self.lhs_num, self.lhs_den)
+
+    @property
+    def rhs(self):
+        return Fraction(self.rhs_num, self.rhs_den)
 
 
 @dataclass
@@ -298,9 +315,12 @@ def grid_additivity_check(datum, fan, depth=3,
     basis is optimal on all of its grid points: after the first point each
     query is answered by the integer test of ``OrderFunction._basic_solution``
     on the bases tried before it, and a basis that does not certify the
-    point is left at its first negative entry.  The right-hand sides are
-    the exponent vectors times the generators' orders, in integers over one
-    denominator.  ``depth`` is checked as a level is, by ``_check_level``.
+    point is left at its first negative entry.  Every order is read as the
+    integers of ``OrderFunction.ratio``, and the right-hand sides are the
+    exponent vectors times the generators' orders over one denominator, so
+    each point's ``AdditivityCheck`` holds integers and is decided in them:
+    no ``Fraction`` is built unless a side is read.  ``depth`` is checked
+    as a level is, by ``_check_level``.
     """
     _check_level(depth, "depth")
     order = {v: order_function(datum, v) for v in datum.valuations}
@@ -325,11 +345,14 @@ def grid_additivity_check(datum, fan, depth=3,
                   for p in _exponent_vectors(len(gens), depth)]
         for valuation in datum.valuations:
             entry = CellReport(ci, valuation, tuple(gens), truncated=truncated)
-            value = order[valuation].value
+            ratio = order[valuation].ratio
             # the generators' orders as integers over one denominator
-            base, base_den = clear_denominators([value(g) for g in gens])
+            ratios = [ratio(g) for g in gens]
+            base_den = lcm(*[d for _, d in ratios])
+            base = [n * (base_den // d) for n, d in ratios]
             for p, point in checks:
-                rhs = Fraction(sum(map(mul, p, base)), base_den)
-                entry.checks.append(AdditivityCheck(p, point, value(point), rhs))
+                num, den = ratio(point)
+                entry.checks.append(
+                    AdditivityCheck(p, point, num, den, sum(map(mul, p, base)), base_den))
             report.entries.append(entry)
     return report

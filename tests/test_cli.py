@@ -5,6 +5,7 @@ import copy
 import hashlib
 import io
 import json
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -263,7 +264,8 @@ def test_check_stdout_on_corpus_matches_recorded_digest(monkeypatch, capsys, ins
 
 # LP solves and order queries of one check run from a cold start, counted
 # while the grid and the linearity samples were still summed in Fractions:
-# both the sampling and the grid query the order function once per point
+# both the sampling and the grid query the order function once per point.
+# A query is a call of either ``value`` or ``ratio``.
 CHECK_QUERY_COUNTS = {
     "--example blowup-P2": (2, 232),
     "corpus 2": (16, 6381),
@@ -279,27 +281,63 @@ def test_check_makes_the_recorded_solves_and_queries(monkeypatch, capsys, case):
         argv = ["check", *case.split()]
     orders._order_functions.cache_clear()
     solves, queries = [], []
-    solve_min, value = orders.solve_min, OrderFunction.value
+    solve_min = orders.solve_min
 
     def counted_solve(*args, **kwargs):
         solves.append(args)
         return solve_min(*args, **kwargs)
 
-    def counted_value(self, x):
-        queries.append(x)
-        return value(self, x)
+    def counted(method):
+        def query(self, x):
+            queries.append(x)
+            return method(self, x)
+        return query
 
     monkeypatch.setattr(orders, "solve_min", counted_solve)
-    monkeypatch.setattr(OrderFunction, "value", counted_value)
+    for name in ("value", "ratio"):
+        monkeypatch.setattr(OrderFunction, name, counted(getattr(OrderFunction, name)))
     code, out, _ = run(capsys, *argv)
     assert code == 0 and out.endswith("result: PASS\n")
     assert (len(solves), len(queries)) == CHECK_QUERY_COUNTS[case]
 
 
+# Fractions built by one check run from a cold start, counted by patching
+# ``Fraction.__new__``: the document's entries, the fan's functionals and
+# the 50 homogeneity factors.  The order queries and the grid compare
+# integers and build none; read through ``value``, with a Fraction
+# right-hand side per grid point, the same runs built 429 and 12,227.
+CHECK_FRACTION_COUNTS = {
+    "--example blowup-P2": 69,
+    "corpus 2": 122,
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECK_FRACTION_COUNTS))
+def test_check_builds_the_recorded_fractions(monkeypatch, capsys, case):
+    if case == "corpus 2":
+        monkeypatch.setattr("sys.stdin", io.StringIO(_corpus_document(2)))
+        argv = ["check", "--input", "-"]
+    else:
+        argv = ["check", *case.split()]
+    orders._order_functions.cache_clear()
+    built = []
+    new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.endswith("result: PASS\n")
+    assert len(built) == CHECK_FRACTION_COUNTS[case]
+
+
 # sha256 of check stdout with every order value negated, recorded while
-# check still sampled Fraction points.  The negated order functions stay
-# homogeneous, so the same sampled points fail, and the FAIL lines print
-# each of them.
+# check still sampled Fraction points and read the orders through
+# ``value``; they are now negated where check reads them, in ``ratio``.
+# The negated order functions stay homogeneous, so the same sampled points
+# fail, and the FAIL lines print each of them.
 FAILING_CHECK_SHA256 = {
     ("blowup-P2", "0"): "171ab085e21df43c6e1e2d343737e74b6bb99602c49072fb29eca4d28b8da7a9",
     ("fractional-vertex", "7"): "5a27387731e3d0cb419b3ff262879d7a81b2700c87588de6a70bbb00c2bfaea3",
@@ -308,8 +346,13 @@ FAILING_CHECK_SHA256 = {
 
 @pytest.mark.parametrize("example, seed", sorted(FAILING_CHECK_SHA256))
 def test_check_failure_report_matches_recorded_digest(monkeypatch, capsys, example, seed):
-    value = OrderFunction.value
-    monkeypatch.setattr(OrderFunction, "value", lambda self, x: -value(self, x))
+    ratio = OrderFunction.ratio
+
+    def negated(self, x):
+        num, den = ratio(self, x)
+        return -num, den
+
+    monkeypatch.setattr(OrderFunction, "ratio", negated)
     code, out, _ = run(capsys, "check", "--example", example, "--seed", seed, "--grid-depth", "1")
     assert code == 1
     assert "FAIL: linearity: " in out and "point (Fraction(" in out
@@ -416,6 +459,21 @@ def test_oracle_budget_bounds_all_levels(capsys):
     )
     assert code == 4
     assert out == "" and err == "error: oracle enumeration budget exhausted\n"
+
+
+def test_oracle_budget_bounds_the_whole_command(capsys):
+    # the searches at (2, 1) and (3, 2) spend 37,406 nodes together and
+    # 29,766 at (3, 2) alone; one budget bounds every point and valuation
+    # of the command, not each of them
+    both = ("oracle", "--example", "blowup-P2", "--point", "2,1", "--point", "3,2")
+    for budget, expected in (("30000", 4), ("37405", 4), ("37406", 0)):
+        code, out, err = run(capsys, *both, "--budget", budget)
+        assert code == expected, budget
+        if expected:
+            assert out == "" and err == "error: oracle enumeration budget exhausted\n"
+    code, out, _ = run(capsys, "oracle", "--example", "blowup-P2", "--point", "3,2",
+                       "--budget", "30000")
+    assert code == 0 and out.startswith("OK E at 3,2: ")
 
 
 def test_check_skips_a_grid_over_the_lattice_budget(capsys):

@@ -728,6 +728,37 @@ def test_lean_basis_test_equals_the_full_scan_on_the_corpus(seed):
     assert rejected
 
 
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_ratio_equals_value_on_the_corpus(seed):
+    # the corpus queries as integer and Fraction points, and the same points
+    # halved, put to two fresh order functions on one LP, one read through
+    # value and one through ratio: each pair is in integers with a positive
+    # denominator and equals the value, and both keep their bases in one order
+    datum = _corpus_datum(seed)
+    queries = _cache_queries(datum, chamber_fan(datum))
+    for valuation in datum.valuations:
+        points = [x for v, x in queries if v == valuation]
+        points += [tuple(Fraction(v, 2) for v in x) for x in points]
+        degrees = tuple([tuple(g.multidegree) for g in datum.generators])
+        ratios = tuple([m.as_integer_ratio() for m in orders._mults(datum, valuation)])
+        by_value = orders.OrderFunction(degrees, ratios)
+        by_ratio = orders.OrderFunction(degrees, ratios)
+        for x in points:
+            num, den = by_ratio.ratio(x)
+            assert type(num) is int and type(den) is int and den > 0, x
+            assert by_value.value(x) == Fraction(num, den), x
+            assert by_ratio.bases == by_value.bases, x
+
+
+def test_ratio_raises_as_value_does(blowup):
+    function = orders.order_function(blowup, "E")
+    for method in (function.value, function.ratio):
+        with pytest.raises(OutsideSupport):
+            method((-1, 1))
+        with pytest.raises(DimensionError):
+            method((1, 2, 3))
+
+
 def test_lean_basis_test_equals_the_full_scan_on_dropped_rows():
     lean, full = _scan_pair(_thin_datum(), "G")
     points = [(2, 2), (3, 3), (1, 2), (Fraction(1, 2), Fraction(1, 2)), (0, 0), (2, 1),

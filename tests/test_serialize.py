@@ -325,6 +325,19 @@ def test_malformed_fan_and_cone_documents_are_parse_errors(reader, doc):
         reader(doc)
 
 
+@pytest.mark.parametrize("doc", [
+    {"facets": [], "ambient_dim": 10**30},
+    {"ambient_dim": 3},
+    {"rays": [], "facets": [], "equations": [], "ambient_dim": 2},
+], ids=["huge-dimension", "dimension-only", "all-empty"])
+def test_cone_document_of_a_dimension_alone_is_a_parse_error(doc):
+    # such a document was read as the whole space, built from its 2n unit
+    # rays, so a dimension of 10**30 never returned; cone_to_json writes the
+    # whole space with those rays and the zero cone with its equations
+    with pytest.raises(ParseError, match="rays, facets or equations"):
+        cone_from_json(doc)
+
+
 def _blowup_doc():
     return loads(dumps(ring_to_json(builtin_examples()["blowup-P2"])))
 

@@ -22,6 +22,7 @@ from mmpwalk import (
 from mmpwalk.cones import cone_from_rays
 from mmpwalk.errors import BudgetExceeded
 from mmpwalk.linalg import rank, solve_exact
+from mmpwalk.orders import OrderFunction
 from mmpwalk.veronese import (
     MAX_MONOID_GENERATORS,
     _exponent_vectors,
@@ -382,6 +383,30 @@ def test_grid_additivity_equals_reference(name, dscale, lattice_budget):
         for e in report.entries
     ]
     assert got == reference_grid_additivity(datum, fan, dscale, 3, lattice_budget)
+
+
+@pytest.mark.parametrize("name", ["blowup-P2", "corpus-2"])
+def test_additivity_check_is_ok_exactly_when_its_sides_are_equal(name, monkeypatch):
+    # the squared order is not additive, so the grid holds failing records
+    # beside passing ones: on every record ``ok``, decided in integers,
+    # agrees with comparing the sides as Fractions
+    datum = _grid_case(name)
+    fan = chamber_fan(datum)
+    ratio = OrderFunction.ratio
+
+    def squared(self, x):
+        num, den = ratio(self, x)
+        return num * num, den * den
+
+    monkeypatch.setattr(OrderFunction, "ratio", squared)
+    checks = [c for e in grid_additivity_check(datum, fan).entries for c in e.checks]
+    assert any(c.ok for c in checks) and not all(c.ok for c in checks)
+    for c in checks:
+        assert c.ok == (c.lhs == c.rhs)
+        assert c.lhs_den > 0 and c.rhs_den > 0
+    # the sides need not be in lowest terms
+    assert veronese.AdditivityCheck((1,), (2,), 2, 4, 1, 2).ok
+    assert not veronese.AdditivityCheck((1,), (2,), -1, 2, 1, 2).ok
 
 
 def test_grid_of_a_cell_cut_to_no_generators_raises_as_before():
