@@ -14,6 +14,12 @@ them with LP values from ``simplex``.
 Every query goes through the one ``OrderFunction`` of its LP data, the
 integer degrees and the multiplicities, which ``order_function(datum,
 valuation)`` finds in one least-recently-used cache keyed on those data.
+It holds the function it found last with the generators tuple and the
+multiplicity objects it read, and answers a query of the same tuple whose
+every multiplicity is still the same object by identity, without the key;
+another tuple, a multiplicity replaced in its dict, or a multidegree that
+is not an exact tuple goes to the cache, and ``forget_order_functions()``
+drops the held function with the cache.
 It turns the multiplicities into integer costs over one denominator once,
 and reads every query point once, in ``_point``, as integer numerators
 over one denominator; the LP is solved on the numerators and the costs,
@@ -43,7 +49,7 @@ from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
-from operator import mul
+from operator import is_, mul
 
 from .cones import (PolyCone, _maximal, _tight_mask, common_refinement, cone_from_rays,
                     hyperplane_refinement, make_fan)
@@ -129,17 +135,27 @@ class OValue:
         return OValue, (self.value, self.witness, self.dual)
 
 
+def _missing(generators, valuation):
+    """The InconsistentInput for the first generator with no multiplicity
+    at ``valuation``."""
+    i = next(i for i, g in enumerate(generators) if valuation not in g.mults)
+    return InconsistentInput(f"generator {i} has no multiplicity for valuation {valuation!r}")
+
+
+def _check_exact(mults, valuation):
+    """Raise TypeError on a multiplicity inexact by ``linalg``'s rule."""
+    if not _EXACT_TYPES.issuperset(map(type, mults)):
+        raise TypeError(f"multiplicities at {valuation!r} are not exact: {tuple(mults)!r}")
+
+
 def _mults(datum, valuation):
     """The generators' multiplicities at ``valuation``: a missing one raises
     InconsistentInput, and one inexact by ``linalg``'s rule TypeError."""
     try:
         mults = tuple([g.mults[valuation] for g in datum.generators])
     except KeyError:
-        i = next(i for i, g in enumerate(datum.generators) if valuation not in g.mults)
-        raise InconsistentInput(
-            f"generator {i} has no multiplicity for valuation {valuation!r}") from None
-    if not _EXACT_TYPES.issuperset(map(type, mults)):
-        raise TypeError(f"multiplicities at {valuation!r} are not exact: {mults!r}")
+        raise _missing(datum.generators, valuation) from None
+    _check_exact(mults, valuation)
     return mults
 
 
@@ -161,12 +177,46 @@ def order_function(datum, valuation):
     key holds the multiplicities as (numerator, denominator) pairs, so an
     ``int`` and an equal ``Fraction`` share one function.  No generators,
     or only zero degrees, raise InvalidCone, and multidegrees of mixed
-    lengths DimensionError."""
-    mults = _mults(datum, valuation)
-    return _order_functions(
-        tuple([tuple(g.multidegree) for g in datum.generators]),
+    lengths DimensionError.
+
+    The function found last is held with the generators tuple and the
+    multiplicity objects it was found for.  Every call reads the
+    multiplicities again, since a dict changes in place, and a call whose
+    generators tuple is the held one and whose every multiplicity is the
+    held object has the held LP data, so it returns the held function
+    without building the key, whatever its valuation.  Only exact tuples
+    cannot change in place, so the first such repeat checks that the
+    generators and every multidegree are ones, and else goes on to the
+    cache: the check is paid once per held function, not on every miss.
+    A miss looks its key up in the cache and holds what it finds.
+    ``forget_order_functions`` drops the held function with the cache."""
+    generators = datum.generators
+    try:
+        mults = [g.mults[valuation] for g in generators]
+    except KeyError:
+        raise _missing(generators, valuation) from None
+    held = _held[0]
+    if held is not None and held[0] is generators and all(map(is_, mults, held[1])):
+        if held[3]:
+            return held[2]
+        if type(generators) is tuple and all(type(g.multidegree) is tuple for g in generators):
+            _held[0] = held[:3] + (True,)
+            return held[2]
+    _check_exact(mults, valuation)
+    function = _order_functions(
+        tuple([tuple(g.multidegree) for g in generators]),
         tuple([m.as_integer_ratio() for m in mults]),
     )
+    _held[0] = (generators, mults, function, False)
+    return function
+
+
+def forget_order_functions():
+    """Empty the order-function cache and drop the held function, so that
+    the next query of every LP datum builds its function and solves its LP
+    afresh, as in a new process."""
+    _order_functions.cache_clear()
+    _held[0] = None
 
 
 class OrderFunction:
@@ -299,6 +349,11 @@ class OrderFunction:
 
 # the one cache: (degrees, multiplicity ratios) -> their OrderFunction
 _order_functions = lru_cache(maxsize=ORDER_CACHE_SIZE)(OrderFunction)
+
+# the function ``order_function`` found last, as (generators, multiplicities
+# read, function, whether no multidegree can change in place), or None;
+# set in place, never rebound
+_held = [None]
 
 
 def _named(xs, x_den):

@@ -279,7 +279,7 @@ def test_check_makes_the_recorded_solves_and_queries(monkeypatch, capsys, case):
         argv = ["check", "--input", "-"]
     else:
         argv = ["check", *case.split()]
-    orders._order_functions.cache_clear()
+    orders.forget_order_functions()
     solves, queries = [], []
     solve_min = orders.solve_min
 
@@ -319,7 +319,7 @@ def test_check_builds_the_recorded_fractions(monkeypatch, capsys, case):
         argv = ["check", "--input", "-"]
     else:
         argv = ["check", *case.split()]
-    orders._order_functions.cache_clear()
+    orders.forget_order_functions()
     built = []
     new = Fraction.__new__
 

@@ -291,7 +291,7 @@ def test_support_passed_in_matches_recomputed(blowup):
 
 def _cold_start():
     """Forget every order function, and with it every kept basis."""
-    orders._order_functions.cache_clear()
+    orders.forget_order_functions()
 
 
 def test_cold_start_solves_the_lp_again(blowup, monkeypatch):
@@ -937,6 +937,131 @@ def test_alternating_valuations_build_no_new_order_function():
             assert asymptotic_order(datum, valuation, x, support=support).value == _cold_value(
                 datum, valuation, x)
     assert _builds() == 2
+
+
+@pytest.fixture
+def lookups(monkeypatch):
+    """The keys that ``order_function`` looks up in the one cache, from a
+    cold start, counted by wrapping the cache."""
+    _cold_start()
+    keys = []
+    cache = orders._order_functions
+
+    def counted(*key):
+        keys.append(key)
+        return cache(*key)
+
+    counted.cache_info = cache.cache_info
+    monkeypatch.setattr(orders, "_order_functions", counted)
+    return keys
+
+
+def _sixty_four_points(datum):
+    """64 points of the support cone: its rays, the generator sums and the
+    sum of the rays, repeated in turn."""
+    rays = support_cone(datum).rays
+    points = list(rays) + _generator_sums(datum) + [tuple(map(sum, zip(*rays)))]
+    return [points[i % len(points)] for i in range(64)]
+
+
+def test_repeated_queries_make_one_lookup(lookups):
+    datum = _corpus_datum(2)
+    valuation = datum.valuations[0]
+    points = _sixty_four_points(datum)
+    expected = [_cold_value(datum, valuation, x) for x in points]
+    assert [asymptotic_order(datum, valuation, x).value for x in points] == expected
+    assert len(lookups) == 1
+
+
+def test_alternating_queries_look_up_on_every_call(lookups):
+    datum = _corpus_datum(1)
+    twin = copy.deepcopy(datum)
+    one, other = datum.valuations[:2]
+    x = _generator_sums(datum)[-1]
+    expected = {v: _cold_value(datum, v, x) for v in (one, other)}
+    calls = [(datum, one), (datum, other)] * 4 + [(datum, one), (twin, one)] * 4
+    for d, valuation in calls:
+        assert asymptotic_order(d, valuation, x).value == expected[valuation]
+    assert len(lookups) == len(calls)
+    assert _builds() == 2
+
+
+def test_an_equal_multiplicity_object_looks_up_and_builds_nothing(blowup, lookups):
+    datum = copy.deepcopy(blowup)
+    for _ in range(3):
+        assert asymptotic_order(datum, "E", (2, 1)).value == 1
+    assert len(lookups) == 1
+    mults = datum.generators[2].mults
+    equal = Fraction(mults["E"])
+    assert equal == mults["E"] and equal is not mults["E"]
+    mults["E"] = equal
+    builds = _builds()
+    for _ in range(3):
+        assert asymptotic_order(datum, "E", (2, 1)).value == 1
+    assert len(lookups) == 2
+    assert _builds() == builds
+
+
+def test_a_list_multidegree_changed_in_place_is_read_again(blowup, lookups):
+    generators = tuple(GeneratorDatum(list(g.multidegree), dict(g.mults))
+                       for g in blowup.generators)
+    datum = replace(blowup, generators=generators)
+    for _ in range(2):
+        assert asymptotic_order(datum, "E", (2, 1)).value == 1 == _cold_value(datum, "E", (2, 1))
+    # (2, 1) becomes a free generator's degree
+    generators[2].multidegree[:] = [2, 1]
+    assert asymptotic_order(datum, "E", (2, 1)).value == 0 == _cold_value(datum, "E", (2, 1))
+    assert len(lookups) == 3
+
+
+def test_a_multiplicity_deleted_after_a_hit_raises(blowup, lookups):
+    datum = copy.deepcopy(blowup)
+    for _ in range(3):
+        assert asymptotic_order(datum, "E", (2, 1)).value == 1
+    assert len(lookups) == 1
+    del datum.generators[1].mults["E"]
+    with pytest.raises(InconsistentInput, match="generator 1 has no multiplicity"):
+        asymptotic_order(datum, "E", (2, 1))
+
+
+def _query_pool():
+    """Corpus data, a deepcopy twin of each, and a last copy whose
+    multiplicity dicts a process may change."""
+    data = [_corpus_datum(seed) for seed in (1, 2, 4)]
+    pool = data + [copy.deepcopy(d) for d in data] + [copy.deepcopy(data[0])]
+    return pool, {id(d): _sixty_four_points(d)[:8] for d in pool}
+
+
+@given(st.data())
+@settings(max_examples=30, derandomize=True, deadline=None)
+def test_one_long_process_of_interleaved_queries_matches_cold_values(data):
+    _cold_start()
+    pool, points = _query_pool()
+    changed = pool[-1]
+    steps = data.draw(st.lists(st.tuples(
+        st.integers(0, len(pool) - 1), st.integers(0, 7), st.integers(0, 7),
+        st.sampled_from(["order", "ratio", "stabilization", "change"])), min_size=1, max_size=24))
+    for index, v_index, x_index, kind in steps:
+        datum = changed if kind == "change" else pool[index]
+        valuation = datum.valuations[v_index % len(datum.valuations)]
+        x = points[id(datum)][x_index]
+        if kind == "change":
+            # the dict gets an equal object, then a new value, each read by
+            # the query that follows
+            mults = datum.generators[index % len(datum.generators)].mults
+            for value in (Fraction(mults[valuation]), mults[valuation] + Fraction(v_index + 1, 2)):
+                mults[valuation] = value
+                assert asymptotic_order(datum, valuation, x).value == _cold_value(
+                    datum, valuation, x)
+        elif kind == "order":
+            assert asymptotic_order(datum, valuation, x).value == _cold_value(datum, valuation, x)
+        elif kind == "ratio":
+            num, den = orders.order_function(datum, valuation).ratio(x)
+            assert Fraction(num, den) == _cold_value(datum, valuation, x)
+        else:
+            # the reference reads a fresh copy, which the held function never answers
+            assert stabilization_multiple(datum, valuation, x, 6) == _reference_stabilization(
+                copy.deepcopy(datum), valuation, x, 6)
 
 
 def test_stabilization_after_an_order_query_solves_no_lp(monkeypatch):
