@@ -23,13 +23,18 @@ takes a cut's equations from the same masks: the implicit equalities,
 tight at every ray, join the cone's own (``orders`` reads linearity cells
 off a lifted cone with ``_maximal`` too).  A cone with lineality takes one
 more conversion, ``_rays_mod_lineality``, which fixes the representatives
-of its rays.  ``common_refinement`` skips a pair of cells that a facet
-separates before intersecting them.  Both refinements carry each cell's
-label (``orders`` labels cells with their linear functionals).
+of its rays.  ``common_refinement`` decides and cuts each pair of cells
+from one table of the next fan's walls per cell (``_WallTable``): a pair
+that meets in lower dimension is skipped, a cell inside its partner is
+kept as it is, and any other cell is cut by one ``_dd`` from its own lines
+and rays, by the partner's constraints that cross it alone.  Both
+refinements carry each cell's label (``orders`` labels cells with their
+linear functionals).
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .errors import DimensionError, InvalidCone, SupportMismatch
 from .linalg import (
@@ -131,7 +136,7 @@ def _dd_step(lines, rays, a, values, bit):
             zero + sorted(new.items()))
 
 
-def _dd(ineqs, n, lines=None, rays=(), offset=0):
+def _dd(ineqs, n, lines=None, rays=(), offset=0, values=None):
     """V-representation of ``{x : a . x >= 0 for a in ineqs}``, or of its
     intersection with the cone that ``lines`` and ``rays`` describe.
 
@@ -152,15 +157,19 @@ def _dd(ineqs, n, lines=None, rays=(), offset=0):
     equations hold at every line and ray and so change no step), and
     ``ineqs[j]`` takes bit ``offset + j``.  The count, not the highest bit
     in use, numbers the new bits: a facet tight at no ray, such as the one
-    facet of a ray, sets no bit.
+    facet of a ray, sets no bit.  ``values``, when given, are the values of
+    the first inequality, made primitive, at the given ``rays``, which the
+    caller already holds.
     """
     if lines is None:
         lines = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     bit = 1 << offset  # the new mask bit
     for a in ineqs:
         a = primitive(a)
-        lines, pos, _, on = _dd_step(lines, rays, a, [dot(a, r) for r, _ in rays], bit)
-        rays = pos + on
+        if values is None:
+            values = [dot(a, r) for r, _ in rays]
+        lines, pos, _, on = _dd_step(lines, rays, a, values, bit)
+        rays, values = pos + on, None
         bit <<= 1
     return lines, rays
 
@@ -271,6 +280,8 @@ def _lines_and_rays(cone):
     """``cone``'s lines, one ray of each opposite pair, and its other rays:
     a basis of its lineality space and its extreme rays modulo lineality."""
     paired = {vneg(r) for r in cone.rays}.intersection(cone.rays)
+    if not paired:
+        return [], list(cone.rays)
     lines = [r for r in cone.rays if r in paired and r > vneg(r)]
     return lines, [r for r in cone.rays if r not in paired]
 
@@ -339,16 +350,6 @@ def intersect(a, b):
     return _cut(a, list(b.facets) + _both_sides(b.equations))
 
 
-def _separated(a, b):
-    """True when a facet of one cone has every ray of the other on its
-    nonpositive side.  The two then meet inside that facet's hyperplane, so
-    their intersection has lower dimension than the cone owning the facet
-    and their relative interiors are disjoint."""
-    return any(all(dot(f, r) <= 0 for r in b.rays) for f in a.facets) or any(
-        all(dot(f, r) <= 0 for r in a.rays) for f in b.facets
-    )
-
-
 @dataclass(frozen=True)
 class Fan:
     """Finite set of equal-dimensional cones with common support.
@@ -378,9 +379,101 @@ def make_fan(cells, support, labels=None):
     return Fan(tuple(c for c, _ in pairs), support, tuple(l for _, l in pairs))
 
 
+class _WallTable:
+    """One cell of a refinement with the values of the next fan's walls at
+    its lines and rays (``_lines_and_rays``), each wall's read on first use.
+    A wall's row holds its values at the rays, their least and greatest (0
+    when there is no ray), and whether it vanishes on every line.  The
+    cell's rays with their masks over its facets, where ``_dd`` starts a
+    cut, are also read once, on the first cut."""
+
+    __slots__ = ("cone", "lines", "rays", "walls", "rows", "masked")
+
+    def __init__(self, cone, walls):
+        self.cone = cone
+        self.lines, self.rays = _lines_and_rays(cone)
+        self.walls = walls
+        self.rows = [None] * len(walls)
+        self.masked = None
+
+    def row(self, i):
+        w = self.walls[i]
+        values = [sum(map(mul, w, r)) for r in self.rays]
+        row = self.rows[i] = (values, min(values, default=0), max(values, default=0),
+                              not self.lines or not any(dot(w, l) for l in self.lines))
+        return row
+
+    def start(self):
+        if self.masked is None:
+            self.masked = [(r, _tight_mask(r, self.cone.facets)) for r in self.rays]
+        return self.masked
+
+
+def _walls(cells):
+    """The distinct walls of ``cells``, as ``sign_canonical`` vectors of
+    their facets and equations, and for each cell its facets and the two
+    sides of its equations, each as ``(constraint, wall index, sign)`` with
+    the constraint a positive multiple of ``sign`` times its wall."""
+    index = {}
+
+    def signed(c):
+        wall = primitive(c)
+        neg = vneg(wall)
+        if wall > neg:  # the first nonzero entry is positive
+            return c, index.setdefault(wall, len(index)), 1
+        return c, index.setdefault(neg, len(index)), -1
+
+    constraints = [([signed(f) for f in cell.facets],
+                    [signed(side) for side in _both_sides(cell.equations)]) for cell in cells]
+    return list(index), constraints
+
+
+def _meet(table, b, facets, sides):
+    """The piece that the cell of ``table`` and the cone ``b`` share, given
+    ``b``'s facets and the sides of its equations (``_walls``).
+
+    None when a facet of one has every ray of the other on its nonpositive
+    side and vanishes on its lines: the two then meet inside that facet's
+    hyperplane, in lower dimension than the cone owning it.  A constraint
+    of ``b`` cuts the cell when it is negative at one of its rays or not
+    zero on one of its lines, read off the table.  When none cuts, the cell
+    lies inside ``b`` and is the piece itself.  Otherwise ``_dd`` cuts it
+    by those that do, from its lines and masked rays with the first cut's
+    values read off the table, and the piece is read off the cut
+    (``_read_off``), as ``intersect`` reads it.
+    """
+    a, rows = table.cone, table.rows
+    for _, i, s in facets:
+        _, low, high, flat = rows[i] or table.row(i)
+        if flat and (high <= 0 if s > 0 else low >= 0):
+            return None
+    if any(all(sum(map(mul, f, r)) <= 0 for r in b.rays) for f in a.facets):
+        return None
+    cuts = []
+    for c, i, s in facets + sides:
+        _, low, high, flat = rows[i] or table.row(i)
+        if not flat or (low < 0 if s > 0 else high > 0):
+            cuts.append((c, i, s))
+    if not cuts:
+        return a
+    _, i, s = cuts[0]
+    values = rows[i][0]
+    normals = [c for c, _, _ in cuts]
+    lines, rays = _dd(normals, a.ambient_dim, table.lines, table.start(), len(a.facets),
+                      values if s > 0 else [-v for v in values])
+    return _read_off(a, list(a.facets) + normals, rays, lines)
+
+
 def common_refinement(fans):
     """Common refinement of fans sharing one support cone.  Each piece is
-    labelled with its source cells' labels concatenated in fan order."""
+    labelled with its source cells' labels concatenated in fan order.
+
+    The cells so far meet the next fan's cells pair by pair, and each pair
+    is decided and cut from one table of the next fan's walls per cell
+    (``_meet``): a pair meeting in lower dimension is skipped, a cell
+    inside its partner is kept as it is, and any other cell is cut only by
+    the partner's constraints that cross it.
+    """
     fans = list(fans)
     if not fans:
         raise SupportMismatch("no fans given")
@@ -390,13 +483,14 @@ def common_refinement(fans):
             raise SupportMismatch("fans do not share a support cone")
     cells = list(zip(fans[0].cells, fans[0].labels))
     for f in fans[1:]:
+        walls, constraints = _walls(f.cells)
+        partners = list(zip(f.cells, f.labels, constraints))
         pieces = []
         for a, label_a in cells:
-            for b, label_b in zip(f.cells, f.labels):
-                if _separated(a, b):
-                    continue
-                c = intersect(a, b)
-                if c.dim == support.dim:
+            table = _WallTable(a, walls)
+            for b, label_b, (facets, sides) in partners:
+                c = _meet(table, b, facets, sides)
+                if c is not None and c.dim == support.dim:
                     pieces.append((c, label_a + label_b))
         cells = pieces
     return make_fan([c for c, _ in cells], support, [l for _, l in cells])

@@ -17,15 +17,20 @@ corpus and on hand-built fans whose cells hold lines are compared with
 from-scratch references: the two-conversion construction (generators ->
 facets -> rays) which the package used before, applied to all the
 half-spaces and equations at once.
-``common_refinement`` skips a pair of cells when a facet of one has the
-other on its nonpositive side, and the tests check that every skipped pair
-meets in lower dimension.  ``orders.linearity_fan`` converts the lifted
-cone once and reads every cell off it; each read-off cell and label is
-compared with ``cone_from_rays`` of the cell's projected lifted rays.
+``common_refinement`` decides and cuts each pair of cells from one table of
+the next fan's walls per cell: the tests check that every skipped pair
+meets in lower dimension and every pair kept with no cut is the cell
+itself, pin the conversions it makes on two corpus documents, and compare
+its pieces with those of the earlier pairwise loop (a separation pretest,
+then ``intersect``), kept here as a reference.  ``orders.linearity_fan``
+converts the lifted cone once and reads every cell off it; each read-off
+cell and label is compared with ``cone_from_rays`` of the cell's projected
+lifted rays.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -56,6 +61,8 @@ from mmpwalk.linalg import (
     vneg,
 )
 from mmpwalk.ring import support_cone
+from mmpwalk.serialize import ring_from_json
+from test_cli import THIN_DOCUMENT
 
 
 def _reference_dd(ineqs, n):
@@ -328,10 +335,11 @@ def _corpus_spec(seed):
 
 
 def _fan_data():
-    # corpus seeds 1-15: with each linearity fan built once, seeds 1-10
-    # alone convert too few cones for test_one_conversion_per_pointed_cone
+    # corpus seeds 1-25: with each linearity fan built once, seeds 1-10
+    # alone converted too few cones for test_one_conversion_per_pointed_cone,
+    # and with a cell inside its partner kept as it is, seeds 1-15 alone do
     data = list(builtin_examples().values())
-    return data + [random_instance(_corpus_spec(seed)) for seed in range(1, 16)]
+    return data + [random_instance(_corpus_spec(seed)) for seed in range(1, 26)]
 
 
 def _split_trees(events):
@@ -493,11 +501,12 @@ def test_every_refined_piece_matches_the_reference():
 
 
 @st.composite
-def lineality_fans(draw):
+def lineality_fans(draw, n=None):
     """Two cells, each cut out by fewer half-spaces than the dimension and
     so holding a line, in a fan whose support is the one of larger
-    dimension."""
-    n = draw(st.integers(min_value=2, max_value=4))
+    dimension; in dimension ``n`` when given."""
+    if n is None:
+        n = draw(st.integers(min_value=2, max_value=4))
     vec = st.tuples(*([st.integers(min_value=-3, max_value=3)] * n))
     cells = []
     for _ in range(2):
@@ -520,22 +529,142 @@ def test_refined_pieces_of_cells_with_lineality_match_the_reference(fan):
 
 
 def test_pretest_skips_only_pairs_meeting_in_lower_dimension(monkeypatch):
-    skipped = []
-    separated = cones._separated
+    """Every pair of cells that ``common_refinement`` skips meets in lower
+    dimension, and every pair it keeps with no cut is the cell itself,
+    which lies inside its partner."""
+    met = []
+    meet = cones._meet
 
-    def recorded(a, b):
-        if separated(a, b):
-            skipped.append((a, b))
-            return True
-        return False
+    def recorded(table, b, facets, sides):
+        piece = meet(table, b, facets, sides)
+        met.append((table.cone, b, piece))
+        return piece
 
-    monkeypatch.setattr(cones, "_separated", recorded)
-    total = 0
+    monkeypatch.setattr(cones, "_meet", recorded)
+    total = inside = 0
     for datum in _fan_data():
         support = support_cone(datum)
         chamber_fan(datum, support=support)
-        for a, b in skipped:
-            assert intersect(a, b).dim < support.dim
-        total += len(skipped)
-        skipped.clear()
-    assert total > 100
+        for a, b, piece in met:
+            if piece is None:
+                assert intersect(a, b).dim < support.dim
+                total += 1
+            elif piece is a:
+                assert intersect(a, b) == a
+                inside += 1
+        met.clear()
+    assert total > 100 and inside > 100
+
+
+def _reference_pieces(fans):
+    """The common refinement's pieces and labels, before ``make_fan``, as the
+    package cut them before the wall table: a pair of cells is skipped when
+    a facet of one has every ray of the other on its nonpositive side, and
+    any other pair is cut by ``intersect``."""
+    def separated(a, b):
+        return any(all(dot(f, r) <= 0 for r in b.rays) for f in a.facets) or any(
+            all(dot(f, r) <= 0 for r in a.rays) for f in b.facets
+        )
+
+    support = fans[0].support
+    cells = list(zip(fans[0].cells, fans[0].labels))
+    for f in fans[1:]:
+        pieces = []
+        for a, label_a in cells:
+            for b, label_b in zip(f.cells, f.labels):
+                if separated(a, b):
+                    continue
+                c = intersect(a, b)
+                if c.dim == support.dim:
+                    pieces.append((c, label_a + label_b))
+        cells = pieces
+    return cells
+
+
+def _assert_refinement_matches_the_reference(fans):
+    """``common_refinement`` hands ``make_fan`` the reference's pieces and
+    labels in the reference's order; the count of cells."""
+    handed = []
+    make = cones.make_fan
+
+    def recorded(cells, support, labels=None):
+        handed.append((list(cells), list(labels)))
+        return make(cells, support, labels)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cones, "make_fan", recorded)
+        fan = cones.common_refinement(fans)
+    pieces = _reference_pieces(fans)
+    assert handed == [([c for c, _ in pieces], [l for _, l in pieces])]
+    ref = make_fan([c for c, _ in pieces], fans[0].support, [l for _, l in pieces])
+    assert fan.cells == ref.cells and fan.labels == ref.labels
+    return len(fan.cells)
+
+
+def _linearity_fans(datum):
+    support = support_cone(datum)
+    return [orders.linearity_fan(datum, v, support) for v in datum.valuations]
+
+
+def test_refinement_matches_the_pairwise_reference_on_the_corpus():
+    data = list(builtin_examples().values())
+    data += [random_instance(_corpus_spec(seed)) for seed in range(1, 51)]
+    cells = sum(_assert_refinement_matches_the_reference(fans)
+                for fans in map(_linearity_fans, data) if fans)
+    assert cells > 200
+
+
+def test_refinement_matches_the_pairwise_reference_on_a_thin_support():
+    """Every cell of a thin support's fans carries the support's equation."""
+    fans = _linearity_fans(ring_from_json(THIN_DOCUMENT)[0])
+    assert all(cell.equations for f in fans for cell in f.cells)
+    assert _assert_refinement_matches_the_reference(fans) == 12
+
+
+@st.composite
+def shared_support_fans(draw):
+    """Two or three fans of ``lineality_fans`` in one dimension, all given
+    the first one's support: cells with lines and cells of lower dimension
+    than the support."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    fans = [draw(lineality_fans(n)) for _ in range(draw(st.integers(min_value=2, max_value=3)))]
+    return [make_fan(f.cells, fans[0].support, f.labels) for f in fans]
+
+
+@given(shared_support_fans())
+@example([make_fan([cone_from_halfspaces([(0, 1)], 2), cone_from_halfspaces([(1, 0)], 2)],
+                   cone_from_halfspaces([(0, 1)], 2), [("first",), ("second",)])] * 2)
+@settings(max_examples=200, deadline=None)
+def test_refinement_matches_the_pairwise_reference_on_cells_with_lines(fans):
+    _assert_refinement_matches_the_reference(fans)
+
+
+# _dd and _dd_step calls of common_refinement on the linearity fans of two
+# corpus documents, and the pairs it keeps whole, recorded when the pairs
+# were first cut from the wall table (the pairwise loop made 18 and 54,
+# then 12 and 38 calls)
+REFINEMENT_CONVERSIONS = {2: (8, 10, 10), 18: (3, 7, 9)}
+
+
+@pytest.mark.parametrize("seed", sorted(REFINEMENT_CONVERSIONS))
+def test_refinement_makes_the_recorded_conversions(monkeypatch, seed):
+    fans = _linearity_fans(random_instance(_corpus_spec(seed)))
+    calls = {"_dd": 0, "_dd_step": 0, "inside": 0}
+    dd, step, meet = cones._dd, cones._dd_step, cones._meet
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    def recorded(table, *args):
+        piece = meet(table, *args)
+        calls["inside"] += piece is table.cone
+        return piece
+
+    monkeypatch.setattr(cones, "_dd", counted("_dd", dd))
+    monkeypatch.setattr(cones, "_dd_step", counted("_dd_step", step))
+    monkeypatch.setattr(cones, "_meet", recorded)
+    cones.common_refinement(fans)
+    assert (calls["_dd"], calls["_dd_step"], calls["inside"]) == REFINEMENT_CONVERSIONS[seed]

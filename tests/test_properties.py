@@ -1,6 +1,7 @@
 """Property-based checks for the geometric kernel and the order functions."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 
 import pytest
@@ -13,7 +14,7 @@ from mmpwalk import (
     chamber_fan,
     random_instance,
 )
-from mmpwalk import cones, linalg
+from mmpwalk import cones, linalg, orders
 from mmpwalk.cones import cone_from_halfspaces, cone_from_rays, hyperplane_refinement
 from mmpwalk.linalg import (
     clear_denominators,
@@ -337,11 +338,12 @@ def test_float_entry_raises_type_error(call):
 
 
 def test_cut_equations_are_the_kernel_of_the_rays(monkeypatch):
-    """On every cut that ``chamber_fan`` makes over corpus seeds 1-50, and
-    every piece its refinement splits off, the equations read off the
-    implicit equalities span the kernel of the rays and lines.  With the
-    separation pretest off, ``common_refinement`` also cuts the pairs that
-    meet in lower dimension, which it then drops."""
+    """On every cut that ``chamber_fan`` makes over corpus seeds 1-50, every
+    piece its refinement splits off, and the intersection of every two
+    cells of each datum's linearity fans, the equations read off the
+    implicit equalities span the kernel of the rays and lines.  Many of
+    those intersections meet in lower dimension: ``common_refinement``
+    skips such pairs without cutting them."""
     cuts = []
     read_off = cones._read_off  # every cut and every refined piece is read off its masks
 
@@ -351,13 +353,18 @@ def test_cut_equations_are_the_kernel_of_the_rays(monkeypatch):
         return piece
 
     monkeypatch.setattr(cones, "_read_off", recorded)
-    monkeypatch.setattr(cones, "_separated", lambda a, b: False)
     for seed in range(1, 51):
         r = (1, 1, 2, 2, 3)[seed % 5]
-        chamber_fan(random_instance(InstanceSpec(
+        datum = random_instance(InstanceSpec(
             r=r, generator_count={1: 6, 2: 6, 3: 5}[r], valuation_count={1: 4, 2: 3, 3: 2}[r],
             coordinate_bound=4, seed=seed,
-        )))
+        ))
+        support = support_cone(datum)
+        chamber_fan(datum, support=support)
+        fans = [orders.linearity_fan(datum, v, support) for v in datum.valuations]
+        cells = [cell for fan in fans for cell in fan.cells]
+        for a, b in combinations(cells, 2):
+            cones.intersect(a, b)
     for piece in cuts:
         assert piece.equations == row_reduce(kernel(list(piece.rays), piece.ambient_dim))
     lower = [piece.dim for piece in cuts if piece.dim < piece.ambient_dim]
