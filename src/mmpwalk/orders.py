@@ -435,8 +435,7 @@ def cell_functionals(datum, fan, support=None):
 
     ``support`` is accepted for compatibility and does not affect the
     result.  A fan whose labels do not hold one functional per valuation,
-    such as one read back by ``fan_from_json`` or built by hand, raises
-    InconsistentInput.
+    such as one built by hand, raises InconsistentInput.
     """
     count = len(datum.valuations)
     if any(len(label) != count for label in fan.labels):

@@ -1,24 +1,24 @@
 """JSON document formats.
 
-Rationals travel as "p/q" strings (plain "p" for integers) so exactness
-survives serialization; only an ``int`` or a ``Fraction`` is written as
-one, and a float raises TypeError.  All collections are emitted in
-canonical order so identical inputs give byte-identical documents.
-``dumps`` writes a document as ``json.dumps(doc, indent=2,
-sort_keys=True)`` does, byte for byte, but writes strs, ints, lists and
-str-keyed dicts itself, since ``json`` runs its pure-Python encoder
-whenever ``indent`` is set.
+The package reads one document, the ring datum (``ring_from_json``), and
+writes four: the cone, fan, ring and trace documents.  Rationals travel
+as "p/q" strings (plain "p" for integers) so exactness survives
+serialization; only an ``int`` or a ``Fraction`` is written as one, and a
+float raises TypeError.  All collections are emitted in canonical order
+so identical inputs give byte-identical documents.  ``dumps`` writes a
+document as ``json.dumps(doc, indent=2, sort_keys=True)`` does, byte for
+byte, but writes strs, ints, lists and str-keyed dicts itself, since
+``json`` runs its pure-Python encoder whenever ``indent`` is set.
 """
 
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
-from .cones import Fan, cone_from_rays, cone_from_halfspaces
+from .cones import cone_from_rays, cone_from_halfspaces
 from .errors import InconsistentInput, ParseError
 from .linalg import _EXACT_TYPES
 from .ring import GeneratorDatum, PushforwardDatum, RingDatum
-from .walk import MmpTrace, TraceStep
 
 
 def rat_to_str(x):
@@ -63,12 +63,6 @@ def _obj_from_json(x):
     return x
 
 
-def _flag_from_json(x):
-    if not (x is None or isinstance(x, bool)):
-        raise ParseError(f"bad flag {x!r}: expected true, false or null")
-    return x
-
-
 def rat_from_str(s):
     """The ``Fraction`` that ``Fraction(s)`` reads, or ParseError.  A JSON
     float or bool is rejected.  A string of decimal digits with at most a
@@ -110,25 +104,6 @@ def cone_to_json(cone):
     return doc
 
 
-def cone_from_json(doc):
-    try:
-        doc = _obj_from_json(doc)
-        rays = [vec_from_json(r) for r in doc.get("rays", [])]
-        if rays:
-            return cone_from_rays(rays)
-        facets = [vec_from_json(f) for f in doc.get("facets", [])]
-        equations = [vec_from_json(eq) for eq in doc.get("equations", [])]
-        if not facets and not equations:
-            # ``cone_to_json`` writes the whole space with its unit rays, so a
-            # document with none of the three has only ``ambient_dim``, which
-            # is not trusted to size a cone
-            raise ParseError("a cone document needs rays, facets or equations")
-        return cone_from_halfspaces(facets, _int_from_json(doc["ambient_dim"]),
-                                    equations=equations)
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed cone: {exc!r}") from None
-
-
 def fan_to_json(fan, functionals=None):
     doc = {
         "support": cone_to_json(fan.support),
@@ -142,30 +117,20 @@ def fan_to_json(fan, functionals=None):
     return doc
 
 
-def fan_from_json(doc):
-    try:
-        support = cone_from_json(doc["support"])
-        cells = tuple(cone_from_json(c) for c in doc["cells"])
-        functionals = None
-        if "functionals" in doc:
-            functionals = {
-                valuation: tuple(vec_from_json(f) for f in per_cell)
-                for valuation, per_cell in _obj_from_json(doc["functionals"]).items()
-            }
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed fan: {exc!r}") from None
-    return Fan(cells, support), functionals
-
-
 def nef_to_json(nef):
     return {"rays": [list(r) for r in nef.rays]}
 
 
-def nef_from_json(doc, ambient_dim):
+def nef_from_json(doc, matrix, n):
+    """The nef cone in the target coordinates of ``matrix``, or None when a
+    row of ``matrix`` is not of length ``n``: validation rejects such a map
+    on its own, and its row count is not trusted to size a cone."""
+    if any(len(row) != n for row in matrix):
+        return None
     if "rays" in doc:
         return cone_from_rays([vec_from_json(r) for r in doc["rays"]])
     if "ineqs" in doc:
-        return cone_from_halfspaces([vec_from_json(f) for f in doc["ineqs"]], ambient_dim)
+        return cone_from_halfspaces([vec_from_json(f) for f in doc["ineqs"]], len(matrix))
     raise ParseError("nef cone needs either 'rays' or 'ineqs'")
 
 
@@ -218,14 +183,14 @@ def ring_from_json(doc):
         numerical = matrix_from_json(doc["numerical_map"])
         nef = None
         if "nef" in doc:
-            nef = nef_from_json(doc["nef"], len(numerical))
+            nef = nef_from_json(doc["nef"], numerical, n)
         pushforwards = []
         for pf in doc.get("pushforwards", []):
             pf_matrix = matrix_from_json(pf["map"])
             pushforwards.append(PushforwardDatum(
                 model_id=_str_from_json(pf["model_id"]),
                 matrix=pf_matrix,
-                nef=nef_from_json(pf["nef"], len(pf_matrix)),
+                nef=nef_from_json(pf["nef"], pf_matrix, n),
             ))
         if "labels" in doc:
             labels = tuple(_str_from_json(label) for label in _list_from_json(doc["labels"]))
@@ -277,31 +242,6 @@ def trace_to_json(trace):
             "model_id": trace.final_model_id,
         },
     }
-
-
-def trace_from_json(doc):
-    try:
-        steps = tuple(
-            TraceStep(
-                from_chamber=_int_from_json(s["from_chamber"]),
-                to_chamber=_int_from_json(s["to_chamber"]),
-                t=rat_from_str(s["t"]),
-                wall_point=vec_from_json(s["wall_point"]),
-                interior_pick=vec_from_json(s["interior_pick"]),
-                model_id=_str_from_json(s["model_id"]),
-                possibly_isomorphism=_flag_from_json(s["possibly_isomorphism"]),
-            )
-            for s in doc["steps"]
-        )
-        final = doc["final"]
-        return MmpTrace(
-            steps=steps,
-            final_chamber=_int_from_json(final["chamber"]),
-            final_divisor=vec_from_json(final["divisor"]),
-            final_model_id=_str_from_json(final["model_id"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed trace: {exc!r}") from None
 
 
 def dumps(doc):

@@ -12,12 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmpwalk import InstanceSpec, builtin_examples, chamber_fan, random_instance
+from mmpwalk import InstanceSpec, builtin_examples, random_instance
 from mmpwalk.cli import main
-from mmpwalk.errors import MmpwalkError, SupportMismatch
+from mmpwalk.errors import SupportMismatch
 from mmpwalk import orders
-from mmpwalk.orders import OrderFunction, cell_functionals
-from mmpwalk.serialize import dumps, fan_from_json, fan_to_json, ring_to_json
+from mmpwalk.orders import OrderFunction
+from mmpwalk.serialize import dumps, ring_from_json, ring_to_json
 
 
 @pytest.fixture()
@@ -640,6 +640,25 @@ def test_maps_of_the_wrong_shape_fail_validation(tmp_path, capsys, command, fiel
     assert ("[bad-pushforward-map]" if field == "pushforward map" else "[nef-dimension]") in err
 
 
+@pytest.mark.parametrize("field, error", [("numerical_map", "[bad-numerical-map]"),
+                                          ("pushforward map", "[bad-pushforward-map]")])
+def test_a_map_of_malformed_rows_builds_no_nef_cone(monkeypatch, capsys, field, error):
+    # a malformed map's row count does not size a nef cone: built, the cone
+    # over these 6,400 empty rows took 30 s and 1.3 GB before the exit 3
+    doc = json.loads(dumps(ring_to_json(builtin_examples()["blowup-P2"])))
+    rows, nef = [[]] * 6400, {"ineqs": []}
+    if field == "pushforward map":
+        doc["pushforwards"][0].update(map=rows, nef=nef)
+    else:
+        doc.update(numerical_map=rows, nef=nef)
+    datum, _ = ring_from_json(doc)
+    assert (datum.nef if field == "numerical_map" else datum.pushforwards[0].nef) is None
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = run(capsys, "decompose", "--input", "-")
+    assert (code, out) == (3, "")
+    assert err.startswith("validation failed:\n") and error in err and "Traceback" not in err
+
+
 def test_support_mismatch_exit_code(monkeypatch, capsys):
     def mismatched(*args, **kwargs):
         raise SupportMismatch("fans do not share a support cone")
@@ -716,10 +735,9 @@ def _paths(node, prefix=()):
 
 
 @st.composite
-def mutated_documents(draw, docs=EXAMPLE_DOCS):
-    """One of ``docs``, a builtin example's document by default, with one
-    value replaced or one key deleted."""
-    doc = copy.deepcopy(docs[draw(st.sampled_from(sorted(docs)))])
+def mutated_documents(draw):
+    """A builtin example's document with one value replaced or one key deleted."""
+    doc = copy.deepcopy(EXAMPLE_DOCS[draw(st.sampled_from(sorted(EXAMPLE_DOCS)))])
     path = draw(st.sampled_from(list(_paths(doc))))
     parent = doc
     for key in path[:-1]:
@@ -754,25 +772,6 @@ def test_mutated_documents_end_in_a_documented_exit_code(doc):
         code, out = _run_on_stdin(argv, text)
         assert code in range(6), (command, code)
         assert _run_on_stdin(argv, text) == (code, out), command
-
-
-def _fan_document(datum):
-    fan = chamber_fan(datum)
-    return json.loads(dumps(fan_to_json(fan, cell_functionals(datum, fan))))
-
-
-FAN_DOCS = {name: _fan_document(datum) for name, datum in builtin_examples().items()}
-
-
-@given(mutated_documents(FAN_DOCS))
-@settings(max_examples=200, derandomize=True, deadline=None)
-def test_mutated_fan_documents_raise_only_engine_errors(doc):
-    """``fan_from_json`` reads a fan document or raises an engine error
-    (a ParseError for a malformed one), never a bare Python exception."""
-    try:
-        fan_from_json(doc)
-    except MmpwalkError:
-        pass
 
 
 # argv fuzz: a base command on a builtin example plus one or two flags, each

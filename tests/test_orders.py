@@ -35,7 +35,6 @@ from mmpwalk.errors import BudgetExceeded, DimensionError, InconsistentInput, In
 from mmpwalk.linalg import clear_denominators, dot
 from mmpwalk.orders import DEFAULT_NODE_BUDGET, _representable
 from mmpwalk.ring import GeneratorDatum, RingDatum, support_cone, validate
-from mmpwalk.serialize import fan_from_json, fan_to_json
 
 
 def functional_on_cell(datum, valuation, cell, support=None):
@@ -513,11 +512,10 @@ def test_fan_construction_clears_denominators_once_per_linearity_fan(monkeypatch
 
 def test_cell_functionals_need_one_label_per_valuation(blowup):
     fan = chamber_fan(blowup)
-    read_back, _ = fan_from_json(fan_to_json(fan))
-    for unlabelled in (Fan(fan.cells, fan.support), read_back):
-        assert unlabelled == fan
-        with pytest.raises(InconsistentInput, match="one functional"):
-            cell_functionals(blowup, unlabelled)
+    unlabelled = Fan(fan.cells, fan.support)
+    assert unlabelled == fan
+    with pytest.raises(InconsistentInput, match="one functional"):
+        cell_functionals(blowup, unlabelled)
     two = replace(blowup, valuations=("E", "F"))
     with pytest.raises(InconsistentInput, match="one functional"):
         cell_functionals(two, fan)

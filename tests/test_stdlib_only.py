@@ -1,7 +1,8 @@
 """The package imports nothing outside the standard library, every
-module-level import of a module is used in it, every private module-level
-function or class is referenced outside its own definition, and only
-``linalg`` tests a value's type against ``Fraction``."""
+module-level import of a module or of a test file is used in it, every
+private module-level function or class is referenced outside its own
+definition, and only ``linalg`` tests a value's type against
+``Fraction``."""
 
 import ast
 import pathlib
@@ -11,6 +12,7 @@ import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "mmpwalk"
 MODULES = sorted(PACKAGE.glob("*.py"))
+TEST_FILES = sorted(pathlib.Path(__file__).resolve().parent.glob("*.py"))
 
 
 def test_package_modules_are_found():
@@ -32,7 +34,7 @@ def test_every_import_is_stdlib_or_package_relative(path):
     assert outside == []
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"] + TEST_FILES,
                          ids=lambda path: path.name)
 def test_every_module_level_import_is_used(path):
     # __init__.py imports only to export
