@@ -1,8 +1,8 @@
 """Command-line surface binding the pipeline end to end.
 
 Commands: decompose, walk, veronese, check, oracle.  Exit codes: 0 ok,
-1 failed check, 2 parse error, 3 validation/data error, 4 budget
-exhausted, 5 non-generic segment.
+1 failed check, 2 parse error, 3 validation/data error (a result too long
+to write, too), 4 budget exhausted, 5 non-generic segment.
 """
 
 import argparse
@@ -77,9 +77,9 @@ class _ValidationFailure(MmpwalkError):
 
 def _parse_point(text):
     try:
-        return tuple(Fraction(part.strip()) for part in text.split(","))
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad point {text!r}; expected comma-separated rationals")
+        return tuple(serialize.rat_from_str(part.strip()) for part in text.split(","))
+    except ParseError:
+        raise ParseError(f"bad point {text!r}; expected comma-separated rationals") from None
 
 
 def cmd_decompose(cfg):
@@ -132,7 +132,7 @@ def cmd_walk(cfg):
         _write_output(cfg, _trace_text(walk, trace, cls))
     else:
         doc = serialize.trace_to_json(trace)
-        doc["intervals"] = [[str(lo), str(hi)] for lo, hi in walk.intervals]
+        doc["intervals"] = [serialize.vec_to_json(interval) for interval in walk.intervals]
         doc["chambers"] = list(walk.chambers)
         if cls is not None:
             doc["nef_classification"] = {

@@ -12,24 +12,24 @@ one ``_dd_step`` per inequality, with linalg's one row step, from the
 whole space or from a cone's own lines and rays.  Each ray it returns
 carries the exact mask of the inputs tight at it, and callers read tight
 sets off those masks instead of taking dot products again.  ``_assemble``
-converts generators to facets and equations, and reads pointedness and
-the extreme generators off the masks.  ``_cut`` continues the conversion
-from a cone's own lines and rays: ``cone_from_halfspaces`` cuts the whole
-space and ``intersect`` cuts one cone by the other.
-``hyperplane_refinement`` splits a crossed cell once per crossing wall
-with ``_dd_step``.  One combinatorial test, ``_maximal``, reads off
-both the extreme generators and the facets of a cut, and ``_read_off``
-takes a cut's equations from the same masks: the implicit equalities,
-tight at every ray, join the cone's own (``orders`` reads linearity cells
-off a lifted cone with ``_maximal`` too).  A cone with lineality takes one
-more conversion, ``_rays_mod_lineality``, which fixes the representatives
-of its rays.  ``common_refinement`` decides and cuts each pair of cells
-from one table of the next fan's walls per cell (``_WallTable``): a pair
-that meets in lower dimension is skipped, a cell inside its partner is
-kept as it is, and any other cell is cut by one ``_dd`` from its own lines
-and rays, by the partner's constraints that cross it alone.  Both
-refinements carry each cell's label (``orders`` labels cells with their
-linear functionals).
+converts generators to facets and equations, and reads pointedness and the
+extreme generators off the masks.  ``_cut``, the one cut, continues the
+conversion from a cone's ``_start``, its lines and its rays masked over
+its facets, for ``cone_from_halfspaces``, ``intersect`` and
+``common_refinement``; ``hyperplane_refinement`` splits a crossed cell
+from the same start once per crossing wall with ``_dd_step``.  One
+combinatorial test, ``_maximal``, reads off both the extreme generators
+and the facets of a cut, and ``_read_off`` takes a cut's equations from
+the same masks: the implicit equalities, tight at every ray, join the
+cone's own (``orders`` reads linearity cells off a lifted cone with
+``_maximal`` too).  A cone with lineality takes one more conversion,
+``_rays_mod_lineality``, which fixes the representatives of its
+rays.  ``common_refinement`` decides and cuts each pair of cells from one
+table of the next fan's walls per cell (``_WallTable``): a pair that meets
+in lower dimension is skipped, a cell inside its partner is kept as it is,
+and any other cell is cut by ``_cut``, by the partner's constraints that
+cross it alone.  Both refinements carry each cell's label (``orders``
+labels cells with their linear functionals).
 """
 
 from dataclasses import dataclass, field
@@ -286,14 +286,20 @@ def _lines_and_rays(cone):
     return lines, [r for r in cone.rays if r not in paired]
 
 
-def _cut(cone, normals):
-    """``cone`` cut by ``{x : a . x >= 0}`` for each ``a`` in ``normals``:
-    ``_dd`` continues from the cone's own lines and rays with their masks
-    over its facets, and the cut is read off the rays' masks
-    (``_read_off``)."""
+def _start(cone):
+    """Where a cut of ``cone`` starts: its lines and its other rays, each
+    with its mask over the cone's facets (``_lines_and_rays``)."""
     lines, rays = _lines_and_rays(cone)
-    rays = [(r, _tight_mask(r, cone.facets)) for r in rays]
-    lines, rays = _dd(normals, cone.ambient_dim, lines, rays, len(cone.facets))
+    return lines, [(r, _tight_mask(r, cone.facets)) for r in rays]
+
+
+def _cut(cone, normals, start=None, values=None):
+    """``cone`` cut by ``{x : a . x >= 0}`` for each ``a`` in ``normals``:
+    ``_dd`` continues from the cone's ``_start``, read here unless given,
+    with ``values`` as ``_dd`` takes them, and the cut is read off the
+    rays' masks (``_read_off``)."""
+    lines, rays = _start(cone) if start is None else start
+    lines, rays = _dd(normals, cone.ambient_dim, lines, rays, len(cone.facets), values)
     return _read_off(cone, list(cone.facets) + list(normals), rays, lines)
 
 
@@ -356,17 +362,14 @@ class Fan:
 
     Cells are kept in a deterministic order (lexicographic by sorted ray
     lists) so that serialized output is byte-reproducible.  ``labels``
-    holds one tuple per cell, in cell order (``()`` for each cell when not
-    given); it takes no part in equality.
+    holds one tuple per cell, in cell order; it takes no part in equality.
+    ``make_fan`` builds a fan, with the label ``()`` for every cell unless
+    labels are given.
     """
 
     cells: tuple
     support: PolyCone
-    labels: tuple = field(default=None, compare=False)
-
-    def __post_init__(self):
-        if self.labels is None:
-            object.__setattr__(self, "labels", ((),) * len(self.cells))
+    labels: tuple = field(compare=False)
 
 
 def make_fan(cells, support, labels=None):
@@ -384,17 +387,16 @@ class _WallTable:
     its lines and rays (``_lines_and_rays``), each wall's read on first use.
     A wall's row holds its values at the rays, their least and greatest (0
     when there is no ray), and whether it vanishes on every line.  The
-    cell's rays with their masks over its facets, where ``_dd`` starts a
-    cut, are also read once, on the first cut."""
+    cell's ``_start`` is read once, on the first cut."""
 
-    __slots__ = ("cone", "lines", "rays", "walls", "rows", "masked")
+    __slots__ = ("cone", "lines", "rays", "walls", "rows", "started")
 
     def __init__(self, cone, walls):
         self.cone = cone
         self.lines, self.rays = _lines_and_rays(cone)
         self.walls = walls
         self.rows = [None] * len(walls)
-        self.masked = None
+        self.started = None
 
     def row(self, i):
         w = self.walls[i]
@@ -404,9 +406,9 @@ class _WallTable:
         return row
 
     def start(self):
-        if self.masked is None:
-            self.masked = [(r, _tight_mask(r, self.cone.facets)) for r in self.rays]
-        return self.masked
+        if self.started is None:
+            self.started = _start(self.cone)
+        return self.started
 
 
 def _walls(cells):
@@ -437,10 +439,9 @@ def _meet(table, b, facets, sides):
     hyperplane, in lower dimension than the cone owning it.  A constraint
     of ``b`` cuts the cell when it is negative at one of its rays or not
     zero on one of its lines, read off the table.  When none cuts, the cell
-    lies inside ``b`` and is the piece itself.  Otherwise ``_dd`` cuts it
-    by those that do, from its lines and masked rays with the first cut's
-    values read off the table, and the piece is read off the cut
-    (``_read_off``), as ``intersect`` reads it.
+    lies inside ``b`` and is the piece itself.  Otherwise ``_cut`` cuts it
+    by those that do, from the table's ``_start`` with the first cut's
+    values read off the table, as ``intersect`` cuts it.
     """
     a, rows = table.cone, table.rows
     for _, i, s in facets:
@@ -458,10 +459,8 @@ def _meet(table, b, facets, sides):
         return a
     _, i, s = cuts[0]
     values = rows[i][0]
-    normals = [c for c, _, _ in cuts]
-    lines, rays = _dd(normals, a.ambient_dim, table.lines, table.start(), len(a.facets),
-                      values if s > 0 else [-v for v in values])
-    return _read_off(a, list(a.facets) + normals, rays, lines)
+    return _cut(a, [c for c, _, _ in cuts], table.start(),
+                values if s > 0 else [-v for v in values])
 
 
 def common_refinement(fans):
@@ -508,18 +507,17 @@ def _crossing(walls, lines, rays):
     return crossing
 
 
-def _split(cell, lines, rays, crossing):
-    """The pieces of ``cell``, given by its ``lines`` and ``rays``
-    (``_lines_and_rays``), cut by every wall in ``crossing`` (pairs from
-    ``_crossing``).
+def _split(cell, crossing):
+    """The pieces of ``cell`` cut by every wall in ``crossing`` (pairs from
+    ``_crossing``, over the rays of ``_lines_and_rays``).
 
-    The cell is split by its first crossing wall with one ``_dd_step``, so
-    both pieces share the lines and the rays on the wall under one mask
-    bit, and each piece carries on with the walls that crossed its parent
-    and cross it.  A piece keeps its constraints (the cell's facets, then
-    one signed wall per split), its lines and its rays with their masks
-    over them; only a final piece is read off, and a crossing wall adds no
-    equation to it.
+    From the cell's ``_start``, the cell is split by its first crossing
+    wall with one ``_dd_step``, so both pieces share the lines and the rays
+    on the wall under one mask bit, and each piece carries on with the
+    walls that crossed its parent and cross it.  A piece keeps its
+    constraints (the cell's facets, then one signed wall per split), its
+    lines and its rays with their masks over them; only a final piece is
+    read off, and a crossing wall adds no equation to it.
     """
     pieces = []
 
@@ -533,7 +531,7 @@ def _split(cell, lines, rays, crossing):
             split(constraints + [side], lines, part,
                   _crossing(rest, lines, [r for r, _ in part]))
 
-    split(list(cell.facets), lines, [(r, _tight_mask(r, cell.facets)) for r in rays], crossing)
+    split(list(cell.facets), *_start(cell), crossing)
     return pieces
 
 
@@ -557,7 +555,7 @@ def hyperplane_refinement(fan):
         elif cell.dim != fan.support.dim:
             pieces = []
         else:
-            pieces = _split(cell, lines, rays, crossing)
+            pieces = _split(cell, crossing)
         cells += pieces
         labels += [label] * len(pieces)
     return make_fan(cells, fan.support, labels)

@@ -14,12 +14,11 @@ them with LP values from ``simplex``.
 Every query goes through the one ``OrderFunction`` of its LP data, the
 integer degrees and the multiplicities, which ``order_function(datum,
 valuation)`` finds in one least-recently-used cache keyed on those data.
-It holds the function it found last with the generators tuple and the
-multiplicity objects it read, and answers a query of the same tuple whose
+It holds the function it found last, when the generators and every
+multidegree are exact tuples, with the generators tuple and the
+multiplicity objects it read, and answers a query of that tuple whose
 every multiplicity is still the same object by identity, without the key;
-another tuple, a multiplicity replaced in its dict, or a multidegree that
-is not an exact tuple goes to the cache, and ``forget_order_functions()``
-drops the held function with the cache.
+``forget_order_functions()`` drops it with the cache.
 It turns the multiplicities into integer costs over one denominator once,
 and reads every query point once, in ``_point``, as integer numerators
 over one denominator; the LP is solved on the numerators and the costs,
@@ -37,12 +36,11 @@ exactly on the support cone, the cone over the degrees, so it decides
 membership.  The new basis goes in front and answers like a kept one.
 ``ratio(x)`` returns the exact order as integers ``(num, den)``, ``den >
 0``, and builds no ``Fraction``: the checks, which make many queries,
-compare it cross-multiplied.  ``value(x)`` returns the same order as one
-``Fraction``, and ``certificate(x)``, which is ``asymptotic_order``, as an
-``OValue``, whose witness and certifying dual are built from the basis
-when first read.  Values are exact and unique.  When several optimal
-vertices tie, which witness is returned depends on the earlier queries of
-the process.
+compare it cross-multiplied.  ``certificate(x)``, which is
+``asymptotic_order``, returns the same order as an ``OValue``, whose
+witness and certifying dual are built from the basis when first
+read.  Values are exact and unique.  When several optimal vertices tie,
+which witness is returned depends on the earlier queries of the process.
 """
 
 from dataclasses import FrozenInstanceError
@@ -179,16 +177,13 @@ def order_function(datum, valuation):
     or only zero degrees, raise InvalidCone, and multidegrees of mixed
     lengths DimensionError.
 
-    The function found last is held with the generators tuple and the
-    multiplicity objects it was found for.  Every call reads the
-    multiplicities again, since a dict changes in place, and a call whose
-    generators tuple is the held one and whose every multiplicity is the
-    held object has the held LP data, so it returns the held function
-    without building the key, whatever its valuation.  Only exact tuples
-    cannot change in place, so the first such repeat checks that the
-    generators and every multidegree are ones, and else goes on to the
-    cache: the check is paid once per held function, not on every miss.
-    A miss looks its key up in the cache and holds what it finds.
+    Every call reads the multiplicities again, since a dict changes in
+    place.  A call whose generators tuple is the held one and whose every
+    multiplicity is the held object has the held LP data, so it returns
+    the held function without the key, whatever its valuation.  A miss
+    looks its key up in the cache and holds what it finds, with the tuple
+    and the multiplicities, only when the generators and every multidegree
+    are exact tuples, which cannot change in place; else it holds nothing.
     ``forget_order_functions`` drops the held function with the cache."""
     generators = datum.generators
     try:
@@ -197,17 +192,14 @@ def order_function(datum, valuation):
         raise _missing(generators, valuation) from None
     held = _held[0]
     if held is not None and held[0] is generators and all(map(is_, mults, held[1])):
-        if held[3]:
-            return held[2]
-        if type(generators) is tuple and all(type(g.multidegree) is tuple for g in generators):
-            _held[0] = held[:3] + (True,)
-            return held[2]
+        return held[2]
     _check_exact(mults, valuation)
     function = _order_functions(
         tuple([tuple(g.multidegree) for g in generators]),
         tuple([m.as_integer_ratio() for m in mults]),
     )
-    _held[0] = (generators, mults, function, False)
+    exact = type(generators) is tuple and all(type(g.multidegree) is tuple for g in generators)
+    _held[0] = (generators, mults, function) if exact else None
     return function
 
 
@@ -226,16 +218,15 @@ class OrderFunction:
     Holds the degrees, the integer ``costs`` (the multiplicities times
     ``den``, their least common denominator) and the optimal ``Basis``es of
     earlier solves of its LP on those costs, most recently certified first,
-    so a kept basis's dual is ``den`` times the order's.  Only the values
-    that ``value`` and ``certificate`` return are ``Fraction``s.
-    ``ratio(x)`` is the exact order at ``x`` as integers ``(num, den)``,
-    ``den > 0``, not in lowest terms; ``value(x)`` is the same order as a
-    ``Fraction`` and ``certificate(x)`` as an ``OValue``, with a witness and
-    a dual.  All three read ``x`` by ``_point`` and answer from the one
-    basis that ``_basis`` finds optimal there, kept or newly solved, so they
-    keep the bases alike.  A point outside the closed support cone raises
-    OutsideSupport from each, and a point of another dimension
-    DimensionError.
+    so a kept basis's dual is ``den`` times the order's.  Only the value
+    that ``certificate`` returns is a ``Fraction``.  ``ratio(x)`` is the
+    exact order at ``x`` as integers ``(num, den)``, ``den > 0``, not in
+    lowest terms; ``certificate(x)`` is the same order as an ``OValue``,
+    with a witness and a dual.  Both read ``x`` by ``_point`` and answer
+    from the one basis that ``_basis`` finds optimal there, kept or newly
+    solved, so they keep the bases alike.  A point outside the closed
+    support cone raises OutsideSupport from each, and a point of another
+    dimension DimensionError.
     """
 
     __slots__ = ("degrees", "costs", "den", "bases")
@@ -252,16 +243,11 @@ class OrderFunction:
         self.costs = tuple([n * (den // d) for n, d in ratios])
         self.bases = []
 
-    def value(self, x):
-        """The order at ``x`` as a ``Fraction``; builds no witness or dual."""
-        xs, x_den = self._point(x)
-        basis, _ = self._basis(xs, x_den)
-        return Fraction(dot(basis.dual_num, xs), basis.dual_den * x_den * self.den)
-
     def ratio(self, x):
         """The order at ``x`` as integers ``(num, den)``, ``den > 0``, with
-        ``value(x) == Fraction(num, den)``; builds no ``Fraction``.  The
-        pair is not in lowest terms, so callers compare it cross-multiplied."""
+        ``certificate(x).value == Fraction(num, den)``; builds no
+        ``Fraction``.  The pair is not in lowest terms, so callers compare
+        it cross-multiplied."""
         xs, x_den = self._point(x)
         basis, _ = self._basis(xs, x_den)
         return dot(basis.dual_num, xs), basis.dual_den * x_den * self.den
@@ -350,9 +336,8 @@ class OrderFunction:
 # the one cache: (degrees, multiplicity ratios) -> their OrderFunction
 _order_functions = lru_cache(maxsize=ORDER_CACHE_SIZE)(OrderFunction)
 
-# the function ``order_function`` found last, as (generators, multiplicities
-# read, function, whether no multidegree can change in place), or None;
-# set in place, never rebound
+# ``order_function``'s held function, as (generators, multiplicities read,
+# function) of exact tuples, or None; set in place, never rebound
 _held = [None]
 
 

@@ -3,7 +3,8 @@
 The package reads one document, the ring datum (``ring_from_json``), and
 writes four: the cone, fan, ring and trace documents.  Rationals travel
 as "p/q" strings (plain "p" for integers) so exactness survives
-serialization; only an ``int`` or a ``Fraction`` is written as one, and a
+serialization; a decimal such as "1.5" is read too, but no exponent
+notation.  Only an ``int`` or a ``Fraction`` is written as one, and a
 float raises TypeError.  All collections are emitted in canonical order
 so identical inputs give byte-identical documents.  ``dumps`` writes a
 document as ``json.dumps(doc, indent=2, sort_keys=True)`` does, byte for
@@ -12,21 +13,33 @@ byte, but writes strs, ints, lists and str-keyed dicts itself, since
 """
 
 import json
+import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from .cones import cone_from_rays, cone_from_halfspaces
-from .errors import InconsistentInput, ParseError
+from .errors import InconsistentInput, MmpwalkError, ParseError
 from .linalg import _EXACT_TYPES
 from .ring import GeneratorDatum, PushforwardDatum, RingDatum
+
+
+def _too_long():
+    # ``str`` refuses an int past its digit limit: the result cannot be written
+    return MmpwalkError(f"a result holds an integer of more than "
+                        f"{sys.get_int_max_str_digits()} digits, too long to write")
 
 
 def rat_to_str(x):
     """``x`` as a "p/q" string, plain "p" for an integer.  Only an ``int``
     or a ``Fraction`` is exact: anything else, such as a float, raises
-    TypeError rather than being written as the ``Fraction`` it rounds to."""
+    TypeError rather than being written as the ``Fraction`` it rounds to.
+    A numerator or denominator past the digit limit of ``str`` raises
+    MmpwalkError."""
     if type(x) in _EXACT_TYPES:
-        return str(x)
+        try:
+            return str(x)
+        except ValueError:
+            raise _too_long() from None
     raise TypeError(f"{x!r} is not exact: write an int or a Fraction")
 
 
@@ -65,13 +78,18 @@ def _obj_from_json(x):
 
 def rat_from_str(s):
     """The ``Fraction`` that ``Fraction(s)`` reads, or ParseError.  A JSON
-    float or bool is rejected.  A string of decimal digits with at most a
-    sign, as most entries of a document are, is read by ``int`` without
-    ``Fraction``'s regular expression; both read such a string alike."""
+    float or bool is rejected, and so is exponent notation: ``Fraction``
+    reads "1e4300" as an integer of 4,301 digits, past ``int``'s digit
+    limit, and a larger exponent takes seconds.  A string of decimal
+    digits with at most a sign, as most entries of a document are, is read
+    by ``int`` without ``Fraction``'s regular expression; both read such a
+    string alike."""
     _reject_float(s)
     try:
         if type(s) is str and (s[1:] if s[:1] in ("-", "+") else s).isdecimal():
             return Fraction(int(s))
+        if type(s) is str and ("e" in s or "E" in s):
+            raise ValueError("exponent notation is not read")
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational literal {s!r}: {exc}") from None
@@ -265,7 +283,10 @@ def _write(x, out, newline):
     if kind is str:
         out(_quote(x))
     elif kind is int:
-        out(int.__repr__(x))
+        try:
+            out(int.__repr__(x))
+        except ValueError:
+            raise _too_long() from None
     elif (kind is list or kind is tuple) and x:
         inner = newline + "  "
         sep = "[" + inner
@@ -290,9 +311,13 @@ def _write(x, out, newline):
 
 
 def loads(text):
+    """The JSON document ``text``, or ParseError for every way ``json``
+    refuses it, such as a literal past ``int``'s digit limit or deep nesting."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"invalid JSON: {exc}") from None

@@ -16,7 +16,6 @@ fan construction, not at the input.
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import mul
 
@@ -155,8 +154,7 @@ class AdditivityCheck:
     the point, and the two sides of additivity there as integers over
     positive denominators, the order at the point ``lhs_num / lhs_den`` and
     the exponents times the generators' orders ``rhs_num / rhs_den``.
-    ``ok`` compares the sides cross-multiplied, and ``lhs`` and ``rhs``
-    build them as ``Fraction``s when read."""
+    ``ok`` compares the sides cross-multiplied."""
 
     exponents: tuple
     point: tuple
@@ -168,14 +166,6 @@ class AdditivityCheck:
     @property
     def ok(self):
         return self.lhs_num * self.rhs_den == self.rhs_num * self.lhs_den
-
-    @property
-    def lhs(self):
-        return Fraction(self.lhs_num, self.lhs_den)
-
-    @property
-    def rhs(self):
-        return Fraction(self.rhs_num, self.rhs_den)
 
 
 @dataclass
@@ -318,8 +308,8 @@ def grid_additivity_check(datum, fan, depth=3,
     point is left at its first negative entry.  Every order is read as the
     integers of ``OrderFunction.ratio``, and the right-hand sides are the
     exponent vectors times the generators' orders over one denominator, so
-    each point's ``AdditivityCheck`` holds integers and is decided in them:
-    no ``Fraction`` is built unless a side is read.  ``depth`` is checked
+    each point's ``AdditivityCheck`` holds integers and is decided in them,
+    with no ``Fraction`` built.  ``depth`` is checked
     as a level is, by ``_check_level``.
     """
     _check_level(depth, "depth")

@@ -5,6 +5,7 @@ import copy
 import hashlib
 import io
 import json
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -265,7 +266,7 @@ def test_check_stdout_on_corpus_matches_recorded_digest(monkeypatch, capsys, ins
 # LP solves and order queries of one check run from a cold start, counted
 # while the grid and the linearity samples were still summed in Fractions:
 # both the sampling and the grid query the order function once per point.
-# A query is a call of either ``value`` or ``ratio``.
+# A query is a call of ``ratio``, the one query check makes.
 CHECK_QUERY_COUNTS = {
     "--example blowup-P2": (2, 232),
     "corpus 2": (16, 6381),
@@ -287,15 +288,14 @@ def test_check_makes_the_recorded_solves_and_queries(monkeypatch, capsys, case):
         solves.append(args)
         return solve_min(*args, **kwargs)
 
-    def counted(method):
-        def query(self, x):
-            queries.append(x)
-            return method(self, x)
-        return query
+    ratio = OrderFunction.ratio
+
+    def counted(self, x):
+        queries.append(x)
+        return ratio(self, x)
 
     monkeypatch.setattr(orders, "solve_min", counted_solve)
-    for name in ("value", "ratio"):
-        monkeypatch.setattr(OrderFunction, name, counted(getattr(OrderFunction, name)))
+    monkeypatch.setattr(OrderFunction, "ratio", counted)
     code, out, _ = run(capsys, *argv)
     assert code == 0 and out.endswith("result: PASS\n")
     assert (len(solves), len(queries)) == CHECK_QUERY_COUNTS[case]
@@ -304,8 +304,8 @@ def test_check_makes_the_recorded_solves_and_queries(monkeypatch, capsys, case):
 # Fractions built by one check run from a cold start, counted by patching
 # ``Fraction.__new__``: the document's entries, the fan's functionals and
 # the 50 homogeneity factors.  The order queries and the grid compare
-# integers and build none; read through ``value``, with a Fraction
-# right-hand side per grid point, the same runs built 429 and 12,227.
+# integers and build none; read as Fractions, with a Fraction right-hand
+# side per grid point, the same runs built 429 and 12,227.
 CHECK_FRACTION_COUNTS = {
     "--example blowup-P2": 69,
     "corpus 2": 122,
@@ -334,8 +334,8 @@ def test_check_builds_the_recorded_fractions(monkeypatch, capsys, case):
 
 
 # sha256 of check stdout with every order value negated, recorded while
-# check still sampled Fraction points and read the orders through
-# ``value``; they are now negated where check reads them, in ``ratio``.
+# check still sampled Fraction points and read the orders as Fractions;
+# they are now negated where check reads them, in ``ratio``.
 # The negated order functions stay homogeneous, so the same sampled points
 # fail, and the FAIL lines print each of them.
 FAILING_CHECK_SHA256 = {
@@ -657,6 +657,66 @@ def test_a_map_of_malformed_rows_builds_no_nef_cone(monkeypatch, capsys, field, 
     code, out, err = run(capsys, "decompose", "--input", "-")
     assert (code, out) == (3, "")
     assert err.startswith("validation failed:\n") and error in err and "Traceback" not in err
+
+
+# the digit limit that int puts on its conversions to and from strings; 0
+# where there is none
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT, reason="int has no digit limit")
+
+
+def _blowup_with(*mults):
+    """blowup-P2's document with its first generators' multiplicities at E
+    replaced by ``mults``, in generator order."""
+    doc = json.loads(dumps(ring_to_json(builtin_examples()["blowup-P2"])))
+    for generator, m in zip(doc["generators"], mults):
+        generator["mults"]["E"] = m
+    return json.dumps(doc)
+
+
+def _oversized_document(case):
+    if case == "long integer":
+        # json refuses a literal past int's digit limit with a ValueError
+        text = _blowup_with()
+        assert text.count('"r": 1,') == 1
+        return text.replace('"r": 1,', f'"r": {"1" * (DIGIT_LIMIT + 700)},')
+    if case == "deep nesting":
+        return "[" * 100_000  # json's recursion ends in a RecursionError
+    return _blowup_with("1e4300")  # Fraction reads an integer of 4,301 digits
+
+
+@pytest.mark.parametrize("case", [pytest.param("long integer", marks=needs_digit_limit),
+                                  "deep nesting", "exponent multiplicity"])
+def test_oversized_documents_are_parse_errors(monkeypatch, capsys, case):
+    # each ended in a traceback and exit 1, which reads as a failed check
+    monkeypatch.setattr("sys.stdin", io.StringIO(_oversized_document(case)))
+    code, out, err = run(capsys, "decompose", "--input", "-")
+    assert (code, out) == (2, "")
+    assert _one_line_error(err)
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle", "--example", "blowup-P2", "--point=1e100000,1"),
+    ("oracle", "--example", "blowup-P2", "--point=1E3,1"),
+    ("walk", "--example", "blowup-P2", "--h", "0,1e3"),
+])
+def test_exponent_points_are_parse_errors(capsys, argv):
+    # the oracle ran 52 s on 1e100000 before its budget ended it
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert _one_line_error(err) and "bad point" in err
+
+
+@needs_digit_limit
+def test_a_result_too_long_to_write_exits_3(monkeypatch, capsys):
+    # every literal is within the digit limit, but the multiplicities'
+    # common denominator, and so a functional, is past it
+    digits = DIGIT_LIMIT * 7 // 10
+    text = _blowup_with("1/" + "7" * digits, "1", "1/" + "3" * (digits - 1) + "1")
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "decompose", "--input", "-")
+    assert (code, out) == (3, "")
+    assert _one_line_error(err) and str(DIGIT_LIMIT) in err
 
 
 def test_support_mismatch_exit_code(monkeypatch, capsys):

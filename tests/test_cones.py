@@ -262,7 +262,10 @@ def test_fan_labels_default_to_empty_and_take_no_part_in_equality():
     c2 = cone_from_rays([(0, 1), (1, 1)])
     plain = make_fan([c1, c2], support)
     assert plain.labels == ((), ())
-    assert Fan((c2, c1), support).labels == ((), ())
+    # a Fan takes its labels; make_fan alone gives the empty ones
+    with pytest.raises(TypeError):
+        Fan((c2, c1), support)
+    assert Fan((c2, c1), support, (("x",), ("y",))) == plain
     labelled = make_fan([c1, c2, c1], support, [("a",), ("b",), ("a",)])
     assert labelled.cells == (c2, c1)
     assert labelled.labels == (("b",), ("a",))  # sorted with their cells

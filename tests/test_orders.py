@@ -30,7 +30,7 @@ from mmpwalk import (
     stabilization_multiple,
 )
 from mmpwalk import linalg, orders, simplex
-from mmpwalk.cones import Fan, cone_from_rays
+from mmpwalk.cones import cone_from_rays, make_fan
 from mmpwalk.errors import BudgetExceeded, DimensionError, InconsistentInput, InvalidCone
 from mmpwalk.linalg import clear_denominators, dot
 from mmpwalk.orders import DEFAULT_NODE_BUDGET, _representable
@@ -512,7 +512,7 @@ def test_fan_construction_clears_denominators_once_per_linearity_fan(monkeypatch
 
 def test_cell_functionals_need_one_label_per_valuation(blowup):
     fan = chamber_fan(blowup)
-    unlabelled = Fan(fan.cells, fan.support)
+    unlabelled = make_fan(fan.cells, fan.support)
     assert unlabelled == fan
     with pytest.raises(InconsistentInput, match="one functional"):
         cell_functionals(blowup, unlabelled)
@@ -556,6 +556,7 @@ ORDER_FUNCTION_CASES = sorted(builtin_examples()) + [f"corpus-{seed}" for seed i
 @pytest.mark.parametrize("name", ORDER_FUNCTION_CASES)
 @pytest.mark.parametrize("first", ["value", "certificate"])
 def test_value_and_certificate_equal_cold_solves(name, first):
+    # "value" reads each order through ``ratio`` before the certificate
     datum = _named_datum(name)
     support = support_cone(datum)
     queries = _cache_queries(datum, chamber_fan(datum, support=support))
@@ -569,30 +570,30 @@ def test_value_and_certificate_equal_cold_solves(name, first):
         for (valuation, x), expected in zip(queries, cold):
             function = functions[valuation]
             if first == "value":
-                value = function.value(x)
+                value = Fraction(*function.ratio(x))
                 ov = function.certificate(x)
             else:
                 ov = function.certificate(x)
-                value = function.value(x)
+                value = Fraction(*function.ratio(x))
             assert value == ov.value == expected
             assert asymptotic_order(datum, valuation, x, support=support).value == expected
             degrees, heights, _ = _lp_data(datum, valuation, x)
             assert all(dot(ov.dual, d) <= h for d, h in zip(degrees, heights))
             assert dot(ov.dual, x) == value
     for function in functions.values():
-        for method in (function.value, function.certificate):
+        for method in (function.ratio, function.certificate):
             with pytest.raises(OutsideSupport):
                 method((-1,) + (1,) * (support.ambient_dim - 1))
 
 
 def test_order_function_meets_dropped_rows():
-    # as above, but with the cache filled by value(): the kept row alone
+    # as above, but with the cache filled by ratio(): the kept row alone
     # would accept (1, 2), and neither method may answer there from it
     _cold_start()
     function = orders.order_function(_thin_datum(), "G")
-    assert function.value((2, 2)) == 1
-    assert function.value((3, 3)) == Fraction(3, 2)
-    for method in (function.value, function.certificate):
+    assert Fraction(*function.ratio((2, 2))) == 1
+    assert Fraction(*function.ratio((3, 3))) == Fraction(3, 2)
+    for method in (function.ratio, function.certificate):
         with pytest.raises(OutsideSupport):
             method((1, 2))
 
@@ -625,7 +626,7 @@ def test_interleaved_queries_equal_cold_solves(picks):
         (valuation, x), expected = queries[index % len(queries)], cold[index % len(queries)]
         function = functions[valuation]
         if use_value:
-            assert function.value(x) == expected
+            assert Fraction(*function.ratio(x)) == expected
         ov = function.certificate(x)
         assert ov.value == expected
         degrees, heights, _ = _lp_data(datum, valuation, x)
@@ -641,7 +642,7 @@ def test_certifying_basis_moves_to_the_front():
     function = orders.order_function(datum, valuation)
     points = [x for v, x in queries if v == valuation]
     for x in points:
-        function.value(x)
+        function.ratio(x)
     kept = function.bases
     assert len(kept) > 2
     # a point that only the last kept basis certifies
@@ -730,8 +731,9 @@ def test_lean_basis_test_equals_the_full_scan_on_the_corpus(seed):
 def test_ratio_equals_value_on_the_corpus(seed):
     # the corpus queries as integer and Fraction points, and the same points
     # halved, put to two fresh order functions on one LP, one read through
-    # value and one through ratio: each pair is in integers with a positive
-    # denominator and equals the value, and both keep their bases in one order
+    # certificate and one through ratio: each pair is in integers with a
+    # positive denominator and equals the value, and both keep their bases
+    # in one order
     datum = _corpus_datum(seed)
     queries = _cache_queries(datum, chamber_fan(datum))
     for valuation in datum.valuations:
@@ -744,13 +746,13 @@ def test_ratio_equals_value_on_the_corpus(seed):
         for x in points:
             num, den = by_ratio.ratio(x)
             assert type(num) is int and type(den) is int and den > 0, x
-            assert by_value.value(x) == Fraction(num, den), x
+            assert by_value.certificate(x).value == Fraction(num, den), x
             assert by_ratio.bases == by_value.bases, x
 
 
 def test_ratio_raises_as_value_does(blowup):
     function = orders.order_function(blowup, "E")
-    for method in (function.value, function.ratio):
+    for method in (function.certificate, function.ratio):
         with pytest.raises(OutsideSupport):
             method((-1, 1))
         with pytest.raises(DimensionError):
@@ -806,8 +808,8 @@ def test_one_shot_point_is_read_once(blowup):
     for _ in range(2):
         assert asymptotic_order(blowup, "E", (x for x in (2, 1))) == expected
     function = orders.order_function(blowup, "E")
-    assert function.value(x for x in (Fraction(4), 2)) == 2 * expected.value
-    assert function.value(iter([Fraction(1), Fraction(1, 2)])) == expected.value / 2
+    assert function.certificate(x for x in (Fraction(4), 2)).value == 2 * expected.value
+    assert function.certificate(iter([Fraction(1), Fraction(1, 2)])).value == expected.value / 2
     # the level searches read it once too: stabilization_multiple solved
     # the LP on an emptied generator while no basis was kept, and
     # integer_order named the point () in its error
@@ -828,7 +830,7 @@ def test_support_and_dimension_errors_survive_kept_bases(name):
     _cold_start()
     functions = {v: orders.order_function(datum, v) for v in datum.valuations}
     for valuation, x in queries:
-        functions[valuation].value(x)
+        functions[valuation].ratio(x)
     # the negated sum of the support's rays lies outside the pointed support
     outside = tuple(-sum(col) for col in zip(*support.rays))
     n = support.ambient_dim
@@ -836,7 +838,7 @@ def test_support_and_dimension_errors_survive_kept_bases(name):
         kept = function.bases
         assert kept
         before = list(kept)
-        for method in (function.value, function.certificate):
+        for method in (function.ratio, function.certificate):
             with pytest.raises(OutsideSupport):
                 method(outside)
             with pytest.raises(OutsideSupport):
@@ -856,11 +858,11 @@ def test_warm_value_builds_no_certificate(name, monkeypatch):
     expected = [functions[v].certificate(x).value for v, x in queries]
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("value() built a certificate")
+        raise AssertionError("ratio() built a certificate")
 
     monkeypatch.setattr(orders, "OValue", forbidden)
     monkeypatch.setattr(orders, "solve_min", forbidden)
-    assert [functions[v].value(x) for v, x in queries] == expected
+    assert [Fraction(*functions[v].ratio(x)) for v, x in queries] == expected
 
 
 def _builds():
@@ -1010,6 +1012,11 @@ def test_a_list_multidegree_changed_in_place_is_read_again(blowup, lookups):
     generators[2].multidegree[:] = [2, 1]
     assert asymptotic_order(datum, "E", (2, 1)).value == 0 == _cold_value(datum, "E", (2, 1))
     assert len(lookups) == 3
+    # checked when stored: a miss holds nothing for data that can change in
+    # place, and exact tuples with the multiplicities read
+    assert orders._held[0] is None
+    asymptotic_order(blowup, "E", (2, 1))
+    assert orders._held[0][0] is blowup.generators and len(orders._held[0]) == 3
 
 
 def test_a_multiplicity_deleted_after_a_hit_raises(blowup, lookups):
@@ -1087,7 +1094,7 @@ def test_unbounded_lp_raises_and_keeps_no_basis(blowup):
     function = orders.order_function(datum, "E")
     for _ in range(2):
         with pytest.raises(InvalidCone, match="unbounded"):
-            function.value((1, 1))
+            function.ratio((1, 1))
     assert function.bases == []
 
 
@@ -1234,7 +1241,7 @@ def test_ovalue_is_read_only_and_copies():
 @pytest.mark.parametrize("name", ["blowup-P2", "fractional-vertex", "corpus-2"])
 def test_cold_value_at_an_integer_point_builds_one_fraction(name, monkeypatch):
     # the LP is solved on the integer costs and the basis read in integers:
-    # the value returned is the only Fraction a cold query builds
+    # the certificate's value is the only Fraction a cold query builds
     datum = _named_datum(name)
     points = _generator_sums(datum)
     expected = [_cold_value(datum, v, x) for v in datum.valuations for x in points]
@@ -1252,7 +1259,7 @@ def test_cold_value_at_an_integer_point_builds_one_fraction(name, monkeypatch):
             function = orders.order_function(datum, valuation)
             monkeypatch.setattr(Fraction, "__new__", counted)
             made.clear()
-            got.append(function.value(x))
+            got.append(function.certificate(x).value)
             assert len(made) == 1, (valuation, x, made)
             monkeypatch.undo()
     assert got == expected

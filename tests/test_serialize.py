@@ -2,6 +2,7 @@
 
 import io
 import json
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from random import Random
@@ -11,7 +12,7 @@ import pytest
 from mmpwalk import InstanceSpec, builtin_examples, chamber_fan, random_instance
 from mmpwalk.cli import main
 from mmpwalk.cones import cone_from_rays
-from mmpwalk.errors import InconsistentInput, ParseError
+from mmpwalk.errors import InconsistentInput, MmpwalkError, ParseError
 from mmpwalk.orders import cell_functionals
 from mmpwalk.ring import validate
 from mmpwalk.serialize import (
@@ -75,7 +76,7 @@ def _outcome(read, s):
 
 @pytest.mark.parametrize("s", [
     "0", "7", "-3", "+3", "-0", "07", "1_0", "_1", "1_", "1__0", " 7 ", "\t-2\n", "٣", "-٣",
-    "１２", "1e3", "1.5", ".5", "3/4", "-6/4", "1/0", "", " ", "x", "-", "+", "--1", "+-1",
+    "１２", "1.5", ".5", "3/4", "-6/4", "1/0", "", " ", "x", "-", "+", "--1", "+-1",
     "1 2", "0x10", "1" * 5000, "-" + "1" * 5000, str(10**40), 0, 5, -4, 10**40,
     True, False, 1.0, 1.5, float("nan"),
 ])
@@ -85,6 +86,14 @@ def test_rat_from_str_reads_as_fraction_does(s):
     assert _outcome(rat_from_str, s) == _outcome(_fraction_reader, s)
     if not isinstance(s, (bool, float)) and _outcome(rat_from_str, s)[0] is Fraction:
         assert rat_from_str(s) == Fraction(s)
+
+
+@pytest.mark.parametrize("s", ["1e3", "1E3", "1e-3", "1.5e2", "-2e1", "1e4300", "1e10000000"])
+def test_rat_from_str_rejects_exponent_notation(s):
+    # Fraction reads "1e4300" as an integer of 4,301 digits, past the digit
+    # limit int puts on every other literal, and "1e10000000" takes seconds
+    with pytest.raises(ParseError, match="exponent notation"):
+        rat_from_str(s)
 
 
 def _corpus_datum(seed):
@@ -217,6 +226,29 @@ def test_loads_reports_position():
     with pytest.raises(ParseError) as info:
         loads('{"a": }')
     assert "line 1" in str(info.value)
+
+
+def test_loads_turns_json_limits_into_parse_errors():
+    # json raised RecursionError on deep nesting and ValueError on a literal
+    # past int's digit limit, which ended in a traceback
+    with pytest.raises(ParseError, match="recursion"):
+        loads("[" * 100_000)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        with pytest.raises(ParseError, match="limit"):
+            loads("1" * (limit + 1))
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="int has no digit limit")
+def test_a_number_too_long_to_write_raises_mmpwalk_error():
+    # str() raised ValueError past the digit limit; the limit is named
+    limit = sys.get_int_max_str_digits()
+    big = 10 ** limit
+    for write in (lambda: rat_to_str(Fraction(1, big)), lambda: rat_to_str(big),
+                  lambda: dumps({"a": [big]})):
+        with pytest.raises(MmpwalkError, match=f"more than {limit} digits"):
+            write()
 
 
 def test_exactness_survives_roundtrip():

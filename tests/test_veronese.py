@@ -378,7 +378,8 @@ def test_grid_additivity_equals_reference(name, dscale, lattice_budget):
     report = grid_additivity_check(datum, fan, 3, lattice_budget)
     got = [
         (e.cell_index, e.valuation, e.generators, e.skipped, e.truncated,
-         [(c.exponents, tuple(dscale * x for x in c.point), dscale * c.lhs, dscale * c.rhs)
+         [(c.exponents, tuple(dscale * x for x in c.point),
+           dscale * Fraction(c.lhs_num, c.lhs_den), dscale * Fraction(c.rhs_num, c.rhs_den))
           for c in e.checks])
         for e in report.entries
     ]
@@ -402,7 +403,7 @@ def test_additivity_check_is_ok_exactly_when_its_sides_are_equal(name, monkeypat
     checks = [c for e in grid_additivity_check(datum, fan).entries for c in e.checks]
     assert any(c.ok for c in checks) and not all(c.ok for c in checks)
     for c in checks:
-        assert c.ok == (c.lhs == c.rhs)
+        assert c.ok == (Fraction(c.lhs_num, c.lhs_den) == Fraction(c.rhs_num, c.rhs_den))
         assert c.lhs_den > 0 and c.rhs_den > 0
     # the sides need not be in lowest terms
     assert veronese.AdditivityCheck((1,), (2,), 2, 4, 1, 2).ok
