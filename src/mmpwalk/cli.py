@@ -2,11 +2,13 @@
 
 Commands: decompose, walk, veronese, check, oracle.  Exit codes: 0 ok,
 1 failed check, 2 parse error, 3 validation/data error (a result too long
-to write, too), 4 budget exhausted, 5 non-generic segment.
+to write, too), 4 budget exhausted, 5 non-generic segment.  The input is
+read as bytes and handed to ``serialize.loads``; every number printed is
+written by ``serialize.dumps`` in JSON and by ``serialize.rat_to_str`` in
+text.
 """
 
 import argparse
-import os
 import random
 import sys
 from fractions import Fraction
@@ -40,14 +42,15 @@ def _read_input(cfg):
     if not cfg.input:
         raise ParseError("either --input or --example is required")
     if cfg.input == "-":
-        text = sys.stdin.read()
+        # a text stream without a byte buffer, such as an io.StringIO, is read as it is
+        data = getattr(sys.stdin, "buffer", sys.stdin).read()
     else:
         try:
-            with open(cfg.input, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            with open(cfg.input, "rb") as fh:
+                data = fh.read()
         except OSError as exc:
             raise ParseError(f"cannot read input {cfg.input!r}: {exc.strerror}") from None
-    return serialize.ring_from_json(serialize.loads(text))
+    return serialize.ring_from_json(serialize.loads(data))
 
 
 def _write_output(cfg, text):
@@ -75,6 +78,10 @@ class _ValidationFailure(MmpwalkError):
     pass
 
 
+def _vec(v):
+    return "[" + ", ".join(map(serialize.rat_to_str, v)) + "]"
+
+
 def _parse_point(text):
     try:
         return tuple(serialize.rat_from_str(part.strip()) for part in text.split(","))
@@ -88,9 +95,9 @@ def cmd_decompose(cfg):
     fan = chamber_fan(datum, refine=cfg.refine)
     functionals = cell_functionals(datum, fan)
     if cfg.format == "text":
-        lines = [f"support rays: {[list(r) for r in fan.support.rays]}"]
+        lines = [f"support rays: [{', '.join(map(_vec, fan.support.rays))}]"]
         for i, cell in enumerate(fan.cells):
-            lines.append(f"cell {i}: rays {[list(r) for r in cell.rays]}")
+            lines.append(f"cell {i}: rays [{', '.join(map(_vec, cell.rays))}]")
         _write_output(cfg, "\n".join(lines) + "\n")
     else:
         _write_output(cfg, serialize.dumps(serialize.fan_to_json(fan, functionals)))
@@ -99,19 +106,19 @@ def cmd_decompose(cfg):
 
 def _trace_text(walk, trace, cls):
     lines = [f"chambers met: {walk.length}"]
-    for i, (lo, hi) in enumerate(walk.intervals):
-        lines.append(f"  chamber {walk.chambers[i]}: t in [{lo}, {hi}]")
+    for i, interval in enumerate(walk.intervals):
+        lines.append(f"  chamber {walk.chambers[i]}: t in {_vec(interval)}")
     if cls is not None:
         lines.append(f"nef classification ({cls.mode}): indices {list(cls.indices)}")
     for s in trace.steps:
         iso = {True: " (possibly isomorphism)", False: "", None: " (classification unknown)"}
         lines.append(
-            f"step at t={s.t}: chamber {s.from_chamber} -> {s.to_chamber}"
-            f" wall {[str(v) for v in s.wall_point]} model {s.model_id}{iso[s.possibly_isomorphism]}"
+            f"step at t={serialize.rat_to_str(s.t)}: chamber {s.from_chamber} -> {s.to_chamber}"
+            f" wall {_vec(s.wall_point)} model {s.model_id}{iso[s.possibly_isomorphism]}"
         )
     lines.append(
         f"final: chamber {trace.final_chamber}, divisor"
-        f" {[str(v) for v in trace.final_divisor]}, model {trace.final_model_id}"
+        f" {_vec(trace.final_divisor)}, model {trace.final_model_id}"
     )
     return "\n".join(lines) + "\n"
 
@@ -157,7 +164,7 @@ def cmd_veronese(cfg):
     if cfg.format == "text":
         scope = ("for every m" if result.certified == "proved"
                  else f"up to m = {result.verified_up_to}")
-        _write_output(cfg, f"d = {result.d} ({result.certified} {scope})\n")
+        _write_output(cfg, f"d = {serialize.rat_to_str(result.d)} ({result.certified} {scope})\n")
     else:
         _write_output(
             cfg,
@@ -188,12 +195,12 @@ def cmd_check(cfg):
         weights ``w_i = a/b``, ``b <= 4``: an integer vector.  The order
         functions, the functionals and the cells are positively
         homogeneous, so every check below gives the same verdict at ``12 p``
-        as at ``p``; ``point`` gives back ``p`` for the report."""
+        as at ``p``; ``point`` writes ``p`` for the report."""
         weights = [rng.randint(1, 9) * (12 // rng.randint(1, 4)) for _ in cell.rays]
         return tuple([dot(weights, coords) for coords in zip(*cell.rays)])
 
     def point(scaled):
-        return tuple(Fraction(v, 12) for v in scaled)
+        return _vec([Fraction(v, 12) for v in scaled])
 
     # every check below reads an order as integers ``(num, den)``, ``den >
     # 0``, and compares it cross-multiplied.  Linearity of every order
@@ -249,8 +256,9 @@ def cmd_check(cfg):
     # grid additivity on the chamber fan
     grid = grid_additivity_check(datum, fan, depth=cfg.grid_depth)
     for check in grid.failures:
-        at = tuple(map(Fraction, check.point))
-        failures.append(f"grid additivity: exponents {check.exponents} at {at}")
+        failures.append(
+            f"grid additivity: exponents {check.exponents} at {_vec(check.point)}"
+        )
     skipped = [e for e in grid.entries if e.skipped]
     notes.append(
         f"grid additivity: {len(grid.entries)} cell/valuation pairs, {len(skipped)} skipped"
@@ -289,10 +297,12 @@ def cmd_oracle(cfg):
                 mismatch = True
                 lines.append(f"FAIL {valuation} at {text}: enumeration below LP")
             elif hit is not None:
-                lines.append(f"OK {valuation} at {text}: LP {lp} = IP {lp} at k={hit}")
+                shown = serialize.rat_to_str(lp)
+                lines.append(f"OK {valuation} at {text}: LP {shown} = IP {shown} at k={hit}")
             else:
                 lines.append(
-                    f"NOT-FOUND {valuation} at {text}: LP {lp}, no matching k <= {cfg.k_max}"
+                    f"NOT-FOUND {valuation} at {text}: LP {serialize.rat_to_str(lp)},"
+                    f" no matching k <= {cfg.k_max}"
                 )
     _write_output(cfg, "\n".join(lines) + "\n")
     return EXIT_CHECK_FAILED if mismatch else EXIT_OK
@@ -319,7 +329,7 @@ def build_parser():
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--k-max", type=int, default=12)
     parser.add_argument("--grid-depth", type=int, default=3)
-    parser.add_argument("--budget", type=int, default=None)
+    parser.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     parser.add_argument("--example", default="")
     parser.add_argument("--h", default="", help="segment endpoint, e.g. '0,1'")
     parser.add_argument("--point", action="append", dest="points", default=[])
@@ -336,13 +346,6 @@ _PARSER = build_parser()
 
 def main(argv=None):
     args = _PARSER.parse_args(argv)
-    if args.budget is None:
-        text = os.environ.get("MMPW_BUDGET", str(DEFAULT_NODE_BUDGET))
-        try:
-            args.budget = int(text)
-        except ValueError:
-            print(f"error: MMPW_BUDGET must be an integer, got {text!r}", file=sys.stderr)
-            return EXIT_PARSE
     if min(args.budget, args.k_max, args.grid_depth, args.m_max) <= 0:
         print(
             "error: --budget, --k-max, --grid-depth and --m-max must be positive",
@@ -361,7 +364,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except NonGenericSegment as exc:
-        walls = ", ".join(str(list(w)) for w in exc.walls)
+        walls = ", ".join(map(_vec, exc.walls))
         print(f"error: {exc} (walls: {walls})", file=sys.stderr)
         return EXIT_NON_GENERIC
     except MmpwalkError as exc:

@@ -76,9 +76,12 @@ class ValidationReport:
 
 
 def _exact_map(report, code, name, rows, n):
-    """Report a map whose rows are not of length ``n`` or whose entries are
-    not exact; True when it is well formed."""
-    if any(len(row) != n for row in rows):
+    """Report a map of more than ``n`` rows, which cannot have full row
+    rank, or whose rows are not of length ``n`` or whose entries are not
+    exact; True when it is well formed."""
+    if len(rows) > n:
+        report.add("error", code, f"{name} has {len(rows)} rows, more than r + 1 = {n}")
+    elif any(len(row) != n for row in rows):
         report.add("error", code, f"{name} has wrong row length")
     elif not all(type(x) in _EXACT_TYPES for row in rows for x in row):
         report.add("error", code, f"{name} entries must be integers or Fractions")

@@ -140,10 +140,11 @@ def nef_to_json(nef):
 
 
 def nef_from_json(doc, matrix, n):
-    """The nef cone in the target coordinates of ``matrix``, or None when a
-    row of ``matrix`` is not of length ``n``: validation rejects such a map
-    on its own, and its row count is not trusted to size a cone."""
-    if any(len(row) != n for row in matrix):
+    """The nef cone in the target coordinates of ``matrix``, or None when
+    ``matrix`` has more than ``n`` rows or a row not of length ``n``:
+    validation rejects such a map on its own, and its row count is not
+    trusted to size a cone."""
+    if len(matrix) > n or any(len(row) != n for row in matrix):
         return None
     if "rays" in doc:
         return cone_from_rays([vec_from_json(r) for r in doc["rays"]])
@@ -310,11 +311,13 @@ def _write(x, out, newline):
         out(json.dumps(x, indent=2, sort_keys=True).replace("\n", newline))
 
 
-def loads(text):
-    """The JSON document ``text``, or ParseError for every way ``json``
-    refuses it, such as a literal past ``int``'s digit limit or deep nesting."""
+def loads(data):
+    """The JSON document ``data``, a str or bytes, or ParseError for every
+    way ``json`` refuses it, such as a literal past ``int``'s digit limit,
+    deep nesting or, in bytes, a byte that the encoding ``json`` detects
+    (UTF-8, -16 or -32) cannot decode."""
     try:
-        return json.loads(text)
+        return json.loads(data)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

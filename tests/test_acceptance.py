@@ -15,7 +15,6 @@ from random import Random
 import pytest
 
 from mmpwalk import (
-    InstanceSpec,
     NO_REPRESENTATION,
     NonGenericSegment,
     asymptotic_order,
@@ -33,6 +32,8 @@ from mmpwalk.linalg import dot, mat_apply, sign_canonical
 from mmpwalk.veronese import MAX_MONOID_GENERATORS, grid_additivity_check
 from mmpwalk.ring import support_cone, validate
 
+from corpus import corpus_spec
+
 
 def _report(number, ok, detail):
     print(f"criterion {number}: {'PASS' if ok else 'FAIL'} ({detail})", flush=True)
@@ -41,19 +42,7 @@ def _report(number, ok, detail):
 
 def _instance_specs():
     # 50 seeds; r <= 3, at most 8 generators, 4 valuations, coordinates <= 10
-    specs = []
-    for seed in range(1, 51):
-        r = [1, 1, 2, 2, 3][seed % 5]
-        specs.append(
-            InstanceSpec(
-                r=r,
-                generator_count={1: 6, 2: 6, 3: 5}[r],
-                valuation_count={1: 4, 2: 3, 3: 2}[r],
-                coordinate_bound=4,
-                seed=seed,
-            )
-        )
-    return specs
+    return [corpus_spec(seed) for seed in range(1, 51)]
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,6 @@ from math import gcd
 import pytest
 
 from mmpwalk import (
-    InstanceSpec,
     builtin_examples,
     chamber_fan,
     linearity_fan,
@@ -33,6 +32,8 @@ from mmpwalk.linalg import (
     sign_canonical,
     solve_exact,
 )
+
+from corpus import corpus_spec
 
 
 def test_primitive_clears_denominators_and_content():
@@ -387,15 +388,7 @@ def _corpus_cones():
     """Every support, linearity cell and chamber built for the builtin
     examples and corpus seeds 1-50, with and without refinement."""
     data = list(builtin_examples().values())
-    for seed in range(1, 51):
-        r = (1, 1, 2, 2, 3)[seed % 5]
-        data.append(random_instance(InstanceSpec(
-            r=r,
-            generator_count={1: 6, 2: 6, 3: 5}[r],
-            valuation_count={1: 4, 2: 3, 3: 2}[r],
-            coordinate_bound=4,
-            seed=seed,
-        )))
+    data += [random_instance(corpus_spec(seed)) for seed in range(1, 51)]
     for datum in data:
         support = support_cone(datum)
         yield support

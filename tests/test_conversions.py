@@ -35,7 +35,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmpwalk import (
-    InstanceSpec,
     builtin_examples,
     cell_functionals,
     chamber_fan,
@@ -62,6 +61,8 @@ from mmpwalk.linalg import (
 )
 from mmpwalk.ring import support_cone
 from mmpwalk.serialize import ring_from_json
+
+from corpus import corpus_spec
 from test_cli import THIN_DOCUMENT
 
 
@@ -323,23 +324,12 @@ def test_reference_cases_cover_every_path():
     assert ray.dim == 1 and ray.equations
 
 
-def _corpus_spec(seed):
-    r = (1, 1, 2, 2, 3)[seed % 5]
-    return InstanceSpec(
-        r=r,
-        generator_count={1: 6, 2: 6, 3: 5}[r],
-        valuation_count={1: 4, 2: 3, 3: 2}[r],
-        coordinate_bound=4,
-        seed=seed,
-    )
-
-
 def _fan_data():
     # corpus seeds 1-25: with each linearity fan built once, seeds 1-10
     # alone converted too few cones for test_one_conversion_per_pointed_cone,
     # and with a cell inside its partner kept as it is, seeds 1-15 alone do
     data = list(builtin_examples().values())
-    return data + [random_instance(_corpus_spec(seed)) for seed in range(1, 26)]
+    return data + [random_instance(corpus_spec(seed)) for seed in range(1, 26)]
 
 
 def _split_trees(events):
@@ -448,7 +438,7 @@ def _reference_linearity_fan(datum, valuation, support):
 
 def test_read_off_linearity_cells_match_their_conversions():
     data = list(builtin_examples().values())
-    data += [random_instance(_corpus_spec(seed)) for seed in range(1, 101)]
+    data += [random_instance(corpus_spec(seed)) for seed in range(1, 101)]
     cells = 0
     for datum in data:
         support = support_cone(datum)
@@ -608,7 +598,7 @@ def _linearity_fans(datum):
 
 def test_refinement_matches_the_pairwise_reference_on_the_corpus():
     data = list(builtin_examples().values())
-    data += [random_instance(_corpus_spec(seed)) for seed in range(1, 51)]
+    data += [random_instance(corpus_spec(seed)) for seed in range(1, 51)]
     cells = sum(_assert_refinement_matches_the_reference(fans)
                 for fans in map(_linearity_fans, data) if fans)
     assert cells > 200
@@ -648,7 +638,7 @@ REFINEMENT_CONVERSIONS = {2: (8, 10, 10), 18: (3, 7, 9)}
 
 @pytest.mark.parametrize("seed", sorted(REFINEMENT_CONVERSIONS))
 def test_refinement_makes_the_recorded_conversions(monkeypatch, seed):
-    fans = _linearity_fans(random_instance(_corpus_spec(seed)))
+    fans = _linearity_fans(random_instance(corpus_spec(seed)))
     calls = {"_dd": 0, "_dd_step": 0, "inside": 0}
     dd, step, meet = cones._dd, cones._dd_step, cones._meet
 

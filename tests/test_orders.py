@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from mmpwalk import (
     NO_REPRESENTATION,
-    InstanceSpec,
     OutsideSupport,
     asymptotic_order,
     builtin_examples,
@@ -35,6 +34,8 @@ from mmpwalk.errors import BudgetExceeded, DimensionError, InconsistentInput, In
 from mmpwalk.linalg import clear_denominators, dot
 from mmpwalk.orders import DEFAULT_NODE_BUDGET, _representable
 from mmpwalk.ring import GeneratorDatum, RingDatum, support_cone, validate
+
+from corpus import corpus_spec
 
 
 def functional_on_cell(datum, valuation, cell, support=None):
@@ -314,15 +315,7 @@ def test_cold_start_solves_the_lp_again(blowup, monkeypatch):
 
 
 def _corpus_datum(seed):
-    r = (1, 1, 2, 2, 3)[seed % 5]
-    spec = InstanceSpec(
-        r=r,
-        generator_count={1: 6, 2: 6, 3: 5}[r],
-        valuation_count={1: 4, 2: 3, 3: 2}[r],
-        coordinate_bound=4,
-        seed=seed,
-    )
-    return random_instance(spec)
+    return random_instance(corpus_spec(seed))
 
 
 def _lp_data(datum, valuation, x):

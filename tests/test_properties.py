@@ -27,6 +27,8 @@ from mmpwalk.linalg import (
 )
 from mmpwalk.ring import support_cone
 
+from corpus import corpus_spec
+
 coords = st.integers(min_value=-6, max_value=6)
 
 
@@ -354,11 +356,7 @@ def test_cut_equations_are_the_kernel_of_the_rays(monkeypatch):
 
     monkeypatch.setattr(cones, "_read_off", recorded)
     for seed in range(1, 51):
-        r = (1, 1, 2, 2, 3)[seed % 5]
-        datum = random_instance(InstanceSpec(
-            r=r, generator_count={1: 6, 2: 6, 3: 5}[r], valuation_count={1: 4, 2: 3, 3: 2}[r],
-            coordinate_bound=4, seed=seed,
-        ))
+        datum = random_instance(corpus_spec(seed))
         support = support_cone(datum)
         chamber_fan(datum, support=support)
         fans = [orders.linearity_fan(datum, v, support) for v in datum.valuations]

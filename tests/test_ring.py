@@ -119,6 +119,19 @@ def test_numerical_rank_is_measured_against_the_row_count():
     assert [e.code for e in report.warnings] == ["numerical-rank"]
 
 
+def test_a_map_of_more_than_r_plus_1_rows_is_rejected():
+    # a map's rank is at most r + 1, fewer than these three rows, so it can
+    # never have full row rank
+    rows = ((1, 0), (0, 1), (1, 1))
+    report = validate(make_datum(numerical=rows))
+    assert [e.code for e in report.errors] == ["bad-numerical-map"]
+    assert "3 rows, more than r + 1 = 2" in report.errors[0].message
+    assert not report.warnings
+    cube = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    report = validate(_with_pushforward(rows, nef_rays=cube))
+    assert [e.code for e in report.errors] == ["bad-pushforward-map"]
+
+
 def test_thin_support_warning():
     gens = (
         GeneratorDatum(multidegree=(1, 1), mults={"E": Fraction(0)}),

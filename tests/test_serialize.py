@@ -9,7 +9,7 @@ from random import Random
 
 import pytest
 
-from mmpwalk import InstanceSpec, builtin_examples, chamber_fan, random_instance
+from mmpwalk import builtin_examples, chamber_fan, random_instance
 from mmpwalk.cli import main
 from mmpwalk.cones import cone_from_rays
 from mmpwalk.errors import InconsistentInput, MmpwalkError, ParseError
@@ -25,6 +25,8 @@ from mmpwalk.serialize import (
     ring_from_json,
     ring_to_json,
 )
+
+from corpus import corpus_spec
 
 
 def test_rational_strings_roundtrip():
@@ -97,16 +99,8 @@ def test_rat_from_str_rejects_exponent_notation(s):
 
 
 def _corpus_datum(seed):
-    """Corpus document ``seed`` (the spec of tests/test_acceptance.py), read."""
-    r = (1, 1, 2, 2, 3)[seed % 5]
-    spec = InstanceSpec(
-        r=r,
-        generator_count={1: 6, 2: 6, 3: 5}[r],
-        valuation_count={1: 4, 2: 3, 3: 2}[r],
-        coordinate_bound=4,
-        seed=seed,
-    )
-    return ring_from_json(loads(dumps(ring_to_json(random_instance(spec)))))[0]
+    """Corpus document ``seed``, read."""
+    return ring_from_json(loads(dumps(ring_to_json(random_instance(corpus_spec(seed))))))[0]
 
 
 def test_fan_documents_hold_every_cone_and_functional():

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmpwalk import InstanceSpec, random_instance, simplex
+from mmpwalk import random_instance, simplex
 from mmpwalk.errors import BudgetExceeded
 from mmpwalk.simplex import DEFAULT_PIVOT_CAP, INFEASIBLE, UNBOUNDED, solve_min
+
+from corpus import corpus_spec
 
 
 def F(x):
@@ -385,15 +387,8 @@ def _corpus_lps(seed):
     generators: sums of two generator degrees, their thirds and the unit
     vectors (outside the support of some unit-free data) as right-hand
     sides, once per valuation."""
-    r = (1, 1, 2, 2, 3)[seed % 5]
-    datum = random_instance(InstanceSpec(
-        r=r,
-        generator_count={1: 6, 2: 6, 3: 5}[r],
-        valuation_count={1: 4, 2: 3, 3: 2}[r],
-        coordinate_bound=4,
-        seed=seed,
-    ))
-    n = r + 1
+    datum = random_instance(corpus_spec(seed))
+    n = datum.r + 1
     units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     full = list(datum.generators)
     for generators in (full, [g for g in full if tuple(g.multidegree) not in units]):

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmpwalk import (
-    InstanceSpec,
     asymptotic_order,
     builtin_examples,
     chamber_fan,
@@ -31,6 +30,8 @@ from mmpwalk.veronese import (
     grid_additivity_check,
     monoid_generators,
 )
+
+from corpus import corpus_spec
 
 
 def test_single_degree_one():
@@ -353,15 +354,7 @@ def reference_grid_additivity(datum, fan, dscale, depth, lattice_budget):
 
 def _grid_case(name):
     if name.startswith("corpus-"):
-        seed = int(name.removeprefix("corpus-"))
-        r = (1, 1, 2, 2, 3)[seed % 5]
-        return random_instance(InstanceSpec(
-            r=r,
-            generator_count={1: 6, 2: 6, 3: 5}[r],
-            valuation_count={1: 4, 2: 3, 3: 2}[r],
-            coordinate_bound=4,
-            seed=seed,
-        ))
+        return random_instance(corpus_spec(int(name.removeprefix("corpus-"))))
     return builtin_examples()[name]
 
 

@@ -10,7 +10,6 @@ import pytest
 from mmpwalk import (
     DimensionError,
     InconsistentInput,
-    InstanceSpec,
     MissingNefData,
     NonGenericSegment,
     OutsideSupport,
@@ -26,6 +25,8 @@ from mmpwalk.cones import cone_from_rays
 from mmpwalk.linalg import clear_denominators, dot, mat_apply
 from mmpwalk.ring import PushforwardDatum, RingDatum, support_cone, validate
 from mmpwalk.walk import ChamberWalk, NefClassification, _segment_interval
+
+from corpus import corpus_spec
 
 
 @pytest.fixture(scope="module")
@@ -312,15 +313,7 @@ def _segment_cases():
     """Chamber fans of the builtin examples and corpus instances 1-15, each
     with its support's rays."""
     data = list(builtin_examples().values())
-    for seed in range(1, 16):
-        r = (1, 1, 2, 2, 3)[seed % 5]
-        data.append(random_instance(InstanceSpec(
-            r=r,
-            generator_count={1: 6, 2: 6, 3: 5}[r],
-            valuation_count={1: 4, 2: 3, 3: 2}[r],
-            coordinate_bound=4,
-            seed=seed,
-        )))
+    data += [random_instance(corpus_spec(seed)) for seed in range(1, 16)]
     for datum in data:
         support = support_cone(datum)
         yield chamber_fan(datum, support=support), support.rays
