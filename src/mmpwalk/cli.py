@@ -2,10 +2,11 @@
 
 Commands: decompose, walk, veronese, check, oracle.  Exit codes: 0 ok,
 1 failed check, 2 parse error, 3 validation/data error (a result too long
-to write, too), 4 budget exhausted, 5 non-generic segment.  The input is
-read as bytes and handed to ``serialize.loads``; every number printed is
-written by ``serialize.dumps`` in JSON and by ``serialize.rat_to_str`` in
-text.
+to write, too), 4 budget exhausted, 5 non-generic segment.  Every command
+that reads a document reads it through ``_read_input``, which returns the
+datum validated: the input is read as bytes, handed to ``serialize.loads``
+and checked by ``ring.validate``.  Every number printed is written by
+``serialize.dumps`` in JSON and by ``serialize.rat_to_str`` in text.
 """
 
 import argparse
@@ -32,25 +33,36 @@ EXIT_NON_GENERIC = 5
 
 
 def _read_input(cfg):
+    """The datum and document segment (None for an example) of ``--example``
+    or ``--input``, validated: errors raise ``_ValidationFailure``, and each
+    warning is printed to stderr."""
     if cfg.example:
         catalog = builtin_examples()
         if cfg.example not in catalog:
             raise ParseError(
                 f"unknown example {cfg.example!r}; available: {sorted(catalog)}"
             )
-        return catalog[cfg.example], None
-    if not cfg.input:
+        datum, segment = catalog[cfg.example], None
+    elif not cfg.input:
         raise ParseError("either --input or --example is required")
-    if cfg.input == "-":
-        # a text stream without a byte buffer, such as an io.StringIO, is read as it is
-        data = getattr(sys.stdin, "buffer", sys.stdin).read()
     else:
-        try:
-            with open(cfg.input, "rb") as fh:
-                data = fh.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read input {cfg.input!r}: {exc.strerror}") from None
-    return serialize.ring_from_json(serialize.loads(data))
+        if cfg.input == "-":
+            # a text stream without a byte buffer, such as an io.StringIO, is read as it is
+            data = getattr(sys.stdin, "buffer", sys.stdin).read()
+        else:
+            try:
+                with open(cfg.input, "rb") as fh:
+                    data = fh.read()
+            except OSError as exc:
+                raise ParseError(f"cannot read input {cfg.input!r}: {exc.strerror}") from None
+        datum, segment = serialize.ring_from_json(serialize.loads(data))
+    report = validate(datum)
+    if not report.ok():
+        lines = [f"{e.severity}: [{e.code}] {e.message}" for e in report.entries]
+        raise _ValidationFailure("\n".join(lines))
+    for e in report.warnings:
+        print(f"warning: [{e.code}] {e.message}", file=sys.stderr)
+    return datum, segment
 
 
 def _write_output(cfg, text):
@@ -62,16 +74,6 @@ def _write_output(cfg, text):
             raise ParseError(f"cannot write output {cfg.output!r}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
-
-
-def _validated(datum):
-    report = validate(datum)
-    if not report.ok():
-        lines = [f"{e.severity}: [{e.code}] {e.message}" for e in report.entries]
-        raise _ValidationFailure("\n".join(lines))
-    for e in report.warnings:
-        print(f"warning: [{e.code}] {e.message}", file=sys.stderr)
-    return report
 
 
 class _ValidationFailure(MmpwalkError):
@@ -91,7 +93,6 @@ def _parse_point(text):
 
 def cmd_decompose(cfg):
     datum, _ = _read_input(cfg)
-    _validated(datum)
     fan = chamber_fan(datum, refine=cfg.refine)
     functionals = cell_functionals(datum, fan)
     if cfg.format == "text":
@@ -125,7 +126,6 @@ def _trace_text(walk, trace, cls):
 
 def cmd_walk(cfg):
     datum, segment_h = _read_input(cfg)
-    _validated(datum)
     if cfg.h:
         segment_h = _parse_point(cfg.h)
     if segment_h is None:
@@ -181,7 +181,6 @@ def cmd_veronese(cfg):
 
 def cmd_check(cfg):
     datum, _ = _read_input(cfg)
-    _validated(datum)
     rng = random.Random(cfg.seed)
     failures = []
     notes = []
@@ -280,7 +279,6 @@ def cmd_check(cfg):
 
 def cmd_oracle(cfg):
     datum, _ = _read_input(cfg)
-    _validated(datum)
     if not cfg.points:
         raise ParseError("at least one --point is required")
     lines = []

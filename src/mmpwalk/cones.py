@@ -136,7 +136,7 @@ def _dd_step(lines, rays, a, values, bit):
             zero + sorted(new.items()))
 
 
-def _dd(ineqs, n, lines=None, rays=(), offset=0, values=None):
+def _dd(ineqs, n, lines=None, rays=(), offset=0):
     """V-representation of ``{x : a . x >= 0 for a in ineqs}``, or of its
     intersection with the cone that ``lines`` and ``rays`` describe.
 
@@ -157,19 +157,15 @@ def _dd(ineqs, n, lines=None, rays=(), offset=0, values=None):
     equations hold at every line and ray and so change no step), and
     ``ineqs[j]`` takes bit ``offset + j``.  The count, not the highest bit
     in use, numbers the new bits: a facet tight at no ray, such as the one
-    facet of a ray, sets no bit.  ``values``, when given, are the values of
-    the first inequality, made primitive, at the given ``rays``, which the
-    caller already holds.
+    facet of a ray, sets no bit.
     """
     if lines is None:
         lines = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     bit = 1 << offset  # the new mask bit
     for a in ineqs:
         a = primitive(a)
-        if values is None:
-            values = [dot(a, r) for r, _ in rays]
-        lines, pos, _, on = _dd_step(lines, rays, a, values, bit)
-        rays, values = pos + on, None
+        lines, pos, _, on = _dd_step(lines, rays, a, [dot(a, r) for r, _ in rays], bit)
+        rays = pos + on
         bit <<= 1
     return lines, rays
 
@@ -293,13 +289,12 @@ def _start(cone):
     return lines, [(r, _tight_mask(r, cone.facets)) for r in rays]
 
 
-def _cut(cone, normals, start=None, values=None):
+def _cut(cone, normals, start=None):
     """``cone`` cut by ``{x : a . x >= 0}`` for each ``a`` in ``normals``:
     ``_dd`` continues from the cone's ``_start``, read here unless given,
-    with ``values`` as ``_dd`` takes them, and the cut is read off the
-    rays' masks (``_read_off``)."""
+    and the cut is read off the rays' masks (``_read_off``)."""
     lines, rays = _start(cone) if start is None else start
-    lines, rays = _dd(normals, cone.ambient_dim, lines, rays, len(cone.facets), values)
+    lines, rays = _dd(normals, cone.ambient_dim, lines, rays, len(cone.facets))
     return _read_off(cone, list(cone.facets) + list(normals), rays, lines)
 
 
@@ -382,12 +377,19 @@ def make_fan(cells, support, labels=None):
     return Fan(tuple(c for c, _ in pairs), support, tuple(l for _, l in pairs))
 
 
+def _wall_row(w, lines, rays):
+    """The row of wall ``w`` over a cell's ``lines`` and ``rays``
+    (``_lines_and_rays``): its values at the rays, their least and greatest
+    (0 when there is no ray), and whether it vanishes on every line."""
+    values = [sum(map(mul, w, r)) for r in rays]
+    return (values, min(values, default=0), max(values, default=0),
+            not lines or not any(dot(w, l) for l in lines))
+
+
 class _WallTable:
-    """One cell of a refinement with the values of the next fan's walls at
-    its lines and rays (``_lines_and_rays``), each wall's read on first use.
-    A wall's row holds its values at the rays, their least and greatest (0
-    when there is no ray), and whether it vanishes on every line.  The
-    cell's ``_start`` is read once, on the first cut."""
+    """One cell of a refinement with the ``_wall_row`` of each of the next
+    fan's walls, read on first use.  The cell's ``_start`` is read once, on
+    the first cut."""
 
     __slots__ = ("cone", "lines", "rays", "walls", "rows", "started")
 
@@ -399,10 +401,7 @@ class _WallTable:
         self.started = None
 
     def row(self, i):
-        w = self.walls[i]
-        values = [sum(map(mul, w, r)) for r in self.rays]
-        row = self.rows[i] = (values, min(values, default=0), max(values, default=0),
-                              not self.lines or not any(dot(w, l) for l in self.lines))
+        row = self.rows[i] = _wall_row(self.walls[i], self.lines, self.rays)
         return row
 
     def start(self):
@@ -440,8 +439,7 @@ def _meet(table, b, facets, sides):
     of ``b`` cuts the cell when it is negative at one of its rays or not
     zero on one of its lines, read off the table.  When none cuts, the cell
     lies inside ``b`` and is the piece itself.  Otherwise ``_cut`` cuts it
-    by those that do, from the table's ``_start`` with the first cut's
-    values read off the table, as ``intersect`` cuts it.
+    by those that do, from the table's ``_start``, as ``intersect`` cuts it.
     """
     a, rows = table.cone, table.rows
     for _, i, s in facets:
@@ -454,13 +452,10 @@ def _meet(table, b, facets, sides):
     for c, i, s in facets + sides:
         _, low, high, flat = rows[i] or table.row(i)
         if not flat or (low < 0 if s > 0 else high > 0):
-            cuts.append((c, i, s))
+            cuts.append(c)
     if not cuts:
         return a
-    _, i, s = cuts[0]
-    values = rows[i][0]
-    return _cut(a, [c for c, _, _ in cuts], table.start(),
-                values if s > 0 else [-v for v in values])
+    return _cut(a, cuts, table.start())
 
 
 def common_refinement(fans):
@@ -497,12 +492,11 @@ def common_refinement(fans):
 
 def _crossing(walls, lines, rays):
     """The walls not zero on a line or with rays strictly on both sides,
-    each with its values at the rays."""
+    each with its values at the rays (``_wall_row``)."""
     crossing = []
     for h in walls:
-        values = [dot(h, r) for r in rays]
-        if (min(values, default=0) < 0 < max(values, default=0)
-                or lines and any(dot(h, l) for l in lines)):
+        values, low, high, flat = _wall_row(h, lines, rays)
+        if low < 0 < high or not flat:
             crossing.append((h, values))
     return crossing
 

@@ -15,9 +15,11 @@ or subclass), which every module that takes a caller's number reads;
 ``clear_denominators`` raises ``TypeError`` on anything else.
 ``primitive``, which the tableau, ``_dd`` and ``row_reduce`` start from,
 takes the gcd first: only a vector with a ``Fraction`` entry goes through
-``clear_denominators``, and an integer one stays in ``int``s.
+``clear_denominators``, and an integer one stays in ``int``s.  ``shown``
+writes a number into a message, whatever its length.
 """
 
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -26,6 +28,15 @@ from .errors import DimensionError
 
 _INT_TYPES = frozenset((int,))
 _EXACT_TYPES = frozenset((int, Fraction))
+
+
+def shown(x):
+    """``str(x)`` of an ``int`` or a ``Fraction`` for a message, or, past
+    the digit limit of ``str``, a placeholder that names the limit."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"<more than {sys.get_int_max_str_digits()} digits>"
 
 
 def dot(a, b):

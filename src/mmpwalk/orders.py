@@ -53,7 +53,8 @@ from .cones import (PolyCone, _maximal, _tight_mask, common_refinement, cone_fro
                     hyperplane_refinement, make_fan)
 from .errors import (BudgetExceeded, DimensionError, InconsistentInput, InvalidCone,
                      OutsideSupport)
-from .linalg import _EXACT_TYPES, _INT_TYPES, clear_denominators, dot, primitive, reduce_mod_rowspace
+from .linalg import (_EXACT_TYPES, _INT_TYPES, clear_denominators, dot, primitive,
+                     reduce_mod_rowspace, shown)
 from .ring import support_cone
 from .simplex import INFEASIBLE, UNBOUNDED, solve_min
 
@@ -198,7 +199,11 @@ def order_function(datum, valuation):
         tuple([tuple(g.multidegree) for g in generators]),
         tuple([m.as_integer_ratio() for m in mults]),
     )
-    exact = type(generators) is tuple and all(type(g.multidegree) is tuple for g in generators)
+    exact = type(generators) is tuple
+    for g in generators:  # every miss runs it: a plain loop, not ``all`` over a generator
+        if type(g.multidegree) is not tuple:
+            exact = False
+            break
     _held[0] = (generators, mults, function) if exact else None
     return function
 
@@ -343,7 +348,7 @@ _held = [None]
 
 def _named(xs, x_den):
     """The point ``xs / x_den`` for a message, its entries in lowest terms."""
-    return f"({', '.join([str(Fraction(v, x_den)) for v in xs])})"
+    return f"({', '.join([shown(Fraction(v, x_den)) for v in xs])})"
 
 
 def linearity_fan(datum, valuation, support=None):

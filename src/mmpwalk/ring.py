@@ -10,7 +10,7 @@ a nef cone is a plain ``PolyCone`` in its map's target coordinates.
 from dataclasses import dataclass, field
 
 from .cones import PolyCone, cone_from_rays
-from .linalg import _EXACT_TYPES, rank
+from .linalg import _EXACT_TYPES, rank, shown
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,7 @@ def validate(datum):
         report.add(
             "warning",
             "label-count",
-            f"expected {n} labels, got {len(datum.labels)}",
+            f"expected {shown(n)} labels, got {len(datum.labels)}",
         )
     if not datum.generators:
         report.add("error", "no-generators", "at least one generator is required")
@@ -129,7 +129,8 @@ def validate(datum):
             report.add(
                 "error",
                 "bad-multidegree",
-                f"generator {i} has multidegree of length {len(gen.multidegree)}, expected {n}",
+                f"generator {i} has multidegree of length {len(gen.multidegree)},"
+                f" expected {shown(n)}",
             )
             continue
         if all(x == 0 for x in gen.multidegree):

@@ -20,7 +20,7 @@ from math import comb, gcd, lcm
 from operator import mul
 
 from .errors import BudgetExceeded
-from .linalg import row_reduce
+from .linalg import row_reduce, shown
 from .orders import _check_level, order_function
 
 DEFAULT_SPLIT_BUDGET = 200_000
@@ -35,19 +35,21 @@ class VeroneseResult:
     certified: str = "bounded verification"
 
 
-def _representations(degrees, total, limit=None):
-    """The nonnegative integer vectors a with sum(a_i * degrees_i) == total,
-    in lexicographic order; only the first ``limit`` of them when given.
+def _representations(degrees, total):
+    """Generate the nonnegative integer vectors a with
+    sum(a_i * degrees_i) == total, in lexicographic order, each only when
+    the caller asks for it.
 
     The last two coefficients are read off, not searched: with g and h the
     last two degrees and c = gcd(g, h), ``a * g + b * h == remaining`` has
     solutions exactly when c divides ``remaining``, and then the a's are the
     least solution of ``a * g == remaining (mod h)`` in steps of h / c.
     """
-    out = []
     if len(degrees) == 1:
         q, r = divmod(total, degrees[0])
-        return [(q,)] if r == 0 else []
+        if r == 0:
+            yield (q,)
+        return
     g, h = degrees[-2:]
     c = gcd(g, h)
     step = h // c
@@ -56,20 +58,14 @@ def _representations(degrees, total, limit=None):
 
     def recurse(i, remaining, prefix):
         if i == second_last:
-            if remaining % c:
-                return
-            for a in range(remaining // c * inverse % step, remaining // g + 1, step):
-                if len(out) == limit:
-                    return
-                out.append(tuple(prefix + [a, (remaining - a * g) // h]))
+            if remaining % c == 0:
+                for a in range(remaining // c * inverse % step, remaining // g + 1, step):
+                    yield prefix + (a, (remaining - a * g) // h)
             return
         for a in range(remaining // degrees[i] + 1):
-            if len(out) == limit:
-                return
-            recurse(i + 1, remaining - a * degrees[i], prefix + [a])
+            yield from recurse(i + 1, remaining - a * degrees[i], prefix + (a,))
 
-    recurse(0, total, [])
-    return out
+    yield from recurse(0, total, ())
 
 
 def _charge(counter):
@@ -112,14 +108,13 @@ def veronese_degree(degrees, m_max, split_budget=DEFAULT_SPLIT_BUDGET):
     (Bruns-Gubeladze-Trung), so c* = max(1, s - 2) is "proved" for every m
     with no search.  Each c < c* is searched for all m <= m_max ("bounded
     verification"), and BudgetExceeded ends the call when the splitting
-    enumeration blows up.  The representations of each candidate d are
-    listed once and shared by every split.  A split call and every part it
-    scans cost one split node each, so ``split_budget`` bounds the work.
-    Every listed representation costs at least one node, so each list for
-    d*m stops at the nodes left (``counter[0]``) and runs out exactly where
-    the whole list would; the parts stop at ``split_budget`` and serve as
-    the list for m = 1.  A degree or an ``m_max`` that is not an ``int``
-    (a bool, too) raises TypeError, and one ``<= 0`` ValueError.
+    enumeration blows up.  The first ``split_budget`` representations of
+    each candidate d are listed once, as the parts that every split shares
+    and the representations for m = 1; those of d*m for m > 1 are produced
+    only as the search consumes them.  A split call and every part it scans
+    cost one split node each, so ``split_budget`` bounds the work.  A
+    degree or an ``m_max`` that is not an ``int`` (a bool, too) raises
+    TypeError, and one ``<= 0`` ValueError.
     """
     _check_level(m_max, "m_max")
     degrees = sorted(degrees)
@@ -131,12 +126,12 @@ def veronese_degree(degrees, m_max, split_budget=DEFAULT_SPLIT_BUDGET):
     proved = max(1, len(degrees) - 2)
     for mult in range(1, proved):
         d = mult * base
-        parts = _representations(degrees, d, split_budget)
+        parts = list(itertools.islice(_representations(degrees, d), split_budget))
         counter = [split_budget]
         memo = {}
         good = True
         for m in range(1, m_max + 1):
-            reps = parts if m == 1 else _representations(degrees, d * m, counter[0])
+            reps = parts if m == 1 else _representations(degrees, d * m)
             for rep in reps:
                 if not _splits(rep, parts, m, memo, counter):
                     good = False
@@ -230,7 +225,7 @@ def _parallelepiped_points(basis, cell, budget):
     for h in hi:
         volume *= h + 1
     if volume > budget:
-        raise BudgetExceeded(f"parallelepiped box has {volume} lattice points")
+        raise BudgetExceeded(f"parallelepiped box has {shown(volume)} lattice points")
     k = len(basis)
     # row i of row_reduce([B | I]) is c_i times (row i of the RREF of B | row i
     # of B_S^-1), with c_i > 0 its pivot entry
@@ -290,15 +285,14 @@ def _exponent_vectors(count, depth):
             yield tuple(vec)
 
 
-def grid_additivity_check(datum, fan, depth=3,
-                          lattice_budget=DEFAULT_LATTICE_BUDGET,
-                          max_generators=MAX_MONOID_GENERATORS):
+def grid_additivity_check(datum, fan, depth=3, lattice_budget=DEFAULT_LATTICE_BUDGET):
     """Verify order additivity on monoid-generator combinations of every
     cell of a chamber fan of ``datum``, for every tracked valuation.
 
     Per-cell problems (a box, or a grid of exponent vectors counted before
-    any is built, over ``lattice_budget``; too many generators) are
-    reported, not fatal.  Each valuation's order function is the datum's
+    any is built, over ``lattice_budget``; more than
+    ``MAX_MONOID_GENERATORS`` monoid generators, cut to the first that many)
+    are reported, not fatal.  Each valuation's order function is the datum's
     one ``order_function``, shared with every other query on its LP data,
     and every point is an integer vector, built once per cell from the
     generators' columns.  The order is linear on the cell, so one kept
@@ -318,11 +312,11 @@ def grid_additivity_check(datum, fan, depth=3,
     for ci, cell in enumerate(fan.cells):
         try:
             gens = monoid_generators(cell, lattice_budget)
-            truncated = len(gens) > max_generators
-            gens = gens[:max_generators]
+            truncated = len(gens) > MAX_MONOID_GENERATORS
+            gens = gens[:MAX_MONOID_GENERATORS]
             count = comb(depth + len(gens), len(gens)) - 1
             if count > lattice_budget:
-                raise BudgetExceeded(f"grid has {count} exponent vectors")
+                raise BudgetExceeded(f"grid has {shown(count)} exponent vectors")
         except BudgetExceeded as exc:
             for valuation in datum.valuations:
                 report.entries.append(

@@ -20,7 +20,7 @@ from .errors import (
     NonGenericSegment,
     OutsideSupport,
 )
-from .linalg import _EXACT_TYPES, clear_denominators, dot, mat_apply
+from .linalg import _EXACT_TYPES, clear_denominators, dot, mat_apply, shown
 
 
 @dataclass(frozen=True)
@@ -176,7 +176,7 @@ def order_chambers(fan, seg):
                 continue
             t_n, t_d = lo.numerator, lo.denominator
             raise NonGenericSegment(
-                f"segment touches a chamber only at t={lo}",
+                f"segment touches a chamber only at t={shown(lo)}",
                 cell=cell,
                 walls=[f for f in cell.facets if dot(f, h) * t_d + dot(f, d) * t_n == 0],
             )

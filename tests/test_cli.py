@@ -743,6 +743,51 @@ def test_a_veronese_degree_too_long_to_write_exits_3(capsys, fmt):
     assert _one_line_error(err) and str(DIGIT_LIMIT) in err
 
 
+def _segment_through_a_ray(digits):
+    """A walk document and an ``--h`` of entries of about ``digits`` digits
+    per part, whose segment passes through the fan's ray (3, 3, 1) at a t of
+    about twice as many."""
+    doc = dumps(ring_to_json(random_instance(InstanceSpec(2, 5, 1, 3, 4))))
+    q1, q2 = 10**digits + 3, 10**digits + 7
+    b = 1 + Fraction(1, q2)
+    h = (Fraction(int((3 * b - Fraction(1, 2)) * q1), q1), 3 * b, b)
+    return doc, ",".join(map(str, h))
+
+
+def _long_number_case(case):
+    """(stdin, argv, exit code) of a run whose message holds a number past
+    the digit limit; each ended in a traceback and exit 1 when the message
+    was built."""
+    digits = DIGIT_LIMIT * 7 // 10
+    doc = json.loads(dumps(ring_to_json(builtin_examples()["blowup-P2"])))
+    if case == "grid count":
+        depth = str(10 ** (DIGIT_LIMIT - 300))
+        return "", ("check", "--example", "blowup-P2", "--grid-depth", depth), 0
+    if case == "box volume":
+        doc["generators"][2]["deg"] = [10**digits, 10**digits + 1]
+        return json.dumps(doc), ("check", "--input", "-"), 0
+    if case == "touching t":
+        text, h = _segment_through_a_ray(digits)
+        return text, ("walk", "--input", "-", "--h", h), 5
+    doc["r"] = int("9" * DIGIT_LIMIT)  # r + 1 is past the limit
+    return json.dumps(doc), ("decompose", "--input", "-"), 3
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("case", ["grid count", "box volume", "touching t", "label count"])
+def test_a_message_with_a_number_too_long_to_write_ends_in_its_exit_code(
+        monkeypatch, capsys, case):
+    stdin, argv, expected = _long_number_case(case)
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, out, err = run(capsys, *argv)
+    assert code == expected
+    assert "Traceback" not in out + err
+    if expected:
+        assert out == "" and f"<more than {DIGIT_LIMIT} digits>" in err
+    else:
+        assert out.endswith("2 skipped\nresult: PASS\n")
+
+
 NOT_UTF8 = b'{"r": 1\xff}'
 
 

@@ -85,14 +85,14 @@ def test_split_budget_exhaustion():
 
 def test_representations_enumeration():
     # 2a + 3b = 6: (3,0) and (0,2)
-    assert set(_representations([2, 3], 6)) == {(3, 0), (0, 2)}
-    assert _representations([2], 3) == []
+    assert list(_representations([2, 3], 6)) == [(0, 2), (3, 0)]
+    assert list(_representations([2], 3)) == []
 
 
-def test_representations_limit_lists_a_prefix():
-    whole = _representations([2, 3, 5], 30)
-    for limit in range(len(whole) + 2):
-        assert _representations([2, 3, 5], 30, limit) == whole[:limit]
+def test_representations_are_produced_on_demand():
+    # d = 2310 has 526,154,042 representations; the first comes without
+    # listing the others
+    assert next(_representations([2, 3, 5, 7, 11], 2310)) == (0, 0, 0, 0, 210)
 
 
 def test_split_budget_caps_the_listing():
@@ -105,10 +105,11 @@ def test_split_budget_caps_the_listing():
 def test_split_budget_bounds_the_parts_scanned(monkeypatch):
     # c = 1 for [2, 3, 5, 7] is d = 210, with 8,276 representations that a
     # split node scans; a node used to cost one unit however many of them it
-    # read, so the default budget ran for 34-51 s.  Every representation the
-    # search reads now costs one unit, and it stops within the budget.
+    # read, so the default budget ran for 34-51 s.  Every part the search
+    # scans now costs one unit, and it stops within the budget.
     read = [0]
-    original = veronese._representations
+    original = veronese._splits
+    counted = {}
 
     class Counted(list):
         def __iter__(self):
@@ -116,9 +117,14 @@ def test_split_budget_bounds_the_parts_scanned(monkeypatch):
                 read[0] += 1
                 yield item
 
-    monkeypatch.setattr(veronese, "_representations", lambda *args: Counted(original(*args)))
-    assert len(original([2, 3, 5, 7], 210)) == 8276
-    read[0] = 0
+    def splits(rep, parts, *rest):
+        # the parts list is wrapped once, and kept, and every scan is counted
+        if id(parts) not in counted:
+            counted[id(parts)] = parts, Counted(parts)
+        return original(rep, counted[id(parts)][1], *rest)
+
+    monkeypatch.setattr(veronese, "_splits", splits)
+    assert len(list(_representations([2, 3, 5, 7], 210))) == 8276
     with pytest.raises(BudgetExceeded):
         veronese_degree([2, 3, 5, 7], 3, split_budget=20_000)
     assert 0 < read[0] <= 20_000
@@ -401,16 +407,6 @@ def test_additivity_check_is_ok_exactly_when_its_sides_are_equal(name, monkeypat
     # the sides need not be in lowest terms
     assert veronese.AdditivityCheck((1,), (2,), 2, 4, 1, 2).ok
     assert not veronese.AdditivityCheck((1,), (2,), -1, 2, 1, 2).ok
-
-
-def test_grid_of_a_cell_cut_to_no_generators_raises_as_before():
-    # a cell cut to no monoid generators has no exponent vectors to count
-    # its grid by; the check stops there as it did when every grid point
-    # was summed coordinate by coordinate, before any order is queried
-    datum = builtin_examples()["blowup-P2"]
-    fan = chamber_fan(datum)
-    with pytest.raises(ValueError, match="must be non-negative"):
-        grid_additivity_check(datum, fan, max_generators=0)
 
 
 def reference_ray_basis(cell):
