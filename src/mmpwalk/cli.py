@@ -179,7 +179,34 @@ def cmd_veronese(cfg):
     return EXIT_OK
 
 
+def _weights(rng, count):
+    """``count`` draws of ``rng.randint(1, 9) * (12 // rng.randint(1, 4))``,
+    read from ``rng.getrandbits`` by ``randint``'s own rule: ``randint(1,
+    9)`` takes 4 bits and draws again on a value of 9 or more, ``randint(1,
+    4)`` 3 bits and draws again on 4 or more.  So the weights are the same,
+    and ``rng`` is left in the same state."""
+    bits = rng.getrandbits
+    weights = []
+    for _ in range(count):
+        a = bits(4)
+        while a >= 9:
+            a = bits(4)
+        b = bits(3)
+        while b >= 4:
+            b = bits(3)
+        weights.append((a + 1) * (12 // (b + 1)))
+    return weights
+
+
 def cmd_check(cfg):
+    """Check the chamber fan of the datum against its order functions:
+    linearity on 5 sampled points of each cell, homogeneity and
+    subadditivity on 50 sampled pairs, the partition of the support on 25
+    sampled points, and grid additivity (``grid_additivity_check``).  The
+    points are drawn from one ``random.Random(--seed)``, and each batch of
+    a check is drawn before its orders are read, by one
+    ``OrderFunction.ratios`` call per order function; every FAIL line names
+    its check and its point."""
     datum, _ = _read_input(cfg)
     rng = random.Random(cfg.seed)
     failures = []
@@ -191,49 +218,50 @@ def cmd_check(cfg):
 
     def interior_point(cell):
         """``12 p`` for a random point ``p = sum w_i r_i`` of the cell, with
-        weights ``w_i = a/b``, ``b <= 4``: an integer vector.  The order
-        functions, the functionals and the cells are positively
-        homogeneous, so every check below gives the same verdict at ``12 p``
-        as at ``p``; ``point`` writes ``p`` for the report."""
-        weights = [rng.randint(1, 9) * (12 // rng.randint(1, 4)) for _ in cell.rays]
+        weights ``w_i = a/b``, ``b <= 4``, drawn by ``_weights``: an integer
+        vector.  The order functions, the functionals and the cells are
+        positively homogeneous, so every check below gives the same verdict
+        at ``12 p`` as at ``p``; ``point`` writes ``p`` for the report."""
+        weights = _weights(rng, len(cell.rays))
         return tuple([dot(weights, coords) for coords in zip(*cell.rays)])
 
     def point(scaled):
         return _vec([Fraction(v, 12) for v in scaled])
 
-    # every check below reads an order as integers ``(num, den)``, ``den >
-    # 0``, and compares it cross-multiplied.  Linearity of every order
-    # function on every cell, each functional as integers over one
-    # denominator:
+    # every check below reads its orders in one ``ratios`` call per order
+    # function and batch of points, as integers ``(num, den)``, ``den > 0``,
+    # and compares them cross-multiplied; no query reads the rng, so the
+    # points are drawn first, in the order the report lists them.
+    # Linearity of every order function on every cell, each functional as
+    # integers over one denominator:
     for valuation in datum.valuations:
-        ratio = order[valuation].ratio
+        ratios = order[valuation].ratios
         for ci, cell in enumerate(fan.cells):
             fn, fd = clear_denominators(functionals[valuation][ci])
-            for _ in range(5):
-                p = interior_point(cell)
-                num, den = ratio(p)
+            points = [interior_point(cell) for _ in range(5)]
+            for p, (num, den) in zip(points, ratios(points)):
                 if num * fd != dot(fn, p) * den:
                     failures.append(
                         f"linearity: cell {ci}, valuation {valuation}, point {point(p)}"
                     )
     notes.append(f"linearity: {len(fan.cells)} cells x {len(datum.valuations)} valuations")
 
-    # homogeneity and subadditivity
+    # homogeneity and subadditivity: the order at lam * a is the order at
+    # k * a over lam.denominator, with k = lam.numerator, so homogeneity
+    # there holds in integers.  Each pair is read at a, b, a + b and k * a.
+    pairs = []
     for _ in range(50):
         a = interior_point(support)
         b = interior_point(support)
         lam = Fraction(rng.randint(1, 12), rng.randint(1, 12))
-        # the order at lam * a is the order at lam.numerator * a over
-        # lam.denominator, so homogeneity there holds in integers
-        a_scaled = tuple([lam.numerator * x for x in a])
-        a_plus_b = tuple([x + y for x, y in zip(a, b)])
+        pairs.append((a, b, lam.numerator))
+    points = [q for a, b, k in pairs
+              for q in (a, b, tuple([x + y for x, y in zip(a, b)]), tuple([k * x for x in a]))]
+    values = {v: order[v].ratios(points) for v in datum.valuations}
+    for i, (a, b, k) in enumerate(pairs):
         for valuation in datum.valuations:
-            ratio = order[valuation].ratio
-            na, da = ratio(a)
-            nb, db = ratio(b)
-            ns, ds = ratio(a_plus_b)
-            nl, dl = ratio(a_scaled)
-            if nl * da != lam.numerator * na * dl:
+            (na, da), (nb, db), (ns, ds), (nl, dl) = values[valuation][4 * i:4 * i + 4]
+            if nl * da != k * na * dl:
                 failures.append(f"homogeneity: valuation {valuation}, point {point(a)}")
             if ns * da * db > (na * db + nb * da) * ds:
                 failures.append(
@@ -241,11 +269,13 @@ def cmd_check(cfg):
                 )
     notes.append("convexity: 50 random pairs")
 
-    # fan partition: sampled support points lie in >=1 cell, interior of <=1
+    # fan partition: sampled support points lie in >=1 cell, interior of <=1;
+    # a cell holds p in its interior only if it holds p
     for _ in range(25):
         p = interior_point(support)
-        closed = sum(1 for c in fan.cells if c.contains(p))
-        strict = sum(1 for c in fan.cells if c.contains(p, strict=True))
+        holding = [c for c in fan.cells if c.contains(p)]
+        closed = len(holding)
+        strict = sum(1 for c in holding if c.contains(p, strict=True))
         if closed < 1 or strict > 1:
             failures.append(
                 f"partition: point {point(p)} in {closed} cells, {strict} interiors"

@@ -29,14 +29,16 @@ the dual of the integer costs in integers.  The optimal basis is constant
 on each linearity domain, so every query takes one path: the kept bases
 are scanned, most recently certified first, and the first that LP
 duality certifies optimal at the point answers it.  A run of queries in
-one chamber thus costs one integer feasibility test each, which builds
+one chamber thus costs one integer feasibility test each, which reads
 B^-1 x one row at a time and stops at its first negative entry.  Only
 when no kept basis answers is the LP solved; its phase 1 is feasible
 exactly on the support cone, the cone over the degrees, so it decides
 membership.  The new basis goes in front and answers like a kept one.
-``ratio(x)`` returns the exact order as integers ``(num, den)``, ``den >
-0``, and builds no ``Fraction``: the checks, which make many queries,
-compare it cross-multiplied.  ``certificate(x)``, which is
+``ratios(points)`` returns the exact orders at a batch of points as
+integers ``(num, den)``, ``den > 0``, from one loop, and builds no
+``Fraction`` and no basic solution: the checks, which make many queries,
+ask them in batches and compare them cross-multiplied.  ``ratio(x)`` is
+the batch of one point.  ``certificate(x)``, which is
 ``asymptotic_order``, returns the same order as an ``OValue``, whose
 witness and certifying dual are built from the basis when first
 read.  Values are exact and unique.  When several optimal vertices tie,
@@ -224,14 +226,15 @@ class OrderFunction:
     ``den``, their least common denominator) and the optimal ``Basis``es of
     earlier solves of its LP on those costs, most recently certified first,
     so a kept basis's dual is ``den`` times the order's.  Only the value
-    that ``certificate`` returns is a ``Fraction``.  ``ratio(x)`` is the
-    exact order at ``x`` as integers ``(num, den)``, ``den > 0``, not in
-    lowest terms; ``certificate(x)`` is the same order as an ``OValue``,
-    with a witness and a dual.  Both read ``x`` by ``_point`` and answer
-    from the one basis that ``_basis`` finds optimal there, kept or newly
-    solved, so they keep the bases alike.  A point outside the closed
-    support cone raises OutsideSupport from each, and a point of another
-    dimension DimensionError.
+    that ``certificate`` returns is a ``Fraction``.  ``ratios(points)``
+    lists the exact orders at the points as integers ``(num, den)``, ``den
+    > 0``, not in lowest terms, and ``ratio(x)`` is its batch of one;
+    ``certificate(x)`` is the same order as an ``OValue``, with a witness
+    and a dual.  Each reads a point by ``_point`` and answers from the
+    first kept basis that certifies it, tried in the same order, or from
+    the basis that ``_solve`` finds, so they keep the bases alike.  A point
+    outside the closed support cone raises OutsideSupport from each, and a
+    point of another dimension DimensionError.
     """
 
     __slots__ = ("degrees", "costs", "den", "bases")
@@ -253,9 +256,42 @@ class OrderFunction:
         ``certificate(x).value == Fraction(num, den)``; builds no
         ``Fraction``.  The pair is not in lowest terms, so callers compare
         it cross-multiplied."""
-        xs, x_den = self._point(x)
-        basis, _ = self._basis(xs, x_den)
-        return dot(basis.dual_num, xs), basis.dual_den * x_den * self.den
+        return self.ratios((x,))[0]
+
+    def ratios(self, points):
+        """``[ratio(x) for x in points]``, from one loop that leaves the
+        kept bases as the sequential calls do.
+
+        Each point is read by ``_point`` and the kept bases are tried in
+        order, as ``_basis`` tries them, and the first that certifies the
+        point moves to the front.  For a basis that dropped no row the test
+        reads the sign of each row of ``B^-1 xs`` and stops at the first
+        negative one, with no basic solution built, since the value reads
+        only the dual; one that dropped rows is tested by
+        ``_basic_solution``.  When no kept basis certifies the point the LP
+        is solved by ``_solve``.  A point outside the closed support cone
+        raises OutsideSupport, with the bases as the queries before it left
+        them."""
+        kept = self.bases
+        n, den = len(self.degrees[0]), self.den
+        values = []
+        for x in points:
+            xs, x_den = self._point(x)
+            for i, basis in enumerate(kept):
+                if len(basis.rows) == n:
+                    for row in basis.inverse_num:
+                        if sum(map(mul, row, xs)) < 0:
+                            break
+                    else:  # no negative entry: the basis certifies xs
+                        break
+                elif self._basic_solution(basis, xs) is not None:
+                    break
+            else:
+                i, basis = 0, self._solve(xs, x_den)
+            if i:
+                kept.insert(0, kept.pop(i))
+            values.append((dot(basis.dual_num, xs), basis.dual_den * x_den * den))
+        return values
 
     def certificate(self, x):
         """The order at ``x`` as an ``OValue`` that builds its witness, the
@@ -288,11 +324,8 @@ class OrderFunction:
         so the first, in order, whose basic solution is nonnegative and
         meets the dropped rows is optimal at ``x`` by weak duality, and its
         dual bound ``y . x`` is the value; it moves to the front.  When no
-        kept basis certifies ``x``, the LP is solved on ``xs``: scaling the
-        right-hand side by ``x_den > 0`` changes no sign and no ratio that
-        the simplex compares, so it pivots alike to the same basis, which
-        goes in front.  Phase 1 is infeasible exactly when ``x`` is outside
-        the cone over the degrees, which raises OutsideSupport.
+        kept basis certifies ``x``, ``_solve`` solves the LP on ``xs`` and
+        puts the basis in front.
         """
         kept = self.bases
         for i, basis in enumerate(kept):
@@ -301,14 +334,24 @@ class OrderFunction:
                 if i:
                     kept.insert(0, kept.pop(i))
                 return basis, z
+        basis = self._solve(xs, x_den)
+        return basis, self._basic_solution(basis, xs)
+
+    def _solve(self, xs, x_den):
+        """Solve the LP at ``x = xs / x_den`` and put its optimal basis in
+        front of the kept ones.  Scaling the right-hand side by ``x_den >
+        0`` changes no sign and no ratio that the simplex compares, so it
+        pivots alike to the same basis.  Phase 1 is infeasible exactly when
+        ``x`` is outside the cone over the degrees, which raises
+        OutsideSupport, and the bases are left as they were."""
         A = [[d[row] for d in self.degrees] for row in range(len(xs))]
         basis = solve_min(A, xs, self.costs)
         if basis is INFEASIBLE:
             raise OutsideSupport(f"point {_named(xs, x_den)} is outside the support cone")
         if basis is UNBOUNDED:  # a negative multiplicity; validation rejects it
             raise InvalidCone(f"the order LP at {_named(xs, x_den)} is unbounded")
-        kept.insert(0, basis)
-        return basis, self._basic_solution(basis, xs)
+        self.bases.insert(0, basis)
+        return basis
 
     def _basic_solution(self, basis, xs):
         """The basic solution ``B^-1 xs`` of a basis, scaled by its

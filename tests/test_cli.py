@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
 import tempfile
 from fractions import Fraction
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmpwalk import InstanceSpec, builtin_examples, random_instance
+from mmpwalk import cli
 from mmpwalk.cli import main
 from mmpwalk.errors import SupportMismatch
 from mmpwalk import orders
@@ -266,7 +268,7 @@ def test_check_stdout_on_corpus_matches_recorded_digest(monkeypatch, capsys, ins
 # LP solves and order queries of one check run from a cold start, counted
 # while the grid and the linearity samples were still summed in Fractions:
 # both the sampling and the grid query the order function once per point.
-# A query is a call of ``ratio``, the one query check makes.
+# A query is a point put to ``ratios``, the one query check makes.
 CHECK_QUERY_COUNTS = {
     "--example blowup-P2": (2, 232),
     "corpus 2": (16, 6381),
@@ -288,14 +290,14 @@ def test_check_makes_the_recorded_solves_and_queries(monkeypatch, capsys, case):
         solves.append(args)
         return solve_min(*args, **kwargs)
 
-    ratio = OrderFunction.ratio
+    ratios = OrderFunction.ratios
 
-    def counted(self, x):
-        queries.append(x)
-        return ratio(self, x)
+    def counted(self, points):
+        queries.extend(points)
+        return ratios(self, points)
 
     monkeypatch.setattr(orders, "solve_min", counted_solve)
-    monkeypatch.setattr(OrderFunction, "ratio", counted)
+    monkeypatch.setattr(OrderFunction, "ratios", counted)
     code, out, _ = run(capsys, *argv)
     assert code == 0 and out.endswith("result: PASS\n")
     assert (len(solves), len(queries)) == CHECK_QUERY_COUNTS[case]
@@ -333,28 +335,48 @@ def test_check_builds_the_recorded_fractions(monkeypatch, capsys, case):
     assert len(built) == CHECK_FRACTION_COUNTS[case]
 
 
-# sha256 of check stdout with every order value negated where check reads
-# them, in ``ratio``.  The negated order functions stay homogeneous, so the
-# same sampled points fail, and the FAIL lines print each of them.
+# sha256 of check stdout at ``--grid-depth 1`` with every order value
+# negated where check reads them, in ``ratios`` (recorded in ``ratio``,
+# when each query was its own call).  The negated order functions stay
+# homogeneous, so the same sampled points fail, and the FAIL lines print
+# each of them; corpus document 2 (24 cells, 3 valuations) fails
+# subadditivity too, so it pins the order of the convexity lines.
 FAILING_CHECK_SHA256 = {
     ("blowup-P2", "0"): "0c2d89d0c1fe490489bf807ef5eb7c7a8d369c2091b5db25c38f94f5d581178e",
+    ("corpus 2", "0"): "a3c5e2c6b59239e99a426193a13cdad2c3bafc31ee8c340048dcc156d7fed1d1",
     ("fractional-vertex", "7"): "75bebd41d0e489eb016ebc00139c0cf1b7b171be5c4504222d2d0006a4529057",
 }
 
 
 @pytest.mark.parametrize("example, seed", sorted(FAILING_CHECK_SHA256))
 def test_check_failure_report_matches_recorded_digest(monkeypatch, capsys, example, seed):
-    ratio = OrderFunction.ratio
+    ratios = OrderFunction.ratios
 
-    def negated(self, x):
-        num, den = ratio(self, x)
-        return -num, den
+    def negated(self, points):
+        return [(-num, den) for num, den in ratios(self, points)]
 
-    monkeypatch.setattr(OrderFunction, "ratio", negated)
-    code, out, _ = run(capsys, "check", "--example", example, "--seed", seed, "--grid-depth", "1")
+    monkeypatch.setattr(OrderFunction, "ratios", negated)
+    if example == "corpus 2":
+        monkeypatch.setattr("sys.stdin", io.StringIO(_corpus_document(2)))
+        source = ["--input", "-"]
+    else:
+        source = ["--example", example]
+    code, out, _ = run(capsys, "check", *source, "--seed", seed, "--grid-depth", "1")
     assert code == 1
     assert "FAIL: linearity: " in out and "point [" in out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FAILING_CHECK_SHA256[example, seed]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40])
+def test_weights_are_the_randint_draws(seed):
+    # check draws its sample weights from getrandbits by randint's own
+    # rejection rule: the same weights, and the generator left in the same
+    # state, as the randint calls
+    count = 200_000
+    drawn, reference = random.Random(seed), random.Random(seed)
+    assert cli._weights(drawn, count) == [
+        reference.randint(1, 9) * (12 // reference.randint(1, 4)) for _ in range(count)]
+    assert drawn.getstate() == reference.getstate()
 
 
 def test_walk_from_file_with_embedded_segment(tmp_path, capsys):
