@@ -184,7 +184,10 @@ def _weights(rng, count):
     read from ``rng.getrandbits`` by ``randint``'s own rule: ``randint(1,
     9)`` takes 4 bits and draws again on a value of 9 or more, ``randint(1,
     4)`` 3 bits and draws again on 4 or more.  So the weights are the same,
-    and ``rng`` is left in the same state."""
+    and ``rng`` is left in the same state.  The rule is CPython's
+    ``Random._randbelow_with_getrandbits``, not a documented guarantee:
+    ``test_weights_are_the_randint_draws`` checks it on every Python that
+    CI runs."""
     bits = rng.getrandbits
     weights = []
     for _ in range(count):
@@ -203,10 +206,9 @@ def cmd_check(cfg):
     linearity on 5 sampled points of each cell, homogeneity and
     subadditivity on 50 sampled pairs, the partition of the support on 25
     sampled points, and grid additivity (``grid_additivity_check``).  The
-    points are drawn from one ``random.Random(--seed)``, and each batch of
-    a check is drawn before its orders are read, by one
-    ``OrderFunction.ratios`` call per order function; every FAIL line names
-    its check and its point."""
+    points are drawn from one ``random.Random(--seed)``, their weights by
+    ``_weights``, and every order is read by ``OrderFunction.ratio``; every
+    FAIL line names its check and its point."""
     datum, _ = _read_input(cfg)
     rng = random.Random(cfg.seed)
     failures = []
@@ -228,40 +230,39 @@ def cmd_check(cfg):
     def point(scaled):
         return _vec([Fraction(v, 12) for v in scaled])
 
-    # every check below reads its orders in one ``ratios`` call per order
-    # function and batch of points, as integers ``(num, den)``, ``den > 0``,
-    # and compares them cross-multiplied; no query reads the rng, so the
-    # points are drawn first, in the order the report lists them.
-    # Linearity of every order function on every cell, each functional as
-    # integers over one denominator:
+    # every check below reads an order as integers ``(num, den)``, ``den >
+    # 0``, and compares it cross-multiplied.  Linearity of every order
+    # function on every cell, each functional as integers over one
+    # denominator:
     for valuation in datum.valuations:
-        ratios = order[valuation].ratios
+        ratio = order[valuation].ratio
         for ci, cell in enumerate(fan.cells):
             fn, fd = clear_denominators(functionals[valuation][ci])
-            points = [interior_point(cell) for _ in range(5)]
-            for p, (num, den) in zip(points, ratios(points)):
+            for _ in range(5):
+                p = interior_point(cell)
+                num, den = ratio(p)
                 if num * fd != dot(fn, p) * den:
                     failures.append(
                         f"linearity: cell {ci}, valuation {valuation}, point {point(p)}"
                     )
     notes.append(f"linearity: {len(fan.cells)} cells x {len(datum.valuations)} valuations")
 
-    # homogeneity and subadditivity: the order at lam * a is the order at
-    # k * a over lam.denominator, with k = lam.numerator, so homogeneity
-    # there holds in integers.  Each pair is read at a, b, a + b and k * a.
-    pairs = []
+    # homogeneity and subadditivity
     for _ in range(50):
         a = interior_point(support)
         b = interior_point(support)
         lam = Fraction(rng.randint(1, 12), rng.randint(1, 12))
-        pairs.append((a, b, lam.numerator))
-    points = [q for a, b, k in pairs
-              for q in (a, b, tuple([x + y for x, y in zip(a, b)]), tuple([k * x for x in a]))]
-    values = {v: order[v].ratios(points) for v in datum.valuations}
-    for i, (a, b, k) in enumerate(pairs):
+        # the order at lam * a is the order at lam.numerator * a over
+        # lam.denominator, so homogeneity there holds in integers
+        a_scaled = tuple([lam.numerator * x for x in a])
+        a_plus_b = tuple([x + y for x, y in zip(a, b)])
         for valuation in datum.valuations:
-            (na, da), (nb, db), (ns, ds), (nl, dl) = values[valuation][4 * i:4 * i + 4]
-            if nl * da != k * na * dl:
+            ratio = order[valuation].ratio
+            na, da = ratio(a)
+            nb, db = ratio(b)
+            ns, ds = ratio(a_plus_b)
+            nl, dl = ratio(a_scaled)
+            if nl * da != lam.numerator * na * dl:
                 failures.append(f"homogeneity: valuation {valuation}, point {point(a)}")
             if ns * da * db > (na * db + nb * da) * ds:
                 failures.append(

@@ -34,11 +34,9 @@ B^-1 x one row at a time and stops at its first negative entry.  Only
 when no kept basis answers is the LP solved; its phase 1 is feasible
 exactly on the support cone, the cone over the degrees, so it decides
 membership.  The new basis goes in front and answers like a kept one.
-``ratios(points)`` returns the exact orders at a batch of points as
-integers ``(num, den)``, ``den > 0``, from one loop, and builds no
-``Fraction`` and no basic solution: the checks, which make many queries,
-ask them in batches and compare them cross-multiplied.  ``ratio(x)`` is
-the batch of one point.  ``certificate(x)``, which is
+``ratio(x)`` returns the exact order as integers ``(num, den)``, ``den >
+0``, and builds no ``Fraction`` and no basic solution: the checks, which
+make many queries, compare it cross-multiplied.  ``certificate(x)``, which is
 ``asymptotic_order``, returns the same order as an ``OValue``, whose
 witness and certifying dual are built from the basis when first
 read.  Values are exact and unique.  When several optimal vertices tie,
@@ -90,20 +88,20 @@ class OValue:
         self.__dict__.update(value=value, witness=witness, dual=dual)
 
     @classmethod
-    def _from_basis(cls, value, basis, z, x_den, order):
-        """An OValue of ``value`` at a point of denominator ``x_den`` whose
-        witness and dual are built from ``basis``, a kept basis of the
-        ``OrderFunction`` ``order``, and its basic solution ``z`` there
-        (``OrderFunction._basic_solution``)."""
+    def _from_basis(cls, value, basis, xs, x_den, order):
+        """An OValue of ``value`` at ``x = xs / x_den`` whose witness and
+        dual are built from ``basis``, a kept basis of the ``OrderFunction``
+        ``order`` optimal at ``x``: the witness from its basic solution
+        there (``OrderFunction._basic_solution``)."""
         self = object.__new__(cls)
-        self.__dict__.update(value=value, _basis=(basis, z, x_den, order))
+        self.__dict__.update(value=value, _basis=(basis, xs, x_den, order))
         return self
 
     @cached_property
     def witness(self):
-        basis, z, x_den, order = self._basis
+        basis, xs, x_den, order = self._basis
         witness = [Fraction(0)] * len(order.degrees)
-        for col, v in zip(basis.cols, z):
+        for col, v in zip(basis.cols, order._basic_solution(basis, xs)):
             witness[col] = Fraction(v, basis.inverse_den * x_den)
         return tuple(witness)
 
@@ -226,15 +224,14 @@ class OrderFunction:
     ``den``, their least common denominator) and the optimal ``Basis``es of
     earlier solves of its LP on those costs, most recently certified first,
     so a kept basis's dual is ``den`` times the order's.  Only the value
-    that ``certificate`` returns is a ``Fraction``.  ``ratios(points)``
-    lists the exact orders at the points as integers ``(num, den)``, ``den
-    > 0``, not in lowest terms, and ``ratio(x)`` is its batch of one;
-    ``certificate(x)`` is the same order as an ``OValue``, with a witness
-    and a dual.  Each reads a point by ``_point`` and answers from the
-    first kept basis that certifies it, tried in the same order, or from
-    the basis that ``_solve`` finds, so they keep the bases alike.  A point
-    outside the closed support cone raises OutsideSupport from each, and a
-    point of another dimension DimensionError.
+    that ``certificate`` returns is a ``Fraction``.  ``ratio(x)`` is the
+    exact order at ``x`` as integers ``(num, den)``, ``den > 0``, not in
+    lowest terms; ``certificate(x)`` is the same order as an ``OValue``,
+    with a witness and a dual.  Both read ``x`` by ``_point`` and answer
+    from the one basis that ``_find`` finds optimal there, kept or newly
+    solved, so they keep the bases alike.  A point outside the closed
+    support cone raises OutsideSupport from each, and a point of another
+    dimension DimensionError.
     """
 
     __slots__ = ("degrees", "costs", "den", "bases")
@@ -253,55 +250,23 @@ class OrderFunction:
 
     def ratio(self, x):
         """The order at ``x`` as integers ``(num, den)``, ``den > 0``, with
-        ``certificate(x).value == Fraction(num, den)``; builds no
-        ``Fraction``.  The pair is not in lowest terms, so callers compare
-        it cross-multiplied."""
-        return self.ratios((x,))[0]
-
-    def ratios(self, points):
-        """``[ratio(x) for x in points]``, from one loop that leaves the
-        kept bases as the sequential calls do.
-
-        Each point is read by ``_point`` and the kept bases are tried in
-        order, as ``_basis`` tries them, and the first that certifies the
-        point moves to the front.  For a basis that dropped no row the test
-        reads the sign of each row of ``B^-1 xs`` and stops at the first
-        negative one, with no basic solution built, since the value reads
-        only the dual; one that dropped rows is tested by
-        ``_basic_solution``.  When no kept basis certifies the point the LP
-        is solved by ``_solve``.  A point outside the closed support cone
-        raises OutsideSupport, with the bases as the queries before it left
-        them."""
-        kept = self.bases
-        n, den = len(self.degrees[0]), self.den
-        values = []
-        for x in points:
-            xs, x_den = self._point(x)
-            for i, basis in enumerate(kept):
-                if len(basis.rows) == n:
-                    for row in basis.inverse_num:
-                        if sum(map(mul, row, xs)) < 0:
-                            break
-                    else:  # no negative entry: the basis certifies xs
-                        break
-                elif self._basic_solution(basis, xs) is not None:
-                    break
-            else:
-                i, basis = 0, self._solve(xs, x_den)
-            if i:
-                kept.insert(0, kept.pop(i))
-            values.append((dot(basis.dual_num, xs), basis.dual_den * x_den * den))
-        return values
+        ``certificate(x).value == Fraction(num, den)``, read from the basis
+        that ``_find`` finds; builds no ``Fraction`` and no basic solution.
+        The pair is not in lowest terms, so callers compare it
+        cross-multiplied."""
+        xs, x_den = self._point(x)
+        basis = self._find(xs, x_den)
+        return dot(basis.dual_num, xs), basis.dual_den * x_den * self.den
 
     def certificate(self, x):
         """The order at ``x`` as an ``OValue`` that builds its witness, the
         optimal basis's solution at ``x``, and that basis's dual when they
         are first read."""
         xs, x_den = self._point(x)
-        basis, z = self._basis(xs, x_den)
+        basis = self._find(xs, x_den)
         return OValue._from_basis(
             Fraction(dot(basis.dual_num, xs), basis.dual_den * x_den * self.den),
-            basis, z, x_den, self,
+            basis, xs, x_den, self,
         )
 
     def _point(self, x):
@@ -316,26 +281,35 @@ class OrderFunction:
             raise DimensionError(f"point has dimension {len(x)}, cone is in dimension {n}")
         return x, x_den
 
-    def _basis(self, xs, x_den):
-        """``(basis, z)`` for a basis optimal at ``x = xs / x_den``, with
-        ``z`` its basic solution ``B^-1 xs`` scaled by ``inverse_den``.
+    def _find(self, xs, x_den):
+        """A basis optimal at ``x = xs / x_den``, put in front of the kept
+        ones.
 
         Every kept basis is dual feasible (only an optimal solve keeps one),
         so the first, in order, whose basic solution is nonnegative and
         meets the dropped rows is optimal at ``x`` by weak duality, and its
-        dual bound ``y . x`` is the value; it moves to the front.  When no
-        kept basis certifies ``x``, ``_solve`` solves the LP on ``xs`` and
-        puts the basis in front.
+        dual bound ``y . x`` is the value; it moves to the front.  A basis
+        that dropped no row is tested by the sign of each row of ``B^-1
+        xs``, stopping at the first negative one, with no basic solution
+        built; one that dropped rows is tested by ``_basic_solution``.
+        When no kept basis certifies ``x``, ``_solve`` solves the LP.
         """
         kept = self.bases
+        n = len(xs)
         for i, basis in enumerate(kept):
-            z = self._basic_solution(basis, xs)
-            if z is not None:
-                if i:
-                    kept.insert(0, kept.pop(i))
-                return basis, z
-        basis = self._solve(xs, x_den)
-        return basis, self._basic_solution(basis, xs)
+            if len(basis.rows) == n:
+                for row in basis.inverse_num:
+                    if sum(map(mul, row, xs)) < 0:
+                        break
+                else:  # no negative entry: the basis certifies xs
+                    break
+            elif self._basic_solution(basis, xs) is not None:
+                break
+        else:
+            return self._solve(xs, x_den)
+        if i:
+            kept.insert(0, kept.pop(i))
+        return basis
 
     def _solve(self, xs, x_den):
         """Solve the LP at ``x = xs / x_den`` and put its optimal basis in
@@ -701,12 +675,13 @@ def stabilization_multiple(datum, valuation, x, k_max, support=None,
     _check_level(k_max, "k_max")
     order = order_function(datum, valuation)
     xs, step = order._point(x)
-    basis, z = order._basis(xs, step)
+    basis = order._find(xs, step)
     tight = [
         i for i, (d, h) in enumerate(zip(order.degrees, order.costs))
         if any(d) and dot(basis.dual_num, d) == h * basis.dual_den
     ]
     if tight == sorted(basis.cols):
+        z = order._basic_solution(basis, xs)
         k = step * (basis.inverse_den // gcd(basis.inverse_den, *z))
         return k if k <= k_max else None
     degrees = [order.degrees[i] for i in tight]

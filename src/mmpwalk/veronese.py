@@ -297,15 +297,14 @@ def grid_additivity_check(datum, fan, depth=3, lattice_budget=DEFAULT_LATTICE_BU
     and every point is an integer vector, built once per cell from the
     generators' columns.  The order is linear on the cell, so one kept
     basis is optimal on all of its grid points: after the first point each
-    query is answered by the integer test of the bases tried before it,
-    and a basis that does not certify the point is left at its first
-    negative entry.  Per cell and valuation the orders are read in two
-    ``OrderFunction.ratios`` calls, one over the generators and one over
-    the grid points, as integers, and the right-hand sides are the
+    query is answered by the integer test of ``OrderFunction._find`` on the
+    bases tried before it, and a basis that does not certify the point is
+    left at its first negative entry.  Every order is read as the
+    integers of ``OrderFunction.ratio``, and the right-hand sides are the
     exponent vectors times the generators' orders over one denominator, so
     each point's ``AdditivityCheck`` holds integers and is decided in them,
-    with no ``Fraction`` built.  ``depth`` is checked as a level is, by
-    ``_check_level``.
+    with no ``Fraction`` built.  ``depth`` is checked
+    as a level is, by ``_check_level``.
     """
     _check_level(depth, "depth")
     order = {v: order_function(datum, v) for v in datum.valuations}
@@ -326,16 +325,17 @@ def grid_additivity_check(datum, fan, depth=3, lattice_budget=DEFAULT_LATTICE_BU
             continue
         # the grid points, built once per cell from the generators' columns
         columns = [[g[j] for g in gens] for j in range(cell.ambient_dim)]
-        exponents = list(_exponent_vectors(len(gens), depth))
-        points = [tuple([sum(map(mul, p, col)) for col in columns]) for p in exponents]
+        checks = [(p, tuple([sum(map(mul, p, col)) for col in columns]))
+                  for p in _exponent_vectors(len(gens), depth)]
         for valuation in datum.valuations:
             entry = CellReport(ci, valuation, tuple(gens), truncated=truncated)
-            function = order[valuation]
+            ratio = order[valuation].ratio
             # the generators' orders as integers over one denominator
-            gen_ratios = function.ratios(gens)
-            base_den = lcm(*[d for _, d in gen_ratios])
-            base = [n * (base_den // d) for n, d in gen_ratios]
-            for p, point, (num, den) in zip(exponents, points, function.ratios(points)):
+            ratios = [ratio(g) for g in gens]
+            base_den = lcm(*[d for _, d in ratios])
+            base = [n * (base_den // d) for n, d in ratios]
+            for p, point in checks:
+                num, den = ratio(point)
                 entry.checks.append(
                     AdditivityCheck(p, point, num, den, sum(map(mul, p, base)), base_den))
             report.entries.append(entry)

@@ -268,7 +268,7 @@ def test_check_stdout_on_corpus_matches_recorded_digest(monkeypatch, capsys, ins
 # LP solves and order queries of one check run from a cold start, counted
 # while the grid and the linearity samples were still summed in Fractions:
 # both the sampling and the grid query the order function once per point.
-# A query is a point put to ``ratios``, the one query check makes.
+# A query is a call of ``ratio``, the one query check makes.
 CHECK_QUERY_COUNTS = {
     "--example blowup-P2": (2, 232),
     "corpus 2": (16, 6381),
@@ -290,14 +290,14 @@ def test_check_makes_the_recorded_solves_and_queries(monkeypatch, capsys, case):
         solves.append(args)
         return solve_min(*args, **kwargs)
 
-    ratios = OrderFunction.ratios
+    ratio = OrderFunction.ratio
 
-    def counted(self, points):
-        queries.extend(points)
-        return ratios(self, points)
+    def counted(self, x):
+        queries.append(x)
+        return ratio(self, x)
 
     monkeypatch.setattr(orders, "solve_min", counted_solve)
-    monkeypatch.setattr(OrderFunction, "ratios", counted)
+    monkeypatch.setattr(OrderFunction, "ratio", counted)
     code, out, _ = run(capsys, *argv)
     assert code == 0 and out.endswith("result: PASS\n")
     assert (len(solves), len(queries)) == CHECK_QUERY_COUNTS[case]
@@ -336,11 +336,11 @@ def test_check_builds_the_recorded_fractions(monkeypatch, capsys, case):
 
 
 # sha256 of check stdout at ``--grid-depth 1`` with every order value
-# negated where check reads them, in ``ratios`` (recorded in ``ratio``,
-# when each query was its own call).  The negated order functions stay
-# homogeneous, so the same sampled points fail, and the FAIL lines print
-# each of them; corpus document 2 (24 cells, 3 valuations) fails
-# subadditivity too, so it pins the order of the convexity lines.
+# negated where check reads them, in ``ratio``.  The negated order
+# functions stay homogeneous, so the same sampled points fail, and the
+# FAIL lines print each of them; corpus document 2 (24 cells, 3
+# valuations) fails subadditivity too, so it pins the order of the
+# convexity lines.
 FAILING_CHECK_SHA256 = {
     ("blowup-P2", "0"): "0c2d89d0c1fe490489bf807ef5eb7c7a8d369c2091b5db25c38f94f5d581178e",
     ("corpus 2", "0"): "a3c5e2c6b59239e99a426193a13cdad2c3bafc31ee8c340048dcc156d7fed1d1",
@@ -350,12 +350,13 @@ FAILING_CHECK_SHA256 = {
 
 @pytest.mark.parametrize("example, seed", sorted(FAILING_CHECK_SHA256))
 def test_check_failure_report_matches_recorded_digest(monkeypatch, capsys, example, seed):
-    ratios = OrderFunction.ratios
+    ratio = OrderFunction.ratio
 
-    def negated(self, points):
-        return [(-num, den) for num, den in ratios(self, points)]
+    def negated(self, x):
+        num, den = ratio(self, x)
+        return -num, den
 
-    monkeypatch.setattr(OrderFunction, "ratios", negated)
+    monkeypatch.setattr(OrderFunction, "ratio", negated)
     if example == "corpus 2":
         monkeypatch.setattr("sys.stdin", io.StringIO(_corpus_document(2)))
         source = ["--input", "-"]

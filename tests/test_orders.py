@@ -656,9 +656,18 @@ def test_certifying_basis_moves_to_the_front():
 class _FullScan(orders.OrderFunction):
     """An order function whose kept-basis test builds the whole basic
     solution from a copy of the point's kept rows and only then looks for a
-    negative entry, as ``_basic_solution`` did before it stopped early."""
+    negative entry, as ``_basic_solution`` did before it stopped early, and
+    whose scan takes the first kept basis with such a solution, as the scan
+    did before ``_find`` tested the signs alone."""
 
     __slots__ = ()
+
+    def _find(self, xs, x_den):
+        for i, basis in enumerate(self.bases):
+            if self._basic_solution(basis, xs) is not None:
+                self.bases.insert(0, self.bases.pop(i))
+                return basis
+        return self._solve(xs, x_den)
 
     def _basic_solution(self, basis, xs):
         rows, cols, inverse_num, inverse_den = basis[:4]
@@ -694,7 +703,8 @@ def _assert_same_scans(lean, full, points):
         answers = []
         for function in (lean, full):
             try:
-                answers.append(function._basis(xs, x_den))
+                basis = function._find(xs, x_den)
+                answers.append((basis, function._basic_solution(basis, xs)))
             except OutsideSupport:
                 answers.append(OutsideSupport)
         assert answers[0] == answers[1], x
@@ -752,82 +762,30 @@ def test_ratio_raises_as_value_does(blowup):
             method((1, 2, 3))
 
 
-def _fresh_functions(datum, valuation, count):
-    """``count`` order functions on the datum's LP data at ``valuation``,
-    none cached and none with a kept basis."""
-    degrees = tuple([tuple(g.multidegree) for g in datum.generators])
-    ratios = tuple([m.as_integer_ratio() for m in orders._mults(datum, valuation)])
-    return [orders.OrderFunction(degrees, ratios) for _ in range(count)]
-
-
-def _ratio_by_basis(function, x):
-    """The order at ``x`` read through ``_point`` and ``_basis``, the path
-    of ``certificate``, which builds the basic solution: a reference for
-    ``ratios`` that shares none of its scan."""
-    xs, x_den = function._point(x)
-    basis, _ = function._basis(xs, x_den)
-    return dot(basis.dual_num, xs), basis.dual_den * x_den * function.den
-
-
-def _assert_batch_is_sequential(datum, valuation, points):
-    """One ``ratios`` call over ``points`` gives the pairs of sequential
-    ``ratio`` calls and of the ``_basis`` reading on two fresh twins, and
-    leaves the kept bases in the same order as both."""
-    batch, sequential, by_basis = _fresh_functions(datum, valuation, 3)
-    got = batch.ratios(points)
-    assert got == [sequential.ratio(x) for x in points]
-    assert got == [_ratio_by_basis(by_basis, x) for x in points]
-    assert batch.bases == sequential.bases == by_basis.bases
-    return batch
-
-
-@pytest.mark.parametrize("seed", range(1, 11))
-def test_ratios_equal_sequential_ratio_calls_on_the_corpus(seed):
-    # integer rays and wall points and Fraction interior points, then the
-    # same points halved and reversed, so the batch moves between chambers
-    # and answers from bases kept earlier in it
-    datum = _corpus_datum(seed)
-    queries = _cache_queries(datum, chamber_fan(datum))
-    kept = []
-    for valuation in datum.valuations:
-        points = [x for v, x in queries if v == valuation]
-        points += [tuple(Fraction(v, 2) for v in x) for x in points[::-1]]
-        assert any(type(v) is Fraction for x in points for v in x)
-        kept.append(len(_assert_batch_is_sequential(datum, valuation, points).bases))
-    assert max(kept) > 1
-
-
-def test_ratios_equal_sequential_ratio_calls_on_dropped_rows():
-    # the support of the thin datum is a ray in the plane, so every basis
-    # drops a row and is tested with its dropped row
-    points = [(2, 2), (3, 3), (Fraction(1, 2), Fraction(1, 2)), (0, 0), (5, 5),
-              (Fraction(7, 3), Fraction(7, 3)), (1, 1)]
-    batch = _assert_batch_is_sequential(_thin_datum(), "G", points)
-    assert batch.bases and all(len(b.rows) < 2 for b in batch.bases)
-
-
 @pytest.mark.parametrize("name, outside", [("corpus-2", None), ("thin", (1, 2))])
-def test_ratios_raise_outside_the_support_mid_batch(name, outside):
-    # a point outside the support in the middle of a batch raises
-    # OutsideSupport, and the bases are as the sequential calls before it
-    # left them
+def test_ratio_equals_the_full_scan_across_a_point_outside(name, outside):
+    # ratio answers from the basis _find finds, with no basic solution
+    # built: its pairs and kept bases are the full scan's, and a point
+    # outside the support raises from both and leaves their bases alike
     datum = _thin_datum() if name == "thin" else _named_datum(name)
     valuation = datum.valuations[0]
     if name == "thin":
-        points = [(2, 2), (3, 3), (Fraction(1, 2), Fraction(1, 2))]
+        points = [(2, 2), (3, 3), (Fraction(1, 2), Fraction(1, 2)), (0, 0), (5, 5)]
     else:
         support = support_cone(datum)
         outside = tuple(-sum(col) for col in zip(*support.rays))
         points = [x for v, x in _cache_queries(datum, chamber_fan(datum)) if v == valuation]
-    batch, sequential, by_basis = _fresh_functions(datum, valuation, 3)
-    for function, read in ((sequential, orders.OrderFunction.ratio), (by_basis, _ratio_by_basis)):
-        for x in points:
-            read(function, x)
-        with pytest.raises(OutsideSupport):
-            read(function, outside)
-    with pytest.raises(OutsideSupport):
-        batch.ratios(points + [outside] + points[::-1])
-    assert batch.bases == sequential.bases == by_basis.bases and batch.bases
+    lean, full = _scan_pair(datum, valuation)
+    for x in points + [outside] + points[::-1]:
+        answers = []
+        for function in (lean, full):
+            try:
+                answers.append(function.ratio(x))
+            except OutsideSupport:
+                answers.append(OutsideSupport)
+        assert answers[0] == answers[1] and (answers[0] is OutsideSupport) == (x == outside), x
+        assert lean.bases == full.bases, x
+    assert len(lean.bases) > (name == "corpus-2")
 
 
 def test_lean_basis_test_equals_the_full_scan_on_dropped_rows():
@@ -840,7 +798,7 @@ def test_lean_basis_test_equals_the_full_scan_on_dropped_rows():
 
 @pytest.mark.parametrize("seed", range(1, 51))
 def test_lp_on_the_numerators_ends_in_the_same_basis(seed, monkeypatch):
-    # _basis solves the LP on xs, not on x = xs / x_den: scaling the
+    # _solve solves the LP on xs, not on x = xs / x_den: scaling the
     # right-hand side by x_den > 0 changes no sign and no ratio that the
     # simplex compares, so both take the same pivots to the same basis
     pivots = []
