@@ -12,6 +12,7 @@ and checked by ``ring.validate``.  Every number printed is written by
 import argparse
 import random
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import serialize
@@ -35,7 +36,9 @@ EXIT_NON_GENERIC = 5
 def _read_input(cfg):
     """The datum and document segment (None for an example) of ``--example``
     or ``--input``, validated: errors raise ``_ValidationFailure``, and each
-    warning is printed to stderr."""
+    warning is printed to stderr.  Both given, or neither, is a ParseError."""
+    if cfg.example and cfg.input:
+        raise ParseError("give --input or --example, not both")
     if cfg.example:
         catalog = builtin_examples()
         if cfg.example not in catalog:
@@ -142,10 +145,7 @@ def cmd_walk(cfg):
         doc["intervals"] = [serialize.vec_to_json(interval) for interval in walk.intervals]
         doc["chambers"] = list(walk.chambers)
         if cls is not None:
-            doc["nef_classification"] = {
-                "mode": cls.mode,
-                "indices": list(cls.indices),
-            }
+            doc["nef_classification"] = asdict(cls)
         _write_output(cfg, serialize.dumps(doc))
     return EXIT_OK
 
@@ -166,16 +166,7 @@ def cmd_veronese(cfg):
                  else f"up to m = {result.verified_up_to}")
         _write_output(cfg, f"d = {serialize.rat_to_str(result.d)} ({result.certified} {scope})\n")
     else:
-        _write_output(
-            cfg,
-            serialize.dumps(
-                {
-                    "d": result.d,
-                    "verified_up_to": result.verified_up_to,
-                    "certified": result.certified,
-                }
-            ),
-        )
+        _write_output(cfg, serialize.dumps(asdict(result)))
     return EXIT_OK
 
 

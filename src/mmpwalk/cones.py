@@ -9,27 +9,30 @@ they were produced.
 
 Every conversion is ``_dd``, the incremental double description method:
 one ``_dd_step`` per inequality, with linalg's one row step, from the
-whole space or from a cone's own lines and rays.  Each ray it returns
-carries the exact mask of the inputs tight at it, and callers read tight
-sets off those masks instead of taking dot products again.  ``_assemble``
-converts generators to facets and equations, and reads pointedness and the
-extreme generators off the masks.  ``_cut``, the one cut, continues the
-conversion from a cone's ``_start``, its lines and its rays masked over
-its facets, for ``cone_from_halfspaces``, ``intersect`` and
+whole space, as ``cone_from_halfspaces`` starts, or from a cone's own
+lines and rays.  Each ray it returns carries the exact
+mask of the inputs tight at it, and callers read tight sets off those
+masks instead of taking dot products again.  ``_assemble`` converts
+generators to facets and equations, and reads pointedness and the extreme
+generators off the masks.  ``_cut``, the one cut, continues the
+conversion from a cone's ``_start``, for ``intersect`` and
 ``common_refinement``; ``hyperplane_refinement`` splits a crossed cell
-from the same start once per crossing wall with ``_dd_step``.  One
+from the same start once per crossing wall with ``_dd_step``.  A start is
+the cone's lines and its rays masked over its facets, from the one
+``_lines_and_rays`` split of the cone that its caller reads.  One
 combinatorial test, ``_maximal``, reads off both the extreme generators
 and the facets of a cut, and ``_read_off`` takes a cut's equations from
 the same masks: the implicit equalities, tight at every ray, join the
 cone's own (``orders`` reads linearity cells off a lifted cone with
-``_maximal`` too).  A cone with lineality takes one more conversion,
-``_rays_mod_lineality``, which fixes the representatives of its
-rays.  ``common_refinement`` decides and cuts each pair of cells from one
-table of the next fan's walls per cell (``_WallTable``): a pair that meets
-in lower dimension is skipped, a cell inside its partner is kept as it is,
-and any other cell is cut by ``_cut``, by the partner's constraints that
-cross it alone.  Both refinements carry each cell's label (``orders``
-labels cells with their linear functionals).
+``_maximal`` too), and ``reduce_mod_rowspace`` reduces every facet.  A
+cone with lineality takes one more conversion, ``_rays_mod_lineality``,
+which fixes the representatives of its rays.  ``common_refinement``
+decides and cuts each pair of cells from one table of the next fan's
+walls per cell (``_WallTable``): a pair that meets in lower dimension is
+skipped, a cell inside its partner is kept as it is, and any other cell
+is cut by ``_cut``, by the partner's constraints that cross it alone.
+Both refinements carry each cell's label (``orders`` labels cells with
+their linear functionals).
 """
 
 from dataclasses import dataclass, field
@@ -282,18 +285,18 @@ def _lines_and_rays(cone):
     return lines, [r for r in cone.rays if r not in paired]
 
 
-def _start(cone):
-    """Where a cut of ``cone`` starts: its lines and its other rays, each
-    with its mask over the cone's facets (``_lines_and_rays``)."""
-    lines, rays = _lines_and_rays(cone)
+def _start(cone, lines, rays):
+    """Where a cut or a split of ``cone`` starts, from the ``lines`` and
+    ``rays`` that its caller read by ``_lines_and_rays``: the lines, and
+    each ray with its mask over the cone's facets."""
     return lines, [(r, _tight_mask(r, cone.facets)) for r in rays]
 
 
-def _cut(cone, normals, start=None):
+def _cut(cone, normals, start):
     """``cone`` cut by ``{x : a . x >= 0}`` for each ``a`` in ``normals``:
-    ``_dd`` continues from the cone's ``_start``, read here unless given,
-    and the cut is read off the rays' masks (``_read_off``)."""
-    lines, rays = _start(cone) if start is None else start
+    ``_dd`` continues from the cone's ``start`` (``_start``), and the cut
+    is read off the rays' masks (``_read_off``)."""
+    lines, rays = start
     lines, rays = _dd(normals, cone.ambient_dim, lines, rays, len(cone.facets))
     return _read_off(cone, list(cone.facets) + list(normals), rays, lines)
 
@@ -305,10 +308,12 @@ def _read_off(cone, constraints, rays, lines=()):
 
     The cut's span is cut out by the cone's equations and the implicit
     equalities, the constraints tight at every ray (each vanishes on the
-    lines); with none, the equations and old facets stand.  The facets are
-    the constraints that ``_maximal`` keeps against the rays (every facet
-    is cut out by one, and a face is fixed by its rays).  Lines left over
-    take ``_rays_mod_lineality``.
+    lines); with none, the cone's equations stand.  The facets are the
+    constraints that ``_maximal`` keeps against the rays (every facet is
+    cut out by one, and a face is fixed by its rays), each reduced modulo
+    the equations by ``reduce_mod_rowspace``, which returns a facet already
+    reduced, as the cone's own are, as it is.  Lines left over take
+    ``_rays_mod_lineality``.
     """
     n = cone.ambient_dim
     rays = sorted(rays)
@@ -316,8 +321,7 @@ def _read_off(cone, constraints, rays, lines=()):
     everything = (1 << len(rays)) - 1
     implicit = [a for a, m in zip(constraints, masks) if m == everything]
     equations = row_reduce(list(cone.equations) + implicit) if implicit else cone.equations
-    reduced = () if implicit else set(cone.facets)  # already reduced modulo the same equations
-    facets = sorted({a if a in reduced else reduce_mod_rowspace(a, equations)
+    facets = sorted({reduce_mod_rowspace(a, equations)
                      for a in _maximal(constraints, masks, everything)})
     rays = _rays_mod_lineality(facets, equations, n) if lines else tuple(r for r, _ in rays)
     return PolyCone(n, rays, tuple(facets), equations)
@@ -325,9 +329,10 @@ def _read_off(cone, constraints, rays, lines=()):
 
 def cone_from_halfspaces(halfspaces, ambient_dim, equations=()):
     """Cone cut out of the whole space by the half-spaces ``a . x >= 0``,
-    one per vector ``a`` in ``halfspaces`` (and optional equations),
-    through ``_cut``.  An entry not exact by ``linalg``'s rule, a bool too,
-    raises TypeError."""
+    one per vector ``a`` in ``halfspaces`` (and optional equations): ``_dd``
+    from the whole space, read off (``_read_off``) as the cut of a cone
+    with no facets and no equations.  An entry not exact by ``linalg``'s
+    rule, a bool too, raises TypeError."""
     normals = [tuple(h) for h in halfspaces] + _both_sides(equations)
     for c in normals:
         if len(c) != ambient_dim:
@@ -336,9 +341,8 @@ def cone_from_halfspaces(halfspaces, ambient_dim, equations=()):
             )
         if not _EXACT_TYPES.issuperset(map(type, c)):
             raise TypeError(f"constraint {c!r} is not exact")
-    n = ambient_dim
-    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    return _cut(PolyCone(n, tuple(sorted(_both_sides(units))), (), ()), normals)
+    lines, rays = _dd(normals, ambient_dim)
+    return _read_off(PolyCone(ambient_dim, (), (), ()), normals, rays, lines)
 
 
 def intersect(a, b):
@@ -348,7 +352,7 @@ def intersect(a, b):
         raise DimensionError(
             f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}"
         )
-    return _cut(a, list(b.facets) + _both_sides(b.equations))
+    return _cut(a, list(b.facets) + _both_sides(b.equations), _start(a, *_lines_and_rays(a)))
 
 
 @dataclass(frozen=True)
@@ -406,7 +410,7 @@ class _WallTable:
 
     def start(self):
         if self.started is None:
-            self.started = _start(self.cone)
+            self.started = _start(self.cone, self.lines, self.rays)
         return self.started
 
 
@@ -417,12 +421,9 @@ def _walls(cells):
     the constraint a positive multiple of ``sign`` times its wall."""
     index = {}
 
-    def signed(c):
-        wall = primitive(c)
-        neg = vneg(wall)
-        if wall > neg:  # the first nonzero entry is positive
-            return c, index.setdefault(wall, len(index)), 1
-        return c, index.setdefault(neg, len(index)), -1
+    def signed(c):  # c need not be primitive: its sign is its first nonzero entry's
+        sign = 1 if next(filter(None, c)) > 0 else -1
+        return c, index.setdefault(sign_canonical(c), len(index)), sign
 
     constraints = [([signed(f) for f in cell.facets],
                     [signed(side) for side in _both_sides(cell.equations)]) for cell in cells]
@@ -501,14 +502,15 @@ def _crossing(walls, lines, rays):
     return crossing
 
 
-def _split(cell, crossing):
-    """The pieces of ``cell`` cut by every wall in ``crossing`` (pairs from
-    ``_crossing``, over the rays of ``_lines_and_rays``).
+def _split(cell, lines, rays, crossing):
+    """The pieces of ``cell`` cut by every wall in ``crossing``, given the
+    cell's ``lines`` and ``rays`` (``_lines_and_rays``) and the pairs that
+    ``_crossing`` found over them.
 
-    From the cell's ``_start``, the cell is split by its first crossing
-    wall with one ``_dd_step``, so both pieces share the lines and the rays
-    on the wall under one mask bit, and each piece carries on with the
-    walls that crossed its parent and cross it.  A piece keeps its
+    From the cell's ``_start`` over those lines and rays, the cell is split
+    by its first crossing wall with one ``_dd_step``, so both pieces share
+    the lines and the rays on the wall under one mask bit, and each piece
+    carries on with the walls that crossed its parent and cross it.  A piece keeps its
     constraints (the cell's facets, then one signed wall per split), its
     lines and its rays with their masks over them; only a final piece is
     read off, and a crossing wall adds no equation to it.
@@ -525,7 +527,7 @@ def _split(cell, crossing):
             split(constraints + [side], lines, part,
                   _crossing(rest, lines, [r for r, _ in part]))
 
-    split(list(cell.facets), *_start(cell), crossing)
+    split(list(cell.facets), *_start(cell, lines, rays), crossing)
     return pieces
 
 
@@ -549,7 +551,7 @@ def hyperplane_refinement(fan):
         elif cell.dim != fan.support.dim:
             pieces = []
         else:
-            pieces = _split(cell, crossing)
+            pieces = _split(cell, lines, rays, crossing)
         cells += pieces
         labels += [label] * len(pieces)
     return make_fan(cells, fan.support, labels)

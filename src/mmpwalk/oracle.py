@@ -12,7 +12,7 @@ from fractions import Fraction
 from .cones import cone_from_rays
 from .errors import BudgetExceeded, DimensionError
 from .linalg import clear_denominators
-from .orders import DEFAULT_NODE_BUDGET, _check_level, _mults, _named
+from .orders import DEFAULT_NODE_BUDGET, _check_exact, _check_level, _mults, _named
 from .ring import GeneratorDatum, PushforwardDatum, RingDatum
 
 
@@ -133,7 +133,9 @@ def _o_values(datum, valuation, x, k_list, budget):
     degrees = [tuple(g.multidegree) for g in datum.generators]
     # the search adds ints; each value is divided by the heights' common
     # denominator at the end
-    costs, den = clear_denominators(_mults(datum, valuation))
+    mults = _mults(datum, valuation)
+    _check_exact(mults, valuation)
+    costs, den = clear_denominators(mults)
     xs, x_den = clear_denominators(x)
     if any(len(d) != len(xs) for d in degrees):
         raise DimensionError(f"point {_named(xs, x_den)} and the multidegrees differ in dimension")

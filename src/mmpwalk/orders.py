@@ -134,13 +134,6 @@ class OValue:
         return OValue, (self.value, self.witness, self.dual)
 
 
-def _missing(generators, valuation):
-    """The InconsistentInput for the first generator with no multiplicity
-    at ``valuation``."""
-    i = next(i for i, g in enumerate(generators) if valuation not in g.mults)
-    return InconsistentInput(f"generator {i} has no multiplicity for valuation {valuation!r}")
-
-
 def _check_exact(mults, valuation):
     """Raise TypeError on a multiplicity inexact by ``linalg``'s rule."""
     if not _EXACT_TYPES.issuperset(map(type, mults)):
@@ -148,14 +141,16 @@ def _check_exact(mults, valuation):
 
 
 def _mults(datum, valuation):
-    """The generators' multiplicities at ``valuation``: a missing one raises
-    InconsistentInput, and one inexact by ``linalg``'s rule TypeError."""
+    """The one reader of the generators' multiplicities at ``valuation``:
+    their list, in generator order.  A missing one raises InconsistentInput
+    naming the first generator without it; exactness is the caller's to
+    check, by ``_check_exact``."""
     try:
-        mults = tuple([g.mults[valuation] for g in datum.generators])
+        return [g.mults[valuation] for g in datum.generators]
     except KeyError:
-        raise _missing(datum.generators, valuation) from None
-    _check_exact(mults, valuation)
-    return mults
+        i = next(i for i, g in enumerate(datum.generators) if valuation not in g.mults)
+        raise InconsistentInput(
+            f"generator {i} has no multiplicity for valuation {valuation!r}") from None
 
 
 def asymptotic_order(datum, valuation, x, support=None):
@@ -172,11 +167,12 @@ def asymptotic_order(datum, valuation, x, support=None):
 
 def order_function(datum, valuation):
     """The one ``OrderFunction`` of the datum's LP data at ``valuation``:
-    the integer degrees and the multiplicities, checked by ``_mults``.  The
-    key holds the multiplicities as (numerator, denominator) pairs, so an
-    ``int`` and an equal ``Fraction`` share one function.  No generators,
-    or only zero degrees, raise InvalidCone, and multidegrees of mixed
-    lengths DimensionError.
+    the integer degrees and the multiplicities, read by ``_mults`` and
+    checked by ``_check_exact`` on a miss.  The key holds the
+    multiplicities as (numerator, denominator) pairs, so an ``int`` and an
+    equal ``Fraction`` share one function.  No generators, or only zero
+    degrees, raise InvalidCone, and multidegrees of mixed lengths
+    DimensionError.
 
     Every call reads the multiplicities again, since a dict changes in
     place.  A call whose generators tuple is the held one and whose every
@@ -187,10 +183,7 @@ def order_function(datum, valuation):
     are exact tuples, which cannot change in place; else it holds nothing.
     ``forget_order_functions`` drops the held function with the cache."""
     generators = datum.generators
-    try:
-        mults = [g.mults[valuation] for g in generators]
-    except KeyError:
-        raise _missing(generators, valuation) from None
+    mults = _mults(datum, valuation)
     held = _held[0]
     if held is not None and held[0] is generators and all(map(is_, mults, held[1])):
         return held[2]

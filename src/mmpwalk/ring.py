@@ -75,14 +75,24 @@ class ValidationReport:
         return not self.errors
 
 
-def _exact_map(report, code, name, rows, n):
-    """Report a map of more than ``n`` rows, which cannot have full row
-    rank, or whose rows are not of length ``n`` or whose entries are not
-    exact; True when it is well formed."""
+def _map_shape(rows, n):
+    """What is wrong with the shape of a map given by ``rows`` from the
+    r + 1 = ``n`` grading coordinates, or None: more than ``n`` rows, which
+    cannot have full row rank, or a row not of length ``n``.  The one shape
+    rule, for validation and for ``serialize.nef_from_json``."""
     if len(rows) > n:
-        report.add("error", code, f"{name} has {len(rows)} rows, more than r + 1 = {n}")
-    elif any(len(row) != n for row in rows):
-        report.add("error", code, f"{name} has wrong row length")
+        return f"has {len(rows)} rows, more than r + 1 = {n}"
+    if any(len(row) != n for row in rows):
+        return "has wrong row length"
+    return None
+
+
+def _exact_map(report, code, name, rows, n):
+    """Report a map of the wrong shape (``_map_shape``) or whose entries
+    are not exact; True when it is well formed."""
+    shape = _map_shape(rows, n)
+    if shape is not None:
+        report.add("error", code, f"{name} {shape}")
     elif not all(type(x) in _EXACT_TYPES for row in rows for x in row):
         report.add("error", code, f"{name} entries must be integers or Fractions")
     else:

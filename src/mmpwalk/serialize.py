@@ -4,12 +4,13 @@ The package reads one document, the ring datum (``ring_from_json``), and
 writes four: the cone, fan, ring and trace documents.  Rationals travel
 as "p/q" strings (plain "p" for integers) so exactness survives
 serialization; a decimal such as "1.5" is read too, but no exponent
-notation.  Only an ``int`` or a ``Fraction`` is written as one, and a
-float raises TypeError.  All collections are emitted in canonical order
-so identical inputs give byte-identical documents.  ``dumps`` writes a
-document as ``json.dumps(doc, indent=2, sort_keys=True)`` does, byte for
-byte, but writes strs, ints, lists and str-keyed dicts itself, since
-``json`` runs its pure-Python encoder whenever ``indent`` is set.
+notation and no "_" digit separator.  Only an ``int`` or a ``Fraction``
+is written as one, and a float raises TypeError.  All collections are
+emitted in canonical order so identical inputs give byte-identical
+documents.  ``dumps`` writes a document as ``json.dumps(doc, indent=2,
+sort_keys=True)`` does, byte for byte, but writes strs, ints, lists and
+str-keyed dicts itself, since ``json`` runs its pure-Python encoder
+whenever ``indent`` is set.
 """
 
 import json
@@ -20,7 +21,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from .cones import cone_from_rays, cone_from_halfspaces
 from .errors import InconsistentInput, MmpwalkError, ParseError
 from .linalg import _EXACT_TYPES
-from .ring import GeneratorDatum, PushforwardDatum, RingDatum
+from .ring import GeneratorDatum, PushforwardDatum, RingDatum, _map_shape
 
 
 def _too_long():
@@ -80,16 +81,19 @@ def rat_from_str(s):
     """The ``Fraction`` that ``Fraction(s)`` reads, or ParseError.  A JSON
     float or bool is rejected, and so is exponent notation: ``Fraction``
     reads "1e4300" as an integer of 4,301 digits, past ``int``'s digit
-    limit, and a larger exponent takes seconds.  A string of decimal
-    digits with at most a sign, as most entries of a document are, is read
-    by ``int`` without ``Fraction``'s regular expression; both read such a
-    string alike."""
+    limit, and a larger exponent takes seconds.  A "_" digit separator is
+    rejected too, since ``Fraction`` reads "1_000" from Python 3.11 on but
+    not on 3.10.  A string of decimal digits with at most a sign, as most
+    entries of a document are, is read by ``int`` without ``Fraction``'s
+    regular expression; both read such a string alike."""
     _reject_float(s)
     try:
         if type(s) is str and (s[1:] if s[:1] in ("-", "+") else s).isdecimal():
             return Fraction(int(s))
         if type(s) is str and ("e" in s or "E" in s):
             raise ValueError("exponent notation is not read")
+        if type(s) is str and "_" in s:
+            raise ValueError("digit separators are not read")
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational literal {s!r}: {exc}") from None
@@ -141,10 +145,10 @@ def nef_to_json(nef):
 
 def nef_from_json(doc, matrix, n):
     """The nef cone in the target coordinates of ``matrix``, or None when
-    ``matrix`` has more than ``n`` rows or a row not of length ``n``:
-    validation rejects such a map on its own, and its row count is not
-    trusted to size a cone."""
-    if len(matrix) > n or any(len(row) != n for row in matrix):
+    ``ring._map_shape`` finds the map's shape wrong: validation rejects
+    such a map on its own, and its row count is not trusted to size a
+    cone."""
+    if _map_shape(matrix, n) is not None:
         return None
     if "rays" in doc:
         return cone_from_rays([vec_from_json(r) for r in doc["rays"]])

@@ -583,6 +583,8 @@ def _one_line_error(err):
         (("veronese", "--degrees", "2,3", "--m-max", "-2"), 3),
         (("veronese", "--degrees", "2,3", "--m-max", "0"), 3),
         (("walk", "--example", "blowup-P2", "--h", "0,1,5"), 3),
+        # --example won, and --input was not read: this exited 0
+        (("decompose", "--example", "blowup-P2", "--input", "/nonexistent.json"), 2),
     ],
     ids=[
         "veronese-zero-degree",
@@ -592,6 +594,7 @@ def _one_line_error(err):
         "veronese-negative-m-max",
         "veronese-zero-m-max",
         "walk-h-dimension",
+        "example-and-input",
     ],
 )
 def test_bad_arguments_exit_with_documented_codes(capsys, argv, code):
@@ -730,6 +733,20 @@ def test_exponent_points_are_parse_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert _one_line_error(err) and "bad point" in err
+
+
+@pytest.mark.parametrize("argv, document", [
+    (("decompose", "--input", "-"), _blowup_with("1_000")),
+    (("oracle", "--example", "blowup-P2", "--point", "1_0,1"), None),
+    (("walk", "--example", "blowup-P2", "--h", "0,1_0"), None),
+], ids=["multiplicity", "point", "h"])
+def test_digit_separators_are_parse_errors(monkeypatch, capsys, argv, document):
+    # Fraction reads "1_000" as 1000 from Python 3.11 on, and 3.10 rejects
+    # it: the same document or point read differently on different Pythons
+    monkeypatch.setattr("sys.stdin", io.StringIO(document or ""))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert _one_line_error(err) and "1_0" in err
 
 
 @needs_digit_limit

@@ -14,6 +14,7 @@ from mmpwalk import (
 )
 from mmpwalk.cones import (
     Fan,
+    PolyCone,
     common_refinement,
     cone_from_halfspaces,
     cone_from_rays,
@@ -324,6 +325,51 @@ def test_common_refinement_identity():
         [cone_from_rays([(1, 0), (1, 1)]), cone_from_rays([(1, 1), (0, 1)])], support
     )
     assert common_refinement([fan, fan]) == fan
+
+
+def _scaled(fan, facet_scale, equation_scale):
+    """``fan`` with each cell's facets times ``facet_scale`` and its
+    equations times ``equation_scale``: the same cones, written with
+    constraints that are not primitive."""
+    def times(vectors, k):
+        return tuple(tuple(k * x for x in v) for v in vectors)
+    cells = tuple(PolyCone(c.ambient_dim, c.rays, times(c.facets, facet_scale),
+                           times(c.equations, equation_scale)) for c in fan.cells)
+    return Fan(cells, fan.support, fan.labels)
+
+
+def _pieces(fan):
+    """Each cell of ``fan`` as its rays, its primitive facets, its
+    equations in reduced row-echelon form and its label."""
+    return [(c.rays, sorted(map(primitive, c.facets)), row_reduce(c.equations), label)
+            for c, label in zip(fan.cells, fan.labels)]
+
+
+def _two_subdivisions(lift):
+    """Two labelled subdivisions of the first quadrant, with each vector
+    ``lift``ed into its ambient space."""
+    support = cone_from_rays([lift((1, 0)), lift((0, 1))])
+    def fan(middle, names):
+        cells = [cone_from_rays([lift((1, 0)), lift(middle)]),
+                 cone_from_rays([lift(middle), lift((0, 1))])]
+        return make_fan(cells, support, names)
+    return [fan((1, 1), [("L",), ("R",)]), fan((1, 2), [("lo",), ("hi",)])]
+
+
+@pytest.mark.parametrize("facet_scale, equation_scale", [(2, -3), (6, 5)])
+@pytest.mark.parametrize("lift", [tuple, lambda v: (*v, 0)], ids=["plane", "thin"])
+def test_common_refinement_orients_constraints_that_are_not_primitive(
+        lift, facet_scale, equation_scale):
+    # a wall's side is the sign of its constraint's first nonzero entry:
+    # the facet 2 * (-1, 1) lies on the same side of the wall (1, -1) as
+    # (-1, 1), and the pieces and their labels are those of the primitive
+    # fans; "thin" puts the quadrant in the plane x3 = 0 of 3-space
+    fans = _two_subdivisions(lift)
+    refined = common_refinement(fans)
+    assert len(refined.cells) == 3
+    scaled = [_scaled(fan, facet_scale, equation_scale) for fan in fans]
+    assert _pieces(common_refinement(scaled)) == _pieces(refined)
+    assert _pieces(common_refinement(scaled[::-1])) == _pieces(common_refinement(fans[::-1]))
 
 
 def test_common_refinement_requires_shared_support():
