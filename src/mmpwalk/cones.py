@@ -23,10 +23,14 @@ the cone's lines and its rays masked over its facets, from the one
 combinatorial test, ``_maximal``, reads off both the extreme generators
 and the facets of a cut, and ``_read_off`` takes a cut's equations from
 the same masks: the implicit equalities, tight at every ray, join the
-cone's own (``orders`` reads linearity cells off a lifted cone with
-``_maximal`` too), and ``reduce_mod_rowspace`` reduces every facet.  A
-cone with lineality takes one more conversion, ``_rays_mod_lineality``,
-which fixes the representatives of its rays.  ``common_refinement``
+cone's own, and ``reduce_mod_rowspace`` reduces every facet.  ``orders``
+reads linearity cells off one ``_dd`` of a lifted cone, its facets with
+their generator masks, with ``_columns`` and ``_maximal`` too, and builds
+no lifted ``PolyCone``.  The hot tests are plain loops: ``_maximal`` and
+``_meet``'s facet test stop at their first counterexample, and
+``_tight_mask`` sets one bit a row.  A cone with lineality takes one
+more conversion, ``_rays_mod_lineality``, which fixes the representatives
+of its rays.  ``common_refinement``
 decides and cuts each pair of cells from one table of the next fan's
 walls per cell (``_WallTable``): a pair that meets in lower dimension is
 skipped, a cell inside its partner is kept as it is, and any other cell
@@ -54,7 +58,13 @@ from .linalg import (
 
 
 def _tight_mask(vec, rows):
-    return sum(1 << j for j, c in enumerate(rows) if dot(c, vec) == 0)
+    """The mask of the ``rows`` that vanish at ``vec``, bit j for row j."""
+    mask, bit = 0, 1
+    for c in rows:
+        if not sum(map(mul, c, vec)):
+            mask |= bit
+        bit <<= 1
+    return mask
 
 
 def _columns(rays, count):
@@ -77,7 +87,13 @@ def _maximal(vectors, masks, everything):
     rays, and the extreme rays of a pointed cone, among generators tested
     against its facets."""
     proper = {m for m in masks if m != everything}
-    maximal = {m for m in proper if not any(o != m and o & m == m for o in proper)}
+    maximal = set()
+    for m in proper:
+        for o in proper:
+            if o & m == m and o != m:
+                break
+        else:
+            maximal.add(m)
     return [v for v, m in zip(vectors, masks) if m in maximal]
 
 
@@ -447,8 +463,12 @@ def _meet(table, b, facets, sides):
         _, low, high, flat = rows[i] or table.row(i)
         if flat and (high <= 0 if s > 0 else low >= 0):
             return None
-    if any(all(sum(map(mul, f, r)) <= 0 for r in b.rays) for f in a.facets):
-        return None
+    for f in a.facets:
+        for r in b.rays:
+            if sum(map(mul, f, r)) > 0:
+                break
+        else:
+            return None
     cuts = []
     for c, i, s in facets + sides:
         _, low, high, flat = rows[i] or table.row(i)

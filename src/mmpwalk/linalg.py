@@ -44,11 +44,11 @@ def dot(a, b):
 
 
 def vneg(a):
-    return tuple(-x for x in a)
+    return tuple([-x for x in a])
 
 
 def is_zero(a):
-    return all(x == 0 for x in a)
+    return not any(a)
 
 
 def clear_denominators(v):

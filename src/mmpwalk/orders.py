@@ -4,8 +4,10 @@ For a tracked valuation the order at a point of the support cone is the
 optimum of an exact rational LP over the generator data.  Its linearity
 domains form a fan: lift each generator by its integer cost, its
 multiplicity times the multiplicities' common denominator, take the cone
-over the lifted generators, and project the lower facets back down, each
-cell read off the lifted cone's one conversion.  The chamber fan is the
+over the lifted generators, and project the lower facets back down.  The
+lifted cone is one ``cones._dd`` of the lifted generators, and each cell
+is read off the generator masks that call returns with the lifted facets;
+no lifted ``PolyCone`` is built.  The chamber fan is the
 common refinement of these fans over all valuations, further sliced so
 that every cell respects every facet hyperplane.  Each cell carries its
 functionals through both refinements as its label; the checks compare
@@ -49,12 +51,12 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import is_, mul
 
-from .cones import (PolyCone, _maximal, _tight_mask, common_refinement, cone_from_rays,
+from .cones import (PolyCone, _columns, _dd, _maximal, common_refinement,
                     hyperplane_refinement, make_fan)
 from .errors import (BudgetExceeded, DimensionError, InconsistentInput, InvalidCone,
                      OutsideSupport)
-from .linalg import (_EXACT_TYPES, _INT_TYPES, clear_denominators, dot, primitive,
-                     reduce_mod_rowspace, shown)
+from .linalg import (_EXACT_TYPES, _INT_TYPES, clear_denominators, dot, is_zero,
+                     primitive, reduce_mod_rowspace, row_reduce, shown)
 from .ring import support_cone
 from .simplex import INFEASIBLE, UNBOUNDED, solve_min
 
@@ -376,40 +378,53 @@ def linearity_fan(datum, valuation, support=None):
     Every cell has the support's dimension: when the lifted cone gains a
     dimension its span holds the vertical axis e_t, a lower facet has
     c > 0, so e_t is not in the facet's span, and the projection is
-    injective there.  Each cell is read off the lifted cone: the facet's
-    rays, projected; the support's equations; and a facet c w_G - c_G w
-    for each facet (w_G, c_G) whose tight set there ``_maximal`` keeps.
-    Every tight set is read off the lifted cone's facet-by-ray masks,
-    computed once.  A lifted cone with a line, which no validated datum
-    has, raises InvalidCone.
+    injective there.
+
+    The lifted cone is one ``_dd`` of its sorted primitive generators,
+    and everything is read off that call, as ``cones._assemble`` reads a
+    cone.  The call's lines span the lifted cone's equations: one more
+    than the support has means a single cell, on which t is linear.  Its
+    rays are the lifted facets, each with the mask of the generators tight
+    at it.  A generator on every facet, or no facet, means a line in the
+    lifted cone, which no validated datum has, and raises InvalidCone.
+    The extreme generators are those that ``_maximal`` keeps against their
+    facet columns.  A lower facet's mask gives its cell's rays, the
+    extreme generators in it, projected; its cell's facets are c w_G -
+    c_G w for each facet (w_G, c_G) whose mask within it ``_maximal``
+    keeps, since a face is fixed by the generators it holds; and the
+    cell's equations are the support's.
     """
     if support is None:
         support = support_cone(datum)
     n = support.ambient_dim
     order = order_function(datum, valuation)
     costs, den = order.costs, order.den
-    lifted_cone = cone_from_rays([tuple(g.multidegree) + (h,)
-                                  for g, h in zip(datum.generators, costs)])
-    if lifted_cone.dim == support.dim:
+    lifted = [tuple(g.multidegree) + (h,) for g, h in zip(datum.generators, costs)]
+    gens = sorted({primitive(g) for g in lifted if not is_zero(g)})
+    lines, rays = _dd(gens, n + 1)
+    equations = row_reduce(lines)
+    if n + 1 - len(equations) == support.dim:
         # costs are linear on the support: a single cell, where t = f(x)
-        eq = next(eq for eq in lifted_cone.equations if eq[n] != 0)
+        eq = next(eq for eq in equations if eq[n] != 0)
         return make_fan([support], support,
                         [(tuple(Fraction(-a, eq[n] * den) for a in eq[:n]),)])
-    if not lifted_cone.is_pointed():
+    columns = _columns(rays, len(gens))  # each generator's mask over the facets
+    everything = (1 << len(rays)) - 1
+    if not rays or everything in columns:
         raise InvalidCone(f"the lifted cone at valuation {valuation!r} holds a line, so its "
                           "lower facets do not fix the cells; multidegrees must be nonnegative")
-    normals = lifted_cone.facets
-    tight = [_tight_mask(f, lifted_cone.rays) for f in normals]  # each facet's rays
+    extreme = _maximal(range(len(gens)), columns, everything)
+    normals = [reduce_mod_rowspace(q, equations) for q, _ in rays]
+    masks = [m for _, m in rays]  # each facet's generators
     cells, labels = [], []
-    for normal, lower in zip(normals, tight):
+    for normal, lower in zip(normals, masks):
         if normal[n] <= 0:
             continue
         w, c = normal[:n], normal[n]
-        members = [r for i, r in enumerate(lifted_cone.rays) if lower >> i & 1]
         facets = {reduce_mod_rowspace([c * a - g[n] * b for a, b in zip(g, w)], support.equations)
-                  for g in _maximal(normals, [m & lower for m in tight], lower)}
-        rays = tuple(sorted([primitive(r[:n]) for r in members]))
-        cells.append(PolyCone(n, rays, tuple(sorted(facets)), support.equations))
+                  for g in _maximal(normals, [m & lower for m in masks], lower)}
+        cell_rays = tuple(sorted([primitive(gens[i][:n]) for i in extreme if lower >> i & 1]))
+        cells.append(PolyCone(n, cell_rays, tuple(sorted(facets)), support.equations))
         labels.append((tuple(Fraction(-wi, c * den) for wi in w),))
     return make_fan(cells, support, labels)
 

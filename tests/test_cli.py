@@ -164,6 +164,26 @@ def test_decompose_stdout_on_corpus_matches_recorded_digest(monkeypatch, capsys,
     assert digest == CORPUS_DECOMPOSE_SHA256[instance, refine]
 
 
+# one sha256 over decompose stdout on corpus documents 1-50, each refined
+# and then with --no-refine, in that order: it widens the per-document pins
+# above, and was recorded before the linearity cells were read off the
+# lifted cone's one conversion
+CORPUS_1_50_DECOMPOSE_SHA256 = "477ae084e65dd480638e0c10223577aa74ed3c1ad8fb6ecb756890a8a5ca3837"
+
+
+def test_decompose_stdout_on_corpus_documents_1_to_50_matches_recorded_digest(monkeypatch,
+                                                                             capsys):
+    digest = hashlib.sha256()
+    for instance in range(1, 51):
+        document = _corpus_document(instance)
+        for refine in ("--refine", "--no-refine"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(document))
+            code, out, _ = run(capsys, "decompose", "--input", "-", refine)
+            assert code == 0
+            digest.update(out.encode("utf-8"))
+    assert digest.hexdigest() == CORPUS_1_50_DECOMPOSE_SHA256
+
+
 # sha256 of walk stdout on corpus documents 1-10, from e_0 to a point of the
 # open orthant, recorded before the refinement split each cell once per
 # crossing wall: how the chambers are cut may change, the walk may not

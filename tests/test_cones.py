@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mmpwalk import (
     builtin_examples,
@@ -15,6 +17,8 @@ from mmpwalk import (
 from mmpwalk.cones import (
     Fan,
     PolyCone,
+    _maximal,
+    _tight_mask,
     common_refinement,
     cone_from_halfspaces,
     cone_from_rays,
@@ -26,12 +30,14 @@ from mmpwalk import linalg
 from mmpwalk.errors import DimensionError, InvalidCone, SupportMismatch
 from mmpwalk.linalg import (
     dot,
+    is_zero,
     primitive,
     rank,
     reduce_mod_rowspace,
     row_reduce,
     sign_canonical,
     solve_exact,
+    vneg,
 )
 
 from corpus import corpus_spec
@@ -182,12 +188,14 @@ def test_lineality_from_halfspaces():
     cone = cone_from_halfspaces([(0, 1)], 2)
     assert cone.dim == 2
     assert (1, 0) in cone.rays and (-1, 0) in cone.rays
+    assert not cone.is_pointed()
     assert cone.contains((-7, 0)) and cone.contains((5, 2))
     assert not cone.contains((0, -1))
 
 
 def test_contains_strict_and_dimension_check():
     cone = cone_from_rays([(1, 0), (0, 1)])
+    assert cone.is_pointed()
     assert cone.contains((1, 1), strict=True)
     assert cone.contains((1, 0)) and not cone.contains((1, 0), strict=True)
     with pytest.raises(DimensionError):
@@ -457,3 +465,62 @@ def test_facets_and_equations_are_sorted_primitive_int_vectors():
                 assert all(type(x) is int for x in v) and gcd(*v) == 1
         assert list(cone.facets) == sorted(cone.facets)
         assert cone_from_halfspaces(cone.facets, cone.ambient_dim, cone.equations) == cone
+
+
+# the subset tests of the cone kernel, each against its definition
+
+@st.composite
+def mask_lists(draw):
+    """Masks over a few bits, repeats likely, and an ``everything`` mask
+    that is either the full mask over those bits or one of the masks."""
+    bits = draw(st.integers(min_value=0, max_value=5))
+    masks = draw(st.lists(st.integers(min_value=0, max_value=(1 << bits) - 1), max_size=8))
+    everything = draw(st.sampled_from([(1 << bits) - 1] + masks))
+    return masks, everything
+
+
+@given(mask_lists())
+@example(([], 0))
+@example(([0b11, 0b11, 0b01, 0b10], 0b11))
+@example(([0b011, 0b110, 0b011, 0b111, 0b001], 0b111))
+@settings(max_examples=500, deadline=None)
+def test_maximal_keeps_the_masks_no_other_proper_mask_contains(case):
+    masks, everything = case
+    vectors = [(i,) for i in range(len(masks))]  # distinct, so the order shows
+    proper = [m for m in masks if m != everything]
+    expected = [v for v, m in zip(vectors, masks)
+                if m != everything and not any(o != m and o | m == o for o in proper)]
+    assert _maximal(vectors, masks, everything) == expected
+
+
+vectors_3 = st.tuples(*([st.integers(min_value=-3, max_value=3)] * 3))
+
+
+@given(vectors_3, st.lists(vectors_3, max_size=8))
+@example((0, 0, 0), [(1, 2, 3), (0, 0, 0)])
+@example((1, -1, 0), [])
+@settings(max_examples=300, deadline=None)
+def test_tight_mask_holds_the_rows_that_vanish(vec, rows):
+    mask = _tight_mask(vec, rows)
+    assert mask == sum(1 << j for j, c in enumerate(rows) if dot(c, vec) == 0)
+    assert 0 <= mask < 1 << len(rows)
+
+
+exact_entries = st.one_of(
+    st.integers(min_value=-5, max_value=5),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.just(Fraction(0)),
+)
+
+
+@given(st.lists(exact_entries, max_size=5).map(tuple))
+@example(())
+@example((Fraction(0), 0, Fraction(0)))
+@example((Fraction(0), Fraction(1, 2)))
+@settings(max_examples=300, deadline=None)
+def test_is_zero_and_vneg_on_int_and_fraction_entries(v):
+    assert is_zero(v) == all(x == 0 for x in v)
+    neg = vneg(v)
+    assert type(neg) is tuple and neg == tuple(-x for x in v)
+    assert [type(x) for x in neg] == [type(x) for x in v]
+    assert is_zero(neg) == is_zero(v) and vneg(neg) == v

@@ -23,9 +23,11 @@ meets in lower dimension and every pair kept with no cut is the cell
 itself, pin the conversions it makes on two corpus documents, and compare
 its pieces with those of the earlier pairwise loop (a separation pretest,
 then ``intersect``), kept here as a reference.  ``orders.linearity_fan``
-converts the lifted cone once and reads every cell off it; each read-off
-cell and label is compared with ``cone_from_rays`` of the cell's projected
-lifted rays.
+converts the lifted cone once, with its own ``_dd`` call, and reads every
+cell off that call's masks; each read-off cell and label is compared with
+``cone_from_rays`` of the cell's projected lifted rays, and the whole fan,
+or its error, with the earlier read-off of a lifted ``PolyCone``, kept
+here as a reference.
 """
 
 from fractions import Fraction
@@ -59,7 +61,8 @@ from mmpwalk.linalg import (
     sign_canonical,
     vneg,
 )
-from mmpwalk.ring import support_cone
+from mmpwalk.errors import InvalidCone
+from mmpwalk.ring import GeneratorDatum, RingDatum, support_cone
 from mmpwalk.serialize import ring_from_json
 
 from corpus import corpus_spec
@@ -325,11 +328,12 @@ def test_reference_cases_cover_every_path():
 
 
 def _fan_data():
-    # corpus seeds 1-25: with each linearity fan built once, seeds 1-10
+    # corpus seeds 1-30: with each linearity fan built once, seeds 1-10
     # alone converted too few cones for test_one_conversion_per_pointed_cone,
-    # and with a cell inside its partner kept as it is, seeds 1-15 alone do
+    # with a cell inside its partner kept as it is, seeds 1-15 alone did, and
+    # with no lifted cone built, seeds 1-25 alone do
     data = list(builtin_examples().values())
-    return data + [random_instance(corpus_spec(seed)) for seed in range(1, 26)]
+    return data + [random_instance(corpus_spec(seed)) for seed in range(1, 31)]
 
 
 def _split_trees(events):
@@ -347,15 +351,21 @@ def _split_trees(events):
 
 
 def test_one_conversion_per_pointed_cone(monkeypatch):
-    # (where, cone): "dd" for a conversion, "split" for a split inside the
-    # refinement, "refine" for its start and end, else the module that
-    # built the cone
+    # (where, cone): "dd" for a conversion in cones, "lift" for the one
+    # conversion of a linearity fan, "split" for a split inside the
+    # refinement, "refine" and "fan" for the start and end of a refinement
+    # and of a linearity fan, else the module that built the cone
     events = []
     refining = []
-    dd, step, refine = cones._dd, cones._dd_step, orders.hyperplane_refinement
+    dd, step = cones._dd, cones._dd_step
+    refine, linearity_fan = orders.hyperplane_refinement, orders.linearity_fan
 
     def counted_dd(*args):
         events.append(("dd", None))
+        return dd(*args)
+
+    def counted_lift(*args):
+        events.append(("lift", None))
         return dd(*args)
 
     def counted_step(*args):
@@ -371,6 +381,12 @@ def test_one_conversion_per_pointed_cone(monkeypatch):
         events.append(("refine", None))
         return out
 
+    def windowed_fan(*args):
+        events.append(("fan", None))
+        out = linearity_fan(*args)
+        events.append(("fan", None))
+        return out
+
     def recorded(module):
         polycone = module.PolyCone
 
@@ -382,41 +398,47 @@ def test_one_conversion_per_pointed_cone(monkeypatch):
         return counted_polycone
 
     monkeypatch.setattr(cones, "_dd", counted_dd)
+    monkeypatch.setattr(orders, "_dd", counted_lift)
     monkeypatch.setattr(cones, "_dd_step", counted_step)
     monkeypatch.setattr(orders, "hyperplane_refinement", windowed_refine)
+    monkeypatch.setattr(orders, "linearity_fan", windowed_fan)
     for module in (cones, orders):
         monkeypatch.setattr(module, "PolyCone", recorded(module))
-    for datum in _fan_data():
+    data = _fan_data()
+    for datum in data:
         support = support_cone(datum)
         fan = chamber_fan(datum, support=support)
         cell_functionals(datum, fan, support=support)
     built = [cone for where, cone in events if where == cones.__name__]
-    read_off = [i for i, (where, _) in enumerate(events) if where == orders.__name__]
+    read_off = [cone for where, cone in events if where == orders.__name__]
     assert len(built) > 300 and len(read_off) > 100
     assert not any(_has_lineality(cone) for cone in built)
-    outside, windows, inside = [], [], False  # events outside the refinement; inside each call
+    # events outside the refinements and the linearity fans; inside each call
+    outside, windows, fans, inside = [], [], [], None
     for where, cone in events:
-        if where == "refine":
-            inside = not inside
+        if where in ("refine", "fan"):
+            inside = None if inside == where else where
             if inside:
-                windows.append([])
+                (windows if where == "refine" else fans).append([])
         elif inside:
-            windows[-1].append(where)
+            (windows if inside == "refine" else fans)[-1].append(where)
         else:
             outside.append((where, cone))
-    # each cone built in cones outside the refinement comes right after its
-    # one conversion
-    conversions = [e for e in outside if e[0] != orders.__name__]
-    assert conversions == [
-        x for _, cone in conversions[1::2] for x in (("dd", None), (cones.__name__, cone))
+    # each cone built in cones outside them comes right after its one
+    # conversion
+    assert outside == [
+        x for _, cone in outside[1::2] for x in (("dd", None), (cones.__name__, cone))
     ]
+    # each linearity fan converts its lifted cone once, with orders' _dd,
+    # and its read-off cells take no other conversion
+    assert len(fans) == sum(len(datum.valuations) for datum in data)
+    assert all(fan[0] == "lift" and set(fan[1:]) <= {orders.__name__} for fan in fans)
+    assert sum(len(fan) - 1 for fan in fans) == len(read_off)
     # the refinement converts nothing: each piece it builds comes out of one
     # split of a pointed cell
-    assert not any("dd" in window for window in windows)
+    assert not any("dd" in window or "lift" in window for window in windows)
     assert all(_split_trees(window) for window in windows if window)
     assert sum(window.count("split") for window in windows) > 50
-    # and a linearity cell read off its lifted cone takes none
-    assert not any(events[i - 1][0] == "dd" for i in read_off)
 
 
 def _reference_linearity_fan(datum, valuation, support):
@@ -450,6 +472,101 @@ def test_read_off_linearity_cells_match_their_conversions():
             assert fan.cells == ref.cells and fan.labels == ref.labels
             cells += len(fan.cells)
     assert cells > 1000
+
+
+def _lifted_cone_read_off(datum, valuation, support):
+    """The linearity fan read off a lifted ``PolyCone``, each facet's rays
+    recounted by dot products, as the package built it before the cells
+    were read off the lifted cone's one ``_dd``: a lifted cone of the
+    support's dimension is one cell, one holding a line raises InvalidCone,
+    and a lower facet's cell has its projected rays and, for each facet
+    whose set of rays within it is maximal, one facet."""
+    n = support.ambient_dim
+    order = orders.order_function(datum, valuation)
+    lifted_cone = cone_from_rays([tuple(g.multidegree) + (h,)
+                                  for g, h in zip(datum.generators, order.costs)])
+    if lifted_cone.dim == support.dim:
+        eq = next(eq for eq in lifted_cone.equations if eq[n] != 0)
+        return make_fan([support], support,
+                        [(tuple(Fraction(-a, eq[n] * order.den) for a in eq[:n]),)])
+    if _has_lineality(lifted_cone):
+        raise InvalidCone("the lifted cone holds a line")
+    normals = lifted_cone.facets
+    tight = [frozenset(r for r in lifted_cone.rays if dot(f, r) == 0) for f in normals]
+    cells, labels = [], []
+    for normal, lower in zip(normals, tight):
+        if normal[n] <= 0:
+            continue
+        w, c = normal[:n], normal[n]
+        ridges = [(g, t & lower) for g, t in zip(normals, tight) if t & lower != lower]
+        facets = {reduce_mod_rowspace([c * a - g[n] * b for a, b in zip(g, w)], support.equations)
+                  for g, t in ridges if not any(t < u for _, u in ridges)}
+        rays = tuple(sorted([primitive(r[:n]) for r in lower]))
+        cells.append(PolyCone(n, rays, tuple(sorted(facets)), support.equations))
+        labels.append((tuple(Fraction(-wi, c * order.den) for wi in w),))
+    return make_fan(cells, support, labels)
+
+
+def _read_off_or_error(read_off, datum, valuation, support):
+    try:
+        fan = read_off(datum, valuation, support)
+    except InvalidCone:
+        return "holds a line"
+    return fan.cells, fan.labels
+
+
+def test_linearity_fan_matches_the_lifted_cone_read_off():
+    data = list(builtin_examples().values())
+    data += [random_instance(corpus_spec(seed)) for seed in range(0, 200)]
+    cells = 0
+    for datum in data:
+        support = support_cone(datum)
+        for valuation in datum.valuations:
+            fan = orders.linearity_fan(datum, valuation, support)
+            ref = _lifted_cone_read_off(datum, valuation, support)
+            assert fan.cells == ref.cells and fan.labels == ref.labels
+            cells += len(fan.cells)
+    assert cells > 2000
+
+
+def _lifted_datum(degrees, mults):
+    return RingDatum(
+        r=len(degrees[0]) - 1,
+        labels=tuple(f"D{i}" for i in range(len(degrees[0]))),
+        generators=tuple(GeneratorDatum(multidegree=tuple(d), mults={"E": m})
+                         for d, m in zip(degrees, mults)),
+        valuations=("E",),
+        numerical=None,
+    )
+
+
+@st.composite
+def lifted_data(draw):
+    """Generators with degrees in the plane or in 3-space, entries of either
+    sign, and one multiplicity each, possibly negative or fractional: cones
+    with and without lines, of full dimension and not, single cells too."""
+    n = draw(st.integers(min_value=2, max_value=3))
+    entry = st.integers(min_value=-2, max_value=3)
+    degrees = draw(st.lists(st.tuples(*([entry] * n)).filter(any), min_size=1, max_size=6))
+    mults = draw(st.lists(st.fractions(min_value=-2, max_value=3, max_denominator=3),
+                          min_size=len(degrees), max_size=len(degrees)))
+    return _lifted_datum(degrees, mults)
+
+
+@given(lifted_data())
+# the plane lifted to every height: the lifted cone is all of 3-space
+@example(_lifted_datum([(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, 1)],
+                       [0, 0, 0, 0, 1, -1]))
+# a line in a lifted cone with facets (tests/test_orders.py)
+@example(_lifted_datum([(1, 0), (-1, 0), (0, 1), (1, 1)], [0, 0, 0, 1]))
+@settings(max_examples=300, deadline=None)
+def test_linearity_fan_matches_the_lifted_cone_read_off_on_any_lifting(datum):
+    """The whole space lifted to every height (no facet), a line in the
+    lifted cone, a single cell and a pointed lifting all read off as the
+    lifted ``PolyCone`` reads them."""
+    support = support_cone(datum)
+    assert (_read_off_or_error(orders.linearity_fan, datum, "E", support)
+            == _read_off_or_error(_lifted_cone_read_off, datum, "E", support))
 
 
 def _refined_pieces_checked(fan):
