@@ -10,8 +10,10 @@ verification), else the proved one, is returned.
 ``grid_additivity_check`` cross-checks the chamber fan: on every cell the
 order functions are linear, so the order of a nonnegative integer
 combination of the cell's monoid generators must equal the matching
-combination of the generators' orders.  Any failure points at a bug in the
-fan construction, not at the input.
+combination of the generators' orders.  Each order is asked of the LP once
+per valuation and distinct point in a call, however many cells share the
+point.  Any failure points at a bug in the fan construction, not at the
+input.
 """
 
 import itertools
@@ -295,19 +297,24 @@ def grid_additivity_check(datum, fan, depth=3, lattice_budget=DEFAULT_LATTICE_BU
     are reported, not fatal.  Each valuation's order function is the datum's
     one ``order_function``, shared with every other query on its LP data,
     and every point is an integer vector, built once per cell from the
-    generators' columns.  The order is linear on the cell, so one kept
-    basis is optimal on all of its grid points: after the first point each
-    query is answered by the integer test of ``OrderFunction._find`` on the
-    bases tried before it, and a basis that does not certify the point is
-    left at its first negative entry.  Every order is read as the
-    integers of ``OrderFunction.ratio``, and the right-hand sides are the
-    exponent vectors times the generators' orders over one denominator, so
-    each point's ``AdditivityCheck`` holds integers and is decided in them,
-    with no ``Fraction`` built.  ``depth`` is checked
-    as a level is, by ``_check_level``.
+    generators' columns.  Every order is read as the integers of
+    ``OrderFunction.ratio``, once per valuation and distinct point in the
+    call: the order at a point depends only on the valuation and the
+    point, so a generator that is also a grid point, a multiple of a
+    parallelepiped point and a point on a face that cells share are each
+    asked once, and a repeat reads the ``(num, den)`` of the first query
+    from a dict that lives only as long as the call and that only
+    ``ratio`` fills, never the fan.  Every exponent vector of every (cell,
+    valuation) still gets its own ``AdditivityCheck``, whose right-hand side
+    is the exponent vector times its own cell's generators' orders over one
+    denominator, so each record holds integers and is decided in them,
+    cross-multiplied, with no ``Fraction`` built.  ``depth`` is checked as
+    a level is, by ``_check_level``.
     """
     _check_level(depth, "depth")
     order = {v: order_function(datum, v) for v in datum.valuations}
+    # per valuation, the order at every point asked in this call, as ``ratio`` read it
+    known = {v: {} for v in datum.valuations}
     report = GridReport()
     for ci, cell in enumerate(fan.cells):
         try:
@@ -325,17 +332,21 @@ def grid_additivity_check(datum, fan, depth=3, lattice_budget=DEFAULT_LATTICE_BU
             continue
         # the grid points, built once per cell from the generators' columns
         columns = [[g[j] for g in gens] for j in range(cell.ambient_dim)]
-        checks = [(p, tuple([sum(map(mul, p, col)) for col in columns]))
-                  for p in _exponent_vectors(len(gens), depth)]
+        exponents = list(_exponent_vectors(len(gens), depth))
+        points = [tuple([sum(map(mul, p, col)) for col in columns]) for p in exponents]
         for valuation in datum.valuations:
             entry = CellReport(ci, valuation, tuple(gens), truncated=truncated)
             ratio = order[valuation].ratio
+            seen = known[valuation]
+            for x in gens + points:
+                if x not in seen:
+                    seen[x] = ratio(x)
             # the generators' orders as integers over one denominator
-            ratios = [ratio(g) for g in gens]
+            ratios = [seen[g] for g in gens]
             base_den = lcm(*[d for _, d in ratios])
             base = [n * (base_den // d) for n, d in ratios]
-            for p, point in checks:
-                num, den = ratio(point)
+            for p, point in zip(exponents, points):
+                num, den = seen[point]
                 entry.checks.append(
                     AdditivityCheck(p, point, num, den, sum(map(mul, p, base)), base_den))
             report.entries.append(entry)

@@ -385,6 +385,60 @@ def test_grid_additivity_equals_reference(name, dscale, lattice_budget):
     assert got == reference_grid_additivity(datum, fan, dscale, 3, lattice_budget)
 
 
+@pytest.mark.parametrize("name", sorted(builtin_examples()) + ["corpus-2", "corpus-44"])
+def test_grid_asks_each_order_once_per_distinct_point(name, monkeypatch):
+    # the order at a point depends only on the valuation and the point, so
+    # one call asks each (valuation, point) of the generators and grid
+    # points once, however many cells and exponent vectors share it; every
+    # exponent vector still has its own record
+    datum = _grid_case(name)
+    fan = chamber_fan(datum)
+    ratio = OrderFunction.ratio
+    asked = []
+
+    def counted(self, x):
+        asked.append(x)
+        return ratio(self, x)
+
+    monkeypatch.setattr(OrderFunction, "ratio", counted)
+    depth = 3
+    report = grid_additivity_check(datum, fan, depth)
+    looked_up = [(e.valuation, x) for e in report.entries if not e.skipped
+                 for x in e.generators + tuple(c.point for c in e.checks)]
+    assert len(asked) == len(set(looked_up))
+    # each generator is also the grid point of its unit exponent vector
+    assert len(set(looked_up)) < len(looked_up) or not datum.valuations
+    for e in report.entries:
+        if not e.skipped:
+            k = len(e.generators)
+            assert [c.exponents for c in e.checks] == list(_exponent_vectors(k, depth))
+            assert len(e.checks) == math.comb(depth + k, k) - 1
+
+
+@pytest.mark.parametrize("name", ["blowup-P2", "corpus-2"])
+def test_grid_calls_share_no_order(name, monkeypatch):
+    # a second call on the same fan asks every order again: with ``ratio``
+    # patched between the calls to add 1, every record of the second report
+    # reads the order plus 1 at its point
+    datum = _grid_case(name)
+    fan = chamber_fan(datum)
+    first = grid_additivity_check(datum, fan)
+    ratio = OrderFunction.ratio
+
+    def plus_one(self, x):
+        num, den = ratio(self, x)
+        return num + den, den
+
+    monkeypatch.setattr(OrderFunction, "ratio", plus_one)
+    second = grid_additivity_check(datum, fan)
+    pairs = [(a, b) for e, f in zip(first.entries, second.entries)
+             for a, b in zip(e.checks, f.checks)]
+    assert pairs and len(second.entries) == len(first.entries)
+    for a, b in pairs:
+        assert b.point == a.point
+        assert Fraction(b.lhs_num, b.lhs_den) == Fraction(a.lhs_num, a.lhs_den) + 1
+
+
 @pytest.mark.parametrize("name", ["blowup-P2", "corpus-2"])
 def test_additivity_check_is_ok_exactly_when_its_sides_are_equal(name, monkeypatch):
     # the squared order is not additive, so the grid holds failing records
