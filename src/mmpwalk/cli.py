@@ -349,7 +349,8 @@ def build_parser():
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--k-max", type=int, default=12)
     parser.add_argument("--grid-depth", type=int, default=3)
-    parser.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    parser.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
+                        help="enumeration nodes of the whole command; bounds only oracle")
     parser.add_argument("--example", default="")
     parser.add_argument("--h", default="", help="segment endpoint, e.g. '0,1'")
     parser.add_argument("--point", action="append", dest="points", default=[])

@@ -22,7 +22,7 @@ class OutsideSupport(MmpwalkError):
 
 
 class BudgetExceeded(MmpwalkError):
-    """A configured pivot or enumeration budget was exhausted."""
+    """A fixed pivot or enumeration budget, or the oracle's own, was exhausted."""
 
 
 class NonGenericSegment(MmpwalkError):

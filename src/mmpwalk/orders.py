@@ -582,7 +582,7 @@ def _check_level(k, name="level k"):
         raise ValueError(f"{name} must be positive, got {k}")
 
 
-def integer_order(datum, valuation, x, k, node_budget=DEFAULT_NODE_BUDGET):
+def integer_order(datum, valuation, x, k):
     """(1/k) times the minimal multiplicity over integer representations of
     ``k*x``; NO_REPRESENTATION, which is None, if none exists.
 
@@ -591,7 +591,8 @@ def integer_order(datum, valuation, x, k, node_budget=DEFAULT_NODE_BUDGET):
     end.  ``x`` must be exact (``int`` or ``Fraction`` entries); a float
     raises TypeError, and a point of another dimension DimensionError.  A
     level that is not an ``int`` (a float or a bool, too) raises TypeError,
-    and ``k <= 0`` ValueError.
+    and ``k <= 0`` ValueError.  A search of more than
+    ``DEFAULT_NODE_BUDGET`` nodes raises BudgetExceeded.
     """
     _check_level(k)
     order = order_function(datum, valuation)
@@ -604,9 +605,9 @@ def integer_order(datum, valuation, x, k, node_budget=DEFAULT_NODE_BUDGET):
     degrees = order.degrees
     units = _unit_index(degrees, len(target))
     if units is not None:
-        best, _ = _reduced_min(degrees, order.costs, units, target, node_budget)
+        best, _ = _reduced_min(degrees, order.costs, units, target, DEFAULT_NODE_BUDGET)
     else:
-        best, _ = _enumerate_min(degrees, order.costs, target, node_budget)
+        best, _ = _enumerate_min(degrees, order.costs, target, DEFAULT_NODE_BUDGET)
     if best is None:
         return NO_REPRESENTATION
     return Fraction(best, order.den * k)
@@ -648,8 +649,7 @@ def _representable(degrees, target, failed, budget):
     return recurse(0, tuple(target)), nodes
 
 
-def stabilization_multiple(datum, valuation, x, k_max, support=None,
-                           node_budget=DEFAULT_NODE_BUDGET):
+def stabilization_multiple(datum, valuation, x, k_max, support=None):
     """Smallest k <= k_max with integer-level value equal to the LP value,
     or None when no such k exists within the bound.  Only the k with k*x
     an integer point, the multiples of x's common denominator, are tried.
@@ -673,9 +673,9 @@ def stabilization_multiple(datum, valuation, x, k_max, support=None,
     *z)``, so the answer is read off the basis with no search.  Otherwise
     (a degenerate tight set) a feasibility search over the tight
     generators (``_representable``) decides each k; the failed search
-    states are shared by every k of the query, and ``node_budget`` bounds
-    the nodes of the whole query, not of each k: BudgetExceeded when it
-    runs out.  Only such a query spends nodes.  A ``k_max`` that is not an
+    states are shared by every k of the query, and ``DEFAULT_NODE_BUDGET``
+    bounds the nodes of the whole query, not of each k: BudgetExceeded when
+    it runs out.  Only such a query spends nodes.  A ``k_max`` that is not an
     ``int`` (a float or a bool, too) raises TypeError, and ``k_max <= 0``
     ValueError.  The basis comes from ``order_function``, as in
     ``asymptotic_order``; ``support`` is accepted and not read.
@@ -694,7 +694,7 @@ def stabilization_multiple(datum, valuation, x, k_max, support=None,
         return k if k <= k_max else None
     degrees = [order.degrees[i] for i in tight]
     failed = set()
-    nodes = node_budget
+    nodes = DEFAULT_NODE_BUDGET
     for k in range(step, k_max + 1, step):
         found, nodes = _representable(degrees, [v * (k // step) for v in xs], failed, nodes)
         if found:

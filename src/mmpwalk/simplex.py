@@ -92,14 +92,15 @@ def _cost_row(costs, tableau, basis):
     return row
 
 
-def solve_min(A, b, c, pivot_cap=DEFAULT_PIVOT_CAP):
+def solve_min(A, b, c):
     """Minimize ``c.x`` over ``{A x = b, x >= 0}``.
 
     Entries are ``int``s or exact rationals; a float raises TypeError.
     Returns the ``Basis`` of a basic optimal solution, ``INFEASIBLE``, or
     ``UNBOUNDED``.  The solution is ``B^-1 b`` on the basic columns and zero
     elsewhere, and the value is ``dual . b``.  Raises BudgetExceeded when
-    the pivot cap runs out.
+    the Bland iterations of the two phases together need more than
+    ``DEFAULT_PIVOT_CAP`` pivots.
     """
     m = len(A)
     n = len(c)
@@ -111,7 +112,7 @@ def solve_min(A, b, c, pivot_cap=DEFAULT_PIVOT_CAP):
     ]
     basis = [n + i for i in range(m)]
     tableau.append(_cost_row([0] * n + [1] * m + [0], tableau, basis))
-    cap = _run(tableau, basis, range(n + m), pivot_cap)
+    cap = _run(tableau, basis, range(n + m), DEFAULT_PIVOT_CAP)
     if cap is UNBOUNDED:  # cannot happen: phase-1 objective is bounded below
         raise AssertionError("phase 1 unbounded")
     if tableau.pop()[-1] < 0:  # the negated phase-1 objective

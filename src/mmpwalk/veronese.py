@@ -100,7 +100,7 @@ def _splits(rep, parts, m, memo, counter):
     return result
 
 
-def veronese_degree(degrees, m_max, split_budget=DEFAULT_SPLIT_BUDGET):
+def veronese_degree(degrees, m_max):
     """Smallest multiple d of L = lcm(degrees) whose representations of d*m
     all split into m representations of d, for every m <= m_max.
 
@@ -110,13 +110,14 @@ def veronese_degree(degrees, m_max, split_budget=DEFAULT_SPLIT_BUDGET):
     (Bruns-Gubeladze-Trung), so c* = max(1, s - 2) is "proved" for every m
     with no search.  Each c < c* is searched for all m <= m_max ("bounded
     verification"), and BudgetExceeded ends the call when the splitting
-    enumeration blows up.  The first ``split_budget`` representations of
-    each candidate d are listed once, as the parts that every split shares
-    and the representations for m = 1; those of d*m for m > 1 are produced
-    only as the search consumes them.  A split call and every part it scans
-    cost one split node each, so ``split_budget`` bounds the work.  A
-    degree or an ``m_max`` that is not an ``int`` (a bool, too) raises
-    TypeError, and one ``<= 0`` ValueError.
+    enumeration blows up.  The first ``DEFAULT_SPLIT_BUDGET``
+    representations of each candidate d are listed once, as the parts that
+    every split shares and the representations for m = 1; those of d*m for
+    m > 1 are produced only as the search consumes them.  A split call and
+    every part it scans cost one split node each, so
+    ``DEFAULT_SPLIT_BUDGET`` bounds the work of each candidate.  A degree
+    or an ``m_max`` that is not an ``int`` (a bool, too) raises TypeError,
+    and one ``<= 0`` ValueError.
     """
     _check_level(m_max, "m_max")
     degrees = sorted(degrees)
@@ -128,8 +129,8 @@ def veronese_degree(degrees, m_max, split_budget=DEFAULT_SPLIT_BUDGET):
     proved = max(1, len(degrees) - 2)
     for mult in range(1, proved):
         d = mult * base
-        parts = list(itertools.islice(_representations(degrees, d), split_budget))
-        counter = [split_budget]
+        parts = list(itertools.islice(_representations(degrees, d), DEFAULT_SPLIT_BUDGET))
+        counter = [DEFAULT_SPLIT_BUDGET]
         memo = {}
         good = True
         for m in range(1, m_max + 1):
@@ -205,9 +206,9 @@ def _subgroup(generators, modulus):
     return group
 
 
-def _parallelepiped_points(basis, cell, budget):
+def _parallelepiped_points(basis, budget):
     """Nonzero lattice points of the half-open parallelepiped of a ray basis,
-    restricted to the cell, in lexicographic order.
+    in lexicographic order.
 
     With B the k x n basis matrix and S its pivot columns, the minor B_S is
     nonsingular, and a point t B with t in [0, 1)^k has integer S-coordinates
@@ -215,7 +216,9 @@ def _parallelepiped_points(basis, cell, budget):
     Z^k, which has |det B_S| elements.  Reducing [B | I] gives B_S^-1 with
     integer rows over their pivots, so the group is enumerated in integers
     over the lcm of the pivots, and a point is kept when all n of its
-    coordinates are integers (for k < n, not only those in S).
+    coordinates are integers (for k < n, not only those in S).  Each point
+    is a nonnegative combination of the basis, so it lies in every cell
+    whose rays include the basis, and no cell is asked.
 
     Cells live in the nonnegative orthant, so the points lie in the box
     [0, sum of basis vectors].  Its volume bounds |det B_S|, and a box over
@@ -244,9 +247,7 @@ def _parallelepiped_points(basis, cell, budget):
         z = [sum(ti * b[j] for ti, b in zip(t, basis)) for j in range(n)]
         if any(v % den for v in z) or not any(z):
             continue
-        z = tuple(v // den for v in z)
-        if cell.contains(z):
-            points.append(z)
+        points.append(tuple(v // den for v in z))
     return sorted(points)
 
 
@@ -257,7 +258,7 @@ def _ray_basis(cell):
     return [cell.rays[next(j for j, x in enumerate(row) if x)] for row in rows]
 
 
-def monoid_generators(cell, lattice_budget=DEFAULT_LATTICE_BUDGET):
+def monoid_generators(cell):
     """Bounded generating set for the cell's monoid of lattice points: the
     rays, then the lattice points of the half-open parallelepiped of a
     maximal independent subset of them, in lexicographic order.
@@ -265,14 +266,12 @@ def monoid_generators(cell, lattice_budget=DEFAULT_LATTICE_BUDGET):
     Exact for simplicial cells; for others the rays plus one
     parallelepiped's points are a bounded approximation.  The parallelepiped
     is enumerated as a finite group in |det| steps, but a cell whose
-    bounding box holds more than ``lattice_budget`` points still raises
+    bounding box holds more than ``DEFAULT_LATTICE_BUDGET`` points raises
     BudgetExceeded: the box volume bounds |det|, so the budget bounds the
-    work, and the same cells are skipped as when the box was scanned.
+    work.
     """
-    basis = _ray_basis(cell)
-    extra = _parallelepiped_points(basis, cell, lattice_budget)
-    gens = list(dict.fromkeys([tuple(r) for r in cell.rays] + extra))
-    return gens
+    extra = _parallelepiped_points(_ray_basis(cell), DEFAULT_LATTICE_BUDGET)
+    return list(dict.fromkeys([tuple(r) for r in cell.rays] + extra))
 
 
 def _exponent_vectors(count, depth):
@@ -287,12 +286,12 @@ def _exponent_vectors(count, depth):
             yield tuple(vec)
 
 
-def grid_additivity_check(datum, fan, depth=3, lattice_budget=DEFAULT_LATTICE_BUDGET):
+def grid_additivity_check(datum, fan, depth=3):
     """Verify order additivity on monoid-generator combinations of every
     cell of a chamber fan of ``datum``, for every tracked valuation.
 
     Per-cell problems (a box, or a grid of exponent vectors counted before
-    any is built, over ``lattice_budget``; more than
+    any is built, over ``DEFAULT_LATTICE_BUDGET``; more than
     ``MAX_MONOID_GENERATORS`` monoid generators, cut to the first that many)
     are reported, not fatal.  Each valuation's order function is the datum's
     one ``order_function``, shared with every other query on its LP data,
@@ -318,11 +317,11 @@ def grid_additivity_check(datum, fan, depth=3, lattice_budget=DEFAULT_LATTICE_BU
     report = GridReport()
     for ci, cell in enumerate(fan.cells):
         try:
-            gens = monoid_generators(cell, lattice_budget)
+            gens = monoid_generators(cell)
             truncated = len(gens) > MAX_MONOID_GENERATORS
             gens = gens[:MAX_MONOID_GENERATORS]
             count = comb(depth + len(gens), len(gens)) - 1
-            if count > lattice_budget:
+            if count > DEFAULT_LATTICE_BUDGET:
                 raise BudgetExceeded(f"grid has {shown(count)} exponent vectors")
         except BudgetExceeded as exc:
             for valuation in datum.valuations:

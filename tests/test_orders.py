@@ -206,9 +206,10 @@ def test_integer_order_rejects_nonpositive_level(blowup, k):
         integer_order(blowup, "E", (1, 1), k)
 
 
-def test_integer_order_budget(blowup):
+def test_integer_order_budget(blowup, monkeypatch):
+    monkeypatch.setattr(orders, "DEFAULT_NODE_BUDGET", 3)
     with pytest.raises(BudgetExceeded):
-        integer_order(blowup, "E", (30, 30), 12, node_budget=3)
+        integer_order(blowup, "E", (30, 30), 12)
 
 
 def test_fractional_vertex_stabilizes_at_three(fractional):
@@ -1422,7 +1423,7 @@ def test_stabilization_equals_minimising_loop_on_small_data(data, k_max):
             == _reference_stabilization(datum, "E", x, k_max))
 
 
-def test_stabilization_budget_bounds_the_whole_query(fractional):
+def test_stabilization_budget_bounds_the_whole_query(fractional, monkeypatch):
     # a generator of degree (4, 2) = 2 * (2, 1) and multiplicity 2 is tight
     # with (2, 1), so the tight generators are not the basic columns and the
     # levels are searched: levels 1 and 2 fail and level 3 succeeds, in 3, 6
@@ -1430,15 +1431,18 @@ def test_stabilization_budget_bounds_the_whole_query(fractional):
     # three together runs out
     extra = GeneratorDatum(multidegree=(4, 2), mults={"G": Fraction(2)})
     degenerate = replace(fractional, generators=fractional.generators + (extra,))
+    monkeypatch.setattr(orders, "DEFAULT_NODE_BUDGET", 8)
     with pytest.raises(BudgetExceeded):
-        stabilization_multiple(degenerate, "G", (1, 1), 12, node_budget=8)
-    assert stabilization_multiple(degenerate, "G", (1, 1), 12, node_budget=100) == 3
+        stabilization_multiple(degenerate, "G", (1, 1), 12)
+    monkeypatch.setattr(orders, "DEFAULT_NODE_BUDGET", 100)
+    assert stabilization_multiple(degenerate, "G", (1, 1), 12) == 3
 
 
-def test_nondegenerate_stabilization_spends_no_node(fractional):
+def test_nondegenerate_stabilization_spends_no_node(fractional, monkeypatch):
     # the tight generators (2, 1) and (1, 2) are the basic columns: level 3
     # is read off the basis, with no search
-    assert stabilization_multiple(fractional, "G", (1, 1), 12, node_budget=0) == 3
+    monkeypatch.setattr(orders, "DEFAULT_NODE_BUDGET", 0)
+    assert stabilization_multiple(fractional, "G", (1, 1), 12) == 3
 
 
 def _searched_stabilization(datum, valuation, x, k_max, support):

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from math import gcd
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -28,9 +29,9 @@ def _solution(A, b, c, basis):
     return sum(cj * xj for cj, xj in zip(c, x)), tuple(x)
 
 
-def _solve(A, b, c, **kwargs):
+def _solve(A, b, c):
     """``(value, x, basis)`` for an LP that has an optimum."""
-    basis = solve_min(A, b, c, **kwargs)
+    basis = solve_min(A, b, c)
     return (*_solution(A, b, c, basis), basis)
 
 
@@ -88,9 +89,10 @@ def test_negative_rhs_normalized():
     assert value == 6
 
 
-def test_pivot_cap_raises():
+def test_pivot_cap_raises(monkeypatch):
+    monkeypatch.setattr(simplex, "DEFAULT_PIVOT_CAP", 0)
     with pytest.raises(BudgetExceeded):
-        solve_min([[F(1), F(1)]], [F(3)], [F(1), F(2)], pivot_cap=0)
+        solve_min([[F(1), F(1)]], [F(3)], [F(1), F(2)])
 
 
 def test_solve_on_int_data_builds_no_fraction(monkeypatch):
@@ -282,9 +284,10 @@ def _reference_solve_min(A, b, c, pivot_cap=DEFAULT_PIVOT_CAP, pivots=None):
 
 
 def _solve_checking_ints(A, b, c, pivot_cap=DEFAULT_PIVOT_CAP):
-    """``solve_min`` with ``simplex._pivot`` wrapped: every tableau entry
-    must be an ``int`` before and after each pivot.  Returns the result, or
-    the raised BudgetExceeded, and the pivots (row, column) taken."""
+    """``solve_min`` with ``simplex.DEFAULT_PIVOT_CAP`` set to ``pivot_cap``
+    and ``simplex._pivot`` wrapped: every tableau entry must be an ``int``
+    before and after each pivot.  Returns the result, or the raised
+    BudgetExceeded, and the pivots (row, column) taken."""
     pivots = []
     original = simplex._pivot
 
@@ -294,13 +297,12 @@ def _solve_checking_ints(A, b, c, pivot_cap=DEFAULT_PIVOT_CAP):
         original(tableau, basis, row, col)
         assert all(type(v) is int for r in tableau for v in r)
 
-    simplex._pivot = pivot
-    try:
-        result = solve_min(A, b, c, pivot_cap)
-    except BudgetExceeded as exc:
-        result = exc
-    finally:
-        simplex._pivot = original
+    with patch.object(simplex, "_pivot", pivot), \
+            patch.object(simplex, "DEFAULT_PIVOT_CAP", pivot_cap):
+        try:
+            result = solve_min(A, b, c)
+        except BudgetExceeded as exc:
+            result = exc
     return result, pivots
 
 
@@ -434,7 +436,8 @@ def _assert_basis_certifies(A, b, c, basis):
 def test_basis_certifies_its_solution(lp):
     A, b, c, cap = lp
     try:
-        result = solve_min(A, b, c, cap)
+        with patch.object(simplex, "DEFAULT_PIVOT_CAP", cap):
+            result = solve_min(A, b, c)
     except BudgetExceeded:
         return
     if result not in (INFEASIBLE, UNBOUNDED):

@@ -23,6 +23,8 @@ from mmpwalk.errors import BudgetExceeded
 from mmpwalk.linalg import rank, solve_exact
 from mmpwalk.orders import OrderFunction
 from mmpwalk.veronese import (
+    DEFAULT_LATTICE_BUDGET,
+    DEFAULT_SPLIT_BUDGET,
     MAX_MONOID_GENERATORS,
     _exponent_vectors,
     _parallelepiped_points,
@@ -77,10 +79,11 @@ def test_rejects_non_int_degrees(degrees):
         veronese_degree(degrees, 3)
 
 
-def test_split_budget_exhaustion():
+def test_split_budget_exhaustion(monkeypatch):
     # four degrees: c = 1 is searched before the proved c = 2
+    monkeypatch.setattr(veronese, "DEFAULT_SPLIT_BUDGET", 1)
     with pytest.raises(BudgetExceeded):
-        veronese_degree([2, 3, 4, 6], 6, split_budget=1)
+        veronese_degree([2, 3, 4, 6], 6)
 
 
 def test_representations_enumeration():
@@ -97,7 +100,7 @@ def test_representations_are_produced_on_demand():
 
 def test_split_budget_caps_the_listing():
     # d = 2310 has 526,154,042 representations; only the first
-    # split_budget of them are listed before the budget runs out
+    # DEFAULT_SPLIT_BUDGET of them are listed before the budget runs out
     with pytest.raises(BudgetExceeded):
         veronese_degree([2, 3, 5, 7, 11], 1)
 
@@ -125,8 +128,9 @@ def test_split_budget_bounds_the_parts_scanned(monkeypatch):
 
     monkeypatch.setattr(veronese, "_splits", splits)
     assert len(list(_representations([2, 3, 5, 7], 210))) == 8276
+    monkeypatch.setattr(veronese, "DEFAULT_SPLIT_BUDGET", 20_000)
     with pytest.raises(BudgetExceeded):
-        veronese_degree([2, 3, 5, 7], 3, split_budget=20_000)
+        veronese_degree([2, 3, 5, 7], 3)
     assert 0 < read[0] <= 20_000
 
 
@@ -177,13 +181,15 @@ def _reference_veronese_degree(degrees, m_max, split_budget):
     raise AssertionError("no Veronese degree found")
 
 
-def _split_threshold(degrees, m_max):
-    """The least ``split_budget`` at which ``veronese_degree`` succeeds."""
-    lo, hi = 1, veronese.DEFAULT_SPLIT_BUDGET
+def _split_threshold(degrees, m_max, monkeypatch):
+    """The least ``DEFAULT_SPLIT_BUDGET`` at which ``veronese_degree``
+    succeeds."""
+    lo, hi = 1, DEFAULT_SPLIT_BUDGET
     while lo < hi:
         mid = (lo + hi) // 2
+        monkeypatch.setattr(veronese, "DEFAULT_SPLIT_BUDGET", mid)
         try:
-            veronese_degree(degrees, m_max, split_budget=mid)
+            veronese_degree(degrees, m_max)
             hi = mid
         except BudgetExceeded:
             lo = mid + 1
@@ -205,10 +211,11 @@ def test_veronese_degree_matches_reference_and_its_split_budget(degrees, monkeyp
 
     monkeypatch.setattr(veronese, "_splits", refuse)
     monkeypatch.setattr(veronese, "_representations", refuse)
+    monkeypatch.setattr(veronese, "DEFAULT_SPLIT_BUDGET", 1)
     for m_max in range(1, 5):
-        result = veronese_degree(degrees, m_max, split_budget=1)
+        result = veronese_degree(degrees, m_max)
         assert result == veronese.VeroneseResult(math.lcm(*degrees), m_max, "proved")
-        expected = _reference_veronese_degree(degrees, m_max, veronese.DEFAULT_SPLIT_BUDGET)
+        expected = _reference_veronese_degree(degrees, m_max, DEFAULT_SPLIT_BUDGET)
         assert result.d == expected.d
 
 
@@ -218,15 +225,14 @@ FOUR_DEGREE_SETS = [[2, 3, 4, 6], [2, 3, 6, 8], [3, 4, 6, 8], [1, 6, 10, 15]]
 
 
 @pytest.mark.parametrize("degrees", FOUR_DEGREE_SETS, ids=str)
-def test_four_degrees_match_reference_and_their_split_budget(degrees):
+def test_four_degrees_match_reference_and_their_split_budget(degrees, monkeypatch):
     for m_max in range(1, 4):
-        threshold = _split_threshold(degrees, m_max)
-        result = veronese_degree(degrees, m_max, split_budget=threshold)
+        threshold = _split_threshold(degrees, m_max, monkeypatch)
+        monkeypatch.setattr(veronese, "DEFAULT_SPLIT_BUDGET", threshold)
+        result = veronese_degree(degrees, m_max)
         if result.certified == "proved":
             # the reference searches c = 2 as well, with a budget of its own
-            expected = _reference_veronese_degree(
-                degrees, m_max, veronese.DEFAULT_SPLIT_BUDGET
-            )
+            expected = _reference_veronese_degree(degrees, m_max, DEFAULT_SPLIT_BUDGET)
             assert result == veronese.VeroneseResult(expected.d, m_max, "proved")
         else:
             assert result == _reference_veronese_degree(degrees, m_max, threshold)
@@ -289,10 +295,11 @@ def test_grid_additivity_rejects_a_depth_that_checks_nothing(depth, error):
         grid_additivity_check(datum, fan, depth=depth)
 
 
-def test_grid_additivity_budget_is_reported_not_fatal():
+def test_grid_additivity_budget_is_reported_not_fatal(monkeypatch):
     datum = builtin_examples()["blowup-P2"]
     fan = chamber_fan(datum)
-    report = grid_additivity_check(datum, fan, lattice_budget=1)
+    monkeypatch.setattr(veronese, "DEFAULT_LATTICE_BUDGET", 1)
+    report = grid_additivity_check(datum, fan)
     assert all(e.skipped for e in report.entries)
     assert report.ok()  # skips are not failures
 
@@ -315,27 +322,30 @@ def test_grid_over_budget_is_skipped_before_a_vector_is_built(monkeypatch):
         assert e.checks == []
 
 
-def test_grid_budget_counts_exponent_vectors():
+def test_grid_budget_counts_exponent_vectors(monkeypatch):
     # both cells of blowup-P2 have two generators: 9 vectors at depth 3, in
     # a box of 6 lattice points
     datum = builtin_examples()["blowup-P2"]
     fan = chamber_fan(datum)
-    fits = grid_additivity_check(datum, fan, depth=3, lattice_budget=9)
+    monkeypatch.setattr(veronese, "DEFAULT_LATTICE_BUDGET", 9)
+    fits = grid_additivity_check(datum, fan, depth=3)
     assert all(not e.skipped and len(e.checks) == 9 for e in fits.entries)
-    over = grid_additivity_check(datum, fan, depth=3, lattice_budget=8)
+    monkeypatch.setattr(veronese, "DEFAULT_LATTICE_BUDGET", 8)
+    over = grid_additivity_check(datum, fan, depth=3)
     assert all(e.skipped == "grid has 9 exponent vectors" for e in over.entries)
 
 
-def reference_grid_additivity(datum, fan, dscale, depth, lattice_budget):
+def reference_grid_additivity(datum, fan, dscale, depth):
     """The grid check as it was before order functions, kept as its
     reference: one ``asymptotic_order`` query per point, on ``Fraction``
-    points.  One tuple (cell, valuation, generators, skipped, truncated,
+    points, with the package's ``monoid_generators`` and its lattice
+    budget.  One tuple (cell, valuation, generators, skipped, truncated,
     checks) per entry, a check being (exponents, point, lhs, rhs)."""
     support = support_cone(datum)
     entries = []
     for ci, cell in enumerate(fan.cells):
         try:
-            gens = monoid_generators(cell, lattice_budget)
+            gens = monoid_generators(cell)
         except BudgetExceeded as exc:
             entries += [(ci, v, (), str(exc), False, []) for v in datum.valuations]
             continue
@@ -366,15 +376,16 @@ def _grid_case(name):
 
 @pytest.mark.parametrize("name", sorted(builtin_examples()) + ["corpus-2", "corpus-44"])
 @pytest.mark.parametrize("dscale, lattice_budget", [
-    (1, veronese.DEFAULT_LATTICE_BUDGET), (2, veronese.DEFAULT_LATTICE_BUDGET), (1, 300)
+    (1, DEFAULT_LATTICE_BUDGET), (2, DEFAULT_LATTICE_BUDGET), (1, 300)
 ])
-def test_grid_additivity_equals_reference(name, dscale, lattice_budget):
+def test_grid_additivity_equals_reference(name, dscale, lattice_budget, monkeypatch):
     # a budget of 300 lattice points skips some cells of corpus-2; the order
     # functions are homogeneous, so the reference on the grid scaled by
     # dscale gives the package's checks scaled by dscale
     datum = _grid_case(name)
     fan = chamber_fan(datum)
-    report = grid_additivity_check(datum, fan, 3, lattice_budget)
+    monkeypatch.setattr(veronese, "DEFAULT_LATTICE_BUDGET", lattice_budget)
+    report = grid_additivity_check(datum, fan, 3)
     got = [
         (e.cell_index, e.valuation, e.generators, e.skipped, e.truncated,
          [(c.exponents, tuple(dscale * x for x in c.point),
@@ -382,7 +393,7 @@ def test_grid_additivity_equals_reference(name, dscale, lattice_budget):
           for c in e.checks])
         for e in report.entries
     ]
-    assert got == reference_grid_additivity(datum, fan, dscale, 3, lattice_budget)
+    assert got == reference_grid_additivity(datum, fan, dscale, 3)
 
 
 @pytest.mark.parametrize("name", sorted(builtin_examples()) + ["corpus-2", "corpus-44"])
@@ -547,28 +558,31 @@ def ray_bases(draw):
 @example([(3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0), (0, 0, 0, 1)])
 @settings(max_examples=150, deadline=None)
 def test_parallelepiped_points_equal_the_box_scan(basis):
-    budget = veronese.DEFAULT_LATTICE_BUDGET
+    budget = DEFAULT_LATTICE_BUDGET
     cell = cone_from_rays(basis)
-    got = _parallelepiped_points(basis, cell, budget)
+    got = _parallelepiped_points(basis, budget)
     assert got == reference_parallelepiped_points(basis, cell, budget)
     assert all(type(x) is int for z in got for x in z)
     if len(basis) == len(basis[0]):
         assert len(got) == abs(_det(basis)) - 1
-    # the whole orthant holds the parallelepiped, so it cuts nothing away
+    # every point lies in the cone of the basis, so no cell whose rays
+    # include the basis cuts one away: the box scan restricted to the whole
+    # orthant finds the same points
+    assert all(cell.contains(z) for z in got)
     n = len(basis[0])
     orthant = cone_from_rays([tuple(int(i == j) for j in range(n)) for i in range(n)])
-    assert _parallelepiped_points(basis, orthant, budget) == got
+    assert reference_parallelepiped_points(basis, orthant, budget) == got
 
 
 def test_lower_dimensional_basis_keeps_only_lattice_points():
     # B_S = 2I on the first two coordinates: of the 4 group elements only
-    # t = (1/2, 1/2) gives a point with an integer third coordinate.  The
-    # orthant, unlike the cone of the basis, has no equation that would
-    # reject the other points' roundings as well
+    # t = (1/2, 1/2) gives a point with an integer third coordinate.  No
+    # cell is asked, so the integrality test alone rejects the other points'
+    # roundings, which the box scan restricted to the orthant rejects too
     basis = [(2, 0, 1), (0, 2, 1)]
     orthant = cone_from_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    for cell in (cone_from_rays(basis), orthant):
-        assert _parallelepiped_points(basis, cell, 20_000) == [(1, 1, 1)]
+    assert _parallelepiped_points(basis, 20_000) == [(1, 1, 1)]
+    assert reference_parallelepiped_points(basis, orthant, 20_000) == [(1, 1, 1)]
 
 
 def test_enumeration_makes_no_exact_solve(monkeypatch):
@@ -578,18 +592,19 @@ def test_enumeration_makes_no_exact_solve(monkeypatch):
     monkeypatch.setattr(linalg, "solve_exact", refuse)
     monkeypatch.setattr(veronese, "solve_exact", refuse, raising=False)
     basis = [(1, 2, 0), (0, 1, 2), (2, 0, 1)]
-    assert len(_parallelepiped_points(basis, cone_from_rays(basis), 20_000)) == 8
+    assert len(_parallelepiped_points(basis, 20_000)) == 8
     for datum in builtin_examples().values():
         for cell in chamber_fan(datum).cells:
             monoid_generators(cell)
 
 
-def test_box_over_budget_raises_with_its_volume():
+def test_box_over_budget_raises_with_its_volume(monkeypatch):
     basis = [(1, 0), (1, 9)]  # box [0, 2] x [0, 9]: 30 points
     cell = cone_from_rays(basis)
     with pytest.raises(BudgetExceeded, match=r"^parallelepiped box has 30 lattice points$"):
-        _parallelepiped_points(basis, cell, 29)
-    assert len(_parallelepiped_points(basis, cell, 30)) == 8
+        _parallelepiped_points(basis, 29)
+    assert len(_parallelepiped_points(basis, 30)) == 8
+    monkeypatch.setattr(veronese, "DEFAULT_LATTICE_BUDGET", 29)
     with pytest.raises(BudgetExceeded, match=r"^parallelepiped box has 30 lattice points$"):
-        monoid_generators(cell, lattice_budget=29)
+        monoid_generators(cell)
 
