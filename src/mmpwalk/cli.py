@@ -154,9 +154,9 @@ def cmd_veronese(cfg):
     if not cfg.degrees:
         raise ParseError("--degrees is required, e.g. --degrees 2,3")
     try:
-        degrees = [int(p) for p in cfg.degrees.split(",")]
-    except ValueError:
-        raise ParseError(f"bad --degrees {cfg.degrees!r}")
+        degrees = [serialize.int_from_str(p) for p in cfg.degrees.split(",")]
+    except ParseError:
+        raise ParseError(f"bad --degrees {cfg.degrees!r}") from None
     try:
         result = veronese_degree(degrees, cfg.m_max)
     except ValueError as exc:

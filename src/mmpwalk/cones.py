@@ -210,10 +210,15 @@ class PolyCone:
         return self.ambient_dim - len(self.equations)
 
     def contains(self, x, strict=False):
+        """Whether the cone holds the point ``x``, in its relative interior
+        when ``strict``.  An entry not exact by ``linalg``'s rule, a bool
+        too, raises TypeError, as in ``cone_from_rays``."""
         if len(x) != self.ambient_dim:
             raise DimensionError(
                 f"point has dimension {len(x)}, cone is in dimension {self.ambient_dim}"
             )
+        if not _EXACT_TYPES.issuperset(map(type, x)):
+            raise TypeError(f"point {tuple(x)!r} is not exact")
         for eq in self.equations:
             if dot(eq, x) != 0:
                 return False
@@ -274,10 +279,12 @@ def _assemble(generators, n):
     return PolyCone(n, rays, tuple(facets), equations)
 
 
-def cone_from_rays(rays):
-    """Cone generated by the given vectors, reduced to extreme primitive rays.
-    An entry not exact by ``linalg``'s rule, a bool too, raises TypeError."""
-    rays = list(rays)
+def _check_generators(rays):
+    """The common length of the vectors ``rays``, a list or a tuple, by the
+    one generator rule, which ``cone_from_rays`` and ``orders.OrderFunction``
+    both apply.  No vector raises InvalidCone, vectors of mixed lengths
+    DimensionError, an entry not exact by ``linalg``'s rule, a bool too,
+    TypeError, and only zero vectors InvalidCone, in that order."""
     if not rays:
         raise InvalidCone("no generators given")
     n = len(rays[0])
@@ -288,7 +295,14 @@ def cone_from_rays(rays):
             raise TypeError(f"generator {r!r} is not exact")
     if all(is_zero(r) for r in rays):
         raise InvalidCone("all generators are zero")
-    return _assemble(rays, n)
+    return n
+
+
+def cone_from_rays(rays):
+    """Cone generated by the given vectors, reduced to extreme primitive
+    rays, once they pass ``_check_generators``."""
+    rays = list(rays)
+    return _assemble(rays, _check_generators(rays))
 
 
 def _lines_and_rays(cone):

@@ -51,8 +51,8 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import is_, mul
 
-from .cones import (PolyCone, _columns, _dd, _maximal, common_refinement,
-                    hyperplane_refinement, make_fan)
+from .cones import (PolyCone, _check_generators, _columns, _dd, _maximal,
+                    common_refinement, hyperplane_refinement, make_fan)
 from .errors import (BudgetExceeded, DimensionError, InconsistentInput, InvalidCone,
                      OutsideSupport)
 from .linalg import (_EXACT_TYPES, _INT_TYPES, clear_denominators, dot, is_zero,
@@ -172,9 +172,8 @@ def order_function(datum, valuation):
     the integer degrees and the multiplicities, read by ``_mults`` and
     checked by ``_check_exact`` on a miss.  The key holds the
     multiplicities as (numerator, denominator) pairs, so an ``int`` and an
-    equal ``Fraction`` share one function.  No generators, or only zero
-    degrees, raise InvalidCone, and multidegrees of mixed lengths
-    DimensionError.
+    equal ``Fraction`` share one function.  Building a function checks the
+    degrees by ``OrderFunction``'s generator rule.
 
     Every call reads the multiplicities again, since a dict changes in
     place.  A call whose generators tuple is the held one and whose every
@@ -226,18 +225,17 @@ class OrderFunction:
     from the one basis that ``_find`` finds optimal there, kept or newly
     solved, so they keep the bases alike.  A point outside the closed
     support cone raises OutsideSupport from each, and a point of another
-    dimension DimensionError.
+    dimension DimensionError.  The degrees pass ``cones._check_generators``,
+    the one generator rule, which ``cone_from_rays`` reads too: no
+    degrees, or only zero ones, raise InvalidCone, degrees of mixed lengths
+    DimensionError, and an entry not exact by ``linalg``'s rule, such as a
+    bool or a float, TypeError.
     """
 
     __slots__ = ("degrees", "costs", "den", "bases")
 
     def __init__(self, degrees, ratios):
-        if not degrees:
-            raise InvalidCone("no generators given")
-        if any(len(d) != len(degrees[0]) for d in degrees):
-            raise DimensionError("generators have mixed dimensions")
-        if not any(map(any, degrees)):
-            raise InvalidCone("all generators are zero")
+        _check_generators(degrees)
         self.degrees = degrees
         self.den = den = lcm(*[d for _, d in ratios])
         self.costs = tuple([n * (den // d) for n, d in ratios])

@@ -4,13 +4,17 @@ The package reads one document, the ring datum (``ring_from_json``), and
 writes four: the cone, fan, ring and trace documents.  Rationals travel
 as "p/q" strings (plain "p" for integers) so exactness survives
 serialization; a decimal such as "1.5" is read too, but no exponent
-notation and no "_" digit separator.  Only an ``int`` or a ``Fraction``
-is written as one, and a float raises TypeError.  All collections are
-emitted in canonical order so identical inputs give byte-identical
-documents.  ``dumps`` writes a document as ``json.dumps(doc, indent=2,
-sort_keys=True)`` does, byte for byte, but writes strs, ints, lists and
-str-keyed dicts itself, since ``json`` runs its pure-Python encoder
-whenever ``indent`` is set.
+notation and no "_" digit separator.  The integer fields, ``r`` and the
+``deg`` entries, are read by the same rule (``int_from_str``), a JSON
+integer as it is, and must be integers.  Every array field must be a
+JSON array, every name a JSON string and each generator's ``mults`` a
+JSON object, by the one type reader ``_from_json``.  Only an ``int`` or
+a ``Fraction`` is written as one, and a float raises TypeError.  All
+collections are emitted in canonical order so identical inputs give
+byte-identical documents.  ``dumps`` writes a document as
+``json.dumps(doc, indent=2, sort_keys=True)`` does, byte for byte, but
+writes strs, ints, lists and str-keyed dicts itself, since ``json`` runs
+its pure-Python encoder whenever ``indent`` is set.
 """
 
 import json
@@ -44,36 +48,16 @@ def rat_to_str(x):
     raise TypeError(f"{x!r} is not exact: write an int or a Fraction")
 
 
-def _reject_float(x):
-    # a JSON float is a binary approximation: never coerce it to an exact value
-    if isinstance(x, (bool, float)):
-        raise ParseError(f"{x!r} is not exact: write an integer or a \"p/q\" string")
+# the Python types that each JSON type read as a field arrives in
+_JSON_TYPES = {"string": str, "array": (list, tuple), "object": dict}
 
 
-def _int_from_json(x):
-    _reject_float(x)
-    try:
-        return int(x)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad integer {x!r}: {exc}") from None
-
-
-def _str_from_json(x):
-    if not isinstance(x, str):
-        raise ParseError(f"bad string {x!r}: expected a JSON string")
-    return x
-
-
-def _list_from_json(x):
-    # a JSON string is iterable too: never read it as a list of characters
-    if not isinstance(x, (list, tuple)):
-        raise ParseError(f"bad array {x!r}: expected a JSON array")
-    return x
-
-
-def _obj_from_json(x):
-    if not isinstance(x, dict):
-        raise ParseError(f"bad object {x!r}: expected a JSON object")
+def _from_json(x, kind):
+    """``x`` when it is of the JSON type ``kind``, one of ``_JSON_TYPES``,
+    or ParseError: a JSON string is iterable too, so it is never read as an
+    array of characters."""
+    if not isinstance(x, _JSON_TYPES[kind]):
+        raise ParseError(f"bad {kind} {x!r}: expected a JSON {kind}")
     return x
 
 
@@ -86,7 +70,9 @@ def rat_from_str(s):
     not on 3.10.  A string of decimal digits with at most a sign, as most
     entries of a document are, is read by ``int`` without ``Fraction``'s
     regular expression; both read such a string alike."""
-    _reject_float(s)
+    if isinstance(s, (bool, float)):
+        # a JSON float is a binary approximation: never coerce it to an exact value
+        raise ParseError(f"{s!r} is not exact: write an integer or a \"p/q\" string")
     try:
         if type(s) is str and (s[1:] if s[:1] in ("-", "+") else s).isdecimal():
             return Fraction(int(s))
@@ -99,12 +85,24 @@ def rat_from_str(s):
         raise ParseError(f"bad rational literal {s!r}: {exc}") from None
 
 
+def int_from_str(s):
+    """The integer that ``s`` writes: an ``int`` as it is, and anything
+    else by ``rat_from_str``'s rule, whose value must have denominator 1,
+    or ParseError."""
+    if type(s) is int:
+        return s
+    q = rat_from_str(s)
+    if q.denominator != 1:
+        raise ParseError(f"bad integer {s!r}: not an integer")
+    return q.numerator
+
+
 def vec_to_json(v):
     return [rat_to_str(x) for x in v]
 
 
 def vec_from_json(v):
-    return tuple(rat_from_str(x) for x in _list_from_json(v))
+    return tuple(rat_from_str(x) for x in _from_json(v, "array"))
 
 
 def matrix_to_json(m):
@@ -112,7 +110,7 @@ def matrix_to_json(m):
 
 
 def matrix_from_json(m):
-    return tuple(vec_from_json(row) for row in _list_from_json(m))
+    return tuple(vec_from_json(row) for row in _from_json(m, "array"))
 
 
 def cone_to_json(cone):
@@ -151,9 +149,9 @@ def nef_from_json(doc, matrix, n):
     if _map_shape(matrix, n) is not None:
         return None
     if "rays" in doc:
-        return cone_from_rays([vec_from_json(r) for r in doc["rays"]])
+        return cone_from_rays(matrix_from_json(doc["rays"]))
     if "ineqs" in doc:
-        return cone_from_halfspaces([vec_from_json(f) for f in doc["ineqs"]], len(matrix))
+        return cone_from_halfspaces(matrix_from_json(doc["ineqs"]), len(matrix))
     raise ParseError("nef cone needs either 'rays' or 'ineqs'")
 
 
@@ -192,31 +190,32 @@ def ring_to_json(datum, segment_h=None):
 
 def ring_from_json(doc):
     try:
-        r = _int_from_json(doc["r"])
+        r = int_from_str(doc["r"])
         n = r + 1
         generators = tuple(
             GeneratorDatum(
-                multidegree=tuple(_int_from_json(x) for x in _list_from_json(g["deg"])),
+                multidegree=tuple(int_from_str(x) for x in _from_json(g["deg"], "array")),
                 mults={
-                    name: rat_from_str(v) for name, v in _obj_from_json(g["mults"]).items()
+                    name: rat_from_str(v) for name, v in _from_json(g["mults"], "object").items()
                 },
             )
-            for g in doc["generators"]
+            for g in _from_json(doc["generators"], "array")
         )
         numerical = matrix_from_json(doc["numerical_map"])
         nef = None
         if "nef" in doc:
             nef = nef_from_json(doc["nef"], numerical, n)
         pushforwards = []
-        for pf in doc.get("pushforwards", []):
+        for pf in _from_json(doc.get("pushforwards", []), "array"):
             pf_matrix = matrix_from_json(pf["map"])
             pushforwards.append(PushforwardDatum(
-                model_id=_str_from_json(pf["model_id"]),
+                model_id=_from_json(pf["model_id"], "string"),
                 matrix=pf_matrix,
                 nef=nef_from_json(pf["nef"], pf_matrix, n),
             ))
         if "labels" in doc:
-            labels = tuple(_str_from_json(label) for label in _list_from_json(doc["labels"]))
+            labels = tuple(_from_json(label, "string")
+                           for label in _from_json(doc["labels"], "array"))
         elif n <= max((len(g.multidegree) for g in generators), default=0):
             labels = tuple(f"D{i}" for i in range(n))
         else:
@@ -228,7 +227,7 @@ def ring_from_json(doc):
             labels=labels,
             generators=generators,
             valuations=tuple(
-                _str_from_json(v) for v in _list_from_json(doc.get("valuations", []))
+                _from_json(v, "string") for v in _from_json(doc.get("valuations", []), "array")
             ),
             numerical=numerical,
             nef=nef,

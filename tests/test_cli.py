@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from mmpwalk import InstanceSpec, builtin_examples, random_instance
 from mmpwalk import cli
 from mmpwalk.cli import main
+from mmpwalk.cones import make_fan
 from mmpwalk.errors import SupportMismatch
 from mmpwalk import orders
 from mmpwalk.orders import OrderFunction
@@ -464,6 +465,19 @@ def test_veronese_requires_degrees(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("degrees", ["1_0,3", "2.5,3", "2e0,3", "2,x", "2,"])
+def test_degrees_are_read_by_the_integer_literal_rule(capsys, degrees):
+    # int() read "1_0" as 10, where the literal rule rejects a "_" separator
+    code, out, err = run(capsys, "veronese", "--degrees", degrees)
+    assert (code, out, err) == (2, "", f"error: bad --degrees {degrees!r}\n")
+    assert run(capsys, "veronese", "--degrees", "+2, 3") == run(capsys, "veronese",
+                                                               "--degrees", "2,3")
+
+
+def test_input_or_example_is_required(capsys):
+    assert run(capsys, "decompose") == (2, "", "error: either --input or --example is required\n")
+
+
 def test_check_passes_on_example(capsys):
     code, out, _ = run(capsys, "check", "--example", "blowup-P2")
     assert code == 0
@@ -522,6 +536,50 @@ def test_check_skips_a_grid_over_the_lattice_budget(capsys):
     code, out, _ = run(capsys, "check", "--example", "blowup-P2", "--grid-depth", "5000")
     assert code == 0
     assert "note: grid additivity: 2 cell/valuation pairs, 2 skipped\n" in out
+
+
+def _chamber_fan_with(cells):
+    """A ``chamber_fan`` whose fan holds the (cell, label) pairs that
+    ``cells`` picks from the real fan."""
+    real = cli.chamber_fan
+
+    def chamber_fan(datum, refine=True):
+        fan = real(datum, refine=refine)
+        pairs = cells(fan)
+        return make_fan([c for c, _ in pairs], fan.support, [l for _, l in pairs])
+
+    return chamber_fan
+
+
+def test_check_reports_a_cell_missing_from_the_partition(monkeypatch, capsys):
+    # one of blowup-P2's two cells dropped: sampled points of the other lie in no cell
+    monkeypatch.setattr(cli, "chamber_fan",
+                        _chamber_fan_with(lambda fan: list(zip(fan.cells, fan.labels))[:1]))
+    code, out, _ = run(capsys, "check", "--example", "blowup-P2")
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("FAIL: ")]
+    assert fails and all(line.startswith("FAIL: partition: point [") for line in fails)
+    assert "FAIL: partition: point [6, 5] in 0 cells, 0 interiors" in fails
+    assert out.endswith("result: FAIL\n")
+
+
+def test_check_reports_a_grid_additivity_failure(monkeypatch, capsys):
+    # blowup-P2's two cells merged into the support cell, which the order
+    # function is not additive on
+    monkeypatch.setattr(cli, "chamber_fan",
+                        _chamber_fan_with(lambda fan: [(fan.support, fan.labels[0])]))
+    code, out, _ = run(capsys, "check", "--example", "blowup-P2")
+    assert code == 1
+    assert "FAIL: grid additivity: exponents (1, 1) at [1, 1]\n" in out
+    assert out.endswith("result: FAIL\n")
+
+
+def test_oracle_reports_an_enumeration_below_the_lp(monkeypatch, capsys):
+    # an enumeration value below the LP value contradicts LP duality
+    monkeypatch.setattr(cli, "_o_values",
+                        lambda datum, valuation, x, levels, budget: ([-1 for _ in levels], budget))
+    code, out, _ = run(capsys, "oracle", "--example", "blowup-P2", "--point", "2,1")
+    assert (code, out) == (1, "FAIL E at 2,1: enumeration below LP\n")
 
 
 def test_oracle_requires_points(capsys):

@@ -181,6 +181,10 @@ def test_zero_dim_from_opposing_halfspaces():
     assert cone.rays == ()
     assert cone.contains((0, 0))
     assert not cone.contains((1, 0))
+    # the zero cone's relative interior is the origin itself
+    assert cone.contains((0, 0), strict=True)
+    assert not cone.contains((1, 0), strict=True)
+    assert not cone.contains((0, Fraction(-1, 2)), strict=True)
 
 
 def test_lineality_from_halfspaces():
@@ -200,6 +204,19 @@ def test_contains_strict_and_dimension_check():
     assert cone.contains((1, 0)) and not cone.contains((1, 0), strict=True)
     with pytest.raises(DimensionError):
         cone.contains((1, 0, 0))
+
+
+@pytest.mark.parametrize("point", [(0.1 + 0.2, 0.3), (True, 1), (1.0, 1)],
+                         ids=["float-sum", "bool", "integral-float"])
+def test_contains_takes_only_exact_entries(point):
+    # 0.1 + 0.2 is a little over 0.3, so the float point was strictly
+    # inside; the exact (3/10, 3/10) lies on the facet (1, -1)
+    cone = cone_from_rays([(1, 0), (1, 1)])
+    assert (1, -1) in cone.facets
+    assert not cone.contains((Fraction(3, 10), Fraction(3, 10)), strict=True)
+    for strict in (False, True):
+        with pytest.raises(TypeError, match="not exact"):
+            cone.contains(point, strict=strict)
 
 
 def test_relative_interior_point_is_strictly_inside():

@@ -1142,6 +1142,28 @@ def test_malformed_generator_data_raise_before_any_query(blowup, query):
     mixed = (GeneratorDatum((1, 0, 0), {"E": Fraction(1)}),) + blowup.generators[1:]
     with pytest.raises(DimensionError):
         query(replace(blowup, generators=mixed))
+    for degree in ((1.5, 0), (True, 0)):
+        # the key of (True, 0) equals that of (1, 0): build the function afresh
+        orders.forget_order_functions()
+        inexact = (GeneratorDatum(degree, blowup.generators[0].mults),) + blowup.generators[1:]
+        with pytest.raises(TypeError, match="not exact"):
+            query(replace(blowup, generators=inexact))
+
+
+@pytest.mark.parametrize("degrees, error, message", [
+    ((), InvalidCone, "no generators given"),
+    (((1, 0), (0, 1, 0)), DimensionError, "mixed dimensions"),
+    (((1, 0), (0.5, 1)), TypeError, r"generator \(0\.5, 1\) is not exact"),
+    (((1, 0), (0, True)), TypeError, r"generator \(0, True\) is not exact"),
+    (((0, 0), (0, 0)), InvalidCone, "all generators are zero"),
+])
+def test_order_functions_and_cones_share_one_generator_rule(degrees, error, message):
+    # OrderFunction checked no exactness: a bool or float degree was read
+    # as the number it equals
+    with pytest.raises(error, match=message):
+        cone_from_rays(degrees)
+    with pytest.raises(error, match=message):
+        orders.OrderFunction(degrees, tuple((1, 1) for _ in degrees))
 
 
 @pytest.mark.parametrize("query", [

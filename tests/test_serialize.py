@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -19,6 +20,7 @@ from mmpwalk.serialize import (
     cone_to_json,
     dumps,
     fan_to_json,
+    int_from_str,
     loads,
     rat_from_str,
     rat_to_str,
@@ -340,6 +342,54 @@ def test_strings_are_not_read_as_arrays(monkeypatch, capsys, path, value):
     assert main(["decompose", "--input", "-"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [(("pushforwards",), {}, "bad array {}"), (("nef",), {"ineqs": {}}, "bad array {}"),
+     (("nef",), {"rays": {}}, "bad array {}"), (("generators",), {}, "bad array {}"),
+     (("generators", 0, "deg"), ["1_0", "1"], "'1_0'"),
+     (("generators", 0, "deg"), ["1/2", "1"], "bad integer '1/2'"),
+     (("r",), "1e0", "'1e0'"), (("r",), "1/2", "bad integer '1/2'"),
+     (("segment",), {}, "malformed segment")],
+    ids=["object-pushforwards", "object-nef-ineqs", "object-nef-rays", "object-generators",
+         "separator-degree", "fraction-text-degree", "exponent-rank", "fraction-text-rank",
+         "segment-without-h"],
+)
+def test_every_array_and_integer_field_is_read_by_one_rule(monkeypatch, capsys, path, value,
+                                                           message):
+    # an object was iterated as an empty array: "pushforwards" and "ineqs"
+    # exited 0, and the empty ineqs made every chamber nef; "generators"
+    # exited 3 as no-generators; int() read "1_0" as 10
+    doc = loads(dumps(ring_to_json(builtin_examples()["blowup-P2"], segment_h=(0, 1))))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ParseError, match=re.escape(message)):
+        ring_from_json(doc)
+    for command in ("decompose", "walk"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(dumps(doc)))
+        assert main([command, "--input", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+
+
+def test_integer_text_is_read_as_the_integer_it_writes():
+    # integer text takes rat_from_str's literal rule; a JSON int is kept as it is
+    doc = _blowup_doc()
+    doc["r"] = "1"
+    doc["generators"][0]["deg"] = ["+1", "0"]
+    datum, _ = ring_from_json(doc)
+    assert datum == ring_from_json(_blowup_doc())[0]
+    assert type(datum.r) is int
+    assert all(type(x) is int for x in datum.generators[0].multidegree)
+    assert int_from_str(10**30) == 10**30
+    for bad in (True, 2.0, "1_0", "2e1", "3/2", "x", ""):
+        with pytest.raises(ParseError):
+            int_from_str(bad)
 
 
 def test_ring_without_numerical_map_is_not_written():

@@ -1,5 +1,6 @@
 """Segment walks, nef classification, trace emission."""
 
+import io
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -10,6 +11,7 @@ import pytest
 from mmpwalk import (
     DimensionError,
     InconsistentInput,
+    InstanceSpec,
     MissingNefData,
     NonGenericSegment,
     OutsideSupport,
@@ -21,9 +23,11 @@ from mmpwalk import (
     order_chambers,
     random_instance,
 )
-from mmpwalk.cones import cone_from_rays
+from mmpwalk.cli import main
+from mmpwalk.cones import cone_from_rays, make_fan
 from mmpwalk.linalg import clear_denominators, dot, mat_apply
 from mmpwalk.ring import PushforwardDatum, RingDatum, support_cone, validate
+from mmpwalk.serialize import dumps, ring_to_json
 from mmpwalk.walk import ChamberWalk, NefClassification, _segment_interval
 
 from corpus import corpus_spec
@@ -241,6 +245,61 @@ def test_pushforward_not_covering_next_chamber_raises(blowup, blowup_fan):
     walk = order_chambers(blowup_fan, make_segment((0, 1), grading_dim=2))
     with pytest.raises(InconsistentInput):
         classify_nef(walk, datum)
+
+
+IDENTITY = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+
+
+def test_pushforward_chain_shorter_than_the_walk(monkeypatch, capsys):
+    # a walk through three chambers, the first nef on the datum and the
+    # second on the one pushforward: the third has no model to be nef on
+    datum = random_instance(InstanceSpec(1, 6, 2, 4, 1))
+    walk = order_chambers(chamber_fan(datum), make_segment((0, 1), grading_dim=2))
+    assert walk.length == 3
+    pf = PushforwardDatum(model_id="M2", matrix=IDENTITY, nef=walk.cells[1])
+    datum = replace(datum, numerical=IDENTITY, nef=walk.cells[0], pushforwards=(pf,))
+    with pytest.raises(MissingNefData, match="pushforward chain ended before the walk did"):
+        classify_nef(walk, datum)
+    monkeypatch.setattr("sys.stdin", io.StringIO(dumps(ring_to_json(datum, segment_h=(0, 1)))))
+    assert main(["walk", "--input", "-"]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: pushforward chain ended before the walk did\n")
+
+
+def test_nef_chambers_must_be_an_initial_block(blowup, blowup_fan):
+    # the nef cone holds the first and the last chamber of the walk, not
+    # the one between them
+    walk = order_chambers(blowup_fan, make_segment((0, 1), grading_dim=2))
+    first, second = walk.cells
+    half = Fraction(1, 2)
+    broken = ChamberWalk((0, 1, 0), (first, second, first),
+                         ((0, half), (half, half), (half, 1)), walk.crossings * 2)
+    datum = replace(blowup, numerical=IDENTITY, nef=first, pushforwards=())
+    with pytest.raises(InconsistentInput, match="nef chambers are not an initial block"):
+        classify_nef(broken, datum)
+
+
+QUADRANT = cone_from_rays([(1, 0), (0, 1)])
+
+
+@pytest.mark.parametrize("cells, error, message", [
+    # the segment from (0, 1) to (1, 0) runs through (t, 1 - t)
+    ([], OutsideSupport, "segment does not meet any chamber"),
+    # x >= y only from t = 1/2 on
+    ([[(1, 0), (1, 1)]], InconsistentInput, "chamber intervals do not cover the segment"),
+    # x <= y / 2 up to t = 1/3 and x >= y from t = 1/2 on: a gap between them
+    ([[(0, 1), (1, 2)], [(1, 0), (1, 1)]], InconsistentInput,
+     "chamber intervals do not partition the segment"),
+    # x <= y up to t = 1/2 and x >= y / 2 from t = 1/3 on: an overlap
+    ([[(0, 1), (1, 1)], [(1, 0), (1, 2)]], InconsistentInput,
+     "chamber intervals do not partition the segment"),
+], ids=["no-cells", "uncovered-start", "gap", "overlap"])
+def test_order_chambers_rejects_cells_that_do_not_partition_the_segment(cells, error,
+                                                                        message):
+    fan = make_fan([cone_from_rays(rays) for rays in cells], QUADRANT)
+    with pytest.raises(error, match=message):
+        order_chambers(fan, make_segment((0, 1), grading_dim=2))
 
 
 def test_trace_single_step(blowup, blowup_fan):
