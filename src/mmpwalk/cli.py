@@ -337,6 +337,17 @@ COMMANDS = {
 }
 
 
+def _int_option(text):
+    """An integer option read by ``serialize.int_from_str``'s literal rule,
+    as ``--degrees`` is.  argparse reports only a ValueError, TypeError or
+    ArgumentTypeError raised here as a usage error (exit 2), so the rule's
+    ParseError becomes an ArgumentTypeError."""
+    try:
+        return serialize.int_from_str(text)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="mmpwalk",
@@ -346,16 +357,16 @@ def build_parser():
     parser.add_argument("--input", "-i", default="")
     parser.add_argument("--output", "-o", default="")
     parser.add_argument("--format", choices=["json", "text"], default="json")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--k-max", type=int, default=12)
-    parser.add_argument("--grid-depth", type=int, default=3)
-    parser.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
+    parser.add_argument("--seed", type=_int_option, default=0)
+    parser.add_argument("--k-max", type=_int_option, default=12)
+    parser.add_argument("--grid-depth", type=_int_option, default=3)
+    parser.add_argument("--budget", type=_int_option, default=DEFAULT_NODE_BUDGET,
                         help="enumeration nodes of the whole command; bounds only oracle")
     parser.add_argument("--example", default="")
     parser.add_argument("--h", default="", help="segment endpoint, e.g. '0,1'")
     parser.add_argument("--point", action="append", dest="points", default=[])
     parser.add_argument("--degrees", default="", help="e.g. '2,3' for veronese")
-    parser.add_argument("--m-max", type=int, default=6)
+    parser.add_argument("--m-max", type=_int_option, default=6)
     refine = parser.add_mutually_exclusive_group()
     refine.add_argument("--refine", dest="refine", action="store_true", default=True)
     refine.add_argument("--no-refine", dest="refine", action="store_false")

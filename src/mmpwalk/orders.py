@@ -48,6 +48,7 @@ which witness is returned depends on the earlier queries of the process.
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import chain
 from math import gcd, lcm
 from operator import is_, mul
 
@@ -173,7 +174,10 @@ def order_function(datum, valuation):
     checked by ``_check_exact`` on a miss.  The key holds the
     multiplicities as (numerator, denominator) pairs, so an ``int`` and an
     equal ``Fraction`` share one function.  Building a function checks the
-    degrees by ``OrderFunction``'s generator rule.
+    degrees by ``OrderFunction``'s generator rule, and a miss scans their
+    entry types before the lookup: a bool or a float hashes as the ``int``
+    it equals, so a degree with one raises by the rule, TypeError, however
+    warm the cache.
 
     Every call reads the multiplicities again, since a dict changes in
     place.  A call whose generators tuple is the held one and whose every
@@ -189,10 +193,12 @@ def order_function(datum, valuation):
     if held is not None and held[0] is generators and all(map(is_, mults, held[1])):
         return held[2]
     _check_exact(mults, valuation)
-    function = _order_functions(
-        tuple([tuple(g.multidegree) for g in generators]),
-        tuple([m.as_integer_ratio() for m in mults]),
-    )
+    degrees = tuple([tuple(g.multidegree) for g in generators])
+    if not _EXACT_TYPES.issuperset(map(type, chain.from_iterable(degrees))):
+        # a bool or float degree keys as the int it equals, so a cached
+        # function would answer it: the generator rule raises here instead
+        _check_generators(degrees)
+    function = _order_functions(degrees, tuple([m.as_integer_ratio() for m in mults]))
     exact = type(generators) is tuple
     for g in generators:  # every miss runs it: a plain loop, not ``all`` over a generator
         if type(g.multidegree) is not tuple:

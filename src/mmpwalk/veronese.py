@@ -10,16 +10,18 @@ verification), else the proved one, is returned.
 ``grid_additivity_check`` cross-checks the chamber fan: on every cell the
 order functions are linear, so the order of a nonnegative integer
 combination of the cell's monoid generators must equal the matching
-combination of the generators' orders.  Each order is asked of the LP once
-per valuation and distinct point in a call, however many cells share the
-point.  Any failure points at a bug in the fan construction, not at the
-input.
+combination of the generators' orders.  Each grid point, and each
+right-hand side, is its parent's plus one generator's, the parent being
+the exponent vector less one at its last nonzero entry.  Each order is
+asked of the LP once per valuation and distinct point in a call, however
+many cells share the point.  Any failure points at a bug in the fan
+construction, not at the input.
 """
 
 import itertools
 from dataclasses import dataclass, field
 from math import comb, gcd, lcm
-from operator import mul
+from operator import add
 
 from .errors import BudgetExceeded
 from .linalg import row_reduce, shown
@@ -286,6 +288,32 @@ def _exponent_vectors(count, depth):
             yield tuple(vec)
 
 
+def _grid_table(count, depth):
+    """The exponent vectors of ``_exponent_vectors(count, depth)`` and, for
+    each, the step ``(parent, i)`` that builds it: ``i`` is the index of
+    its last nonzero entry and ``parent`` the index of ``p - e_i`` in the
+    list whose entry 0 is the zero vector and entry ``j`` the ``j``-th
+    exponent vector, so a unit vector's parent is 0.
+
+    ``_exponent_vectors`` lists each total's block in lexicographic order,
+    and taking one off the last nonzero entry keeps that order.  The
+    children of a vector ``w`` are ``w + e_i`` for ``i`` from ``count - 1``
+    down to ``w``'s own generator (every ``i`` for the zero vector), in
+    lexicographic order too, so each block is the children of the block
+    before, vector by vector, and the steps are read off that block with
+    no vector looked up."""
+    steps = []
+    block = [(0, 0)]  # (index, last nonzero entry) of each vector of the last total
+    for _ in range(depth):
+        children = []
+        for parent, last in block:
+            for i in range(count - 1, last - 1, -1):
+                steps.append((parent, i))
+                children.append((len(steps), i))
+        block = children
+    return list(_exponent_vectors(count, depth)), steps
+
+
 def grid_additivity_check(datum, fan, depth=3):
     """Verify order additivity on monoid-generator combinations of every
     cell of a chamber fan of ``datum``, for every tracked valuation.
@@ -295,8 +323,12 @@ def grid_additivity_check(datum, fan, depth=3):
     ``MAX_MONOID_GENERATORS`` monoid generators, cut to the first that many)
     are reported, not fatal.  Each valuation's order function is the datum's
     one ``order_function``, shared with every other query on its LP data,
-    and every point is an integer vector, built once per cell from the
-    generators' columns.  Every order is read as the integers of
+    and every point is an integer vector.  ``_grid_table`` gives each
+    exponent vector ``p`` its parent ``p - e_i``, ``i`` the index of its
+    last nonzero entry, which comes before ``p`` (a unit vector's is the
+    zero vector), once per call for each generator count met; a cell's
+    point of ``p`` is its parent's point plus generator ``i``, one vector
+    addition per point.  Every order is read as the integers of
     ``OrderFunction.ratio``, once per valuation and distinct point in the
     call: the order at a point depends only on the valuation and the
     point, so a generator that is also a grid point, a multiple of a
@@ -306,14 +338,17 @@ def grid_additivity_check(datum, fan, depth=3):
     ``ratio`` fills, never the fan.  Every exponent vector of every (cell,
     valuation) still gets its own ``AdditivityCheck``, whose right-hand side
     is the exponent vector times its own cell's generators' orders over one
-    denominator, so each record holds integers and is decided in them,
-    cross-multiplied, with no ``Fraction`` built.  ``depth`` is checked as
-    a level is, by ``_check_level``.
+    denominator, built as its parent's plus generator ``i``'s order, one
+    integer addition per record, so each record holds integers and is
+    decided in them, cross-multiplied, with no ``Fraction`` built.
+    ``depth`` is checked as a level is, by ``_check_level``.
     """
     _check_level(depth, "depth")
     order = {v: order_function(datum, v) for v in datum.valuations}
     # per valuation, the order at every point asked in this call, as ``ratio`` read it
     known = {v: {} for v in datum.valuations}
+    # per generator count, the grid's ``_grid_table``, built once in this call
+    tables = {}
     report = GridReport()
     for ci, cell in enumerate(fan.cells):
         try:
@@ -329,10 +364,14 @@ def grid_additivity_check(datum, fan, depth=3):
                     CellReport(ci, valuation, (), skipped=str(exc))
                 )
             continue
-        # the grid points, built once per cell from the generators' columns
-        columns = [[g[j] for g in gens] for j in range(cell.ambient_dim)]
-        exponents = list(_exponent_vectors(len(gens), depth))
-        points = [tuple([sum(map(mul, p, col)) for col in columns]) for p in exponents]
+        if len(gens) not in tables:
+            tables[len(gens)] = _grid_table(len(gens), depth)
+        exponents, steps = tables[len(gens)]
+        # the grid points, each its parent plus one generator, after the zero vector
+        grid = [(0,) * cell.ambient_dim]
+        for parent, i in steps:
+            grid.append(tuple(map(add, grid[parent], gens[i])))
+        points = grid[1:]
         for valuation in datum.valuations:
             entry = CellReport(ci, valuation, tuple(gens), truncated=truncated)
             ratio = order[valuation].ratio
@@ -344,9 +383,12 @@ def grid_additivity_check(datum, fan, depth=3):
             ratios = [seen[g] for g in gens]
             base_den = lcm(*[d for _, d in ratios])
             base = [n * (base_den // d) for n, d in ratios]
-            for p, point in zip(exponents, points):
+            # each right-hand side its parent's plus one generator's order
+            rhs = [0]
+            for parent, i in steps:
+                rhs.append(rhs[parent] + base[i])
+            for p, point, r in zip(exponents, points, rhs[1:]):
                 num, den = seen[point]
-                entry.checks.append(
-                    AdditivityCheck(p, point, num, den, sum(map(mul, p, base)), base_den))
+                entry.checks.append(AdditivityCheck(p, point, num, den, r, base_den))
             report.entries.append(entry)
     return report

@@ -474,6 +474,34 @@ def test_degrees_are_read_by_the_integer_literal_rule(capsys, degrees):
                                                                "--degrees", "2,3")
 
 
+@pytest.mark.parametrize("argv", [
+    ("veronese", "--degrees", "2,3", "--m-max", "1_0"),
+    ("check", "--example", "blowup-P2", "--grid-depth", "0_3"),
+    ("check", "--example", "blowup-P2", "--seed", "1_0"),
+    ("check", "--example", "blowup-P2", "--k-max", "1e1"),
+    ("oracle", "--example", "blowup-P2", "--point", "1,1", "--budget", "5/2"),
+])
+def test_integer_options_are_read_by_the_integer_literal_rule(capsys, argv):
+    # argparse's int read "1_0" as 10, where --degrees and every document
+    # integer reject a "_" separator
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"error: argument {argv[-2]}: bad " in err
+    assert "Traceback" not in err
+
+
+def test_integer_options_read_integer_text_as_its_integer(capsys):
+    # the rule reads "4/2" and "+2" as 2, and an integer of 4,001 digits,
+    # inside int's digit limit, as itself: a grid that big is skipped
+    assert run(capsys, "veronese", "--degrees", "2,3", "--m-max", "4/2") == run(
+        capsys, "veronese", "--degrees", "2,3", "--m-max", "+2")
+    code, out, _ = run(capsys, "check", "--example", "blowup-P2", "--grid-depth", str(10**4000))
+    assert code == 0
+    assert "note: grid additivity: 2 cell/valuation pairs, 2 skipped\n" in out
+
+
 def test_input_or_example_is_required(capsys):
     assert run(capsys, "decompose") == (2, "", "error: either --input or --example is required\n")
 

@@ -1128,11 +1128,14 @@ def test_unbounded_lp_raises_and_keeps_no_basis(blowup):
     assert function.bases == []
 
 
-@pytest.mark.parametrize("query", [
+GENERATOR_QUERIES = [
     lambda datum: asymptotic_order(datum, "E", (1, 1)),
     lambda datum: stabilization_multiple(datum, "E", (1, 1), 4),
     lambda datum: integer_order(datum, "E", (1, 1), 1),
-])
+]
+
+
+@pytest.mark.parametrize("query", GENERATOR_QUERIES)
 def test_malformed_generator_data_raise_before_any_query(blowup, query):
     with pytest.raises(InvalidCone):
         query(replace(blowup, generators=()))
@@ -1148,6 +1151,18 @@ def test_malformed_generator_data_raise_before_any_query(blowup, query):
         inexact = (GeneratorDatum(degree, blowup.generators[0].mults),) + blowup.generators[1:]
         with pytest.raises(TypeError, match="not exact"):
             query(replace(blowup, generators=inexact))
+
+
+@pytest.mark.parametrize("query", GENERATOR_QUERIES)
+def test_inexact_degrees_raise_however_warm_the_cache(blowup, query):
+    # (1.0, 0) and (True, 0) hash as (1, 0): after a query of blowup-P2 the
+    # cached function of its key answered them, and the second query returned 0
+    query(blowup)
+    for degree in ((1.0, 0), (True, 0)):
+        inexact = (GeneratorDatum(degree, blowup.generators[0].mults),) + blowup.generators[1:]
+        with pytest.raises(TypeError, match=re.escape(f"generator {degree!r} is not exact")):
+            query(replace(blowup, generators=inexact))
+    query(blowup)
 
 
 @pytest.mark.parametrize("degrees, error, message", [

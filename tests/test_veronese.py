@@ -27,6 +27,7 @@ from mmpwalk.veronese import (
     DEFAULT_SPLIT_BUDGET,
     MAX_MONOID_GENERATORS,
     _exponent_vectors,
+    _grid_table,
     _parallelepiped_points,
     _representations,
     grid_additivity_check,
@@ -335,12 +336,27 @@ def test_grid_budget_counts_exponent_vectors(monkeypatch):
     assert all(e.skipped == "grid has 9 exponent vectors" for e in over.entries)
 
 
+@pytest.mark.parametrize("count", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_grid_table_gives_each_exponent_vector_its_parent(count, depth):
+    # the parent of p is p less one at its last nonzero entry, listed
+    # before p after the zero vector, and p's generator is that entry
+    exponents, steps = _grid_table(count, depth)
+    assert exponents == list(_exponent_vectors(count, depth))
+    listed = [(0,) * count] + exponents
+    for j, (p, (parent, i)) in enumerate(zip(exponents, steps, strict=True), 1):
+        assert i == max(k for k, a in enumerate(p) if a)
+        assert parent < j
+        assert listed[parent] == p[:i] + (p[i] - 1,) + p[i + 1:]
+
+
 def reference_grid_additivity(datum, fan, dscale, depth):
     """The grid check as it was before order functions, kept as its
     reference: one ``asymptotic_order`` query per point, on ``Fraction``
     points, with the package's ``monoid_generators`` and its lattice
-    budget.  One tuple (cell, valuation, generators, skipped, truncated,
-    checks) per entry, a check being (exponents, point, lhs, rhs)."""
+    budget, which bounds the exponent vectors too.  One tuple (cell,
+    valuation, generators, skipped, truncated, checks) per entry, a check
+    being (exponents, point, lhs, rhs)."""
     support = support_cone(datum)
     entries = []
     for ci, cell in enumerate(fan.cells):
@@ -351,13 +367,18 @@ def reference_grid_additivity(datum, fan, dscale, depth):
             continue
         truncated = len(gens) > MAX_MONOID_GENERATORS
         gens = gens[:MAX_MONOID_GENERATORS]
+        exponents = list(_exponent_vectors(len(gens), depth))
+        if len(exponents) > veronese.DEFAULT_LATTICE_BUDGET:
+            skipped = f"grid has {len(exponents)} exponent vectors"
+            entries += [(ci, v, (), skipped, False, []) for v in datum.valuations]
+            continue
         for valuation in datum.valuations:
             def order(x):
                 return asymptotic_order(datum, valuation, x, support=support).value
 
             base = [order(tuple(Fraction(dscale * x) for x in g)) for g in gens]
             checks = []
-            for p in _exponent_vectors(len(gens), depth):
+            for p in exponents:
                 point = tuple(
                     Fraction(dscale) * sum(pj * g[j] for pj, g in zip(p, gens))
                     for j in range(cell.ambient_dim)
@@ -375,17 +396,22 @@ def _grid_case(name):
 
 
 @pytest.mark.parametrize("name", sorted(builtin_examples()) + ["corpus-2", "corpus-44"])
-@pytest.mark.parametrize("dscale, lattice_budget", [
-    (1, DEFAULT_LATTICE_BUDGET), (2, DEFAULT_LATTICE_BUDGET), (1, 300)
+@pytest.mark.parametrize("dscale, lattice_budget, depth", [
+    # depth 3, check's default, keeps the bare id; depth 1 has only unit
+    # vectors, whose parent is the zero vector
+    pytest.param(dscale, budget, depth,
+                 id=f"{dscale}-{budget}" + ("" if depth == 3 else f"-depth{depth}"))
+    for depth in (1, 2, 3, 4)
+    for dscale, budget in ((1, DEFAULT_LATTICE_BUDGET), (2, DEFAULT_LATTICE_BUDGET), (1, 300))
 ])
-def test_grid_additivity_equals_reference(name, dscale, lattice_budget, monkeypatch):
+def test_grid_additivity_equals_reference(name, dscale, lattice_budget, depth, monkeypatch):
     # a budget of 300 lattice points skips some cells of corpus-2; the order
     # functions are homogeneous, so the reference on the grid scaled by
     # dscale gives the package's checks scaled by dscale
     datum = _grid_case(name)
     fan = chamber_fan(datum)
     monkeypatch.setattr(veronese, "DEFAULT_LATTICE_BUDGET", lattice_budget)
-    report = grid_additivity_check(datum, fan, 3)
+    report = grid_additivity_check(datum, fan, depth)
     got = [
         (e.cell_index, e.valuation, e.generators, e.skipped, e.truncated,
          [(c.exponents, tuple(dscale * x for x in c.point),
@@ -393,7 +419,7 @@ def test_grid_additivity_equals_reference(name, dscale, lattice_budget, monkeypa
           for c in e.checks])
         for e in report.entries
     ]
-    assert got == reference_grid_additivity(datum, fan, dscale, 3)
+    assert got == reference_grid_additivity(datum, fan, dscale, depth)
 
 
 @pytest.mark.parametrize("name", sorted(builtin_examples()) + ["corpus-2", "corpus-44"])
