@@ -16,11 +16,13 @@ them with LP values from ``simplex``.
 Every query goes through the one ``OrderFunction`` of its LP data, the
 integer degrees and the multiplicities, which ``order_function(datum,
 valuation)`` finds in one least-recently-used cache keyed on those data.
-It holds the function it found last, when the generators and every
-multidegree are exact tuples, with the generators tuple and the
-multiplicity objects it read, and answers a query of that tuple whose
-every multiplicity is still the same object by identity, without the key;
-``forget_order_functions()`` drops it with the cache.
+A table of held functions, keyed by the generators tuple's identity and
+the valuation and bounded by ``ORDER_CACHE_SIZE``, holds each function
+found for generators and multidegrees that are exact tuples, with the
+tuple and the multiplicity objects read; a query of that tuple and
+valuation whose every multiplicity is still the same object is answered
+by identity, without the content key.  ``forget_order_functions()``
+empties the table with the cache.
 It turns the multiplicities into integer costs over one denominator once,
 and reads every query point once, in ``_point``, as integer numerators
 over one denominator; the LP is solved on the numerators and the costs,
@@ -64,7 +66,7 @@ from .simplex import INFEASIBLE, UNBOUNDED, solve_min
 DEFAULT_NODE_BUDGET = 2_000_000
 
 # LP data whose order functions, with their kept bases, are cached, least
-# recently used first out
+# recently used first out; also the most functions ``order_function`` holds
 ORDER_CACHE_SIZE = 4096
 
 
@@ -180,16 +182,21 @@ def order_function(datum, valuation):
     warm the cache.
 
     Every call reads the multiplicities again, since a dict changes in
-    place.  A call whose generators tuple is the held one and whose every
-    multiplicity is the held object has the held LP data, so it returns
-    the held function without the key, whatever its valuation.  A miss
-    looks its key up in the cache and holds what it finds, with the tuple
-    and the multiplicities, only when the generators and every multidegree
-    are exact tuples, which cannot change in place; else it holds nothing.
-    ``forget_order_functions`` drops the held function with the cache."""
+    place.  The held table maps ``(id(generators), valuation)`` to the
+    generators tuple, the multiplicities read and the function found; the
+    entry keeps the tuple alive, so its id names no other object while it
+    is held.  A call whose generators tuple is the entry's and whose every
+    multiplicity is the entry's object has the entry's LP data, so it
+    returns the entry's function without the content key.  A miss looks
+    its key up in the cache and holds what it finds, as the newest entry,
+    only when the generators and every multidegree are exact tuples, which
+    cannot change in place; else it drops its entry.  Past
+    ``ORDER_CACHE_SIZE`` entries the oldest goes first.
+    ``forget_order_functions`` empties the table with the cache."""
     generators = datum.generators
     mults = _mults(datum, valuation)
-    held = _held[0]
+    key = (id(generators), valuation)
+    held = _held.get(key)
     if held is not None and held[0] is generators and all(map(is_, mults, held[1])):
         return held[2]
     _check_exact(mults, valuation)
@@ -204,16 +211,20 @@ def order_function(datum, valuation):
         if type(g.multidegree) is not tuple:
             exact = False
             break
-    _held[0] = (generators, mults, function) if exact else None
+    _held.pop(key, None)
+    if exact:
+        if len(_held) >= ORDER_CACHE_SIZE:
+            del _held[next(iter(_held))]
+        _held[key] = (generators, mults, function)
     return function
 
 
 def forget_order_functions():
-    """Empty the order-function cache and drop the held function, so that
-    the next query of every LP datum builds its function and solves its LP
-    afresh, as in a new process."""
+    """Empty the order-function cache and the table of held functions, so
+    that the next query of every LP datum builds its function and solves
+    its LP afresh, as in a new process."""
     _order_functions.cache_clear()
-    _held[0] = None
+    _held.clear()
 
 
 class OrderFunction:
@@ -357,9 +368,9 @@ class OrderFunction:
 # the one cache: (degrees, multiplicity ratios) -> their OrderFunction
 _order_functions = lru_cache(maxsize=ORDER_CACHE_SIZE)(OrderFunction)
 
-# ``order_function``'s held function, as (generators, multiplicities read,
-# function) of exact tuples, or None; set in place, never rebound
-_held = [None]
+# ``order_function``'s held functions: (id(generators), valuation) ->
+# (generators, multiplicities read, function) of exact tuples, oldest first
+_held = {}
 
 
 def _named(xs, x_den):
@@ -664,10 +675,11 @@ def stabilization_multiple(datum, valuation, x, k_max, support=None):
     ``sum a_i h_i >= y . k x = k LP(x)``, with equality exactly when
     ``a_i > 0`` only on the tight generators, those with ``y . d_i == h_i``.
     So level k reaches the LP value iff k*x is a nonnegative integer
-    combination of the tight generators of nonzero multidegree.  Tightness
-    is tested in integers: the basis's dual is that of the integer costs,
-    ``den`` times y, so generator i is tight when its dual product equals
-    its integer cost.
+    combination of the tight generators of nonzero multidegree.  The tight
+    generators depend only on the basis, which reads them off the
+    simplex's final reduced costs (``Basis.tight``): its dual is that of
+    the integer costs, ``den`` times y, so a reduced cost is 0 exactly when
+    the generator's dual product equals its integer cost.
 
     When the tight generators are exactly the basic columns, they are
     linearly independent, and x's only representation over them is the
@@ -688,10 +700,7 @@ def stabilization_multiple(datum, valuation, x, k_max, support=None):
     order = order_function(datum, valuation)
     xs, step = order._point(x)
     basis = order._find(xs, step)
-    tight = [
-        i for i, (d, h) in enumerate(zip(order.degrees, order.costs))
-        if any(d) and dot(basis.dual_num, d) == h * basis.dual_den
-    ]
+    tight = [i for i in basis.tight if any(order.degrees[i])]
     if tight == sorted(basis.cols):
         z = order._basic_solution(basis, xs)
         k = step * (basis.inverse_den // gcd(basis.inverse_den, *z))

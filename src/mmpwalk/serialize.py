@@ -7,8 +7,9 @@ serialization; a decimal such as "1.5" is read too, but no exponent
 notation and no "_" digit separator.  The integer fields, ``r`` and the
 ``deg`` entries, are read by the same rule (``int_from_str``), a JSON
 integer as it is, and must be integers.  Every array field must be a
-JSON array, every name a JSON string and each generator's ``mults`` a
-JSON object, by the one type reader ``_from_json``.  Only an ``int`` or
+JSON array, every name a JSON string, and the document, each generator,
+its ``mults``, each pushforward, a nef cone and the segment a JSON
+object, by the one type reader ``_from_json``.  Only an ``int`` or
 a ``Fraction`` is written as one, and a float raises TypeError.  All
 collections are emitted in canonical order so identical inputs give
 byte-identical documents.  ``dumps`` writes a document as
@@ -145,7 +146,8 @@ def nef_from_json(doc, matrix, n):
     """The nef cone in the target coordinates of ``matrix``, or None when
     ``ring._map_shape`` finds the map's shape wrong: validation rejects
     such a map on its own, and its row count is not trusted to size a
-    cone."""
+    cone.  ``doc`` must be a JSON object, by ``_from_json``."""
+    doc = _from_json(doc, "object")
     if _map_shape(matrix, n) is not None:
         return None
     if "rays" in doc:
@@ -189,6 +191,7 @@ def ring_to_json(datum, segment_h=None):
 
 
 def ring_from_json(doc):
+    doc = _from_json(doc, "object")
     try:
         r = int_from_str(doc["r"])
         n = r + 1
@@ -199,7 +202,7 @@ def ring_from_json(doc):
                     name: rat_from_str(v) for name, v in _from_json(g["mults"], "object").items()
                 },
             )
-            for g in _from_json(doc["generators"], "array")
+            for g in [_from_json(g, "object") for g in _from_json(doc["generators"], "array")]
         )
         numerical = matrix_from_json(doc["numerical_map"])
         nef = None
@@ -207,6 +210,7 @@ def ring_from_json(doc):
             nef = nef_from_json(doc["nef"], numerical, n)
         pushforwards = []
         for pf in _from_json(doc.get("pushforwards", []), "array"):
+            pf = _from_json(pf, "object")
             pf_matrix = matrix_from_json(pf["map"])
             pushforwards.append(PushforwardDatum(
                 model_id=_from_json(pf["model_id"], "string"),
@@ -238,7 +242,7 @@ def ring_from_json(doc):
     segment_h = None
     if "segment" in doc:
         try:
-            segment_h = vec_from_json(doc["segment"]["h"])
+            segment_h = vec_from_json(_from_json(doc["segment"], "object")["h"])
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed segment: {exc!r}") from None
     return datum, segment_h

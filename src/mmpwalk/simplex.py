@@ -8,9 +8,12 @@ of its exact row, and each pivot is ``linalg._eliminate``.  Signs and
 cross-multiplied ratios do not depend on a row's scale, so the pivots are
 the exact ones.  A solve returns only its optimal basis: the basis
 inverse, read off the artificial columns, and the dual ``c_B B^-1``, each
-as integers over one denominator.  The caller reads the basic solution and
-the value off it, and can reuse it for another right-hand side and certify
-it there.  Every number a solve builds is an ``int``.
+as integers over one denominator, and the tight columns, those whose
+entry in the final cost row, a positive multiple of the reduced costs, is
+0.  By complementary slackness they are the columns an optimal solution
+may use.  The caller reads the basic solution and the value off the
+basis, and can reuse it for another right-hand side and certify it there.
+Every number a solve builds is an ``int``.
 """
 
 from math import gcd, lcm
@@ -35,6 +38,8 @@ class Basis(NamedTuple):
     b[rows] / inverse_den``.  The dual ``y = c_B B^-1``, zero on the dropped
     rows, is ``dual_num / dual_den``, one entry per constraint row.  Each
     denominator is the least common one, so the fields are unique.
+    ``tight`` holds the columns j, ascending, whose reduced cost ``c_j - y .
+    A_j`` is 0: every basic column and any other column tight at the dual.
     """
 
     rows: tuple
@@ -43,6 +48,7 @@ class Basis(NamedTuple):
     inverse_den: int
     dual_num: tuple
     dual_den: int
+    tight: tuple
 
 
 def _pivot(tableau, basis, row, col):
@@ -150,7 +156,10 @@ def solve_min(A, b, c):
     for j, k in enumerate(kept_rows):
         dual[k] = sum(costs[col] * row[j] for col, row in zip(basis, inverse_num))
     (dual_num,), dual_den = _lowest_terms([dual], inverse_den * cost_den)
-    return Basis(tuple(kept_rows), tuple(basis), inverse_num, inverse_den, dual_num, dual_den)
+    reduced = tableau[-1]
+    tight = tuple([j for j in range(n) if not reduced[j]])
+    return Basis(tuple(kept_rows), tuple(basis), inverse_num, inverse_den, dual_num, dual_den,
+                 tight)
 
 
 def _lowest_terms(rows, den):

@@ -227,6 +227,25 @@ def test_stabilization_one_for_integral_witness(blowup):
     assert stabilization_multiple(blowup, "E", (2, 1), 12) == 1
 
 
+def test_stabilization_leaves_out_a_zero_generator_of_multiplicity_zero(blowup, monkeypatch):
+    # its reduced cost is 0, so the basis counts it tight; a zero
+    # multidegree covers nothing, so the basic columns stay the tight set
+    # and the basis answers with no search
+    zero = GeneratorDatum((0, 0), {"E": Fraction(0)})
+    datum = replace(blowup, generators=blowup.generators + (zero,))
+    points = [(2, 1), (1, 2), (Fraction(3, 2), 1), (Fraction(1, 3), Fraction(1, 2))]
+    expected = [_reference_stabilization(datum, "E", x, 12) for x in points]
+    assert expected == [stabilization_multiple(blowup, "E", x, 12) for x in points] == [1, 1, 2, 6]
+    function = orders.order_function(datum, "E")
+    assert all(3 in function._find(*function._point(x)).tight for x in points)
+
+    def forbidden(*args):
+        raise AssertionError("stabilization_multiple searched")
+
+    monkeypatch.setattr(orders, "_representable", forbidden)
+    assert [stabilization_multiple(datum, "E", x, 12) for x in points] == expected
+
+
 def test_stabilization_none_within_bound(fractional):
     assert stabilization_multiple(fractional, "G", (1, 1), 2) is None
 
@@ -1003,7 +1022,7 @@ def test_repeated_queries_make_one_lookup(lookups):
     assert len(lookups) == 1
 
 
-def test_alternating_queries_look_up_on_every_call(lookups):
+def test_interleaved_queries_look_up_once_per_key(lookups):
     datum = _corpus_datum(1)
     twin = copy.deepcopy(datum)
     one, other = datum.valuations[:2]
@@ -1012,8 +1031,29 @@ def test_alternating_queries_look_up_on_every_call(lookups):
     calls = [(datum, one), (datum, other)] * 4 + [(datum, one), (twin, one)] * 4
     for d, valuation in calls:
         assert asymptotic_order(d, valuation, x).value == expected[valuation]
-    assert len(lookups) == len(calls)
+    # one lookup per (generators, valuation): the twin has its own tuple
+    assert len(lookups) == 3
     assert _builds() == 2
+
+
+def test_held_table_keeps_at_most_the_cache_size(monkeypatch):
+    _cold_start()
+    monkeypatch.setattr(orders, "ORDER_CACHE_SIZE", 3)
+    datum = _corpus_datum(1)
+    data = [copy.deepcopy(datum) for _ in range(5)]
+    valuation = datum.valuations[0]
+    x = _generator_sums(datum)[-1]
+    expected = _cold_value(datum, valuation, x)
+    keys = []
+    for d in data:
+        assert asymptotic_order(d, valuation, x).value == expected
+        keys.append((id(d.generators), valuation))
+        assert len(orders._held) <= 3
+    # the oldest entries went first
+    assert list(orders._held) == keys[-3:]
+    assert all(orders._held[key][0] is d.generators for key, d in zip(keys[-3:], data[-3:]))
+    orders.forget_order_functions()
+    assert orders._held == {}
 
 
 def test_an_equal_multiplicity_object_looks_up_and_builds_nothing(blowup, lookups):
@@ -1044,9 +1084,10 @@ def test_a_list_multidegree_changed_in_place_is_read_again(blowup, lookups):
     assert len(lookups) == 3
     # checked when stored: a miss holds nothing for data that can change in
     # place, and exact tuples with the multiplicities read
-    assert orders._held[0] is None
+    assert (id(generators), "E") not in orders._held
     asymptotic_order(blowup, "E", (2, 1))
-    assert orders._held[0][0] is blowup.generators and len(orders._held[0]) == 3
+    held = orders._held[(id(blowup.generators), "E")]
+    assert held[0] is blowup.generators and len(held) == 3
 
 
 def test_a_multiplicity_deleted_after_a_hit_raises(blowup, lookups):

@@ -377,6 +377,36 @@ def test_every_array_and_integer_field_is_read_by_one_rule(monkeypatch, capsys, 
         assert message in captured.err
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [(("nef",), None), (("nef",), []), (("generators", 0), None), (("pushforwards", 0), None),
+     (("pushforwards", 0, "nef"), None), (("segment",), None), (("segment",), ["0", "1"]),
+     ((), None), ((), [])],
+    ids=["null-nef", "array-nef", "null-generator", "null-pushforward", "null-pushforward-nef",
+         "null-segment", "array-segment", "null-document", "array-document"],
+)
+def test_every_object_field_is_read_by_the_object_rule(monkeypatch, capsys, path, value):
+    # "nef": null ended in a TypeError repr ("argument of type 'NoneType' is
+    # not iterable"), and so did a null generator or pushforward
+    doc = loads(dumps(ring_to_json(builtin_examples()["blowup-P2"], segment_h=(0, 1))))
+    if path:
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    else:
+        doc = value
+    message = f"bad object {value!r}: expected a JSON object"
+    with pytest.raises(ParseError, match=re.escape(message)):
+        ring_from_json(doc)
+    for command in ("decompose", "walk"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(dumps(doc)))
+        assert main([command, "--input", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 def test_integer_text_is_read_as_the_integer_it_writes():
     # integer text takes rat_from_str's literal rule; a JSON int is kept as it is
     doc = _blowup_doc()

@@ -161,17 +161,25 @@ def test_basis_inverse_reproduces_solution(A, b, c):
     for j, k in enumerate(basis.rows):
         dual[k] = sum(c[col] * row[j] for col, row in zip(basis.cols, inverse))
     assert [Fraction(v, basis.dual_den) for v in basis.dual_num] == dual
+    assert basis.tight == _tight_columns(A, c, dual)
 
 
 def _assert_integer_fields(basis):
     """Every ``Basis`` field holds ints, each pair over its least common
-    denominator."""
-    rows, cols, inverse_num, inverse_den, dual_num, dual_den = basis
-    flat = [*rows, *cols, *(v for row in inverse_num for v in row), *dual_num]
+    denominator, and ``tight`` ascends and holds every basic column."""
+    rows, cols, inverse_num, inverse_den, dual_num, dual_den, tight = basis
+    flat = [*rows, *cols, *(v for row in inverse_num for v in row), *dual_num, *tight]
     assert all(type(v) is int for v in flat + [inverse_den, dual_den])
     assert inverse_den > 0 and dual_den > 0
     assert gcd(inverse_den, *(v for row in inverse_num for v in row)) == 1
     assert gcd(dual_den, *dual_num) == 1
+    assert list(tight) == sorted(set(tight)) and set(cols) <= set(tight)
+
+
+def _tight_columns(A, c, dual):
+    """The columns j with ``c_j == y . A_j`` for the dual y, ascending."""
+    return tuple(j for j, cost in enumerate(c)
+                 if cost == sum(y * row[j] for y, row in zip(dual, A)))
 
 
 # The Fraction Gauss-Jordan solver that the fraction-free tableau replaced,
@@ -337,6 +345,7 @@ def _assert_matches_reference(A, b, c, pivot_cap=DEFAULT_PIVOT_CAP):
         for j, k in enumerate(rows):
             dual[k] = sum(Fraction(c[col]) * row[j] for col, row in zip(cols, inverse))
         assert [Fraction(v, basis.dual_den) for v in basis.dual_num] == dual
+        assert basis.tight == _tight_columns(A, c, dual)
     return result
 
 
