@@ -16,13 +16,9 @@ them with LP values from ``simplex``.
 Every query goes through the one ``OrderFunction`` of its LP data, the
 integer degrees and the multiplicities, which ``order_function(datum,
 valuation)`` finds in one least-recently-used cache keyed on those data.
-A table of held functions, keyed by the generators tuple's identity and
-the valuation and bounded by ``ORDER_CACHE_SIZE``, holds each function
-found for generators and multidegrees that are exact tuples, with the
-tuple and the multiplicity objects read; a query of that tuple and
-valuation whose every multiplicity is still the same object is answered
-by identity, without the content key.  ``forget_order_functions()``
-empties the table with the cache.
+A datum's generators never change (``ring``), so the key is built once
+per datum and valuation and kept with the datum; every later query is one
+lookup of it.  ``forget_order_functions()`` empties the cache.
 It turns the multiplicities into integer costs over one denominator once,
 and reads every query point once, in ``_point``, as integer numerators
 over one denominator; the LP is solved on the numerators and the costs,
@@ -52,7 +48,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
 from math import gcd, lcm
-from operator import is_, mul
+from operator import mul
 
 from .cones import (PolyCone, _check_generators, _columns, _dd, _maximal,
                     common_refinement, hyperplane_refinement, make_fan)
@@ -66,7 +62,7 @@ from .simplex import INFEASIBLE, UNBOUNDED, solve_min
 DEFAULT_NODE_BUDGET = 2_000_000
 
 # LP data whose order functions, with their kept bases, are cached, least
-# recently used first out; also the most functions ``order_function`` holds
+# recently used first out
 ORDER_CACHE_SIZE = 4096
 
 
@@ -173,58 +169,35 @@ def asymptotic_order(datum, valuation, x, support=None):
 def order_function(datum, valuation):
     """The one ``OrderFunction`` of the datum's LP data at ``valuation``:
     the integer degrees and the multiplicities, read by ``_mults`` and
-    checked by ``_check_exact`` on a miss.  The key holds the
-    multiplicities as (numerator, denominator) pairs, so an ``int`` and an
-    equal ``Fraction`` share one function.  Building a function checks the
-    degrees by ``OrderFunction``'s generator rule, and a miss scans their
-    entry types before the lookup: a bool or a float hashes as the ``int``
-    it equals, so a degree with one raises by the rule, TypeError, however
-    warm the cache.
+    checked by ``_check_exact``.  Its content key holds the multiplicities
+    as (numerator, denominator) pairs, so an ``int`` and an equal
+    ``Fraction`` share one function, and any datum with equal data reaches
+    it.  The degrees are checked by ``OrderFunction``'s generator rule when
+    a function is built, and their entry types are scanned before the key
+    is kept: a bool or a float hashes as the ``int`` it equals, so a degree
+    with one raises by the rule, TypeError, however warm the cache.
 
-    Every call reads the multiplicities again, since a dict changes in
-    place.  The held table maps ``(id(generators), valuation)`` to the
-    generators tuple, the multiplicities read and the function found; the
-    entry keeps the tuple alive, so its id names no other object while it
-    is held.  A call whose generators tuple is the entry's and whose every
-    multiplicity is the entry's object has the entry's LP data, so it
-    returns the entry's function without the content key.  A miss looks
-    its key up in the cache and holds what it finds, as the newest entry,
-    only when the generators and every multidegree are exact tuples, which
-    cannot change in place; else it drops its entry.  Past
-    ``ORDER_CACHE_SIZE`` entries the oldest goes first.
-    ``forget_order_functions`` empties the table with the cache."""
-    generators = datum.generators
-    mults = _mults(datum, valuation)
-    key = (id(generators), valuation)
-    held = _held.get(key)
-    if held is not None and held[0] is generators and all(map(is_, mults, held[1])):
-        return held[2]
-    _check_exact(mults, valuation)
-    degrees = tuple([tuple(g.multidegree) for g in generators])
-    if not _EXACT_TYPES.issuperset(map(type, chain.from_iterable(degrees))):
-        # a bool or float degree keys as the int it equals, so a cached
-        # function would answer it: the generator rule raises here instead
-        _check_generators(degrees)
-    function = _order_functions(degrees, tuple([m.as_integer_ratio() for m in mults]))
-    exact = type(generators) is tuple
-    for g in generators:  # every miss runs it: a plain loop, not ``all`` over a generator
-        if type(g.multidegree) is not tuple:
-            exact = False
-            break
-    _held.pop(key, None)
-    if exact:
-        if len(_held) >= ORDER_CACHE_SIZE:
-            del _held[next(iter(_held))]
-        _held[key] = (generators, mults, function)
-    return function
+    A datum's generators never change, so the key is built once per datum
+    and valuation and kept in the datum's ``_order_keys``, unless a check
+    raises; every later query is one lookup of that key in the one cache.
+    ``forget_order_functions`` empties the cache, not the keys."""
+    key = datum._order_keys.get(valuation)
+    if key is None:
+        mults = _mults(datum, valuation)
+        _check_exact(mults, valuation)
+        degrees = tuple([g.multidegree for g in datum.generators])
+        if not _EXACT_TYPES.issuperset(map(type, chain.from_iterable(degrees))):
+            _check_generators(degrees)
+        ratios = tuple([m.as_integer_ratio() for m in mults])
+        key = datum._order_keys[valuation] = (degrees, ratios)
+    return _order_functions(*key)
 
 
 def forget_order_functions():
-    """Empty the order-function cache and the table of held functions, so
-    that the next query of every LP datum builds its function and solves
-    its LP afresh, as in a new process."""
+    """Empty the order-function cache, so that the next query of every LP
+    datum builds its function and solves its LP afresh, as in a new
+    process: a datum keeps only its keys, never a function."""
     _order_functions.cache_clear()
-    _held.clear()
 
 
 class OrderFunction:
@@ -367,10 +340,6 @@ class OrderFunction:
 
 # the one cache: (degrees, multiplicity ratios) -> their OrderFunction
 _order_functions = lru_cache(maxsize=ORDER_CACHE_SIZE)(OrderFunction)
-
-# ``order_function``'s held functions: (id(generators), valuation) ->
-# (generators, multiplicities read, function) of exact tuples, oldest first
-_held = {}
 
 
 def _named(xs, x_den):

@@ -5,20 +5,45 @@ as generator multidegrees, per-valuation multiplicities and numerical-class
 data, which are treated as ground truth.  A numerical map is its matrix,
 one row per numerical coordinate, so its target dimension is its row count;
 a nef cone is a plain ``PolyCone`` in its map's target coordinates.
+
+A datum's generators never change once built: they are a tuple, and each
+holds its multidegree as a tuple and its multiplicities as a read-only
+copy of the mapping it was given, so the key of each order function that
+``orders.order_function`` finds for a datum is built once and kept.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .cones import PolyCone, cone_from_rays
 from .linalg import _EXACT_TYPES, rank, shown
 
 
+class _FrozenDict(dict):
+    """A dict that refuses every change in place.  It copies and pickles
+    as a new one built from its items."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a generator's multiplicities cannot be changed")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True)
 class GeneratorDatum:
-    """One ring generator: its multidegree and its valuation multiplicities."""
+    """One ring generator: its multidegree and its valuation multiplicities,
+    kept as a tuple and a read-only copy of the mapping given."""
 
     multidegree: tuple
     mults: dict
+
+    def __post_init__(self):
+        object.__setattr__(self, "multidegree", tuple(self.multidegree))
+        if type(self.mults) is not _FrozenDict:
+            object.__setattr__(self, "mults", _FrozenDict(self.mults))
 
 
 @dataclass(frozen=True)
@@ -44,9 +69,19 @@ class RingDatum:
     nef: PolyCone = None  # the nef cone, in the numerical map's coordinates
     pushforwards: tuple = ()
 
+    def __post_init__(self):
+        object.__setattr__(self, "generators", tuple(self.generators))
+
     @property
     def grading_dim(self):
         return self.r + 1
+
+    @cached_property
+    def _order_keys(self):
+        """Valuation -> the content key of its order function, built once by
+        ``orders.order_function``.  Not a field, so ``==``, ``repr``,
+        ``replace`` and ``asdict`` never read it."""
+        return {}
 
 
 @dataclass

@@ -9,8 +9,12 @@ notation and no "_" digit separator.  The integer fields, ``r`` and the
 integer as it is, and must be integers.  Every array field must be a
 JSON array, every name a JSON string, and the document, each generator,
 its ``mults``, each pushforward, a nef cone and the segment a JSON
-object, by the one type reader ``_from_json``.  Only an ``int`` or
-a ``Fraction`` is written as one, and a float raises TypeError.  All
+object, by the one type reader ``_from_json``.  Those objects but
+``mults`` are read against their known keys by ``_object``: an unknown
+key, or a missing required one, is a ParseError that names the key and
+its object, such as ``generators[0]``, and a nef cone holds exactly one
+of ``rays`` and ``ineqs``.  Only an ``int`` or a ``Fraction`` is written
+as one, and a float raises TypeError.  All
 collections are emitted in canonical order so identical inputs give
 byte-identical documents.  ``dumps`` writes a document as
 ``json.dumps(doc, indent=2, sort_keys=True)`` does, byte for byte, but
@@ -63,8 +67,9 @@ def _from_json(x, kind):
 
 
 def rat_from_str(s):
-    """The ``Fraction`` that ``Fraction(s)`` reads, or ParseError.  A JSON
-    float or bool is rejected, and so is exponent notation: ``Fraction``
+    """The ``Fraction`` that ``Fraction(s)`` reads from a str or an int, or
+    ParseError.  Any other value, such as a JSON null, array, object, float
+    or bool, is rejected, and so is exponent notation: ``Fraction``
     reads "1e4300" as an integer of 4,301 digits, past ``int``'s digit
     limit, and a larger exponent takes seconds.  A "_" digit separator is
     rejected too, since ``Fraction`` reads "1_000" from Python 3.11 on but
@@ -74,6 +79,8 @@ def rat_from_str(s):
     if isinstance(s, (bool, float)):
         # a JSON float is a binary approximation: never coerce it to an exact value
         raise ParseError(f"{s!r} is not exact: write an integer or a \"p/q\" string")
+    if not isinstance(s, (str, int)):
+        raise ParseError(f"bad rational literal {s!r}: write an integer or a \"p/q\" string")
     try:
         if type(s) is str and (s[1:] if s[:1] in ("-", "+") else s).isdecimal():
             return Fraction(int(s))
@@ -142,19 +149,35 @@ def nef_to_json(nef):
     return {"rays": [list(r) for r in nef.rays]}
 
 
-def nef_from_json(doc, matrix, n):
+def _object(x, where, required, optional=()):
+    """``x`` when it is a JSON object, by ``_from_json``, that holds every
+    key of ``required`` and no key outside ``required`` and ``optional``;
+    else ParseError naming the key and ``where``, such as ``generators[0]``.
+    Every object of the document is read by it."""
+    x = _from_json(x, "object")
+    for key in x:
+        if key not in required and key not in optional:
+            raise ParseError(f"malformed {where}: unknown key {key!r}")
+    for key in required:
+        if key not in x:
+            raise ParseError(f"malformed {where}: missing key {key!r}")
+    return x
+
+
+def nef_from_json(doc, matrix, n, where):
     """The nef cone in the target coordinates of ``matrix``, or None when
     ``ring._map_shape`` finds the map's shape wrong: validation rejects
     such a map on its own, and its row count is not trusted to size a
-    cone.  ``doc`` must be a JSON object, by ``_from_json``."""
-    doc = _from_json(doc, "object")
+    cone.  ``doc``, the object ``where``, must hold exactly one of
+    ``rays`` and ``ineqs``, by ``_object``."""
+    doc = _object(doc, where, (), ("rays", "ineqs"))
+    if len(doc) != 1:
+        raise ParseError(f"malformed {where}: give exactly one of 'rays' and 'ineqs'")
     if _map_shape(matrix, n) is not None:
         return None
     if "rays" in doc:
         return cone_from_rays(matrix_from_json(doc["rays"]))
-    if "ineqs" in doc:
-        return cone_from_halfspaces(matrix_from_json(doc["ineqs"]), len(matrix))
-    raise ParseError("nef cone needs either 'rays' or 'ineqs'")
+    return cone_from_halfspaces(matrix_from_json(doc["ineqs"]), len(matrix))
 
 
 def ring_to_json(datum, segment_h=None):
@@ -191,60 +214,56 @@ def ring_to_json(datum, segment_h=None):
 
 
 def ring_from_json(doc):
-    doc = _from_json(doc, "object")
-    try:
-        r = int_from_str(doc["r"])
-        n = r + 1
-        generators = tuple(
-            GeneratorDatum(
-                multidegree=tuple(int_from_str(x) for x in _from_json(g["deg"], "array")),
-                mults={
-                    name: rat_from_str(v) for name, v in _from_json(g["mults"], "object").items()
-                },
-            )
-            for g in [_from_json(g, "object") for g in _from_json(doc["generators"], "array")]
-        )
-        numerical = matrix_from_json(doc["numerical_map"])
-        nef = None
-        if "nef" in doc:
-            nef = nef_from_json(doc["nef"], numerical, n)
-        pushforwards = []
-        for pf in _from_json(doc.get("pushforwards", []), "array"):
-            pf = _from_json(pf, "object")
-            pf_matrix = matrix_from_json(pf["map"])
-            pushforwards.append(PushforwardDatum(
-                model_id=_from_json(pf["model_id"], "string"),
-                matrix=pf_matrix,
-                nef=nef_from_json(pf["nef"], pf_matrix, n),
-            ))
-        if "labels" in doc:
-            labels = tuple(_from_json(label, "string")
-                           for label in _from_json(doc["labels"], "array"))
-        elif n <= max((len(g.multidegree) for g in generators), default=0):
-            labels = tuple(f"D{i}" for i in range(n))
-        else:
-            # r + 1 exceeds every multidegree, so the datum cannot validate:
-            # no default labels, whose number r could make unbounded
-            labels = ()
-        datum = RingDatum(
-            r=r,
-            labels=labels,
-            generators=generators,
-            valuations=tuple(
-                _from_json(v, "string") for v in _from_json(doc.get("valuations", []), "array")
-            ),
-            numerical=numerical,
-            nef=nef,
-            pushforwards=tuple(pushforwards),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed ring datum: {exc!r}") from None
+    """The ring datum and the segment's ``h`` (None without a segment) that
+    the document ``doc`` writes, or ParseError.  Every object is read
+    against its known keys by ``_object``."""
+    doc = _object(doc, "document", ("r", "generators", "numerical_map"),
+                  ("labels", "valuations", "nef", "pushforwards", "segment"))
+    r = int_from_str(doc["r"])
+    n = r + 1
+    generators = []
+    for i, g in enumerate(_from_json(doc["generators"], "array")):
+        g = _object(g, f"generators[{i}]", ("deg", "mults"))
+        generators.append(GeneratorDatum(
+            multidegree=tuple(int_from_str(x) for x in _from_json(g["deg"], "array")),
+            mults={name: rat_from_str(v) for name, v in _from_json(g["mults"], "object").items()},
+        ))
+    numerical = matrix_from_json(doc["numerical_map"])
+    nef = None
+    if "nef" in doc:
+        nef = nef_from_json(doc["nef"], numerical, n, "nef")
+    pushforwards = []
+    for i, pf in enumerate(_from_json(doc.get("pushforwards", []), "array")):
+        where = f"pushforwards[{i}]"
+        pf = _object(pf, where, ("model_id", "map", "nef"))
+        pf_matrix = matrix_from_json(pf["map"])
+        pushforwards.append(PushforwardDatum(
+            model_id=_from_json(pf["model_id"], "string"),
+            matrix=pf_matrix,
+            nef=nef_from_json(pf["nef"], pf_matrix, n, f"{where}.nef"),
+        ))
+    if "labels" in doc:
+        labels = tuple(_from_json(label, "string") for label in _from_json(doc["labels"], "array"))
+    elif n <= max((len(g.multidegree) for g in generators), default=0):
+        labels = tuple(f"D{i}" for i in range(n))
+    else:
+        # r + 1 exceeds every multidegree, so the datum cannot validate:
+        # no default labels, whose number r could make unbounded
+        labels = ()
+    datum = RingDatum(
+        r=r,
+        labels=labels,
+        generators=generators,
+        valuations=tuple(
+            _from_json(v, "string") for v in _from_json(doc.get("valuations", []), "array")
+        ),
+        numerical=numerical,
+        nef=nef,
+        pushforwards=tuple(pushforwards),
+    )
     segment_h = None
     if "segment" in doc:
-        try:
-            segment_h = vec_from_json(_from_json(doc["segment"], "object")["h"])
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"malformed segment: {exc!r}") from None
+        segment_h = vec_from_json(_object(doc["segment"], "segment", ("h",))["h"])
     return datum, segment_h
 
 

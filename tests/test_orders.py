@@ -1,8 +1,10 @@
 """Order functions: LP values, linearity fans, chamber fans, integer levels."""
 
 import copy
+import gc
 import pickle
 import re
+import weakref
 from dataclasses import replace
 from enum import IntEnum
 from fractions import Fraction
@@ -935,22 +937,33 @@ def test_asymptotic_order_reuses_its_order_function():
     assert _builds() == 1
 
 
-def test_reuse_drops_a_multiplicity_replaced_in_the_same_dict():
+def _with_mult(datum, i, value, valuation="E"):
+    """A new datum: ``datum`` with generator ``i``'s multiplicity at
+    ``valuation`` replaced by ``value``."""
+    generators = list(datum.generators)
+    generators[i] = replace(generators[i], mults={**generators[i].mults, valuation: value})
+    return replace(datum, generators=tuple(generators))
+
+
+def test_a_multiplicity_replaced_in_a_new_datum_builds_its_function(blowup):
     _cold_start()
-    datum = copy.deepcopy(builtin_examples()["blowup-P2"])
+    datum = replace(blowup)
     assert asymptotic_order(datum, "E", (2, 1)).value == 1
     # the witness (1, 0, 1) uses the third generator, so a dearer one moves
     # the optimum to (2, 1, 0)
-    datum.generators[2].mults["E"] = Fraction(5)
-    assert asymptotic_order(datum, "E", (2, 1)).value == 2 == _cold_value(datum, "E", (2, 1))
+    dearer = _with_mult(datum, 2, Fraction(5))
+    assert asymptotic_order(dearer, "E", (2, 1)).value == 2 == _cold_value(dearer, "E", (2, 1))
+    assert asymptotic_order(datum, "E", (2, 1)).value == 1
     assert _builds() == 2
     # an int equal to the Fraction keys the same order function
-    datum.generators[2].mults["E"] = 5
-    assert asymptotic_order(datum, "E", (2, 1)).value == 2
+    assert asymptotic_order(_with_mult(datum, 2, 5), "E", (2, 1)).value == 2
     assert _builds() == 2
-    datum.generators[2].mults["E"] = 5.0
-    with pytest.raises(TypeError):
-        asymptotic_order(datum, "E", (2, 1))
+    # a check that raises keeps no key, so every query raises again
+    inexact = _with_mult(datum, 2, 5.0)
+    for _ in range(2):
+        with pytest.raises(TypeError, match="not exact"):
+            asymptotic_order(inexact, "E", (2, 1))
+    assert inexact._order_keys == {}
 
 
 def test_twin_data_and_supports_share_one_order_function():
@@ -989,20 +1002,20 @@ def test_alternating_valuations_build_no_new_order_function():
 
 
 @pytest.fixture
-def lookups(monkeypatch):
-    """The keys that ``order_function`` looks up in the one cache, from a
-    cold start, counted by wrapping the cache."""
+def key_builds(monkeypatch):
+    """The valuations whose content keys ``order_function`` builds, from a
+    cold start, counted by wrapping ``orders._mults``, which only a key
+    build reads."""
     _cold_start()
-    keys = []
-    cache = orders._order_functions
+    built = []
+    read = orders._mults
 
-    def counted(*key):
-        keys.append(key)
-        return cache(*key)
+    def counted(datum, valuation):
+        built.append(valuation)
+        return read(datum, valuation)
 
-    counted.cache_info = cache.cache_info
-    monkeypatch.setattr(orders, "_order_functions", counted)
-    return keys
+    monkeypatch.setattr(orders, "_mults", counted)
+    return built
 
 
 def _sixty_four_points(datum):
@@ -1013,16 +1026,19 @@ def _sixty_four_points(datum):
     return [points[i % len(points)] for i in range(64)]
 
 
-def test_repeated_queries_make_one_lookup(lookups):
+def test_repeated_queries_build_one_key(key_builds):
     datum = _corpus_datum(2)
     valuation = datum.valuations[0]
     points = _sixty_four_points(datum)
     expected = [_cold_value(datum, valuation, x) for x in points]
     assert [asymptotic_order(datum, valuation, x).value for x in points] == expected
-    assert len(lookups) == 1
+    assert key_builds == [valuation]
+    # every query is one lookup of that key in the one cache
+    info = orders._order_functions.cache_info()
+    assert (info.misses, info.hits) == (1, len(points) - 1)
 
 
-def test_interleaved_queries_look_up_once_per_key(lookups):
+def test_interleaved_queries_build_one_key_per_datum_and_valuation(key_builds):
     datum = _corpus_datum(1)
     twin = copy.deepcopy(datum)
     one, other = datum.valuations[:2]
@@ -1031,81 +1047,82 @@ def test_interleaved_queries_look_up_once_per_key(lookups):
     calls = [(datum, one), (datum, other)] * 4 + [(datum, one), (twin, one)] * 4
     for d, valuation in calls:
         assert asymptotic_order(d, valuation, x).value == expected[valuation]
-    # one lookup per (generators, valuation): the twin has its own tuple
-    assert len(lookups) == 3
+    # the twin, copied before any query, builds its own key to the same function
+    assert key_builds == [one, other, one]
     assert _builds() == 2
 
 
-def test_held_table_keeps_at_most_the_cache_size(monkeypatch):
+def test_a_queried_datum_is_not_kept_alive():
+    # a table of held functions kept each queried datum's generators alive
+    # until 4,096 newer data pushed them out; the cache keeps only the
+    # degrees and the multiplicities of its keys
     _cold_start()
-    monkeypatch.setattr(orders, "ORDER_CACHE_SIZE", 3)
     datum = _corpus_datum(1)
-    data = [copy.deepcopy(datum) for _ in range(5)]
-    valuation = datum.valuations[0]
+    first = weakref.ref(datum.generators[0])
     x = _generator_sums(datum)[-1]
-    expected = _cold_value(datum, valuation, x)
-    keys = []
-    for d in data:
-        assert asymptotic_order(d, valuation, x).value == expected
-        keys.append((id(d.generators), valuation))
-        assert len(orders._held) <= 3
-    # the oldest entries went first
-    assert list(orders._held) == keys[-3:]
-    assert all(orders._held[key][0] is d.generators for key, d in zip(keys[-3:], data[-3:]))
-    orders.forget_order_functions()
-    assert orders._held == {}
+    for valuation in datum.valuations:
+        asymptotic_order(datum, valuation, x)
+    del datum
+    gc.collect()
+    assert first() is None
 
 
-def test_an_equal_multiplicity_object_looks_up_and_builds_nothing(blowup, lookups):
-    datum = copy.deepcopy(blowup)
+def test_an_equal_multiplicity_object_looks_up_and_builds_nothing(blowup, key_builds):
+    datum = replace(blowup)
     for _ in range(3):
         assert asymptotic_order(datum, "E", (2, 1)).value == 1
-    assert len(lookups) == 1
-    mults = datum.generators[2].mults
-    equal = Fraction(mults["E"])
-    assert equal == mults["E"] and equal is not mults["E"]
-    mults["E"] = equal
+    assert key_builds == ["E"]
+    equal = Fraction(datum.generators[2].mults["E"])
+    assert equal == datum.generators[2].mults["E"] and equal is not datum.generators[2].mults["E"]
+    twin = _with_mult(datum, 2, equal)
     builds = _builds()
     for _ in range(3):
-        assert asymptotic_order(datum, "E", (2, 1)).value == 1
-    assert len(lookups) == 2
+        assert asymptotic_order(twin, "E", (2, 1)).value == 1
+    assert key_builds == ["E", "E"]
     assert _builds() == builds
+    assert orders.order_function(twin, "E") is orders.order_function(datum, "E")
 
 
-def test_a_list_multidegree_changed_in_place_is_read_again(blowup, lookups):
-    generators = tuple(GeneratorDatum(list(g.multidegree), dict(g.mults))
-                       for g in blowup.generators)
-    datum = replace(blowup, generators=generators)
-    for _ in range(2):
-        assert asymptotic_order(datum, "E", (2, 1)).value == 1 == _cold_value(datum, "E", (2, 1))
-    # (2, 1) becomes a free generator's degree
-    generators[2].multidegree[:] = [2, 1]
-    assert asymptotic_order(datum, "E", (2, 1)).value == 0 == _cold_value(datum, "E", (2, 1))
-    assert len(lookups) == 3
-    # checked when stored: a miss holds nothing for data that can change in
-    # place, and exact tuples with the multiplicities read
-    assert (id(generators), "E") not in orders._held
-    asymptotic_order(blowup, "E", (2, 1))
-    held = orders._held[(id(blowup.generators), "E")]
-    assert held[0] is blowup.generators and len(held) == 3
+def test_a_list_multidegree_is_copied_into_a_tuple(blowup, key_builds):
+    degrees = [list(g.multidegree) for g in blowup.generators]
+    datum = replace(blowup, generators=[GeneratorDatum(d, dict(g.mults))
+                                        for d, g in zip(degrees, blowup.generators)])
+    assert datum == blowup and type(datum.generators) is tuple
+    assert all(type(g.multidegree) is tuple for g in datum.generators)
+    assert asymptotic_order(datum, "E", (2, 1)).value == 1 == _cold_value(datum, "E", (2, 1))
+    # making (2, 1) a free generator's degree in the caller's list does not
+    # reach the datum, whose one key still answers
+    degrees[2][:] = [2, 1]
+    assert asymptotic_order(datum, "E", (2, 1)).value == 1 == _cold_value(datum, "E", (2, 1))
+    assert key_builds == ["E"]
 
 
-def test_a_multiplicity_deleted_after_a_hit_raises(blowup, lookups):
-    datum = copy.deepcopy(blowup)
+def test_a_multiplicity_deleted_after_a_hit_raises(blowup, key_builds):
+    datum = replace(blowup)
     for _ in range(3):
         assert asymptotic_order(datum, "E", (2, 1)).value == 1
-    assert len(lookups) == 1
-    del datum.generators[1].mults["E"]
-    with pytest.raises(InconsistentInput, match="generator 1 has no multiplicity"):
-        asymptotic_order(datum, "E", (2, 1))
+    assert key_builds == ["E"]
+    with pytest.raises(TypeError, match="cannot be changed"):
+        del datum.generators[1].mults["E"]
+    assert asymptotic_order(datum, "E", (2, 1)).value == 1
+    assert key_builds == ["E"]
+    # a datum built without it raises, however warm the cache, and keeps no key
+    generators = list(datum.generators)
+    generators[1] = GeneratorDatum(generators[1].multidegree, {})
+    missing = replace(datum, generators=generators)
+    for _ in range(2):
+        with pytest.raises(InconsistentInput, match="generator 1 has no multiplicity"):
+            asymptotic_order(missing, "E", (2, 1))
+    assert missing._order_keys == {}
 
 
 def _query_pool():
-    """Corpus data, a deepcopy twin of each, and a last copy whose
-    multiplicity dicts a process may change."""
+    """Corpus data, a deepcopy twin of each, and a last copy that a process
+    may replace by a new datum with one multiplicity changed; with the
+    query points of each."""
     data = [_corpus_datum(seed) for seed in (1, 2, 4)]
     pool = data + [copy.deepcopy(d) for d in data] + [copy.deepcopy(data[0])]
-    return pool, {id(d): _sixty_four_points(d)[:8] for d in pool}
+    return pool, [_sixty_four_points(d)[:8] for d in pool]
 
 
 @given(st.data())
@@ -1113,20 +1130,22 @@ def _query_pool():
 def test_one_long_process_of_interleaved_queries_matches_cold_values(data):
     _cold_start()
     pool, points = _query_pool()
-    changed = pool[-1]
     steps = data.draw(st.lists(st.tuples(
         st.integers(0, len(pool) - 1), st.integers(0, 7), st.integers(0, 7),
         st.sampled_from(["order", "ratio", "stabilization", "change"])), min_size=1, max_size=24))
     for index, v_index, x_index, kind in steps:
-        datum = changed if kind == "change" else pool[index]
+        slot = len(pool) - 1 if kind == "change" else index
+        datum = pool[slot]
         valuation = datum.valuations[v_index % len(datum.valuations)]
-        x = points[id(datum)][x_index]
+        x = points[slot][x_index]
         if kind == "change":
-            # the dict gets an equal object, then a new value, each read by
-            # the query that follows
-            mults = datum.generators[index % len(datum.generators)].mults
-            for value in (Fraction(mults[valuation]), mults[valuation] + Fraction(v_index + 1, 2)):
-                mults[valuation] = value
+            # a new datum takes the last one's place with one multiplicity
+            # replaced by an equal object, then one by a new value, each
+            # read by the query that follows
+            i = index % len(datum.generators)
+            old = datum.generators[i].mults[valuation]
+            for value in (Fraction(old), old + Fraction(v_index + 1, 2)):
+                datum = pool[slot] = _with_mult(datum, i, value, valuation)
                 assert asymptotic_order(datum, valuation, x).value == _cold_value(
                     datum, valuation, x)
         elif kind == "order":
@@ -1135,9 +1154,8 @@ def test_one_long_process_of_interleaved_queries_matches_cold_values(data):
             num, den = orders.order_function(datum, valuation).ratio(x)
             assert Fraction(num, den) == _cold_value(datum, valuation, x)
         else:
-            # the reference reads a fresh copy, which the held function never answers
             assert stabilization_multiple(datum, valuation, x, 6) == _reference_stabilization(
-                copy.deepcopy(datum), valuation, x, 6)
+                datum, valuation, x, 6)
 
 
 def test_stabilization_after_an_order_query_solves_no_lp(monkeypatch):

@@ -1,6 +1,8 @@
 """Input data model and validation."""
 
-from dataclasses import replace
+import copy
+import pickle
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 from enum import IntEnum
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ import pytest
 from mmpwalk.cones import cone_from_rays
 from mmpwalk.linalg import mat_apply
 from mmpwalk.oracle import builtin_examples
+from mmpwalk.orders import asymptotic_order
 from mmpwalk.ring import (
     GeneratorDatum,
     PushforwardDatum,
@@ -259,3 +262,54 @@ def test_a_subclass_is_not_exact(overrides, code):
         overrides = dict(overrides, generators=overrides["generators"] + make_datum().generators)
     report = validate(make_datum(**overrides))
     assert [e.code for e in report.errors] == [code]
+
+
+def test_a_multiplicity_cannot_be_changed_in_place():
+    mults = make_datum().generators[0].mults
+    changes = [
+        lambda m: m.__setitem__("E", Fraction(2)),
+        lambda m: m.__setitem__("F", Fraction(2)),
+        lambda m: m.__delitem__("E"),
+        lambda m: m.update(E=Fraction(2)),
+        lambda m: m.__ior__({"E": Fraction(2)}),
+        lambda m: m.setdefault("F", Fraction(2)),
+        lambda m: m.pop("E"),
+        lambda m: m.popitem(),
+        lambda m: m.clear(),
+    ]
+    for change in changes:
+        with pytest.raises(TypeError, match="cannot be changed"):
+            change(mults)
+    assert mults == {"E": Fraction(1)}
+    with pytest.raises(FrozenInstanceError):
+        make_datum().generators[0].mults = {}
+
+
+def test_a_list_or_dict_passed_in_is_copied():
+    degree, mults = [1, 0], {"E": Fraction(1)}
+    gen = GeneratorDatum(multidegree=degree, mults=mults)
+    generators = [gen, GeneratorDatum(multidegree=(0, 1), mults={"E": Fraction(0)})]
+    datum = make_datum(generators=generators)
+    degree[0] = 5
+    mults["E"] = Fraction(3)
+    mults["F"] = Fraction(0)
+    generators.pop()
+    assert datum == make_datum()
+    assert type(datum.generators) is tuple and type(gen.multidegree) is tuple
+    assert gen.multidegree == (1, 0) and gen.mults == {"E": Fraction(1)}
+
+
+def test_copies_pickles_replace_and_asdict_work_as_on_plain_data():
+    datum = make_datum()
+    # a query keeps its key with the datum, which no comparison or copy reads
+    assert asymptotic_order(datum, "E", (1, 1)).value == 1
+    for twin in (copy.deepcopy(datum), pickle.loads(pickle.dumps(datum)), replace(datum)):
+        assert twin == datum and repr(twin) == repr(datum)
+        with pytest.raises(TypeError, match="cannot be changed"):
+            twin.generators[0].mults["E"] = Fraction(2)
+    assert asdict(datum)["generators"][1] == {"multidegree": (0, 1), "mults": {"E": Fraction(0)}}
+    changed = replace(datum.generators[0], mults={"E": Fraction(2)})
+    assert changed.mults == {"E": Fraction(2)} and datum.generators[0].mults == {"E": Fraction(1)}
+    # the keys that order queries keep are no field
+    assert [f.name for f in fields(datum)] == [
+        "r", "labels", "generators", "valuations", "numerical", "nef", "pushforwards"]

@@ -58,6 +58,11 @@ def test_bad_rational_raises():
         rat_from_str("1/0")
     with pytest.raises(ParseError):
         rat_from_str("one third")
+    # a JSON null, array or object reached Fraction, whose TypeError was
+    # printed as a repr
+    for value in (None, [], ["1"], {}, Fraction(1, 2)):
+        with pytest.raises(ParseError, match=re.escape(f"bad rational literal {value!r}")):
+            rat_from_str(value)
 
 
 def _fraction_reader(s):
@@ -429,3 +434,88 @@ def test_ring_without_numerical_map_is_not_written():
     assert validate(datum).errors == []
     with pytest.raises(InconsistentInput, match="numerical map"):
         ring_to_json(datum)
+
+
+def _leaf_paths(doc, path=()):
+    """The path of every leaf of ``doc``: every value that is not a
+    nonempty array or object."""
+    if isinstance(doc, (dict, list)) and doc:
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _leaf_paths(value, path + (key,))
+    else:
+        yield path
+
+
+_DELETED = object()
+
+
+def test_every_leaf_replaced_or_deleted_ends_in_a_documented_exit(monkeypatch, capsys):
+    # a null multiplicity or segment entry reached Fraction, whose TypeError
+    # came out as a repr: "malformed ring datum: TypeError('argument should
+    # be a string or a Rational instance')"
+    text = dumps(ring_to_json(builtin_examples()["blowup-P2"], segment_h=(0, 1)))
+    values = [None, True, 1.5, "x", [], {}, [[]], -1, 0, "1/0", _DELETED]
+    runs, bad = 0, []
+    for path in _leaf_paths(loads(text)):
+        for value in values:
+            doc = loads(text)
+            target = doc
+            for key in path[:-1]:
+                target = target[key]
+            if value is _DELETED:
+                del target[path[-1]]
+            else:
+                target[path[-1]] = value
+            monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+            code = main(["decompose", "--input", "-"])
+            err = capsys.readouterr().err
+            runs += 1
+            if code not in (0, 2, 3) or "Error(" in err:
+                bad.append((path, value, code, err))
+    assert runs > 250
+    assert bad == []
+
+
+def _renamed(obj, old, new):
+    obj[new] = obj.pop(old)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: _renamed(d, "pushforwards", "pushforward"),
+     "malformed document: unknown key 'pushforward'"),
+    (lambda d: _renamed(d, "nef", "Nef"), "malformed document: unknown key 'Nef'"),
+    (lambda d: _renamed(d, "valuations", "valuation"),
+     "malformed document: unknown key 'valuation'"),
+    (lambda d: _renamed(d["generators"][1], "deg", "degree"),
+     "malformed generators[1]: unknown key 'degree'"),
+    (lambda d: _renamed(d["segment"], "h", "H"), "malformed segment: unknown key 'H'"),
+    (lambda d: d["nef"].update(ineqs=[["1", "0"]]),
+     "malformed nef: give exactly one of 'rays' and 'ineqs'"),
+    (lambda d: d["pushforwards"][0]["nef"].clear(),
+     "malformed pushforwards[0].nef: give exactly one of 'rays' and 'ineqs'"),
+    (lambda d: d.update(pushforwards=[{}]), "malformed pushforwards[0]: missing key 'model_id'"),
+    (lambda d: d["pushforwards"][0].pop("map"), "malformed pushforwards[0]: missing key 'map'"),
+    (lambda d: d["generators"][2].pop("mults"), "malformed generators[2]: missing key 'mults'"),
+    (lambda d: d.pop("numerical_map"), "malformed document: missing key 'numerical_map'"),
+    (lambda d: d["generators"][0]["mults"].update(E=None),
+     "bad rational literal None: write an integer or a \"p/q\" string"),
+    (lambda d: d["segment"]["h"].__setitem__(0, []),
+     "bad rational literal []: write an integer or a \"p/q\" string"),
+], ids=["pushforward", "Nef", "valuation", "generator-degree", "segment-H", "nef-rays-and-ineqs",
+        "empty-pushforward-nef", "empty-pushforward", "pushforward-without-map",
+        "generator-without-mults", "document-without-map", "null-mult", "array-segment-entry"])
+def test_every_document_key_is_read_or_refused(monkeypatch, capsys, edit, message):
+    # a misspelled optional key was read as absent: "pushforward" let walk
+    # name the final model M2, and "valuation" let check pass over no
+    # valuation; "pushforwards": [{}] printed KeyError('map')
+    doc = loads(dumps(ring_to_json(builtin_examples()["blowup-P2"], segment_h=(0, 1))))
+    edit(doc)
+    with pytest.raises(ParseError) as caught:
+        ring_from_json(doc)
+    assert str(caught.value) == message
+    for command in ("decompose", "walk", "check"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(dumps(doc)))
+        assert main([command, "--input", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
