@@ -1,12 +1,15 @@
 """Command-line surface binding the pipeline end to end.
 
-Commands: decompose, walk, veronese, check, oracle.  Exit codes: 0 ok,
-1 failed check, 2 parse error, 3 validation/data error (a result too long
-to write, too), 4 budget exhausted, 5 non-generic segment.  Every command
-that reads a document reads it through ``_read_input``, which returns the
-datum validated: the input is read as bytes, handed to ``serialize.loads``
-and checked by ``ring.validate``.  Every number printed is written by
-``serialize.dumps`` in JSON and by ``serialize.rat_to_str`` in text.
+Commands: decompose, walk, veronese, check, oracle, each with its own
+argparse subparser that takes only the options its ``cmd_*`` reads
+(``build_parser``).  Exit codes: 0 ok, 1 failed check, 2 parse error (a
+command line that argparse rejects, too), 3 validation/data error (a
+result too long to write, too), 4 budget exhausted, 5 non-generic
+segment.  Every command that reads a document reads it through
+``_read_input``, which returns the datum validated: the input is read as
+bytes, handed to ``serialize.loads`` and checked by ``ring.validate``.
+Every number printed is written by ``serialize.dumps`` in JSON and by
+``serialize.rat_to_str`` in text.
 """
 
 import argparse
@@ -35,19 +38,15 @@ EXIT_NON_GENERIC = 5
 
 def _read_input(cfg):
     """The datum and document segment (None for an example) of ``--example``
-    or ``--input``, validated: errors raise ``_ValidationFailure``, and each
-    warning is printed to stderr.  Both given, or neither, is a ParseError."""
-    if cfg.example and cfg.input:
-        raise ParseError("give --input or --example, not both")
-    if cfg.example:
+    or ``--input``, of which argparse takes exactly one, validated: errors
+    raise ``_ValidationFailure``, and each warning is printed to stderr."""
+    if cfg.example is not None:
         catalog = builtin_examples()
         if cfg.example not in catalog:
             raise ParseError(
                 f"unknown example {cfg.example!r}; available: {sorted(catalog)}"
             )
         datum, segment = catalog[cfg.example], None
-    elif not cfg.input:
-        raise ParseError("either --input or --example is required")
     else:
         if cfg.input == "-":
             # a text stream without a byte buffer, such as an io.StringIO, is read as it is
@@ -151,8 +150,6 @@ def cmd_walk(cfg):
 
 
 def cmd_veronese(cfg):
-    if not cfg.degrees:
-        raise ParseError("--degrees is required, e.g. --degrees 2,3")
     try:
         degrees = [serialize.int_from_str(p) for p in cfg.degrees.split(",")]
     except ParseError:
@@ -301,13 +298,11 @@ def cmd_check(cfg):
 
 def cmd_oracle(cfg):
     datum, _ = _read_input(cfg)
-    if not cfg.points:
-        raise ParseError("at least one --point is required")
     lines = []
     mismatch = False
     # one node budget for the whole command, every point and valuation
     budget = cfg.budget
-    for text in cfg.points:
+    for text in cfg.point:
         x = _parse_point(text)
         for valuation in datum.valuations:
             lp = asymptotic_order(datum, valuation, x).value
@@ -348,28 +343,45 @@ def _int_option(text):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _positive_option(text):
+    """An ``_int_option`` that must be positive, or a usage error."""
+    value = _int_option(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"bad integer {text!r}: not positive")
+    return value
+
+
 def build_parser():
+    """One subparser per command, holding only the options its ``cmd_*``
+    reads.  No parser takes an abbreviated option: ``--h`` is never read
+    as ``--help``."""
     parser = argparse.ArgumentParser(
-        prog="mmpwalk",
+        prog="mmpwalk", allow_abbrev=False,
         description="Exact chamber decompositions and minimal-model walks.",
     )
-    parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("--input", "-i", default="")
-    parser.add_argument("--output", "-o", default="")
-    parser.add_argument("--format", choices=["json", "text"], default="json")
-    parser.add_argument("--seed", type=_int_option, default=0)
-    parser.add_argument("--k-max", type=_int_option, default=12)
-    parser.add_argument("--grid-depth", type=_int_option, default=3)
-    parser.add_argument("--budget", type=_int_option, default=DEFAULT_NODE_BUDGET,
-                        help="enumeration nodes of the whole command; bounds only oracle")
-    parser.add_argument("--example", default="")
-    parser.add_argument("--h", default="", help="segment endpoint, e.g. '0,1'")
-    parser.add_argument("--point", action="append", dest="points", default=[])
-    parser.add_argument("--degrees", default="", help="e.g. '2,3' for veronese")
-    parser.add_argument("--m-max", type=_int_option, default=6)
-    refine = parser.add_mutually_exclusive_group()
-    refine.add_argument("--refine", dest="refine", action="store_true", default=True)
-    refine.add_argument("--no-refine", dest="refine", action="store_false")
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    command = {name: subparsers.add_parser(name, allow_abbrev=False) for name in COMMANDS}
+    for name, sub in command.items():
+        sub.add_argument("--output", "-o", default="")
+        if name != "veronese":
+            source = sub.add_mutually_exclusive_group(required=True)
+            source.add_argument("--input", "-i")
+            source.add_argument("--example")
+        if name in ("decompose", "walk", "veronese"):
+            sub.add_argument("--format", choices=["json", "text"], default="json")
+        if name in ("decompose", "walk", "check"):
+            refine = sub.add_mutually_exclusive_group()
+            refine.add_argument("--refine", dest="refine", action="store_true", default=True)
+            refine.add_argument("--no-refine", dest="refine", action="store_false")
+    command["walk"].add_argument("--h", default="", help="segment endpoint, e.g. '0,1'")
+    command["veronese"].add_argument("--degrees", required=True, help="e.g. '2,3'")
+    command["veronese"].add_argument("--m-max", type=_positive_option, default=6)
+    command["check"].add_argument("--seed", type=_int_option, default=0)
+    command["check"].add_argument("--grid-depth", type=_positive_option, default=3)
+    command["oracle"].add_argument("--point", action="append", required=True)
+    command["oracle"].add_argument("--k-max", type=_positive_option, default=12)
+    command["oracle"].add_argument("--budget", type=_positive_option, default=DEFAULT_NODE_BUDGET,
+                                   help="enumeration nodes of the whole command")
     return parser
 
 
@@ -378,12 +390,6 @@ _PARSER = build_parser()
 
 def main(argv=None):
     args = _PARSER.parse_args(argv)
-    if min(args.budget, args.k_max, args.grid_depth, args.m_max) <= 0:
-        print(
-            "error: --budget, --k-max, --grid-depth and --m-max must be positive",
-            file=sys.stderr,
-        )
-        return EXIT_VALIDATION
     try:
         return COMMANDS[args.command](args)
     except ParseError as exc:

@@ -28,7 +28,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from .cones import cone_from_rays, cone_from_halfspaces
-from .errors import InconsistentInput, MmpwalkError, ParseError
+from .errors import DimensionError, InconsistentInput, InvalidCone, MmpwalkError, ParseError
 from .linalg import _EXACT_TYPES
 from .ring import GeneratorDatum, PushforwardDatum, RingDatum, _map_shape
 
@@ -89,8 +89,10 @@ def rat_from_str(s):
         if type(s) is str and "_" in s:
             raise ValueError("digit separators are not read")
         return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise ParseError(f"bad rational literal {s!r}: {exc}") from None
+    except ZeroDivisionError:
+        raise ParseError(f"bad rational literal {s!r}: zero denominator") from None
 
 
 def int_from_str(s):
@@ -169,15 +171,21 @@ def nef_from_json(doc, matrix, n, where):
     ``ring._map_shape`` finds the map's shape wrong: validation rejects
     such a map on its own, and its row count is not trusted to size a
     cone.  ``doc``, the object ``where``, must hold exactly one of
-    ``rays`` and ``ineqs``, by ``_object``."""
+    ``rays`` and ``ineqs``, by ``_object``.  A cone that cannot be built
+    raises its InvalidCone or DimensionError with the field named, such as
+    ``nef.rays: generators have mixed dimensions``."""
     doc = _object(doc, where, (), ("rays", "ineqs"))
     if len(doc) != 1:
         raise ParseError(f"malformed {where}: give exactly one of 'rays' and 'ineqs'")
     if _map_shape(matrix, n) is not None:
         return None
-    if "rays" in doc:
-        return cone_from_rays(matrix_from_json(doc["rays"]))
-    return cone_from_halfspaces(matrix_from_json(doc["ineqs"]), len(matrix))
+    (key, value), = doc.items()
+    try:
+        if key == "rays":
+            return cone_from_rays(matrix_from_json(value))
+        return cone_from_halfspaces(matrix_from_json(value), len(matrix))
+    except (InvalidCone, DimensionError) as exc:
+        raise type(exc)(f"{where}.{key}: {exc}") from None
 
 
 def ring_to_json(datum, segment_h=None):

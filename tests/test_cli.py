@@ -37,7 +37,12 @@ def blowup_file(tmp_path):
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """The exit code, stdout and stderr of the command line ``argv``; when
+    argparse rejects it, its SystemExit gives the exit code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -478,8 +483,12 @@ def test_degrees_are_read_by_the_integer_literal_rule(capsys, degrees):
     ("veronese", "--degrees", "2,3", "--m-max", "1_0"),
     ("check", "--example", "blowup-P2", "--grid-depth", "0_3"),
     ("check", "--example", "blowup-P2", "--seed", "1_0"),
-    ("check", "--example", "blowup-P2", "--k-max", "1e1"),
+    ("oracle", "--example", "blowup-P2", "--point", "1,1", "--k-max", "1e1"),
     ("oracle", "--example", "blowup-P2", "--point", "1,1", "--budget", "5/2"),
+    # the same option type rejects a count that is not positive: these
+    # exited 3, from a check in main
+    ("check", "--example", "blowup-P2", "--grid-depth", "0"),
+    ("oracle", "--example", "blowup-P2", "--point", "1,1", "--k-max", "0"),
 ])
 def test_integer_options_are_read_by_the_integer_literal_rule(capsys, argv):
     # argparse's int read "1_0" as 10, where --degrees and every document
@@ -503,7 +512,62 @@ def test_integer_options_read_integer_text_as_its_integer(capsys):
 
 
 def test_input_or_example_is_required(capsys):
-    assert run(capsys, "decompose") == (2, "", "error: either --input or --example is required\n")
+    # argparse takes exactly one of --input and --example
+    code, out, err = run(capsys, "decompose")
+    assert (code, out) == (2, "")
+    assert err.endswith(" error: one of the arguments --input/-i --example is required\n")
+    code, out, err = run(capsys, "decompose", "--example", "blowup-P2", "--input", "x.json")
+    assert (code, out) == (2, "")
+    assert err.endswith(" error: argument --input/-i: not allowed with argument --example\n")
+
+
+# the options that each command reads, by their option strings
+COMMAND_OPTIONS = {
+    "decompose": {"--output", "-o", "--input", "-i", "--example", "--format", "--refine",
+                  "--no-refine"},
+    "walk": {"--output", "-o", "--input", "-i", "--example", "--format", "--refine",
+             "--no-refine", "--h"},
+    "veronese": {"--output", "-o", "--format", "--degrees", "--m-max"},
+    "check": {"--output", "-o", "--input", "-i", "--example", "--refine", "--no-refine",
+              "--seed", "--grid-depth"},
+    "oracle": {"--output", "-o", "--input", "-i", "--example", "--point", "--k-max",
+               "--budget"},
+}
+# a valid value of each option (None for a flag), and a valid command line
+# of each command
+OPTION_VALUES = {
+    "--output": "out.json", "-o": "out.json", "--input": "in.json", "-i": "in.json",
+    "--example": "blowup-P2", "--format": "text", "--refine": None, "--no-refine": None,
+    "--h": "0,1", "--degrees": "2,3", "--m-max": "2", "--seed": "3", "--grid-depth": "2",
+    "--point": "1,1", "--k-max": "2", "--budget": "5",
+}
+COMMAND_ARGV = {
+    "decompose": ("--example", "blowup-P2"),
+    "walk": ("--example", "blowup-P2", "--h", "0,1"),
+    "veronese": ("--degrees", "2,3"),
+    "check": ("--example", "blowup-P2"),
+    "oracle": ("--example", "blowup-P2", "--point", "1,1"),
+}
+
+
+@pytest.mark.parametrize("command, option", [
+    (command, option) for command in sorted(COMMAND_OPTIONS) for option in sorted(OPTION_VALUES)
+    if option not in COMMAND_OPTIONS[command]])
+def test_a_command_rejects_every_option_it_does_not_read(capsys, command, option):
+    # every command took all 13 option values and ignored those it does not
+    # read: decompose --seed 5 exited 0, and decompose --grid-depth 0 exited 3
+    value = OPTION_VALUES[option]
+    extra = (option,) if value is None else (option, value)
+    code, out, err = run(capsys, command, *COMMAND_ARGV[command], *extra)
+    assert (code, out) == (2, "")
+    assert err.endswith(f" error: unrecognized arguments: {' '.join(extra)}\n")
+
+
+def test_h_is_not_an_abbreviated_help(capsys):
+    # a command without --h read an abbreviated --h as --help, and printed
+    # its help with exit 0
+    assert run(capsys, "decompose", "--h", "0,1")[:2] == (2, "")
+    assert run(capsys, "check", "--example", "blowup-P2", "--h", "0,1")[:2] == (2, "")
 
 
 def test_check_passes_on_example(capsys):
@@ -650,15 +714,16 @@ def test_validation_failure_exit_code(tmp_path, capsys):
 
 
 def test_budget_flag_must_be_positive(capsys):
-    code, _, err = run(capsys, "check", "--example", "blowup-P2", "--budget", "-1")
-    assert code == 3
-    assert "positive" in err
+    code, out, err = run(capsys, "oracle", "--example", "blowup-P2", "--point", "1,1",
+                         "--budget", "-1")
+    assert (code, out) == (2, "")
+    assert err.endswith(" error: argument --budget: bad integer '-1': not positive\n")
 
 
 def test_budget_env_is_not_read(monkeypatch, capsys):
-    # --budget is the one budget setting; a budget of 0 would exit 3
+    # --budget is the one budget setting; a budget of 0 would exit 2
     monkeypatch.setenv("MMPW_BUDGET", "0")
-    code, _, _ = run(capsys, "check", "--example", "blowup-P2")
+    code, _, _ = run(capsys, "oracle", "--example", "blowup-P2", "--point", "1,1")
     assert code == 0
 
 
@@ -687,11 +752,14 @@ def _one_line_error(err):
         (("oracle", "--example", "blowup-P2", "--point", "1,2,3"), 3),
         (("oracle", "--example", "blowup-P2", "--point=-1,1"), 3),
         (("decompose", "--input", "/nonexistent.json"), 2),
-        (("veronese", "--degrees", "2,3", "--m-max", "-2"), 3),
-        (("veronese", "--degrees", "2,3", "--m-max", "0"), 3),
+        (("veronese", "--degrees", "2,3", "--m-max", "-2"), 2),
+        (("veronese", "--degrees", "2,3", "--m-max", "0"), 2),
         (("walk", "--example", "blowup-P2", "--h", "0,1,5"), 3),
         # --example won, and --input was not read: this exited 0
         (("decompose", "--example", "blowup-P2", "--input", "/nonexistent.json"), 2),
+        # an empty --input or --example is read, not taken as absent
+        (("decompose", "--input", ""), 2),
+        (("decompose", "--example", ""), 2),
     ],
     ids=[
         "veronese-zero-degree",
@@ -702,11 +770,16 @@ def _one_line_error(err):
         "veronese-zero-m-max",
         "walk-h-dimension",
         "example-and-input",
+        "empty-input",
+        "empty-example",
     ],
 )
 def test_bad_arguments_exit_with_documented_codes(capsys, argv, code):
     got, _, err = run(capsys, *argv)
     assert got == code
+    if err.startswith("usage: "):
+        # argparse rejected the command line: its usage, then one error line
+        err = err.splitlines(keepends=True)[-1].replace(f"mmpwalk {argv[0]}: ", "", 1)
     assert _one_line_error(err)
 
 
@@ -728,6 +801,19 @@ def test_invalid_cone_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "decompose", "--input", str(path))
     assert code == 3
     assert _one_line_error(err)
+
+
+@pytest.mark.parametrize("field, rays, message", [
+    ("nef", [[1, -1], [1]], "nef.rays: generators have mixed dimensions"),
+    ("pushforwards", [[0]], "pushforwards[0].nef.rays: all generators are zero"),
+], ids=["nef", "pushforward"])
+def test_a_bad_nef_ray_names_its_field(monkeypatch, capsys, field, rays, message):
+    # the generator rule's message named no field, and so read as if the
+    # ring's generators were at fault
+    doc = json.loads(dumps(ring_to_json(builtin_examples()["blowup-P2"])))
+    (doc["nef"] if field == "nef" else doc["pushforwards"][0]["nef"])["rays"] = rays
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert run(capsys, "decompose", "--input", "-") == (3, "", f"error: {message}\n")
 
 
 def test_nef_inequality_of_wrong_dimension_exit_code(tmp_path, capsys):
@@ -1093,6 +1179,8 @@ def test_mutated_documents_end_in_a_documented_exit_code(doc, encoding):
                 (path, io.StringIO, ()),
                 (path, io.StringIO, ("--format", "text")),
             ):
+                if extra and command[0] not in ("decompose", "walk"):
+                    continue  # check and oracle write text only and take no --format
                 argv = [*command, "--input", source, *extra]
                 code, out, err = _run_on_stdin(argv, stdin())
                 assert code in range(6), (argv, code)
@@ -1132,11 +1220,13 @@ ARGV_FLAGS = (
 
 @st.composite
 def mutated_argvs(draw):
-    """A base command on a builtin example followed by one or two fuzz flags;
-    a flag the base already holds is repeated, and argparse keeps the last."""
+    """A base command on a builtin example followed by one or two fuzz flags
+    that the command reads; a flag the base already holds is repeated, and
+    argparse keeps the last."""
     argv = [*draw(st.sampled_from(ARGV_BASES))]
     argv += ["--example", draw(st.sampled_from(sorted(EXAMPLE_DOCS)))]
-    for flag in draw(st.lists(st.sampled_from(ARGV_FLAGS), min_size=1, max_size=2)):
+    flags = [flag for flag in ARGV_FLAGS if flag[0] in COMMAND_OPTIONS[argv[0]]]
+    for flag in draw(st.lists(st.sampled_from(flags), min_size=1, max_size=2)):
         argv += flag
     return argv
 

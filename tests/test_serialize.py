@@ -54,8 +54,12 @@ def test_rat_to_str_writes_ints_and_fractions_and_nothing_else():
 
 
 def test_bad_rational_raises():
-    with pytest.raises(ParseError):
-        rat_from_str("1/0")
+    # a zero denominator was reported by the ZeroDivisionError's own text,
+    # "Fraction(1, 0)", which gives no reason
+    for value in ("1/0", "-3/0", "0/0"):
+        with pytest.raises(ParseError) as exc:
+            rat_from_str(value)
+        assert str(exc.value) == f"bad rational literal {value!r}: zero denominator"
     with pytest.raises(ParseError):
         rat_from_str("one third")
     # a JSON null, array or object reached Fraction, whose TypeError was
@@ -67,15 +71,18 @@ def test_bad_rational_raises():
 
 def _fraction_reader(s):
     """``rat_from_str`` as it read every entry with ``Fraction(s)``, but for
-    a "_" digit separator, which it rejects on every Python."""
+    a "_" digit separator, which it rejects on every Python, and a zero
+    denominator, which it names."""
     if isinstance(s, (bool, float)):
         raise ParseError(f"{s!r} is not exact: write an integer or a \"p/q\" string")
     if isinstance(s, str) and "_" in s:
         raise ParseError(f"bad rational literal {s!r}: digit separators are not read")
     try:
         return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise ParseError(f"bad rational literal {s!r}: {exc}") from None
+    except ZeroDivisionError:
+        raise ParseError(f"bad rational literal {s!r}: zero denominator") from None
 
 
 def _outcome(read, s):
