@@ -68,7 +68,7 @@ def _read_input(cfg):
 
 
 def _write_output(cfg, text):
-    if cfg.output:
+    if cfg.output is not None:
         try:
             with open(cfg.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -128,7 +128,7 @@ def _trace_text(walk, trace, cls):
 
 def cmd_walk(cfg):
     datum, segment_h = _read_input(cfg)
-    if cfg.h:
+    if cfg.h is not None:
         segment_h = _parse_point(cfg.h)
     if segment_h is None:
         raise ParseError("a segment is required: supply document 'segment' or --h")
@@ -362,7 +362,7 @@ def build_parser():
     subparsers = parser.add_subparsers(dest="command", required=True)
     command = {name: subparsers.add_parser(name, allow_abbrev=False) for name in COMMANDS}
     for name, sub in command.items():
-        sub.add_argument("--output", "-o", default="")
+        sub.add_argument("--output", "-o")
         if name != "veronese":
             source = sub.add_mutually_exclusive_group(required=True)
             source.add_argument("--input", "-i")
@@ -373,7 +373,7 @@ def build_parser():
             refine = sub.add_mutually_exclusive_group()
             refine.add_argument("--refine", dest="refine", action="store_true", default=True)
             refine.add_argument("--no-refine", dest="refine", action="store_false")
-    command["walk"].add_argument("--h", default="", help="segment endpoint, e.g. '0,1'")
+    command["walk"].add_argument("--h", help="segment endpoint, e.g. '0,1'")
     command["veronese"].add_argument("--degrees", required=True, help="e.g. '2,3'")
     command["veronese"].add_argument("--m-max", type=_positive_option, default=6)
     command["check"].add_argument("--seed", type=_int_option, default=0)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from .cones import cone_from_rays
 from .errors import BudgetExceeded, DimensionError
 from .linalg import clear_denominators
-from .orders import DEFAULT_NODE_BUDGET, _check_exact, _check_level, _mults, _named
+from .orders import DEFAULT_NODE_BUDGET, _check_level, _mults, _named
 from .ring import GeneratorDatum, PushforwardDatum, RingDatum
 
 
@@ -118,8 +118,9 @@ def o_value_oracle(datum, valuation, x, k_list, budget=DEFAULT_NODE_BUDGET):
 
     Levels are taken one at a time, so ``k_list`` may be a long ``range``,
     and ``budget`` bounds the whole call: each level costs one node plus
-    its search.  A multiplicity or an entry of ``x`` that is not an ``int``
-    or a ``Fraction``, such as a float, raises TypeError rather than being
+    its search.  The multiplicities are exact since the datum was built
+    (``ring``).  An entry of ``x`` that is not an ``int`` or a
+    ``Fraction``, such as a float, raises TypeError rather than being
     coerced, and so does a level that is not an ``int`` (a float or a
     bool, too).  A level ``k <= 0`` raises ValueError, and a multidegree
     whose length is not the point's DimensionError.
@@ -134,7 +135,6 @@ def _o_values(datum, valuation, x, k_list, budget):
     # the search adds ints; each value is divided by the heights' common
     # denominator at the end
     mults = _mults(datum, valuation)
-    _check_exact(mults, valuation)
     costs, den = clear_denominators(mults)
     xs, x_den = clear_denominators(x)
     if any(len(d) != len(xs) for d in degrees):

@@ -16,8 +16,9 @@ them with LP values from ``simplex``.
 Every query goes through the one ``OrderFunction`` of its LP data, the
 integer degrees and the multiplicities, which ``order_function(datum,
 valuation)`` finds in one least-recently-used cache keyed on those data.
-A datum's generators never change (``ring``), so the key is built once
-per datum and valuation and kept with the datum; every later query is one
+A datum never changes and its numbers are exact by type once it is built
+(``ring``), so the key is built once per datum and valuation, with no
+check of its own, and kept with the datum; every later query is one
 lookup of it.  ``forget_order_functions()`` empties the cache.
 It turns the multiplicities into integer costs over one denominator once,
 and reads every query point once, in ``_point``, as integer numerators
@@ -46,7 +47,6 @@ which witness is returned depends on the earlier queries of the process.
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
@@ -54,7 +54,7 @@ from .cones import (PolyCone, _check_generators, _columns, _dd, _maximal,
                     common_refinement, hyperplane_refinement, make_fan)
 from .errors import (BudgetExceeded, DimensionError, InconsistentInput, InvalidCone,
                      OutsideSupport)
-from .linalg import (_EXACT_TYPES, _INT_TYPES, clear_denominators, dot, is_zero,
+from .linalg import (_INT_TYPES, clear_denominators, dot, is_zero,
                      primitive, reduce_mod_rowspace, row_reduce, shown)
 from .ring import support_cone
 from .simplex import INFEASIBLE, UNBOUNDED, solve_min
@@ -135,17 +135,11 @@ class OValue:
         return OValue, (self.value, self.witness, self.dual)
 
 
-def _check_exact(mults, valuation):
-    """Raise TypeError on a multiplicity inexact by ``linalg``'s rule."""
-    if not _EXACT_TYPES.issuperset(map(type, mults)):
-        raise TypeError(f"multiplicities at {valuation!r} are not exact: {tuple(mults)!r}")
-
-
 def _mults(datum, valuation):
     """The one reader of the generators' multiplicities at ``valuation``:
-    their list, in generator order.  A missing one raises InconsistentInput
-    naming the first generator without it; exactness is the caller's to
-    check, by ``_check_exact``."""
+    their list, in generator order, each an ``int`` or a ``Fraction`` since
+    the datum was built (``ring``).  A missing one raises InconsistentInput
+    naming the first generator without it."""
     try:
         return [g.mults[valuation] for g in datum.generators]
     except KeyError:
@@ -168,26 +162,21 @@ def asymptotic_order(datum, valuation, x, support=None):
 
 def order_function(datum, valuation):
     """The one ``OrderFunction`` of the datum's LP data at ``valuation``:
-    the integer degrees and the multiplicities, read by ``_mults`` and
-    checked by ``_check_exact``.  Its content key holds the multiplicities
-    as (numerator, denominator) pairs, so an ``int`` and an equal
-    ``Fraction`` share one function, and any datum with equal data reaches
-    it.  The degrees are checked by ``OrderFunction``'s generator rule when
-    a function is built, and their entry types are scanned before the key
-    is kept: a bool or a float hashes as the ``int`` it equals, so a degree
-    with one raises by the rule, TypeError, however warm the cache.
+    the integer degrees and the multiplicities, read by ``_mults``, all
+    exact by type since the datum was built (``ring``).  Its content key
+    holds the multiplicities as (numerator, denominator) pairs, so an
+    ``int`` and an equal ``Fraction`` share one function, and any datum
+    with equal data reaches it.  The degrees are checked by
+    ``OrderFunction``'s generator rule when a function is built.
 
-    A datum's generators never change, so the key is built once per datum
-    and valuation and kept in the datum's ``_order_keys``, unless a check
+    A datum never changes, so the key is built once per datum and
+    valuation and kept in the datum's ``_order_keys``, unless ``_mults``
     raises; every later query is one lookup of that key in the one cache.
     ``forget_order_functions`` empties the cache, not the keys."""
     key = datum._order_keys.get(valuation)
     if key is None:
         mults = _mults(datum, valuation)
-        _check_exact(mults, valuation)
         degrees = tuple([g.multidegree for g in datum.generators])
-        if not _EXACT_TYPES.issuperset(map(type, chain.from_iterable(degrees))):
-            _check_generators(degrees)
         ratios = tuple([m.as_integer_ratio() for m in mults])
         key = datum._order_keys[valuation] = (degrees, ratios)
     return _order_functions(*key)

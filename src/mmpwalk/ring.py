@@ -6,17 +6,22 @@ data, which are treated as ground truth.  A numerical map is its matrix,
 one row per numerical coordinate, so its target dimension is its row count;
 a nef cone is a plain ``PolyCone`` in its map's target coordinates.
 
-A datum's generators never change once built: they are a tuple, and each
-holds its multidegree as a tuple and its multiplicities as a read-only
-copy of the mapping it was given, so the key of each order function that
-``orders.order_function`` finds for a datum is built once and kept.
+A datum never changes once built: its generators are a tuple, each
+holding its multidegree as a tuple and its multiplicities as a read-only
+copy of the mapping it was given, and its maps are tuples of tuples, so
+the key of each order function that ``orders.order_function`` finds for
+a datum is built once and kept.  Its numbers are exact when it is built:
+each constructor checks its fields by type, ``linalg``'s rule (an ``int``
+for ``r`` and a multidegree entry, an ``int`` or a ``Fraction`` for a
+multiplicity and a map entry), and raises TypeError naming the field and
+the value, so no query or validation checks them again.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from .cones import PolyCone, cone_from_rays
-from .linalg import _EXACT_TYPES, rank, shown
+from .linalg import _EXACT_TYPES, _INT_TYPES, rank, shown
 
 
 class _FrozenDict(dict):
@@ -32,18 +37,38 @@ class _FrozenDict(dict):
         return type(self), (dict(self),)
 
 
+def _check_types(field, values, types=_EXACT_TYPES):
+    """Raise TypeError naming ``field`` and the first of ``values`` whose
+    type is not in ``types``, ``linalg._EXACT_TYPES`` or ``_INT_TYPES``."""
+    for x in values:
+        if type(x) not in types:
+            kind = "an int" if types is _INT_TYPES else "an int or a Fraction"
+            raise TypeError(f"{field} holds {x!r}, not {kind}")
+
+
+def _exact_rows(field, rows):
+    """A map's ``rows`` as a tuple of tuples whose entries are exact."""
+    rows = tuple(map(tuple, rows))
+    for row in rows:
+        _check_types(field, row)
+    return rows
+
+
 @dataclass(frozen=True)
 class GeneratorDatum:
     """One ring generator: its multidegree and its valuation multiplicities,
-    kept as a tuple and a read-only copy of the mapping given."""
+    kept as a tuple of ``int``s and a read-only copy of the mapping given,
+    whose values, tracked or not, are ``int``s or ``Fraction``s."""
 
     multidegree: tuple
     mults: dict
 
     def __post_init__(self):
         object.__setattr__(self, "multidegree", tuple(self.multidegree))
+        _check_types("multidegree", self.multidegree, _INT_TYPES)
         if type(self.mults) is not _FrozenDict:
             object.__setattr__(self, "mults", _FrozenDict(self.mults))
+        _check_types("mults", self.mults.values())
 
 
 @dataclass(frozen=True)
@@ -58,6 +83,9 @@ class PushforwardDatum:
     matrix: tuple
     nef: PolyCone
 
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", _exact_rows("matrix", self.matrix))
+
 
 @dataclass(frozen=True)
 class RingDatum:
@@ -70,7 +98,10 @@ class RingDatum:
     pushforwards: tuple = ()
 
     def __post_init__(self):
+        _check_types("r", (self.r,), _INT_TYPES)
         object.__setattr__(self, "generators", tuple(self.generators))
+        if self.numerical is not None:
+            object.__setattr__(self, "numerical", _exact_rows("numerical", self.numerical))
 
     @property
     def grading_dim(self):
@@ -122,19 +153,6 @@ def _map_shape(rows, n):
     return None
 
 
-def _exact_map(report, code, name, rows, n):
-    """Report a map of the wrong shape (``_map_shape``) or whose entries
-    are not exact; True when it is well formed."""
-    shape = _map_shape(rows, n)
-    if shape is not None:
-        report.add("error", code, f"{name} {shape}")
-    elif not all(type(x) in _EXACT_TYPES for row in rows for x in row):
-        report.add("error", code, f"{name} entries must be integers or Fractions")
-    else:
-        return True
-    return False
-
-
 def _nef_dimension(report, name, nef, rows):
     """Report a nef cone that does not live in its map's target space."""
     if nef is not None and nef.ambient_dim != len(rows):
@@ -147,7 +165,8 @@ def _nef_dimension(report, name, nef, rows):
 
 
 def validate(datum):
-    """Check all structural invariants of a RingDatum.
+    """Check all structural invariants of a RingDatum.  The types of its
+    numbers were checked when it was built; this checks their values.
 
     Never raises; problems come back in the report with a severity level.
     """
@@ -163,7 +182,7 @@ def validate(datum):
         )
     if not datum.generators:
         report.add("error", "no-generators", "at least one generator is required")
-    degrees = []  # multidegrees of the right length with integer entries
+    degrees = []  # multidegrees of the right length
     seen = set()
     for name in datum.valuations:
         if name in seen:
@@ -180,10 +199,8 @@ def validate(datum):
             continue
         if all(x == 0 for x in gen.multidegree):
             report.add("error", "zero-multidegree", f"generator {i} has zero multidegree")
-        exact = all(type(x) is int for x in gen.multidegree)
-        if exact:
-            degrees.append(gen.multidegree)
-        if not exact or any(x < 0 for x in gen.multidegree):
+        degrees.append(gen.multidegree)
+        if any(x < 0 for x in gen.multidegree):
             report.add(
                 "error",
                 "bad-multidegree",
@@ -195,13 +212,6 @@ def validate(datum):
                     "error",
                     "missing-mult",
                     f"generator {i} has no multiplicity for valuation {name!r}",
-                )
-            elif type(gen.mults[name]) not in _EXACT_TYPES:
-                report.add(
-                    "error",
-                    "bad-mult",
-                    f"generator {i} multiplicity for valuation {name!r} must be an"
-                    " integer or a Fraction",
                 )
             elif gen.mults[name] < 0:
                 report.add(
@@ -218,8 +228,10 @@ def validate(datum):
                 )
     if datum.numerical is not None:
         rows = datum.numerical
-        if (_exact_map(report, "bad-numerical-map", "numerical map", rows, n)
-                and rank(rows) < len(rows)):
+        shape = _map_shape(rows, n)
+        if shape is not None:
+            report.add("error", "bad-numerical-map", f"numerical map {shape}")
+        elif rank(rows) < len(rows):
             report.add(
                 "warning",
                 "numerical-rank",
@@ -230,7 +242,9 @@ def validate(datum):
         report.add("error", "nef-without-map", "a nef cone needs a numerical map")
     for pf in datum.pushforwards:
         name = f"pushforward {pf.model_id!r}"
-        _exact_map(report, "bad-pushforward-map", f"{name} map", pf.matrix, n)
+        shape = _map_shape(pf.matrix, n)
+        if shape is not None:
+            report.add("error", "bad-pushforward-map", f"{name} map {shape}")
         _nef_dimension(report, f"{name} nef cone", pf.nef, pf.matrix)
     if degrees and not all(all(x == 0 for x in d) for d in degrees):
         if rank(degrees) < n:

@@ -276,42 +276,33 @@ def monoid_generators(cell):
     return list(dict.fromkeys([tuple(r) for r in cell.rays] + extra))
 
 
-def _exponent_vectors(count, depth):
-    for total in range(1, depth + 1):
-        for cuts in itertools.combinations(range(total + count - 1), count - 1):
-            vec = []
-            prev = -1
-            for c in cuts:
-                vec.append(c - prev - 1)
-                prev = c
-            vec.append(total + count - 2 - prev)
-            yield tuple(vec)
-
-
 def _grid_table(count, depth):
-    """The exponent vectors of ``_exponent_vectors(count, depth)`` and, for
-    each, the step ``(parent, i)`` that builds it: ``i`` is the index of
-    its last nonzero entry and ``parent`` the index of ``p - e_i`` in the
-    list whose entry 0 is the zero vector and entry ``j`` the ``j``-th
-    exponent vector, so a unit vector's parent is 0.
+    """The exponent vectors of ``count`` generators of total 1 to ``depth``,
+    each total's block in lexicographic order, and for each the step
+    ``(parent, i)`` that builds it: ``i`` is the index of its last nonzero
+    entry and ``parent`` the index of ``p - e_i`` in the list whose entry 0
+    is the zero vector and entry ``j`` the ``j``-th exponent vector, so a
+    unit vector's parent is 0.
 
-    ``_exponent_vectors`` lists each total's block in lexicographic order,
-    and taking one off the last nonzero entry keeps that order.  The
-    children of a vector ``w`` are ``w + e_i`` for ``i`` from ``count - 1``
+    The children of a vector ``w`` are ``w + e_i`` for ``i`` from ``count - 1``
     down to ``w``'s own generator (every ``i`` for the zero vector), in
-    lexicographic order too, so each block is the children of the block
-    before, vector by vector, and the steps are read off that block with
-    no vector looked up."""
+    lexicographic order, so each block is the children of the block
+    before, vector by vector.  Each vector is built from its step, its
+    parent plus ``e_i``, as its grid point is, and the steps are read off
+    the block before with no vector looked up."""
+    vectors = [(0,) * count]
     steps = []
     block = [(0, 0)]  # (index, last nonzero entry) of each vector of the last total
     for _ in range(depth):
         children = []
         for parent, last in block:
+            w = vectors[parent]
             for i in range(count - 1, last - 1, -1):
                 steps.append((parent, i))
+                vectors.append(w[:i] + (w[i] + 1,) + w[i + 1:])
                 children.append((len(steps), i))
         block = children
-    return list(_exponent_vectors(count, depth)), steps
+    return vectors[1:], steps
 
 
 def grid_additivity_check(datum, fan, depth=3):

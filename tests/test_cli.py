@@ -783,6 +783,23 @@ def test_bad_arguments_exit_with_documented_codes(capsys, argv, code):
     assert _one_line_error(err)
 
 
+def test_an_empty_h_is_read_not_taken_as_absent(tmp_path, capsys):
+    # `if cfg.h:` took "" for no --h, and walked the document's segment
+    path = tmp_path / "segment.json"
+    path.write_text(dumps(ring_to_json(builtin_examples()["blowup-P2"], segment_h=(0, 1))))
+    assert run(capsys, "walk", "--input", str(path))[0] == 0
+    code, out, err = run(capsys, "walk", "--input", str(path), "--h", "")
+    assert (code, out) == (2, "")
+    assert _one_line_error(err) and "bad point ''" in err
+
+
+def test_an_empty_output_is_read_not_taken_as_absent(capsys):
+    # `if cfg.output:` took "" for no --output, and wrote to stdout
+    code, out, err = run(capsys, "decompose", "--example", "blowup-P2", "--output", "")
+    assert (code, out) == (2, "")
+    assert _one_line_error(err) and "cannot write output ''" in err
+
+
 def test_float_degree_is_parse_error(tmp_path, capsys):
     doc = json.loads(dumps(ring_to_json(builtin_examples()["blowup-P2"])))
     doc["generators"][0]["deg"] = [1.7, 0]

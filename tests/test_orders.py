@@ -552,16 +552,12 @@ def test_cell_functionals_equal_functional_on_cell(name):
 @pytest.mark.parametrize("mult", [0.5, 1.0, True])
 def test_inexact_multiplicity_raises_type_error(blowup, mult):
     # 1.0 and True equal the exact multiplicity 1, so a cached basis for the
-    # exact data would serve them if the check came after the cache lookup
+    # exact data would serve them: no datum that holds one can be built
     asymptotic_order(blowup, "E", (1, 1))
-    generators = (GeneratorDatum((1, 0), {"E": mult}),) + blowup.generators[1:]
-    datum = replace(blowup, generators=generators)
-    with pytest.raises(TypeError):
-        asymptotic_order(datum, "E", (1, 1))
-    with pytest.raises(TypeError):
-        linearity_fan(datum, "E")
-    with pytest.raises(TypeError):
-        integer_order(datum, "E", (1, 1), 1)
+    with pytest.raises(TypeError, match="mults holds"):
+        GeneratorDatum((1, 0), {"E": mult})
+    with pytest.raises(TypeError, match="mults holds"):
+        _with_mult(blowup, 0, mult)
 
 
 # builtin examples and corpus seeds 1-5
@@ -958,12 +954,10 @@ def test_a_multiplicity_replaced_in_a_new_datum_builds_its_function(blowup):
     # an int equal to the Fraction keys the same order function
     assert asymptotic_order(_with_mult(datum, 2, 5), "E", (2, 1)).value == 2
     assert _builds() == 2
-    # a check that raises keeps no key, so every query raises again
-    inexact = _with_mult(datum, 2, 5.0)
-    for _ in range(2):
-        with pytest.raises(TypeError, match="not exact"):
-            asymptotic_order(inexact, "E", (2, 1))
-    assert inexact._order_keys == {}
+    # an inexact one cannot be built, so no query meets it
+    with pytest.raises(TypeError, match="mults holds 5.0"):
+        _with_mult(datum, 2, 5.0)
+    assert _builds() == 2
 
 
 def test_twin_data_and_supports_share_one_order_function():
@@ -1205,22 +1199,20 @@ def test_malformed_generator_data_raise_before_any_query(blowup, query):
     with pytest.raises(DimensionError):
         query(replace(blowup, generators=mixed))
     for degree in ((1.5, 0), (True, 0)):
-        # the key of (True, 0) equals that of (1, 0): build the function afresh
-        orders.forget_order_functions()
-        inexact = (GeneratorDatum(degree, blowup.generators[0].mults),) + blowup.generators[1:]
-        with pytest.raises(TypeError, match="not exact"):
-            query(replace(blowup, generators=inexact))
+        # an inexact degree raises when its generator is built
+        with pytest.raises(TypeError, match="multidegree holds"):
+            GeneratorDatum(degree, blowup.generators[0].mults)
 
 
 @pytest.mark.parametrize("query", GENERATOR_QUERIES)
 def test_inexact_degrees_raise_however_warm_the_cache(blowup, query):
     # (1.0, 0) and (True, 0) hash as (1, 0): after a query of blowup-P2 the
-    # cached function of its key answered them, and the second query returned 0
+    # cached function of its key answered them, and the second query returned
+    # 0; now no generator holding one can be built, warm cache or not
     query(blowup)
     for degree in ((1.0, 0), (True, 0)):
-        inexact = (GeneratorDatum(degree, blowup.generators[0].mults),) + blowup.generators[1:]
-        with pytest.raises(TypeError, match=re.escape(f"generator {degree!r} is not exact")):
-            query(replace(blowup, generators=inexact))
+        with pytest.raises(TypeError, match=re.escape(f"multidegree holds {degree[0]!r}")):
+            replace(blowup.generators[0], multidegree=degree)
     query(blowup)
 
 

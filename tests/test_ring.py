@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 from dataclasses import FrozenInstanceError, asdict, fields, replace
 from enum import IntEnum
 from fractions import Fraction
@@ -16,6 +17,7 @@ from mmpwalk.ring import (
     GeneratorDatum,
     PushforwardDatum,
     RingDatum,
+    _FrozenDict,
     support_cone,
     validate,
 )
@@ -187,8 +189,13 @@ def test_builtin_pushforward_validates():
     ((2, "6"),),
 ])
 def test_pushforward_map_shape_and_entries_checked(matrix):
-    report = validate(_with_pushforward(matrix))
-    assert [e.code for e in report.errors] == ["bad-pushforward-map"]
+    # a map of the wrong shape is reported; an inexact entry cannot be built
+    if all(type(x) is int for row in matrix for x in row):
+        report = validate(_with_pushforward(matrix))
+        assert [e.code for e in report.errors] == ["bad-pushforward-map"]
+    else:
+        with pytest.raises(TypeError, match="matrix holds"):
+            _with_pushforward(matrix)
 
 
 def test_pushforward_nef_cone_must_live_in_its_maps_target():
@@ -208,27 +215,22 @@ def test_numerical_map_applies_rows():
     assert mat_apply(nm, (1, 1)) == (Fraction(8), Fraction(0))
 
 
-def test_float_multidegree_is_reported_not_raised():
+def test_float_multidegree_raises_when_built():
     # 1.0 has denominator 1 as a Fraction, yet a float must never reach rank
-    gen = GeneratorDatum(multidegree=(1.0, 0), mults={"E": Fraction(0)})
-    report = validate(make_datum(generators=(gen,) + make_datum().generators))
-    assert [e.code for e in report.errors] == ["bad-multidegree"]
-    assert not report.warnings
+    with pytest.raises(TypeError, match=r"multidegree holds 1\.0, not an int$"):
+        GeneratorDatum(multidegree=(1.0, 0), mults={"E": Fraction(0)})
 
 
-def test_float_numerical_map_entry_is_reported_not_raised():
-    numerical = ((1.0, Fraction(0)),)
-    report = validate(make_datum(numerical=numerical))
-    assert [e.code for e in report.errors] == ["bad-numerical-map"]
-    assert not report.warnings
+def test_float_numerical_map_entry_raises_when_built():
+    with pytest.raises(TypeError, match=r"numerical holds 1\.0, not an int or a Fraction"):
+        make_datum(numerical=((1.0, Fraction(0)),))
 
 
 @pytest.mark.parametrize("mult", [0.5, 1.0, True, "1"])
 def test_inexact_multiplicity_is_reported(mult):
-    gen = GeneratorDatum(multidegree=(1, 1), mults={"E": mult})
-    report = validate(make_datum(generators=(gen,) + make_datum().generators))
-    assert [e.code for e in report.errors] == ["bad-mult"]
-    assert not report.warnings
+    # reported by the TypeError of the constructor, before validation
+    with pytest.raises(TypeError, match=re.escape(f"mults holds {mult!r}")):
+        GeneratorDatum(multidegree=(1, 1), mults={"E": mult})
 
 
 def test_int_and_fraction_multiplicities_pass():
@@ -247,21 +249,57 @@ class _Degree(IntEnum):
     ONE = 1
 
 
-@pytest.mark.parametrize("overrides, code", [
-    (dict(generators=(GeneratorDatum(multidegree=(1, 1), mults={"E": _Third(1, 3)}),)),
-     "bad-mult"),
-    (dict(generators=(GeneratorDatum(multidegree=(_Degree.ONE, 1), mults={"E": 1}),)),
-     "bad-multidegree"),
-    (dict(numerical=((_Third(1), Fraction(0)),)), "bad-numerical-map"),
-    (dict(numerical=((True, 0),)), "bad-numerical-map"),
+@pytest.mark.parametrize("build", [
+    lambda: GeneratorDatum(multidegree=(1, 1), mults={"E": _Third(1, 3)}),
+    lambda: GeneratorDatum(multidegree=(_Degree.ONE, 1), mults={"E": 1}),
+    lambda: make_datum(numerical=((_Third(1), Fraction(0)),)),
+    lambda: make_datum(numerical=((True, 0),)),
 ], ids=["fraction-subclass-mult", "intenum-degree", "fraction-subclass-map", "bool-map"])
-def test_a_subclass_is_not_exact(overrides, code):
+def test_a_subclass_is_not_exact(build):
     # validate passed a Fraction-subclass multiplicity that the LP then
     # rejected; exact means an int or a Fraction by type, as in linalg
-    if "generators" in overrides:
-        overrides = dict(overrides, generators=overrides["generators"] + make_datum().generators)
-    report = validate(make_datum(**overrides))
-    assert [e.code for e in report.errors] == [code]
+    with pytest.raises(TypeError, match="holds"):
+        build()
+
+
+_PF = PushforwardDatum(model_id="P2", matrix=((2, 6),), nef=cone_from_rays([(1,)]))
+
+# each number field of a datum: (the field the error names, a build of an
+# object holding the value there, the same by replace)
+NUMBER_FIELDS = {
+    "multidegree": ("multidegree",
+                    lambda v: GeneratorDatum(multidegree=(v, 0), mults={"E": 1}),
+                    lambda v: replace(make_datum().generators[0], multidegree=(v, 0))),
+    "tracked-mult": ("mults",
+                     lambda v: GeneratorDatum(multidegree=(1, 0), mults={"E": v}),
+                     lambda v: replace(make_datum().generators[0], mults={"E": v})),
+    "untracked-mult": ("mults",
+                       lambda v: GeneratorDatum(multidegree=(1, 0), mults={"E": 1, "X": v}),
+                       lambda v: replace(make_datum().generators[0], mults={"E": 1, "X": v})),
+    "numerical": ("numerical",
+                  lambda v: make_datum(numerical=((1, 0), (v, 1))),
+                  lambda v: replace(make_datum(), numerical=((1, 0), (v, 1)))),
+    "pushforward-map": ("matrix",
+                        lambda v: PushforwardDatum(model_id="P2", matrix=((v, 6),), nef=_PF.nef),
+                        lambda v: replace(_PF, matrix=((v, 6),))),
+    "r": ("r", lambda v: make_datum(r=v), lambda v: replace(make_datum(), r=v)),
+}
+INEXACT_VALUES = {"1.5": 1.5, "1.0": 1.0, "True": True, "str": "1",
+                  "fraction-subclass": _Third(1), "intenum": _Degree.ONE}
+
+
+@pytest.mark.parametrize("value", INEXACT_VALUES.values(), ids=INEXACT_VALUES)
+@pytest.mark.parametrize("field", NUMBER_FIELDS)
+def test_each_number_field_is_exact_by_type_when_built(field, value):
+    # r=1.0 and r=True validated with no entry; the float then failed in
+    # make_segment and the bool was read as 1
+    name, build, rebuild = NUMBER_FIELDS[field]
+    for make in (build, rebuild):
+        with pytest.raises(TypeError, match=re.escape(f"{name} holds {value!r}, not an int")):
+            make(value)
+    # the same builds take an exact value
+    build(1)
+    rebuild(1)
 
 
 def test_a_multiplicity_cannot_be_changed_in_place():
@@ -297,6 +335,13 @@ def test_a_list_or_dict_passed_in_is_copied():
     assert datum == make_datum()
     assert type(datum.generators) is tuple and type(gen.multidegree) is tuple
     assert gen.multidegree == (1, 0) and gen.mults == {"E": Fraction(1)}
+    # a map is stored as a tuple of tuples
+    rows = [[1, 0]]
+    for stored in (make_datum(numerical=rows).numerical,
+                   PushforwardDatum(model_id="P2", matrix=rows, nef=_PF.nef).matrix):
+        rows[0][0] = 5
+        assert stored == ((1, 0),) and type(stored) is tuple and type(stored[0]) is tuple
+        rows[0][0] = 1
 
 
 def test_copies_pickles_replace_and_asdict_work_as_on_plain_data():
@@ -307,7 +352,10 @@ def test_copies_pickles_replace_and_asdict_work_as_on_plain_data():
         assert twin == datum and repr(twin) == repr(datum)
         with pytest.raises(TypeError, match="cannot be changed"):
             twin.generators[0].mults["E"] = Fraction(2)
-    assert asdict(datum)["generators"][1] == {"multidegree": (0, 1), "mults": {"E": Fraction(0)}}
+    plain = asdict(datum)["generators"][1]
+    assert plain == {"multidegree": (0, 1), "mults": {"E": Fraction(0)}}
+    # asdict rebuilds a dict subclass as its own type: the copy is read-only too
+    assert type(plain["mults"]) is _FrozenDict
     changed = replace(datum.generators[0], mults={"E": Fraction(2)})
     assert changed.mults == {"E": Fraction(2)} and datum.generators[0].mults == {"E": Fraction(1)}
     # the keys that order queries keep are no field

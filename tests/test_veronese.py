@@ -26,7 +26,6 @@ from mmpwalk.veronese import (
     DEFAULT_LATTICE_BUDGET,
     DEFAULT_SPLIT_BUDGET,
     MAX_MONOID_GENERATORS,
-    _exponent_vectors,
     _grid_table,
     _parallelepiped_points,
     _representations,
@@ -314,7 +313,7 @@ def test_grid_over_budget_is_skipped_before_a_vector_is_built(monkeypatch):
     def no_vectors(count, depth):
         raise AssertionError("exponent vectors built")
 
-    monkeypatch.setattr(veronese, "_exponent_vectors", no_vectors)
+    monkeypatch.setattr(veronese, "_grid_table", no_vectors)
     report = grid_additivity_check(datum, fan, depth=5000)
     assert len(report.entries) == len(fan.cells)
     for e in report.entries:
@@ -334,6 +333,21 @@ def test_grid_budget_counts_exponent_vectors(monkeypatch):
     monkeypatch.setattr(veronese, "DEFAULT_LATTICE_BUDGET", 8)
     over = grid_additivity_check(datum, fan, depth=3)
     assert all(e.skipped == "grid has 9 exponent vectors" for e in over.entries)
+
+
+def _exponent_vectors(count, depth):
+    """The grid's exponent vectors in their reference order: each total
+    from 1 to ``depth`` in turn, its vectors in lexicographic order, read
+    off the cuts of a row of stars and bars."""
+    for total in range(1, depth + 1):
+        for cuts in itertools.combinations(range(total + count - 1), count - 1):
+            vec = []
+            prev = -1
+            for c in cuts:
+                vec.append(c - prev - 1)
+                prev = c
+            vec.append(total + count - 2 - prev)
+            yield tuple(vec)
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 5, 8])
