@@ -37,7 +37,9 @@ exactly on the support cone, the cone over the degrees, so it decides
 membership.  The new basis goes in front and answers like a kept one.
 ``ratio(x)`` returns the exact order as integers ``(num, den)``, ``den >
 0``, and builds no ``Fraction`` and no basic solution: the checks, which
-make many queries, compare it cross-multiplied.  ``certificate(x)``, which is
+make many queries, compare it cross-multiplied.  ``dual(x)`` returns the
+dual of that basis as integers ``(y_num, y_den)``, from which the grid check
+reads a whole cell's orders.  ``certificate(x)``, which is
 ``asymptotic_order``, returns the same order as an ``OValue``, whose
 witness and certifying dual are built from the basis when first
 read.  Values are exact and unique.  When several optimal vertices tie,
@@ -199,16 +201,17 @@ class OrderFunction:
     so a kept basis's dual is ``den`` times the order's.  Only the value
     that ``certificate`` returns is a ``Fraction``.  ``ratio(x)`` is the
     exact order at ``x`` as integers ``(num, den)``, ``den > 0``, not in
-    lowest terms; ``certificate(x)`` is the same order as an ``OValue``,
-    with a witness and a dual.  Both read ``x`` by ``_point`` and answer
-    from the one basis that ``_find`` finds optimal there, kept or newly
-    solved, so they keep the bases alike.  A point outside the closed
-    support cone raises OutsideSupport from each, and a point of another
-    dimension DimensionError.  The degrees pass ``cones._check_generators``,
-    the one generator rule, which ``cone_from_rays`` reads too: no
-    degrees, or only zero ones, raise InvalidCone, degrees of mixed lengths
-    DimensionError, and an entry not exact by ``linalg``'s rule, such as a
-    bool or a float, TypeError.
+    lowest terms; ``dual(x)`` is the dual of the basis it is read from, as
+    integers ``(y_num, y_den)``; ``certificate(x)`` is the same order as an
+    ``OValue``, with a witness and a dual.  All three read ``x`` by
+    ``_point`` and answer from the one basis that ``_find`` finds optimal
+    there, kept or newly solved, so they keep the bases alike.  A point
+    outside the closed support cone raises OutsideSupport from each, and a
+    point of another dimension DimensionError.  The degrees pass
+    ``cones._check_generators``, the one generator rule, which
+    ``cone_from_rays`` reads too: no degrees, or only zero ones, raise
+    InvalidCone, degrees of mixed lengths DimensionError, and an entry not
+    exact by ``linalg``'s rule, such as a bool or a float, TypeError.
     """
 
     __slots__ = ("degrees", "costs", "den", "bases")
@@ -229,6 +232,16 @@ class OrderFunction:
         xs, x_den = self._point(x)
         basis = self._find(xs, x_den)
         return dot(basis.dual_num, xs), basis.dual_den * x_den * self.den
+
+    def dual(self, x):
+        """The dual of the basis that ``_find`` finds optimal at ``x``, as
+        integers ``(y_num, y_den)``, ``y_den > 0``, one numerator per
+        coordinate, read as ``ratio`` reads its basis; builds no
+        ``Fraction``.  The order at ``x`` is ``y_num . x / y_den``, and by
+        weak duality ``y_num . z / y_den`` is at most the order at every
+        point ``z`` of the support cone."""
+        basis = self._find(*self._point(x))
+        return basis.dual_num, basis.dual_den * self.den
 
     def certificate(self, x):
         """The order at ``x`` as an ``OValue`` that builds its witness, the

@@ -6,15 +6,19 @@ data, which are treated as ground truth.  A numerical map is its matrix,
 one row per numerical coordinate, so its target dimension is its row count;
 a nef cone is a plain ``PolyCone`` in its map's target coordinates.
 
-A datum never changes once built: its generators are a tuple, each
-holding its multidegree as a tuple and its multiplicities as a read-only
-copy of the mapping it was given, and its maps are tuples of tuples, so
-the key of each order function that ``orders.order_function`` finds for
-a datum is built once and kept.  Its numbers are exact when it is built:
-each constructor checks its fields by type, ``linalg``'s rule (an ``int``
-for ``r`` and a multidegree entry, an ``int`` or a ``Fraction`` for a
-multiplicity and a map entry), and raises TypeError naming the field and
-the value, so no query or validation checks them again.
+A datum never changes once built: its labels, valuations, generators and
+pushforwards are tuples, each generator holding its multidegree as a
+tuple and its multiplicities as a read-only copy of the mapping it was
+given, and its maps are tuples of tuples, so the key of each order
+function that ``orders.order_function`` finds for a datum is built once
+and kept.  Its numbers and containers are exact when it is built: each
+constructor checks its fields by type, ``linalg``'s rule for a number (an
+``int`` for ``r`` and a multidegree entry, an ``int`` or a ``Fraction``
+for a multiplicity and a map entry), a ``str`` for a label and a
+valuation, a ``GeneratorDatum`` for a generator, a ``PushforwardDatum``
+for a pushforward and a tuple or a list for a map row, where a str is
+not taken for a sequence.  A wrong type raises TypeError naming the field
+and the value, so no query or validation checks them again.
 """
 
 from dataclasses import dataclass, field
@@ -37,18 +41,34 @@ class _FrozenDict(dict):
         return type(self), (dict(self),)
 
 
-def _check_types(field, values, types=_EXACT_TYPES):
+def _check_types(field, values, types=_EXACT_TYPES, kind="an int or a Fraction"):
     """Raise TypeError naming ``field`` and the first of ``values`` whose
-    type is not in ``types``, ``linalg._EXACT_TYPES`` or ``_INT_TYPES``."""
+    type is not in ``types``, which ``kind`` names."""
     for x in values:
         if type(x) not in types:
-            kind = "an int" if types is _INT_TYPES else "an int or a Fraction"
             raise TypeError(f"{field} holds {x!r}, not {kind}")
 
 
+def _sequence(field, values, types, kind):
+    """``values`` as a tuple whose items each have a type in ``types``,
+    which ``kind`` names.  A value that is not iterable, or a str, which
+    would be read as its characters, raises TypeError naming ``field``."""
+    if type(values) is not tuple:
+        if type(values) is str or not hasattr(values, "__iter__"):
+            raise TypeError(f"{field} is {values!r}, not a sequence")
+        values = tuple(values)
+    if not types.issuperset(map(type, values)):
+        _check_types(field, values, types, kind)
+    return values
+
+
+_ROW_TYPES = frozenset((tuple, list))
+
+
 def _exact_rows(field, rows):
-    """A map's ``rows`` as a tuple of tuples whose entries are exact."""
-    rows = tuple(map(tuple, rows))
+    """A map's ``rows``, each a tuple or a list, as a tuple of tuples whose
+    entries are exact."""
+    rows = tuple(map(tuple, _sequence(field, rows, _ROW_TYPES, "a tuple or a list")))
     for row in rows:
         _check_types(field, row)
     return rows
@@ -65,7 +85,7 @@ class GeneratorDatum:
 
     def __post_init__(self):
         object.__setattr__(self, "multidegree", tuple(self.multidegree))
-        _check_types("multidegree", self.multidegree, _INT_TYPES)
+        _check_types("multidegree", self.multidegree, _INT_TYPES, "an int")
         if type(self.mults) is not _FrozenDict:
             object.__setattr__(self, "mults", _FrozenDict(self.mults))
         _check_types("mults", self.mults.values())
@@ -87,6 +107,15 @@ class PushforwardDatum:
         object.__setattr__(self, "matrix", _exact_rows("matrix", self.matrix))
 
 
+# each sequence field of a ring datum, the types of its items and their name
+_SEQUENCE_FIELDS = (
+    ("labels", frozenset((str,)), "a str"),
+    ("generators", frozenset((GeneratorDatum,)), "a GeneratorDatum"),
+    ("valuations", frozenset((str,)), "a str"),
+    ("pushforwards", frozenset((PushforwardDatum,)), "a PushforwardDatum"),
+)
+
+
 @dataclass(frozen=True)
 class RingDatum:
     r: int
@@ -98,8 +127,9 @@ class RingDatum:
     pushforwards: tuple = ()
 
     def __post_init__(self):
-        _check_types("r", (self.r,), _INT_TYPES)
-        object.__setattr__(self, "generators", tuple(self.generators))
+        _check_types("r", (self.r,), _INT_TYPES, "an int")
+        for name, types, kind in _SEQUENCE_FIELDS:
+            object.__setattr__(self, name, _sequence(name, getattr(self, name), types, kind))
         if self.numerical is not None:
             object.__setattr__(self, "numerical", _exact_rows("numerical", self.numerical))
 

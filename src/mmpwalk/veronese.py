@@ -12,10 +12,13 @@ order functions are linear, so the order of a nonnegative integer
 combination of the cell's monoid generators must equal the matching
 combination of the generators' orders.  Each grid point, and each
 right-hand side, is its parent's plus one generator's, the parent being
-the exponent vector less one at its last nonzero entry.  Each order is
-asked of the LP once per valuation and distinct point in a call, however
-many cells share the point.  Any failure points at a bug in the fan
-construction, not at the input.
+the exponent vector less one at its last nonzero entry.  The LP is asked
+only at the generators and for one dual per cell and valuation; a dual
+that meets the order at every generator proves the order linear on the
+cell, and each grid point's order is read off it.  Otherwise the cell
+straddles two linearity domains, and every grid point is asked of the
+LP.  Any failure points at a bug in the fan construction, not at the
+input.
 """
 
 import itertools
@@ -24,7 +27,7 @@ from math import comb, gcd, lcm
 from operator import add
 
 from .errors import BudgetExceeded
-from .linalg import row_reduce, shown
+from .linalg import dot, row_reduce, shown
 from .orders import _check_level, order_function
 
 DEFAULT_SPLIT_BUDGET = 200_000
@@ -319,20 +322,35 @@ def grid_additivity_check(datum, fan, depth=3):
     last nonzero entry, which comes before ``p`` (a unit vector's is the
     zero vector), once per call for each generator count met; a cell's
     point of ``p`` is its parent's point plus generator ``i``, one vector
-    addition per point.  Every order is read as the integers of
-    ``OrderFunction.ratio``, once per valuation and distinct point in the
-    call: the order at a point depends only on the valuation and the
-    point, so a generator that is also a grid point, a multiple of a
-    parallelepiped point and a point on a face that cells share are each
-    asked once, and a repeat reads the ``(num, den)`` of the first query
-    from a dict that lives only as long as the call and that only
-    ``ratio`` fills, never the fan.  Every exponent vector of every (cell,
-    valuation) still gets its own ``AdditivityCheck``, whose right-hand side
-    is the exponent vector times its own cell's generators' orders over one
-    denominator, built as its parent's plus generator ``i``'s order, one
-    integer addition per record, so each record holds integers and is
-    decided in them, cross-multiplied, with no ``Fraction`` built.
-    ``depth`` is checked as a level is, by ``_check_level``.
+    addition per point.
+
+    The generators' orders are read as the integers of
+    ``OrderFunction.ratio``, once per valuation and distinct generator in
+    the call: the order at a point depends only on the valuation and the
+    point, so a generator that cells share is asked once, and a repeat
+    reads the ``(num, den)`` of the first query from a dict that lives only
+    as long as the call and that only ``ratio`` fills, never the fan.  Each
+    (cell, valuation) then asks ``OrderFunction.dual`` once, at the sum of
+    the cell's generators, a point inside the cone they span, for the dual
+    ``(y_num, y_den)`` of the basis optimal there, and tests ``num * y_den
+    == (y_num . g) * den`` at every generator ``g``.  When every generator
+    passes, the order is ``y . x`` on the cone: every kept basis is dual
+    feasible, so by weak duality the order is at least ``y . x`` at every
+    point, and the order is convex and homogeneous, so at ``x = sum a_i
+    g_i`` with ``a_i >= 0`` it is at most ``sum a_i order(g_i) = y . x``.
+    Each record's left-hand side is then ``(y_num . point, y_den)``, built
+    as its parent's plus ``y_num . g_i``, and no grid point is asked.  When
+    a generator fails, the cell straddles two linearity domains, which
+    means the fan is broken, and every grid point is asked of ``ratio``
+    through the same dict, so the records show where additivity fails.
+
+    Every exponent vector of every (cell, valuation) gets its own
+    ``AdditivityCheck``, whose right-hand side is the exponent vector
+    times its own cell's generators' orders over one denominator, built as
+    its parent's plus generator ``i``'s order, one integer addition per
+    record, so each record holds integers and is decided in them,
+    cross-multiplied, with no ``Fraction`` built.  ``depth`` is checked as
+    a level is, by ``_check_level``.
     """
     _check_level(depth, "depth")
     order = {v: order_function(datum, v) for v in datum.valuations}
@@ -363,13 +381,15 @@ def grid_additivity_check(datum, fan, depth=3):
         for parent, i in steps:
             grid.append(tuple(map(add, grid[parent], gens[i])))
         points = grid[1:]
+        # a point interior to the cone the generators span
+        inner = tuple(map(sum, zip(*gens)))
         for valuation in datum.valuations:
             entry = CellReport(ci, valuation, tuple(gens), truncated=truncated)
             ratio = order[valuation].ratio
             seen = known[valuation]
-            for x in gens + points:
-                if x not in seen:
-                    seen[x] = ratio(x)
+            for g in gens:
+                if g not in seen:
+                    seen[g] = ratio(g)
             # the generators' orders as integers over one denominator
             ratios = [seen[g] for g in gens]
             base_den = lcm(*[d for _, d in ratios])
@@ -378,8 +398,21 @@ def grid_additivity_check(datum, fan, depth=3):
             rhs = [0]
             for parent, i in steps:
                 rhs.append(rhs[parent] + base[i])
-            for p, point, r in zip(exponents, points, rhs[1:]):
-                num, den = seen[point]
+            # the certificate: a dual-feasible y equal to the order at every
+            # generator equals it on the cone they span
+            y_num, y_den = order[valuation].dual(inner)
+            at_gens = [dot(y_num, g) for g in gens]
+            if all(n * y_den == v * d for (n, d), v in zip(ratios, at_gens)):
+                lhs = [0]
+                for parent, i in steps:
+                    lhs.append(lhs[parent] + at_gens[i])
+                sides = [(v, y_den) for v in lhs[1:]]
+            else:  # the cell straddles two linearity domains: ask every point
+                for x in points:
+                    if x not in seen:
+                        seen[x] = ratio(x)
+                sides = [seen[x] for x in points]
+            for p, point, (num, den), r in zip(exponents, points, sides, rhs[1:]):
                 entry.checks.append(AdditivityCheck(p, point, num, den, r, base_den))
             report.entries.append(entry)
     return report

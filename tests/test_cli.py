@@ -291,14 +291,16 @@ def test_check_stdout_on_corpus_matches_recorded_digest(monkeypatch, capsys, ins
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CORPUS_CHECK_SHA256[instance]
 
 
-# LP solves and order queries of one check run from a cold start.  The
-# sampling queries the order function once per sampled point, the grid once
-# per distinct (valuation, point) of its generators and grid points; asked
-# once per grid point, the same runs made 232 and 6,381 queries and the
-# same solves.  A query is a call of ``ratio``, the one query check makes.
+# LP solves, ``ratio`` queries and ``dual`` queries of one check run from a
+# cold start.  The sampling asks ``ratio`` once per sampled point; the grid
+# asks it once per distinct (valuation, generator) and ``dual`` once per
+# (cell, valuation) pair, and reads every grid point's order off that dual.
+# Asked once per distinct grid point, the same runs made 225 and 3,441
+# ``ratio`` queries, and once per grid point 232 and 6,381, with the same
+# solves.
 CHECK_QUERY_COUNTS = {
-    "--example blowup-P2": (2, 225),
-    "corpus 2": (16, 3441),
+    "--example blowup-P2": (2, 213, 2),
+    "corpus 2": (16, 1131, 72),
 }
 
 
@@ -310,24 +312,29 @@ def test_check_makes_the_recorded_solves_and_queries(monkeypatch, capsys, case):
     else:
         argv = ["check", *case.split()]
     orders.forget_order_functions()
-    solves, queries = [], []
+    solves, queries, duals = [], [], []
     solve_min = orders.solve_min
 
     def counted_solve(*args, **kwargs):
         solves.append(args)
         return solve_min(*args, **kwargs)
 
-    ratio = OrderFunction.ratio
+    ratio, dual = OrderFunction.ratio, OrderFunction.dual
 
     def counted(self, x):
         queries.append(x)
         return ratio(self, x)
 
+    def counted_dual(self, x):
+        duals.append(x)
+        return dual(self, x)
+
     monkeypatch.setattr(orders, "solve_min", counted_solve)
     monkeypatch.setattr(OrderFunction, "ratio", counted)
+    monkeypatch.setattr(OrderFunction, "dual", counted_dual)
     code, out, _ = run(capsys, *argv)
     assert code == 0 and out.endswith("result: PASS\n")
-    assert (len(solves), len(queries)) == CHECK_QUERY_COUNTS[case]
+    assert (len(solves), len(queries), len(duals)) == CHECK_QUERY_COUNTS[case]
 
 
 # Fractions built by one check run from a cold start, counted by patching

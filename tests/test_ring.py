@@ -302,6 +302,43 @@ def test_each_number_field_is_exact_by_type_when_built(field, value):
     rebuild(1)
 
 
+# each container field of a datum, a wrong value for it and the message it
+# raises: a flat map raised "'int' object is not iterable"; a generator or
+# a pushforward of another type, and labels that are an int, built and
+# made validate raise; a str was read as its characters
+CONTAINER_CASES = {
+    "flat-numerical": (dict(numerical=(2, 6)), "numerical holds 2, not a tuple or a list"),
+    "str-numerical-row": (dict(numerical=("10",)), "numerical holds '10', not a tuple or a list"),
+    "int-generator": (dict(generators=[1]), "generators holds 1, not a GeneratorDatum"),
+    "int-pushforward": (dict(pushforwards=(1,)), "pushforwards holds 1, not a PushforwardDatum"),
+    "int-labels": (dict(labels=5), "labels is 5, not a sequence"),
+    "str-labels": (dict(labels="D0"), "labels is 'D0', not a sequence"),
+    "int-label": (dict(labels=("K", 1)), "labels holds 1, not a str"),
+    "str-valuations": (dict(valuations="E"), "valuations is 'E', not a sequence"),
+    "int-valuation": (dict(valuations=(1,)), "valuations holds 1, not a str"),
+    "str-pushforward-map": (dict(pf_matrix="26"), "matrix is '26', not a sequence"),
+}
+
+
+@pytest.mark.parametrize("case", CONTAINER_CASES)
+def test_each_container_field_is_checked_when_built(case):
+    overrides, message = CONTAINER_CASES[case]
+    if "pf_matrix" in overrides:
+        builds = [lambda: PushforwardDatum(model_id="P2", matrix=overrides["pf_matrix"],
+                                           nef=_PF.nef),
+                  lambda: replace(_PF, matrix=overrides["pf_matrix"])]
+    else:
+        builds = [lambda: make_datum(**overrides), lambda: replace(make_datum(), **overrides)]
+    for build in builds:
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            build()
+    # every sequence field is stored as a tuple, whatever sequence it was given
+    datum = make_datum(labels=["K", "D1"], valuations=["E"], pushforwards=[_PF])
+    assert datum == make_datum(pushforwards=(_PF,))
+    assert all(type(x) is tuple for x in (datum.labels, datum.valuations, datum.pushforwards))
+    assert validate(datum).ok()
+
+
 def test_a_multiplicity_cannot_be_changed_in_place():
     mults = make_datum().generators[0].mults
     changes = [

@@ -18,10 +18,10 @@ from mmpwalk import (
     veronese,
     veronese_degree,
 )
-from mmpwalk.cones import cone_from_rays
+from mmpwalk.cones import cone_from_rays, make_fan
 from mmpwalk.errors import BudgetExceeded
 from mmpwalk.linalg import rank, solve_exact
-from mmpwalk.orders import OrderFunction
+from mmpwalk.orders import OrderFunction, order_function
 from mmpwalk.veronese import (
     DEFAULT_LATTICE_BUDGET,
     DEFAULT_SPLIT_BUDGET,
@@ -438,27 +438,33 @@ def test_grid_additivity_equals_reference(name, dscale, lattice_budget, depth, m
 
 @pytest.mark.parametrize("name", sorted(builtin_examples()) + ["corpus-2", "corpus-44"])
 def test_grid_asks_each_order_once_per_distinct_point(name, monkeypatch):
-    # the order at a point depends only on the valuation and the point, so
-    # one call asks each (valuation, point) of the generators and grid
-    # points once, however many cells and exponent vectors share it; every
+    # the grid asks ``ratio`` only at generators, once per distinct
+    # (valuation, generator) however many cells share it, and ``dual`` once
+    # per (cell, valuation) pair that is not skipped; the certificate holds
+    # on every cell of a chamber fan, so no grid point is asked, and every
     # exponent vector still has its own record
     datum = _grid_case(name)
     fan = chamber_fan(datum)
-    ratio = OrderFunction.ratio
-    asked = []
+    ratio, dual = OrderFunction.ratio, OrderFunction.dual
+    asked, duals = [], []
 
     def counted(self, x):
         asked.append(x)
         return ratio(self, x)
 
+    def counted_dual(self, x):
+        duals.append(x)
+        return dual(self, x)
+
     monkeypatch.setattr(OrderFunction, "ratio", counted)
+    monkeypatch.setattr(OrderFunction, "dual", counted_dual)
     depth = 3
     report = grid_additivity_check(datum, fan, depth)
-    looked_up = [(e.valuation, x) for e in report.entries if not e.skipped
-                 for x in e.generators + tuple(c.point for c in e.checks)]
-    assert len(asked) == len(set(looked_up))
-    # each generator is also the grid point of its unit exponent vector
-    assert len(set(looked_up)) < len(looked_up) or not datum.valuations
+    kept = [e for e in report.entries if not e.skipped]
+    generators = [(e.valuation, g) for e in kept for g in e.generators]
+    assert len(asked) == len(set(generators))
+    assert set(asked) <= {g for _, g in generators}
+    assert len(duals) == len(kept)
     for e in report.entries:
         if not e.skipped:
             k = len(e.generators)
@@ -492,19 +498,33 @@ def test_grid_calls_share_no_order(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["blowup-P2", "corpus-2"])
 def test_additivity_check_is_ok_exactly_when_its_sides_are_equal(name, monkeypatch):
-    # the squared order is not additive, so the grid holds failing records
-    # beside passing ones: on every record ``ok``, decided in integers,
-    # agrees with comparing the sides as Fractions
+    # a broken fan, the support as one cell, straddles linearity domains:
+    # no dual meets the order at every generator, so the certificate fails
+    # and every record reads ``ratio`` at its point; the order is not linear
+    # on the cell, so failing records stand beside passing ones, and on
+    # every record ``ok``, decided in integers, agrees with comparing the
+    # sides as Fractions
     datum = _grid_case(name)
-    fan = chamber_fan(datum)
+    support = support_cone(datum)
+    fan = make_fan([support], support)
     ratio = OrderFunction.ratio
+    asked = {}
 
-    def squared(self, x):
-        num, den = ratio(self, x)
-        return num * num, den * den
+    def counted(self, x):
+        asked[self, x] = ratio(self, x)
+        return asked[self, x]
 
-    monkeypatch.setattr(OrderFunction, "ratio", squared)
-    checks = [c for e in grid_additivity_check(datum, fan).entries for c in e.checks]
+    monkeypatch.setattr(OrderFunction, "ratio", counted)
+    report = grid_additivity_check(datum, fan)
+    assert len(report.entries) == len(datum.valuations)
+    for e in report.entries:
+        order = order_function(datum, e.valuation)
+        y_num, y_den = order.dual(tuple(map(sum, zip(*e.generators))))
+        assert any(Fraction(linalg.dot(y_num, g), y_den) != Fraction(*ratio(order, g))
+                   for g in e.generators)
+        assert [(c.lhs_num, c.lhs_den) for c in e.checks] == [
+            asked[order, c.point] for c in e.checks]
+    checks = [c for e in report.entries for c in e.checks]
     assert any(c.ok for c in checks) and not all(c.ok for c in checks)
     for c in checks:
         assert c.ok == (Fraction(c.lhs_num, c.lhs_den) == Fraction(c.rhs_num, c.rhs_den))
@@ -512,6 +532,38 @@ def test_additivity_check_is_ok_exactly_when_its_sides_are_equal(name, monkeypat
     # the sides need not be in lowest terms
     assert veronese.AdditivityCheck((1,), (2,), 2, 4, 1, 2).ok
     assert not veronese.AdditivityCheck((1,), (2,), -1, 2, 1, 2).ok
+
+
+def test_the_certificate_holds_on_every_corpus_fan(monkeypatch):
+    # on corpus documents 1-50 and every builtin example, refined and not,
+    # every cell's dual meets the order at its generators, so the grid asks
+    # ``ratio`` only at (valuation, generator) pairs, and every record's
+    # left-hand side, read off the dual, is the order at its point, which
+    # ``ratio`` asked apart from the grid gives
+    data = [random_instance(corpus_spec(s)) for s in range(1, 51)]
+    data += builtin_examples().values()
+    ratio = OrderFunction.ratio
+    asked = []
+
+    def counted(self, x):
+        asked.append(x)
+        return ratio(self, x)
+
+    monkeypatch.setattr(OrderFunction, "ratio", counted)
+    records = 0
+    for datum in data:
+        for refine in (True, False):
+            fan = chamber_fan(datum, refine=refine)
+            asked.clear()
+            report = grid_additivity_check(datum, fan)
+            generators = {g for e in report.entries for g in e.generators}
+            assert set(asked) <= generators
+            for e in report.entries:
+                order = order_function(datum, e.valuation)
+                for c in e.checks:
+                    assert Fraction(c.lhs_num, c.lhs_den) == Fraction(*ratio(order, c.point))
+                    records += 1
+    assert records > 100_000
 
 
 def reference_ray_basis(cell):
